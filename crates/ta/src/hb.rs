@@ -44,13 +44,18 @@
 //! participate in the LS check only. PPE-side proxy DMA is not
 //! reconstructed (matching the window heuristic).
 
-use std::collections::{HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
+use std::ops::Range;
 
 use pdt::{EventCode, EventGroup, TraceCore};
 
 use crate::causality::CausalEdge;
 use crate::columns::ColumnarTrace;
 use crate::index::{IntervalTree, Span};
+
+/// "No slot" marker in the dense per-event slot vectors.
+const NO_SLOT: u32 = u32::MAX;
 
 /// An epoch-based vector clock: component `i` is the number of events
 /// of stream `i` known to have happened.
@@ -106,95 +111,151 @@ impl VecClock {
 ///
 /// `on_event(global, stream, pos, clock)` fires once per event with
 /// the stream's clock *after* the event (own epoch `pos + 1` set,
-/// incoming edges joined). Returns `true` when a cross-edge cycle
-/// (possible only in clock-skewed or damaged traces) forced progress
-/// by ignoring an unprocessed producer.
+/// incoming edges joined), as one `u32` per stream. Returns `true`
+/// when a cross-edge cycle (possible only in clock-skewed or damaged
+/// traces) forced progress by ignoring an unprocessed producer.
 fn propagate<F>(trace: &ColumnarTrace, edges: &[CausalEdge], mut on_event: F) -> bool
 where
-    F: FnMut(usize, usize, u32, &VecClock),
+    F: FnMut(usize, usize, u32, &[u32]),
 {
-    let offsets = trace.core_offsets();
-    let width = offsets.len();
-    let n = trace.events.len();
-    let mut stream_of = vec![0u32; n];
-    let mut pos_of = vec![0u32; n];
-    for (si, (_, offs)) in offsets.iter().enumerate() {
-        for (pos, &g) in offs.iter().enumerate() {
-            stream_of[g as usize] = si as u32;
-            pos_of[g as usize] = pos as u32;
-        }
-    }
-    let mut incoming: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut needed = vec![false; n];
-    for e in edges {
-        if e.earlier < n && e.later < n {
-            incoming[e.later].push(e.earlier);
-            needed[e.earlier] = true;
-        }
-    }
-    let mut cursors = vec![0usize; width];
-    let mut clocks: Vec<VecClock> = (0..width).map(|_| VecClock::new(width)).collect();
-    let mut released: HashMap<usize, VecClock> = HashMap::new();
-    let mut remaining = n;
+    let mut p = Propagation::new(trace, edges);
+    let streams = p.offsets.len();
+    let mut remaining = trace.events.len();
     let mut degraded = false;
-
-    let mut process = |si: usize,
-                       cursors: &mut Vec<usize>,
-                       clocks: &mut Vec<VecClock>,
-                       released: &mut HashMap<usize, VecClock>,
-                       remaining: &mut usize| {
-        let pos = cursors[si];
-        let g = offsets[si].1[pos] as usize;
-        let clock = &mut clocks[si];
-        clock.set(si, pos as u32 + 1);
-        for p in &incoming[g] {
-            if let Some(rc) = released.get(p) {
-                clock.join(rc);
-            }
-        }
-        if needed[g] {
-            released.insert(g, clock.clone());
-        }
-        on_event(g, si, pos as u32, clock);
-        cursors[si] = pos + 1;
-        *remaining -= 1;
-    };
-
     while remaining > 0 {
         let mut progressed = false;
-        for si in 0..width {
-            while cursors[si] < offsets[si].1.len() {
-                let g = offsets[si].1[cursors[si]] as usize;
-                let ready = incoming[g]
-                    .iter()
-                    .all(|&p| (pos_of[p] as usize) < cursors[stream_of[p] as usize]);
-                if !ready {
-                    break;
-                }
-                process(si, &mut cursors, &mut clocks, &mut released, &mut remaining);
+        for si in 0..streams {
+            while p.ready(si) {
+                p.process(si, &mut on_event);
+                remaining -= 1;
                 progressed = true;
             }
         }
-        if !progressed && remaining > 0 {
+        if !progressed {
             // Every stream is blocked on an unprocessed producer: a
             // cycle through the edge set. Break it at the lowest-tag
             // blocked stream (deterministic), joining only the
             // producers that *have* released — losing a join loses
             // orderings, which can only add (suspect) findings.
-            let si = (0..width)
-                .find(|&s| cursors[s] < offsets[s].1.len())
+            let si = (0..streams)
+                .find(|&s| p.cursors[s] < p.offsets[s].1.len())
                 .expect("remaining > 0 implies an unfinished stream");
-            process(si, &mut cursors, &mut clocks, &mut released, &mut remaining);
+            p.process(si, &mut on_event);
+            remaining -= 1;
             degraded = true;
         }
     }
     degraded
 }
 
+/// The state of one [`propagate`] run, in dense per-event vectors and
+/// flat clock arenas (one `width`-wide row per clock) rather than
+/// per-event maps and heap-allocated clocks.
+struct Propagation<'t> {
+    offsets: &'t [(TraceCore, Vec<u32>)],
+    width: usize,
+    /// Incoming sync edges in compressed-row form: the producers of
+    /// event `g` are `producers[first[g]..first[g + 1]]`.
+    first: Vec<u32>,
+    producers: Vec<u32>,
+    /// Per event: its row in `released` when some edge leaves it.
+    release_slot: Vec<u32>,
+    /// The clock each producer released, written when it is processed.
+    released: Vec<u32>,
+    done: Vec<bool>,
+    /// Row `si` is stream `si`'s running clock.
+    clocks: Vec<u32>,
+    cursors: Vec<usize>,
+}
+
+impl<'t> Propagation<'t> {
+    fn new(trace: &'t ColumnarTrace, edges: &[CausalEdge]) -> Self {
+        let offsets = trace.core_offsets();
+        let width = offsets.len();
+        let n = trace.events.len();
+        let mut pairs: Vec<(u32, u32)> = edges
+            .iter()
+            .filter(|e| e.earlier < n && e.later < n)
+            .map(|e| (e.later as u32, e.earlier as u32))
+            .collect();
+        pairs.sort_unstable();
+        let mut first = vec![0u32; n + 1];
+        for &(later, _) in &pairs {
+            first[later as usize + 1] += 1;
+        }
+        for g in 0..n {
+            first[g + 1] += first[g];
+        }
+        let producers: Vec<u32> = pairs.into_iter().map(|(_, earlier)| earlier).collect();
+        let mut release_slot = vec![NO_SLOT; n];
+        let mut slots = 0usize;
+        for &p in &producers {
+            if release_slot[p as usize] == NO_SLOT {
+                release_slot[p as usize] = slots as u32;
+                slots += 1;
+            }
+        }
+        Propagation {
+            offsets,
+            width,
+            first,
+            producers,
+            release_slot,
+            released: vec![0; slots * width],
+            done: vec![false; n],
+            clocks: vec![0; width * width],
+            cursors: vec![0; width],
+        }
+    }
+
+    fn producers_of(&self, g: usize) -> &[u32] {
+        &self.producers[self.first[g] as usize..self.first[g + 1] as usize]
+    }
+
+    /// Whether stream `si` has a next event whose producers have all
+    /// been processed.
+    fn ready(&self, si: usize) -> bool {
+        self.offsets[si].1.get(self.cursors[si]).is_some_and(|&g| {
+            self.producers_of(g as usize)
+                .iter()
+                .all(|&p| self.done[p as usize])
+        })
+    }
+
+    /// Processes stream `si`'s next event.
+    fn process<F>(&mut self, si: usize, on_event: &mut F)
+    where
+        F: FnMut(usize, usize, u32, &[u32]),
+    {
+        let w = self.width;
+        let pos = self.cursors[si];
+        let g = self.offsets[si].1[pos] as usize;
+        let clock = &mut self.clocks[si * w..(si + 1) * w];
+        clock[si] = pos as u32 + 1;
+        let producers = &self.producers[self.first[g] as usize..self.first[g + 1] as usize];
+        for &p in producers {
+            // Only a processed producer has released its clock.
+            if self.done[p as usize] {
+                let at = self.release_slot[p as usize] as usize * w;
+                for (a, &b) in clock.iter_mut().zip(&self.released[at..at + w]) {
+                    *a = (*a).max(b);
+                }
+            }
+        }
+        if self.release_slot[g] != NO_SLOT {
+            let at = self.release_slot[g] as usize * w;
+            self.released[at..at + w].copy_from_slice(clock);
+        }
+        on_event(g, si, pos as u32, clock);
+        self.done[g] = true;
+        self.cursors[si] = pos + 1;
+    }
+}
+
 /// The full per-event clock table — the dense export the property
-/// tests check the vector-clock laws against. The race engine itself
-/// uses the sparse path ([`HbIndex::build`]) that only snapshots
-/// clocks at DMA issues.
+/// tests check the vector-clock laws (and the race enumeration)
+/// against. The race engine itself only snapshots clocks at DMA
+/// issues ([`HbIndex::build`]).
 #[derive(Debug)]
 pub struct ClockTable {
     clocks: Vec<VecClock>,
@@ -209,7 +270,7 @@ pub fn event_clocks(trace: &ColumnarTrace, edges: &[CausalEdge]) -> ClockTable {
     let mut clocks = vec![VecClock::new(0); n];
     let mut place = vec![(0usize, 0u32); n];
     let degraded = propagate(trace, edges, |g, si, pos, vc| {
-        clocks[g] = vc.clone();
+        clocks[g] = VecClock(vc.to_vec());
         place[g] = (si, pos);
     });
     ClockTable {
@@ -304,6 +365,19 @@ pub struct Access {
     pub global: usize,
 }
 
+impl Access {
+    /// The half-open byte range `[lo, hi)` the access touches in
+    /// `space`. The end saturates at `u64::MAX`, so hostile params
+    /// shorten a range instead of wrapping it.
+    pub fn range(&self, space: Space) -> (u64, u64) {
+        let lo = match space {
+            Space::LocalStore => self.lsa,
+            Space::MainMemory => self.ea,
+        };
+        (lo, lo.saturating_add(self.bytes))
+    }
+}
+
 /// A race the engine proved: two overlapping accesses with no ordering
 /// path, plus the exact byte intersection. `first`/`second` follow the
 /// global event order, so `second` is the natural diagnostic anchor.
@@ -340,8 +414,221 @@ struct Transfer {
     wait_pos: u32,
     /// Stream index of the issuing SPE in the clock universe.
     stream: usize,
-    /// The stream's clock at issue.
-    issue_vc: VecClock,
+}
+
+impl Transfer {
+    /// Whether the transfer takes part in the `space` check: it moves
+    /// bytes, and (main memory only) its EA side is one range.
+    fn checked_in(&self, space: Space) -> bool {
+        self.acc.bytes > 0 && (space == Space::LocalStore || !self.list)
+    }
+}
+
+/// The direction whose transfers write `space`: GETs write local
+/// store, PUTs write main memory.
+fn writer(space: Space) -> AccessDir {
+    match space {
+        Space::LocalStore => AccessDir::Get,
+        Space::MainMemory => AccessDir::Put,
+    }
+}
+
+/// Whether a pair of the given directions races in `space` when the
+/// bytes overlap: at least one side writes them.
+fn conflicts(space: Space, a: AccessDir, b: AccessDir) -> bool {
+    a == writer(space) || b == writer(space)
+}
+
+/// Every SPE's transfers in one flat list, stream-major in clock
+/// order (so flat order is the global order within each stream), with
+/// each SPE's run and the issue clocks.
+struct Transfers {
+    all: Vec<Transfer>,
+    runs: Vec<Range<usize>>,
+    /// Stream width of the clock universe.
+    width: usize,
+    /// Transfer `k`'s issue clock is `issue[k * width..(k + 1) * width]`.
+    issue: Vec<u32>,
+}
+
+impl Transfers {
+    /// Replays every SPE stream's DMA events: issues, covering waits
+    /// and barriers. Every other event is skipped on the code column,
+    /// without reading its params.
+    fn reconstruct(trace: &ColumnarTrace) -> Self {
+        let cols = &trace.events;
+        let codes = cols.codes();
+        let offsets = trace.core_offsets();
+        let mut all: Vec<Transfer> = Vec::new();
+        let mut runs = Vec::new();
+        for (stream, (core, offs)) in offsets.iter().enumerate() {
+            let TraceCore::Spe(spe) = *core else {
+                continue;
+            };
+            if !trace.core_has_group(*core, EventGroup::SpeDma) {
+                continue;
+            }
+            let base = all.len();
+            // Unwaited transfers per tag group (a wait mask has one bit
+            // per group, so a wider tag, which only damaged params
+            // produce, is never waited), and the first transfer no
+            // barrier has ordered yet.
+            let mut pending: [Vec<usize>; 32] = Default::default();
+            let mut unbarriered = base;
+            for (pos, &g) in offs.iter().enumerate() {
+                let (g, pos) = (g as usize, pos as u32);
+                match codes[g] {
+                    code @ (EventCode::SpeDmaGet | EventCode::SpeDmaPut) => {
+                        let p = cols.params(g);
+                        if p.len() < 4 {
+                            continue;
+                        }
+                        let tag = (p[3] & 0xff) as u8;
+                        if let Some(q) = pending.get_mut(usize::from(tag)) {
+                            q.push(all.len());
+                        }
+                        all.push(Transfer {
+                            acc: Access {
+                                spe,
+                                dir: if code == EventCode::SpeDmaGet {
+                                    AccessDir::Get
+                                } else {
+                                    AccessDir::Put
+                                },
+                                tag,
+                                lsa: p[1],
+                                ea: p[0],
+                                bytes: p[2],
+                                time_tb: cols.times()[g],
+                                seq: cols.seq(g),
+                                global: g,
+                            },
+                            list: p[3] >> 8 != 0,
+                            pos,
+                            order_pos: u32::MAX,
+                            wait_pos: u32::MAX,
+                            stream,
+                        });
+                    }
+                    EventCode::SpeTagWaitEnd => {
+                        let mut completed = cols.params(g).first().copied().unwrap_or(0) as u32;
+                        while completed != 0 {
+                            let tag = completed.trailing_zeros() as usize;
+                            completed &= completed - 1;
+                            for i in pending[tag].drain(..) {
+                                all[i].wait_pos = pos;
+                                all[i].order_pos = all[i].order_pos.min(pos);
+                            }
+                        }
+                    }
+                    EventCode::SpeDmaBarrier => {
+                        // The barrier command holds the MFC queue until
+                        // every earlier command completes: all still-
+                        // open transfers become ordered before anything
+                        // issued after this position. Transfers already
+                        // waited keep their (earlier) wait position.
+                        for t in &mut all[unbarriered..] {
+                            t.order_pos = t.order_pos.min(pos);
+                        }
+                        unbarriered = all.len();
+                    }
+                    _ => {}
+                }
+            }
+            runs.push(base..all.len());
+        }
+        Transfers {
+            all,
+            runs,
+            width: offsets.len(),
+            issue: Vec::new(),
+        }
+    }
+
+    /// Propagates clocks over `edges` and snapshots each transfer's
+    /// issue clock. Returns the propagation's degraded flag.
+    fn snapshot_clocks(&mut self, trace: &ColumnarTrace, edges: &[CausalEdge]) -> bool {
+        let w = self.width;
+        let mut issue = vec![0u32; self.all.len() * w];
+        // Per stream, the next transfer whose issue is still ahead;
+        // `propagate` visits each stream's events in position order.
+        let mut next: Vec<Range<usize>> = vec![0..0; w];
+        for run in &self.runs {
+            if let Some(t) = self.all.get(run.start) {
+                next[t.stream] = run.clone();
+            }
+        }
+        let all = &self.all;
+        let degraded = propagate(trace, edges, |_, si, pos, clock| {
+            let k = next[si].start;
+            if k < next[si].end && all[k].pos == pos {
+                issue[k * w..(k + 1) * w].copy_from_slice(clock);
+                next[si].start += 1;
+            }
+        });
+        self.issue = issue;
+        degraded
+    }
+
+    /// Whether transfer `a`'s completion is ordered before transfer
+    /// `b`'s issue across streams: `a` has a completion witness (first
+    /// covering wait-end at `wait_pos` on its own stream) and `b`'s
+    /// issue clock has observed that position.
+    fn completes_before(&self, a: usize, b: usize) -> bool {
+        let a = &self.all[a];
+        a.wait_pos != u32::MAX && self.issue[b * self.width + a.stream] > a.wait_pos
+    }
+}
+
+/// Walks one stream's transfers in issue order and calls `pair(a, t)`
+/// for every earlier transfer `a` still unordered at `t`'s issue
+/// (`t.pos < a.order_pos`) whose `space` range overlaps `t`'s, where
+/// at least one of the two writes `space`. Returns the number of open
+/// entries examined: the pairs reported, plus per lookup the entries
+/// that start within the longest range below `t` without reaching it.
+fn sweep_stream(ts: &[Transfer], space: Space, mut pair: impl FnMut(&Transfer, &Transfer)) -> u64 {
+    // The open set: earlier transfers nothing has ordered yet, as
+    // `(lo, index)` per direction (`Get` = 0, `Put` = 1) so a lookup
+    // visits only nearby entries, with an expiry heap on `order_pos`.
+    // No open range is longer than `max_len`, so one starting further
+    // below a query's start cannot reach it.
+    let mut open: [BTreeSet<(u64, u32)>; 2] = Default::default();
+    let mut expiry: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
+    let mut max_len = 0u64;
+    let mut examined = 0u64;
+    for (i, t) in ts.iter().enumerate() {
+        if !t.checked_in(space) {
+            continue;
+        }
+        while let Some(&Reverse((at, j))) = expiry.peek() {
+            if at > t.pos {
+                break;
+            }
+            expiry.pop();
+            let a = &ts[j as usize];
+            open[a.acc.dir as usize].remove(&(a.acc.range(space).0, j));
+        }
+        let (lo, hi) = t.acc.range(space);
+        for dir in [AccessDir::Get, AccessDir::Put] {
+            if !conflicts(space, dir, t.acc.dir) {
+                continue;
+            }
+            let from = (lo.saturating_sub(max_len), 0);
+            for &(_, j) in open[dir as usize].range(from..(hi, 0)) {
+                examined += 1;
+                let a = &ts[j as usize];
+                if a.acc.range(space).1 > lo {
+                    pair(a, t);
+                }
+            }
+        }
+        open[t.acc.dir as usize].insert((lo, i as u32));
+        if t.order_pos != u32::MAX {
+            expiry.push(Reverse((t.order_pos, i as u32)));
+        }
+        max_len = max_len.max(hi - lo);
+    }
+    examined
 }
 
 /// An address-space span carried by the overlap tree.
@@ -371,244 +658,130 @@ pub struct HbIndex {
     /// `races` range per shard.
     ranges: Vec<(usize, usize)>,
     degraded: bool,
+    /// Transfer pairs the enumeration examined.
+    candidates: u64,
 }
 
 impl HbIndex {
     /// Reconstructs transfers, propagates clocks over `edges` (use
     /// [`sync_edges_columns`](crate::causality::sync_edges_columns))
     /// and enumerates every unordered overlapping pair.
+    ///
+    /// Enumeration is output-sensitive. Pairs within one SPE (local
+    /// store, and main memory on one MFC queue) come from a per-stream
+    /// sweep over the transfers still unordered at each issue, so an
+    /// address reused for the whole run costs nothing once its
+    /// transfers are waited. Pairs across SPEs query per-stream
+    /// main-memory trees of the opposite or writing direction only.
     pub fn build(trace: &ColumnarTrace, edges: &[CausalEdge]) -> Self {
-        let offsets = trace.core_offsets();
-        let stream_index: HashMap<TraceCore, usize> = offsets
-            .iter()
-            .enumerate()
-            .map(|(i, (c, _))| (*c, i))
-            .collect();
-        let width = offsets.len();
-
-        // Per-SPE transfer reconstruction: the same lifetime replay as
-        // the lint sweep, plus barrier ordering and witness positions.
-        let mut per_spe: Vec<(u8, Vec<Transfer>)> = Vec::new();
-        let mut issue_of: HashMap<usize, (usize, usize)> = HashMap::new();
-        for spe in trace.spes() {
-            let core = TraceCore::Spe(spe);
-            if !trace.core_has_group(core, EventGroup::SpeDma) {
-                continue;
-            }
-            let stream = stream_index[&core];
-            let mut transfers: Vec<Transfer> = Vec::new();
-            let mut pending: Vec<usize> = Vec::new();
-            for (pos, &g) in trace.core_slice(core).iter().enumerate() {
-                let v = trace.events.view(g as usize);
-                match v.code {
-                    EventCode::SpeDmaGet | EventCode::SpeDmaPut => {
-                        if v.params.len() < 4 {
-                            continue;
-                        }
-                        transfers.push(Transfer {
-                            acc: Access {
-                                spe,
-                                dir: if v.code == EventCode::SpeDmaGet {
-                                    AccessDir::Get
-                                } else {
-                                    AccessDir::Put
-                                },
-                                tag: (v.params[3] & 0xff) as u8,
-                                lsa: v.params[1],
-                                ea: v.params[0],
-                                bytes: v.params[2],
-                                time_tb: v.time_tb,
-                                seq: v.stream_seq,
-                                global: g as usize,
-                            },
-                            list: v.params[3] >> 8 != 0,
-                            pos: pos as u32,
-                            order_pos: u32::MAX,
-                            wait_pos: u32::MAX,
-                            stream,
-                            issue_vc: VecClock::new(width),
-                        });
-                        pending.push(transfers.len() - 1);
-                    }
-                    EventCode::SpeTagWaitEnd => {
-                        let completed = v.params.first().copied().unwrap_or(0) as u32;
-                        pending.retain(|&i| {
-                            if completed & (1u32 << transfers[i].tag()) != 0 {
-                                transfers[i].wait_pos = pos as u32;
-                                transfers[i].order_pos = transfers[i].order_pos.min(pos as u32);
-                                false
-                            } else {
-                                true
-                            }
-                        });
-                    }
-                    EventCode::SpeDmaBarrier => {
-                        // The barrier command holds the MFC queue until
-                        // every earlier command completes: all still-
-                        // open transfers become ordered before anything
-                        // issued after this position.
-                        for &i in &pending {
-                            transfers[i].order_pos = transfers[i].order_pos.min(pos as u32);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            let si = per_spe.len();
-            for (ti, t) in transfers.iter().enumerate() {
-                issue_of.insert(t.acc.global, (si, ti));
-            }
-            per_spe.push((spe, transfers));
-        }
+        let mut ts = Transfers::reconstruct(trace);
 
         // No transfers, no races: skip clock propagation entirely, so
         // DMA-free traces (all-user-event storms, pure compute) pay
         // nothing for the engine.
-        if per_spe.iter().all(|(_, ts)| ts.is_empty()) {
+        if ts.all.is_empty() {
             return HbIndex {
                 shards: Vec::new(),
                 races: Vec::new(),
                 ranges: Vec::new(),
                 degraded: false,
+                candidates: 0,
             };
         }
-
-        // Clock propagation: snapshot each transfer's issue clock.
-        let mut issue_clocks: HashMap<usize, VecClock> = HashMap::new();
-        let degraded = propagate(trace, edges, |g, _si, _pos, vc| {
-            if issue_of.contains_key(&g) {
-                issue_clocks.insert(g, vc.clone());
-            }
-        });
-        for (_, transfers) in &mut per_spe {
-            for t in transfers {
-                if let Some(vc) = issue_clocks.remove(&t.acc.global) {
-                    t.issue_vc = vc;
-                }
-            }
-        }
+        let degraded = ts.snapshot_clocks(trace, edges);
 
         let mut races: Vec<RaceWitness> = Vec::new();
-        let mut ls_pairs: HashSet<(usize, usize)> = HashSet::new();
-
-        // Local-store pairs, per SPE: earlier transfer `a`, later `t`
-        // (stream position order); they race when the bytes overlap, at
-        // least one writes LS (a GET), and `t` was issued before
-        // anything ordered `a`'s completion (no covering wait-end or
-        // barrier in between). Same-tag pairs are *not* exempt.
-        for (_, transfers) in &per_spe {
-            let spans: Vec<AddrSpan> = transfers
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| t.acc.bytes > 0)
-                .map(|(i, t)| AddrSpan {
-                    lo: t.acc.lsa,
-                    hi: t.acc.lsa + t.acc.bytes,
-                    idx: i as u32,
-                })
-                .collect();
-            let tree = IntervalTree::new(spans);
-            for (i, t) in transfers.iter().enumerate() {
-                if t.acc.bytes == 0 {
-                    continue;
+        let mut candidates = 0u64;
+        for run in &ts.runs {
+            let stream = &ts.all[run.clone()];
+            // Local-store pairs: they race when the bytes overlap, at
+            // least one writes LS (a GET), and the later was issued
+            // before anything ordered the earlier's completion (no
+            // covering wait-end or barrier in between). Same-tag pairs
+            // are *not* exempt.
+            candidates += sweep_stream(stream, Space::LocalStore, |a, t| {
+                races.push(witness(Space::LocalStore, a, t));
+            });
+            // Main-memory pairs on one MFC queue: the same position
+            // rule decides. A pair already racing in local store is
+            // one finding, not two: keep the LS witness.
+            candidates += sweep_stream(stream, Space::MainMemory, |a, t| {
+                let (alo, ahi) = a.acc.range(Space::LocalStore);
+                let (tlo, thi) = t.acc.range(Space::LocalStore);
+                let ls_race =
+                    alo < thi && tlo < ahi && conflicts(Space::LocalStore, a.acc.dir, t.acc.dir);
+                if !ls_race {
+                    races.push(witness(Space::MainMemory, a, t));
                 }
-                for span in tree.range(t.acc.lsa, t.acc.lsa + t.acc.bytes) {
-                    let j = span.idx as usize;
-                    if j >= i {
-                        continue;
-                    }
-                    let a = &transfers[j];
-                    if a.acc.dir != AccessDir::Get && t.acc.dir != AccessDir::Get {
-                        continue;
-                    }
-                    if t.pos < a.order_pos {
-                        ls_pairs.insert((a.acc.global, t.acc.global));
-                        races.push(witness(Space::LocalStore, a, t));
-                    }
-                }
-            }
+            });
         }
 
-        // Effective-address pairs, global: at least one PUT writes the
-        // range. Same-stream pairs use queue ordering; cross-stream
-        // pairs are ordered only when one side's completion witness is
-        // inside the other's issue clock.
-        let flat: Vec<(usize, usize)> = per_spe
+        // Main-memory pairs across streams: ordered only when one
+        // side's completion witness is inside the other's issue clock.
+        // Each stream's transfers query the trees of the streams before
+        // it, one per direction, for conflicting direction pairs only
+        // (never GET–GET), and skip a tree whose hull misses theirs.
+        let trees: Vec<[IntervalTree<AddrSpan>; 2]> = ts
+            .runs
             .iter()
-            .enumerate()
-            .flat_map(|(si, (_, ts))| (0..ts.len()).map(move |ti| (si, ti)))
-            .collect();
-        let spans: Vec<AddrSpan> = flat
-            .iter()
-            .enumerate()
-            .filter(|(_, &(si, ti))| {
-                let t = &per_spe[si].1[ti];
-                !t.list && t.acc.bytes > 0
-            })
-            .map(|(i, &(si, ti))| {
-                let t = &per_spe[si].1[ti];
-                AddrSpan {
-                    lo: t.acc.ea,
-                    hi: t.acc.ea + t.acc.bytes,
-                    idx: i as u32,
+            .map(|run| {
+                let mut spans: [Vec<AddrSpan>; 2] = Default::default();
+                for k in run.clone() {
+                    let t = &ts.all[k];
+                    if t.checked_in(Space::MainMemory) {
+                        let (lo, hi) = t.acc.range(Space::MainMemory);
+                        spans[t.acc.dir as usize].push(AddrSpan {
+                            lo,
+                            hi,
+                            idx: k as u32,
+                        });
+                    }
                 }
+                spans.map(IntervalTree::new)
             })
             .collect();
-        let tree = IntervalTree::new(spans);
-        for (i, &(si, ti)) in flat.iter().enumerate() {
-            let t = &per_spe[si].1[ti];
-            if t.list || t.acc.bytes == 0 {
-                continue;
-            }
-            for span in tree.range(t.acc.ea, t.acc.ea + t.acc.bytes) {
-                let j = span.idx as usize;
-                if j >= i {
-                    continue;
+        let dirs = [AccessDir::Get, AccessDir::Put];
+        for (s, mine) in trees.iter().enumerate() {
+            for theirs in &trees[..s] {
+                for (my, their) in dirs.iter().flat_map(|&m| dirs.map(|t| (m, t))) {
+                    let (queries, tree) = (&mine[my as usize], &theirs[their as usize]);
+                    let hulls_meet = match (queries.extent(), tree.extent()) {
+                        (Some((qlo, qhi)), Some((tlo, thi))) => qlo < thi && tlo < qhi,
+                        _ => false,
+                    };
+                    if !conflicts(Space::MainMemory, my, their) || !hulls_meet {
+                        continue;
+                    }
+                    for q in queries.spans() {
+                        for span in tree.range(q.lo, q.hi) {
+                            candidates += 1;
+                            let (j, k) = (span.idx as usize, q.idx as usize);
+                            if ts.completes_before(j, k) || ts.completes_before(k, j) {
+                                continue;
+                            }
+                            let (a, t) = (&ts.all[j], &ts.all[k]);
+                            let (first, second) = if a.acc.global < t.acc.global {
+                                (a, t)
+                            } else {
+                                (t, a)
+                            };
+                            races.push(witness(Space::MainMemory, first, second));
+                        }
+                    }
                 }
-                let (sj, tj) = flat[j];
-                let a = &per_spe[sj].1[tj];
-                if a.acc.dir != AccessDir::Put && t.acc.dir != AccessDir::Put {
-                    continue;
-                }
-                let ordered = if a.stream == t.stream {
-                    // Same MFC queue: positions decide (a precedes t).
-                    t.pos >= a.order_pos
-                } else {
-                    completes_before(a, t) || completes_before(t, a)
-                };
-                if ordered {
-                    continue;
-                }
-                let (first, second) = if a.acc.global < t.acc.global {
-                    (a, t)
-                } else {
-                    (t, a)
-                };
-                // A pair already proven racing in local store is one
-                // finding, not two: keep the LS witness.
-                if ls_pairs.contains(&(first.acc.global, second.acc.global)) {
-                    continue;
-                }
-                races.push(witness(Space::MainMemory, first, second));
             }
         }
 
         // Shard universe: every (spe, tag) with at least one transfer.
-        let mut shards: Vec<(u8, u8)> = per_spe
-            .iter()
-            .flat_map(|(spe, ts)| ts.iter().map(move |t| (*spe, t.acc.tag)))
-            .collect();
+        let mut shards: Vec<(u8, u8)> = ts.all.iter().map(|t| (t.acc.spe, t.acc.tag)).collect();
         shards.sort_unstable();
         shards.dedup();
-        let shard_rank: HashMap<(u8, u8), usize> =
-            shards.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-        races.sort_by_key(|r| {
-            (
-                shard_rank[&(r.second.spe, r.second.tag)],
-                r.second.global,
-                r.first.global,
-            )
-        });
+        let shard_rank = |a: &Access| {
+            shards
+                .binary_search(&(a.spe, a.tag))
+                .expect("every transfer's (spe, tag) is a shard")
+        };
+        races.sort_by_key(|r| (shard_rank(&r.second), r.second.global, r.first.global));
         let mut ranges = vec![(0usize, 0usize); shards.len()];
         let mut at = 0;
         for (i, &shard) in shards.iter().enumerate() {
@@ -625,6 +798,7 @@ impl HbIndex {
             races,
             ranges,
             degraded,
+            candidates,
         }
     }
 
@@ -655,40 +829,21 @@ impl HbIndex {
     pub fn degraded(&self) -> bool {
         self.degraded
     }
-}
 
-impl Transfer {
-    fn tag(&self) -> u8 {
-        self.acc.tag
+    /// The number of transfer pairs the enumeration examined: open-set
+    /// entries visited by the per-stream sweeps plus cross-stream tree
+    /// hits. A deterministic cost measure — it tracks transfers plus
+    /// races, not how often an address is reused.
+    pub fn candidates(&self) -> u64 {
+        self.candidates
     }
 }
 
-/// Whether `a`'s completion is ordered before `b`'s issue across
-/// streams: `a` has a completion witness (first covering wait-end at
-/// `wait_pos` on its own stream) and `b`'s issue clock has observed
-/// that position.
-fn completes_before(a: &Transfer, b: &Transfer) -> bool {
-    a.wait_pos != u32::MAX && b.issue_vc.get(a.stream) > a.wait_pos
-}
-
 /// Builds the witness for an unordered overlapping pair; `a` precedes
-/// `b` in global event order for LS pairs (stream-position order) and
-/// is pre-swapped by the caller for EA pairs.
+/// `b` in global event order.
 fn witness(space: Space, a: &Transfer, b: &Transfer) -> RaceWitness {
-    let (alo, ahi, blo, bhi) = match space {
-        Space::LocalStore => (
-            a.acc.lsa,
-            a.acc.lsa + a.acc.bytes,
-            b.acc.lsa,
-            b.acc.lsa + b.acc.bytes,
-        ),
-        Space::MainMemory => (
-            a.acc.ea,
-            a.acc.ea + a.acc.bytes,
-            b.acc.ea,
-            b.acc.ea + b.acc.bytes,
-        ),
-    };
+    let (alo, ahi) = a.acc.range(space);
+    let (blo, bhi) = b.acc.range(space);
     RaceWitness {
         space,
         first: a.acc,
@@ -1018,5 +1173,128 @@ mod tests {
         assert!(!t.happens_before(2, 3));
         assert!(t.happens_before(0, 1), "ctx-run precedes ctx-start");
         assert!(!t.happens_before(2, 2), "irreflexive");
+    }
+
+    #[test]
+    fn hostile_params_saturate_instead_of_overflowing() {
+        use EventCode::*;
+        let s = TraceCore::Spe(0);
+        let near = u64::MAX - 8;
+        let c = cols(
+            vec![
+                dma(10, s, SpeDmaGet, near, near, 4096, 0, 0),
+                // Tag 33 is outside the 32 MFC groups: no mask covers it.
+                dma(20, s, SpeDmaGet, near, near, 4096, 33, 1),
+                // Both ranges start at the top: empty once saturated.
+                dma(30, s, SpeDmaPut, u64::MAX, u64::MAX, u64::MAX, 1, 2),
+                ev(40, s, SpeTagWaitBegin, vec![u64::MAX, 0], 3),
+                ev(50, s, SpeTagWaitEnd, vec![u64::MAX], 4),
+            ],
+            1,
+        );
+        let idx = build(&c);
+        assert_eq!(idx.races().len(), 1, "{:?}", idx.races());
+        let r = &idx.races()[0];
+        assert_eq!(r.space, Space::LocalStore);
+        assert_eq!((r.lo, r.hi), (near, u64::MAX));
+        assert_eq!(r.first.range(Space::MainMemory), (near, u64::MAX));
+    }
+
+    /// Sorts per-stream event lists into one globally ordered trace.
+    fn merged(mut events: Vec<GlobalEvent>, spes: u8) -> ColumnarTrace {
+        events.sort_by_key(|e| (e.time_tb, e.core.tag(), e.stream_seq));
+        cols(events, spes)
+    }
+
+    /// The complexity guard: the pairs examined stay within a constant
+    /// factor of transfers plus races.
+    fn assert_output_sensitive(idx: &HbIndex, transfers: usize) {
+        let bound = 4 * (transfers + idx.races().len()) as u64;
+        assert!(
+            idx.candidates() <= bound,
+            "{} candidates for {transfers} transfers and {} races",
+            idx.candidates(),
+            idx.races().len()
+        );
+    }
+
+    #[test]
+    fn double_buffered_spe_costs_linear_candidates() {
+        use EventCode::*;
+        // Two reused LS buffers for the whole run, every reuse waited:
+        // the address is shared by 10K transfers per buffer, none race.
+        let s = TraceCore::Spe(0);
+        let buf = |b: u64| 0x4000 + 0x4000 * b;
+        let ea_in = |k: u64| 0x1000_0000 + (k % 256) * 0x4000;
+        let ea_out = |k: u64| 0x8000_0000 + (k % 256) * 0x4000;
+        let mut events = Vec::new();
+        let mut seq = 0u64;
+        let mut push = |code, params: Vec<u64>| {
+            events.push(ev(10 * seq, s, code, params, seq));
+            seq += 1;
+        };
+        push(SpeDmaGet, vec![ea_in(0), buf(0), 0x4000, 0]);
+        let iterations = 10_000u64;
+        for i in 0..iterations {
+            let (cur, nxt) = (i & 1, 1 - (i & 1));
+            if i >= 1 {
+                push(SpeTagWaitEnd, vec![1 << nxt]);
+            }
+            push(SpeDmaGet, vec![ea_in(i + 1), buf(nxt), 0x4000, nxt]);
+            push(SpeTagWaitEnd, vec![1 << cur]);
+            push(SpeDmaPut, vec![ea_out(i), buf(cur), 0x4000, cur]);
+        }
+        push(SpeTagWaitEnd, vec![0b11]);
+        let idx = build(&merged(events, 1));
+        assert!(idx.races().is_empty(), "{:?}", &idx.races()[..1]);
+        assert_output_sensitive(&idx, 1 + 2 * iterations as usize);
+    }
+
+    #[test]
+    fn never_waited_storm_into_disjoint_buffers_costs_linear_candidates() {
+        use EventCode::*;
+        // Nothing is ever ordered, so every transfer stays open: only
+        // the address order keeps each lookup local.
+        let s = TraceCore::Spe(0);
+        let transfers = 20_000u64;
+        let events = (0..transfers)
+            .map(|k| {
+                let code = if k % 2 == 0 { SpeDmaGet } else { SpeDmaPut };
+                let (ea, lsa) = (0x1000_0000 + 0x100 * k, 0x100 * k);
+                dma(10 * k, s, code, ea, lsa, 0x100, k % 32, k)
+            })
+            .collect();
+        let idx = build(&merged(events, 1));
+        assert!(idx.races().is_empty());
+        assert_output_sensitive(&idx, transfers as usize);
+    }
+
+    #[test]
+    fn shared_ea_gets_across_spes_cost_linear_candidates() {
+        use EventCode::*;
+        // Four SPEs read one shared input range over and over: GET-GET
+        // overlaps in main memory never race and are never visited.
+        let per_spe = 5_000u64;
+        let mut events = Vec::new();
+        for spe in 0..4u8 {
+            let s = TraceCore::Spe(spe);
+            for i in 0..per_spe {
+                let (t, b) = (20 * i + u64::from(spe), i & 1);
+                events.push(dma(
+                    t,
+                    s,
+                    SpeDmaGet,
+                    0x10_0000,
+                    0x4000 * (b + 1),
+                    4096,
+                    b,
+                    2 * i,
+                ));
+                events.push(ev(t + 10, s, SpeTagWaitEnd, vec![1 << b], 2 * i + 1));
+            }
+        }
+        let idx = build(&merged(events, 4));
+        assert!(idx.races().is_empty());
+        assert_output_sensitive(&idx, 4 * per_spe as usize);
     }
 }

@@ -54,7 +54,13 @@ struct Transfer {
 impl Transfer {
     #[cfg(feature = "scan-oracle")]
     fn ls_overlaps(&self, other: &Transfer) -> bool {
-        self.lsa < other.lsa + other.bytes && other.lsa < self.lsa + self.bytes
+        self.lsa < other.ls_end() && other.lsa < self.ls_end()
+    }
+
+    /// End of the local-store range, saturating on hostile params.
+    #[cfg(feature = "scan-oracle")]
+    fn ls_end(&self) -> u64 {
+        self.lsa.saturating_add(self.bytes)
     }
 }
 
@@ -83,6 +89,13 @@ struct SpeDmaHistory {
     /// `SpeTagWaitBegin` events whose mask covered zero outstanding
     /// transfers, with the offending mask.
     vacuous_waits: Vec<(Anchor, u32)>,
+}
+
+/// The wait-mask bit of MFC tag group `tag`. A wait mask has one bit
+/// per group (32); a wider tag, which only damaged params produce, is
+/// covered by no mask.
+fn tag_bit(tag: u8) -> u32 {
+    1u32.checked_shl(u32::from(tag)).unwrap_or(0)
 }
 
 /// Replays one SPE's stream, tracking transfer lifetimes against the
@@ -130,7 +143,7 @@ fn sweep(trace: &ColumnarTrace, spe: u8) -> SpeDmaHistory {
                 let mask = v.params.first().copied().unwrap_or(0) as u32;
                 let covers_any = pending
                     .iter()
-                    .any(|&i| mask & (1u32 << transfers[i].tag) != 0);
+                    .any(|&i| mask & tag_bit(transfers[i].tag) != 0);
                 if !covers_any {
                     vacuous_waits.push((Anchor::at_view(&v), mask));
                 }
@@ -138,7 +151,7 @@ fn sweep(trace: &ColumnarTrace, spe: u8) -> SpeDmaHistory {
             EventCode::SpeTagWaitEnd => {
                 let completed = v.params.first().copied().unwrap_or(0) as u32;
                 pending.retain(|&i| {
-                    if completed & (1u32 << transfers[i].tag) != 0 {
+                    if completed & tag_bit(transfers[i].tag) != 0 {
                         transfers[i].end_tb = v.time_tb;
                         transfers[i].waited = true;
                         false
@@ -156,7 +169,7 @@ fn sweep(trace: &ColumnarTrace, spe: u8) -> SpeDmaHistory {
     }
     // Guard degenerate clocks: a window is never empty.
     for t in &mut transfers {
-        t.end_tb = t.end_tb.max(t.start_tb + 1);
+        t.end_tb = t.end_tb.max(t.start_tb.saturating_add(1));
     }
     SpeDmaHistory {
         spe,
@@ -242,22 +255,12 @@ fn race_diagnostic(w: &RaceWitness) -> Diagnostic {
         seq: a.seq,
         time_tb: a.time_tb,
     };
-    let (space, f_lo, f_hi, s_lo, s_hi) = match w.space {
-        Space::LocalStore => (
-            "LS",
-            w.first.lsa,
-            w.first.lsa + w.first.bytes,
-            w.second.lsa,
-            w.second.lsa + w.second.bytes,
-        ),
-        Space::MainMemory => (
-            "EA",
-            w.first.ea,
-            w.first.ea + w.first.bytes,
-            w.second.ea,
-            w.second.ea + w.second.bytes,
-        ),
+    let space = match w.space {
+        Space::LocalStore => "LS",
+        Space::MainMemory => "EA",
     };
+    let (f_lo, f_hi) = w.first.range(w.space);
+    let (s_lo, s_hi) = w.second.range(w.space);
     let other = if w.first.spe == w.second.spe {
         String::new()
     } else {
@@ -347,11 +350,11 @@ pub fn dma_race_window_heuristic(trace: &ColumnarTrace) -> Vec<Diagnostic> {
                             dir_name(t.dir),
                             t.tag,
                             t.lsa,
-                            t.lsa + t.bytes,
+                            t.ls_end(),
                             dir_name(o.dir),
                             o.tag,
                             o.lsa,
-                            o.lsa + o.bytes,
+                            o.ls_end(),
                         ),
                     });
                 }
@@ -656,6 +659,36 @@ mod tests {
             ev(40, SpeTagWaitEnd, vec![0b11], 3),
         ]);
         assert!(run_rule(&DmaRace::new(), &t).is_empty());
+    }
+
+    #[test]
+    fn hostile_params_render_without_overflow() {
+        use EventCode::*;
+        // Ranges that end past u64::MAX and a tag outside the 32 MFC
+        // groups: every rule renders them, saturated, without a panic.
+        let near = u64::MAX - 8;
+        let t = trace_of(vec![
+            ev(10, SpeDmaGet, vec![near, near, 4096, 0], 0),
+            ev(20, SpeDmaGet, vec![near, near, 4096, 40], 1),
+            ev(30, SpeTagWaitBegin, vec![u64::MAX, 0], 2),
+            ev(40, SpeTagWaitEnd, vec![u64::MAX], 3),
+        ]);
+        let d = run_rule(&DmaRace::new(), &t);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(
+            d[0].message
+                .contains(&format!("on bytes [{near:#x}..{:#x})", u64::MAX)),
+            "{}",
+            d[0].message
+        );
+        let d = run_rule(&UnwaitedTagGroup, &t);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].message.contains("on tag 40"), "{}", d[0].message);
+        #[cfg(feature = "scan-oracle")]
+        assert_eq!(
+            dma_race_window_heuristic(&crate::columns::ColumnarTrace::from_analyzed(&t)).len(),
+            1
+        );
     }
 
     #[test]

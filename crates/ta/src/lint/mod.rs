@@ -445,7 +445,8 @@ pub fn lint_columns(
 
 /// [`lint_columns`] with the sync-edge set supplied by the caller —
 /// the session path, where [`Analysis`](crate::Analysis) memoizes the
-/// extraction once per snapshot instead of once per lint run.
+/// extraction once per snapshot instead of once per lint run. The
+/// serial case of [`lint_columns_sharded_with_edges`].
 pub fn lint_columns_with_edges(
     trace: &ColumnarTrace,
     intervals: &[SpeIntervals],
@@ -453,53 +454,7 @@ pub fn lint_columns_with_edges(
     edges: &[CausalEdge],
     config: &LintConfig,
 ) -> LintReport {
-    let suspects = compute_suspect_ranges_columns(trace, loss);
-    let ctx = LintContext {
-        trace,
-        intervals,
-        loss,
-        suspects: &suspects,
-        edges,
-        config,
-    };
-    let mut diagnostics = Vec::new();
-    let mut rules = Vec::new();
-    let mut suppressed = 0usize;
-    for rule in default_rules() {
-        if config.allow.iter().any(|a| a == rule.id()) {
-            continue;
-        }
-        rules.push(RuleInfo {
-            id: rule.id(),
-            severity: rule.severity(),
-            docs: rule.docs(),
-        });
-        for mut d in rule.check(&ctx) {
-            if config.deny.iter().any(|a| a == d.rule) {
-                d.severity = Severity::Error;
-            }
-            if let Some(a) = &d.anchor {
-                d.suspect |= ctx.tick_suspect(a.time_tb) || ctx.stream_truncated(a.core);
-            }
-            if config.suppresses(&d) {
-                suppressed += 1;
-                continue;
-            }
-            diagnostics.push(d);
-        }
-    }
-    diagnostics.sort_by_key(|d| {
-        (
-            std::cmp::Reverse(d.severity),
-            d.anchor.map(|a| (a.time_tb, a.core.tag(), a.seq)),
-            d.rule,
-        )
-    });
-    LintReport {
-        diagnostics,
-        rules,
-        suppressed,
-    }
+    lint_columns_sharded_with_edges(trace, intervals, loss, edges, config, Parallelism::Serial)
 }
 
 /// [`lint_columns`] with shard-parallel rule sweeps: every
@@ -507,10 +462,10 @@ pub fn lint_columns_with_edges(
 /// rules, per-lane for `overhead-hotspot`, whole-trace for
 /// `mailbox-deadlock-shape` — becomes one task on the shared
 /// work-stealing pool. Shard results are assembled in `(rule, shard)`
-/// order, which is exactly the serial runner's push order, then
+/// order (each rule's `check` order, by the sharding contract), then
 /// post-processed (deny promotion, suspect downgrade, suppression)
-/// and sorted identically, so the report is byte-identical to
-/// [`lint_columns`] under every [`Parallelism`].
+/// and sorted, so the report is byte-identical under every
+/// [`Parallelism`]; [`lint_columns`] is the `Serial` case.
 pub fn lint_columns_sharded(
     trace: &ColumnarTrace,
     intervals: &[SpeIntervals],

@@ -43,9 +43,7 @@ use crate::columns::ColumnarTrace;
 use crate::exec::{self, Parallelism, Scope};
 use crate::index::{TraceIndex, WindowSummary};
 use crate::intervals::{build_intervals_columns, build_spe_intervals_columns, SpeIntervals};
-use crate::lint::{
-    lint_columns_sharded_with_edges, lint_columns_with_edges, LintConfig, LintReport,
-};
+use crate::lint::{lint_columns_sharded_with_edges, LintConfig, LintReport};
 use crate::loss::{DecodePolicy, LossReport};
 use crate::occupancy::{dma_occupancy_columns, dma_occupancy_columns_par, SpeOccupancy};
 use crate::parallel::{analyze_parallel, analyze_parallel_lossy};
@@ -422,30 +420,26 @@ impl Analysis {
     /// the session's memoized intervals, its memoized
     /// [sync edges](Self::sync_edges) and its ingestion
     /// [`LossReport`], so diagnostics anchored in damaged regions are
-    /// downgraded to suspect rather than reported firm.
+    /// downgraded to suspect rather than reported firm. Rule shards run
+    /// under the session's [`Parallelism`].
     pub fn lint(&self) -> &LintReport {
-        self.lint.get_or_init(|| {
-            lint_columns_with_edges(
-                &self.columns,
-                self.intervals(),
-                &self.loss,
-                self.sync_edges(),
-                &LintConfig::default(),
-            )
-        })
+        self.lint
+            .get_or_init(|| self.lint_with(&LintConfig::default()))
     }
 
     /// Runs the lint rules with a caller-provided configuration
-    /// (baseline suppressions, allow/deny lists, thresholds). Not
-    /// memoized — each call re-runs the rules with `config` (the
-    /// sync-edge extraction is still shared via [`Self::sync_edges`]).
+    /// (baseline suppressions, allow/deny lists, thresholds) under the
+    /// session's [`Parallelism`]. Not memoized — each call re-runs the
+    /// rules with `config` (the sync-edge extraction is still shared
+    /// via [`Self::sync_edges`]).
     pub fn lint_with(&self, config: &LintConfig) -> LintReport {
-        lint_columns_with_edges(
+        lint_columns_sharded_with_edges(
             &self.columns,
             self.intervals(),
             &self.loss,
             self.sync_edges(),
             config,
+            self.par,
         )
     }
 
