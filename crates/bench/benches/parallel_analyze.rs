@@ -1,7 +1,7 @@
-//! Criterion benchmark of the parallel ingestion engine: the same
-//! 8-SPE, all-events trace (an event-rate workload, ≥100k records)
-//! analyzed with 1, 2 and 8 worker threads, plus the serial reference
-//! and the memoized `Analysis` session.
+//! Criterion benchmark of trace ingestion: the same 8-SPE, all-events
+//! trace (an event-rate workload, ≥100k records) through the serial row
+//! reference, the one-shot columnar ingest, and the memoized `Analysis`
+//! session with every product.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -55,18 +55,12 @@ fn bench_parallel_analyze(c: &mut Criterion) {
     g.bench_function("serial_reference", |b| {
         b.iter(|| black_box(ta::analyze(black_box(&trace)).unwrap().events.len()))
     });
-    for threads in [1usize, 2, 8] {
-        g.bench_function(format!("threads_{threads}"), |b| {
-            b.iter(|| {
-                black_box(
-                    ta::analyze_parallel(black_box(&trace), threads)
-                        .unwrap()
-                        .events
-                        .len(),
-                )
-            })
-        });
-    }
+    g.bench_function("columnar_ingest", |b| {
+        b.iter(|| {
+            let a = Analysis::of(black_box(&trace)).run().unwrap();
+            black_box(a.columns().events.len())
+        })
+    });
     g.bench_function("session_all_products", |b| {
         b.iter(|| {
             let a = Analysis::of(black_box(&trace))

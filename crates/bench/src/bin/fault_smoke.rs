@@ -18,7 +18,7 @@ use std::process::ExitCode;
 
 use cellsim::MachineConfig;
 use pdt::TracingConfig;
-use ta::{analyze_lossy, analyze_parallel_lossy, Analysis, FaultInjector, FaultKind};
+use ta::{analyze_lossy, Analysis, FaultInjector, FaultKind};
 use workloads::{run_workload, Buffering, StreamConfig, StreamWorkload};
 
 fn check(seed: u64) -> Result<(), String> {
@@ -51,20 +51,16 @@ fn check(seed: u64) -> Result<(), String> {
         return Err(format!("clean trace has loss:\n{}", lossy.loss().render()));
     }
 
-    // Damaged trace: terminates, serial == parallel, loss accounted.
+    // Damaged trace: terminates, columnar == serial rows, loss accounted.
     let mut damaged = trace.clone();
     let log = FaultInjector::new(seed).inject(&mut damaged, &FaultKind::ALL);
     if log.is_empty() {
         return Err("injector applied no faults to a real trace".into());
     }
     let (serial, loss) = analyze_lossy(&damaged);
-    for threads in [1usize, 2, 8] {
-        let (par, ploss) = analyze_parallel_lossy(&damaged, threads);
-        if par.events != serial.events || ploss != loss {
-            return Err(format!(
-                "parallel({threads}) disagrees with serial on damage"
-            ));
-        }
+    let columnar = Analysis::of(&damaged).run().map_err(|e| e.to_string())?;
+    if columnar.analyzed().events != serial.events || columnar.loss() != &loss {
+        return Err("columnar ingest disagrees with serial on damage".into());
     }
     if loss.is_clean() && loss.total_est_lost() == 0 {
         return Err(format!(

@@ -99,7 +99,8 @@ pub use overhead::OverheadModel;
 pub use ppe_tracer::PdtPpeTracer;
 pub use record::{
     decode_stream, decode_stream_lossy, granules_for, DecodeGap, LossyCursor, LossyDecode,
-    RecordError, TraceCore, TraceRecord, DEFAULT_WRAP_TOLERANCE, MAX_PARAMS,
+    RecordError, RecordRef, RecordScan, Scanned, TraceCore, TraceRecord, DEFAULT_WRAP_TOLERANCE,
+    MAX_PARAMS,
 };
 pub use session::TraceSession;
 pub use spe_tracer::PdtSpeTracer;

@@ -14,7 +14,7 @@
 //! then        parameters, 8 bytes each, zero-padded to a 16-byte boundary
 //! ```
 
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 
 use crate::event::EventCode;
 
@@ -188,50 +188,98 @@ impl TraceRecord {
     /// # Errors
     ///
     /// Returns [`RecordError`] on truncation or corruption.
-    pub fn decode(mut buf: &[u8]) -> Result<(TraceRecord, usize), RecordError> {
+    pub fn decode(buf: &[u8]) -> Result<(TraceRecord, usize), RecordError> {
+        RecordRef::decode(buf).map(|(r, used)| (r.to_record(), used))
+    }
+}
+
+/// A record decoded in place: the header fields, with the parameter
+/// words left as a borrowed slice of the encoded bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordRef<'a> {
+    /// Producing core.
+    pub core: TraceCore,
+    /// Event code.
+    pub code: EventCode,
+    /// Raw timestamp: decrementer snapshot (SPE) or timebase (PPE).
+    pub timestamp: u64,
+    /// The parameter words, 8 little-endian bytes each.
+    params: &'a [u8],
+}
+
+#[inline]
+fn le_u64(b: &[u8]) -> u64 {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(b);
+    u64::from_le_bytes(w)
+}
+
+impl<'a> RecordRef<'a> {
+    /// Decodes one record from the front of `buf` without copying its
+    /// parameters, returning it and the bytes consumed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RecordError`] on truncation or corruption.
+    pub fn decode(buf: &'a [u8]) -> Result<(RecordRef<'a>, usize), RecordError> {
         if buf.len() < 16 {
             return Err(RecordError::Truncated {
                 have: buf.len(),
                 need: 16,
             });
         }
-        let granules = buf.get_u8();
+        let granules = buf[0];
         if granules == 0 {
             return Err(RecordError::ZeroLength);
         }
         let total = granules as usize * 16;
-        if buf.len() + 1 < total {
+        if buf.len() < total {
             return Err(RecordError::Truncated {
-                have: buf.len() + 1,
+                have: buf.len(),
                 need: total,
             });
         }
-        let core = TraceCore::from_tag(buf.get_u8());
-        let raw_code = buf.get_u16_le();
+        let raw_code = u16::from_le_bytes([buf[2], buf[3]]);
         let code =
             EventCode::from_raw(raw_code).ok_or(RecordError::UnknownCode { raw: raw_code })?;
-        let nparams = buf.get_u8();
-        buf.advance(3);
-        let timestamp = buf.get_u64_le();
+        let nparams = buf[4];
         if granules_for(nparams as usize) != granules {
             return Err(RecordError::BadParamCount {
                 params: nparams,
                 granules,
             });
         }
-        let mut params = Vec::with_capacity(nparams as usize);
-        for _ in 0..nparams {
-            params.push(buf.get_u64_le());
-        }
         Ok((
-            TraceRecord {
-                core,
+            RecordRef {
+                core: TraceCore::from_tag(buf[1]),
                 code,
-                timestamp,
-                params,
+                timestamp: le_u64(&buf[8..16]),
+                params: &buf[16..16 + nparams as usize * 8],
             },
             total,
         ))
+    }
+
+    /// Parameter word `i`, if present.
+    #[inline]
+    pub fn param(&self, i: usize) -> Option<u64> {
+        self.params.get(i * 8..i * 8 + 8).map(le_u64)
+    }
+
+    /// The parameter words, in order.
+    #[inline]
+    pub fn params(&self) -> impl ExactSizeIterator<Item = u64> + 'a {
+        self.params.chunks_exact(8).map(le_u64)
+    }
+
+    /// Copies the record into an owned [`TraceRecord`].
+    pub fn to_record(&self) -> TraceRecord {
+        TraceRecord {
+            core: self.core,
+            code: self.code,
+            timestamp: self.timestamp,
+            params: self.params().collect(),
+        }
     }
 }
 
@@ -247,11 +295,11 @@ pub fn granules_for(nparams: usize) -> u8 {
 /// Returns the first [`RecordError`] with the offset it occurred at.
 pub fn decode_stream(bytes: &[u8]) -> Result<Vec<TraceRecord>, (usize, RecordError)> {
     let mut out = Vec::new();
-    let mut off = 0usize;
-    while off < bytes.len() {
-        let (rec, used) = TraceRecord::decode(&bytes[off..]).map_err(|e| (off, e))?;
-        out.push(rec);
-        off += used;
+    for item in RecordScan::strict(bytes) {
+        match item {
+            Scanned::Record(r) => out.push(r.to_record()),
+            Scanned::Gap(g) => return Err((g.offset, g.cause)),
+        }
     }
     Ok(out)
 }
@@ -323,8 +371,8 @@ fn decode_checked(
     stream_core: Option<TraceCore>,
     prev_dec: Option<u32>,
     wrap_tol: u32,
-) -> Result<(TraceRecord, usize), RecordError> {
-    let (rec, used) = TraceRecord::decode(buf)?;
+) -> Result<(RecordRef<'_>, usize), RecordError> {
+    let (rec, used) = RecordRef::decode(buf)?;
     if let Some(expect) = stream_core {
         let matches = match expect {
             // The PPE stream multiplexes hardware threads.
@@ -355,6 +403,224 @@ fn decode_checked(
     Ok((rec, used))
 }
 
+/// A resync scan that is still in progress: the gap has opened but its
+/// end is not yet known.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct OpenGap {
+    /// Absolute stream offset where the gap opened.
+    start: usize,
+    /// The decode error that opened the gap.
+    cause: RecordError,
+    /// Records decoded before the gap opened.
+    records_before: u64,
+    /// Absolute offset of the next resync candidate to test.
+    cand: usize,
+}
+
+impl OpenGap {
+    fn close(self, end: usize) -> DecodeGap {
+        let len = end - self.start;
+        DecodeGap {
+            offset: self.start,
+            len,
+            est_records: (len as u64).div_ceil(16).max(1),
+            records_before: self.records_before,
+            cause: self.cause,
+        }
+    }
+}
+
+/// One step of a [`Resync`] scan.
+enum Step<'a> {
+    Record(RecordRef<'a>),
+    Gap(DecodeGap),
+    /// More bytes are needed before the scan can go on.
+    Pending,
+    /// The scan reached the end of a finished stream.
+    Done,
+}
+
+/// The decode-and-resynchronize state machine behind every stream
+/// decoder: [`RecordScan`] runs it over a whole stream, [`LossyCursor`]
+/// over a stream arriving in chunks.
+///
+/// On a malformed record it scans forward in 16-byte steps (the record
+/// granule size, so an intact suffix stays aligned) until a record
+/// decodes *and* satisfies the stream invariants of `decode_checked`,
+/// then reports the skipped range as one [`DecodeGap`]. A strict scan
+/// (no stream hint, no resync) reports the first malformed record as a
+/// gap running to the end of the stream and stops there.
+#[derive(Debug, Clone)]
+struct Resync {
+    stream_core: Option<TraceCore>,
+    strict: bool,
+    wrap_tol: u32,
+    /// Last good decrementer snapshot on SPE streams; survives gaps (the
+    /// decrementer keeps counting down through lost records).
+    prev_dec: Option<u32>,
+    /// Records decoded so far.
+    records: u64,
+    open_gap: Option<OpenGap>,
+}
+
+impl Resync {
+    fn new(stream_core: Option<TraceCore>, strict: bool) -> Resync {
+        Resync {
+            stream_core,
+            strict,
+            wrap_tol: DEFAULT_WRAP_TOLERANCE,
+            prev_dec: None,
+            records: 0,
+            open_gap: None,
+        }
+    }
+
+    /// Takes the next step over `buf`, whose first byte sits at stream
+    /// offset `base`; `pos` is the stream offset of the next record.
+    /// While `finished` is false more bytes may arrive, so a record or
+    /// resync candidate that fails only for lack of bytes pauses the
+    /// scan instead of opening (or extending) a gap.
+    fn step<'b>(
+        &mut self,
+        buf: &'b [u8],
+        base: usize,
+        pos: &mut usize,
+        finished: bool,
+    ) -> Step<'b> {
+        loop {
+            if let Some(cand) = self.open_gap.as_ref().map(|g| g.cand) {
+                // Resync scan: candidate headers live on the 16-byte
+                // grid of the original stream.
+                let rel = cand - base;
+                let end = if rel >= buf.len() {
+                    if !finished {
+                        return Step::Pending;
+                    }
+                    base + buf.len()
+                } else {
+                    match decode_checked(
+                        &buf[rel..],
+                        self.stream_core,
+                        self.prev_dec,
+                        self.wrap_tol,
+                    ) {
+                        Ok(_) => cand,
+                        Err(RecordError::Truncated { .. }) if !finished => return Step::Pending,
+                        Err(_) => {
+                            if let Some(g) = self.open_gap.as_mut() {
+                                g.cand += 16;
+                            }
+                            continue;
+                        }
+                    }
+                };
+                *pos = end;
+                return match self.open_gap.take() {
+                    Some(g) => Step::Gap(g.close(end)),
+                    None => Step::Done,
+                };
+            }
+            let rel = *pos - base;
+            if rel >= buf.len() {
+                return if finished { Step::Done } else { Step::Pending };
+            }
+            match decode_checked(&buf[rel..], self.stream_core, self.prev_dec, self.wrap_tol) {
+                Ok((rec, used)) => {
+                    if self.stream_core.is_some_and(TraceCore::is_spe) {
+                        self.prev_dec = Some(rec.timestamp as u32);
+                    }
+                    self.records += 1;
+                    *pos += used;
+                    return Step::Record(rec);
+                }
+                // A partial record at the chunk tail: wait for more
+                // bytes. At end-of-stream the same error is a torn
+                // flush and falls through to open a gap.
+                Err(RecordError::Truncated { .. }) if !finished => return Step::Pending,
+                Err(cause) if self.strict => {
+                    let gap = OpenGap {
+                        start: *pos,
+                        cause,
+                        records_before: self.records,
+                        cand: *pos,
+                    };
+                    *pos = base + buf.len();
+                    return Step::Gap(gap.close(*pos));
+                }
+                Err(cause) => {
+                    self.open_gap = Some(OpenGap {
+                        start: *pos,
+                        cause,
+                        records_before: self.records,
+                        cand: *pos + 16,
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// One item of a [`RecordScan`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Scanned<'a> {
+    /// A record that decoded (and, on a lossy scan, passed the stream
+    /// invariants).
+    Record(RecordRef<'a>),
+    /// A skipped byte range. A strict scan yields at most one, for the
+    /// first malformed record, and then ends.
+    Gap(DecodeGap),
+}
+
+/// Walks a complete stream, yielding records borrowed from `bytes` and
+/// the gaps between them, in stream order. The one-shot form of the
+/// decoder every other stream decode is built on.
+#[derive(Debug, Clone)]
+pub struct RecordScan<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    resync: Resync,
+}
+
+impl<'a> RecordScan<'a> {
+    /// A lossy scan: resynchronizes past corruption exactly like
+    /// [`decode_stream_lossy`] with the same `stream_core` hint.
+    pub fn lossy(bytes: &'a [u8], stream_core: Option<TraceCore>) -> RecordScan<'a> {
+        RecordScan {
+            bytes,
+            pos: 0,
+            resync: Resync::new(stream_core, false),
+        }
+    }
+
+    /// A strict scan: accepts exactly what [`decode_stream`] accepts and
+    /// stops at the first malformed record, reporting it as a gap.
+    pub fn strict(bytes: &'a [u8]) -> RecordScan<'a> {
+        RecordScan {
+            bytes,
+            pos: 0,
+            resync: Resync::new(None, true),
+        }
+    }
+
+    /// Records yielded so far.
+    pub fn records(&self) -> u64 {
+        self.resync.records
+    }
+}
+
+impl<'a> Iterator for RecordScan<'a> {
+    type Item = Scanned<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Scanned<'a>> {
+        match self.resync.step(self.bytes, 0, &mut self.pos, true) {
+            Step::Record(r) => Some(Scanned::Record(r)),
+            Step::Gap(g) => Some(Scanned::Gap(g)),
+            Step::Pending | Step::Done => None,
+        }
+    }
+}
+
 /// Decodes a byte stream, resynchronizing past corruption instead of
 /// failing.
 ///
@@ -368,64 +634,14 @@ fn decode_checked(
 /// On uncorrupted input the output records are exactly those of
 /// [`decode_stream`] and `gaps` is empty.
 pub fn decode_stream_lossy(bytes: &[u8], stream_core: Option<TraceCore>) -> LossyDecode {
-    let wrap_tol = DEFAULT_WRAP_TOLERANCE;
     let mut out = LossyDecode::default();
-    let mut off = 0usize;
-    // Last good decrementer snapshot on SPE streams; survives gaps (the
-    // decrementer keeps counting down through lost records).
-    let mut prev_dec: Option<u32> = None;
-    let is_spe_stream = stream_core.is_some_and(|c| c.is_spe());
-    while off < bytes.len() {
-        match decode_checked(&bytes[off..], stream_core, prev_dec, wrap_tol) {
-            Ok((rec, used)) => {
-                if is_spe_stream {
-                    prev_dec = Some(rec.timestamp as u32);
-                }
-                out.records.push(rec);
-                off += used;
-            }
-            Err(cause) => {
-                let gap_start = off;
-                // Resynchronize: candidate headers live on the 16-byte
-                // grid of the original stream.
-                let mut cand = off + 16;
-                loop {
-                    if cand >= bytes.len() {
-                        cand = bytes.len();
-                        break;
-                    }
-                    if decode_checked(&bytes[cand..], stream_core, prev_dec, wrap_tol).is_ok() {
-                        break;
-                    }
-                    cand += 16;
-                }
-                let len = cand - gap_start;
-                out.gaps.push(DecodeGap {
-                    offset: gap_start,
-                    len,
-                    est_records: (len as u64).div_ceil(16).max(1),
-                    records_before: out.records.len() as u64,
-                    cause,
-                });
-                off = cand;
-            }
+    for item in RecordScan::lossy(bytes, stream_core) {
+        match item {
+            Scanned::Record(r) => out.records.push(r.to_record()),
+            Scanned::Gap(g) => out.gaps.push(g),
         }
     }
     out
-}
-
-/// A resync scan that is still in progress when the available bytes run
-/// out: the gap has opened but its end is not yet known.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct OpenGap {
-    /// Absolute stream offset where the gap opened.
-    start: usize,
-    /// The decode error that opened the gap.
-    cause: RecordError,
-    /// Records decoded before the gap opened.
-    records_before: u64,
-    /// Absolute offset of the next resync candidate to test.
-    cand: usize,
 }
 
 /// Incremental counterpart of [`decode_stream_lossy`]: feed a stream's
@@ -455,17 +671,15 @@ struct OpenGap {
 /// [`take_output`]: LossyCursor::take_output
 #[derive(Debug, Clone)]
 pub struct LossyCursor {
-    stream_core: Option<TraceCore>,
-    wrap_tol: u32,
+    resync: Resync,
     /// Undecoded carry bytes; `buf[0]` sits at absolute offset `base`.
     buf: Vec<u8>,
     base: usize,
-    prev_dec: Option<u32>,
+    /// Absolute offset of the next record when no gap is open.
+    pos: usize,
     records: Vec<TraceRecord>,
     gaps: Vec<DecodeGap>,
-    open_gap: Option<OpenGap>,
     finished: bool,
-    records_total: u64,
 }
 
 impl LossyCursor {
@@ -474,16 +688,13 @@ impl LossyCursor {
     /// [`DEFAULT_WRAP_TOLERANCE`].
     pub fn new(stream_core: Option<TraceCore>) -> LossyCursor {
         LossyCursor {
-            stream_core,
-            wrap_tol: DEFAULT_WRAP_TOLERANCE,
+            resync: Resync::new(stream_core, false),
             buf: Vec::new(),
             base: 0,
-            prev_dec: None,
+            pos: 0,
             records: Vec::new(),
             gaps: Vec::new(),
-            open_gap: None,
             finished: false,
-            records_total: 0,
         }
     }
 
@@ -509,7 +720,7 @@ impl LossyCursor {
         self.finished = true;
         self.drain();
         debug_assert!(self.buf.is_empty(), "finish consumes every byte");
-        debug_assert!(self.open_gap.is_none(), "finish closes any open gap");
+        debug_assert!(self.resync.open_gap.is_none(), "finish closes any open gap");
     }
 
     /// True once [`finish`](LossyCursor::finish) has been called.
@@ -519,14 +730,14 @@ impl LossyCursor {
 
     /// Total records decoded so far (including ones already taken).
     pub fn decoded_total(&self) -> u64 {
-        self.records_total
+        self.resync.records
     }
 
     /// Absolute stream offset of the first byte not yet fully decoded.
     pub fn offset(&self) -> usize {
-        match &self.open_gap {
+        match &self.resync.open_gap {
             Some(g) => g.start,
-            None => self.base,
+            None => self.pos,
         }
     }
 
@@ -557,106 +768,27 @@ impl LossyCursor {
     /// Decodes as much of `buf` as the data (and `finished`) allows,
     /// then discards the consumed prefix so the carry stays bounded.
     fn drain(&mut self) {
-        // Relative offset of the scan position within `buf`.
-        let mut rel = match &self.open_gap {
-            Some(g) => g.cand - self.base,
-            None => 0,
-        };
-        let is_spe_stream = self.stream_core.is_some_and(TraceCore::is_spe);
-        'outer: loop {
-            if self.open_gap.is_some() {
-                // Resync scan: candidate headers live on the 16-byte
-                // grid of the original stream.
-                loop {
-                    if rel >= self.buf.len() {
-                        if !self.finished {
-                            self.open_gap.as_mut().expect("scan state").cand = self.base + rel;
-                            break 'outer;
-                        }
-                        let g = self.open_gap.take().expect("scan state");
-                        rel = self.buf.len();
-                        self.close_gap(g, self.base + rel);
-                        break 'outer;
-                    }
-                    match decode_checked(
-                        &self.buf[rel..],
-                        self.stream_core,
-                        self.prev_dec,
-                        self.wrap_tol,
-                    ) {
-                        Ok(_) => {
-                            let g = self.open_gap.take().expect("scan state");
-                            self.close_gap(g, self.base + rel);
-                            break; // resume normal decoding at `rel`
-                        }
-                        // A candidate that fails only for lack of bytes
-                        // may succeed once more arrive: pause *at* it.
-                        Err(RecordError::Truncated { .. }) if !self.finished => {
-                            self.open_gap.as_mut().expect("scan state").cand = self.base + rel;
-                            break 'outer;
-                        }
-                        Err(_) => rel += 16,
-                    }
-                }
-            }
-            // Normal decoding.
-            loop {
-                if rel >= self.buf.len() {
-                    break 'outer;
-                }
-                match decode_checked(
-                    &self.buf[rel..],
-                    self.stream_core,
-                    self.prev_dec,
-                    self.wrap_tol,
-                ) {
-                    Ok((rec, used)) => {
-                        if is_spe_stream {
-                            self.prev_dec = Some(rec.timestamp as u32);
-                        }
-                        self.records.push(rec);
-                        self.records_total += 1;
-                        rel += used;
-                    }
-                    // A partial record at the chunk tail: wait for more
-                    // bytes. At end-of-stream the same error is a torn
-                    // flush and falls through to open a gap.
-                    Err(RecordError::Truncated { .. }) if !self.finished => break 'outer,
-                    Err(cause) => {
-                        self.open_gap = Some(OpenGap {
-                            start: self.base + rel,
-                            cause,
-                            records_before: self.records_total,
-                            cand: self.base + rel + 16,
-                        });
-                        rel += 16;
-                        continue 'outer;
-                    }
-                }
+        loop {
+            match self
+                .resync
+                .step(&self.buf, self.base, &mut self.pos, self.finished)
+            {
+                Step::Record(r) => self.records.push(r.to_record()),
+                Step::Gap(g) => self.gaps.push(g),
+                Step::Pending | Step::Done => break,
             }
         }
         // Discard everything before the live position: decoded records,
         // and (when a gap is open) its interior — only offsets matter.
-        let keep_abs = match &self.open_gap {
+        let keep_abs = match &self.resync.open_gap {
             Some(g) => g.cand,
-            None => self.base + rel,
+            None => self.pos,
         };
         let keep_rel = keep_abs - self.base;
         if keep_rel > 0 {
             self.buf.drain(..keep_rel);
             self.base = keep_abs;
         }
-    }
-
-    fn close_gap(&mut self, g: OpenGap, end: usize) {
-        let len = end - g.start;
-        self.gaps.push(DecodeGap {
-            offset: g.start,
-            len,
-            est_records: (len as u64).div_ceil(16).max(1),
-            records_before: g.records_before,
-            cause: g.cause,
-        });
     }
 }
 

@@ -1085,7 +1085,7 @@ impl<W: Write + Seek> V2Writer<W> {
                 let dec = rec.timestamp as u32;
                 s.elapsed += u64::from(s.prev_dec.wrapping_sub(dec));
                 s.prev_dec = dec;
-                s.run_tb + s.elapsed
+                s.run_tb.wrapping_add(s.elapsed)
             }
             Anchoring::Unanchored => 0,
         };

@@ -153,10 +153,10 @@ impl std::error::Error for AnalyzeError {}
 /// Reconstructs the global timeline from a trace file.
 ///
 /// This is the serial reference path. New code should prefer the
-/// [`Analysis`](crate::session::Analysis) session, which ingests in
-/// parallel and memoizes every derived product; this function remains
-/// for compatibility and as the equivalence oracle the parallel engine
-/// is tested against.
+/// [`Analysis`](crate::session::Analysis) session, which ingests
+/// straight into columns and memoizes every derived product; this
+/// function remains for compatibility and as the equivalence oracle the
+/// columnar ingest is tested against.
 ///
 /// # Errors
 ///
@@ -177,25 +177,11 @@ pub fn analyze(trace: &TraceFile) -> Result<AnalyzedTrace, AnalyzeError> {
 
     // Harvest sync anchors from PPE streams. If a context is re-run
     // (not supported by the machine today) the first anchor wins.
-    let mut anchors: Vec<SpeAnchor> = Vec::new();
-    for (core, recs) in &decoded {
-        if core.is_spe() {
-            continue;
-        }
-        for r in recs {
-            if r.code == EventCode::PpeCtxRun {
-                let spe = r.params[1] as u8;
-                if !anchors.iter().any(|a| a.spe == spe) {
-                    anchors.push(SpeAnchor {
-                        spe,
-                        ctx: r.params[0] as u32,
-                        run_tb: r.timestamp,
-                        dec_start: r.params[2] as u32,
-                    });
-                }
-            }
-        }
-    }
+    let anchor_view: Vec<(TraceCore, &[TraceRecord])> = decoded
+        .iter()
+        .map(|(core, recs)| (*core, recs.as_slice()))
+        .collect();
+    let anchors = harvest_anchors_from(&anchor_view);
 
     let mut events: Vec<GlobalEvent> = Vec::new();
     for (core, recs) in decoded {
@@ -227,7 +213,7 @@ pub fn analyze(trace: &TraceFile) -> Result<AnalyzedTrace, AnalyzeError> {
                     elapsed += prev_dec.wrapping_sub(dec) as u64;
                     prev_dec = dec;
                     events.push(GlobalEvent {
-                        time_tb: anchor.run_tb + elapsed,
+                        time_tb: anchor.run_tb.wrapping_add(elapsed),
                         core,
                         code: r.code,
                         params: r.params,
@@ -316,7 +302,7 @@ pub fn analyze_lossy(trace: &TraceFile) -> (AnalyzedTrace, LossReport) {
                             elapsed += prev_dec.wrapping_sub(dec) as u64;
                             prev_dec = dec;
                             events.push(GlobalEvent {
-                                time_tb: anchor.run_tb + elapsed,
+                                time_tb: anchor.run_tb.wrapping_add(elapsed),
                                 core,
                                 code: r.code,
                                 params: r.params,

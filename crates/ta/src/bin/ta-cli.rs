@@ -59,8 +59,8 @@
 //! malformed record instead.
 //!
 //! Concurrency is one knob: `-j N` (or `--parallelism N|serial|auto`,
-//! default `auto`) sets the [`ta::Parallelism`] used for ingestion and
-//! every derived product. `--exec-stats` prints the shared pool's
+//! default `auto`) sets the [`ta::Parallelism`] every derived product
+//! is built with. `--exec-stats` prints the shared pool's
 //! scheduler counters (tasks run, steals, worker busy time) to stderr
 //! after the command completes.
 
@@ -70,7 +70,8 @@ use std::sync::Arc;
 use pdt::{TraceCore, TraceFile, DEFAULT_BLOCK_RECORDS};
 use ta::{
     analyze_v2, compare_traces, is_v2_image, user_phases, Analysis, CsvTable, EventFilter,
-    LintConfig, MappedImage, Parallelism, RenderOptions, ReportKind, SvgOptions, V2Trace,
+    LintConfig, MappedImage, Parallelism, RenderOptions, ReportKind, SvgOptions, TraceImage,
+    V2Trace,
 };
 
 /// Loads a trace image, sniffing the container by magic: `PDT1`
@@ -96,8 +97,9 @@ fn load(path: &str, strict: bool, par: Parallelism) -> Result<Arc<Analysis>, Str
         let (a, _) = analyze_v2(&bytes, par).map_err(|e| format!("{path}: {e}"))?;
         return Ok(a);
     }
-    let trace = TraceFile::from_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
-    let builder = Analysis::of(&trace).parallelism(par);
+    // Records are decoded straight out of the image: no stream copies.
+    let image = TraceImage::parse(&bytes).map_err(|e| format!("{path}: {e}"))?;
+    let builder = Analysis::of(image).parallelism(par);
     let builder = if strict { builder.strict() } else { builder };
     builder
         .run()
@@ -511,7 +513,7 @@ fn run() -> Result<(), String> {
                     ingest
                         .push(&data[consumed..])
                         .map_err(|e| format!("{path}: {e}"))?;
-                    let events = ingest.snapshot().map_or(0, |a| a.events().len());
+                    let events = ingest.snapshot().map_or(0, |a| a.columns().events.len());
                     eprintln!(
                         "{} bytes, {events} event(s){}",
                         ingest.bytes_consumed(),

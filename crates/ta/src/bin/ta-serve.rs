@@ -92,9 +92,13 @@ impl Server {
                 let n = parts.next().and_then(|v| v.parse::<usize>().ok());
                 match n {
                     Some(n) => self.with_snapshot(|a| {
-                        let events = a.events();
+                        // Only the last `n` events are viewed; no rows
+                        // are materialized.
+                        let events = &a.columns().events;
                         let mut text = String::new();
-                        for e in &events[events.len().saturating_sub(n)..] {
+                        for e in
+                            (events.len().saturating_sub(n)..events.len()).map(|i| events.view(i))
+                        {
                             text.push_str(&format!(
                                 "{},{},{},{:?}\n",
                                 e.time_tb,
@@ -152,7 +156,7 @@ impl Server {
         f.ingest
             .push(&data[consumed..])
             .map_err(|e| format!("{}: {e}", f.path))?;
-        let events = f.ingest.snapshot().map_or(0, |a| a.events().len());
+        let events = f.ingest.snapshot().map_or(0, |a| a.columns().events.len());
         Ok(format!(
             "ok bytes={} events={events} complete={}\n",
             f.ingest.bytes_consumed(),

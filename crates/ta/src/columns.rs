@@ -218,7 +218,10 @@ impl DictIndex {
             return Self::append(params, dict_off, dict_buf);
         }
         let n_ids = dict_off.len() - 1;
-        if (n_ids + 1) * 8 >= self.slots.len() * 7 {
+        // Load stays at or under 1/2: a linear-probing miss walks about
+        // 1/(1-load)^2 slots, and each occupied one costs a tuple
+        // compare in the (cache-cold) dictionary buffers.
+        if (n_ids + 1) * 2 >= self.slots.len() {
             self.grow(dict_off, dict_buf);
         }
         let mask = self.slots.len() - 1;

@@ -774,9 +774,15 @@ impl TraceIndex {
     /// buckets resolve from ~O(levels) pyramid reads; the two partial
     /// edge buckets are computed exactly (binary-searched counts,
     /// tree-clipped activity), so the summary equals a full rescan.
-    pub fn summarize(&self, trace: &AnalyzedTrace, t0: u64, t1: u64) -> WindowSummary {
-        let events = &trace.events;
-        self.check(events);
+    ///
+    /// `times` is the time column of the trace the index was built
+    /// from ([`crate::EventColumns::times`]).
+    pub fn summarize(&self, times: &[u64], t0: u64, t1: u64) -> WindowSummary {
+        debug_assert_eq!(
+            times.len(),
+            self.n_events,
+            "index queried with a different trace than it was built from"
+        );
         let p = &self.pyramid;
         let mut counts = vec![0u64; p.n_cores];
         let mut activity = vec![[0u64; 4]; p.n_lanes];
@@ -789,12 +795,12 @@ impl TraceIndex {
             let b0 = ((c0 - p.base_tb) >> p.shift) as usize;
             let b1 = (((c1 - 1) - p.base_tb) >> p.shift) as usize;
             if b0 == b1 {
-                self.add_exact(events, c0, c1, &mut counts, &mut activity);
+                self.add_exact(times, c0, c1, &mut counts, &mut activity);
             } else {
                 let b0_end = p.base_tb + (b0 as u64 + 1) * width;
                 let b1_start = p.base_tb + b1 as u64 * width;
-                self.add_exact(events, c0, b0_end, &mut counts, &mut activity);
-                self.add_exact(events, b1_start, c1, &mut counts, &mut activity);
+                self.add_exact(times, c0, b0_end, &mut counts, &mut activity);
+                self.add_exact(times, b1_start, c1, &mut counts, &mut activity);
                 self.add_pyramid(b0 + 1, b1, &mut counts, &mut activity);
             }
         }
@@ -821,19 +827,15 @@ impl TraceIndex {
     /// Exact accumulation over a sub-bucket range.
     fn add_exact(
         &self,
-        events: &[GlobalEvent],
+        times: &[u64],
         a: u64,
         b: u64,
         counts: &mut [u64],
         activity: &mut [[u64; 4]],
     ) {
         for (ci, c) in self.per_core.iter().enumerate() {
-            let lo = c
-                .offsets
-                .partition_point(|&o| events[o as usize].time_tb < a);
-            let hi = c
-                .offsets
-                .partition_point(|&o| events[o as usize].time_tb < b);
+            let lo = c.offsets.partition_point(|&o| times[o as usize] < a);
+            let hi = c.offsets.partition_point(|&o| times[o as usize] < b);
             counts[ci] += (hi - lo) as u64;
         }
         for (li, lane) in self.lanes.iter().enumerate() {
@@ -1478,6 +1480,10 @@ mod tests {
         }
     }
 
+    fn times(t: &AnalyzedTrace) -> Vec<u64> {
+        t.events.iter().map(|e| e.time_tb).collect()
+    }
+
     fn index_of(t: &AnalyzedTrace) -> (TraceIndex, Vec<SpeIntervals>) {
         let iv = build_intervals(t);
         let idx = TraceIndex::build(t, &iv, &LossReport::default());
@@ -1562,7 +1568,7 @@ mod tests {
         let suspects = compute_suspect_ranges(&t, &LossReport::default());
         for a in (0..140).step_by(7) {
             for b in (0..150).step_by(11) {
-                let fast = idx.summarize(&t, a, b);
+                let fast = idx.summarize(&times(&t), a, b);
                 let slow = oracle::window_summary(&t, &iv, &suspects, a, b);
                 assert_eq!(fast, slow, "window [{a},{b})");
             }
@@ -1570,7 +1576,7 @@ mod tests {
         // Degenerate and out-of-range windows.
         for (a, b) in [(0, 0), (50, 50), (200, 100), (1000, 2000), (0, u64::MAX)] {
             assert_eq!(
-                idx.summarize(&t, a, b),
+                idx.summarize(&times(&t), a, b),
                 oracle::window_summary(&t, &iv, &suspects, a, b)
             );
         }
@@ -1678,8 +1684,8 @@ mod tests {
         assert!(idx.bucket_suspect(25));
         assert!(!idx.bucket_suspect(100));
         // Summaries over the bracket are flagged, clean windows not.
-        assert!(idx.summarize(&t, 0, 200).suspect);
-        assert!(!idx.summarize(&t, 70, 200).suspect);
+        assert!(idx.summarize(&times(&t), 0, 200).suspect);
+        assert!(!idx.summarize(&times(&t), 70, 200).suspect);
     }
 
     #[test]
@@ -1756,7 +1762,7 @@ mod tests {
             idx.query(&t, &EventFilter::new()),
             Vec::<&GlobalEvent>::new()
         );
-        let s = idx.summarize(&t, 0, 100);
+        let s = idx.summarize(&times(&t), 0, 100);
         assert!(s.events.is_empty() && s.activity.is_empty() && !s.suspect);
     }
 }

@@ -8,15 +8,14 @@
 //! Pipeline:
 //!
 //! 1. [`session`] — the front door: [`Analysis`] ingests a trace once
-//!    (in parallel, via [`mod@parallel`]) and memoizes every derived
-//!    product behind typed accessors.
-//! 2. [`mod@analyze`] / [`mod@parallel`] — decode the per-core streams,
-//!    reconstruct global time from decrementer snapshots + the
-//!    `PpeCtxRun` sync records (wrap-safe), and merge everything into
-//!    one ordered event list. The parallel engine decodes streams
-//!    concurrently and k-way merges per-stream runs; its output is
-//!    byte-identical to the serial path.
-//! 3. [`reader`] — zero-copy ingestion of serialized trace images.
+//!    and memoizes every derived product behind typed accessors.
+//! 2. Ingestion decodes the per-core streams straight out of the trace
+//!    bytes, reconstructs global time from decrementer snapshots + the
+//!    `PpeCtxRun` sync records (wrap-safe), and k-way merges the
+//!    per-stream runs into the columnar store ([`ColumnarTrace`]). The
+//!    serial row path in [`mod@analyze`] is the reference it matches
+//!    byte for byte; [`mod@parallel`] keeps the row-returning wrappers.
+//! 3. [`reader`] — zero-copy views of serialized trace images.
 //! 4. [`intervals`] — turn begin/end event pairs into activity
 //!    intervals (compute / DMA wait / mailbox wait / signal wait).
 //! 5. [`stats`] — per-SPE utilization and wait breakdowns, DMA traffic
@@ -68,7 +67,7 @@
 //! let svg      = ta::render_svg(&timeline, &opts);
 //! ```
 //!
-//! The [`Analysis`] session replaces that with one parallel ingestion
+//! The [`Analysis`] session replaces that with one ingestion
 //! and memoized accessors:
 //!
 //! ```text
@@ -109,6 +108,7 @@ pub mod intervals;
 pub mod lint;
 pub mod loss;
 pub mod occupancy;
+mod oneshot;
 pub mod parallel;
 pub mod phases;
 pub mod query;
@@ -152,7 +152,7 @@ pub use occupancy::{dma_occupancy, OccupancyStep, SpeOccupancy};
 pub use parallel::{analyze_parallel, analyze_parallel_lossy};
 pub use phases::{user_phases, PhaseReport, UserPhase};
 pub use query::EventFilter;
-pub use reader::{MappedImage, TraceImage};
+pub use reader::{ImageStream, MappedImage, TraceImage};
 pub use report::{
     AsciiReport, CsvReport, CsvTable, HtmlReport, RenderOptions, Report, ReportKind, SvgReport,
 };

@@ -1,373 +1,51 @@
-//! Parallel trace ingestion: concurrent per-stream decode and
-//! timestamp reconstruction, then a k-way merge.
+//! Row-form wrappers over the one-shot columnar ingest.
 //!
-//! The serial [`analyze`](crate::analyze::analyze) path walks streams
-//! one after another and then sorts the combined event list. This
-//! module produces the *identical* result (same events, same order,
-//! same errors) by exploiting the trace's shape: records are already
-//! grouped per core, and within a stream the reconstruction is a local
-//! scan. The pipeline is:
-//!
-//! 1. **Decode** — every stream's records are decoded concurrently,
-//!    one shard task per stream on the shared work-stealing pool
-//!    ([`crate::exec`]); no threads are spawned per call.
-//! 2. **Reconstruct** — each worker converts its streams' records to
-//!    [`GlobalEvent`]s: PPE records carry timebase timestamps directly;
-//!    SPE records get wrap-safe decrementer accumulation against their
-//!    [`SpeAnchor`]. Each per-stream run is then sorted by the global
-//!    key. (SPE runs are already in key order; the combined PPE stream
-//!    can interleave hardware threads at equal ticks, so the sort is
-//!    not a no-op there.)
-//! 3. **Merge** — a k-way heap merge zips the sorted runs into the
-//!    single globally ordered event list.
-//!
-//! Equivalence with the serial path is guaranteed because the sort key
-//! `(time_tb, core tag, stream_seq)` is unique within a stream, and
-//! ties across streams are broken by stream index — exactly the order
-//! the serial path's stable sort preserves. The property tests in
-//! `tests/prop_parallel.rs` assert byte-identical output for 1, 2 and
-//! 8 workers.
+//! Ingestion decodes every stream straight into the columnar store
+//! (see [`Analysis::of`](crate::Analysis::of)); these wrappers keep the
+//! historical row-returning entry points by materializing that store.
+//! Output (events, order, anchors, errors, loss report) is identical to
+//! the serial [`analyze`](crate::analyze::analyze) /
+//! [`analyze_lossy`](crate::analyze::analyze_lossy).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use pdt::TraceFile;
 
-use pdt::{
-    decode_stream, decode_stream_lossy, EventCode, LossyDecode, RecordError, TraceCore, TraceFile,
-    TraceHeader, TraceRecord,
-};
+use crate::analyze::{AnalyzeError, AnalyzedTrace};
+use crate::loss::{DecodePolicy, LossReport};
+use crate::oneshot::ingest;
+use crate::reader::TraceImage;
 
-use crate::analyze::{harvest_anchors_from, AnalyzeError, AnalyzedTrace, GlobalEvent, SpeAnchor};
-use crate::exec::{self, Parallelism};
-use crate::loss::{LossReport, StreamLoss};
-
-/// The sort key ordering the global event list.
-type SortKey = (u64, u8, u64);
-
-fn key(e: &GlobalEvent) -> SortKey {
-    (e.time_tb, e.core.tag(), e.stream_seq)
-}
-
-/// Reconstructs the global timeline using up to `threads` worker
-/// threads. Produces exactly the same [`AnalyzedTrace`] (events, order,
-/// anchors, errors) as the serial [`analyze`](crate::analyze::analyze).
-///
-/// `threads` is clamped to at least 1 and at most the stream count;
-/// with a single worker the whole pipeline runs on the calling thread.
+/// Reconstructs the global timeline: exactly the [`AnalyzedTrace`]
+/// (events, order, anchors, errors) of the serial
+/// [`analyze`](crate::analyze::analyze).
 ///
 /// # Errors
 ///
 /// Returns [`AnalyzeError`] on corrupt records or missing sync
 /// anchors, with the same stream-order precedence as the serial path
 /// (all decode errors are reported before any anchor error).
-pub fn analyze_parallel(trace: &TraceFile, threads: usize) -> Result<AnalyzedTrace, AnalyzeError> {
-    let sources: Vec<(TraceCore, &[u8])> = trace
-        .streams
-        .iter()
-        .map(|s| (s.core, s.bytes.as_slice()))
-        .collect();
-    analyze_sources(
-        trace.header,
-        &sources,
-        trace.total_dropped(),
-        trace.ctx_names.clone(),
-        threads,
-    )
-}
-
-/// The stream-slice entry point behind [`analyze_parallel`]: the same
-/// pipeline over borrowed byte windows, used by the zero-copy
-/// [`reader`](crate::reader) so a serialized image never has its
-/// record bytes copied into a [`TraceFile`] first.
-pub(crate) fn analyze_sources(
-    header: TraceHeader,
-    sources: &[(TraceCore, &[u8])],
-    dropped: u64,
-    ctx_names: Vec<(u32, String)>,
-    threads: usize,
-) -> Result<AnalyzedTrace, AnalyzeError> {
-    let workers = threads.clamp(1, sources.len().max(1));
-    let decoded = decode_sources(sources, workers)?;
-    let anchors = harvest_anchors(&decoded);
-
-    // Anchor presence is checked serially, in stream order, so the
-    // error precedence matches the serial path exactly.
-    for (core, recs) in &decoded {
-        if let TraceCore::Spe(spe) = core {
-            if !recs.is_empty() && !anchors.iter().any(|a| a.spe == *spe) {
-                return Err(AnalyzeError::MissingAnchor { spe: *spe });
-            }
-        }
-    }
-
-    let runs = build_runs(decoded, &anchors, workers);
-    let events = merge_runs(runs);
-
-    Ok(AnalyzedTrace {
-        header,
-        events,
-        ctx_names,
-        anchors,
-        dropped,
-    })
+pub fn analyze_parallel(trace: &TraceFile) -> Result<AnalyzedTrace, AnalyzeError> {
+    let (columns, _) = ingest(&TraceImage::from(trace), DecodePolicy::Strict)?;
+    Ok(columns.materialize())
 }
 
 /// The lossy counterpart of [`analyze_parallel`]: resynchronizes past
 /// corruption, never fails, and quantifies everything skipped in a
-/// [`LossReport`]. Output (events, order, anchors, report) is identical
-/// to the serial [`analyze_lossy`](crate::analyze::analyze_lossy) for
-/// every worker count, and identical to the strict paths on
-/// uncorrupted input.
-pub fn analyze_parallel_lossy(trace: &TraceFile, threads: usize) -> (AnalyzedTrace, LossReport) {
-    let sources: Vec<(TraceCore, &[u8], u64)> = trace
-        .streams
-        .iter()
-        .map(|s| (s.core, s.bytes.as_slice(), s.dropped))
-        .collect();
-    analyze_sources_lossy(trace.header, &sources, trace.ctx_names.clone(), threads)
-}
-
-/// The stream-slice entry point behind [`analyze_parallel_lossy`]:
-/// sources carry `(core, record bytes, tracer-dropped count)`.
-pub(crate) fn analyze_sources_lossy(
-    header: TraceHeader,
-    sources: &[(TraceCore, &[u8], u64)],
-    ctx_names: Vec<(u32, String)>,
-    threads: usize,
-) -> (AnalyzedTrace, LossReport) {
-    let workers = threads.clamp(1, sources.len().max(1));
-    let decoded = decode_sources_lossy(sources, workers);
-
-    let anchor_view: Vec<(TraceCore, &[TraceRecord])> = decoded
-        .iter()
-        .map(|(core, d)| (*core, d.records.as_slice()))
-        .collect();
-    let anchors = harvest_anchors_from(&anchor_view);
-
-    // Split loss accounting from the records serially, in stream
-    // order; SPE streams whose anchor was lost contribute no events.
-    let mut losses = Vec::with_capacity(decoded.len());
-    let mut run_input: Vec<(TraceCore, Vec<TraceRecord>)> = Vec::with_capacity(decoded.len());
-    for (i, (core, lossy)) in decoded.into_iter().enumerate() {
-        let LossyDecode { records, gaps } = lossy;
-        let decoded_records = records.len() as u64;
-        let mut unanchored = false;
-        let records = match core {
-            TraceCore::Spe(spe) if !records.is_empty() && !anchors.iter().any(|a| a.spe == spe) => {
-                unanchored = true;
-                Vec::new()
-            }
-            _ => records,
-        };
-        losses.push(StreamLoss {
-            core,
-            decoded_records,
-            tracer_dropped: sources[i].2,
-            gaps,
-            unanchored,
-        });
-        run_input.push((core, records));
+/// [`LossReport`]. Output is identical to the serial
+/// [`analyze_lossy`](crate::analyze::analyze_lossy). `_threads` is
+/// ignored: ingestion decodes on the calling thread.
+pub fn analyze_parallel_lossy(trace: &TraceFile, _threads: usize) -> (AnalyzedTrace, LossReport) {
+    match ingest(&TraceImage::from(trace), DecodePolicy::Lossy) {
+        Ok((columns, loss)) => (columns.materialize(), loss),
+        // The lossy policy has no error path: damage becomes gaps.
+        Err(_) => unreachable!("lossy ingest never fails"),
     }
-
-    let runs = build_runs(run_input, &anchors, workers);
-    let events = merge_runs(runs);
-    let dropped = sources.iter().map(|s| s.2).sum();
-
-    (
-        AnalyzedTrace {
-            header,
-            events,
-            ctx_names,
-            anchors,
-            dropped,
-        },
-        LossReport { streams: losses },
-    )
-}
-
-/// Lossily decodes every stream, one shard task per stream on the
-/// shared pool. Never fails; corruption becomes per-stream gaps.
-fn decode_sources_lossy(
-    sources: &[(TraceCore, &[u8], u64)],
-    workers: usize,
-) -> Vec<(TraceCore, LossyDecode)> {
-    let par = Parallelism::from_threads(workers);
-    exec::map_indexed(par, sources.len(), |i| {
-        decode_stream_lossy(sources[i].1, Some(sources[i].0))
-    })
-    .into_iter()
-    .enumerate()
-    .map(|(i, d)| (sources[i].0, d))
-    .collect()
-}
-
-type DecodeResult = Result<Vec<TraceRecord>, (usize, RecordError)>;
-
-/// Decodes every stream, one shard task per stream on the shared
-/// pool, and reports the first corrupt stream in *stream order* (not
-/// completion order).
-fn decode_sources(
-    sources: &[(TraceCore, &[u8])],
-    workers: usize,
-) -> Result<Vec<(TraceCore, Vec<TraceRecord>)>, AnalyzeError> {
-    let par = Parallelism::from_threads(workers);
-    let slots: Vec<DecodeResult> =
-        exec::map_indexed(par, sources.len(), |i| decode_stream(sources[i].1));
-
-    let mut decoded = Vec::with_capacity(sources.len());
-    for (i, slot) in slots.into_iter().enumerate() {
-        let core = sources[i].0;
-        let recs = slot.map_err(|(offset, cause)| AnalyzeError::Record {
-            core,
-            offset,
-            cause,
-        })?;
-        decoded.push((core, recs));
-    }
-    Ok(decoded)
-}
-
-/// Harvests `PpeCtxRun` sync anchors from the PPE streams, first
-/// anchor per SPE winning, in stream order — same policy as the serial
-/// path.
-fn harvest_anchors(decoded: &[(TraceCore, Vec<TraceRecord>)]) -> Vec<SpeAnchor> {
-    let mut anchors: Vec<SpeAnchor> = Vec::new();
-    for (core, recs) in decoded {
-        if core.is_spe() {
-            continue;
-        }
-        for r in recs {
-            if r.code == EventCode::PpeCtxRun {
-                let spe = r.params[1] as u8;
-                if !anchors.iter().any(|a| a.spe == spe) {
-                    anchors.push(SpeAnchor {
-                        spe,
-                        ctx: r.params[0] as u32,
-                        run_tb: r.timestamp,
-                        dec_start: r.params[2] as u32,
-                    });
-                }
-            }
-        }
-    }
-    anchors
-}
-
-/// Converts each stream's records into a key-sorted run of
-/// [`GlobalEvent`]s, one shard task per stream on the shared pool.
-/// Anchors for every nonempty SPE stream must already be verified
-/// present.
-fn build_runs(
-    decoded: Vec<(TraceCore, Vec<TraceRecord>)>,
-    anchors: &[SpeAnchor],
-    workers: usize,
-) -> Vec<Vec<GlobalEvent>> {
-    let par = Parallelism::from_threads(workers);
-    if par.workers() <= 1 || decoded.len() <= 1 {
-        return decoded
-            .into_iter()
-            .map(|(core, recs)| build_one_run(core, recs, anchors))
-            .collect();
-    }
-    // Shard tasks take ownership of their stream's records through
-    // per-index cells, so tasks move disjoint data.
-    type StreamCell = std::sync::Mutex<Option<(TraceCore, Vec<TraceRecord>)>>;
-    let cells: Vec<StreamCell> = decoded
-        .into_iter()
-        .map(|d| std::sync::Mutex::new(Some(d)))
-        .collect();
-    exec::map_indexed(par, cells.len(), |i| {
-        let (core, recs) = cells[i]
-            .lock()
-            .unwrap()
-            .take()
-            .expect("each stream reconstructed once");
-        build_one_run(core, recs, anchors)
-    })
-}
-
-/// Timestamp reconstruction for one stream, mirroring the serial
-/// path's per-stream loop, followed by a key sort of the run.
-fn build_one_run(
-    core: TraceCore,
-    recs: Vec<TraceRecord>,
-    anchors: &[SpeAnchor],
-) -> Vec<GlobalEvent> {
-    let mut run = Vec::with_capacity(recs.len());
-    match core {
-        TraceCore::Ppe(_) => {
-            for (i, r) in recs.into_iter().enumerate() {
-                run.push(GlobalEvent {
-                    time_tb: r.timestamp,
-                    core: r.core, // records carry per-thread tags
-                    code: r.code,
-                    params: r.params,
-                    stream_seq: i as u64,
-                });
-            }
-        }
-        TraceCore::Spe(spe) => {
-            if recs.is_empty() {
-                return run;
-            }
-            let anchor = anchors
-                .iter()
-                .find(|a| a.spe == spe)
-                .copied()
-                .expect("anchor presence checked before reconstruction");
-            let mut elapsed: u64 = 0;
-            let mut prev_dec = anchor.dec_start;
-            for (i, r) in recs.into_iter().enumerate() {
-                let dec = r.timestamp as u32;
-                elapsed += prev_dec.wrapping_sub(dec) as u64;
-                prev_dec = dec;
-                run.push(GlobalEvent {
-                    time_tb: anchor.run_tb + elapsed,
-                    core,
-                    code: r.code,
-                    params: r.params,
-                    stream_seq: i as u64,
-                });
-            }
-        }
-    }
-    // SPE runs are already nondecreasing in time with a constant core
-    // tag, so this is a near-no-op there; the combined PPE stream can
-    // interleave thread tags at equal ticks and genuinely needs it.
-    run.sort_unstable_by_key(key);
-    run
-}
-
-/// K-way merge of key-sorted runs. Ties across runs are broken by run
-/// (stream) index, which is what the serial path's stable sort yields.
-fn merge_runs(runs: Vec<Vec<GlobalEvent>>) -> Vec<GlobalEvent> {
-    let total = runs.iter().map(Vec::len).sum();
-    let mut iters: Vec<std::vec::IntoIter<GlobalEvent>> =
-        runs.into_iter().map(Vec::into_iter).collect();
-    let mut heap: BinaryHeap<Reverse<(SortKey, usize)>> = BinaryHeap::with_capacity(iters.len());
-    let mut heads: Vec<Option<GlobalEvent>> =
-        iters.iter_mut().map(std::iter::Iterator::next).collect();
-    for (i, head) in heads.iter().enumerate() {
-        if let Some(e) = head {
-            heap.push(Reverse((key(e), i)));
-        }
-    }
-    let mut events = Vec::with_capacity(total);
-    while let Some(Reverse((_, i))) = heap.pop() {
-        let e = heads[i].take().expect("head present while queued");
-        events.push(e);
-        if let Some(next) = iters[i].next() {
-            heap.push(Reverse((key(&next), i)));
-            heads[i] = Some(next);
-        }
-    }
-    events
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analyze::analyze;
-    use pdt::{TraceHeader, TraceStream, VERSION};
+    use pdt::{EventCode, TraceCore, TraceHeader, TraceRecord, TraceStream, VERSION};
 
     fn header(num_spes: u8) -> TraceHeader {
         TraceHeader {
@@ -459,23 +137,21 @@ mod tests {
     }
 
     #[test]
-    fn matches_serial_for_all_thread_counts() {
+    fn matches_serial() {
         let trace = interleaved_trace(6);
         let serial = analyze(&trace).unwrap();
-        for threads in [1, 2, 3, 8, 64] {
-            let par = analyze_parallel(&trace, threads).unwrap();
-            assert_eq!(par.events, serial.events, "threads={threads}");
-            assert_eq!(par.anchors, serial.anchors);
-            assert_eq!(par.dropped, serial.dropped);
-            assert_eq!(par.header, serial.header);
-            assert_eq!(par.ctx_names, serial.ctx_names);
-        }
+        let par = analyze_parallel(&trace).unwrap();
+        assert_eq!(par.events, serial.events);
+        assert_eq!(par.anchors, serial.anchors);
+        assert_eq!(par.dropped, serial.dropped);
+        assert_eq!(par.header, serial.header);
+        assert_eq!(par.ctx_names, serial.ctx_names);
     }
 
     #[test]
     fn ppe_equal_tick_interleave_is_ordered_like_serial() {
         let trace = interleaved_trace(2);
-        let par = analyze_parallel(&trace, 4).unwrap();
+        let par = analyze_parallel(&trace).unwrap();
         // At tick 50 the PPE(0) records sort before PPE(1) despite the
         // PPE(1) records being recorded first.
         let tags: Vec<u8> = par
@@ -496,7 +172,7 @@ mod tests {
         // though a later worker may hit the other first.
         trace.streams[3].bytes[0] = 0; // zero granule count
         trace.streams[1].bytes[0] = 0;
-        let err = analyze_parallel(&trace, 4).unwrap_err();
+        let err = analyze_parallel(&trace).unwrap_err();
         assert!(matches!(
             err,
             AnalyzeError::Record {
@@ -512,41 +188,37 @@ mod tests {
     fn missing_anchor_matches_serial() {
         let mut trace = interleaved_trace(2);
         trace.streams[0].bytes.clear(); // drop the PPE sync records
-        let err = analyze_parallel(&trace, 4).unwrap_err();
+        let err = analyze_parallel(&trace).unwrap_err();
         assert_eq!(err, AnalyzeError::MissingAnchor { spe: 0 });
         assert_eq!(err, analyze(&trace).unwrap_err());
     }
 
     #[test]
-    fn lossy_matches_strict_on_clean_trace_all_thread_counts() {
+    fn lossy_matches_strict_on_clean_trace() {
         let trace = interleaved_trace(4);
         let strict = analyze(&trace).unwrap();
-        for threads in [1, 2, 8] {
-            let (lossy, report) = analyze_parallel_lossy(&trace, threads);
-            assert_eq!(lossy.events, strict.events, "threads={threads}");
-            assert_eq!(lossy.anchors, strict.anchors);
-            assert_eq!(lossy.dropped, strict.dropped);
-            // Streams 1..4 carry a synthetic nonzero `dropped`, so the
-            // report is not clean, but there must be no decode gaps.
-            assert_eq!(report.total_gaps(), 0);
-            assert_eq!(report.total_gap_bytes(), 0);
-            assert_eq!(report.tracer_dropped(), trace.total_dropped());
-        }
+        let (lossy, report) = analyze_parallel_lossy(&trace, 1);
+        assert_eq!(lossy.events, strict.events);
+        assert_eq!(lossy.anchors, strict.anchors);
+        assert_eq!(lossy.dropped, strict.dropped);
+        // Streams 1..4 carry a synthetic nonzero `dropped`, so the
+        // report is not clean, but there must be no decode gaps.
+        assert_eq!(report.total_gaps(), 0);
+        assert_eq!(report.total_gap_bytes(), 0);
+        assert_eq!(report.tracer_dropped(), trace.total_dropped());
     }
 
     #[test]
-    fn lossy_parallel_matches_lossy_serial_on_damaged_trace() {
+    fn lossy_matches_lossy_serial_on_damaged_trace() {
         let mut trace = interleaved_trace(4);
         trace.streams[2].bytes[0] = 0; // zero granule count
         let tail = trace.streams[3].bytes.len() - 5;
         trace.streams[3].bytes.truncate(tail); // torn tail
         let (serial, serial_report) = crate::analyze::analyze_lossy(&trace);
-        for threads in [1, 2, 8] {
-            let (par, par_report) = analyze_parallel_lossy(&trace, threads);
-            assert_eq!(par.events, serial.events, "threads={threads}");
-            assert_eq!(par.anchors, serial.anchors);
-            assert_eq!(par_report, serial_report);
-        }
+        let (par, par_report) = analyze_parallel_lossy(&trace, 1);
+        assert_eq!(par.events, serial.events);
+        assert_eq!(par.anchors, serial.anchors);
+        assert_eq!(par_report, serial_report);
         assert!(serial_report.total_gaps() >= 2);
         assert!(serial_report.total_gap_bytes() > 0);
         assert!(serial_report.total_est_lost() > 0);
@@ -562,11 +234,9 @@ mod tests {
         assert!(serial.events.iter().all(|e| !e.core.is_spe()));
         assert!(serial_report.streams[1].unanchored);
         assert!(serial_report.total_est_lost() > 0);
-        for threads in [1, 2, 8] {
-            let (par, par_report) = analyze_parallel_lossy(&trace, threads);
-            assert_eq!(par.events, serial.events);
-            assert_eq!(par_report, serial_report);
-        }
+        let (par, par_report) = analyze_parallel_lossy(&trace, 1);
+        assert_eq!(par.events, serial.events);
+        assert_eq!(par_report, serial_report);
     }
 
     #[test]
@@ -576,7 +246,7 @@ mod tests {
             streams: vec![],
             ctx_names: vec![],
         };
-        let par = analyze_parallel(&trace, 8).unwrap();
+        let par = analyze_parallel(&trace).unwrap();
         assert!(par.events.is_empty());
         assert!(par.anchors.is_empty());
     }

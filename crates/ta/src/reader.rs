@@ -4,21 +4,18 @@
 //! written by [`TraceFile::to_bytes`]) without copying any record
 //! bytes: only the header, the stream directory and the context-name
 //! table are materialized, while every stream's records stay borrowed
-//! windows into the caller's buffer. Analysis then feeds those windows
-//! straight into the parallel decode workers, so a trace loaded from
+//! windows into the caller's buffer. Analysis then decodes those
+//! windows straight into the columnar store, so a trace loaded from
 //! disk is decoded exactly once, in place.
 //!
 //! For small traces the copy saved is negligible; for the multi-SPE
 //! captures the analyzer targets it removes the single largest
 //! allocation of the load path.
 
+use std::borrow::Cow;
 use std::path::Path;
 
-use pdt::{FormatError, StreamMeta, TraceCore, TraceFile, TraceHeader, TraceStream};
-
-use crate::analyze::{AnalyzeError, AnalyzedTrace};
-use crate::loss::LossReport;
-use crate::parallel::{analyze_sources, analyze_sources_lossy};
+use pdt::{FormatError, TraceCore, TraceFile, TraceHeader, TraceStream};
 
 /// An owned trace image loaded from disk, memory-mapped when the
 /// default-on `mmap` feature is enabled (falling back to a heap read
@@ -103,35 +100,58 @@ impl AsRef<[u8]> for MappedImage {
     }
 }
 
-/// A parsed view over a serialized trace image. Record bytes are
-/// borrowed from the underlying buffer, never copied.
+/// One stream of a [`TraceImage`]: its core, its record bytes borrowed
+/// from the image, and the tracer-dropped count from the directory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ImageStream<'a> {
+    /// The producing core.
+    pub core: TraceCore,
+    /// The stream's record bytes.
+    pub bytes: &'a [u8],
+    /// Records the tracer dropped on this stream.
+    pub dropped: u64,
+}
+
+/// A borrowed view of a complete trace: the header, the context-name
+/// table, and every stream's record bytes as a window into someone
+/// else's buffer — the input of [`Analysis::of`](crate::Analysis::of).
+///
+/// [`TraceImage::parse`] builds one over a serialized image (a mapped
+/// `.pdt` file) without copying any record bytes; an owned
+/// [`TraceFile`] lends its streams the same way through `From`.
 #[derive(Debug, Clone)]
 pub struct TraceImage<'a> {
-    image: &'a [u8],
     header: TraceHeader,
-    metas: Vec<StreamMeta>,
-    ctx_names: Vec<(u32, String)>,
+    streams: Vec<ImageStream<'a>>,
+    ctx_names: Cow<'a, [(u32, String)]>,
 }
 
 impl<'a> TraceImage<'a> {
     /// Parses the image's header, stream directory and context-name
     /// table, validating the overall layout. Record bytes are not
-    /// inspected — corrupt records surface later, from
-    /// [`analyze`](Self::analyze).
+    /// inspected — corrupt records surface later, when the image is
+    /// analyzed.
     ///
     /// # Errors
     ///
     /// Returns [`FormatError`] if the image is truncated or its
-    /// header, directory or name table is malformed.
+    /// header, directory or name table is malformed — the same errors
+    /// [`TraceFile::from_bytes`] returns.
     pub fn parse(image: &'a [u8]) -> Result<Self, FormatError> {
         let header = TraceFile::scan_header(image)?;
         let metas = TraceFile::scan_stream_table(image)?;
         let ctx_names = TraceFile::scan_ctx_names(image)?;
         Ok(Self {
-            image,
             header,
-            metas,
-            ctx_names,
+            streams: metas
+                .iter()
+                .map(|m| ImageStream {
+                    core: m.core,
+                    bytes: m.slice(image),
+                    dropped: m.dropped,
+                })
+                .collect(),
+            ctx_names: Cow::Owned(ctx_names),
         })
     }
 
@@ -140,9 +160,9 @@ impl<'a> TraceImage<'a> {
         &self.header
     }
 
-    /// Per-stream directory entries, in image order.
-    pub fn streams(&self) -> &[StreamMeta] {
-        &self.metas
+    /// The streams, in image order.
+    pub fn streams(&self) -> &[ImageStream<'a>] {
+        &self.streams
     }
 
     /// The context-name table.
@@ -156,51 +176,12 @@ impl<'a> TraceImage<'a> {
     ///
     /// Panics if `index` is out of range.
     pub fn stream_bytes(&self, index: usize) -> &'a [u8] {
-        self.metas[index].slice(self.image)
+        self.streams[index].bytes
     }
 
     /// Records dropped across all streams.
     pub fn total_dropped(&self) -> u64 {
-        self.metas.iter().map(|m| m.dropped).sum()
-    }
-
-    /// Reconstructs the global timeline directly from the borrowed
-    /// stream windows, using up to `threads` decode workers. The
-    /// result is identical to `analyze(&TraceFile::from_bytes(image)?)`
-    /// — same events, same order, same errors — without the
-    /// intermediate per-stream copies.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalyzeError`] on corrupt records or missing sync
-    /// anchors, with the serial path's stream-order precedence.
-    pub fn analyze(&self, threads: usize) -> Result<AnalyzedTrace, AnalyzeError> {
-        let sources: Vec<(TraceCore, &[u8])> = self
-            .metas
-            .iter()
-            .map(|m| (m.core, m.slice(self.image)))
-            .collect();
-        analyze_sources(
-            self.header,
-            &sources,
-            self.total_dropped(),
-            self.ctx_names.clone(),
-            threads,
-        )
-    }
-
-    /// Reconstructs the global timeline from the borrowed windows,
-    /// resynchronizing past corrupt records instead of failing. Lost
-    /// ranges, tracer drops and discarded streams are quantified in the
-    /// returned [`LossReport`]. On an uncorrupted image the trace is
-    /// byte-identical to [`analyze`](Self::analyze).
-    pub fn analyze_lossy(&self, threads: usize) -> (AnalyzedTrace, LossReport) {
-        let sources: Vec<(TraceCore, &[u8], u64)> = self
-            .metas
-            .iter()
-            .map(|m| (m.core, m.slice(self.image), m.dropped))
-            .collect();
-        analyze_sources_lossy(self.header, &sources, self.ctx_names.clone(), threads)
+        self.streams.iter().map(|s| s.dropped).sum()
     }
 
     /// Materializes an owned [`TraceFile`], copying the record bytes.
@@ -209,15 +190,33 @@ impl<'a> TraceImage<'a> {
         TraceFile {
             header: self.header,
             streams: self
-                .metas
+                .streams
                 .iter()
-                .map(|m| TraceStream {
-                    core: m.core,
-                    bytes: m.slice(self.image).to_vec(),
-                    dropped: m.dropped,
+                .map(|s| TraceStream {
+                    core: s.core,
+                    bytes: s.bytes.to_vec(),
+                    dropped: s.dropped,
                 })
                 .collect(),
-            ctx_names: self.ctx_names.clone(),
+            ctx_names: self.ctx_names.to_vec(),
+        }
+    }
+}
+
+impl<'a> From<&'a TraceFile> for TraceImage<'a> {
+    fn from(trace: &'a TraceFile) -> Self {
+        TraceImage {
+            header: trace.header,
+            streams: trace
+                .streams
+                .iter()
+                .map(|s| ImageStream {
+                    core: s.core,
+                    bytes: &s.bytes,
+                    dropped: s.dropped,
+                })
+                .collect(),
+            ctx_names: Cow::Borrowed(&trace.ctx_names),
         }
     }
 }
@@ -226,7 +225,8 @@ impl<'a> TraceImage<'a> {
 mod tests {
     use super::*;
     use crate::analyze::analyze;
-    use pdt::{EventCode, TraceRecord, TraceStream, VERSION};
+    use crate::session::Analysis;
+    use pdt::{EventCode, TraceRecord, VERSION};
 
     fn trace(spes: u8) -> TraceFile {
         let mut ppe = Vec::new();
@@ -294,12 +294,11 @@ mod tests {
         assert_eq!(image.total_dropped(), t.total_dropped());
 
         let serial = analyze(&t).unwrap();
-        for threads in [1, 2, 8] {
-            let got = image.analyze(threads).unwrap();
-            assert_eq!(got.events, serial.events);
-            assert_eq!(got.anchors, serial.anchors);
-            assert_eq!(got.dropped, serial.dropped);
-        }
+        let got = Analysis::of(image.clone()).strict().run().unwrap();
+        assert_eq!(got.events(), serial.events.as_slice());
+        assert_eq!(got.analyzed().anchors, serial.anchors);
+        assert_eq!(got.analyzed().dropped, serial.dropped);
+        assert_eq!(got.analyzed().ctx_names, serial.ctx_names);
     }
 
     #[test]
@@ -307,11 +306,27 @@ mod tests {
         let t = trace(3);
         let bytes = t.to_bytes();
         let image = TraceImage::parse(&bytes).unwrap();
-        let strict = image.analyze(4).unwrap();
-        let (lossy, report) = image.analyze_lossy(4);
-        assert_eq!(lossy.events, strict.events);
-        assert_eq!(report.total_gaps(), 0);
-        assert_eq!(report.tracer_dropped(), t.total_dropped());
+        let strict = Analysis::of(image.clone()).strict().run().unwrap();
+        let lossy = Analysis::of(image.clone()).run().unwrap();
+        assert_eq!(lossy.events(), strict.events());
+        assert_eq!(lossy.loss().total_gaps(), 0);
+        assert_eq!(lossy.loss().tracer_dropped(), t.total_dropped());
+    }
+
+    #[test]
+    fn owned_trace_lends_its_streams() {
+        let t = trace(2);
+        let image = TraceImage::from(&t);
+        for (s, view) in t.streams.iter().zip(image.streams()) {
+            assert_eq!(view.core, s.core);
+            assert_eq!(view.dropped, s.dropped);
+            assert_eq!(
+                view.bytes.as_ptr(),
+                s.bytes.as_ptr(),
+                "borrowed, not copied"
+            );
+        }
+        assert_eq!(image.to_trace_file(), t);
     }
 
     #[test]

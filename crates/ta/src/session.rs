@@ -4,9 +4,9 @@
 //! trace and memoizes every derived product — intervals, statistics,
 //! timeline, DMA occupancy, user phases — so each is computed at most
 //! once per session no matter how many views ask for it. Ingestion
-//! runs through the parallel engine
-//! ([`analyze_parallel`](crate::parallel::analyze_parallel)), which
-//! produces output identical to the serial path.
+//! decodes the trace's streams straight into the columnar store (the
+//! one-shot merge front shared with the v2 reader), with output
+//! identical to the serial row path.
 //!
 //! ```
 //! use cellsim::{Machine, MachineConfig, PpeThreadId, SpmdDriver, SpeJob, SpuScript, SpuAction};
@@ -35,8 +35,6 @@
 
 use std::sync::{Arc, OnceLock};
 
-use pdt::TraceFile;
-
 use crate::analyze::{AnalyzeError, AnalyzedTrace, GlobalEvent};
 use crate::causality::{sync_edges_columns, CausalEdge};
 use crate::columns::ColumnarTrace;
@@ -46,9 +44,10 @@ use crate::intervals::{build_intervals_columns, build_spe_intervals_columns, Spe
 use crate::lint::{lint_columns_sharded_with_edges, LintConfig, LintReport};
 use crate::loss::{DecodePolicy, LossReport};
 use crate::occupancy::{dma_occupancy_columns, dma_occupancy_columns_par, SpeOccupancy};
-use crate::parallel::{analyze_parallel, analyze_parallel_lossy};
+use crate::oneshot;
 use crate::phases::{user_phases_columns, PhaseReport};
 use crate::query::EventFilter;
+use crate::reader::TraceImage;
 use crate::report::{RenderOptions, ReportKind};
 use crate::stats::{compute_stats_columns, compute_stats_columns_par, TraceStats};
 use crate::stats::{observe_dma_over, DmaSummary};
@@ -62,16 +61,17 @@ use pdt::TraceCore;
 /// [`Analysis::of`].
 #[derive(Debug)]
 pub struct AnalysisBuilder<'t> {
-    trace: &'t TraceFile,
+    image: TraceImage<'t>,
     par: Parallelism,
     filter: Option<EventFilter>,
     policy: DecodePolicy,
 }
 
 impl AnalysisBuilder<'_> {
-    /// Sets the session's concurrency — the single knob covering both
-    /// ingestion fan-out and the product scheduler. Defaults to
-    /// [`Parallelism::Auto`] (the machine's available parallelism).
+    /// Sets the session's concurrency: the [`Parallelism`] its products
+    /// are built with. Ingestion decodes on the calling thread, merging
+    /// as it goes. Defaults to [`Parallelism::Auto`] (the machine's
+    /// available parallelism).
     pub fn parallelism(mut self, par: Parallelism) -> Self {
         self.par = par;
         self
@@ -110,31 +110,21 @@ impl AnalysisBuilder<'_> {
     /// the same precedence, as the serial
     /// [`analyze`](crate::analyze::analyze).
     pub fn run(self) -> Result<Analysis, AnalyzeError> {
-        let threads = self.par.workers();
-        let (mut analyzed, loss) = match self.policy {
-            DecodePolicy::Strict => (
-                analyze_parallel(self.trace, threads)?,
-                LossReport::default(),
-            ),
-            DecodePolicy::Lossy => analyze_parallel_lossy(self.trace, threads),
-        };
+        let (mut columns, loss) = oneshot::ingest(&self.image, self.policy)?;
         if let Some(f) = &self.filter {
-            analyzed.events.retain(|e| f.matches(e));
+            columns.retain_views(|v| f.matches_view(v));
         }
-        let mut a = Analysis::from_analyzed(analyzed);
-        a.loss = loss;
-        a.par = self.par;
-        Ok(a)
+        Ok(Analysis::from_shared(Arc::new(columns), loss, self.par))
     }
 }
 
-/// An analysis session over one trace: parallel ingestion up front,
-/// memoized products on demand.
+/// An analysis session over one trace: ingestion up front, memoized
+/// products on demand.
 ///
-/// Internally the session is columnar: the ingested rows are
-/// transposed once into a [`ColumnarTrace`] (struct-of-arrays event
-/// columns plus a string interner for context names), every derived
-/// product iterates those shared columns, and the row-oriented
+/// Internally the session is columnar: ingestion writes a
+/// [`ColumnarTrace`] (struct-of-arrays event columns plus a string
+/// interner for context names), every derived product iterates those
+/// shared columns, and the row-oriented
 /// [`AnalyzedTrace`] is materialized lazily only when an accessor
 /// actually needs `&[GlobalEvent]` — so row-free workloads never pay
 /// for per-event `Vec` allocations.
@@ -160,10 +150,12 @@ pub struct Analysis {
 }
 
 impl Analysis {
-    /// Starts building an analysis of `trace`.
-    pub fn of(trace: &TraceFile) -> AnalysisBuilder<'_> {
+    /// Starts building an analysis of `trace`: a borrowed
+    /// [`TraceImage`], or a `&`[`TraceFile`](pdt::TraceFile), which
+    /// lends its streams the same way.
+    pub fn of<'t>(trace: impl Into<TraceImage<'t>>) -> AnalysisBuilder<'t> {
         AnalysisBuilder {
-            trace,
+            image: trace.into(),
             par: Parallelism::Auto,
             filter: None,
             policy: DecodePolicy::default(),
@@ -456,7 +448,8 @@ impl Analysis {
     /// gap-suspicion flag, resolved from ~O(levels) pyramid bucket
     /// reads plus two exact edge buckets.
     pub fn summarize(&self, start_tb: u64, end_tb: u64) -> WindowSummary {
-        self.index().summarize(self.analyzed(), start_tb, end_tb)
+        self.index()
+            .summarize(self.columns.events.times(), start_tb, end_tb)
     }
 
     /// Every SPE's activity intervals clipped to `[start_tb, end_tb)`
@@ -522,7 +515,7 @@ impl Analysis {
     /// Renders the plain-text summary report, including the loss
     /// section when loss accounting ran.
     pub fn summary(&self) -> String {
-        render_summary_with(self.analyzed(), self.stats(), Some(&self.loss))
+        render_summary_with(&self.columns, self.stats(), Some(&self.loss))
     }
 
     /// Renders the standalone HTML report. Convenience for
@@ -555,7 +548,7 @@ mod tests {
     use crate::intervals::build_intervals;
     use crate::stats::compute_stats;
     use crate::timeline::build_timeline;
-    use pdt::{EventCode, TraceCore, TraceHeader, TraceRecord, TraceStream, VERSION};
+    use pdt::{EventCode, TraceCore, TraceFile, TraceHeader, TraceRecord, TraceStream, VERSION};
 
     fn trace(spes: u8) -> TraceFile {
         let mut ppe = Vec::new();

@@ -147,7 +147,7 @@ impl StreamState {
                 if self.closed {
                     None
                 } else {
-                    Some((run_tb + elapsed, self.core.tag(), self.rec_idx))
+                    Some((run_tb.wrapping_add(*elapsed), self.core.tag(), self.rec_idx))
                 }
             }
         }
@@ -394,7 +394,7 @@ impl IngestSession {
                 *elapsed += prev_dec.wrapping_sub(dec) as u64;
                 *prev_dec = dec;
                 let ev = GlobalEvent {
-                    time_tb: *run_tb + *elapsed,
+                    time_tb: run_tb.wrapping_add(*elapsed),
                     core: self.streams[i].core,
                     code: r.code,
                     params: r.params,
@@ -635,7 +635,7 @@ impl IngestSession {
                         elapsed += prev_dec.wrapping_sub(dec) as u64;
                         prev_dec = dec;
                         let ev = GlobalEvent {
-                            time_tb: run_tb + elapsed,
+                            time_tb: run_tb.wrapping_add(elapsed),
                             core: s.core,
                             code: r.code,
                             params: r.params.clone(),
@@ -657,7 +657,7 @@ impl IngestSession {
                                 elapsed += prev_dec.wrapping_sub(dec) as u64;
                                 prev_dec = dec;
                                 let ev = GlobalEvent {
-                                    time_tb: a.run_tb + elapsed,
+                                    time_tb: a.run_tb.wrapping_add(elapsed),
                                     core: s.core,
                                     code: r.code,
                                     params: r.params.clone(),

@@ -1,9 +1,7 @@
 //! The Trace Analyzer's summary view: one text report covering the
 //! session, per-core activity, DMA traffic and event demography.
 
-use pdt::TraceCore;
-
-use crate::analyze::AnalyzedTrace;
+use crate::columns::ColumnarTrace;
 use crate::loss::LossReport;
 use crate::stats::TraceStats;
 
@@ -11,7 +9,7 @@ use crate::stats::TraceStats;
 /// may be skewed by trace damage are marked `*`, and a `-- loss --`
 /// section quantifies gaps and estimated drops per stream.
 pub fn render_summary_with(
-    trace: &AnalyzedTrace,
+    trace: &ColumnarTrace,
     stats: &TraceStats,
     loss: Option<&LossReport>,
 ) -> String {
@@ -102,12 +100,8 @@ pub fn render_summary_with(
 
     // Per-core stream sizes.
     out.push_str("\n-- streams --\n");
-    let mut cores: Vec<TraceCore> = trace.events.iter().map(|e| e.core).collect();
-    cores.sort();
-    cores.dedup();
-    for core in cores {
-        let n = trace.events.iter().filter(|e| e.core == core).count();
-        out.push_str(&format!("{core}: {n} events\n"));
+    for (core, offsets) in trace.core_offsets() {
+        out.push_str(&format!("{core}: {} events\n", offsets.len()));
     }
 
     if let Some(l) = loss {
@@ -125,8 +119,8 @@ pub fn render_summary_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::{GlobalEvent, SpeAnchor};
-    use pdt::{EventCode, TraceHeader, VERSION};
+    use crate::analyze::{AnalyzedTrace, GlobalEvent, SpeAnchor};
+    use pdt::{EventCode, TraceCore, TraceHeader, VERSION};
 
     fn trace() -> AnalyzedTrace {
         use EventCode::*;
@@ -170,7 +164,8 @@ mod tests {
     #[test]
     fn summary_contains_all_sections() {
         let t = trace();
-        let s = render_summary_with(&t, &crate::stats::compute_stats(&t), None);
+        let cols = ColumnarTrace::from_analyzed(&t);
+        let s = render_summary_with(&cols, &crate::stats::compute_stats(&t), None);
         for needle in [
             "PDT trace summary",
             "1 SPE(s)",
@@ -195,7 +190,8 @@ mod tests {
         let mut t = trace();
         t.events.clear();
         t.anchors.clear();
-        let s = render_summary_with(&t, &crate::stats::compute_stats(&t), None);
+        let cols = ColumnarTrace::from_analyzed(&t);
+        let s = render_summary_with(&cols, &crate::stats::compute_stats(&t), None);
         assert!(s.contains("0 events"));
     }
 }

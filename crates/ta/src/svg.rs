@@ -1,6 +1,8 @@
 //! SVG rendering of timelines — the reproduction of the Trace
 //! Analyzer's Gantt view.
 
+use std::fmt::Write as _;
+
 use crate::intervals::ActivityKind;
 use crate::timeline::Timeline;
 
@@ -44,9 +46,43 @@ fn escape(s: &str) -> String {
         .replace('"', "&quot;")
 }
 
+/// Appends `x` formatted exactly as `format!("{x:.1}")` does. The
+/// fast path rounds the exact binary value to tenths in integer
+/// arithmetic (ties to even, like `core::fmt`); values outside
+/// `[+0, 2^32)` and non-finite values take the `core::fmt` path.
+fn push_1dp(out: &mut String, x: f64) {
+    if !(x.is_sign_positive() && x < 4_294_967_296.0) {
+        let _ = write!(out, "{x:.1}");
+        return;
+    }
+    // x = m * 2^-sh exactly; below 2^32 the exponent is always negative.
+    let bits = x.to_bits();
+    let exp = ((bits >> 52) & 0x7ff) as u32;
+    let frac = bits & ((1u64 << 52) - 1);
+    let (m, sh) = if exp == 0 {
+        (frac, 1074)
+    } else {
+        (frac | (1u64 << 52), 1075 - exp)
+    };
+    let v = u128::from(m) * 10;
+    let tenths = if sh >= 128 {
+        0
+    } else {
+        let q = v >> sh;
+        let rem = v & ((1u128 << sh) - 1);
+        let half = 1u128 << (sh - 1);
+        let up = rem > half || (rem == half && q & 1 == 1);
+        (q + u128::from(up)) as u64
+    };
+    let _ = write!(out, "{}.{}", tenths / 10, tenths % 10);
+}
+
 /// Renders a timeline to an SVG document string. Front door:
 /// [`Analysis::render`](crate::session::Analysis::render) with
 /// [`ReportKind::Svg`](crate::report::ReportKind::Svg).
+///
+/// Elements are formatted straight into the output (writing to a
+/// `String` cannot fail, so the `fmt::Result`s are ignored).
 pub(crate) fn render_svg_impl(timeline: &Timeline, opts: &SvgOptions) -> String {
     let n = timeline.lanes.len() as u32;
     let axis_h = 28u32;
@@ -59,73 +95,79 @@ pub(crate) fn render_svg_impl(timeline: &Timeline, opts: &SvgOptions) -> String 
     };
 
     let mut svg = String::with_capacity(4096);
-    svg.push_str(&format!(
+    let _ = writeln!(
+        svg,
         r#"<svg xmlns="http://www.w3.org/2000/svg" width="{total_w}" height="{height}" font-family="monospace" font-size="11">"#
-    ));
-    svg.push('\n');
-    svg.push_str(&format!(
+    );
+    let _ = writeln!(
+        svg,
         r##"<rect width="{total_w}" height="{height}" fill="#ffffff"/>"##
-    ));
-    svg.push('\n');
+    );
 
-    // Lanes.
+    // Lanes. Coordinates are formatted once into scratch strings.
+    let (mut x, mut w) = (String::new(), String::new());
     for (i, lane) in timeline.lanes.iter().enumerate() {
+        svg.reserve(256 + lane.segments.len() * 112 + lane.markers.len() * 128);
         let y = legend_h + i as u32 * (opts.lane_height + opts.lane_gap);
-        svg.push_str(&format!(
+        let _ = writeln!(
+            svg,
             r##"<text x="4" y="{}" fill="#333">{}</text>"##,
             y + opts.lane_height / 2 + 4,
             escape(&lane.label)
-        ));
-        svg.push('\n');
+        );
         // Lane background.
-        svg.push_str(&format!(
+        let _ = writeln!(
+            svg,
             r##"<rect x="{}" y="{y}" width="{}" height="{}" fill="#f2f2f2"/>"##,
             opts.gutter, opts.width, opts.lane_height
-        ));
-        svg.push('\n');
+        );
         for seg in &lane.segments {
             let x0 = x_of(seg.start_tb);
             let x1 = x_of(seg.end_tb);
-            let w = (x1 - x0).max(0.5);
-            svg.push_str(&format!(
-                r#"<rect x="{x0:.1}" y="{y}" width="{w:.1}" height="{}" fill="{}"><title>{}: {}..{} ticks</title></rect>"#,
+            x.clear();
+            push_1dp(&mut x, x0);
+            w.clear();
+            push_1dp(&mut w, (x1 - x0).max(0.5));
+            let _ = writeln!(
+                svg,
+                r#"<rect x="{x}" y="{y}" width="{w}" height="{}" fill="{}"><title>{}: {}..{} ticks</title></rect>"#,
                 opts.lane_height,
                 color(seg.kind),
                 seg.kind.label(),
                 seg.start_tb,
                 seg.end_tb,
-            ));
-            svg.push('\n');
+            );
         }
         for m in &lane.markers {
-            let x = x_of(m.time_tb);
-            svg.push_str(&format!(
-                r##"<line x1="{x:.1}" y1="{y}" x2="{x:.1}" y2="{}" stroke="#1565c0" stroke-width="1"><title>{} @ {} ticks</title></line>"##,
+            x.clear();
+            push_1dp(&mut x, x_of(m.time_tb));
+            let _ = writeln!(
+                svg,
+                r##"<line x1="{x}" y1="{y}" x2="{x}" y2="{}" stroke="#1565c0" stroke-width="1"><title>{} @ {} ticks</title></line>"##,
                 y + opts.lane_height,
                 m.code.name(),
                 m.time_tb,
-            ));
-            svg.push('\n');
+            );
         }
     }
 
     // Time axis with ~8 ticks.
     let axis_y = legend_h + n * (opts.lane_height + opts.lane_gap) + 12;
-    svg.push_str(&format!(
+    let _ = writeln!(
+        svg,
         r##"<line x1="{}" y1="{axis_y}" x2="{}" y2="{axis_y}" stroke="#999"/>"##,
         opts.gutter,
         opts.gutter + opts.width
-    ));
-    svg.push('\n');
+    );
     for i in 0..=8u64 {
         let tb = timeline.start_tb + timeline.span() * i / 8;
         let x = x_of(tb);
-        svg.push_str(&format!(
+        let _ = writeln!(
+            svg,
             r##"<line x1="{x:.1}" y1="{axis_y}" x2="{x:.1}" y2="{}" stroke="#999"/><text x="{x:.1}" y="{}" text-anchor="middle" fill="#666">{tb}</text>"##,
             axis_y + 4,
             axis_y + 15,
-        ));
-        svg.push('\n');
+        );
     }
 
     // Legend.
@@ -136,13 +178,13 @@ pub(crate) fn render_svg_impl(timeline: &Timeline, opts: &SvgOptions) -> String 
         ActivityKind::MboxWait,
         ActivityKind::SignalWait,
     ] {
-        svg.push_str(&format!(
+        let _ = writeln!(
+            svg,
             r##"<rect x="{lx}" y="4" width="12" height="12" fill="{}"/><text x="{}" y="14" fill="#333">{}</text>"##,
             color(kind),
             lx + 16,
             kind.label()
-        ));
-        svg.push('\n');
+        );
         lx += 110;
     }
 
@@ -207,6 +249,39 @@ mod tests {
         let svg = render_svg_impl(&timeline(), &opts);
         // Compute segment: 40% of 1000 px = 400 px wide at x=gutter.
         assert!(svg.contains(r#"width="400.0""#), "svg: {svg}");
+    }
+
+    #[test]
+    fn one_decimal_fast_path_matches_core_fmt() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut values = vec![
+            0.0,
+            -0.0,
+            0.05,
+            0.15,
+            0.25,
+            0.35,
+            1.25,
+            2.5,
+            5e-324,
+            1099.95,
+            4_294_967_295.95,
+            f64::NAN,
+            f64::INFINITY,
+            -3.25,
+        ];
+        for _ in 0..20_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            values.push((state % 2_000_000) as f64 / 1000.0);
+            values.push(f64::from_bits(state));
+        }
+        for x in values {
+            let mut got = String::new();
+            push_1dp(&mut got, x);
+            assert_eq!(got, format!("{x:.1}"), "{x:e}");
+        }
     }
 
     #[test]

@@ -66,6 +66,7 @@ use crate::analyze::{GlobalEvent, SpeAnchor};
 use crate::columns::{ColumnarTrace, EventColumns};
 use crate::exec::Parallelism;
 use crate::loss::{LossReport, StreamLoss};
+use crate::oneshot::{merge, upper_bound, Events, Run, RunSource};
 use crate::session::Analysis;
 use crate::stream::{IngestSession, StreamId};
 
@@ -295,15 +296,13 @@ impl<'a> V2Trace<'a> {
         // be placed. Their runs are kept in memory for the merge (PPE
         // streams are small next to the SPE firehose).
         let mut cands: Vec<DirectCand> = Vec::new();
-        let mut runs: Vec<DirectRun<'_>> = Vec::new();
+        let mut runs: Vec<Run<SpeBlocks<'_>>> = Vec::new();
         for (si, meta) in self.file.streams.iter().enumerate() {
             if meta.core.is_spe() {
                 continue;
             }
             let run = decode_ppe_run(si, &clean[si], &mut events, &mut cands, &mut stats)?;
-            if !run.time.is_empty() {
-                runs.push(DirectRun::Pre(run));
-            }
+            runs.push(Run::eager(si, run));
         }
 
         // Winner per SPE number: the candidate at the smallest
@@ -335,25 +334,17 @@ impl<'a> V2Trace<'a> {
                 match best.iter().find(|c| c.anchor.spe == spe) {
                     Some(c) => {
                         placed_total += clean[si].records;
-                        if !clean[si].blocks.is_empty() {
-                            let mut run = LazyRun {
-                                stream: si,
-                                tag: meta.core.tag(),
-                                run_tb: c.anchor.run_tb,
-                                elapsed: 0,
-                                prev_dec: c.anchor.dec_start,
-                                blocks: std::mem::take(&mut clean[si].blocks),
-                                next_block: 0,
-                                batch: ColumnBatch::default(),
-                                time: Vec::new(),
-                                id: Vec::new(),
-                                pos: 0,
-                                seq_base: 0,
-                            };
-                            // Prime the head so the merge can read a key.
-                            if run.decode_next(&mut events, &mut stats)? {
-                                runs.push(DirectRun::Lazy(run));
-                            }
+                        let src = SpeBlocks {
+                            tag: meta.core.tag(),
+                            blocks: std::mem::take(&mut clean[si].blocks),
+                            next_block: 0,
+                            batch: ColumnBatch::default(),
+                            run_tb: c.anchor.run_tb,
+                            elapsed: 0,
+                            prev_dec: c.anchor.dec_start,
+                        };
+                        if let Some(run) = Run::lazy(si, src, &mut events, &mut stats).ok()? {
+                            runs.push(run);
                         }
                     }
                     None => {
@@ -374,32 +365,10 @@ impl<'a> V2Trace<'a> {
         }
         events.reserve_events(usize::try_from(placed_total).ok()?);
 
-        // K-way merge by (time, core tag, stream_seq), ties across
-        // streams broken by stream index — the commit order of the
-        // session the roundtrip reader replays through. Each round
-        // gallops: the minimum run bulk-appends every event sorting
-        // strictly below the runner-up head.
-        while runs.len() > 1 {
-            let mut mi = 0;
-            let mut mk = (runs[0].head(), runs[0].stream());
-            let mut second: Option<((u64, u8, u64), usize)> = None;
-            for (j, run) in runs.iter().enumerate().skip(1) {
-                let k = (run.head(), run.stream());
-                if k < mk {
-                    second = Some(mk);
-                    mk = k;
-                    mi = j;
-                } else if second.is_none_or(|s| k < s) {
-                    second = Some(k);
-                }
-            }
-            if runs[mi].advance(second, &mut events, &mut stats)? {
-                runs.swap_remove(mi);
-            }
-        }
-        if let Some(run) = runs.last_mut() {
-            run.advance(None, &mut events, &mut stats)?;
-        }
+        // The shared one-shot merge front; its stream-index tie-break
+        // is the commit order of the session the roundtrip reader
+        // replays through.
+        merge(runs, &mut events, &mut stats).ok()?;
 
         let dropped_total: u64 = self.file.streams.iter().map(|m| m.dropped).sum();
         trace.events = events;
@@ -615,20 +584,7 @@ struct DirectCand {
     anchor: SpeAnchor,
 }
 
-/// A fully decoded PPE stream held for the merge: times are the
-/// records' own timebase stamps, tags are per-record (PPE streams
-/// interleave threads), parameter tuples are already interned into the
-/// destination dictionary.
-struct PreRun {
-    stream: usize,
-    time: Vec<u64>,
-    tag: Vec<u8>,
-    code: Vec<EventCode>,
-    id: Vec<u32>,
-    pos: usize,
-}
-
-/// Decodes one clean PPE stream into a [`PreRun`], harvesting anchor
+/// Decodes one clean PPE stream for an eager run, harvesting anchor
 /// candidates along the way. `None` when a payload fails to decode,
 /// its raw length disagrees with the prefix, or the stream's sort
 /// keys are not non-decreasing (corrupt-ish input the session would
@@ -639,16 +595,8 @@ fn decode_ppe_run(
     dest: &mut EventColumns,
     cands: &mut Vec<DirectCand>,
     stats: &mut CodecStats,
-) -> Option<PreRun> {
-    let n = usize::try_from(cs.records).ok()?;
-    let mut run = PreRun {
-        stream: si,
-        time: Vec::with_capacity(n),
-        tag: Vec::with_capacity(n),
-        code: Vec::with_capacity(n),
-        id: Vec::with_capacity(n),
-        pos: 0,
-    };
+) -> Option<Events> {
+    let mut run = Events::default();
     let mut batch = ColumnBatch::default();
     let mut last = (0u64, 0u8);
     for (prefix, payload) in &cs.blocks {
@@ -664,7 +612,7 @@ fn decode_ppe_run(
             if batch.codes[k] == EventCode::PpeCtxRun && params.len() >= 3 {
                 cands.push(DirectCand {
                     stream: si,
-                    rec: run.time.len() as u64,
+                    rec: run.len() as u64,
                     anchor: SpeAnchor {
                         spe: params[1] as u8,
                         ctx: params[0] as u32,
@@ -673,10 +621,7 @@ fn decode_ppe_run(
                     },
                 });
             }
-            run.time.push(t);
-            run.tag.push(g);
-            run.code.push(batch.codes[k]);
-            run.id.push(dest.intern_params(params));
+            run.push(t, g, batch.codes[k], dest.intern_params(params));
         }
     }
     Some(run)
@@ -713,146 +658,49 @@ fn decode_block(
     Some(())
 }
 
-/// An anchored SPE stream decoded block-at-a-time during the merge:
-/// only the current block's placed times and interned parameter ids
-/// are held, so merge memory stays one block per stream.
-struct LazyRun<'a> {
-    stream: usize,
+/// An anchored SPE stream's blocks, decoded one block per batch as the
+/// merge front reaches them, so merge memory stays one block per
+/// stream.
+struct SpeBlocks<'a> {
     tag: u8,
-    run_tb: u64,
-    elapsed: u64,
-    prev_dec: u32,
     blocks: Vec<(BlockPrefix, &'a [u8])>,
     next_block: usize,
     batch: ColumnBatch,
-    /// Placed global times for the current batch.
-    time: Vec<u64>,
-    /// Interned parameter ids for the current batch.
-    id: Vec<u32>,
-    pos: usize,
-    /// `stream_seq` of the current batch's first record.
-    seq_base: u64,
+    run_tb: u64,
+    elapsed: u64,
+    prev_dec: u32,
 }
 
-impl LazyRun<'_> {
-    /// Decodes the next block and places its events. `Some(true)` — a
-    /// block is ready; `Some(false)` — the stream is exhausted;
-    /// `None` — decode damage or a time wrap, fall back to the
-    /// roundtrip reader.
-    fn decode_next(&mut self, dest: &mut EventColumns, stats: &mut CodecStats) -> Option<bool> {
-        let Some((prefix, payload)) = self.blocks.get(self.next_block) else {
-            return Some(false);
-        };
-        self.seq_base += self.time.len() as u64;
-        self.time.clear();
-        self.id.clear();
-        decode_block(prefix, payload, &mut self.batch, stats)?;
-        for k in 0..self.batch.len() {
-            let dec = self.batch.timestamps[k] as u32;
-            self.elapsed += u64::from(self.prev_dec.wrapping_sub(dec));
-            self.prev_dec = dec;
-            // The session computes `run_tb + elapsed` unchecked; a
-            // wrap would land events out of order, which the session
-            // absorbs by sorting — send such traces down the fallback.
-            let t = self.run_tb.checked_add(self.elapsed)?;
-            self.time.push(t);
-            self.id.push(dest.intern_params(self.batch.params_of(k)));
-        }
-        self.pos = 0;
-        self.next_block += 1;
-        Some(true)
-    }
-}
+impl RunSource for SpeBlocks<'_> {
+    type Ctx = CodecStats;
+    /// Decode damage or a time wrap: fall back to the roundtrip reader.
+    type Error = ();
 
-/// A merge cursor over one placed stream.
-enum DirectRun<'a> {
-    Pre(PreRun),
-    Lazy(LazyRun<'a>),
-}
-
-/// First index in `[lo, hi)` for which `below` is false (`below` must
-/// be monotone: true-prefix then false-suffix).
-fn upper_bound(mut lo: usize, mut hi: usize, mut below: impl FnMut(usize) -> bool) -> usize {
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if below(mid) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
-}
-
-impl DirectRun<'_> {
-    fn stream(&self) -> usize {
-        match self {
-            DirectRun::Pre(r) => r.stream,
-            DirectRun::Lazy(r) => r.stream,
-        }
-    }
-
-    /// The head event's sort key. Every live run has a current event:
-    /// runs are constructed primed and removed on exhaustion.
-    fn head(&self) -> (u64, u8, u64) {
-        match self {
-            DirectRun::Pre(r) => (r.time[r.pos], r.tag[r.pos], r.pos as u64),
-            DirectRun::Lazy(r) => (r.time[r.pos], r.tag, r.seq_base + r.pos as u64),
-        }
-    }
-
-    /// Appends events into `dest` until the head key reaches `limit`
-    /// (or the run is exhausted — returns `Some(true)`); `None` falls
-    /// back. Within a run keys are strictly increasing, so the stop
-    /// index inside each block is found by binary search and the span
-    /// is bulk-appended.
-    fn advance(
+    fn refill(
         &mut self,
-        limit: Option<((u64, u8, u64), usize)>,
+        out: &mut Events,
         dest: &mut EventColumns,
         stats: &mut CodecStats,
-    ) -> Option<bool> {
-        match self {
-            DirectRun::Pre(r) => {
-                let n = r.time.len();
-                let end = match limit {
-                    None => n,
-                    Some(lim) => upper_bound(r.pos, n, |k| {
-                        ((r.time[k], r.tag[k], k as u64), r.stream) < lim
-                    }),
-                };
-                for k in r.pos..end {
-                    dest.push_with_id(r.time[k], r.tag[k], r.code[k], r.id[k], k as u64);
-                }
-                r.pos = end;
-                Some(r.pos == n)
+    ) -> Result<(), ()> {
+        while out.len() == 0 {
+            let Some((prefix, payload)) = self.blocks.get(self.next_block) else {
+                return Ok(());
+            };
+            self.next_block += 1;
+            decode_block(prefix, payload, &mut self.batch, stats).ok_or(())?;
+            for k in 0..self.batch.len() {
+                let dec = self.batch.timestamps[k] as u32;
+                self.elapsed += u64::from(self.prev_dec.wrapping_sub(dec));
+                self.prev_dec = dec;
+                // A wrap would land events out of order, which the
+                // session absorbs by sorting — send such traces down
+                // the fallback.
+                let t = self.run_tb.checked_add(self.elapsed).ok_or(())?;
+                let id = dest.intern_params(self.batch.params_of(k));
+                out.push(t, self.tag, self.batch.codes[k], id);
             }
-            DirectRun::Lazy(r) => loop {
-                let n = r.time.len();
-                let end = match limit {
-                    None => n,
-                    Some(lim) => upper_bound(r.pos, n, |k| {
-                        ((r.time[k], r.tag, r.seq_base + k as u64), r.stream) < lim
-                    }),
-                };
-                for k in r.pos..end {
-                    dest.push_with_id(
-                        r.time[k],
-                        r.tag,
-                        r.batch.codes[k],
-                        r.id[k],
-                        r.seq_base + k as u64,
-                    );
-                }
-                r.pos = end;
-                if r.pos < n {
-                    return Some(false);
-                }
-                if !r.decode_next(dest, stats)? {
-                    return Some(true);
-                }
-            },
         }
+        Ok(())
     }
 }
 

@@ -166,11 +166,9 @@ proptest! {
         prop_assert_eq!(&serial.events, &strict.events, "serial lossy == strict");
         prop_assert!(loss.is_clean(), "no gaps on a clean trace: {}", loss.render());
         prop_assert_eq!(loss.total_est_lost(), 0);
-        for threads in [1usize, 2, 8] {
-            let (par, ploss) = ta::analyze_parallel_lossy(&trace, threads);
-            prop_assert_eq!(&par.events, &strict.events, "parallel({}) lossy == strict", threads);
-            prop_assert!(ploss.is_clean());
-        }
+        let a = ta::Analysis::of(&trace).run().unwrap();
+        prop_assert_eq!(a.events(), strict.events.as_slice(), "columnar lossy == strict");
+        prop_assert!(a.loss().is_clean());
     }
 
     #[test]
@@ -184,12 +182,10 @@ proptest! {
         let log = ta::FaultInjector::new(seed).inject(&mut damaged, plan);
         // Terminates without panic whatever the damage.
         let (serial, loss) = ta::analyze_lossy(&damaged);
-        // Serial and parallel agree on damaged input too.
-        for threads in [1usize, 2, 8] {
-            let (par, ploss) = ta::analyze_parallel_lossy(&damaged, threads);
-            prop_assert_eq!(&par.events, &serial.events, "parallel({}) == serial on damage", threads);
-            prop_assert_eq!(&ploss, &loss);
-        }
+        // The columnar ingest agrees with the serial rows on damage too.
+        let a = ta::Analysis::of(&damaged).run().unwrap();
+        prop_assert_eq!(a.events(), serial.events.as_slice(), "columnar == serial on damage");
+        prop_assert_eq!(a.loss(), &loss);
         if log.is_empty() {
             // No fault applied (empty plan or streams too small):
             // must match strict exactly.

@@ -35,7 +35,7 @@
 //! machine.run()?;
 //! workload.verify(&machine)?;
 //!
-//! // Analyze the trace the PDT collected: one parallel ingestion,
+//! // Analyze the trace the PDT collected: one columnar ingestion,
 //! // memoized products behind the session's accessors.
 //! let trace = session.collect(&machine);
 //! let analysis = Analysis::of(&trace).run()?;

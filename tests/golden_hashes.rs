@@ -1,0 +1,120 @@
+//! Byte-identity pins for the analyzer's answers on every golden: FNV-1a
+//! hashes of the summary report, the middle-1% window summary and the
+//! default SVG timeline, for both the `.pdt` and the `.pdt2` form of
+//! each trace. The pins were taken from the row-decoding analyzer that
+//! the one-shot columnar ingest replaced, so they hold the ingest to
+//! the exact answers it inherited.
+//!
+//! Print the current hashes with
+//! `cargo test --test golden_hashes -- --ignored --nocapture`.
+
+use std::sync::Arc;
+
+use ta::{analyze_v2, Analysis, Parallelism, RenderOptions, ReportKind};
+
+#[path = "common/goldens.rs"]
+mod goldens;
+use goldens::{golden, golden_v2_bytes, GOLDEN};
+
+/// `(trace, summary, middle-1% window summary, default SVG)` hashes,
+/// shared by both containers: the `.pdt2` answers equal the `.pdt` ones.
+const PINS: [(&str, u64, u64, u64); 7] = [
+    (
+        "matmul.pdt",
+        0x9aab490b4362ed3f,
+        0xfdd24436d4f2faeb,
+        0x6dde7636b61c95e6,
+    ),
+    (
+        "stream.pdt",
+        0xb21c70bd6045f275,
+        0x22235f0491053d74,
+        0x0f260ecd21663268,
+    ),
+    (
+        "pipeline.pdt",
+        0x4bf173f5241cae27,
+        0xc9fafb41beebbb45,
+        0x48ac51d1e368b1b3,
+    ),
+    (
+        "stream_faulted.pdt",
+        0x6c8cd98113108d52,
+        0xe794ef9e077918b3,
+        0x561bed729197f020,
+    ),
+    (
+        "stream_racy.pdt",
+        0xb39b56ab614ac4b9,
+        0x0ff7540897ebfcfd,
+        0x9cfa18112fa336de,
+    ),
+    (
+        "stream_mbox_sync.pdt",
+        0x65448e694ce5350b,
+        0xc31a26956e585445,
+        0xa51968ccd204de69,
+    ),
+    (
+        "stream_tag_hidden.pdt",
+        0x2f19822fdf4e064e,
+        0xdaa634cebb005269,
+        0x6850066afd1079f6,
+    ),
+];
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The three answer hashes of one session, the window placed the way
+/// `ta-cli query --summary` callers place the middle 1% of the span.
+fn answers(a: &Analysis) -> (u64, u64, u64) {
+    let (s, e) = (a.index().start_tb(), a.index().end_tb());
+    let w = (e - s) / 100;
+    let t0 = s + (e - s) / 2 - w / 2;
+    let window = format!("{:?}", a.summarize(t0, t0 + w));
+    let svg = a.render(ReportKind::Svg, &RenderOptions::default());
+    (
+        fnv1a(a.summary().as_bytes()),
+        fnv1a(window.as_bytes()),
+        fnv1a(svg.as_bytes()),
+    )
+}
+
+/// Every golden's `.pdt` and `.pdt2` sessions.
+fn sessions() -> Vec<(String, Arc<Analysis>)> {
+    let mut out = Vec::new();
+    for name in GOLDEN {
+        let a = Analysis::of(&golden(name)).run().unwrap();
+        out.push((name.to_string(), Arc::new(a)));
+        let (a, _) = analyze_v2(&golden_v2_bytes(name), Parallelism::Auto).unwrap();
+        out.push((name.replace(".pdt", ".pdt2"), a));
+    }
+    out
+}
+
+#[test]
+fn answers_match_the_pinned_hashes() {
+    let sessions = sessions();
+    assert_eq!(sessions.len(), 2 * PINS.len());
+    for (name, a) in &sessions {
+        let v1_name = name.trim_end_matches('2');
+        let (_, summary, window, svg) = PINS
+            .into_iter()
+            .find(|p| p.0 == v1_name)
+            .unwrap_or_else(|| panic!("{name} has no pin"));
+        assert_eq!(answers(a), (summary, window, svg), "{name}");
+    }
+}
+
+#[test]
+#[ignore = "prints the pin table"]
+fn print_pins() {
+    for (name, a) in sessions() {
+        let (summary, window, svg) = answers(&a);
+        println!("    ({name:?}, {summary:#018x}, {window:#018x}, {svg:#018x}),");
+    }
+}

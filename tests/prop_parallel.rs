@@ -1,11 +1,14 @@
-//! Property-based equivalence of the parallel ingestion engine:
-//! whatever the machine shape and workload, analyzing with 1, 2 or 8
-//! worker threads must produce exactly the serial analyzer's output —
-//! same events in the same order, same intervals, same statistics.
+//! Property-based equivalence of the one-shot columnar ingest: whatever
+//! the machine shape, workload or damage, `Analysis::of(..).run()` must
+//! produce exactly the serial row analyzer's output — same events in
+//! the same order, same anchors, same loss report, same strict error —
+//! and every product must be identical at every `Parallelism`.
 
 use proptest::prelude::*;
 
 use cell_pdt::prelude::*;
+use pdt::{EventCode, TraceHeader, TraceRecord, TraceStream, VERSION};
+use ta::{analyze_lossy, analyze_v2, AnalyzedTrace, V2Ingest};
 
 /// A generatable, always-terminating SPU action.
 #[derive(Debug, Clone)]
@@ -70,6 +73,31 @@ fn traced_run(programs: &[Vec<Step>], buffer_bytes: u32) -> TraceFile {
     session.collect(&m)
 }
 
+/// Asserts the ingest agrees with the serial row oracles under both
+/// policies: lossy rows + loss report, and the strict result or error.
+fn assert_matches_oracles(trace: &TraceFile) {
+    let (rows, loss) = analyze_lossy(trace);
+    let a = Analysis::of(trace).run().expect("lossy never fails");
+    prop_assert_eq!(a.events(), rows.events.as_slice(), "lossy events");
+    prop_assert_eq!(&a.analyzed().anchors, &rows.anchors, "lossy anchors");
+    prop_assert_eq!(a.analyzed().dropped, rows.dropped);
+    prop_assert_eq!(a.loss(), &loss, "loss report");
+
+    match (analyze(trace), Analysis::of(trace).strict().run()) {
+        (Ok(serial), Ok(strict)) => {
+            prop_assert_eq!(strict.events(), serial.events.as_slice(), "strict events");
+            prop_assert_eq!(&strict.analyzed().anchors, &serial.anchors);
+        }
+        (Err(want), Err(got)) => prop_assert_eq!(got, want, "strict error"),
+        (want, got) => prop_assert!(
+            false,
+            "strict outcome differs: serial ok={}, ingest ok={}",
+            want.is_ok(),
+            got.is_ok()
+        ),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -83,18 +111,17 @@ proptest! {
         let serial_intervals = build_intervals(&serial);
         let serial_stats = compute_stats(&serial);
 
-        for threads in [1usize, 2, 8] {
-            let par = ta::analyze_parallel(&trace, threads).expect("parallel analyzes");
-            prop_assert_eq!(&par.events, &serial.events, "event order, {} threads", threads);
-            prop_assert_eq!(&par.anchors, &serial.anchors, "anchors, {} threads", threads);
-            prop_assert_eq!(par.dropped, serial.dropped);
+        let rows = ta::analyze_parallel(&trace).expect("wrapper analyzes");
+        prop_assert_eq!(&rows.events, &serial.events, "event order");
+        prop_assert_eq!(&rows.anchors, &serial.anchors, "anchors");
+        prop_assert_eq!(rows.dropped, serial.dropped);
 
-            let analysis = Analysis::of(&trace)
-                .parallelism(ta::Parallelism::from_threads(threads))
-                .run()
-                .unwrap();
+        for par in [Parallelism::Serial, Parallelism::Workers(2), Parallelism::Workers(8)] {
+            let analysis = Analysis::of(&trace).parallelism(par).run().unwrap();
+            analysis.build_products(par);
+            prop_assert_eq!(analysis.events(), serial.events.as_slice());
             prop_assert_eq!(analysis.intervals(), serial_intervals.as_slice());
-            prop_assert_eq!(analysis.stats(), &serial_stats, "stats, {} threads", threads);
+            prop_assert_eq!(analysis.stats(), &serial_stats, "stats, {:?}", par);
         }
     }
 
@@ -106,10 +133,244 @@ proptest! {
         let bytes = trace.to_bytes();
         let image = TraceImage::parse(&bytes).expect("image parses");
         let serial = analyze(&trace).expect("trace analyzes");
-        for threads in [1usize, 8] {
-            let par = image.analyze(threads).expect("image analyzes");
-            prop_assert_eq!(&par.events, &serial.events);
-            prop_assert_eq!(&par.anchors, &serial.anchors);
-        }
+        let a = Analysis::of(image.clone()).strict().run().expect("image analyzes");
+        prop_assert_eq!(a.events(), serial.events.as_slice());
+        prop_assert_eq!(&a.analyzed().anchors, &serial.anchors);
+        let lossy = Analysis::of(image.clone()).run().expect("lossy never fails");
+        prop_assert_eq!(lossy.events(), serial.events.as_slice());
+        prop_assert_eq!(lossy.loss().total_gaps(), 0);
     }
+
+    #[test]
+    fn mutated_streams_match_the_row_oracles(
+        programs in prop::collection::vec(prop::collection::vec(arb_step(), 0..16), 1..4),
+        flips in prop::collection::vec((any::<u8>(), any::<u16>(), any::<u8>()), 1..6),
+    ) {
+        let mut trace = traced_run(&programs, 2048);
+        let n = trace.streams.len();
+        for (stream, at, xor) in flips {
+            let s = &mut trace.streams[stream as usize % n];
+            if !s.bytes.is_empty() {
+                let i = at as usize % s.bytes.len();
+                s.bytes[i] ^= xor.max(1);
+            }
+        }
+        assert_matches_oracles(&trace);
+    }
+
+    #[test]
+    fn truncated_streams_match_the_row_oracles(
+        programs in prop::collection::vec(prop::collection::vec(arb_step(), 0..16), 1..4),
+        cuts in prop::collection::vec((any::<u8>(), any::<u16>()), 1..3),
+    ) {
+        let mut trace = traced_run(&programs, 2048);
+        let n = trace.streams.len();
+        for (stream, keep) in cuts {
+            let s = &mut trace.streams[stream as usize % n];
+            let len = s.bytes.len();
+            s.bytes.truncate(keep as usize % (len + 1));
+        }
+        assert_matches_oracles(&trace);
+    }
+}
+
+fn header(num_spes: u8) -> TraceHeader {
+    TraceHeader {
+        version: VERSION,
+        num_ppe_threads: 2,
+        num_spes,
+        core_hz: 3_200_000_000,
+        timebase_divider: 120,
+        dec_start: u32::MAX,
+        group_mask: u32::MAX,
+        spe_buffer_bytes: 2048,
+    }
+}
+
+fn encode(recs: &[TraceRecord]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for r in recs {
+        r.encode_into(&mut bytes);
+    }
+    bytes
+}
+
+fn ctx_run(spe: u8, tb: u64) -> TraceRecord {
+    TraceRecord {
+        core: TraceCore::Ppe(0),
+        code: EventCode::PpeCtxRun,
+        timestamp: tb,
+        params: vec![u64::from(spe), u64::from(spe), u64::from(u32::MAX)],
+    }
+}
+
+/// An SPE stream of `n` records, decrementer stepping by `step`, with
+/// parameter tuples that repeat every few records.
+fn spe_stream(spe: u8, n: usize, step: u32) -> Vec<u8> {
+    let mut dec = u32::MAX;
+    let recs: Vec<TraceRecord> = (0..n)
+        .map(|k| {
+            let r = TraceRecord {
+                core: TraceCore::Spe(spe),
+                code: if k % 2 == 0 {
+                    EventCode::SpeUser
+                } else {
+                    EventCode::SpeTagWaitEnd
+                },
+                timestamp: u64::from(dec),
+                params: vec![(k % 5) as u64, u64::from(spe)],
+            };
+            dec = dec.wrapping_sub(step);
+            r
+        })
+        .collect();
+    encode(&recs)
+}
+
+fn stream(core: TraceCore, bytes: Vec<u8>, dropped: u64) -> TraceStream {
+    TraceStream {
+        core,
+        bytes,
+        dropped,
+    }
+}
+
+fn assert_case(trace: &TraceFile) {
+    assert_matches_oracles(trace);
+    // The zero-copy image and the owned file take the same path.
+    let bytes = trace.to_bytes();
+    let image = TraceImage::parse(&bytes).unwrap();
+    let (rows, loss) = analyze_lossy(trace);
+    let a = Analysis::of(image.clone()).run().unwrap();
+    assert_eq!(a.events(), rows.events.as_slice());
+    assert_eq!(a.loss(), &loss);
+}
+
+/// PPE hardware threads interleaved at equal ticks against tag order:
+/// the PPE run must be sorted before the merge.
+#[test]
+fn equal_tick_ppe_threads_are_ordered_like_serial() {
+    let mut ppe = Vec::new();
+    for spe in 0..3u8 {
+        ppe.push(TraceRecord {
+            core: TraceCore::Ppe(1),
+            code: EventCode::PpeUser,
+            timestamp: 50,
+            params: vec![u64::from(spe), 0, 0],
+        });
+        ppe.push(ctx_run(spe, 50));
+    }
+    let mut streams = vec![stream(TraceCore::Ppe(0), encode(&ppe), 0)];
+    for spe in 0..3u8 {
+        streams.push(stream(TraceCore::Spe(spe), spe_stream(spe, 40, 3), 0));
+    }
+    assert_case(&TraceFile {
+        header: header(3),
+        streams,
+        ctx_names: vec![(0, "k".into())],
+    });
+}
+
+/// Unanchored and empty SPE streams, in both policies.
+#[test]
+fn unanchored_and_empty_spe_streams_match_serial() {
+    let trace = TraceFile {
+        header: header(4),
+        streams: vec![
+            stream(
+                TraceCore::Ppe(0),
+                encode(&[ctx_run(0, 10), ctx_run(2, 20)]),
+                1,
+            ),
+            stream(TraceCore::Spe(0), spe_stream(0, 30, 7), 0),
+            stream(TraceCore::Spe(1), Vec::new(), 2),
+            stream(TraceCore::Spe(2), Vec::new(), 0),
+            stream(TraceCore::Spe(3), spe_stream(3, 12, 5), 3),
+        ],
+        ctx_names: vec![],
+    };
+    assert_case(&trace);
+    // Strict: SPE3 has records but no anchor.
+    assert!(Analysis::of(&trace).strict().run().is_err());
+    // Lossy: SPE3 is discarded and accounted.
+    assert!(Analysis::of(&trace).run().unwrap().loss().streams[4].unanchored);
+}
+
+/// Streams sized around the lazy cursor's batch boundary, with damage
+/// landing on either side of it.
+#[test]
+fn lazy_batch_boundaries_match_serial() {
+    for n in [4095, 4096, 4097, 8192, 8193] {
+        let mut streams = vec![stream(
+            TraceCore::Ppe(0),
+            encode(&[ctx_run(0, 5), ctx_run(1, 6)]),
+            0,
+        )];
+        streams.push(stream(TraceCore::Spe(0), spe_stream(0, n, 11), 0));
+        streams.push(stream(TraceCore::Spe(1), spe_stream(1, n / 2, 23), 0));
+        let clean = TraceFile {
+            header: header(2),
+            streams,
+            ctx_names: vec![],
+        };
+        assert_case(&clean);
+        // Each record is 32 bytes. Corrupt SPE0 just past its first
+        // batch and SPE1 at its first record, and tear SPE1's tail: the
+        // strict error must still name SPE0, the earlier stream, though
+        // the merge meets SPE1's damage first.
+        let mut damaged = clean.clone();
+        if let Some(b) = damaged.streams[1].bytes.get_mut(4097 * 32) {
+            *b = 0;
+        }
+        damaged.streams[2].bytes[0] = 0;
+        let len = damaged.streams[2].bytes.len();
+        damaged.streams[2].bytes.truncate(len - 7);
+        assert_case(&damaged);
+    }
+}
+
+/// A `PpeCtxRun` anchor near `u64::MAX` wraps the placed SPE time.
+/// Nothing may panic (debug builds check overflow), and every reader
+/// must agree with the serial oracle.
+#[test]
+fn anchor_near_u64_max_wraps_identically_everywhere() {
+    let trace = TraceFile {
+        header: header(2),
+        streams: vec![
+            stream(
+                TraceCore::Ppe(0),
+                encode(&[ctx_run(0, u64::MAX - 1000), ctx_run(1, 40)]),
+                0,
+            ),
+            stream(TraceCore::Spe(0), spe_stream(0, 60, 50), 0),
+            stream(TraceCore::Spe(1), spe_stream(1, 20, 9), 0),
+        ],
+        ctx_names: vec![(0, "k0".into())],
+    };
+    let serial: AnalyzedTrace = analyze(&trace).unwrap();
+    assert!(
+        serial.events.iter().any(|e| e.time_tb < 1000),
+        "time wrapped"
+    );
+    assert_case(&trace);
+
+    let bytes = trace.to_bytes();
+    let mut chunked = ImageIngest::new();
+    for chunk in bytes.chunks(97) {
+        chunked.push(chunk).unwrap();
+    }
+    let snap = chunked.snapshot().unwrap();
+    assert_eq!(snap.events(), serial.events.as_slice(), "chunked v1");
+
+    // `pack` places events too: it must not panic on the wrap either.
+    let packed = pdt::pack(&trace, 16);
+    let (v2, _) = analyze_v2(&packed, Parallelism::Serial).unwrap();
+    assert_eq!(v2.events(), serial.events.as_slice(), "one-shot v2");
+    let mut v2_chunked = V2Ingest::new();
+    for chunk in packed.chunks(61) {
+        v2_chunked.push(chunk).unwrap();
+    }
+    v2_chunked.finish().unwrap();
+    let v2_snap = v2_chunked.snapshot().unwrap();
+    assert_eq!(v2_snap.events(), serial.events.as_slice(), "chunked v2");
 }
