@@ -27,8 +27,8 @@
 //! Emits `BENCH_products.json` and `BENCH_ingest.json` at the repo
 //! root (stable schema: name, events_per_sec, wall_ms, threads) for
 //! the tracked perf trajectory. `BENCH_products.json` meta carries
-//! `host_cpus` and the work-stealing scheduler counters (tasks,
-//! steals, injector pops) accumulated over the columnar runs.
+//! `host_cpus` and the number of shards the `ta::exec` fan-out ran
+//! over the columnar runs.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -194,7 +194,7 @@ fn run() -> Result<(), String> {
     // sides read the same ingested rows; the columnar side pays its
     // row->columns conversion inside the timed region. One untimed
     // pass of each side first, so the timed reps are not measuring
-    // cold caches or worker-pool spin-up.
+    // cold caches.
     std::hint::black_box(row_products(&rows, &loss, &cfg));
     {
         let a = Analysis::from_columns(ColumnarTrace::from_analyzed(&rows));
@@ -278,8 +278,8 @@ fn run() -> Result<(), String> {
         col_ms[0], col_ms[1], col_ms[2], col_ms[3]
     );
     println!(
-        "scheduler: {} tasks, {} steals, {} injector pops over the columnar runs",
-        sched.tasks, sched.steals, sched.injector_pops
+        "fan-out: {} shards on {} spawned threads over the columnar runs",
+        sched.tasks, sched.workers
     );
 
     let meta = [
@@ -290,8 +290,6 @@ fn run() -> Result<(), String> {
         ("scaling_4w", scaling_4w),
         ("host_cpus", host_cpus as f64),
         ("sched_tasks", sched.tasks as f64),
-        ("sched_steals", sched.steals as f64),
-        ("sched_injector_pops", sched.injector_pops as f64),
     ];
     let p = write_bench_json("BENCH_products.json", &records, &meta).map_err(|e| e.to_string())?;
     println!("wrote {}", p.display());

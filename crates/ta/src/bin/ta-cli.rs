@@ -60,9 +60,9 @@
 //!
 //! Concurrency is one knob: `-j N` (or `--parallelism N|serial|auto`,
 //! default `auto`) sets the [`ta::Parallelism`] every derived product
-//! is built with. `--exec-stats` prints the shared pool's
-//! scheduler counters (tasks run, steals, worker busy time) to stderr
-//! after the command completes.
+//! is built with. `--exec-stats` prints the parallel fan-out counters
+//! (shards run, threads spawned, busy time) to stderr after the
+//! command completes.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -542,10 +542,8 @@ fn run() -> Result<(), String> {
     if exec_stats {
         let st = ta::exec::pool().stats();
         eprintln!(
-            "exec: tasks={} steals={} injector_pops={} workers={} busy_ms={}",
+            "exec: tasks={} workers={} busy_ms={}",
             st.tasks,
-            st.steals,
-            st.injector_pops,
             st.workers,
             st.busy_ns() / 1_000_000,
         );

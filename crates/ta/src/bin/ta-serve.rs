@@ -12,7 +12,7 @@
 //! summarize T0 T1    indexed window summary [T0, T1)
 //! loss               decode-gap / drop accounting (CSV)
 //! events N           the last N events of the current snapshot
-//! stats              scheduler counters of the shared execution pool
+//! stats              parallel fan-out counters (ta::exec)
 //! quit               close the session
 //! ```
 //!
@@ -21,9 +21,9 @@
 //! script. `poll` only ever ingests the file's grown suffix — the
 //! server never re-decodes bytes it has already consumed, and a file
 //! that shrinks is reported as an error rather than silently
-//! reloaded. `stats` reports the work-stealing pool behind every
-//! parallel product build — tasks run, steals, injector pops, spawned
-//! workers and cumulative busy time — as one `ok key=value` line.
+//! reloaded. `stats` reports the fan-out counters behind every
+//! parallel product build — shards run, threads spawned and cumulative
+//! busy time — as one `ok key=value` line.
 
 use std::io::{BufRead, BufReader, Write};
 use std::process::ExitCode;
@@ -80,10 +80,8 @@ impl Server {
             "stats" => {
                 let st = ta::exec::pool().stats();
                 Ok(format!(
-                    "ok tasks={} steals={} injector_pops={} workers={} busy_ms={}\n",
+                    "ok tasks={} workers={} busy_ms={}\n",
                     st.tasks,
-                    st.steals,
-                    st.injector_pops,
                     st.workers,
                     st.busy_ns() / 1_000_000,
                 ))

@@ -1,61 +1,46 @@
-//! Work-stealing task execution: the one scheduler every parallel
-//! path in the analyzer shares.
-//!
-//! Earlier versions spawned fresh scoped threads at each parallel
-//! call site (stream decode, index bucket counts, product fan-out),
-//! which load-imbalanced badly — a static product-per-thread split
-//! leaves three workers idle while the index build finishes — and
-//! paid a thread spawn/join per call on the streaming path. This
-//! module replaces all of that with:
+//! Shard fan-out: the one parallel primitive every parallel path in
+//! the analyzer shares.
 //!
 //! - [`Parallelism`] — the single user-facing concurrency knob
 //!   (`Serial | Workers(n) | Auto`), accepted by
 //!   [`Analysis::of`](crate::Analysis::of)`.parallelism(..)`,
 //!   [`IngestSession`](crate::IngestSession) and the CLI binaries.
-//! - [`ExecPool`] — a process-wide pool of persistent workers built on
-//!   `crossbeam::deque`: one LIFO local deque per attached executor
-//!   plus a global FIFO injector per scope. Idle executors pop the
-//!   injector first, then steal oldest-first from siblings.
-//! - [`ExecPool::scope`] — structured fork/join: tasks may borrow from
-//!   the caller's stack, the calling thread always participates as an
-//!   executor (so a scope completes even if every pool worker is
-//!   busy, and nested scopes cannot deadlock), and panics from tasks
-//!   are rejoined onto the caller.
-//! - [`ExecStats`] — scheduler counters (tasks run, steals, injector
-//!   pops, per-worker busy time), surfaced through `ta-serve`'s
-//!   `stats` command and `ta-cli --exec-stats`.
+//! - [`map_indexed`] — maps a function over `0..n` on scoped threads
+//!   (`std::thread::scope`). Executors claim shard indices from one
+//!   shared counter, so uneven shards still balance, and the results
+//!   come back in index order.
+//! - [`ExecStats`] — process-wide counters (shards run, threads
+//!   spawned, busy time), surfaced through `ta-serve`'s `stats`
+//!   command and `ta-cli --exec-stats`.
 //!
-//! Determinism is structural, not scheduled: every parallel product
-//! writes shard results into index-addressed slots and assembles them
-//! in a fixed order, so output is byte-identical across `Serial`,
-//! `Workers(n)` and repeated runs regardless of interleaving.
+//! Determinism is structural, not scheduled: every shard result lands
+//! in its index's slot and assembly follows index order, so output is
+//! byte-identical across `Serial`, `Workers(n)` and repeated runs
+//! regardless of interleaving.
 
 use std::cell::Cell;
-use std::marker::PhantomData;
-use std::mem;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::{Duration, Instant};
-
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
+use std::sync::OnceLock;
+use std::time::Instant;
 
 /// The analyzer's single concurrency knob: how many executors a
 /// parallel region may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Parallelism {
-    /// Exactly one executor (the calling thread); no pool involvement.
+    /// Exactly one executor (the calling thread).
     Serial,
     /// Up to `n` concurrent executors: the calling thread plus at most
-    /// `n - 1` pool workers. `Workers(0)` and `Workers(1)` behave like
-    /// [`Parallelism::Serial`]. Executor count is additionally capped
-    /// at the host's hardware parallelism — extra threads beyond that
-    /// only contend for the same cores — while the *shard
+    /// `n - 1` scoped threads. `Workers(0)` and `Workers(1)` behave
+    /// like [`Parallelism::Serial`]. Executor count is additionally
+    /// capped at the host's hardware parallelism — extra threads beyond
+    /// that only contend for the same cores — while the *shard
     /// decomposition* still follows `n`, so products stay identical
     /// whatever the host size.
     Workers(usize),
     /// One executor per available hardware thread
-    /// ([`std::thread::available_parallelism`]).
+    /// ([`std::thread::available_parallelism`], resolved once per
+    /// process).
     #[default]
     Auto,
 }
@@ -67,9 +52,7 @@ impl Parallelism {
         match self {
             Parallelism::Serial => 1,
             Parallelism::Workers(n) => n.max(1),
-            Parallelism::Auto => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            Parallelism::Auto => host_parallelism(),
         }
     }
 
@@ -85,154 +68,6 @@ impl Parallelism {
     }
 }
 
-/// A task queued into a scope. Lifetime-erased: the scope guarantees
-/// (by blocking until `pending == 0`) that no job outlives the stack
-/// frame it borrows from.
-type Job = Box<dyn FnOnce(&Scope<'static>) + Send + 'static>;
-
-/// One fork/join region's shared state.
-struct ScopeCtx {
-    /// Global FIFO queue: spawns from outside the scope's executors
-    /// land here.
-    injector: Injector<Job>,
-    /// Stealers for every attached executor's local deque, keyed by
-    /// attachment id so an executor can skip its own.
-    stealers: Mutex<Vec<(usize, Stealer<Job>)>>,
-    /// Monotonic attachment ids.
-    attach_seq: AtomicUsize,
-    /// Spawned-but-unfinished job count; the scope is complete when
-    /// this reaches zero.
-    pending: AtomicUsize,
-    /// Remaining pool-worker attach slots (`workers - 1`; the caller
-    /// holds the implicit last slot).
-    slots: AtomicUsize,
-    /// Sleep/wake for executors out of stealable work and the caller
-    /// awaiting completion.
-    sync: Mutex<()>,
-    cv: Condvar,
-    /// First panic payload raised by a job, rejoined onto the caller.
-    panic: Mutex<Option<Box<dyn std::any::Any + Send + 'static>>>,
-}
-
-impl ScopeCtx {
-    fn new(pool_slots: usize) -> Self {
-        ScopeCtx {
-            injector: Injector::new(),
-            stealers: Mutex::new(Vec::new()),
-            attach_seq: AtomicUsize::new(0),
-            pending: AtomicUsize::new(0),
-            slots: AtomicUsize::new(pool_slots),
-            sync: Mutex::new(()),
-            cv: Condvar::new(),
-            panic: Mutex::new(None),
-        }
-    }
-
-    /// Whether any queue (injector or a local deque) holds work.
-    fn has_queued(&self) -> bool {
-        !self.injector.is_empty()
-            || self
-                .stealers
-                .lock()
-                .unwrap()
-                .iter()
-                .any(|(_, s)| !s.is_empty())
-    }
-}
-
-/// Scheduler counters accumulated over the pool's lifetime. Snapshot
-/// with [`ExecPool::stats`]; diff two snapshots with
-/// [`ExecStats::since`] to isolate one region's activity.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ExecStats {
-    /// Jobs executed (on pool workers and participating callers).
-    pub tasks: u64,
-    /// Jobs taken from another executor's local deque.
-    pub steals: u64,
-    /// Jobs taken from a scope's global injector queue.
-    pub injector_pops: u64,
-    /// Pool worker threads spawned so far (callers not counted).
-    pub workers: usize,
-    /// Nanoseconds calling threads spent executing jobs while
-    /// participating in their own scopes.
-    pub caller_busy_ns: u64,
-    /// Nanoseconds each pool worker spent executing jobs, indexed by
-    /// worker id.
-    pub worker_busy_ns: Vec<u64>,
-}
-
-impl ExecStats {
-    /// Counter deltas since an earlier snapshot (saturating, so a
-    /// stale `earlier` cannot underflow).
-    pub fn since(&self, earlier: &ExecStats) -> ExecStats {
-        ExecStats {
-            tasks: self.tasks.saturating_sub(earlier.tasks),
-            steals: self.steals.saturating_sub(earlier.steals),
-            injector_pops: self.injector_pops.saturating_sub(earlier.injector_pops),
-            workers: self.workers,
-            caller_busy_ns: self.caller_busy_ns.saturating_sub(earlier.caller_busy_ns),
-            worker_busy_ns: self
-                .worker_busy_ns
-                .iter()
-                .enumerate()
-                .map(|(i, &b)| {
-                    b.saturating_sub(earlier.worker_busy_ns.get(i).copied().unwrap_or(0))
-                })
-                .collect(),
-        }
-    }
-
-    /// Total busy nanoseconds across callers and pool workers.
-    pub fn busy_ns(&self) -> u64 {
-        self.caller_busy_ns + self.worker_busy_ns.iter().sum::<u64>()
-    }
-}
-
-/// Pool-wide shared state.
-struct PoolShared {
-    /// Scopes currently accepting pool workers.
-    scopes: Mutex<Vec<Arc<ScopeCtx>>>,
-    /// Wakes idle pool workers when a scope gains work or slots.
-    cv: Condvar,
-    /// Pool worker threads created so far.
-    spawned: AtomicUsize,
-    tasks: AtomicU64,
-    steals: AtomicU64,
-    injector_pops: AtomicU64,
-    caller_busy_ns: AtomicU64,
-    /// Per-worker busy counters, pushed as workers spawn.
-    worker_busy: Mutex<Vec<Arc<AtomicU64>>>,
-}
-
-/// What the currently-running executor on this thread is attached to;
-/// lets [`Scope::spawn`] push to the executor's own local deque
-/// instead of the shared injector.
-#[derive(Clone, Copy)]
-struct CurrentExec {
-    ctx: *const ScopeCtx,
-    local: *const Worker<Job>,
-}
-
-thread_local! {
-    static CURRENT: Cell<Option<CurrentExec>> = const { Cell::new(None) };
-}
-
-/// A process-wide work-stealing pool of persistent worker threads.
-/// Obtain the shared instance with [`pool`]; worker threads are
-/// spawned lazily, up to the largest concurrency any scope has asked
-/// for, and park on a condvar between scopes.
-pub struct ExecPool {
-    shared: Arc<PoolShared>,
-}
-
-impl std::fmt::Debug for ExecPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExecPool")
-            .field("workers", &self.shared.spawned.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
 /// The host's hardware thread count, resolved once per process.
 fn host_parallelism() -> usize {
     static HOST: OnceLock<usize> = OnceLock::new();
@@ -243,428 +78,253 @@ fn host_parallelism() -> usize {
     })
 }
 
-/// The shared process-wide [`ExecPool`].
+/// Fan-out counters accumulated over the process lifetime. Snapshot
+/// with [`ExecPool::stats`]; diff two snapshots with
+/// [`ExecStats::since`] to isolate one region's activity.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ExecStats {
+    /// Shards run by parallel [`map_indexed`] calls (calls that run
+    /// serially are not counted).
+    pub tasks: u64,
+    /// Always 0. Executors claim shards from a shared counter, so no
+    /// executor ever takes work queued for another; the field remains
+    /// for readers written against the earlier work-stealing pool.
+    pub steals: u64,
+    /// Scoped threads spawned so far (calling threads not counted).
+    pub workers: usize,
+    /// Nanoseconds executors spent running shards, callers included.
+    pub busy_ns: u64,
+}
+
+impl ExecStats {
+    /// Counter deltas since an earlier snapshot (saturating, so a
+    /// stale `earlier` cannot underflow).
+    pub fn since(&self, earlier: &ExecStats) -> ExecStats {
+        ExecStats {
+            tasks: self.tasks.saturating_sub(earlier.tasks),
+            steals: 0,
+            workers: self.workers.saturating_sub(earlier.workers),
+            busy_ns: self.busy_ns.saturating_sub(earlier.busy_ns),
+        }
+    }
+
+    /// Total busy nanoseconds across all executors.
+    pub fn busy_ns(&self) -> u64 {
+        self.busy_ns
+    }
+}
+
+/// The process-wide fan-out counters behind [`pool`]. No threads
+/// persist between calls: each parallel [`map_indexed`] spawns its
+/// scoped threads and joins them before returning.
+#[derive(Debug)]
+pub struct ExecPool {
+    tasks: AtomicU64,
+    workers: AtomicUsize,
+    busy_ns: AtomicU64,
+}
+
+/// The shared process-wide [`ExecPool`] counters.
 pub fn pool() -> &'static ExecPool {
-    static POOL: OnceLock<ExecPool> = OnceLock::new();
-    POOL.get_or_init(|| ExecPool {
-        shared: Arc::new(PoolShared {
-            scopes: Mutex::new(Vec::new()),
-            cv: Condvar::new(),
-            spawned: AtomicUsize::new(0),
-            tasks: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            injector_pops: AtomicU64::new(0),
-            caller_busy_ns: AtomicU64::new(0),
-            worker_busy: Mutex::new(Vec::new()),
-        }),
-    })
-}
-
-/// Handle to a fork/join region: spawn tasks that may borrow
-/// everything outliving the [`ExecPool::scope`] call. Tasks receive a
-/// scope reference of their own, so a completing shard can release
-/// dependent tasks into the same region.
-pub struct Scope<'scope> {
-    ctx: Arc<ScopeCtx>,
-    pool: Arc<PoolShared>,
-    /// Invariant over `'scope` (as in `rayon::Scope`): prevents the
-    /// region from being smuggled into a longer-lived one.
-    _marker: PhantomData<fn(&'scope ()) -> &'scope ()>,
-}
-
-impl std::fmt::Debug for Scope<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Scope")
-            .field("pending", &self.ctx.pending.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
-impl<'scope> Scope<'scope> {
-    /// Queues `f` for execution within this scope. If the calling
-    /// thread is itself an executor of this scope, the task goes to
-    /// its local LIFO deque (hot data stays put; idle siblings steal
-    /// the oldest task); otherwise it goes to the scope's global
-    /// injector.
-    // The one unsafe region in the workspace (the manifests forbid it
-    // elsewhere): scoped lifetime erasure, justified at each site.
-    #[allow(unsafe_code)]
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce(&Scope<'scope>) + Send + 'scope,
-    {
-        self.ctx.pending.fetch_add(1, Ordering::SeqCst);
-        let job: Box<dyn FnOnce(&Scope<'scope>) + Send + 'scope> = Box::new(f);
-        // SAFETY: the scope blocks (even on unwind) until `pending`
-        // reaches zero, so no job — queued or running — outlives the
-        // `'scope` data it borrows. The lifetime erasure is never
-        // observable.
-        let job: Job = unsafe { mem::transmute(job) };
-        let mut job = Some(job);
-        CURRENT.with(|c| {
-            if let Some(cur) = c.get() {
-                if std::ptr::eq(cur.ctx, Arc::as_ptr(&self.ctx)) {
-                    // SAFETY: `cur.local` points into the live
-                    // `run_attached` frame of this very thread.
-                    unsafe { &*cur.local }.push(job.take().unwrap());
-                }
-            }
-        });
-        if let Some(j) = job.take() {
-            self.ctx.injector.push(j);
-        }
-        // Wake one sleeping executor of this scope, and the pool if
-        // attach slots remain.
-        {
-            let _g = self.ctx.sync.lock().unwrap();
-            self.ctx.cv.notify_one();
-        }
-        if self.ctx.slots.load(Ordering::SeqCst) > 0 {
-            let _g = self.pool.scopes.lock().unwrap();
-            self.pool.cv.notify_all();
-        }
-    }
+    static POOL: ExecPool = ExecPool {
+        tasks: AtomicU64::new(0),
+        workers: AtomicUsize::new(0),
+        busy_ns: AtomicU64::new(0),
+    };
+    &POOL
 }
 
 impl ExecPool {
-    /// Runs `op` inside a fork/join region with at most
-    /// `par.workers()` concurrent executors: the calling thread plus
-    /// lazily-woken pool workers. Returns once every spawned task has
-    /// finished. The caller always participates, so the scope makes
-    /// progress even if no pool worker ever attaches, and scopes
-    /// opened from within tasks (nested parallelism) cannot deadlock.
-    /// A panicking task poisons nothing: the first payload is rejoined
-    /// onto the caller after the scope drains.
-    pub fn scope<'scope, OP, R>(&self, par: Parallelism, op: OP) -> R
-    where
-        OP: FnOnce(&Scope<'scope>) -> R,
-    {
-        // Never oversubscribe the host: pool workers beyond the
-        // hardware thread count would only contend with the caller for
-        // the same cores (measurably so on small CI boxes). The shard
-        // decomposition still follows the requested worker count, so
-        // results do not depend on the cap.
-        let pool_slots = par.workers().min(host_parallelism()).saturating_sub(1);
-        let ctx = Arc::new(ScopeCtx::new(pool_slots));
-        let scope = Scope {
-            ctx: Arc::clone(&ctx),
-            pool: Arc::clone(&self.shared),
-            _marker: PhantomData,
-        };
-        let registered = pool_slots > 0;
-        if registered {
-            self.ensure_workers(pool_slots);
-            let mut scopes = self.shared.scopes.lock().unwrap();
-            scopes.push(Arc::clone(&ctx));
-            self.shared.cv.notify_all();
-        }
-        let result = catch_unwind(AssertUnwindSafe(|| op(&scope)));
-        // Drain: the caller becomes an executor until nothing is
-        // pending. This runs on the normal and the panic path alike,
-        // so no lifetime-erased job can survive the scope.
-        run_attached(&ctx, &self.shared, None);
-        if registered {
-            let mut scopes = self.shared.scopes.lock().unwrap();
-            scopes.retain(|c| !Arc::ptr_eq(c, &ctx));
-        }
-        let stored = ctx.panic.lock().unwrap().take();
-        match result {
-            Ok(r) => {
-                if let Some(p) = stored {
-                    resume_unwind(p);
-                }
-                r
-            }
-            Err(p) => resume_unwind(p),
-        }
-    }
-
-    /// A snapshot of the pool's scheduler counters.
+    /// A snapshot of the fan-out counters.
     pub fn stats(&self) -> ExecStats {
         ExecStats {
-            tasks: self.shared.tasks.load(Ordering::Relaxed),
-            steals: self.shared.steals.load(Ordering::Relaxed),
-            injector_pops: self.shared.injector_pops.load(Ordering::Relaxed),
-            workers: self.shared.spawned.load(Ordering::Relaxed),
-            caller_busy_ns: self.shared.caller_busy_ns.load(Ordering::Relaxed),
-            worker_busy_ns: self
-                .shared
-                .worker_busy
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-        }
-    }
-
-    /// Ensures at least `n` persistent pool workers exist.
-    fn ensure_workers(&self, n: usize) {
-        loop {
-            let spawned = self.shared.spawned.load(Ordering::SeqCst);
-            if spawned >= n {
-                return;
-            }
-            if self
-                .shared
-                .spawned
-                .compare_exchange(spawned, spawned + 1, Ordering::SeqCst, Ordering::SeqCst)
-                .is_err()
-            {
-                continue;
-            }
-            let busy = Arc::new(AtomicU64::new(0));
-            self.shared
-                .worker_busy
-                .lock()
-                .unwrap()
-                .push(Arc::clone(&busy));
-            let shared = Arc::clone(&self.shared);
-            std::thread::Builder::new()
-                .name(format!("ta-exec-{spawned}"))
-                .spawn(move || worker_loop(shared, busy))
-                .expect("spawning pool worker");
+            tasks: self.tasks.load(Ordering::Relaxed),
+            steals: 0,
+            workers: self.workers.load(Ordering::Relaxed),
+            busy_ns: self.busy_ns.load(Ordering::Relaxed),
         }
     }
 }
 
-/// Persistent pool worker: waits for a scope with pending work and a
-/// free attach slot, attaches, executes until the scope completes,
-/// detaches, repeats.
-fn worker_loop(shared: Arc<PoolShared>, busy: Arc<AtomicU64>) {
-    loop {
-        let ctx = {
-            let mut scopes = shared.scopes.lock().unwrap();
-            loop {
-                let found = scopes.iter().find(|c| {
-                    c.pending.load(Ordering::SeqCst) > 0 && c.slots.load(Ordering::SeqCst) > 0
-                });
-                if let Some(c) = found {
-                    break Arc::clone(c);
-                }
-                scopes = shared.cv.wait(scopes).unwrap();
-            }
-        };
-        // Claim an attach slot; losing the race just means re-scanning.
-        if ctx
-            .slots
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |s| s.checked_sub(1))
-            .is_err()
-        {
-            continue;
+thread_local! {
+    /// Set while this thread runs a shard of a parallel call.
+    static IN_SHARD: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the current thread as running shards until dropped. The drop
+/// restores the flag on unwind too, so a panicking shard cannot leave
+/// its thread stuck in serial mode.
+struct ShardGuard {
+    prev: bool,
+}
+
+impl ShardGuard {
+    fn enter() -> Self {
+        ShardGuard {
+            prev: IN_SHARD.replace(true),
         }
-        run_attached(&ctx, &shared, Some(&busy));
-        ctx.slots.fetch_add(1, Ordering::SeqCst);
     }
 }
 
-/// Executes jobs of `ctx` on the current thread until the scope has
-/// nothing pending. `busy` is the pool worker's busy counter; `None`
-/// marks a participating caller.
-fn run_attached(ctx: &Arc<ScopeCtx>, shared: &Arc<PoolShared>, busy: Option<&AtomicU64>) {
-    let local: Worker<Job> = Worker::new_lifo();
-    let id = ctx.attach_seq.fetch_add(1, Ordering::SeqCst);
-    ctx.stealers.lock().unwrap().push((id, local.stealer()));
-    let prev = CURRENT.with(|c| {
-        c.replace(Some(CurrentExec {
-            ctx: Arc::as_ptr(ctx),
-            local: &local,
-        }))
-    });
-    loop {
-        match find_job(ctx, &local, id, shared) {
-            Some(job) => execute(ctx, job, shared, busy),
-            None => {
-                if ctx.pending.load(Ordering::SeqCst) == 0 {
-                    break;
-                }
-                let g = ctx.sync.lock().unwrap();
-                // Re-check under the lock `spawn` notifies through, so
-                // a wakeup between the failed find and this wait is
-                // not lost; the timeout is a belt-and-braces backstop.
-                if ctx.pending.load(Ordering::SeqCst) == 0 {
-                    break;
-                }
-                if !ctx.has_queued() {
-                    let _ = ctx.cv.wait_timeout(g, Duration::from_millis(1)).unwrap();
-                }
-            }
-        }
-    }
-    CURRENT.with(|c| c.set(prev));
-    ctx.stealers.lock().unwrap().retain(|(i, _)| *i != id);
-}
-
-/// Job acquisition order: own LIFO deque, then the scope's FIFO
-/// injector, then steal oldest-first from sibling deques.
-fn find_job(ctx: &ScopeCtx, local: &Worker<Job>, id: usize, shared: &PoolShared) -> Option<Job> {
-    if let Some(job) = local.pop() {
-        return Some(job);
-    }
-    loop {
-        match ctx.injector.steal() {
-            Steal::Success(job) => {
-                shared.injector_pops.fetch_add(1, Ordering::Relaxed);
-                return Some(job);
-            }
-            Steal::Retry => continue,
-            Steal::Empty => break,
-        }
-    }
-    let stealers: Vec<(usize, Stealer<Job>)> = ctx.stealers.lock().unwrap().clone();
-    for (sid, stealer) in &stealers {
-        if *sid == id {
-            continue;
-        }
-        if let Steal::Success(job) = stealer.steal() {
-            shared.steals.fetch_add(1, Ordering::Relaxed);
-            return Some(job);
-        }
-    }
-    None
-}
-
-/// Runs one job: catches panics (first payload wins), accounts busy
-/// time and task counts, and signals completion when the scope's
-/// pending count reaches zero.
-fn execute(ctx: &Arc<ScopeCtx>, job: Job, shared: &Arc<PoolShared>, busy: Option<&AtomicU64>) {
-    let scope = Scope {
-        ctx: Arc::clone(ctx),
-        pool: Arc::clone(shared),
-        _marker: PhantomData,
-    };
-    let start = Instant::now();
-    let result = catch_unwind(AssertUnwindSafe(move || job(&scope)));
-    let ns = start.elapsed().as_nanos() as u64;
-    busy.unwrap_or(&shared.caller_busy_ns)
-        .fetch_add(ns, Ordering::Relaxed);
-    shared.tasks.fetch_add(1, Ordering::Relaxed);
-    if let Err(p) = result {
-        let mut slot = ctx.panic.lock().unwrap();
-        if slot.is_none() {
-            *slot = Some(p);
-        }
-    }
-    if ctx.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-        let _g = ctx.sync.lock().unwrap();
-        ctx.cv.notify_all();
+impl Drop for ShardGuard {
+    fn drop(&mut self) {
+        IN_SHARD.set(self.prev);
     }
 }
 
-/// Maps `f` over `0..n`, returning results in index order. `Serial`
-/// (or `n <= 1`) runs a plain loop on the caller; otherwise each index
-/// becomes one pool task writing into its own slot, so the output
-/// never depends on scheduling. The universal shard fan-out helper:
-/// per-stream decode, per-SPE interval/stat/lane passes, per-core
-/// bucket counts all route through here.
+/// Maps `f` over `0..n`, returning results in index order. The
+/// universal shard fan-out helper: per-SPE interval/stat/lane passes,
+/// per-core bucket counts, lint `(rule, shard)` sweeps and the product
+/// rounds of [`Analysis::build_products`](crate::Analysis::build_products)
+/// all route through here.
+///
+/// Runs on `min(par.workers(), host CPUs, n)` executors: the calling
+/// thread plus scoped threads. Each executor claims the next unclaimed
+/// index from a shared counter until none remain. A call made from
+/// inside a shard runs serially on that shard's thread, so nested
+/// fan-outs (an index, lint or stats build inside a product shard)
+/// never oversubscribe the host. A panicking shard is rejoined onto
+/// the caller.
 pub fn map_indexed<T, F>(par: Parallelism, n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if par.workers() <= 1 || n <= 1 {
+    let executors = par.workers().min(host_parallelism()).min(n);
+    if executors <= 1 || IN_SHARD.get() {
         return (0..n).map(f).collect();
     }
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    pool().scope(par, |s| {
-        for (i, slot) in slots.iter().enumerate() {
-            let f = &f;
-            s.spawn(move |_| {
-                *slot.lock().unwrap() = Some(f(i));
-            });
+    let next = AtomicUsize::new(0);
+    let run = || {
+        let _guard = ShardGuard::enter();
+        let start = Instant::now();
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            done.push((i, f(i)));
         }
+        let ns = start.elapsed().as_nanos() as u64;
+        pool().busy_ns.fetch_add(ns, Ordering::Relaxed);
+        done
+    };
+    let parts = std::thread::scope(|s| {
+        let spawned: Vec<_> = (1..executors).map(|_| s.spawn(run)).collect();
+        let mut parts = vec![run()];
+        for handle in spawned {
+            parts.push(handle.join().unwrap_or_else(|p| resume_unwind(p)));
+        }
+        parts
     });
+    let p = pool();
+    p.tasks.fetch_add(n as u64, Ordering::Relaxed);
+    p.workers.fetch_add(executors - 1, Ordering::Relaxed);
+    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(n).collect();
+    for (i, value) in parts.into_iter().flatten() {
+        slots[i] = Some(value);
+    }
     slots
         .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("shard completed"))
+        .map(|v| v.expect("every shard ran"))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::thread::{self, ThreadId};
+    use std::time::Duration;
+
+    const ALL: [Parallelism; 5] = [
+        Parallelism::Serial,
+        Parallelism::Workers(2),
+        Parallelism::Workers(4),
+        Parallelism::Workers(8),
+        Parallelism::Auto,
+    ];
 
     #[test]
     fn parallelism_resolution() {
         assert_eq!(Parallelism::Serial.workers(), 1);
         assert_eq!(Parallelism::Workers(0).workers(), 1);
         assert_eq!(Parallelism::Workers(4).workers(), 4);
-        assert!(Parallelism::Auto.workers() >= 1);
+        assert_eq!(Parallelism::Auto.workers(), host_parallelism());
         assert_eq!(Parallelism::from_threads(1), Parallelism::Serial);
         assert_eq!(Parallelism::from_threads(6), Parallelism::Workers(6));
     }
 
     #[test]
     fn map_indexed_matches_serial_loop() {
-        let serial: Vec<u64> = (0..100).map(|i| (i * i) as u64).collect();
-        for par in [
-            Parallelism::Serial,
-            Parallelism::Workers(2),
-            Parallelism::Workers(4),
-            Parallelism::Auto,
-        ] {
-            let got = map_indexed(par, 100, |i| (i * i) as u64);
-            assert_eq!(got, serial, "{par:?}");
+        for n in [0, 1, 2, 100] {
+            let serial: Vec<u64> = (0..n).map(|i| (i * i) as u64).collect();
+            for par in ALL {
+                let got = map_indexed(par, n, |i| (i * i) as u64);
+                assert_eq!(got, serial, "n={n} {par:?}");
+            }
         }
     }
 
     #[test]
-    fn scope_tasks_borrow_and_complete() {
-        let data: Vec<u64> = (0..64).collect();
-        let total = AtomicU64::new(0);
-        pool().scope(Parallelism::Workers(4), |s| {
-            for chunk in data.chunks(8) {
-                let total = &total;
-                s.spawn(move |_| {
-                    total.fetch_add(chunk.iter().sum::<u64>(), Ordering::Relaxed);
-                });
-            }
+    fn nested_call_runs_on_the_shard_thread() {
+        let out = map_indexed(Parallelism::Workers(4), 8, |i| {
+            let outer = thread::current().id();
+            // Inner shards sleep, so a thread the nested call spawned
+            // would get to claim some of them.
+            let inner = map_indexed(Parallelism::Workers(4), 4, move |j| {
+                thread::sleep(Duration::from_millis(1));
+                (i * 10 + j, thread::current().id())
+            });
+            let values: Vec<usize> = inner.iter().map(|&(v, _)| v).collect();
+            assert!(inner.iter().all(|&(_, t)| t == outer), "shard {i}");
+            values
         });
-        assert_eq!(total.load(Ordering::Relaxed), (0..64).sum::<u64>());
-    }
-
-    #[test]
-    fn tasks_can_release_dependents() {
-        // A completing shard spawns its dependents into the same scope.
-        let stage2 = AtomicU64::new(0);
-        pool().scope(Parallelism::Workers(4), |s| {
-            for _ in 0..4 {
-                let stage2 = &stage2;
-                s.spawn(move |s| {
-                    s.spawn(move |_| {
-                        stage2.fetch_add(1, Ordering::Relaxed);
-                    });
-                });
-            }
-        });
-        assert_eq!(stage2.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
-    fn nested_scopes_make_progress() {
-        let out = map_indexed(Parallelism::Workers(4), 4, |i| {
-            map_indexed(Parallelism::Workers(2), 4, move |j| i * 10 + j)
-        });
-        let want: Vec<Vec<usize>> = (0..4)
+        let want: Vec<Vec<usize>> = (0..8)
             .map(|i| (0..4).map(|j| i * 10 + j).collect())
             .collect();
         assert_eq!(out, want);
     }
 
+    /// Distinct threads that ran shards of one `Workers(workers)` call
+    /// over `n` shards, each sleeping briefly so the spawned executors
+    /// get to claim some.
+    fn executor_threads(workers: usize, n: usize) -> HashSet<ThreadId> {
+        map_indexed(Parallelism::Workers(workers), n, |_| {
+            thread::sleep(Duration::from_millis(2));
+            thread::current().id()
+        })
+        .into_iter()
+        .collect()
+    }
+
     #[test]
-    fn task_panic_rejoins_caller() {
+    fn panicking_shard_reaches_caller_and_resets_flag() {
+        // Every shard panics, so each executor, the caller included,
+        // dies in its first shard and the caller's flag must be reset
+        // by unwinding.
         let r = catch_unwind(AssertUnwindSafe(|| {
-            pool().scope(Parallelism::Workers(2), |s| {
-                s.spawn(|_| panic!("shard failed"));
-                s.spawn(|_| {});
-            });
+            map_indexed(Parallelism::Workers(2), 8, |_| -> usize {
+                panic!("shard failed");
+            })
         }));
-        assert!(r.is_err());
-        // The pool survives a panicked scope.
-        assert_eq!(
-            map_indexed(Parallelism::Workers(2), 3, |i| i),
-            vec![0, 1, 2]
-        );
+        let payload = r.expect_err("the shard panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"shard failed"));
+        assert!(!IN_SHARD.get());
+        if host_parallelism() >= 2 {
+            // Still fans out: a stuck flag would keep every shard on
+            // this thread.
+            assert!(executor_threads(2, 16).len() >= 2);
+        }
+    }
+
+    #[test]
+    fn executors_never_exceed_host_or_shard_count() {
+        assert!(executor_threads(64, 32).len() <= host_parallelism());
+        assert!(executor_threads(8, 2).len() <= 2);
+        assert_eq!(executor_threads(8, 1).len(), 1);
     }
 
     #[test]
@@ -672,6 +332,9 @@ mod tests {
         let before = pool().stats();
         map_indexed(Parallelism::Workers(2), 50, |i| i);
         let delta = pool().stats().since(&before);
-        assert!(delta.tasks >= 50, "tasks={}", delta.tasks);
+        if host_parallelism() >= 2 {
+            assert!(delta.tasks >= 50, "tasks={}", delta.tasks);
+        }
+        assert_eq!(delta.steals, 0);
     }
 }

@@ -460,11 +460,11 @@ pub fn lint_columns_with_edges(
 /// [`lint_columns`] with shard-parallel rule sweeps: every
 /// `(rule, shard)` pair — per-SPE sweeps for the DMA and structure
 /// rules, per-lane for `overhead-hotspot`, whole-trace for
-/// `mailbox-deadlock-shape` — becomes one task on the shared
-/// work-stealing pool. Shard results are assembled in `(rule, shard)`
-/// order (each rule's `check` order, by the sharding contract), then
-/// post-processed (deny promotion, suspect downgrade, suppression)
-/// and sorted, so the report is byte-identical under every
+/// `mailbox-deadlock-shape` — becomes one shard of an
+/// [`exec::map_indexed`] fan-out. Shard results are assembled in
+/// `(rule, shard)` order (each rule's `check` order, by the sharding
+/// contract), then post-processed (deny promotion, suspect downgrade,
+/// suppression) and sorted, so the report is byte-identical under every
 /// [`Parallelism`]; [`lint_columns`] is the `Serial` case.
 pub fn lint_columns_sharded(
     trace: &ColumnarTrace,

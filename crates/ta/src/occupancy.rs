@@ -146,9 +146,9 @@ pub fn dma_occupancy_columns(trace: &ColumnarTrace) -> Vec<SpeOccupancy> {
     dma_occupancy_columns_par(trace, crate::exec::Parallelism::Serial)
 }
 
-/// [`dma_occupancy_columns`] with the per-SPE lanes fanned out on the
-/// shared pool; lanes assemble in SPE order, so the result equals the
-/// sequential build.
+/// [`dma_occupancy_columns`] with the per-SPE lanes fanned out through
+/// [`crate::exec::map_indexed`]; lanes assemble in SPE order, so the
+/// result equals the sequential build.
 pub(crate) fn dma_occupancy_columns_par(
     trace: &ColumnarTrace,
     par: crate::exec::Parallelism,

@@ -38,7 +38,7 @@ use std::sync::{Arc, OnceLock};
 use crate::analyze::{AnalyzeError, AnalyzedTrace, GlobalEvent};
 use crate::causality::{sync_edges_columns, CausalEdge};
 use crate::columns::ColumnarTrace;
-use crate::exec::{self, Parallelism, Scope};
+use crate::exec::{self, Parallelism};
 use crate::index::{TraceIndex, WindowSummary};
 use crate::intervals::{build_intervals_columns, build_spe_intervals_columns, SpeIntervals};
 use crate::lint::{lint_columns_sharded_with_edges, LintConfig, LintReport};
@@ -270,19 +270,16 @@ impl Analysis {
             .get_or_init(|| user_phases_columns(&self.columns))
     }
 
-    /// Builds every memoized product through the shared work-stealing
-    /// pool ([`crate::exec`]) at the given [`Parallelism`], then
-    /// returns the session for chaining.
+    /// Builds every memoized product at the given [`Parallelism`] in
+    /// two [`exec::map_indexed`] rounds, then returns the session for
+    /// chaining.
     ///
-    /// The work is decomposed into fine-grained shard tasks — one
-    /// interval build per SPE, one DMA-occupancy lane per SPE, one
-    /// lint sweep per `(rule, shard)` pair, the index's chunked scans —
-    /// with a dependency layer on top: products that only need the
-    /// columns (phases, occupancy) start immediately, while the
-    /// interval shards count down a shared latch and the *last* shard
-    /// to finish assembles the lanes and releases the
-    /// interval-dependent products (stats, timeline, lint, index) into
-    /// the same pool scope. Every product is byte-identical to a
+    /// Round 1 runs the products that need only the columns (phases,
+    /// occupancy) beside one interval shard per SPE; the lanes are then
+    /// assembled in SPE order. Round 2 runs the interval-consuming
+    /// products (index, lint, stats, timeline). Fan-outs inside a
+    /// product run serially on its shard's thread, so the host is
+    /// never oversubscribed. Every product is byte-identical to a
     /// serial build; calling any accessor afterwards returns the
     /// already-built value.
     pub fn build_products(&self, par: Parallelism) -> &Self {
@@ -297,89 +294,60 @@ impl Analysis {
             let _ = self.phases();
             return self;
         }
-        exec::pool().scope(par, |s: &Scope<'_>| {
-            // Column-only products: no dependencies, start at once.
-            s.spawn(|_| {
+        // A streaming snapshot may have seeded the intervals already.
+        let spes = match self.intervals.get() {
+            Some(_) => Vec::new(),
+            None => self.columns.spes(),
+        };
+        let lanes = exec::map_indexed(par, 2 + spes.len(), |i| match i {
+            0 => {
                 let _ = self.phases();
-            });
-            s.spawn(move |_| {
+                None
+            }
+            1 => {
                 let _ = self
                     .occupancy
                     .get_or_init(|| dma_occupancy_columns_par(&self.columns, par));
-            });
-            if self.intervals.get().is_some() {
-                // Seeded by a streaming snapshot — nothing gates the
-                // dependents.
-                self.spawn_interval_dependents(s, par);
-                return;
+                None
             }
-            // Per-SPE interval shards; the countdown's final holder
-            // assembles the lanes in SPE order and releases the
-            // products that consume them.
-            let spes = self.columns.spes();
-            if spes.is_empty() {
-                let _ = self.intervals.set(Vec::new());
-                self.spawn_interval_dependents(s, par);
-                return;
-            }
-            let slots: Arc<Vec<std::sync::Mutex<Option<SpeIntervals>>>> =
-                Arc::new(spes.iter().map(|_| std::sync::Mutex::new(None)).collect());
-            let remaining = Arc::new(std::sync::atomic::AtomicUsize::new(spes.len()));
-            for (i, spe) in spes.into_iter().enumerate() {
-                let slots = Arc::clone(&slots);
-                let remaining = Arc::clone(&remaining);
-                s.spawn(move |s| {
-                    let lane = build_spe_intervals_columns(&self.columns, spe);
-                    if let Some(lane) = lane {
-                        *slots[i].lock().unwrap() = Some(lane);
-                    }
-                    if remaining.fetch_sub(1, std::sync::atomic::Ordering::AcqRel) == 1 {
-                        let intervals: Vec<SpeIntervals> = slots
-                            .iter()
-                            .filter_map(|c| c.lock().unwrap().take())
-                            .collect();
-                        let _ = self.intervals.set(intervals);
-                        self.spawn_interval_dependents(s, par);
-                    }
+            _ => build_spe_intervals_columns(&self.columns, spes[i - 2]),
+        });
+        if self.intervals.get().is_none() {
+            let _ = self.intervals.set(lanes.into_iter().flatten().collect());
+        }
+        exec::map_indexed(par, 4, |i| match i {
+            0 => {
+                let _ = self.index.get_or_init(|| {
+                    TraceIndex::build_columns(
+                        &self.columns,
+                        self.intervals(),
+                        &self.loss,
+                        par.workers(),
+                    )
                 });
+            }
+            1 => {
+                let _ = self.lint.get_or_init(|| {
+                    lint_columns_sharded_with_edges(
+                        &self.columns,
+                        self.intervals(),
+                        &self.loss,
+                        self.sync_edges(),
+                        &LintConfig::default(),
+                        par,
+                    )
+                });
+            }
+            2 => {
+                let _ = self.stats.get_or_init(|| {
+                    compute_stats_columns_par(&self.columns, self.intervals(), par)
+                });
+            }
+            _ => {
+                let _ = self.timeline();
             }
         });
         self
-    }
-
-    /// Spawns the interval-consuming products into `s` — the release
-    /// edge of the dependency layer. `self.intervals` must be set.
-    fn spawn_interval_dependents<'s>(&'s self, s: &Scope<'s>, par: Parallelism) {
-        s.spawn(move |_| {
-            let _ = self
-                .stats
-                .get_or_init(|| compute_stats_columns_par(&self.columns, self.intervals(), par));
-        });
-        s.spawn(|_| {
-            let _ = self.timeline();
-        });
-        s.spawn(move |_| {
-            let _ = self.lint.get_or_init(|| {
-                lint_columns_sharded_with_edges(
-                    &self.columns,
-                    self.intervals(),
-                    &self.loss,
-                    self.sync_edges(),
-                    &LintConfig::default(),
-                    par,
-                )
-            });
-        });
-        s.spawn(move |_| {
-            let _ = self.index.get_or_init(|| {
-                TraceIndex::build_columns(
-                    &self.columns,
-                    self.intervals(),
-                    &self.loss,
-                    par.workers(),
-                )
-            });
-        });
     }
 
     /// The query index: per-core binary-searchable event offsets, an

@@ -229,9 +229,9 @@ pub fn compute_stats_columns(trace: &ColumnarTrace, intervals: &[SpeIntervals]) 
 }
 
 /// [`compute_stats_columns`] with the DMA observer's per-SPE shards
-/// fanned out on the shared pool. The counts walk stays sequential
-/// (one pass over the code column); the result is byte-identical to
-/// the serial build.
+/// fanned out through [`crate::exec::map_indexed`]. The counts walk
+/// stays sequential (one pass over the code column); the result is
+/// byte-identical to the serial build.
 pub(crate) fn compute_stats_columns_par(
     trace: &ColumnarTrace,
     intervals: &[SpeIntervals],
@@ -259,9 +259,9 @@ pub fn observe_dma_columns(trace: &ColumnarTrace) -> DmaSummary {
     observe_dma_columns_par(trace, crate::exec::Parallelism::Serial)
 }
 
-/// [`observe_dma_columns`] with the per-SPE shards fanned out on the
-/// shared pool; partial summaries are absorbed in SPE order, so the
-/// result is byte-identical to the sequential observer.
+/// [`observe_dma_columns`] with the per-SPE shards fanned out through
+/// [`crate::exec::map_indexed`]; partial summaries are absorbed in SPE
+/// order, so the result is byte-identical to the sequential observer.
 pub(crate) fn observe_dma_columns_par(
     trace: &ColumnarTrace,
     par: crate::exec::Parallelism,

@@ -26,8 +26,8 @@
 //!
 //! Each path has **two decoders** under it:
 //!
-//! * The default **direct-to-columns** decoder (`v2-direct` feature,
-//!   on by default) expands packed payloads straight into
+//! * The **direct-to-columns** decoder, taken by every clean image,
+//!   expands packed payloads straight into
 //!   [`EventColumns`] — per-stream runs, k-way merged at block
 //!   granularity, parameters interned as they decode — skipping the
 //!   v1-byte reconstruction entirely. The one-shot form harvests
@@ -200,21 +200,18 @@ impl<'a> V2Trace<'a> {
 
     /// Decodes every block and runs the full analysis pipeline.
     ///
-    /// Clean containers take the direct-to-columns path (enabled by
-    /// the default-on `v2-direct` feature): packed payloads decode
-    /// straight into the columnar store and the per-stream runs are
-    /// k-way merged, skipping the v1-byte round trip entirely. Any
-    /// damage — a footer/prefix mismatch, a failed CRC, a gap block, a
-    /// decode error — and the whole image falls back to
-    /// [`analyze_roundtrip`](Self::analyze_roundtrip), so loss
+    /// Clean containers take the direct-to-columns path: packed
+    /// payloads decode straight into the columnar store and the
+    /// per-stream runs are k-way merged, skipping the v1-byte round
+    /// trip entirely. Any damage — a footer/prefix mismatch, a failed
+    /// CRC, a gap block, a decode error — and the whole image falls
+    /// back to [`analyze_roundtrip`](Self::analyze_roundtrip), so loss
     /// accounting stays byte-identical to the v1 reader in every
     /// degraded case. Products are byte-identical between the two
     /// paths (pinned per golden in `tests/v2_differential.rs`).
     pub fn analyze(&self, par: Parallelism) -> (Arc<Analysis>, CodecStats) {
-        if cfg!(feature = "v2-direct") {
-            if let Some(out) = self.analyze_direct(par) {
-                return out;
-            }
+        if let Some(out) = self.analyze_direct(par) {
+            return out;
         }
         self.analyze_roundtrip(par)
     }
@@ -1230,10 +1227,10 @@ struct CurStream {
 }
 
 /// Where the chunked reader sends decoded blocks. Every image starts
-/// on the direct backend (when the `v2-direct` feature is on) and
-/// demotes to the session backend — replaying everything decoded so
-/// far — the moment any damage appears, so degraded images keep the
-/// roundtrip reader's exact loss semantics.
+/// on the direct backend and demotes to the session backend —
+/// replaying everything decoded so far — the moment any damage
+/// appears, so degraded images keep the roundtrip reader's exact loss
+/// semantics.
 #[derive(Debug)]
 enum Backend {
     Direct(DirectIngest),
@@ -1373,14 +1370,7 @@ impl V2Ingest {
                         spe_buffer_bytes: le_u32(&h[32..36]),
                     };
                     self.carry.clear();
-                    self.backend = Some(if cfg!(feature = "v2-direct") {
-                        Backend::Direct(DirectIngest::new(header))
-                    } else {
-                        Backend::Session {
-                            session: IngestSession::new(header).with_parallelism(self.par),
-                            ids: Vec::new(),
-                        }
-                    });
+                    self.backend = Some(Backend::Direct(DirectIngest::new(header)));
                     self.state = V2State::StreamCount;
                 }
                 V2State::StreamCount => {

@@ -16,11 +16,10 @@ echo "== clippy redundant_clone over ta =="
 cargo clippy -p ta --all-targets -- -D warnings -D clippy::redundant_clone
 
 echo "== clippy feature matrix over ta =="
-# The v2 reader builds with any subset of {v2-direct, mmap,
-# scan-oracle}; every combination must stay warning-free (the default
-# union is covered by the workspace pass above).
+# ta builds with any subset of {mmap, scan-oracle}; every combination
+# must stay warning-free (the default union is covered by the
+# workspace pass above).
 cargo clippy -p ta --all-targets --no-default-features -- -D warnings
-cargo clippy -p ta --all-targets --no-default-features --features v2-direct -- -D warnings
 cargo clippy -p ta --all-targets --no-default-features --features mmap -- -D warnings
 cargo clippy -p ta --all-targets --no-default-features --features scan-oracle -- -D warnings
 
@@ -78,12 +77,12 @@ cargo run -q --release -p bench --bin query_smoke
 echo "== parallel-product smoke (1 size point) =="
 # Asserts parallel products identical to serial products on all
 # goldens; that the columnar pipeline beats the serial row path by
-# >= 2x at 4 workers and >= 1.3x at 1 on the large storm trace; and
-# that the work-stealing pool scales monotonically (each step of the
-# 1/2/4/8-worker curve within a 5% no-regression budget, plus a 1.5x
-# 4-vs-1-worker floor on hosts with >= 4 CPUs). Emits
-# BENCH_products.json (with host_cpus + scheduler counters in meta)
-# and BENCH_ingest.json at the repo root.
+# >= 1.8x at 4 workers and >= 1.3x at 1 on the large storm trace; and
+# that the ta::exec shard fan-out scales monotonically (each step of
+# the 1/2/4/8-worker curve within a 10% no-regression budget, plus a
+# 1.5x 4-vs-1-worker floor on hosts with >= 4 CPUs). Emits
+# BENCH_products.json (with host_cpus + the shard count in meta) and
+# BENCH_ingest.json at the repo root.
 cargo run -q --release -p bench --bin product_smoke
 
 echo "== scheduler-determinism suite =="
@@ -128,7 +127,7 @@ echo "== ta-serve / ta-cli follow smoke =="
 # The live-tail front ends must serve a golden end to end: ta-serve
 # answers the full command set over stdin, and ta-cli follow tails a
 # complete file to its summary.
-serve_out=$(printf 'open tests/golden/matmul.pdt\nsummary\nsummarize 0 4000\nloss\nevents 5\nquit\n' \
+serve_out=$(printf 'open tests/golden/matmul.pdt\nsummary\nsummarize 0 4000\nloss\nevents 5\nstats\nquit\n' \
   | cargo run -q --release -p ta --bin ta-serve)
 if printf '%s\n' "$serve_out" | grep -q '^err '; then
   echo "ta-serve returned an error:" >&2
@@ -137,6 +136,7 @@ if printf '%s\n' "$serve_out" | grep -q '^err '; then
 fi
 printf '%s\n' "$serve_out" | grep -q 'complete=true' || { echo "ta-serve never completed the image" >&2; exit 1; }
 printf '%s\n' "$serve_out" | grep -q 'PDT trace summary' || { echo "ta-serve summary missing" >&2; exit 1; }
+printf '%s\n' "$serve_out" | grep -q '^ok tasks=' || { echo "ta-serve stats missing" >&2; exit 1; }
 cargo run -q --release -p ta --bin ta-cli -- follow tests/golden/stream.pdt --max-polls 2 \
   | grep -q 'PDT trace summary' || { echo "ta-cli follow failed" >&2; exit 1; }
 

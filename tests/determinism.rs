@@ -1,6 +1,6 @@
 //! Scheduler-determinism suite: every derived product must be
-//! byte-identical whatever [`Parallelism`] drives the work-stealing
-//! pool — `Serial`, `Workers(2)`, `Workers(4)`, `Auto` — and across
+//! byte-identical whatever [`Parallelism`] drives the shard fan-out
+//! — `Serial`, `Workers(2)`, `Workers(4)`, `Auto` — and across
 //! repeated runs under the same setting. Runs over the full golden
 //! corpus, including the fault-injected and racy traces, through both
 //! the one-shot `Analysis` path and the streaming `ImageIngest` path.
