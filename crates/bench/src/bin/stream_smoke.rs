@@ -13,6 +13,12 @@
 //!   trace, appending the final ~1% of each SPE stream after a
 //!   snapshot must extend the maintained index, not rebuild it:
 //!   at most 5% of index blocks may be rebuilt.
+//! - **A growing `.pdt` file costs O(tail) per poll.** Every clean
+//!   golden and the storm trace, fed to [`ta::ImageIngest`] in 120
+//!   equal appends with a snapshot and a `summarize` after each (the
+//!   `ta-serve` follow loop), must splice nothing, rebuild the index
+//!   from scratch at most once per stream directory entry, and end
+//!   equal to the one-shot analysis.
 //!
 //! Also measures live-tail latency — the cost of taking a fresh
 //! snapshot after each appended chunk, across chunk sizes — and emits
@@ -150,6 +156,72 @@ fn check_parity() -> Result<(), String> {
     Ok(())
 }
 
+/// Per-append stage times of one 120-append follow, in ms: medians of
+/// the push (decode), the snapshot, and the summarize of the newest 1%.
+struct TailStages {
+    push_ms: f64,
+    snapshot_ms: f64,
+    summarize_ms: f64,
+}
+
+/// Follows `image` through [`ImageIngest`] in 120 equal appends, with a
+/// snapshot and a `summarize` after each, and holds the sequential
+/// mode to its bounds: no splice, at most one full index rebuild per
+/// stream, and a final epoch equal to `one`.
+fn check_follow(name: &str, image: &[u8], one: &Analysis) -> Result<TailStages, String> {
+    let mut ing = ImageIngest::new().with_parallelism(Parallelism::Workers(2));
+    let (mut push, mut snap, mut summ) = (Vec::new(), Vec::new(), Vec::new());
+    let end = one.columns().end_tb() + 1;
+    let newest = end - (end - one.columns().start_tb()).div_ceil(100);
+    for piece in image.chunks(image.len().div_ceil(120)) {
+        let t = Instant::now();
+        ing.push(piece).map_err(|e| format!("{name}: {e}"))?;
+        push.push(t.elapsed().as_secs_f64() * 1e3);
+        let t = Instant::now();
+        let Some(epoch) = ing.snapshot() else {
+            continue;
+        };
+        snap.push(t.elapsed().as_secs_f64() * 1e3);
+        let t = Instant::now();
+        std::hint::black_box(epoch.summarize(newest, end));
+        summ.push(t.elapsed().as_secs_f64() * 1e3);
+    }
+    ing.finish().map_err(|e| format!("{name}: {e}"))?;
+    let last = ing
+        .snapshot()
+        .ok_or_else(|| format!("{name}: no snapshot"))?;
+    let session = ing.session().ok_or_else(|| format!("{name}: no session"))?;
+    let streams = session.stream_count() as u64;
+    if session.splices() != 0 {
+        return Err(format!(
+            "{name}: {} splices on a clean image",
+            session.splices()
+        ));
+    }
+    if session.full_rebuilds() > streams {
+        return Err(format!(
+            "{name}: {} full index rebuilds for {streams} streams",
+            session.full_rebuilds()
+        ));
+    }
+    if last.analyzed().events != one.analyzed().events
+        || last.loss() != one.loss()
+        || last.stats() != one.stats()
+        || last.index() != one.index()
+    {
+        return Err(format!("{name}: 120-append follow diverged from one-shot"));
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v.get(v.len() / 2).copied().unwrap_or(0.0)
+    };
+    Ok(TailStages {
+        push_ms: median(push),
+        snapshot_ms: median(snap),
+        summarize_ms: median(summ),
+    })
+}
+
 /// Appending the last ~1% of every SPE stream after a snapshot must
 /// extend the committed index, not rebuild it.
 fn check_incremental_bound(trace: &TraceFile) -> Result<(f64, usize, usize), String> {
@@ -231,19 +303,36 @@ fn run() -> Result<(), String> {
     );
 
     let trace = storm_trace(8, users_per_spe);
-    let n = Analysis::of(&trace)
+    let storm = Analysis::of(&trace)
         .parallelism(Parallelism::Workers(2))
         .run()
-        .map_err(|e| e.to_string())?
-        .events()
-        .len();
+        .map_err(|e| e.to_string())?;
+    let n = storm.events().len();
     let (frac, rebuilt, total) = check_incremental_bound(&trace)?;
     println!(
         "incremental bound: OK (1% tail rebuilt {rebuilt}/{total} blocks = {:.2}%, max 5%)",
         frac * 100.0
     );
 
+    let dir = repo_root().join("tests/golden");
+    for name in GOLDEN.iter().filter(|n| !n.contains("faulted")) {
+        let path = dir.join(name);
+        let image = std::fs::read(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+        let trace = TraceFile::from_bytes(&image).map_err(|e| format!("{name}: {e}"))?;
+        let one = Analysis::of(&trace)
+            .parallelism(Parallelism::Workers(2))
+            .run()
+            .map_err(|e| format!("{name}: {e}"))?;
+        check_follow(name, &image, &one)?;
+    }
     let image = trace.to_bytes();
+    let stages = check_follow("storm", &image, &storm)?;
+    println!(
+        "120-append follow: OK (no splices, <= 1 full rebuild per stream; storm median \
+         push {:.3} ms, snapshot {:.3} ms, summarize {:.3} ms)",
+        stages.push_ms, stages.snapshot_ms, stages.summarize_ms
+    );
+
     println!(
         "live-tail trace: {n} events, {} KiB image",
         image.len() / 1024
@@ -273,6 +362,9 @@ fn run() -> Result<(), String> {
         ("image_bytes".into(), image.len() as f64),
         ("tail_rebuilt_pct".into(), frac * 100.0),
         ("tail_blocks_total".into(), total as f64),
+        ("follow_push_ms".into(), stages.push_ms),
+        ("follow_snapshot_ms".into(), stages.snapshot_ms),
+        ("follow_summarize_ms".into(), stages.summarize_ms),
     ];
     for chunk_kib in [4usize, 16, 64] {
         let (total_ms, mean_snap_ms, snaps) = live_tail(&image, chunk_kib * 1024, 4);

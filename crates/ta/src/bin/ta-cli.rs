@@ -513,7 +513,7 @@ fn run() -> Result<(), String> {
                     ingest
                         .push(&data[consumed..])
                         .map_err(|e| format!("{path}: {e}"))?;
-                    let events = ingest.snapshot().map_or(0, |a| a.columns().events.len());
+                    let events = ingest.snapshot().map_or(0, |a| a.event_count());
                     eprintln!(
                         "{} bytes, {events} event(s){}",
                         ingest.bytes_consumed(),

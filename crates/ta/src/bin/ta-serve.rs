@@ -7,33 +7,47 @@
 //!
 //! ```text
 //! open PATH          start following PATH (resets any prior session)
-//! poll               re-read the file, ingest newly appended bytes
+//! poll               ingest the bytes appended since the last poll
 //! summary            whole-trace summary of the current snapshot
 //! summarize T0 T1    indexed window summary [T0, T1)
 //! loss               decode-gap / drop accounting (CSV)
 //! events N           the last N events of the current snapshot
-//! stats              parallel fan-out counters (ta::exec)
+//! stats              fan-out and incremental-ingest counters
 //! quit               close the session
 //! ```
 //!
 //! Every command's reply ends with a line starting `ok` (possibly with
 //! `key=value` details) or `err <message>`, so the protocol is safe to
-//! script. `poll` only ever ingests the file's grown suffix — the
-//! server never re-decodes bytes it has already consumed, and a file
-//! that shrinks is reported as an error rather than silently
-//! reloaded. `stats` reports the fan-out counters behind every
-//! parallel product build — shards run, threads spawned and cumulative
-//! busy time — as one `ok key=value` line.
+//! script. `poll` only ever reads the file's grown suffix — the server
+//! seeks past the bytes it has already consumed, never re-reads or
+//! re-decodes them — and a file that shrinks is reported as an error
+//! rather than silently reloaded. `poll` reports the event count
+//! without merging the live tail into the snapshot, so a poll followed
+//! by `summarize` costs time proportional to the appended bytes.
+//!
+//! `stats` reports, as one `ok key=value` line, the fan-out counters
+//! behind every parallel product build (shards run, threads spawned,
+//! cumulative busy time) and the followed session's ingest counters:
+//! out-of-order `splices`, `full_rebuilds` of the index, and the last
+//! index update's `blocks_rebuilt`/`blocks_total`.
+//!
+//! A request line longer than 64 KiB is discarded up to its newline
+//! and answered `err line too long`; the session stays usable.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::process::ExitCode;
 
 use ta::{ImageIngest, Parallelism};
+
+/// Longest request line accepted, newline excluded.
+const MAX_LINE: usize = 64 * 1024;
 
 /// One followed trace: its path and the incremental parser state.
 struct Follow {
     path: String,
     ingest: ImageIngest,
+    /// Reused buffer for each poll's appended bytes.
+    buf: Vec<u8>,
 }
 
 struct Server {
@@ -77,15 +91,7 @@ impl Server {
                 }
             }
             "loss" => self.with_snapshot(|a| ta::loss_csv(a.loss())),
-            "stats" => {
-                let st = ta::exec::pool().stats();
-                Ok(format!(
-                    "ok tasks={} workers={} busy_ms={}\n",
-                    st.tasks,
-                    st.workers,
-                    st.busy_ns() / 1_000_000,
-                ))
-            }
+            "stats" => Ok(self.stats()),
             "events" => {
                 let n = parts.next().and_then(|v| v.parse::<usize>().ok());
                 match n {
@@ -135,26 +141,34 @@ impl Server {
         self.follow = Some(Follow {
             path: path.to_string(),
             ingest: ImageIngest::new().with_parallelism(Parallelism::Workers(4)),
+            buf: Vec::new(),
         });
         self.poll()
     }
 
-    /// Re-reads the followed file and ingests whatever grew past the
-    /// bytes already consumed.
+    /// Reads what the followed file grew by past the bytes already
+    /// consumed, and ingests it.
     fn poll(&mut self) -> Result<String, String> {
         let f = self.follow.as_mut().ok_or("no trace open")?;
-        let data = std::fs::read(&f.path).map_err(|e| format!("{}: {e}", f.path))?;
-        let consumed = f.ingest.bytes_consumed() as usize;
-        if data.len() < consumed {
+        let io_err = |e: std::io::Error| format!("{}: {e}", f.path);
+        let mut file = std::fs::File::open(&f.path).map_err(io_err)?;
+        let len = file.metadata().map_err(io_err)?.len();
+        let consumed = f.ingest.bytes_consumed();
+        if len < consumed {
             return Err(format!(
                 "{} shrank below the {consumed} bytes already ingested",
                 f.path
             ));
         }
+        file.seek(SeekFrom::Start(consumed)).map_err(io_err)?;
+        f.buf.clear();
+        file.take(len - consumed)
+            .read_to_end(&mut f.buf)
+            .map_err(io_err)?;
         f.ingest
-            .push(&data[consumed..])
+            .push(&f.buf)
             .map_err(|e| format!("{}: {e}", f.path))?;
-        let events = f.ingest.snapshot().map_or(0, |a| a.columns().events.len());
+        let events = f.ingest.snapshot().map_or(0, |a| a.event_count());
         Ok(format!(
             "ok bytes={} events={events} complete={}\n",
             f.ingest.bytes_consumed(),
@@ -171,6 +185,25 @@ impl Server {
         let snap = f.ingest.snapshot().ok_or("no events ingested yet")?;
         Ok(render(&snap))
     }
+
+    /// The `stats` reply: fan-out counters, then the followed session's
+    /// ingest counters (zero when no trace is open).
+    fn stats(&self) -> String {
+        let st = ta::exec::pool().stats();
+        let session = self.follow.as_ref().and_then(|f| f.ingest.session());
+        let delta = session.and_then(|s| s.last_delta());
+        format!(
+            "ok tasks={} workers={} busy_ms={} splices={} full_rebuilds={} \
+             blocks_rebuilt={} blocks_total={}\n",
+            st.tasks,
+            st.workers,
+            st.busy_ns() / 1_000_000,
+            session.map_or(0, |s| s.splices()),
+            session.map_or(0, |s| s.full_rebuilds()),
+            delta.map_or(0, |d| d.blocks_rebuilt),
+            delta.map_or(0, |d| d.blocks_total),
+        )
+    }
 }
 
 /// Whether a reply already carries its own `ok ...` status line.
@@ -180,12 +213,72 @@ fn starts_ok(text: &str) -> bool {
         .is_some_and(|l| l.starts_with("ok"))
 }
 
-fn serve(reader: impl BufRead, mut writer: impl Write) -> std::io::Result<()> {
-    let mut server = Server::new();
-    for line in reader.lines() {
-        if !server.handle(&line?, &mut writer)? {
+/// One request line as read from the client.
+enum Line {
+    /// A complete line, newline stripped.
+    Text(Vec<u8>),
+    /// A line over [`MAX_LINE`] bytes, discarded through its newline.
+    TooLong,
+}
+
+/// Reads the next line into `buf`, keeping at most [`MAX_LINE`] bytes
+/// of it; `None` at end of input.
+fn read_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Result<Option<Line>> {
+    buf.clear();
+    let mut too_long = false;
+    let mut any = false;
+    loop {
+        let avail = reader.fill_buf()?;
+        if avail.is_empty() {
             break;
         }
+        any = true;
+        let (chunk, done) = match avail.iter().position(|&b| b == b'\n') {
+            Some(at) => (&avail[..at], at + 1),
+            None => (avail, avail.len()),
+        };
+        if buf.len() + chunk.len() > MAX_LINE {
+            too_long = true;
+            buf.clear();
+        } else if !too_long {
+            buf.extend_from_slice(chunk);
+        }
+        let newline = done > chunk.len();
+        reader.consume(done);
+        if newline {
+            break;
+        }
+    }
+    Ok(match (any, too_long) {
+        (false, _) => None,
+        (true, true) => Some(Line::TooLong),
+        (true, false) => {
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+            Some(Line::Text(std::mem::take(buf)))
+        }
+    })
+}
+
+fn serve(mut reader: impl BufRead, mut writer: impl Write) -> std::io::Result<()> {
+    let mut server = Server::new();
+    let mut buf = Vec::new();
+    while let Some(line) = read_line(&mut reader, &mut buf)? {
+        let reply = match line {
+            Line::TooLong => "err line too long",
+            Line::Text(bytes) => match String::from_utf8(bytes) {
+                Ok(text) => {
+                    if !server.handle(&text, &mut writer)? {
+                        break;
+                    }
+                    continue;
+                }
+                Err(_) => "err line is not utf-8",
+            },
+        };
+        writeln!(writer, "{reply}")?;
+        writer.flush()?;
     }
     Ok(())
 }

@@ -306,6 +306,21 @@ impl EventColumns {
         }
     }
 
+    /// An empty store with capacity for `n` events that starts from
+    /// this store's parameter dictionary, so every dictionary id of
+    /// `self` names the same tuple in the result — the merge of a live
+    /// tail into a closed base copies base events by id.
+    pub(crate) fn with_dict_of(&self, n: usize) -> Self {
+        let mut out = EventColumns::with_capacity(n);
+        out.dict_off.clone_from(&self.dict_off);
+        out.dict_buf.clone_from(&self.dict_buf);
+        out.dict_index = self.dict_index.clone();
+        if out.dict_off.is_empty() {
+            out.dict_off.push(0);
+        }
+        out
+    }
+
     /// Reserves column capacity for `n` more events (the direct v2
     /// decode path knows the exact total from the block footers, so
     /// the columns never reallocate mid-decode).
@@ -615,6 +630,21 @@ impl ColumnarTrace {
             dropped: 0,
             interner: Interner::new(),
             ctx_syms: Vec::new(),
+            core_offsets: OnceLock::new(),
+            group_masks: OnceLock::new(),
+        }
+    }
+
+    /// A store with this trace's header, anchors, drop count and
+    /// context names around `events`, with fresh memos.
+    pub(crate) fn with_events(&self, events: EventColumns) -> Self {
+        ColumnarTrace {
+            header: self.header,
+            events,
+            anchors: self.anchors.clone(),
+            dropped: self.dropped,
+            interner: self.interner.clone(),
+            ctx_syms: self.ctx_syms.clone(),
             core_offsets: OnceLock::new(),
             group_masks: OnceLock::new(),
         }

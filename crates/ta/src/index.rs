@@ -139,34 +139,43 @@ pub fn compute_suspect_ranges_columns(
     trace: &ColumnarTrace,
     loss: &LossReport,
 ) -> Vec<SuspectRange> {
-    let (start, end) = (trace.start_tb(), trace.end_tb());
     let tags = trace.events.tags();
     let times = trace.events.times();
-    let whole = |stream| SuspectRange {
-        start_tb: start,
-        end_tb: end.saturating_add(1),
-        stream,
-    };
+    suspect_ranges_with(loss, trace.start_tb(), trace.end_tb(), |s, seq| {
+        let core = loss.streams[s].core;
+        (0..tags.len())
+            .find(|&i| {
+                let from_stream = match core {
+                    TraceCore::Spe(_) => tags[i] == core.tag(),
+                    TraceCore::Ppe(_) => !TraceCore::from_tag(tags[i]).is_spe(),
+                };
+                from_stream && trace.events.seq(i) == seq
+            })
+            .map(|i| times[i])
+    })
+}
+
+/// The suspicion rule over any event store spanning `[start, end]`:
+/// `find(s, seq)` is the time of the first event, in global order,
+/// that came from stream `s` (exact core for an SPE stream, any PPE
+/// thread for a PPE stream) with sequence number `seq`. The columnar
+/// build scans for it; a live-tail epoch looks it up in the stream's
+/// own run.
+pub(crate) fn suspect_ranges_with(
+    loss: &LossReport,
+    start: u64,
+    end: u64,
+    mut find: impl FnMut(usize, u64) -> Option<u64>,
+) -> Vec<SuspectRange> {
     let mut out = Vec::new();
-    for s in &loss.streams {
-        let from_stream = |i: &usize| match s.core {
-            TraceCore::Spe(_) => tags[*i] == s.core.tag(),
-            TraceCore::Ppe(_) => !TraceCore::from_tag(tags[*i]).is_spe(),
-        };
+    for (si, s) in loss.streams.iter().enumerate() {
         for g in &s.gaps {
             let before = g
                 .records_before
                 .checked_sub(1)
-                .and_then(|seq| {
-                    (0..tags.len())
-                        .filter(from_stream)
-                        .find(|&i| trace.events.seq(i) == seq)
-                })
-                .map_or(start, |i| times[i]);
-            let after = (0..tags.len())
-                .filter(from_stream)
-                .find(|&i| trace.events.seq(i) == g.records_before)
-                .map_or(end, |i| times[i]);
+                .and_then(|seq| find(si, seq))
+                .unwrap_or(start);
+            let after = find(si, g.records_before).unwrap_or(end);
             out.push(SuspectRange {
                 start_tb: before,
                 end_tb: after.max(before).saturating_add(1),
@@ -174,7 +183,11 @@ pub fn compute_suspect_ranges_columns(
             });
         }
         if s.unanchored || s.tracer_dropped > 0 {
-            out.push(whole(s.core));
+            out.push(SuspectRange {
+                start_tb: start,
+                end_tb: end.saturating_add(1),
+                stream: s.core,
+            });
         }
     }
     out

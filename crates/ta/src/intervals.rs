@@ -263,57 +263,88 @@ pub(crate) fn build_spe_intervals_columns(trace: &ColumnarTrace, spe: u8) -> Opt
         .core_events(core)
         .find(|v| v.code == EventCode::SpeStop)
         .map(|v| v.time_tb)?;
+    let mut walk = LaneWalk::new(start);
     let mut intervals = Vec::new();
-    let mut cursor = start;
-    let mut open: Option<(u64, ActivityKind)> = None;
     for v in trace.core_events(core) {
-        if let Some(kind) = wait_kind(v.code) {
-            if open.is_none() {
-                if v.time_tb > cursor {
-                    intervals.push(Interval {
-                        start_tb: cursor,
-                        end_tb: v.time_tb,
-                        kind: ActivityKind::Compute,
-                    });
-                }
-                open = Some((v.time_tb, kind));
-            }
-        } else if wait_end(v.code) {
-            if let Some((begin, kind)) = open.take() {
-                if v.time_tb > begin {
-                    intervals.push(Interval {
-                        start_tb: begin,
-                        end_tb: v.time_tb,
-                        kind,
-                    });
-                }
-                cursor = v.time_tb.max(begin);
-            }
-        }
+        walk.step(v.time_tb, v.code, &mut intervals);
     }
-    if let Some((begin, kind)) = open.take() {
-        if stop > begin {
-            intervals.push(Interval {
-                start_tb: begin,
-                end_tb: stop,
-                kind,
-            });
-        }
-        cursor = stop;
-    }
-    if stop > cursor {
-        intervals.push(Interval {
-            start_tb: cursor,
-            end_tb: stop,
-            kind: ActivityKind::Compute,
-        });
-    }
+    walk.finish(stop, &mut intervals);
     Some(SpeIntervals {
         spe,
         start_tb: start,
         stop_tb: stop,
         intervals,
     })
+}
+
+/// The per-SPE interval state machine behind
+/// [`build_spe_intervals_columns`], fed one event at a time in the
+/// SPE's time order. The lane is a pure function of the SPE's event
+/// sequence and its first `SpeCtxStart`, so a stream still being
+/// appended can grow its intervals from the tail only.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LaneWalk {
+    cursor: u64,
+    open: Option<(u64, ActivityKind)>,
+}
+
+impl LaneWalk {
+    /// A walk whose first compute interval starts at the context start.
+    pub(crate) fn new(start_tb: u64) -> Self {
+        LaneWalk {
+            cursor: start_tb,
+            open: None,
+        }
+    }
+
+    /// Consumes one event, pushing any interval it closes.
+    pub(crate) fn step(&mut self, time_tb: u64, code: EventCode, out: &mut Vec<Interval>) {
+        if let Some(kind) = wait_kind(code) {
+            if self.open.is_none() {
+                if time_tb > self.cursor {
+                    out.push(Interval {
+                        start_tb: self.cursor,
+                        end_tb: time_tb,
+                        kind: ActivityKind::Compute,
+                    });
+                }
+                self.open = Some((time_tb, kind));
+            }
+        } else if wait_end(code) {
+            if let Some((begin, kind)) = self.open.take() {
+                if time_tb > begin {
+                    out.push(Interval {
+                        start_tb: begin,
+                        end_tb: time_tb,
+                        kind,
+                    });
+                }
+                self.cursor = time_tb.max(begin);
+            }
+        }
+    }
+
+    /// Closes the lane at the context stop: a wait left open ends
+    /// there, and the trailing compute runs up to it.
+    pub(crate) fn finish(mut self, stop_tb: u64, out: &mut Vec<Interval>) {
+        if let Some((begin, kind)) = self.open.take() {
+            if stop_tb > begin {
+                out.push(Interval {
+                    start_tb: begin,
+                    end_tb: stop_tb,
+                    kind,
+                });
+            }
+            self.cursor = stop_tb;
+        }
+        if stop_tb > self.cursor {
+            out.push(Interval {
+                start_tb: self.cursor,
+                end_tb: stop_tb,
+                kind: ActivityKind::Compute,
+            });
+        }
+    }
 }
 
 #[cfg(test)]

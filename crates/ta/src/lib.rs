@@ -109,6 +109,7 @@ pub mod lint;
 pub mod loss;
 pub mod occupancy;
 mod oneshot;
+mod overlay;
 pub mod parallel;
 pub mod phases;
 pub mod query;

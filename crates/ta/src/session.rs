@@ -45,6 +45,7 @@ use crate::lint::{lint_columns_sharded_with_edges, LintConfig, LintReport};
 use crate::loss::{DecodePolicy, LossReport};
 use crate::occupancy::{dma_occupancy_columns, dma_occupancy_columns_par, SpeOccupancy};
 use crate::oneshot;
+use crate::overlay::Overlay;
 use crate::phases::{user_phases_columns, PhaseReport};
 use crate::query::EventFilter;
 use crate::reader::TraceImage;
@@ -132,10 +133,14 @@ impl AnalysisBuilder<'_> {
 /// The columns sit behind an [`Arc`] so a streaming
 /// [`IngestSession`](crate::stream::IngestSession) can hand out
 /// `Analysis` snapshots that share the committed store with the
-/// ingestion side instead of copying it per epoch.
+/// ingestion side instead of copying it per epoch. A live-tail epoch
+/// may instead hold a base store plus per-stream overlays: it answers
+/// [`summarize`](Self::summarize) and
+/// [`event_count`](Self::event_count) without merging, and merges once,
+/// on first use, for everything else.
 #[derive(Debug)]
 pub struct Analysis {
-    columns: Arc<ColumnarTrace>,
+    store: Store,
     rows: OnceLock<AnalyzedTrace>,
     loss: LossReport,
     par: Parallelism,
@@ -144,9 +149,18 @@ pub struct Analysis {
     timeline: OnceLock<Timeline>,
     occupancy: OnceLock<Vec<SpeOccupancy>>,
     phases: OnceLock<PhaseReport>,
-    index: OnceLock<TraceIndex>,
+    index: OnceLock<Arc<TraceIndex>>,
     sync_edges: OnceLock<Vec<CausalEdge>>,
     lint: OnceLock<LintReport>,
+}
+
+/// Where an [`Analysis`] gets its events.
+#[derive(Debug)]
+enum Store {
+    /// One globally ordered store.
+    Columns(Arc<ColumnarTrace>),
+    /// A live-tail epoch, merged on first use.
+    Overlay(Box<Overlay>),
 }
 
 impl Analysis {
@@ -187,8 +201,19 @@ impl Analysis {
         loss: LossReport,
         par: Parallelism,
     ) -> Self {
+        Self::from_store(Store::Columns(columns), loss, par)
+    }
+
+    /// Wraps a live-tail epoch: the sequential
+    /// [`IngestSession`](crate::stream::IngestSession)'s snapshot entry
+    /// point while a stream is open.
+    pub(crate) fn from_overlay(overlay: Overlay, loss: LossReport, par: Parallelism) -> Self {
+        Self::from_store(Store::Overlay(Box::new(overlay)), loss, par)
+    }
+
+    fn from_store(store: Store, loss: LossReport, par: Parallelism) -> Self {
         Self {
-            columns,
+            store,
             rows: OnceLock::new(),
             loss,
             par,
@@ -211,19 +236,31 @@ impl Analysis {
 
     /// Seeds the memoized query index (snapshot reuse of the
     /// incrementally maintained index). A no-op if already built.
-    pub(crate) fn preset_index(&self, index: TraceIndex) {
+    pub(crate) fn preset_index(&self, index: Arc<TraceIndex>) {
         let _ = self.index.set(index);
     }
 
     /// The reconstructed trace as rows. Materialized from the columns
     /// on first call and memoized; products never depend on it.
     pub fn analyzed(&self) -> &AnalyzedTrace {
-        self.rows.get_or_init(|| self.columns.materialize())
+        self.rows.get_or_init(|| self.columns().materialize())
     }
 
-    /// The columnar event store every product is derived from.
+    /// The columnar event store every product is derived from. A
+    /// live-tail epoch merges its overlays into it on first call.
     pub fn columns(&self) -> &ColumnarTrace {
-        &self.columns
+        match &self.store {
+            Store::Columns(c) => c,
+            Store::Overlay(o) => o.columns(),
+        }
+    }
+
+    /// Number of events, without merging a live-tail epoch.
+    pub fn event_count(&self) -> usize {
+        match &self.store {
+            Store::Columns(c) => c.events.len(),
+            Store::Overlay(o) => o.len(),
+        }
     }
 
     /// Loss accounting from ingestion. Populated by the (default)
@@ -243,31 +280,31 @@ impl Analysis {
     /// [`stats`](Self::stats) and [`timeline`](Self::timeline)).
     pub fn intervals(&self) -> &[SpeIntervals] {
         self.intervals
-            .get_or_init(|| build_intervals_columns(&self.columns))
+            .get_or_init(|| build_intervals_columns(self.columns()))
     }
 
     /// Per-SPE utilization, DMA traffic and event-count statistics.
     pub fn stats(&self) -> &TraceStats {
         self.stats
-            .get_or_init(|| compute_stats_columns(&self.columns, self.intervals()))
+            .get_or_init(|| compute_stats_columns(self.columns(), self.intervals()))
     }
 
     /// The Gantt timeline model.
     pub fn timeline(&self) -> &Timeline {
         self.timeline
-            .get_or_init(|| build_timeline_columns(&self.columns, self.intervals()))
+            .get_or_init(|| build_timeline_columns(self.columns(), self.intervals()))
     }
 
     /// Outstanding-DMA occupancy per SPE.
     pub fn occupancy(&self) -> &[SpeOccupancy] {
         self.occupancy
-            .get_or_init(|| dma_occupancy_columns(&self.columns))
+            .get_or_init(|| dma_occupancy_columns(self.columns()))
     }
 
     /// User-marked phase report.
     pub fn phases(&self) -> &PhaseReport {
         self.phases
-            .get_or_init(|| user_phases_columns(&self.columns))
+            .get_or_init(|| user_phases_columns(self.columns()))
     }
 
     /// Builds every memoized product at the given [`Parallelism`] in
@@ -297,7 +334,7 @@ impl Analysis {
         // A streaming snapshot may have seeded the intervals already.
         let spes = match self.intervals.get() {
             Some(_) => Vec::new(),
-            None => self.columns.spes(),
+            None => self.columns().spes(),
         };
         let lanes = exec::map_indexed(par, 2 + spes.len(), |i| match i {
             0 => {
@@ -307,10 +344,10 @@ impl Analysis {
             1 => {
                 let _ = self
                     .occupancy
-                    .get_or_init(|| dma_occupancy_columns_par(&self.columns, par));
+                    .get_or_init(|| dma_occupancy_columns_par(self.columns(), par));
                 None
             }
-            _ => build_spe_intervals_columns(&self.columns, spes[i - 2]),
+            _ => build_spe_intervals_columns(self.columns(), spes[i - 2]),
         });
         if self.intervals.get().is_none() {
             let _ = self.intervals.set(lanes.into_iter().flatten().collect());
@@ -318,18 +355,18 @@ impl Analysis {
         exec::map_indexed(par, 4, |i| match i {
             0 => {
                 let _ = self.index.get_or_init(|| {
-                    TraceIndex::build_columns(
-                        &self.columns,
+                    Arc::new(TraceIndex::build_columns(
+                        self.columns(),
                         self.intervals(),
                         &self.loss,
                         par.workers(),
-                    )
+                    ))
                 });
             }
             1 => {
                 let _ = self.lint.get_or_init(|| {
                     lint_columns_sharded_with_edges(
-                        &self.columns,
+                        self.columns(),
                         self.intervals(),
                         &self.loss,
                         self.sync_edges(),
@@ -340,7 +377,7 @@ impl Analysis {
             }
             2 => {
                 let _ = self.stats.get_or_init(|| {
-                    compute_stats_columns_par(&self.columns, self.intervals(), par)
+                    compute_stats_columns_par(self.columns(), self.intervals(), par)
                 });
             }
             _ => {
@@ -356,12 +393,12 @@ impl Analysis {
     /// [`Parallelism`]) and memoized like the other products.
     pub fn index(&self) -> &TraceIndex {
         self.index.get_or_init(|| {
-            TraceIndex::build_columns(
-                &self.columns,
+            Arc::new(TraceIndex::build_columns(
+                self.columns(),
                 self.intervals(),
                 &self.loss,
                 self.par.workers(),
-            )
+            ))
         })
     }
 
@@ -372,7 +409,7 @@ impl Analysis {
     /// appends) never re-derives the pairings.
     pub fn sync_edges(&self) -> &[CausalEdge] {
         self.sync_edges
-            .get_or_init(|| sync_edges_columns(&self.columns, &self.loss))
+            .get_or_init(|| sync_edges_columns(self.columns(), &self.loss))
     }
 
     /// Runs the default lint rule registry with the default
@@ -394,7 +431,7 @@ impl Analysis {
     /// via [`Self::sync_edges`]).
     pub fn lint_with(&self, config: &LintConfig) -> LintReport {
         lint_columns_sharded_with_edges(
-            &self.columns,
+            self.columns(),
             self.intervals(),
             &self.loss,
             self.sync_edges(),
@@ -416,8 +453,10 @@ impl Analysis {
     /// gap-suspicion flag, resolved from ~O(levels) pyramid bucket
     /// reads plus two exact edge buckets.
     pub fn summarize(&self, start_tb: u64, end_tb: u64) -> WindowSummary {
-        self.index()
-            .summarize(self.columns.events.times(), start_tb, end_tb)
+        match &self.store {
+            Store::Overlay(o) => o.summarize(start_tb, end_tb),
+            Store::Columns(c) => self.index().summarize(c.events.times(), start_tb, end_tb),
+        }
     }
 
     /// Every SPE's activity intervals clipped to `[start_tb, end_tb)`
@@ -483,7 +522,7 @@ impl Analysis {
     /// Renders the plain-text summary report, including the loss
     /// section when loss accounting ran.
     pub fn summary(&self) -> String {
-        render_summary_with(&self.columns, self.stats(), Some(&self.loss))
+        render_summary_with(self.columns(), self.stats(), Some(&self.loss))
     }
 
     /// Renders the standalone HTML report. Convenience for
@@ -503,9 +542,11 @@ impl Analysis {
     /// Consumes the session, returning the reconstructed trace (the
     /// memoized row materialization when one exists, otherwise a fresh
     /// one).
-    pub fn into_analyzed(self) -> AnalyzedTrace {
-        let Self { columns, rows, .. } = self;
-        rows.into_inner().unwrap_or_else(|| columns.materialize())
+    pub fn into_analyzed(mut self) -> AnalyzedTrace {
+        match self.rows.take() {
+            Some(rows) => rows,
+            None => self.columns().materialize(),
+        }
     }
 }
 

@@ -2,47 +2,69 @@
 //!
 //! [`IngestSession`] accepts a trace as appended byte chunks — one
 //! [`LossyCursor`] per stream survives chunk boundaries, including
-//! resync scans across torn records — and grows a committed columnar
-//! store append-only. [`IngestSession::snapshot`] returns an immutable
-//! [`Analysis`] epoch behind an [`Arc`]: readers query it concurrently
-//! while ingestion continues, and a snapshot taken after
-//! [`finish`](IngestSession::finish) is byte-identical to the one-shot
-//! [`Analysis::of`] over the same trace, no matter how the bytes were
-//! chunked.
+//! resync scans across torn records — and [`IngestSession::snapshot`]
+//! returns an immutable [`Analysis`] epoch behind an [`Arc`]: readers
+//! query it concurrently while ingestion continues, and a snapshot
+//! taken after [`finish`](IngestSession::finish) is byte-identical to
+//! the one-shot [`Analysis::of`] over the same trace, no matter how the
+//! bytes were chunked. A session runs in one of two modes, chosen by
+//! how its streams arrive.
+//!
+//! ## Sequential mode: base plus overlays
+//!
+//! A `.pdt` v1 image stores its streams end to end, so a growing file
+//! has complete streams, at most one open stream, and streams not yet
+//! announced — whose events may sort anywhere in the ones already
+//! seen. [`ImageIngest`] therefore declares the stream count up front
+//! ([`expect_streams`](IngestSession::expect_streams)), which puts the
+//! session in sequential mode: nothing is committed under a watermark. Each open stream places its events into an
+//! append-only columnar run (see the `overlay` module); once a stream is
+//! closed and placed, one linear merge folds it into the *base* store
+//! and the base index is rebuilt — one full rebuild per stream
+//! directory entry, and no splice ever. A snapshot is the base plus a
+//! frozen view of each run, so `summarize` and the event count cost
+//! O(tail); products that need the global order merge once per epoch,
+//! on first use.
 //!
 //! ## Commit watermark
 //!
-//! Events enter a per-stream pending list as their records decode and
-//! are committed to the shared store only once no open stream can
-//! still produce an event that sorts before them. Each stream exposes
-//! a lower bound on its future sort keys — a PPE stream's last
-//! timestamp, an anchored SPE stream's reconstructed frontier — and
-//! the global watermark is the minimum `(bound, stream)` pair. An SPE
-//! stream whose sync anchor is not yet final bounds at zero and parks
-//! its records until every earlier PPE stream closes, because a future
-//! `PpeCtxRun` record could place its events anywhere. Corrupt input
-//! that violates a bound (a PPE timestamp running backwards) falls
-//! back to a sorted splice and a one-time index rebuild; the committed
-//! order is always exact.
+//! With every stream registered up front and appended side by side
+//! (the default mode, used by the v2 replay path), events enter a
+//! per-stream pending list as their records decode and are committed
+//! to the shared store only once no open stream can still produce an
+//! event that sorts before them. Each stream exposes a lower bound on
+//! its future sort keys — a PPE stream's last timestamp, an anchored
+//! SPE stream's reconstructed frontier — and the global watermark is
+//! the minimum `(bound, stream)` pair. An SPE stream whose sync anchor
+//! is not yet final bounds at zero and parks its records until every
+//! earlier PPE stream closes, because a future `PpeCtxRun` record
+//! could place its events anywhere. Only corrupt input that breaks a
+//! bound (a PPE timestamp running backwards) commits out of order: it
+//! falls back to a sorted splice ([`IngestSession::splices`]) and a
+//! one-time index rebuild; the committed order is always exact.
 //!
 //! ## Epoch semantics
 //!
-//! The committed store sits behind an `Arc` and commits mutate it via
-//! [`Arc::make_mut`]: a snapshot pins its epoch, and the first commit
-//! after a snapshot copies the store once, leaving the epoch frozen.
-//! The maintained [`TraceIndex`] grows by
+//! Stores sit behind `Arc`s and are mutated via [`Arc::make_mut`]: a
+//! snapshot pins its epoch, and the first write after a snapshot that
+//! a reader still holds copies the store once, leaving the epoch
+//! frozen. In watermark mode the maintained [`TraceIndex`] grows by
 //! [`extend_columns`](TraceIndex::extend_columns) — tail-only bucket
 //! and offset updates — and each snapshot's index is the committed
-//! index extended over the snapshot's uncommitted tail, so appending a
-//! small fraction of events rebuilds a comparably small fraction of
-//! index blocks (measured by [`IngestSession::last_delta`]).
+//! index extended over the snapshot's uncommitted tail. In sequential
+//! mode an epoch with open streams shares the base index and answers
+//! windows without building one; an epoch without open streams shares
+//! the base store and index outright. [`IngestSession::last_delta`],
+//! [`splices`](IngestSession::splices) and
+//! [`full_rebuilds`](IngestSession::full_rebuilds) account for the
+//! work.
 //!
 //! [`ImageIngest`] layers an incremental parser of the serialized
 //! `.pdt` image (header, stream directory, record bytes, name table)
 //! on top, so a growing trace file can be followed as it is written —
 //! the transport behind `ta-serve` and `ta-cli follow`.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use pdt::{
     DecodeGap, EventCode, FormatError, LossyCursor, TraceCore, TraceHeader, TraceRecord, MAGIC,
@@ -52,9 +74,10 @@ use pdt::{
 use crate::analyze::{GlobalEvent, SpeAnchor};
 use crate::columns::ColumnarTrace;
 use crate::exec::Parallelism;
-use crate::index::{IndexDelta, TraceIndex};
+use crate::index::{suspect_ranges_with, IndexDelta, TraceIndex};
 use crate::intervals::build_intervals_columns;
 use crate::loss::{LossReport, StreamLoss};
+use crate::overlay::{merge, Overlay, Part, StreamRun};
 use crate::session::Analysis;
 
 /// The global sort key: `(time_tb, core tag, stream_seq)`, ties across
@@ -113,9 +136,16 @@ struct StreamState {
     /// `stream_seq`.
     rec_idx: u64,
     place: Placement,
-    /// Placed events not yet committed, in arrival order.
+    /// Watermark mode: placed events not yet committed, in arrival
+    /// order.
     pending: Vec<GlobalEvent>,
     pending_sorted: bool,
+    /// Sequential mode: placed events not yet merged into the base.
+    run: Arc<StreamRun>,
+    /// Sequential mode: set once the run is merged into the base, to
+    /// the times of the events the stream's gaps are bracketed by, as
+    /// `(stream_seq, time)` pairs sorted by sequence.
+    in_base: Option<Vec<(u64, u64)>>,
     bytes_in: u64,
 }
 
@@ -152,6 +182,49 @@ impl StreamState {
             }
         }
     }
+
+    /// Records a placed event: into the run in sequential mode,
+    /// otherwise into the pending list (tracking sortedness).
+    fn place(&mut self, ev: GlobalEvent, sequential: bool) {
+        if sequential {
+            Arc::make_mut(&mut self.run).push(
+                ev.time_tb,
+                ev.core,
+                ev.code,
+                &ev.params,
+                ev.stream_seq,
+            );
+            return;
+        }
+        if let Some(last) = self.pending.last() {
+            if key(&ev) < key(last) {
+                self.pending_sorted = false;
+            }
+        }
+        self.pending.push(ev);
+    }
+
+    /// Sequential mode: the stream can place no more events, so its run
+    /// may join the base.
+    fn settled(&self) -> bool {
+        self.closed && !matches!(self.place, Placement::SpeWaiting { .. })
+    }
+
+    /// The class of cores whose events count as this stream's for gap
+    /// bracketing: its own SPE, or every PPE thread.
+    fn class(&self) -> Option<u8> {
+        self.core.is_spe().then(|| self.core.tag())
+    }
+}
+
+/// What a snapshot adds beyond the placed events: each open stream's
+/// preview (its undecoded carry, finished on a clone of the cursor),
+/// placed through cloned state, with the epoch's anchors and loss.
+struct Preview {
+    anchors: Vec<SpeAnchor>,
+    loss: LossReport,
+    /// Per stream, the events only this epoch places.
+    placed: Vec<Vec<GlobalEvent>>,
 }
 
 /// An incremental ingestion session: feed record bytes per stream in
@@ -167,22 +240,35 @@ impl StreamState {
 pub struct IngestSession {
     header: TraceHeader,
     par: Parallelism,
+    /// Streams the trace declares, when they are registered one after
+    /// another (sequential mode).
+    expected: Option<usize>,
     streams: Vec<StreamState>,
     /// Best anchor candidate per SPE seen so far (minimal position) —
     /// the incremental form of the one-shot harvest.
     best: Vec<Candidate>,
     ctx_names: Vec<(u32, String)>,
-    /// Committed events: the frozen, globally sorted prefix shared
+    /// Watermark mode: the frozen, globally sorted committed prefix.
+    /// Sequential mode: the base, every settled stream merged. Shared
     /// with snapshot epochs.
     committed: Arc<ColumnarTrace>,
-    /// Source stream of each committed event (enables exact splices).
+    /// Source stream of each committed event (enables exact splices
+    /// and merges).
     committed_src: Vec<u32>,
-    /// Incrementally maintained index over the committed store.
-    index: Option<TraceIndex>,
-    /// Set when a splice invalidated the committed index.
+    /// Index over the committed store, shared with epochs.
+    index: Option<Arc<TraceIndex>>,
+    /// Watermark mode: set when a splice invalidated the index.
+    /// Sequential mode: set when the base changed.
     index_dirty: bool,
+    /// Sequential mode: the loss report the base index's suspect
+    /// ranges were computed from.
+    index_loss: LossReport,
     /// Cumulative delta of the last committed-index update.
     last_delta: Option<IndexDelta>,
+    /// Events in the last epoch (sequential-mode deltas).
+    last_events: usize,
+    splices: u64,
+    full_rebuilds: u64,
     finished: bool,
     dirty: bool,
     cache: Option<Arc<Analysis>>,
@@ -195,6 +281,7 @@ impl IngestSession {
         IngestSession {
             header,
             par: Parallelism::Serial,
+            expected: None,
             streams: Vec::new(),
             best: Vec::new(),
             ctx_names: Vec::new(),
@@ -202,7 +289,11 @@ impl IngestSession {
             committed_src: Vec::new(),
             index: None,
             index_dirty: false,
+            index_loss: LossReport::default(),
             last_delta: None,
+            last_events: 0,
+            splices: 0,
+            full_rebuilds: 0,
             finished: false,
             dirty: true,
             cache: None,
@@ -216,6 +307,26 @@ impl IngestSession {
         self
     }
 
+    /// Declares that the trace has `n` streams, registered one after
+    /// another as they arrive — the `.pdt` v1 image layout, which
+    /// [`ImageIngest`] feeds this way. The session then runs in
+    /// sequential mode: it keeps open streams as overlays and merges
+    /// each into the base once it closes, instead of committing under
+    /// the watermark (see the module docs), and it gives up on
+    /// anchoring an SPE stream only once every stream is registered,
+    /// since one not yet seen may be a PPE stream. Any arrival order
+    /// stays correct.
+    pub fn expect_streams(mut self, n: usize) -> Self {
+        self.expected = Some(n);
+        self
+    }
+
+    /// Whether [`expect_streams`](Self::expect_streams) put the session
+    /// in sequential mode.
+    fn sequential(&self) -> bool {
+        self.expected.is_some()
+    }
+
     /// Registers the next stream in directory order. `dropped` is the
     /// tracer-side drop count from the stream directory.
     ///
@@ -223,12 +334,15 @@ impl IngestSession {
     ///
     /// Panics if the session is finished.
     pub fn add_stream(&mut self, core: TraceCore, dropped: u64) -> StreamId {
+        // Caller contract (see Panics): a finished session is sealed.
         assert!(!self.finished, "add_stream after finish");
+        self.touch();
         let place = if core.is_spe() {
             Placement::SpeWaiting { held: Vec::new() }
         } else {
             Placement::Ppe { last_time: None }
         };
+        let id = self.streams.len();
         self.streams.push(StreamState {
             core,
             dropped,
@@ -239,10 +353,11 @@ impl IngestSession {
             place,
             pending: Vec::new(),
             pending_sorted: true,
+            run: Arc::new(StreamRun::new(id, core)),
+            in_base: None,
             bytes_in: 0,
         });
-        self.dirty = true;
-        StreamId(self.streams.len() - 1)
+        StreamId(id)
     }
 
     /// Appends record bytes to `id`'s stream. Chunks may split records,
@@ -252,45 +367,47 @@ impl IngestSession {
     ///
     /// Panics if the stream is closed or the session finished.
     pub fn append(&mut self, id: StreamId, chunk: &[u8]) {
+        // Caller contract (see Panics): a finished session is sealed.
         assert!(!self.finished, "append after finish");
-        let s = &mut self.streams[id.0];
-        assert!(!s.closed, "append to closed stream");
+        // Caller contract (see Panics): a closed stream's bytes are final.
+        assert!(!self.streams[id.0].closed, "append to closed stream");
         if chunk.is_empty() {
             return;
         }
+        self.touch();
+        let s = &mut self.streams[id.0];
         s.bytes_in += chunk.len() as u64;
         s.cursor.push(chunk);
         self.drain_stream(id.0);
         self.resolve_anchors();
-        self.dirty = true;
     }
 
     /// Marks `id`'s stream complete: a trailing partial record becomes
     /// a decode gap, and the stream stops bounding the commit
     /// watermark.
     pub fn close_stream(&mut self, id: StreamId) {
-        let s = &mut self.streams[id.0];
-        if s.closed {
+        if self.streams[id.0].closed {
             return;
         }
+        self.touch();
+        let s = &mut self.streams[id.0];
         s.cursor.finish();
         s.closed = true;
         self.drain_stream(id.0);
         self.resolve_anchors();
-        self.dirty = true;
     }
 
     /// Replaces the context-name table (it arrives at the end of a
     /// streamed image, but may be set at any time).
     pub fn set_ctx_names(&mut self, names: Vec<(u32, String)>) {
+        self.touch();
         self.ctx_names = names;
-        self.dirty = true;
     }
 
     /// Updates the tracer-dropped count for `id`'s stream.
     pub fn set_dropped(&mut self, id: StreamId, dropped: u64) {
+        self.touch();
         self.streams[id.0].dropped = dropped;
-        self.dirty = true;
     }
 
     /// Closes every stream and seals the session. Snapshots taken
@@ -302,8 +419,15 @@ impl IngestSession {
         for i in 0..self.streams.len() {
             self.close_stream(StreamId(i));
         }
+        self.touch();
         self.finished = true;
+    }
+
+    /// Marks the cached epoch stale and drops the session's reference
+    /// to it, so a store no reader holds is mutated in place.
+    fn touch(&mut self) {
         self.dirty = true;
+        self.cache = None;
     }
 
     /// Whether [`finish`](Self::finish) ran.
@@ -321,14 +445,19 @@ impl IngestSession {
         self.streams.iter().map(|s| s.bytes_in).sum()
     }
 
-    /// Events in the committed (epoch-shared) store.
+    /// Events in the committed (epoch-shared) store: the committed
+    /// prefix, or in sequential mode the base.
     pub fn committed_events(&self) -> usize {
         self.committed.events.len()
     }
 
-    /// Placed events still awaiting the commit watermark.
+    /// Placed events still awaiting the commit watermark, or in
+    /// sequential mode the merge into the base.
     pub fn pending_events(&self) -> usize {
-        self.streams.iter().map(|s| s.pending.len()).sum()
+        self.streams
+            .iter()
+            .map(|s| s.pending.len() + s.run.len())
+            .sum()
     }
 
     /// Snapshot epochs taken so far.
@@ -338,9 +467,23 @@ impl IngestSession {
 
     /// The incremental work of the last committed-index update: how
     /// many index blocks the most recent snapshot's commits rebuilt.
-    /// `None` until a snapshot has built the index.
+    /// In sequential mode an epoch that only grew the overlays
+    /// rebuilds no blocks. `None` until a snapshot has built an index.
     pub fn last_delta(&self) -> Option<IndexDelta> {
         self.last_delta
+    }
+
+    /// Events committed out of order by an exact sorted splice — only
+    /// corrupt input that breaks a watermark bound does this.
+    pub fn splices(&self) -> u64 {
+        self.splices
+    }
+
+    /// Indexes built from scratch over the whole committed store (or,
+    /// for an epoch whose overlays cannot be answered apart, over the
+    /// merged epoch).
+    pub fn full_rebuilds(&self) -> u64 {
+        self.full_rebuilds
     }
 
     /// Pulls newly decoded records out of stream `i`'s cursor and
@@ -357,34 +500,30 @@ impl IngestSession {
     /// anchor candidates); SPE records accumulate decrementer time or
     /// park until their anchor is final.
     fn place_record(&mut self, i: usize, r: TraceRecord) {
-        let seq = self.streams[i].rec_idx;
-        self.streams[i].rec_idx += 1;
-        match &mut self.streams[i].place {
+        let sequential = self.sequential();
+        let s = &mut self.streams[i];
+        let seq = s.rec_idx;
+        s.rec_idx += 1;
+        let ev = match &mut s.place {
             Placement::Ppe { last_time } => {
-                if r.code == EventCode::PpeCtxRun && r.params.len() >= 3 {
+                if let Some(anchor) = anchor_of(&r) {
                     let cand = Candidate {
                         stream: i,
                         rec: seq,
-                        anchor: SpeAnchor {
-                            spe: r.params[1] as u8,
-                            ctx: r.params[0] as u32,
-                            run_tb: r.timestamp,
-                            dec_start: r.params[2] as u32,
-                        },
+                        anchor,
                     };
                     offer(&mut self.best, cand);
                 }
                 *last_time = Some(r.timestamp);
-                let ev = GlobalEvent {
+                GlobalEvent {
                     time_tb: r.timestamp,
                     core: r.core, // records carry per-thread tags
                     code: r.code,
                     params: r.params,
                     stream_seq: seq,
-                };
-                push_pending(&mut self.streams[i], ev);
+                }
             }
-            Placement::SpeWaiting { held } => held.push(r),
+            Placement::SpeWaiting { held } => return held.push(r),
             Placement::SpeAnchored {
                 run_tb,
                 elapsed,
@@ -393,17 +532,17 @@ impl IngestSession {
                 let dec = r.timestamp as u32;
                 *elapsed += prev_dec.wrapping_sub(dec) as u64;
                 *prev_dec = dec;
-                let ev = GlobalEvent {
+                GlobalEvent {
                     time_tb: run_tb.wrapping_add(*elapsed),
-                    core: self.streams[i].core,
+                    core: s.core,
                     code: r.code,
                     params: r.params,
                     stream_seq: seq,
-                };
-                push_pending(&mut self.streams[i], ev);
+                }
             }
-            Placement::SpeUnanchored => {} // decoded but unusable
-        }
+            Placement::SpeUnanchored => return, // decoded but unusable
+        };
+        s.place(ev, sequential);
     }
 
     /// Promotes waiting SPE streams whose anchor became final: the best
@@ -413,14 +552,15 @@ impl IngestSession {
     /// candidate, the stream is unanchored and its records discarded —
     /// also the one-shot rule.
     fn resolve_anchors(&mut self) {
-        let all_ppe_closed = self.streams.iter().all(|s| s.core.is_spe() || s.closed);
+        let all_ppe_closed = self.expected.is_none_or(|n| self.streams.len() >= n)
+            && self.streams.iter().all(|s| s.core.is_spe() || s.closed);
         for i in 0..self.streams.len() {
             let TraceCore::Spe(spe) = self.streams[i].core else {
                 continue;
             };
-            let Placement::SpeWaiting { .. } = self.streams[i].place else {
+            if !matches!(self.streams[i].place, Placement::SpeWaiting { .. }) {
                 continue;
-            };
+            }
             let winner = self.best.iter().find(|c| c.anchor.spe == spe).copied();
             match winner {
                 Some(c)
@@ -428,16 +568,14 @@ impl IngestSession {
                         .iter()
                         .all(|s| s.core.is_spe() || s.closed) =>
                 {
-                    let held = match std::mem::replace(
-                        &mut self.streams[i].place,
-                        Placement::SpeAnchored {
-                            run_tb: c.anchor.run_tb,
-                            elapsed: 0,
-                            prev_dec: c.anchor.dec_start,
-                        },
-                    ) {
+                    let anchored = Placement::SpeAnchored {
+                        run_tb: c.anchor.run_tb,
+                        elapsed: 0,
+                        prev_dec: c.anchor.dec_start,
+                    };
+                    let held = match std::mem::replace(&mut self.streams[i].place, anchored) {
                         Placement::SpeWaiting { held } => held,
-                        _ => unreachable!(),
+                        _ => Vec::new(), // not reached: the stream was waiting
                     };
                     // Replay parked records through the now-final
                     // anchor; their sequence numbers were assigned on
@@ -457,8 +595,9 @@ impl IngestSession {
     }
 
     /// Commits every pending event below the watermark into the shared
-    /// store, splicing (and marking the index dirty) if corrupt input
-    /// violated a bound.
+    /// store. A key below the last committed one can only come from
+    /// corrupt input that broke a bound: it is spliced into its exact
+    /// position, and the index is rebuilt at the next snapshot.
     fn flush_commits(&mut self) {
         let threshold: Option<(SortKey, usize)> = self
             .streams
@@ -490,46 +629,20 @@ impl IngestSession {
             let e = &self.streams[j].pending[heads[j]];
             heads[j] += 1;
             let cols = Arc::make_mut(&mut self.committed);
-            let n = cols.events.len();
-            let in_order = n == 0 || {
-                let last = (
-                    (
-                        cols.events.times()[n - 1],
-                        cols.events.tags()[n - 1],
-                        cols.events.seq(n - 1),
-                    ),
-                    self.committed_src[n - 1] as usize,
-                );
-                pair >= last
+            let src = &self.committed_src;
+            let key_at = |i: usize| {
+                let ev = &cols.events;
+                ((ev.times()[i], ev.tags()[i], ev.seq(i)), src[i] as usize)
             };
-            if in_order {
+            let n = cols.events.len();
+            if n == 0 || pair >= key_at(n - 1) {
                 cols.push_event(e.time_tb, e.core, e.code, &e.params, e.stream_seq);
                 self.committed_src.push(j as u32);
             } else {
-                // A bound was violated (non-monotone PPE timestamps):
-                // splice into the exact sorted position and rebuild
-                // the index once at the next snapshot.
-                let src = &self.committed_src;
-                let (mut lo, mut hi) = (0usize, n);
-                while lo < hi {
-                    let mid = (lo + hi) / 2;
-                    let at = (
-                        (
-                            cols.events.times()[mid],
-                            cols.events.tags()[mid],
-                            cols.events.seq(mid),
-                        ),
-                        src[mid] as usize,
-                    );
-                    if at < pair {
-                        lo = mid + 1;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                let pos = lo;
+                let pos = crate::oneshot::upper_bound(0, n, |i| key_at(i) < pair);
                 cols.insert_event(pos, e.time_tb, e.core, e.code, &e.params, e.stream_seq);
                 self.committed_src.insert(pos, j as u32);
+                self.splices += 1;
                 self.index_dirty = true;
             }
         }
@@ -540,35 +653,43 @@ impl IngestSession {
         }
     }
 
-    /// Takes an immutable snapshot epoch: the committed store plus a
-    /// preview of every open stream's undecoded carry, exactly what the
-    /// one-shot analysis of all bytes appended so far would produce.
-    /// Cheap when nothing changed (returns the cached epoch) and after
-    /// [`finish`](Self::finish) (shares the committed store).
+    /// Takes an immutable snapshot epoch: everything placed so far plus
+    /// a preview of every open stream's undecoded carry, exactly what
+    /// the one-shot analysis of all bytes appended so far would
+    /// produce. Cheap when nothing changed (returns the cached epoch)
+    /// and after [`finish`](Self::finish) (shares the committed store).
     pub fn snapshot(&mut self) -> Arc<Analysis> {
         if !self.dirty {
             if let Some(cached) = &self.cache {
                 return Arc::clone(cached);
             }
         }
-        self.flush_commits();
+        if !self.sequential() {
+            self.flush_commits();
+        }
+        let preview = self.preview();
+        let epoch = Arc::new(if self.sequential() {
+            self.overlay_epoch(preview)
+        } else {
+            self.watermark_epoch(preview)
+        });
+        self.cache = Some(Arc::clone(&epoch));
+        self.dirty = false;
+        self.epochs += 1;
+        epoch
+    }
 
-        // Preview: finish a clone of each open cursor (cheap — only
-        // the undecoded carry bytes are cloned), then run the preview
-        // records through cloned placement state. Preview PPE
-        // candidates can anchor still-waiting SPE streams for this
-        // snapshot only.
+    /// Finishes a clone of each open cursor (cheap — only the undecoded
+    /// carry bytes are cloned) and runs the preview records through
+    /// cloned placement state. Preview PPE candidates can anchor
+    /// still-waiting SPE streams for this snapshot only.
+    fn preview(&self) -> Preview {
         let mut prev_records: Vec<Vec<TraceRecord>> = Vec::with_capacity(self.streams.len());
         let mut prev_gaps: Vec<Vec<DecodeGap>> = Vec::with_capacity(self.streams.len());
         for s in &self.streams {
-            if s.closed {
-                prev_records.push(Vec::new());
-                prev_gaps.push(Vec::new());
-            } else {
-                let p = s.cursor.finish_preview();
-                prev_records.push(p.records);
-                prev_gaps.push(p.gaps);
-            }
+            let p = s.cursor.finish_preview();
+            prev_records.push(p.records);
+            prev_gaps.push(p.gaps);
         }
         let mut merged: Vec<Candidate> = self.best.clone();
         for (i, s) in self.streams.iter().enumerate() {
@@ -576,18 +697,14 @@ impl IngestSession {
                 continue;
             }
             for (k, r) in prev_records[i].iter().enumerate() {
-                if r.code == EventCode::PpeCtxRun && r.params.len() >= 3 {
+                if let Some(anchor) = anchor_of(r) {
+                    let rec = s.rec_idx + k as u64;
                     offer(
                         &mut merged,
                         Candidate {
                             stream: i,
-                            rec: s.rec_idx + k as u64,
-                            anchor: SpeAnchor {
-                                spe: r.params[1] as u8,
-                                ctx: r.params[0] as u32,
-                                run_tb: r.timestamp,
-                                dec_start: r.params[2] as u32,
-                            },
+                            rec,
+                            anchor,
                         },
                     );
                 }
@@ -601,27 +718,30 @@ impl IngestSession {
             ordered.into_iter().map(|c| c.anchor).collect()
         };
 
-        // Place preview records through cloned state, assemble the
-        // snapshot tail and the per-stream loss accounting.
-        let mut tail: Vec<(SortKey, usize, GlobalEvent)> = Vec::new();
+        let mut placed: Vec<Vec<GlobalEvent>> = Vec::with_capacity(self.streams.len());
         let mut losses: Vec<StreamLoss> = Vec::with_capacity(self.streams.len());
         for (i, s) in self.streams.iter().enumerate() {
-            for e in &s.pending {
-                tail.push((key(e), i, e.clone()));
-            }
-            let total_records = s.cursor.decoded_total() + prev_records[i].len() as u64;
+            let records = &prev_records[i];
+            let total_records = s.cursor.decoded_total() + records.len() as u64;
+            let spe_event = |time_tb, r: &TraceRecord, stream_seq| GlobalEvent {
+                time_tb,
+                core: s.core,
+                code: r.code,
+                params: r.params.clone(),
+                stream_seq,
+            };
+            let mut events = Vec::new();
             let mut unanchored = false;
             match &s.place {
                 Placement::Ppe { .. } => {
-                    for (seq, r) in (s.rec_idx..).zip(prev_records[i].iter()) {
-                        let ev = GlobalEvent {
+                    for (seq, r) in (s.rec_idx..).zip(records) {
+                        events.push(GlobalEvent {
                             time_tb: r.timestamp,
                             core: r.core,
                             code: r.code,
                             params: r.params.clone(),
                             stream_seq: seq,
-                        };
-                        tail.push((key(&ev), i, ev));
+                        });
                     }
                 }
                 Placement::SpeAnchored {
@@ -630,40 +750,26 @@ impl IngestSession {
                     prev_dec,
                 } => {
                     let (mut elapsed, mut prev_dec) = (*elapsed, *prev_dec);
-                    for (seq, r) in (s.rec_idx..).zip(prev_records[i].iter()) {
+                    for (seq, r) in (s.rec_idx..).zip(records) {
                         let dec = r.timestamp as u32;
                         elapsed += prev_dec.wrapping_sub(dec) as u64;
                         prev_dec = dec;
-                        let ev = GlobalEvent {
-                            time_tb: run_tb.wrapping_add(elapsed),
-                            core: s.core,
-                            code: r.code,
-                            params: r.params.clone(),
-                            stream_seq: seq,
-                        };
-                        tail.push((key(&ev), i, ev));
+                        events.push(spe_event(run_tb.wrapping_add(elapsed), r, seq));
                     }
                 }
                 Placement::SpeWaiting { held } => {
-                    let TraceCore::Spe(spe) = s.core else {
-                        unreachable!("waiting placement is SPE-only")
-                    };
-                    match merged.iter().find(|c| c.anchor.spe == spe) {
+                    let winner = merged
+                        .iter()
+                        .find(|c| TraceCore::Spe(c.anchor.spe) == s.core);
+                    match winner {
                         Some(c) => {
                             let a = c.anchor;
                             let (mut elapsed, mut prev_dec) = (0u64, a.dec_start);
-                            for (k, r) in held.iter().chain(prev_records[i].iter()).enumerate() {
+                            for (seq, r) in (0..).zip(held.iter().chain(records)) {
                                 let dec = r.timestamp as u32;
                                 elapsed += prev_dec.wrapping_sub(dec) as u64;
                                 prev_dec = dec;
-                                let ev = GlobalEvent {
-                                    time_tb: a.run_tb.wrapping_add(elapsed),
-                                    core: s.core,
-                                    code: r.code,
-                                    params: r.params.clone(),
-                                    stream_seq: k as u64,
-                                };
-                                tail.push((key(&ev), i, ev));
+                                events.push(spe_event(a.run_tb.wrapping_add(elapsed), r, seq));
                             }
                         }
                         None => unanchored = total_records > 0,
@@ -671,42 +777,72 @@ impl IngestSession {
                 }
                 Placement::SpeUnanchored => unanchored = total_records > 0,
             }
+            placed.push(events);
+            let mut gaps = s.gaps.clone();
+            gaps.append(&mut prev_gaps[i]);
             losses.push(StreamLoss {
                 core: s.core,
                 decoded_records: total_records,
                 tracer_dropped: s.dropped,
-                gaps: {
-                    let mut g = s.gaps.clone();
-                    g.extend(prev_gaps[i].iter().cloned());
-                    g
-                },
+                gaps,
                 unanchored,
             });
         }
+        Preview {
+            anchors,
+            loss: LossReport { streams: losses },
+            placed,
+        }
+    }
+
+    /// The epoch's metadata: header, anchors, drop total and names.
+    fn meta(&self, anchors: Vec<SpeAnchor>) -> ColumnarTrace {
+        let mut meta = ColumnarTrace::empty(self.header);
+        meta.set_anchors(anchors);
+        meta.set_dropped(self.streams.iter().map(|s| s.dropped).sum());
+        meta.set_ctx_names(&self.ctx_names);
+        meta
+    }
+
+    /// Watermark mode: the committed store plus the sorted uncommitted
+    /// tail (pending and preview events), with the committed index
+    /// extended over it.
+    fn watermark_epoch(&mut self, preview: Preview) -> Analysis {
+        let Preview {
+            anchors,
+            loss,
+            placed,
+        } = preview;
+        let mut tail: Vec<(SortKey, usize, GlobalEvent)> = Vec::new();
+        for (i, (s, events)) in self.streams.iter().zip(placed).enumerate() {
+            tail.extend(s.pending.iter().map(|e| (key(e), i, e.clone())));
+            tail.extend(events.into_iter().map(|e| (key(&e), i, e)));
+        }
         tail.sort_unstable_by_key(|&(k, src, _)| (k, src));
-        let loss = LossReport { streams: losses };
-        let dropped_total: u64 = self.streams.iter().map(|s| s.dropped).sum();
 
         // Refresh the committed store's metadata and grow its index
         // incrementally; the delta is this epoch's incremental cost.
+        let meta = self.meta(anchors);
         {
             let cols = Arc::make_mut(&mut self.committed);
-            cols.set_anchors(anchors.clone());
-            cols.set_dropped(dropped_total);
+            cols.set_anchors(meta.anchors.clone());
+            cols.set_dropped(meta.dropped);
             cols.set_ctx_names(&self.ctx_names);
         }
         let committed_intervals = build_intervals_columns(&self.committed);
-        if self.index_dirty {
+        if std::mem::take(&mut self.index_dirty) {
             self.index = None;
-            self.index_dirty = false;
         }
-        let delta = match &mut self.index {
-            Some(idx) => idx.extend_columns(
-                &self.committed,
-                &committed_intervals,
-                &loss,
-                self.par.workers(),
-            ),
+        let (index, delta) = match self.index.take() {
+            Some(mut idx) => {
+                let d = Arc::make_mut(&mut idx).extend_columns(
+                    &self.committed,
+                    &committed_intervals,
+                    &loss,
+                    self.par.workers(),
+                );
+                (idx, d)
+            }
             None => {
                 let idx = TraceIndex::build_columns(
                     &self.committed,
@@ -723,89 +859,219 @@ impl IngestSession {
                     coarsened: false,
                     full_rebuild: true,
                 };
-                self.index = Some(idx);
-                d
+                (Arc::new(idx), d)
             }
         };
+        if delta.full_rebuild {
+            self.full_rebuilds += 1;
+        }
         self.last_delta = Some(delta);
 
-        // Snapshot columns: share the committed store outright when
-        // there is no tail; otherwise clone it and append the tail
-        // (or, for corrupt non-monotone input whose tail interleaves
-        // with committed events, merge from scratch).
+        // Share the committed store outright when there is no tail;
+        // otherwise clone it and append the tail, or — for corrupt
+        // non-monotone input whose tail interleaves with committed
+        // events — merge from scratch and leave the index to the epoch.
         let n = self.committed.events.len();
-        let (snap_cols, can_extend) = if tail.is_empty() {
-            (Arc::clone(&self.committed), true)
-        } else {
-            let fast = n == 0 || {
-                let ev = &self.committed.events;
-                let last = (
-                    (ev.times()[n - 1], ev.tags()[n - 1], ev.seq(n - 1)),
-                    self.committed_src[n - 1] as usize,
-                );
-                (tail[0].0, tail[0].1) >= last
-            };
-            if fast {
-                let mut c = (*self.committed).clone();
-                for (_, _, e) in &tail {
-                    c.push_event(e.time_tb, e.core, e.code, &e.params, e.stream_seq);
-                }
-                (Arc::new(c), true)
-            } else {
-                let mut c = ColumnarTrace::empty(self.header);
-                c.set_anchors(anchors);
-                c.set_dropped(dropped_total);
-                c.set_ctx_names(&self.ctx_names);
-                let ev = &self.committed.events;
-                let times = ev.times();
-                let tags = ev.tags();
-                let (mut ci, mut ti) = (0usize, 0usize);
-                while ci < n || ti < tail.len() {
-                    let from_committed = match (ci < n, tail.get(ti)) {
-                        (true, Some(t)) => {
-                            (
-                                (times[ci], tags[ci], ev.seq(ci)),
-                                self.committed_src[ci] as usize,
-                            ) < (t.0, t.1)
-                        }
-                        (true, None) => true,
-                        (false, _) => false,
-                    };
-                    if from_committed {
-                        c.push_event(
-                            times[ci],
-                            ev.core(ci),
-                            ev.codes()[ci],
-                            ev.params(ci),
-                            ev.seq(ci),
-                        );
-                        ci += 1;
-                    } else {
-                        let (_, _, e) = &tail[ti];
-                        c.push_event(e.time_tb, e.core, e.code, &e.params, e.stream_seq);
-                        ti += 1;
-                    }
-                }
-                (Arc::new(c), false)
-            }
+        let fast = n == 0 || {
+            let ev = &self.committed.events;
+            tail.first().is_none_or(|t| {
+                let last = (ev.times()[n - 1], ev.tags()[n - 1], ev.seq(n - 1));
+                (t.0, t.1) >= (last, self.committed_src[n - 1] as usize)
+            })
         };
+        let analysis = if tail.is_empty() {
+            let a = Analysis::from_shared(Arc::clone(&self.committed), loss, self.par);
+            a.preset_intervals(committed_intervals);
+            a.preset_index(Arc::clone(&index));
+            a
+        } else if fast {
+            let mut c = (*self.committed).clone();
+            for (_, _, e) in &tail {
+                c.push_event(e.time_tb, e.core, e.code, &e.params, e.stream_seq);
+            }
+            let snap_intervals = build_intervals_columns(&c);
+            let mut idx = (*index).clone();
+            let _ = idx.extend_columns(&c, &snap_intervals, &loss, self.par.workers());
+            let a = Analysis::from_shared(Arc::new(c), loss, self.par);
+            a.preset_intervals(snap_intervals);
+            a.preset_index(Arc::new(idx));
+            a
+        } else {
+            let mut runs: Vec<StreamRun> = (self.streams.iter().enumerate())
+                .map(|(i, s)| StreamRun::new(i, s.core))
+                .collect();
+            for (_, i, e) in &tail {
+                runs[*i].push(e.time_tb, e.core, e.code, &e.params, e.stream_seq);
+            }
+            let runs: Vec<&StreamRun> = runs.iter().collect();
+            let (events, _) = merge(&self.committed.events, Some(&self.committed_src), &runs);
+            self.full_rebuilds += 1;
+            Analysis::from_shared(Arc::new(meta.with_events(events)), loss, self.par)
+        };
+        self.index = Some(index);
+        analysis
+    }
 
-        let snap_intervals = build_intervals_columns(&snap_cols);
-        let snap_index = can_extend.then(|| {
-            let mut idx = self.index.clone().expect("committed index built above");
-            let _ = idx.extend_columns(&snap_cols, &snap_intervals, &loss, self.par.workers());
-            idx
-        });
-        let analysis = Analysis::from_shared(Arc::clone(&snap_cols), loss, self.par);
-        analysis.preset_intervals(snap_intervals);
-        if let Some(idx) = snap_index {
-            analysis.preset_index(idx);
+    /// Sequential mode: merges settled streams into the base, then
+    /// builds the epoch — the base alone when no stream is open, the
+    /// base plus one overlay part per open stream when the parts can
+    /// be answered apart, else the merged epoch.
+    fn overlay_epoch(&mut self, preview: Preview) -> Analysis {
+        let Preview {
+            anchors,
+            loss,
+            placed,
+        } = preview;
+        self.merge_settled();
+        let meta = self.meta(anchors);
+        let mut parts = Vec::new();
+        for (s, events) in self.streams.iter().zip(placed) {
+            if s.run.len() == 0 && events.is_empty() {
+                continue;
+            }
+            let mut tail = s.run.continuation();
+            for e in &events {
+                tail.push(e.time_tb, e.core, e.code, &e.params, e.stream_seq);
+            }
+            parts.push(Part::new(Arc::clone(&s.run), tail));
         }
-        let epoch = Arc::new(analysis);
-        self.cache = Some(Arc::clone(&epoch));
-        self.dirty = false;
-        self.epochs += 1;
-        epoch
+        let base_events = self.committed.events.len();
+        let total = base_events + parts.iter().map(Part::len).sum::<usize>();
+
+        let rebuilt = self.index_dirty;
+        if rebuilt {
+            self.rebuild_base_index(&loss);
+        }
+        if parts.is_empty() && (self.index.is_none() || self.index_loss == loss) {
+            // Every stream is in the base and the base index is current:
+            // share both, refreshing the metadata the epoch changed.
+            let base = &self.committed;
+            if base.anchors != meta.anchors
+                || base.dropped != meta.dropped
+                || !base.ctx_entries().eq(meta.ctx_entries())
+            {
+                let base = Arc::make_mut(&mut self.committed);
+                base.set_anchors(meta.anchors.clone());
+                base.set_dropped(meta.dropped);
+                base.set_ctx_names(&self.ctx_names);
+            }
+            let a = Analysis::from_shared(Arc::clone(&self.committed), loss, self.par);
+            if let Some(idx) = &self.index {
+                a.preset_index(Arc::clone(idx));
+            }
+            self.last_events = total;
+            return a;
+        }
+        if let Some(idx) = self.index.as_ref().filter(|_| !rebuilt) {
+            self.last_delta = Some(IndexDelta {
+                appended_events: total.saturating_sub(self.last_events),
+                blocks_total: idx.total_blocks(),
+                blocks_rebuilt: 0,
+                lanes_total: idx.spes().count(),
+                lanes_rebuilt: 0,
+                coarsened: false,
+                full_rebuild: false,
+            });
+        }
+        self.last_events = total;
+
+        // The parts answer apart only if each stream owns its cores and
+        // each core's times run forward (see `crate::overlay`).
+        let mut classes: Vec<Option<u8>> = self.streams.iter().map(StreamState::class).collect();
+        classes.sort_unstable();
+        let owned = classes.windows(2).all(|w| w[0] != w[1]);
+        if !(owned && parts.iter().all(Part::ordered)) {
+            let runs: Vec<&StreamRun> = parts.iter().flat_map(Part::runs).collect();
+            let (events, _) = merge(&self.committed.events, Some(&self.committed_src), &runs);
+            self.full_rebuilds += 1;
+            return Analysis::from_shared(Arc::new(meta.with_events(events)), loss, self.par);
+        }
+
+        let span = parts
+            .iter()
+            .filter_map(Part::span)
+            .chain((base_events > 0).then(|| (self.committed.start_tb(), self.committed.end_tb())))
+            .reduce(|(a, b), (c, d)| (a.min(c), b.max(d)))
+            .unwrap_or((0, 0));
+        let suspects = suspect_ranges_with(&loss, span.0, span.1, |si, seq| {
+            if let Some(known) = &self.streams[si].in_base {
+                let at = known.partition_point(|&(s, _)| s < seq);
+                return known.get(at).filter(|&&(s, _)| s == seq).map(|&(_, t)| t);
+            }
+            parts
+                .iter()
+                .find(|p| p.stream() == si)
+                .and_then(|p| p.time_of_seq(seq))
+        });
+        let overlay = Overlay {
+            meta,
+            base: Arc::clone(&self.committed),
+            base_index: self.index.clone(),
+            parts,
+            suspects,
+            merged: OnceLock::new(),
+        };
+        Analysis::from_overlay(overlay, loss, self.par)
+    }
+
+    /// Sequential mode: folds every settled stream's run into the base
+    /// with one linear merge, remembering the event times its gaps are
+    /// bracketed by, and marks the base index for a rebuild.
+    fn merge_settled(&mut self) {
+        let ready: Vec<usize> = (0..self.streams.len())
+            .filter(|&i| self.streams[i].settled() && self.streams[i].in_base.is_none())
+            .collect();
+        if ready.is_empty() {
+            return;
+        }
+        let runs: Vec<&StreamRun> = ready
+            .iter()
+            .map(|&i| self.streams[i].run.as_ref())
+            .filter(|r| r.len() > 0)
+            .collect();
+        if !runs.is_empty() {
+            let (events, src) = merge(&self.committed.events, Some(&self.committed_src), &runs);
+            self.committed = Arc::new(self.committed.with_events(events));
+            self.committed_src = src;
+            self.index_dirty = true;
+        }
+        for i in ready {
+            let s = &mut self.streams[i];
+            let mut known: Vec<(u64, u64)> = (s.gaps.iter())
+                .flat_map(|g| [g.records_before.checked_sub(1), Some(g.records_before)])
+                .flatten()
+                .filter_map(|seq| s.run.time_of_seq(seq).map(|t| (seq, t)))
+                .collect();
+            known.sort_unstable();
+            known.dedup();
+            s.in_base = Some(known);
+            s.run = Arc::new(StreamRun::new(i, s.core));
+        }
+    }
+
+    /// Rebuilds the base index from scratch, once per merge. Its suspect
+    /// ranges follow `loss`; an epoch whose loss has moved on answers
+    /// windows as an overlay epoch instead of rebuilding.
+    fn rebuild_base_index(&mut self, loss: &LossReport) {
+        self.index_dirty = false;
+        if self.committed.events.is_empty() {
+            self.index = None;
+            return;
+        }
+        let intervals = build_intervals_columns(&self.committed);
+        let idx = TraceIndex::build_columns(&self.committed, &intervals, loss, self.par.workers());
+        self.last_delta = Some(IndexDelta {
+            appended_events: self.committed.events.len(),
+            blocks_total: idx.total_blocks(),
+            blocks_rebuilt: idx.total_blocks(),
+            lanes_total: intervals.len(),
+            lanes_rebuilt: intervals.len(),
+            coarsened: false,
+            full_rebuild: true,
+        });
+        self.index = Some(Arc::new(idx));
+        self.index_loss = loss.clone();
+        self.full_rebuilds += 1;
     }
 }
 
@@ -814,8 +1080,8 @@ impl IngestSession {
 enum ImageState {
     /// Waiting for magic + header (36 bytes).
     Header,
-    /// Waiting for the u32 stream count.
-    StreamCount,
+    /// Waiting for the u32 stream count that follows `header`.
+    StreamCount { header: TraceHeader },
     /// Waiting for the next 20-byte stream directory entry.
     StreamHeader { left: u32 },
     /// Streaming `left` record bytes into stream `id`.
@@ -885,13 +1151,14 @@ impl ImageIngest {
         self.state == ImageState::Done
     }
 
-    /// The inner session, once the header has arrived.
+    /// The inner session, once the header and stream count have
+    /// arrived.
     pub fn session(&self) -> Option<&IngestSession> {
         self.session.as_ref()
     }
 
     /// Takes a snapshot of the inner session; `None` until the header
-    /// has arrived.
+    /// and stream count have arrived.
     pub fn snapshot(&mut self) -> Option<Arc<Analysis>> {
         self.session.as_mut().map(IngestSession::snapshot)
     }
@@ -930,15 +1197,16 @@ impl ImageIngest {
                         spe_buffer_bytes: le_u32(&self.carry[32..36]),
                     };
                     self.carry.clear();
-                    self.session = Some(IngestSession::new(header).with_parallelism(self.par));
-                    self.state = ImageState::StreamCount;
+                    self.state = ImageState::StreamCount { header };
                 }
-                ImageState::StreamCount => {
+                ImageState::StreamCount { header } => {
                     if !fill(&mut self.carry, 4, &mut chunk) {
                         return Ok(());
                     }
                     let n = le_u32(&self.carry[..4]);
                     self.carry.clear();
+                    let session = IngestSession::new(header).with_parallelism(self.par);
+                    self.session = Some(session.expect_streams(n as usize));
                     self.state = if n == 0 {
                         ImageState::NameCount
                     } else {
@@ -953,7 +1221,7 @@ impl ImageIngest {
                     let len = le_u64(&self.carry[4..12]);
                     let dropped = le_u64(&self.carry[12..20]);
                     self.carry.clear();
-                    let session = self.session.as_mut().expect("header parsed");
+                    let session = header_session(&mut self.session)?;
                     let id = session.add_stream(core, dropped);
                     if len == 0 {
                         session.close_stream(id);
@@ -972,7 +1240,7 @@ impl ImageIngest {
                     streams_left,
                 } => {
                     let take = (left.min(chunk.len() as u64)) as usize;
-                    let session = self.session.as_mut().expect("header parsed");
+                    let session = header_session(&mut self.session)?;
                     session.append(id, &chunk[..take]);
                     chunk = &chunk[take..];
                     let left = left - take as u64;
@@ -994,7 +1262,7 @@ impl ImageIngest {
                     let n = le_u32(&self.carry[..4]);
                     self.carry.clear();
                     if n == 0 {
-                        self.complete();
+                        self.complete()?;
                     } else {
                         self.state = ImageState::NameHeader { left: n };
                     }
@@ -1009,7 +1277,7 @@ impl ImageIngest {
                     if len == 0 {
                         self.names.push((ctx, String::new()));
                         if left == 1 {
-                            self.complete();
+                            self.complete()?;
                         } else {
                             self.state = ImageState::NameHeader { left: left - 1 };
                         }
@@ -1025,7 +1293,7 @@ impl ImageIngest {
                         .map_err(|_| FormatError::BadName)?;
                     self.names.push((ctx, name));
                     if left == 1 {
-                        self.complete();
+                        self.complete()?;
                     } else {
                         self.state = ImageState::NameHeader { left: left - 1 };
                     }
@@ -1048,7 +1316,7 @@ impl ImageIngest {
         match self.state {
             ImageState::Done => Ok(()),
             ImageState::Header => Err(FormatError::Truncated { reading: "header" }),
-            ImageState::StreamCount => Err(FormatError::Truncated {
+            ImageState::StreamCount { .. } => Err(FormatError::Truncated {
                 reading: "stream count",
             }),
             ImageState::StreamHeader { .. } => Err(FormatError::Truncated {
@@ -1070,11 +1338,12 @@ impl ImageIngest {
     }
 
     /// Seals the session once the name table has fully arrived.
-    fn complete(&mut self) {
-        let session = self.session.as_mut().expect("header parsed");
+    fn complete(&mut self) -> Result<(), FormatError> {
+        let session = header_session(&mut self.session)?;
         session.set_ctx_names(std::mem::take(&mut self.names));
         session.finish();
         self.state = ImageState::Done;
+        Ok(())
     }
 }
 
@@ -1095,12 +1364,26 @@ fn next_stream_state(streams_left: u32) -> ImageState {
     }
 }
 
+/// The session the header and stream count created. Every parse state
+/// past `StreamCount` has one; reaching one without it reads as a
+/// truncated header rather than a panic.
+fn header_session(session: &mut Option<IngestSession>) -> Result<&mut IngestSession, FormatError> {
+    session
+        .as_mut()
+        .ok_or(FormatError::Truncated { reading: "header" })
+}
+
+/// Little-endian value of `b`, at most 8 bytes long.
+fn le(b: &[u8]) -> u64 {
+    b.iter().rev().fold(0, |acc, &x| acc << 8 | u64::from(x))
+}
+
 fn le_u32(b: &[u8]) -> u32 {
-    u32::from_le_bytes(b.try_into().expect("4 bytes"))
+    le(b) as u32
 }
 
 fn le_u64(b: &[u8]) -> u64 {
-    u64::from_le_bytes(b.try_into().expect("8 bytes"))
+    le(b)
 }
 
 /// Offers `cand` into a best-per-SPE list, keeping the minimal
@@ -1116,14 +1399,17 @@ fn offer(best: &mut Vec<Candidate>, cand: Candidate) {
     }
 }
 
-/// Appends `ev` to the stream's pending list, tracking sortedness.
-fn push_pending(s: &mut StreamState, ev: GlobalEvent) {
-    if let Some(last) = s.pending.last() {
-        if key(&ev) < key(last) {
-            s.pending_sorted = false;
-        }
+/// The sync anchor a `PpeCtxRun` record offers, if it is one.
+fn anchor_of(r: &TraceRecord) -> Option<SpeAnchor> {
+    match r.params[..] {
+        [ctx, spe, dec_start, ..] if r.code == EventCode::PpeCtxRun => Some(SpeAnchor {
+            spe: spe as u8,
+            ctx: ctx as u32,
+            run_tb: r.timestamp,
+            dec_start: dec_start as u32,
+        }),
+        _ => None,
     }
-    s.pending.push(ev);
 }
 
 #[cfg(test)]

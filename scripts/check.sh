@@ -98,9 +98,11 @@ echo "== streaming-ingestion differential suite =="
 cargo test -q --test stream_differential
 
 echo "== streaming-ingestion smoke =="
-# Chunked-vs-oneshot parity on the goldens, plus the incremental
-# bound: appending a ~1% tail after a snapshot may rebuild at most 5%
-# of index blocks. Emits BENCH_stream.json at the repo root.
+# Chunked-vs-oneshot parity on the goldens; the incremental bound:
+# appending a ~1% tail after a snapshot may rebuild at most 5% of
+# index blocks; and the follow bound: clean goldens and the storm trace
+# fed in 120 appends splice nothing and rebuild the index at most once
+# per stream. Emits BENCH_stream.json at the repo root.
 cargo run -q --release -p bench --bin stream_smoke
 
 echo "== v2-container differential + corruption suites =="
@@ -125,8 +127,9 @@ cargo run -q --release -p bench --bin volume_smoke
 
 echo "== ta-serve / ta-cli follow smoke =="
 # The live-tail front ends must serve a golden end to end: ta-serve
-# answers the full command set over stdin, and ta-cli follow tails a
-# complete file to its summary.
+# answers the full command set over stdin without splicing, refuses
+# oversized and unknown request lines without dropping the session,
+# and ta-cli follow tails a complete file to its summary.
 serve_out=$(printf 'open tests/golden/matmul.pdt\nsummary\nsummarize 0 4000\nloss\nevents 5\nstats\nquit\n' \
   | cargo run -q --release -p ta --bin ta-serve)
 if printf '%s\n' "$serve_out" | grep -q '^err '; then
@@ -137,6 +140,16 @@ fi
 printf '%s\n' "$serve_out" | grep -q 'complete=true' || { echo "ta-serve never completed the image" >&2; exit 1; }
 printf '%s\n' "$serve_out" | grep -q 'PDT trace summary' || { echo "ta-serve summary missing" >&2; exit 1; }
 printf '%s\n' "$serve_out" | grep -q '^ok tasks=' || { echo "ta-serve stats missing" >&2; exit 1; }
+# A clean v1 image is followed without a single out-of-order splice.
+printf '%s\n' "$serve_out" | grep -q '^ok tasks=.* splices=0 ' || { echo "ta-serve spliced a clean image" >&2; exit 1; }
+# An oversized request line and an unknown command are refused, and the
+# session keeps answering afterwards.
+long_line=$(head -c 70000 /dev/zero | tr '\0' 'x')
+bad_out=$(printf 'open tests/golden/matmul.pdt\n%s\nbogus\nsummary\nquit\n' "$long_line" \
+  | cargo run -q --release -p ta --bin ta-serve)
+printf '%s\n' "$bad_out" | grep -q '^err line too long$' || { echo "ta-serve accepted an oversized line" >&2; exit 1; }
+printf '%s\n' "$bad_out" | grep -q '^err unknown command' || { echo "ta-serve accepted an unknown command" >&2; exit 1; }
+printf '%s\n' "$bad_out" | grep -q 'PDT trace summary' || { echo "ta-serve stopped answering after a bad line" >&2; exit 1; }
 cargo run -q --release -p ta --bin ta-cli -- follow tests/golden/stream.pdt --max-polls 2 \
   | grep -q 'PDT trace summary' || { echo "ta-cli follow failed" >&2; exit 1; }
 

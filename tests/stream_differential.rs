@@ -11,8 +11,8 @@
 
 use std::sync::Arc;
 
-use pdt::TraceFile;
-use ta::{Analysis, ImageIngest, Parallelism};
+use pdt::{TraceFile, TraceStream};
+use ta::{Analysis, ImageIngest, IngestSession, Parallelism, StreamId};
 
 #[path = "common/goldens.rs"]
 mod goldens;
@@ -183,4 +183,191 @@ fn concurrent_readers_during_ingest() {
     let seen = reader.join().unwrap();
     assert_eq!(seen, one.events().len());
     assert_identical("pipeline.pdt", &last, &one, "concurrent ingest");
+}
+
+/// The trace a `.pdt` image's first `n` bytes describe, as
+/// [`ImageIngest`] sees it: the header, every stream whose directory
+/// entry has arrived (its record bytes cut at `n`), and the name table
+/// only once the image is complete. `None` before the header.
+fn prefix_trace(full: &TraceFile, image_len: usize, n: usize) -> Option<TraceFile> {
+    if n < 40 {
+        return None;
+    }
+    let mut streams = Vec::new();
+    let mut off = 40;
+    for s in &full.streams {
+        if off + 20 > n {
+            break;
+        }
+        off += 20;
+        let have = (n - off).min(s.bytes.len());
+        streams.push(TraceStream {
+            core: s.core,
+            bytes: s.bytes[..have].to_vec(),
+            dropped: s.dropped,
+        });
+        off += s.bytes.len();
+    }
+    Some(TraceFile {
+        header: full.header,
+        streams,
+        ctx_names: if n == image_len {
+            full.ctx_names.clone()
+        } else {
+            Vec::new()
+        },
+    })
+}
+
+/// Follows `full`'s image in 120 equal appends as `ta-serve` does:
+/// after each append the epoch's event count, three window summaries
+/// (all, first half, newest 1%) and its last five events must equal
+/// the one-shot analysis of the same byte prefix, and the final epoch
+/// the one-shot analysis of the whole trace. Returns the session's
+/// `(splices, full_rebuilds)`.
+fn follow_matches_prefixes(name: &str, full: &TraceFile) -> (u64, u64) {
+    let image = full.to_bytes();
+    let mut ing = ImageIngest::new().with_parallelism(Parallelism::Workers(2));
+    let step = image.len().div_ceil(120);
+    let mut at = 0;
+    while at < image.len() {
+        let end = (at + step).min(image.len());
+        ing.push(&image[at..end]).unwrap();
+        at = end;
+        let (Some(snap), Some(prefix)) = (ing.snapshot(), prefix_trace(full, image.len(), at))
+        else {
+            continue;
+        };
+        let one = Analysis::of(&prefix)
+            .parallelism(Parallelism::Serial)
+            .run()
+            .unwrap();
+        let how = format!("{name} at byte {at}");
+        let n = one.columns().events.len();
+        assert_eq!(snap.event_count(), n, "{how}: event count");
+        if n > 0 {
+            let (t0, t1) = (one.columns().start_tb(), one.columns().end_tb() + 1);
+            let newest = t1 - (t1 - t0).div_ceil(100);
+            for (a, b) in [(t0, t1), (t0, t0 + (t1 - t0) / 2), (newest, t1)] {
+                assert_eq!(
+                    snap.summarize(a, b),
+                    one.summarize(a, b),
+                    "{how}: [{a}, {b})"
+                );
+            }
+        }
+        let (se, oe) = (&snap.columns().events, &one.columns().events);
+        let last = |ev: &ta::EventColumns| {
+            (ev.len().saturating_sub(5)..ev.len())
+                .map(|i| ev.view(i).to_event())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(last(se), last(oe), "{how}: events 5");
+    }
+    assert!(ing.is_complete(), "{name}");
+    let one = Analysis::of(full)
+        .parallelism(Parallelism::Workers(2))
+        .run()
+        .unwrap();
+    assert_identical(name, &ing.snapshot().unwrap(), &one, "120 appends");
+    let session = ing.session().unwrap();
+    (session.splices(), session.full_rebuilds())
+}
+
+/// Every golden followed in 120 appends matches the one-shot analysis
+/// of each byte prefix. Clean goldens do it without a splice, and every
+/// golden with at most one full index rebuild per stream directory
+/// entry.
+#[test]
+fn hundred_twenty_appends_match_prefix_oneshot() {
+    for name in GOLDEN {
+        let full = TraceFile::read_from(golden_path(name)).unwrap();
+        let (splices, rebuilds) = follow_matches_prefixes(name, &full);
+        if !name.contains("faulted") {
+            assert_eq!(splices, 0, "{name}: splices");
+        }
+        let streams = full.streams.len() as u64;
+        assert!(
+            rebuilds <= streams,
+            "{name}: {rebuilds} full rebuilds for {streams} streams"
+        );
+    }
+}
+
+/// Stream layouts the tracer never writes still follow exactly: SPE
+/// streams ahead of the PPE stream that anchors them (their records
+/// wait for the anchor after the stream closed), and two streams
+/// recording the same SPE (the overlay decomposition does not apply,
+/// so epochs merge up front).
+#[test]
+fn unusual_stream_layouts_follow_exactly() {
+    let base = TraceFile::read_from(golden_path("pipeline.pdt")).unwrap();
+    let mut ppe_last = base.clone();
+    ppe_last.streams.rotate_left(1);
+    let mut shared_core = base.clone();
+    let copy = shared_core.streams[1].clone();
+    shared_core.streams.push(copy);
+    for (name, trace) in [("ppe-last", ppe_last), ("shared-core", shared_core)] {
+        let (splices, _) = follow_matches_prefixes(name, &trace);
+        assert_eq!(splices, 0, "{name}: splices");
+    }
+}
+
+/// Corrupt input that breaks the watermark — PPE records written out
+/// of time order — must still commit through the exact splice path
+/// and match the serial row oracle.
+#[test]
+fn non_monotone_ppe_stream_splices_exactly() {
+    let mut trace = TraceFile::read_from(golden_path("pipeline.pdt")).unwrap();
+    let ppe = trace.streams.iter_mut().find(|s| !s.core.is_spe()).unwrap();
+    let mut records = pdt::decode_stream(&ppe.bytes).unwrap();
+    let late = (1..records.len() - 1)
+        .find(|&k| records[k].code != pdt::EventCode::PpeCtxRun)
+        .unwrap();
+    let moved = records.remove(late);
+    records.push(moved); // its timestamp now runs backwards
+    ppe.bytes.clear();
+    for r in &records {
+        r.encode_into(&mut ppe.bytes);
+    }
+
+    let mut s = IngestSession::new(trace.header).with_parallelism(Parallelism::Workers(2));
+    let ids: Vec<StreamId> = (trace.streams.iter())
+        .map(|st| s.add_stream(st.core, st.dropped))
+        .collect();
+    s.set_ctx_names(trace.ctx_names.clone());
+    // Everything but the late record first, so the events it belongs
+    // before are already committed when it arrives.
+    let ppe_at = trace
+        .streams
+        .iter()
+        .position(|st| !st.core.is_spe())
+        .unwrap();
+    let ppe_bytes = &trace.streams[ppe_at].bytes;
+    let cut = ppe_bytes.len() - records.last().unwrap().encoded_len();
+    for (i, st) in trace.streams.iter().enumerate() {
+        let bytes = if i == ppe_at {
+            &st.bytes[..cut]
+        } else {
+            &st.bytes[..]
+        };
+        for piece in bytes.chunks(48) {
+            s.append(ids[i], piece);
+            let _ = s.snapshot();
+        }
+        if i != ppe_at {
+            s.close_stream(ids[i]);
+        }
+    }
+    let _ = s.snapshot();
+    s.append(ids[ppe_at], &ppe_bytes[cut..]);
+    s.finish();
+    let snap = s.snapshot();
+    assert!(s.splices() > 0, "the late PPE record must be spliced");
+    let oracle = ta::analyze(&trace).unwrap();
+    assert_eq!(snap.analyzed().events, oracle.events);
+    assert_eq!(snap.analyzed().anchors, oracle.anchors);
+    let one = Analysis::of(&trace).run().unwrap();
+    assert_eq!(snap.index(), one.index());
+    assert_eq!(snap.stats(), one.stats());
 }
