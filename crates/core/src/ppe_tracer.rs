@@ -12,7 +12,7 @@ use cellsim::{PpeThreadId, PpeTracer, RuntimeEvent};
 use crate::config::TracingConfig;
 use crate::event::encode_event;
 use crate::record::{TraceCore, TraceRecord};
-use crate::sink::PpeStreamHandle;
+use crate::sink::{lock, PpeStreamHandle};
 
 /// PPE-side PDT tracer (one per machine, shared by both hardware
 /// threads).
@@ -50,7 +50,7 @@ impl PpeTracer for PdtPpeTracer {
         record.encode_into(&mut self.scratch);
         let nparams = record.params.len();
         {
-            let mut s = self.shared.lock();
+            let mut s = lock(&self.shared);
             s.bytes.extend_from_slice(&self.scratch);
             s.records += 1;
             if let Some(name) = enc.ctx_name {
@@ -92,7 +92,7 @@ mod tests {
                 dec_start: u32::MAX,
             },
         );
-        let s = shared.lock();
+        let s = lock(&shared);
         assert_eq!(s.records, 2);
         assert_eq!(s.ctx_names, vec![(0, "fft".to_string())]);
         let recs = decode_stream(&s.bytes).unwrap();
@@ -118,6 +118,6 @@ mod tests {
             },
         );
         assert_eq!(c, cfg.overhead.disabled_check_cycles);
-        assert_eq!(shared.lock().records, 0);
+        assert_eq!(lock(&shared).records, 0);
     }
 }

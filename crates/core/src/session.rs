@@ -12,7 +12,7 @@ use crate::config::{TracingConfig, TracingConfigError};
 use crate::format::{TraceFile, TraceHeader, TraceStream, VERSION};
 use crate::ppe_tracer::PdtPpeTracer;
 use crate::record::TraceCore;
-use crate::sink::{new_ppe_handle, new_spe_handle, PpeStreamHandle, SpeStreamHandle};
+use crate::sink::{lock, new_ppe_handle, new_spe_handle, PpeStreamHandle, SpeStreamHandle};
 use crate::spe_tracer::PdtSpeTracer;
 
 /// A live tracing session bound to one machine.
@@ -113,7 +113,7 @@ impl TraceSession {
     pub fn collect(&self, machine: &Machine) -> TraceFile {
         let mut streams = Vec::with_capacity(1 + self.num_spes);
         {
-            let ppe = self.ppe_handle.lock();
+            let ppe = lock(&self.ppe_handle);
             streams.push(TraceStream {
                 core: TraceCore::Ppe(0),
                 bytes: ppe.bytes.clone(),
@@ -121,7 +121,7 @@ impl TraceSession {
             });
         }
         for (i, handle) in self.spe_handles.iter().enumerate() {
-            let shared = handle.lock();
+            let shared = lock(handle);
             let used = shared.region_used;
             let base = self.cfg.region_base + i as u64 * self.cfg.region_per_spe;
             let mut bytes = vec![0u8; used as usize];
@@ -135,7 +135,7 @@ impl TraceSession {
                 dropped: shared.stats.dropped,
             });
         }
-        let ctx_names = self.ppe_handle.lock().ctx_names.clone();
+        let ctx_names = lock(&self.ppe_handle).ctx_names.clone();
         TraceFile {
             header: TraceHeader {
                 version: VERSION,
@@ -154,12 +154,12 @@ impl TraceSession {
 
     /// Per-SPE record/drop counters (for overhead reports).
     pub fn spe_stats(&self) -> Vec<crate::buffer::BufferStats> {
-        self.spe_handles.iter().map(|h| h.lock().stats).collect()
+        self.spe_handles.iter().map(|h| lock(h).stats).collect()
     }
 
     /// PPE records written.
     pub fn ppe_records(&self) -> u64 {
-        self.ppe_handle.lock().records
+        lock(&self.ppe_handle).records
     }
 }
 

@@ -6,9 +6,7 @@
 //! counters and (for the PPE) the host-side trace bytes, so it can
 //! assemble the trace file after the run.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::buffer::BufferStats;
 
@@ -49,6 +47,18 @@ pub type SpeStreamHandle = Arc<Mutex<SpeStreamShared>>;
 /// Shared handle to the PPE stream state.
 pub type PpeStreamHandle = Arc<Mutex<PpeStreamShared>>;
 
+/// Locks a stream handle.
+///
+/// # Panics
+///
+/// If a tracer panicked while holding the lock: its update (bytes
+/// appended, record count not yet bumped) may be half done.
+pub(crate) fn lock<T>(handle: &Mutex<T>) -> MutexGuard<'_, T> {
+    handle
+        .lock()
+        .expect("a tracer panicked while updating its stream handle")
+}
+
 /// Creates a fresh SPE stream handle.
 pub fn new_spe_handle() -> SpeStreamHandle {
     Arc::new(Mutex::new(SpeStreamShared::default()))
@@ -67,16 +77,16 @@ mod tests {
     fn handles_share_state() {
         let h = new_spe_handle();
         let h2 = h.clone();
-        h.lock().region_used = 42;
-        assert_eq!(h2.lock().region_used, 42);
+        lock(&h).region_used = 42;
+        assert_eq!(lock(&h2).region_used, 42);
     }
 
     #[test]
     fn ppe_handle_accumulates() {
         let h = new_ppe_handle();
-        h.lock().bytes.extend_from_slice(&[1, 2, 3]);
-        h.lock().ctx_names.push((0, "a".into()));
-        assert_eq!(h.lock().bytes.len(), 3);
-        assert_eq!(h.lock().ctx_names[0].1, "a");
+        lock(&h).bytes.extend_from_slice(&[1, 2, 3]);
+        lock(&h).ctx_names.push((0, "a".into()));
+        assert_eq!(lock(&h).bytes.len(), 3);
+        assert_eq!(lock(&h).ctx_names[0].1, "a");
     }
 }

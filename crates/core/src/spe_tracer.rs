@@ -14,7 +14,7 @@ use crate::buffer::SpeTraceBuffer;
 use crate::config::TracingConfig;
 use crate::event::encode_event;
 use crate::record::{TraceCore, TraceRecord};
-use crate::sink::SpeStreamHandle;
+use crate::sink::{lock, SpeStreamHandle};
 
 /// SPE-side PDT tracer, one per SPE.
 #[derive(Debug)]
@@ -57,7 +57,7 @@ impl PdtSpeTracer {
 
     fn publish(&self) {
         if let Some(buf) = &self.buffer {
-            let mut s = self.shared.lock();
+            let mut s = lock(&self.shared);
             s.stats = buf.stats;
             s.region_used = buf.region_used();
         }
@@ -155,7 +155,7 @@ mod tests {
         let cost = tr.on_event(SpeId::new(0), 12345, &dma_event(), &mut ls);
         assert!(cost.cycles >= OverheadModel::default().spe_event_cycles);
         assert!(cost.flush.is_none());
-        assert_eq!(shared.lock().stats.records, 1);
+        assert_eq!(lock(&shared).stats.records, 1);
     }
 
     #[test]
@@ -167,7 +167,7 @@ mod tests {
         tr.attach(SpeId::new(0), &mut ls);
         let cost = tr.on_event(SpeId::new(0), 1, &dma_event(), &mut ls);
         assert_eq!(cost.cycles, cfg.overhead.disabled_check_cycles);
-        assert_eq!(shared.lock().stats.records, 0);
+        assert_eq!(lock(&shared).stats.records, 0);
     }
 
     #[test]
@@ -275,6 +275,6 @@ mod control_tests {
         assert_eq!(recs.len(), 4, "records: {ids:?}");
         assert_eq!(recs[1].params[0], TRACE_DISABLE_ID as u64);
         assert_eq!(recs[2].params[0], TRACE_ENABLE_ID as u64);
-        assert_eq!(shared.lock().stats.records, 4);
+        assert_eq!(lock(&shared).stats.records, 4);
     }
 }

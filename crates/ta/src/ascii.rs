@@ -8,6 +8,8 @@
 //! .  idle (outside the context's lifetime)
 //! ```
 
+use std::io;
+
 use crate::intervals::ActivityKind;
 use crate::timeline::Timeline;
 
@@ -20,11 +22,15 @@ fn glyph(kind: ActivityKind) -> char {
     }
 }
 
-/// Renders a timeline as fixed-width text, `width` columns of chart per
+/// Writes a timeline as fixed-width text, `width` columns of chart per
 /// lane. Front door:
-/// [`Analysis::render`](crate::session::Analysis::render) with
-/// [`ReportKind::Ascii`](crate::report::ReportKind::Ascii).
-pub(crate) fn render_ascii_impl(timeline: &Timeline, width: usize) -> String {
+/// [`Analysis::write_report`](crate::session::Analysis::write_report)
+/// with [`ReportKind::Ascii`](crate::report::ReportKind::Ascii).
+pub(crate) fn write_ascii(
+    timeline: &Timeline,
+    width: usize,
+    out: &mut dyn io::Write,
+) -> io::Result<()> {
     let width = width.max(10);
     let label_w = timeline
         .lanes
@@ -34,13 +40,13 @@ pub(crate) fn render_ascii_impl(timeline: &Timeline, width: usize) -> String {
         .unwrap_or(4)
         .max(4);
     let span = timeline.span() as f64;
-    let mut out = String::new();
-    out.push_str(&format!(
-        "timeline {}..{} ticks ({} per column)\n",
+    writeln!(
+        out,
+        "timeline {}..{} ticks ({} per column)",
         timeline.start_tb,
         timeline.end_tb,
         (span / width as f64).ceil() as u64
-    ));
+    )?;
     for lane in &timeline.lanes {
         let mut row = vec!['.'; width];
         for seg in &lane.segments {
@@ -60,17 +66,18 @@ pub(crate) fn render_ascii_impl(timeline: &Timeline, width: usize) -> String {
                 row[c] = '|';
             }
         }
-        out.push_str(&format!(
-            "{:<label_w$} {}\n",
+        writeln!(
+            out,
+            "{:<label_w$} {}",
             lane.label,
             row.iter().collect::<String>()
-        ));
+        )?;
     }
-    out.push_str(&format!(
-        "{:<label_w$} {}\n",
-        "", "legend: = compute, d dma-wait, m mbox-wait, s sig-wait, | event, . idle"
-    ));
-    out
+    writeln!(
+        out,
+        "{:<label_w$} legend: = compute, d dma-wait, m mbox-wait, s sig-wait, | event, . idle",
+        ""
+    )
 }
 
 #[cfg(test)]
@@ -78,6 +85,12 @@ mod tests {
     use super::*;
     use crate::timeline::{Lane, Marker, Segment};
     use pdt::{EventCode, TraceCore};
+
+    fn render(t: &Timeline, width: usize) -> String {
+        let mut out = Vec::new();
+        write_ascii(t, width, &mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
 
     fn timeline() -> Timeline {
         Timeline {
@@ -116,7 +129,7 @@ mod tests {
 
     #[test]
     fn rows_show_expected_glyphs() {
-        let s = render_ascii_impl(&timeline(), 20);
+        let s = render(&timeline(), 20);
         let lines: Vec<&str> = s.lines().collect();
         assert!(lines[0].contains("timeline 0..100"));
         assert!(lines[1].starts_with("PPE.0"));
@@ -131,13 +144,13 @@ mod tests {
 
     #[test]
     fn legend_is_present() {
-        let s = render_ascii_impl(&timeline(), 30);
+        let s = render(&timeline(), 30);
         assert!(s.contains("legend:"));
     }
 
     #[test]
     fn narrow_width_is_clamped() {
-        let s = render_ascii_impl(&timeline(), 1);
+        let s = render(&timeline(), 1);
         assert!(s.lines().count() >= 3);
     }
 }

@@ -33,8 +33,14 @@
 //! stderr; truncated v2 images degrade to loss accounting through the
 //! streaming reader instead of failing.
 //!
+//! Answers go to stdout through one buffered writer, and reports
+//! (`timeline`, `events`, `loss`, `report`) are streamed into it, or
+//! into the output file, as they are produced. A failed write, such as
+//! a closed pipe, ends the command with the error and exit status 1.
+//!
 //! `follow` streams a trace that is still being written: each poll
-//! ingests only the file's grown suffix through [`ta::ImageIngest`],
+//! seeks past the bytes already consumed, reads only the file's grown
+//! suffix and ingests it through [`ta::ImageIngest`],
 //! prints a progress line from an immutable snapshot, and renders the
 //! full summary once the image completes. A file that shrinks mid-tail
 //! is an error (the writer restarted; re-run `follow`).
@@ -64,6 +70,8 @@
 //! (shards run, threads spawned, busy time) to stderr after the
 //! command completes.
 
+use std::fs::File;
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -162,7 +170,57 @@ fn take_values(args: &mut Vec<String>, flag: &str) -> Result<Vec<String>, String
     Ok(out)
 }
 
-fn run() -> Result<(), String> {
+/// One line of an event listing: `time_tb,core,event,[params]`.
+fn write_event(out: &mut dyn Write, e: &ta::GlobalEvent) -> io::Result<()> {
+    writeln!(
+        out,
+        "{},{},{},{:?}",
+        e.time_tb,
+        e.core,
+        e.code.name(),
+        e.params
+    )
+}
+
+/// Streams one report to the file at `dest` through a `BufWriter`.
+fn write_report_to(
+    a: &Analysis,
+    kind: ReportKind,
+    opts: &RenderOptions,
+    dest: &str,
+) -> Result<(), String> {
+    let io_err = |e: io::Error| format!("{dest}: {e}");
+    let mut w = BufWriter::new(File::create(dest).map_err(io_err)?);
+    a.write_report(kind, opts, &mut w).map_err(io_err)?;
+    w.flush().map_err(io_err)
+}
+
+/// Why a command failed: the message printed to stderr before the
+/// exit with status 1.
+struct Failure(String);
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure(msg)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(msg: &str) -> Self {
+        Failure(msg.into())
+    }
+}
+
+/// An unlabelled I/O error is a failed write to stdout (a closed
+/// pipe, a full disk); file errors are labelled with their path.
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Self {
+        Failure(format!("stdout: {e}"))
+    }
+}
+
+/// Runs the command in `args`, writing its answer to `out`.
+fn run(out: &mut dyn Write) -> Result<(), Failure> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let strict = args.iter().any(|a| a == "--strict");
     args.retain(|a| a != "--strict");
@@ -181,25 +239,22 @@ fn run() -> Result<(), String> {
     match cmd.as_str() {
         "summary" => {
             let path = args.get(1).ok_or(usage)?;
-            print!("{}", load(path, strict, par)?.summary());
+            out.write_all(load(path, strict, par)?.summary().as_bytes())?;
         }
         "timeline" => {
             let path = args.get(1).ok_or(usage)?;
             let a = load(path, strict, par)?;
             match args.iter().position(|a| a == "--svg") {
                 Some(i) => {
-                    let out = args.get(i + 1).ok_or("--svg requires a path")?;
-                    std::fs::write(out, a.render(ReportKind::Svg, &RenderOptions::default()))
-                        .map_err(|e| e.to_string())?;
-                    println!("wrote {out}");
+                    let dest = args.get(i + 1).ok_or("--svg requires a path")?;
+                    write_report_to(&a, ReportKind::Svg, &RenderOptions::default(), dest)?;
+                    writeln!(out, "wrote {dest}")?;
                 }
-                None => print!(
-                    "{}",
-                    a.render(
-                        ReportKind::Ascii,
-                        &RenderOptions::default().with_ascii_width(120)
-                    )
-                ),
+                None => a.write_report(
+                    ReportKind::Ascii,
+                    &RenderOptions::default().with_ascii_width(120),
+                    out,
+                )?,
             }
         }
         "events" => {
@@ -210,22 +265,20 @@ fn run() -> Result<(), String> {
                     let core = parse_core(args.get(i + 1).ok_or("--core requires a core")?)?;
                     let filter = EventFilter::new().on_core(core);
                     for e in filter.apply(&a) {
-                        println!("{},{},{},{:?}", e.time_tb, e.core, e.code.name(), e.params);
+                        write_event(out, e)?;
                     }
                 }
-                None => print!("{}", a.render(ReportKind::Csv, &RenderOptions::default())),
+                None => a.write_report(ReportKind::Csv, &RenderOptions::default(), out)?,
             }
         }
         "loss" => {
             let path = args.get(1).ok_or(usage)?;
             let a = load(path, strict, par)?;
-            print!(
-                "{}",
-                a.render(
-                    ReportKind::Csv,
-                    &RenderOptions::default().with_csv(CsvTable::Loss)
-                )
-            );
+            a.write_report(
+                ReportKind::Csv,
+                &RenderOptions::default().with_csv(CsvTable::Loss),
+                out,
+            )?;
         }
         "phases" => {
             let path = args.get(1).ok_or(usage)?;
@@ -233,65 +286,66 @@ fn run() -> Result<(), String> {
             let analyzed = a.analyzed();
             let report = user_phases(analyzed);
             if report.phases.is_empty() {
-                println!("no user phases recorded");
+                writeln!(out, "no user phases recorded")?;
             }
             for p in &report.phases {
-                println!(
+                writeln!(
+                    out,
                     "phase {} on {}: {} .. {} ({:.2} µs)",
                     p.id,
                     p.core,
                     p.start_tb,
                     p.end_tb,
                     analyzed.tb_to_ns(p.ticks()) / 1000.0
-                );
+                )?;
             }
             if report.unmatched_begins + report.unmatched_ends > 0 {
-                println!(
+                writeln!(
+                    out,
                     "warning: {} unmatched begins, {} unmatched ends",
                     report.unmatched_begins, report.unmatched_ends
-                );
+                )?;
             }
         }
         "causality" => {
             let path = args.get(1).ok_or(usage)?;
             let a = load(path, strict, par)?;
             let v = ta::violations(a.analyzed());
-            println!("{} provable edges violated", v.len());
+            writeln!(out, "{} provable edges violated", v.len())?;
             for est in ta::estimate_skew(a.analyzed()) {
-                println!(
+                writeln!(
+                    out,
                     "SPE{}: shift +{} ticks (forced by {} edges, {} allowed)",
                     est.spe, est.shift_tb, est.forced_by, est.allowed_tb
-                );
+                )?;
             }
         }
         "occupancy" => {
             let path = args.get(1).ok_or(usage)?;
             let a = load(path, strict, par)?;
             for o in a.occupancy() {
-                println!(
+                writeln!(
+                    out,
                     "SPE{}: peak {} outstanding, mean {:.2}, >=2 outstanding {:.1}% of the time",
                     o.spe,
                     o.peak,
                     o.mean,
                     o.fraction_at_least(2) * 100.0
-                );
+                )?;
             }
         }
         "report" => {
             let path = args.get(1).ok_or(usage)?;
-            let out = args.get(2).ok_or("report needs an output path")?;
+            let dest = args.get(2).ok_or("report needs an output path")?;
             let a = load(path, strict, par)?;
-            let html = a.render(
-                ReportKind::Html,
-                &RenderOptions::default()
-                    .with_title(path)
-                    .with_svg(SvgOptions {
-                        width: 1100,
-                        ..SvgOptions::default()
-                    }),
-            );
-            std::fs::write(out, html).map_err(|e| e.to_string())?;
-            println!("wrote {out}");
+            let opts = RenderOptions::default()
+                .with_title(path)
+                .with_svg(SvgOptions {
+                    width: 1100,
+                    ..SvgOptions::default()
+                });
+            write_report_to(&a, ReportKind::Html, &opts, dest)?;
+            writeln!(out, "wrote {dest}")?;
         }
         "compare" => {
             let before = args.get(1).ok_or(usage)?;
@@ -300,7 +354,7 @@ fn run() -> Result<(), String> {
                 load(before, strict, par)?.analyzed(),
                 load(after, strict, par)?.analyzed(),
             );
-            print!("{}", c.render());
+            out.write_all(c.render().as_bytes())?;
         }
         "pack" => {
             let block_records = take_values(&mut args, "--block-records")?
@@ -314,7 +368,7 @@ fn run() -> Result<(), String> {
                 .transpose()?
                 .unwrap_or(DEFAULT_BLOCK_RECORDS);
             let input = args.get(1).ok_or("pack needs IN.pdt and OUT.pdt2")?;
-            let out = args.get(2).ok_or("pack needs IN.pdt and OUT.pdt2")?;
+            let dest = args.get(2).ok_or("pack needs IN.pdt and OUT.pdt2")?;
             let bytes = MappedImage::open(input).map_err(|e| format!("{input}: {e}"))?;
             // A v2 input is accepted too: unpack + repack re-blocks it.
             let trace = if is_v2_image(&bytes) {
@@ -323,25 +377,26 @@ fn run() -> Result<(), String> {
                 TraceFile::from_bytes(&bytes).map_err(|e| format!("{input}: {e}"))?
             };
             let image = pdt::pack(&trace, block_records);
-            std::fs::write(out, &image).map_err(|e| format!("{out}: {e}"))?;
-            println!(
-                "wrote {out}: {} -> {} bytes ({:.2}x, {block_records} records/block)",
+            std::fs::write(dest, &image).map_err(|e| format!("{dest}: {e}"))?;
+            writeln!(
+                out,
+                "wrote {dest}: {} -> {} bytes ({:.2}x, {block_records} records/block)",
                 bytes.len(),
                 image.len(),
                 bytes.len() as f64 / image.len().max(1) as f64,
-            );
+            )?;
         }
         "unpack" => {
             let input = args.get(1).ok_or("unpack needs IN.pdt2 and OUT.pdt")?;
-            let out = args.get(2).ok_or("unpack needs IN.pdt2 and OUT.pdt")?;
+            let dest = args.get(2).ok_or("unpack needs IN.pdt2 and OUT.pdt")?;
             let bytes = MappedImage::open(input).map_err(|e| format!("{input}: {e}"))?;
             if !is_v2_image(&bytes) {
-                return Err(format!("{input}: not a PDT2 image"));
+                return Err(format!("{input}: not a PDT2 image").into());
             }
             let trace = pdt::unpack(&bytes).map_err(|e| format!("{input}: {e}"))?;
             let v1 = trace.to_bytes();
-            std::fs::write(out, &v1).map_err(|e| format!("{out}: {e}"))?;
-            println!("wrote {out}: {} -> {} bytes", bytes.len(), v1.len());
+            std::fs::write(dest, &v1).map_err(|e| format!("{dest}: {e}"))?;
+            writeln!(out, "wrote {dest}: {} -> {} bytes", bytes.len(), v1.len())?;
         }
         "query" => {
             let summary = args.iter().any(|a| a == "--summary");
@@ -379,7 +434,7 @@ fn run() -> Result<(), String> {
                         }
                         let wq = v2.window_events(t0, t1);
                         for e in wq.events.iter().filter(|e| filter.matches(e)) {
-                            println!("{},{},{},{:?}", e.time_tb, e.core, e.code.name(), e.params);
+                            write_event(out, e)?;
                         }
                         if wq.suspect {
                             eprintln!(
@@ -407,7 +462,8 @@ fn run() -> Result<(), String> {
             );
             if summary {
                 let s = a.summarize(t0, t1);
-                println!(
+                writeln!(
+                    out,
                     "window [{}, {}) over trace [{}, {}]{}",
                     s.start_tb,
                     s.end_tb,
@@ -418,10 +474,10 @@ fn run() -> Result<(), String> {
                     } else {
                         ""
                     }
-                );
-                println!("{} event(s)", s.total_events());
+                )?;
+                writeln!(out, "{} event(s)", s.total_events())?;
                 for (core, n) in &s.events {
-                    println!("  {core}: {n}");
+                    writeln!(out, "  {core}: {n}")?;
                 }
                 for w in &s.activity {
                     let line = ta::ActivityKind::ALL
@@ -429,7 +485,7 @@ fn run() -> Result<(), String> {
                         .map(|&k| format!("{} {}", k.label(), w.ticks_of(k)))
                         .collect::<Vec<_>>()
                         .join(", ");
-                    println!("  SPE{} activity (ticks): {line}", w.spe);
+                    writeln!(out, "  SPE{} activity (ticks): {line}", w.spe)?;
                 }
                 return Ok(());
             }
@@ -445,7 +501,7 @@ fn run() -> Result<(), String> {
                 filter = filter.in_group(parse_group(&g)?);
             }
             for e in filter.apply(&a) {
-                println!("{},{},{},{:?}", e.time_tb, e.core, e.code.name(), e.params);
+                write_event(out, e)?;
             }
         }
         "lint" => {
@@ -474,14 +530,14 @@ fn run() -> Result<(), String> {
             let a = load(path, strict, par)?;
             let report = a.lint_with(&config);
             match format.as_str() {
-                "text" => print!("{}", report.render_text()),
-                "json" => print!("{}", report.to_json()),
-                "sarif" => print!("{}", report.to_sarif()),
-                other => return Err(format!("unknown --format {other:?} (text|json|sarif)")),
+                "text" => out.write_all(report.render_text().as_bytes())?,
+                "json" => out.write_all(report.to_json().as_bytes())?,
+                "sarif" => out.write_all(report.to_sarif().as_bytes())?,
+                other => return Err(format!("unknown --format {other:?} (text|json|sarif)").into()),
             }
             let firm = report.firm_errors().count();
             if firm > 0 {
-                return Err(format!("lint: {firm} firm error(s)"));
+                return Err(format!("lint: {firm} firm error(s)").into());
             }
         }
         "follow" => {
@@ -500,19 +556,27 @@ fn run() -> Result<(), String> {
                 .unwrap_or(0);
             let path = args.get(1).ok_or(usage)?;
             let mut ingest = ta::ImageIngest::new().with_parallelism(par);
+            let io_err = |e: io::Error| format!("{path}: {e}");
+            let mut suffix = Vec::new();
             let mut polls = 0u64;
             loop {
-                let data = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-                let consumed = ingest.bytes_consumed() as usize;
-                if data.len() < consumed {
+                // Only the grown suffix is read, as `ta-serve poll` does.
+                let mut file = File::open(path).map_err(io_err)?;
+                let len = file.metadata().map_err(io_err)?.len();
+                let consumed = ingest.bytes_consumed();
+                if len < consumed {
                     return Err(format!(
                         "{path} shrank below the {consumed} bytes already ingested"
-                    ));
+                    )
+                    .into());
                 }
-                if data.len() > consumed {
-                    ingest
-                        .push(&data[consumed..])
-                        .map_err(|e| format!("{path}: {e}"))?;
+                if len > consumed {
+                    file.seek(SeekFrom::Start(consumed)).map_err(io_err)?;
+                    suffix.clear();
+                    file.take(len - consumed)
+                        .read_to_end(&mut suffix)
+                        .map_err(io_err)?;
+                    ingest.push(&suffix).map_err(|e| format!("{path}: {e}"))?;
                     let events = ingest.snapshot().map_or(0, |a| a.event_count());
                     eprintln!(
                         "{} bytes, {events} event(s){}",
@@ -529,15 +593,15 @@ fn run() -> Result<(), String> {
                 }
                 polls += 1;
                 if max_polls != 0 && polls >= max_polls {
-                    return Err(format!("{path}: still incomplete after {polls} poll(s)"));
+                    return Err(format!("{path}: still incomplete after {polls} poll(s)").into());
                 }
                 std::thread::sleep(std::time::Duration::from_millis(poll_ms));
             }
             let snap = ingest.snapshot().ok_or("trace completed with no events")?;
-            print!("{}", snap.summary());
+            out.write_all(snap.summary().as_bytes())?;
         }
-        "--help" | "-h" => println!("{usage}"),
-        other => return Err(format!("unknown command {other:?}\n{usage}")),
+        "--help" | "-h" => writeln!(out, "{usage}")?,
+        other => return Err(format!("unknown command {other:?}\n{usage}").into()),
     }
     if exec_stats {
         let st = ta::exec::pool().stats();
@@ -552,10 +616,14 @@ fn run() -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    match run() {
+    let mut out = BufWriter::new(io::stdout().lock());
+    let result = run(&mut out);
+    // Flushed on failure too: `lint` fails after printing its report.
+    let flushed = out.flush().map_err(Failure::from);
+    match result.and(flushed) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("{e}");
+        Err(Failure(msg)) => {
+            eprintln!("{msg}");
             ExitCode::FAILURE
         }
     }

@@ -37,7 +37,7 @@
 use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::process::ExitCode;
 
-use ta::{ImageIngest, Parallelism};
+use ta::{CsvTable, ImageIngest, Parallelism, RenderOptions, ReportKind};
 
 /// Longest request line accepted, newline excluded.
 const MAX_LINE: usize = 64 * 1024;
@@ -90,7 +90,12 @@ impl Server {
                     _ => Err("summarize needs T0 T1".into()),
                 }
             }
-            "loss" => self.with_snapshot(|a| ta::loss_csv(a.loss())),
+            "loss" => self.with_snapshot(|a| {
+                a.render(
+                    ReportKind::Csv,
+                    &RenderOptions::default().with_csv(CsvTable::Loss),
+                )
+            }),
             "stats" => Ok(self.stats()),
             "events" => {
                 let n = parts.next().and_then(|v| v.parse::<usize>().ok());

@@ -1,80 +1,86 @@
 //! CSV export of events, intervals and statistics.
 
-use crate::analyze::AnalyzedTrace;
-use crate::intervals::SpeIntervals;
+use std::io;
+
+use crate::intervals::{ActivityKind, SpeIntervals};
 use crate::loss::LossReport;
+use crate::session::Analysis;
 use crate::stats::TraceStats;
 
-/// Exports every event as `time_tb,time_ns,core,event,params`.
-/// Front door: [`Analysis::render`](crate::session::Analysis::render)
+/// Writes every event, or those in the half-open window
+/// `[t0, t1)`, as `time_tb,time_ns,core,event,params`, one row at a
+/// time. A window is resolved through the session's index instead of
+/// a full rescan. Front door:
+/// [`Analysis::write_report`](crate::session::Analysis::write_report)
 /// with [`CsvTable::Events`](crate::report::CsvTable::Events).
-pub(crate) fn events_csv_impl(trace: &AnalyzedTrace) -> String {
-    events_csv_rows(trace, &trace.events)
-}
-
-/// Events CSV restricted to `[t0, t1)`, rows extracted through the
-/// session's index instead of a full rescan.
-pub(crate) fn events_csv_window_impl(a: &crate::session::Analysis, t0: u64, t1: u64) -> String {
+pub(crate) fn write_events(
+    a: &Analysis,
+    window: Option<(u64, u64)>,
+    out: &mut dyn io::Write,
+) -> io::Result<()> {
     let trace = a.analyzed();
-    let range = a.index().global_range(&trace.events, t0, t1);
-    events_csv_rows(trace, &trace.events[range])
-}
-
-fn events_csv_rows<'a>(
-    trace: &AnalyzedTrace,
-    events: impl IntoIterator<Item = &'a crate::analyze::GlobalEvent>,
-) -> String {
-    let mut out = String::from("time_tb,time_ns,core,event,params\n");
+    let events = match window {
+        Some((t0, t1)) => &trace.events[a.index().global_range(&trace.events, t0, t1)],
+        None => &trace.events[..],
+    };
+    out.write_all(b"time_tb,time_ns,core,event,params\n")?;
     for e in events {
-        let params = e
-            .params
-            .iter()
-            .map(|p| p.to_string())
-            .collect::<Vec<_>>()
-            .join(";");
-        out.push_str(&format!(
-            "{},{:.1},{},{},{}\n",
+        write!(
+            out,
+            "{},{:.1},{},{},",
             e.time_tb,
             trace.tb_to_ns(e.time_tb),
             e.core,
-            e.code.name(),
-            params
-        ));
+            e.code.name()
+        )?;
+        for (i, p) in e.params.iter().enumerate() {
+            if i > 0 {
+                out.write_all(b";")?;
+            }
+            write!(out, "{p}")?;
+        }
+        out.write_all(b"\n")?;
     }
-    out
+    Ok(())
 }
 
-/// Exports intervals as `spe,kind,start_tb,end_tb,ticks`.
-/// Front door: [`Analysis::render`](crate::session::Analysis::render)
+/// Writes intervals as `spe,kind,start_tb,end_tb,ticks`.
+/// Front door: [`Analysis::write_report`](crate::session::Analysis::write_report)
 /// with [`CsvTable::Intervals`](crate::report::CsvTable::Intervals).
-pub(crate) fn intervals_csv_impl(intervals: &[SpeIntervals]) -> String {
-    let mut out = String::from("spe,kind,start_tb,end_tb,ticks\n");
+pub(crate) fn write_intervals(
+    intervals: &[SpeIntervals],
+    out: &mut dyn io::Write,
+) -> io::Result<()> {
+    out.write_all(b"spe,kind,start_tb,end_tb,ticks\n")?;
     for s in intervals {
         for i in &s.intervals {
-            out.push_str(&format!(
-                "{},{},{},{},{}\n",
+            writeln!(
+                out,
+                "{},{},{},{},{}",
                 s.spe,
                 i.kind.label(),
                 i.start_tb,
                 i.end_tb,
                 i.ticks()
-            ));
+            )?;
         }
     }
-    out
+    Ok(())
 }
 
-/// Exports per-SPE activity as
+const ACTIVITY_HEADER: &[u8] =
+    b"spe,active_tb,compute_tb,dma_wait_tb,mbox_wait_tb,signal_wait_tb,utilization\n";
+
+/// Writes per-SPE activity as
 /// `spe,active_tb,compute_tb,dma_wait_tb,mbox_wait_tb,signal_wait_tb,utilization`.
-/// Front door: [`Analysis::render`](crate::session::Analysis::render)
+/// Front door: [`Analysis::write_report`](crate::session::Analysis::write_report)
 /// with [`CsvTable::Activity`](crate::report::CsvTable::Activity).
-pub(crate) fn activity_csv_impl(stats: &TraceStats) -> String {
-    let mut out = String::from(
-        "spe,active_tb,compute_tb,dma_wait_tb,mbox_wait_tb,signal_wait_tb,utilization\n",
-    );
+pub(crate) fn write_activity(stats: &TraceStats, out: &mut dyn io::Write) -> io::Result<()> {
+    out.write_all(ACTIVITY_HEADER)?;
     for s in &stats.spes {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{:.4}\n",
+        writeln!(
+            out,
+            "{},{},{},{},{},{},{:.4}",
             s.spe,
             s.active_tb,
             s.compute_tb,
@@ -82,22 +88,23 @@ pub(crate) fn activity_csv_impl(stats: &TraceStats) -> String {
             s.mbox_wait_tb,
             s.signal_wait_tb,
             s.utilization
-        ));
+        )?;
     }
-    out
+    Ok(())
 }
 
 /// Activity CSV computed from already-clipped interval sets (the
-/// windowed path): same columns as [`activity_csv_impl`], totals and
+/// windowed path): same columns as [`write_activity`], totals and
 /// utilization over each clipped window.
-pub(crate) fn activity_csv_window_impl(clipped: &[SpeIntervals]) -> String {
-    use crate::intervals::ActivityKind;
-    let mut out = String::from(
-        "spe,active_tb,compute_tb,dma_wait_tb,mbox_wait_tb,signal_wait_tb,utilization\n",
-    );
+pub(crate) fn write_activity_window(
+    clipped: &[SpeIntervals],
+    out: &mut dyn io::Write,
+) -> io::Result<()> {
+    out.write_all(ACTIVITY_HEADER)?;
     for s in clipped {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{:.4}\n",
+        writeln!(
+            out,
+            "{},{},{},{},{},{},{:.4}",
             s.spe,
             s.active(),
             s.total(ActivityKind::Compute),
@@ -105,19 +112,21 @@ pub(crate) fn activity_csv_window_impl(clipped: &[SpeIntervals]) -> String {
             s.total(ActivityKind::MboxWait),
             s.total(ActivityKind::SignalWait),
             s.utilization()
-        ));
+        )?;
     }
-    out
+    Ok(())
 }
 
-/// Exports loss accounting as
+/// Writes loss accounting as
 /// `stream,decoded,gaps,gap_bytes,est_lost,tracer_dropped,unanchored`.
-pub fn loss_csv(report: &LossReport) -> String {
-    let mut out =
-        String::from("stream,decoded,gaps,gap_bytes,est_lost,tracer_dropped,unanchored\n");
+/// Front door: [`Analysis::write_report`](crate::session::Analysis::write_report)
+/// with [`CsvTable::Loss`](crate::report::CsvTable::Loss).
+pub(crate) fn write_loss(report: &LossReport, out: &mut dyn io::Write) -> io::Result<()> {
+    out.write_all(b"stream,decoded,gaps,gap_bytes,est_lost,tracer_dropped,unanchored\n")?;
     for s in &report.streams {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{}\n",
+        writeln!(
+            out,
+            "{},{},{},{},{},{},{}",
             s.core,
             s.decoded_records,
             s.gaps.len(),
@@ -125,17 +134,24 @@ pub fn loss_csv(report: &LossReport) -> String {
             s.est_lost_records(),
             s.tracer_dropped,
             s.unanchored
-        ));
+        )?;
     }
-    out
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::GlobalEvent;
-    use crate::intervals::{ActivityKind, Interval};
+    use crate::analyze::{AnalyzedTrace, GlobalEvent};
+    use crate::intervals::Interval;
     use pdt::{EventCode, TraceCore, TraceHeader, VERSION};
+
+    /// What `write` puts into a `Vec`, as text.
+    fn text(write: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> String {
+        let mut out = Vec::new();
+        write(&mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
 
     fn trace() -> AnalyzedTrace {
         AnalyzedTrace {
@@ -164,7 +180,8 @@ mod tests {
 
     #[test]
     fn events_csv_has_header_and_rows() {
-        let csv = events_csv_impl(&trace());
+        let a = Analysis::from_analyzed(trace());
+        let csv = text(|out| write_events(&a, None, out));
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("time_tb,"));
@@ -183,14 +200,14 @@ mod tests {
                 kind: ActivityKind::Compute,
             }],
         }];
-        let csv = intervals_csv_impl(&iv);
+        let csv = text(|out| write_intervals(&iv, out));
         assert!(csv.contains("2,compute,0,100,100"));
     }
 
     #[test]
     fn activity_csv_rows() {
         let stats = crate::stats::compute_stats(&trace());
-        let csv = activity_csv_impl(&stats);
+        let csv = text(|out| write_activity(&stats, out));
         assert!(csv.starts_with("spe,active_tb"));
     }
 
@@ -211,7 +228,7 @@ mod tests {
                 unanchored: false,
             }],
         };
-        let csv = loss_csv(&report);
+        let csv = text(|out| write_loss(&report, out));
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(
             lines[0],

@@ -2,9 +2,10 @@
 //! histogram in one self-contained file — the closest thing to the
 //! original Trace Analyzer's GUI this reproduction ships.
 
-use crate::report::RenderOptions;
+use std::io;
+
+use crate::report::{RenderOptions, Report, SvgReport};
 use crate::session::Analysis;
-use crate::svg::render_svg_impl;
 
 fn escape(s: &str) -> String {
     s.replace('&', "&amp;")
@@ -12,80 +13,20 @@ fn escape(s: &str) -> String {
         .replace('>', "&gt;")
 }
 
-/// Renders a self-contained HTML report for a session. Front door:
-/// [`Analysis::render`](crate::session::Analysis::render) with
-/// [`ReportKind::Html`](crate::report::ReportKind::Html).
-pub(crate) fn html_report_impl(a: &Analysis, opts: &RenderOptions) -> String {
+/// Writes a self-contained HTML report for a session to `out`: the
+/// head, then the SVG timeline straight from its emitter, then the
+/// tables. Front door:
+/// [`Analysis::write_report`](crate::session::Analysis::write_report)
+/// with [`ReportKind::Html`](crate::report::ReportKind::Html).
+pub(crate) fn write_html(
+    a: &Analysis,
+    opts: &RenderOptions,
+    out: &mut dyn io::Write,
+) -> io::Result<()> {
     let trace = a.analyzed();
     let stats = a.stats();
-    let title = opts.title.as_str();
-    let svg = match opts.window {
-        Some((t0, t1)) => render_svg_impl(&a.timeline_window(t0, t1), &opts.svg),
-        None => render_svg_impl(a.timeline(), &opts.svg),
-    };
-
-    // Degraded-analysis section: present whenever loss accounting ran.
-    let loss = if a.loss().streams.is_empty() {
-        String::new()
-    } else {
-        format!(
-            "<h2>Loss accounting</h2>\n<pre>{}</pre>\n",
-            escape(&a.loss().render())
-        )
-    };
-
-    let mut rows = String::new();
-    for a in &stats.spes {
-        let f = |tb: u64| {
-            if a.active_tb == 0 {
-                0.0
-            } else {
-                tb as f64 / a.active_tb as f64 * 100.0
-            }
-        };
-        rows.push_str(&format!(
-            "<tr><td>SPE{}</td><td>{:.3}</td><td>{:.1}%</td><td>{:.1}%</td>\
-             <td>{:.1}%</td><td>{:.1}%</td><td>{:.1}%</td></tr>\n",
-            a.spe,
-            trace.tb_to_ns(a.active_tb) / 1e6,
-            f(a.compute_tb),
-            f(a.dma_wait_tb),
-            f(a.mbox_wait_tb),
-            f(a.signal_wait_tb),
-            a.utilization * 100.0
-        ));
-    }
-
-    let mut counts = String::new();
-    for (code, n) in stats.counts.sorted() {
-        counts.push_str(&format!(
-            "<tr><td><code>{}</code></td><td>{n}</td></tr>\n",
-            code.name()
-        ));
-    }
-
-    let mut hist = String::new();
-    if stats.dma.latency_ticks.count() > 0 {
-        let peak = stats
-            .dma
-            .latency_ticks
-            .buckets()
-            .iter()
-            .map(|(_, _, c)| *c)
-            .max()
-            .unwrap_or(1);
-        for (lo, hi, c) in stats.dma.latency_ticks.buckets() {
-            let w = (c as f64 / peak as f64 * 320.0).max(2.0);
-            hist.push_str(&format!(
-                "<tr><td>{:.2}–{:.2} µs</td>\
-                 <td><div class=\"bar\" style=\"width:{w:.0}px\"></div> {c}</td></tr>\n",
-                trace.tb_to_ns(lo) / 1000.0,
-                trace.tb_to_ns(hi) / 1000.0
-            ));
-        }
-    }
-
-    format!(
+    write!(
+        out,
         r#"<!DOCTYPE html>
 <html lang="en"><head><meta charset="utf-8"><title>{title}</title>
 <style>
@@ -103,38 +44,95 @@ td:first-child {{ text-align: left; }}
 span {span_ms:.3} ms · core {ghz:.2} GHz, timebase {tb_mhz:.2} MHz</p>
 
 <h2>Timeline</h2>
-{svg}
-
-<h2>Per-SPE activity</h2>
-<table>
-<tr><th>spe</th><th>active ms</th><th>compute</th><th>dma-wait</th>
-<th>mbox-wait</th><th>sig-wait</th><th>utilization</th></tr>
-{rows}</table>
-<p class="meta">mean utilization {mean_util:.1}% · imbalance {imb:.2}</p>
-
-<h2>DMA</h2>
-<p>{gets} gets, {puts} puts, {kib:.1} KiB; observed latency distribution:</p>
-<table>{hist}</table>
-
-<h2>Event counts</h2>
-<table><tr><th>event</th><th>count</th></tr>
-{counts}</table>
-
-{loss}</body></html>
 "#,
-        title = escape(title),
+        title = escape(&opts.title),
         spes = stats.spes.len(),
         events = trace.events.len(),
         dropped = trace.dropped,
         span_ms = trace.tb_to_ns(stats.duration_tb) / 1e6,
         ghz = trace.header.core_hz as f64 / 1e9,
         tb_mhz = (trace.header.core_hz / trace.header.timebase_divider) as f64 / 1e6,
+    )?;
+
+    SvgReport.write(a, opts, out)?;
+
+    out.write_all(
+        b"\n\n<h2>Per-SPE activity</h2>\n<table>\n\
+          <tr><th>spe</th><th>active ms</th><th>compute</th><th>dma-wait</th>\n\
+          <th>mbox-wait</th><th>sig-wait</th><th>utilization</th></tr>\n",
+    )?;
+    for a in &stats.spes {
+        let f = |tb: u64| {
+            if a.active_tb == 0 {
+                0.0
+            } else {
+                tb as f64 / a.active_tb as f64 * 100.0
+            }
+        };
+        writeln!(
+            out,
+            "<tr><td>SPE{}</td><td>{:.3}</td><td>{:.1}%</td><td>{:.1}%</td>\
+             <td>{:.1}%</td><td>{:.1}%</td><td>{:.1}%</td></tr>",
+            a.spe,
+            trace.tb_to_ns(a.active_tb) / 1e6,
+            f(a.compute_tb),
+            f(a.dma_wait_tb),
+            f(a.mbox_wait_tb),
+            f(a.signal_wait_tb),
+            a.utilization * 100.0
+        )?;
+    }
+    write!(
+        out,
+        r#"</table>
+<p class="meta">mean utilization {mean_util:.1}% · imbalance {imb:.2}</p>
+
+<h2>DMA</h2>
+<p>{gets} gets, {puts} puts, {kib:.1} KiB; observed latency distribution:</p>
+<table>"#,
         mean_util = stats.mean_utilization() * 100.0,
         imb = stats.imbalance(),
         gets = stats.dma.gets,
         puts = stats.dma.puts,
         kib = stats.dma.bytes as f64 / 1024.0,
-    )
+    )?;
+    let latency = &stats.dma.latency_ticks;
+    if latency.count() > 0 {
+        let buckets = latency.buckets();
+        let peak = buckets.iter().map(|(_, _, c)| *c).max().unwrap_or(1);
+        for (lo, hi, c) in buckets {
+            let w = (c as f64 / peak as f64 * 320.0).max(2.0);
+            writeln!(
+                out,
+                "<tr><td>{:.2}–{:.2} µs</td>\
+                 <td><div class=\"bar\" style=\"width:{w:.0}px\"></div> {c}</td></tr>",
+                trace.tb_to_ns(lo) / 1000.0,
+                trace.tb_to_ns(hi) / 1000.0
+            )?;
+        }
+    }
+    out.write_all(
+        b"</table>\n\n<h2>Event counts</h2>\n\
+          <table><tr><th>event</th><th>count</th></tr>\n",
+    )?;
+    for (code, n) in stats.counts.sorted() {
+        writeln!(
+            out,
+            "<tr><td><code>{}</code></td><td>{n}</td></tr>",
+            code.name()
+        )?;
+    }
+    out.write_all(b"</table>\n\n")?;
+
+    // Degraded-analysis section: present whenever loss accounting ran.
+    if !a.loss().streams.is_empty() {
+        write!(
+            out,
+            "<h2>Loss accounting</h2>\n<pre>{}</pre>\n",
+            escape(&a.loss().render())
+        )?;
+    }
+    out.write_all(b"</body></html>\n")
 }
 
 #[cfg(test)]
@@ -191,7 +189,7 @@ mod tests {
                 width: 1100,
                 ..SvgOptions::default()
             });
-        html_report_impl(&a, &opts)
+        a.render(crate::report::ReportKind::Html, &opts)
     }
 
     #[test]

@@ -79,7 +79,9 @@
 //! The deprecated render/export shims (`render_svg`, `render_ascii`,
 //! `html_report`, `events_csv`, `intervals_csv`, `activity_csv`,
 //! `EventFilter::apply_scan`) have been removed; route rendering
-//! through [`Analysis::render`] / [`Analysis::svg`] and queries
+//! through [`Analysis::write_report`], which streams to any
+//! `io::Write`, or its `String` wrappers [`Analysis::render`] /
+//! [`Analysis::svg`], and queries
 //! through [`Analysis::query`] or [`EventFilter::apply`]. The
 //! analysis-stage functions (`analyze`, `compute_stats`,
 //! `build_timeline`, `build_intervals`) remain public building blocks.
@@ -131,7 +133,6 @@ pub use causality::{
 };
 pub use columns::{ColumnarTrace, EventColumns, EventView, Interner, Sym};
 pub use compare::{compare_stats, compare_traces, Comparison, SpeDelta};
-pub use csv::loss_csv;
 pub use exec::{ExecPool, ExecStats, Parallelism};
 pub use faults::{FaultInjector, FaultKind, InjectedFault};
 pub use hb::{event_clocks, Access, AccessDir, ClockTable, HbIndex, RaceWitness, Space, VecClock};

@@ -4,8 +4,10 @@
 //! [`crate::svg`], [`crate::html`] and [`crate::ascii`] — each with its
 //! own free-function signature and option set. This module puts them
 //! behind one [`Report`] trait with one shared [`RenderOptions`]
-//! struct; [`Analysis::render`] is the front door and the old free
-//! functions are gone.
+//! struct. Every exporter writes to an [`io::Write`] sink:
+//! [`Analysis::write_report`] streams a report to a file or a pipe
+//! without holding the document in memory, and [`Analysis::render`]
+//! collects the same bytes into a `String`.
 //!
 //! ```
 //! use ta::{Analysis, RenderOptions, ReportKind};
@@ -25,10 +27,12 @@
 //! assert!(svg.contains("</svg>"));
 //! ```
 
+use std::io;
+
 use crate::session::Analysis;
 use crate::svg::SvgOptions;
 
-/// Which exporter [`Analysis::render`] runs.
+/// Which exporter [`Analysis::write_report`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReportKind {
     /// CSV table selected by [`RenderOptions::csv`].
@@ -122,8 +126,9 @@ impl RenderOptions {
 
 /// One exporter behind the unified interface.
 pub trait Report {
-    /// Renders `a` to this exporter's output format.
-    fn render(&self, a: &Analysis, opts: &RenderOptions) -> String;
+    /// Writes `a` in this exporter's output format to `out`. The only
+    /// errors are the sink's.
+    fn write(&self, a: &Analysis, opts: &RenderOptions, out: &mut dyn io::Write) -> io::Result<()>;
 }
 
 /// The CSV exporter; [`RenderOptions::csv`] selects the table.
@@ -143,45 +148,45 @@ pub struct HtmlReport;
 pub struct AsciiReport;
 
 impl Report for CsvReport {
-    fn render(&self, a: &Analysis, opts: &RenderOptions) -> String {
+    fn write(&self, a: &Analysis, opts: &RenderOptions, out: &mut dyn io::Write) -> io::Result<()> {
+        use crate::csv;
         match (opts.csv, opts.window) {
-            (CsvTable::Events, None) => crate::csv::events_csv_impl(a.analyzed()),
-            (CsvTable::Events, Some((t0, t1))) => crate::csv::events_csv_window_impl(a, t0, t1),
-            (CsvTable::Intervals, None) => crate::csv::intervals_csv_impl(a.intervals()),
+            (CsvTable::Events, window) => csv::write_events(a, window, out),
+            (CsvTable::Intervals, None) => csv::write_intervals(a.intervals(), out),
             (CsvTable::Intervals, Some((t0, t1))) => {
-                crate::csv::intervals_csv_impl(&a.intervals_window(t0, t1))
+                csv::write_intervals(&a.intervals_window(t0, t1), out)
             }
-            (CsvTable::Activity, None) => crate::csv::activity_csv_impl(a.stats()),
+            (CsvTable::Activity, None) => csv::write_activity(a.stats(), out),
             (CsvTable::Activity, Some((t0, t1))) => {
-                crate::csv::activity_csv_window_impl(&a.intervals_window(t0, t1))
+                csv::write_activity_window(&a.intervals_window(t0, t1), out)
             }
-            (CsvTable::Loss, _) => crate::csv::loss_csv(a.loss()),
+            (CsvTable::Loss, _) => csv::write_loss(a.loss(), out),
         }
     }
 }
 
 impl Report for SvgReport {
-    fn render(&self, a: &Analysis, opts: &RenderOptions) -> String {
+    fn write(&self, a: &Analysis, opts: &RenderOptions, out: &mut dyn io::Write) -> io::Result<()> {
         match opts.window {
-            Some((t0, t1)) => crate::svg::render_svg_impl(&a.timeline_window(t0, t1), &opts.svg),
-            None => crate::svg::render_svg_impl(a.timeline(), &opts.svg),
+            Some((t0, t1)) => crate::svg::write_svg(&a.timeline_window(t0, t1), &opts.svg, out),
+            None => crate::svg::write_svg(a.timeline(), &opts.svg, out),
         }
     }
 }
 
 impl Report for HtmlReport {
-    fn render(&self, a: &Analysis, opts: &RenderOptions) -> String {
-        crate::html::html_report_impl(a, opts)
+    fn write(&self, a: &Analysis, opts: &RenderOptions, out: &mut dyn io::Write) -> io::Result<()> {
+        crate::html::write_html(a, opts, out)
     }
 }
 
 impl Report for AsciiReport {
-    fn render(&self, a: &Analysis, opts: &RenderOptions) -> String {
+    fn write(&self, a: &Analysis, opts: &RenderOptions, out: &mut dyn io::Write) -> io::Result<()> {
         match opts.window {
             Some((t0, t1)) => {
-                crate::ascii::render_ascii_impl(&a.timeline_window(t0, t1), opts.ascii_width)
+                crate::ascii::write_ascii(&a.timeline_window(t0, t1), opts.ascii_width, out)
             }
-            None => crate::ascii::render_ascii_impl(a.timeline(), opts.ascii_width),
+            None => crate::ascii::write_ascii(a.timeline(), opts.ascii_width, out),
         }
     }
 }
@@ -274,9 +279,84 @@ mod tests {
             (ReportKind::Html, "</html>"),
             (ReportKind::Ascii, "legend"),
         ] {
-            let out = kind.report().render(&a, &opts);
+            let mut out = Vec::new();
+            kind.report().write(&a, &opts, &mut out).unwrap();
+            let out = String::from_utf8(out).unwrap();
             assert!(out.contains(needle), "{kind:?} missing {needle:?}");
             assert_eq!(out, a.render(kind, &opts), "front door matches trait");
+        }
+        // `write_report` into a `Vec` is `render`, for every kind and
+        // every CSV table, whole-trace and windowed.
+        for window in [None, Some((0, 200))] {
+            for table in [
+                CsvTable::Events,
+                CsvTable::Intervals,
+                CsvTable::Activity,
+                CsvTable::Loss,
+            ] {
+                let mut opts = RenderOptions::default().with_csv(table);
+                opts.window = window;
+                for kind in [
+                    ReportKind::Csv,
+                    ReportKind::Svg,
+                    ReportKind::Html,
+                    ReportKind::Ascii,
+                ] {
+                    let mut out = Vec::new();
+                    a.write_report(kind, &opts, &mut out).unwrap();
+                    assert_eq!(out, a.render(kind, &opts).as_bytes(), "{kind:?} {opts:?}");
+                }
+            }
+        }
+    }
+
+    /// A sink that accepts `room` bytes, then fails every write.
+    struct FailAfter {
+        room: usize,
+    }
+
+    impl io::Write for FailAfter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.room == 0 {
+                return Err(io::Error::new(io::ErrorKind::BrokenPipe, "sink closed"));
+            }
+            let n = buf.len().min(self.room);
+            self.room -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failing_sink_surfaces_as_an_error() {
+        let t = trace();
+        let a = Analysis::of(&t).run().unwrap();
+        for table in [
+            CsvTable::Events,
+            CsvTable::Intervals,
+            CsvTable::Activity,
+            CsvTable::Loss,
+        ] {
+            let opts = RenderOptions::default().with_csv(table);
+            for kind in [
+                ReportKind::Csv,
+                ReportKind::Svg,
+                ReportKind::Html,
+                ReportKind::Ascii,
+            ] {
+                let full = a.render(kind, &opts).len();
+                for room in [0, 1, full / 2, full - 1] {
+                    let err = a
+                        .write_report(kind, &opts, &mut FailAfter { room })
+                        .expect_err("short sink");
+                    assert_eq!(err.kind(), io::ErrorKind::BrokenPipe, "{kind:?} {room}");
+                }
+                a.write_report(kind, &opts, &mut FailAfter { room: full })
+                    .unwrap();
+            }
         }
     }
 

@@ -495,12 +495,29 @@ impl Analysis {
         })
     }
 
-    /// Renders the session through the unified [`Report`] interface —
-    /// the front door to all four exporters.
+    /// Writes the session through the unified [`Report`] interface —
+    /// the front door to all four exporters — to `out`, as the
+    /// exporter produces it. The only errors are the sink's.
     ///
     /// [`Report`]: crate::report::Report
+    pub fn write_report(
+        &self,
+        kind: ReportKind,
+        opts: &RenderOptions,
+        out: &mut dyn std::io::Write,
+    ) -> std::io::Result<()> {
+        kind.report().write(self, opts, out)
+    }
+
+    /// Renders the session to a `String`: what
+    /// [`write_report`](Self::write_report) writes, collected.
     pub fn render(&self, kind: ReportKind, opts: &RenderOptions) -> String {
-        kind.report().render(self, opts)
+        let mut out = Vec::new();
+        // Writing into a `Vec` cannot fail, and every exporter writes
+        // UTF-8, so the lossy branch is never taken.
+        let _ = self.write_report(kind, opts, &mut out);
+        String::from_utf8(out)
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
     }
 
     /// Renders the timeline as SVG. Convenience for

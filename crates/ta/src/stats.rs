@@ -128,6 +128,28 @@ pub struct EventCounts {
 }
 
 impl EventCounts {
+    /// Counts `codes` in a dense table indexed by [`EventCode::raw`],
+    /// then fills the map once per distinct code: one array increment
+    /// per event instead of a hash lookup.
+    fn tally(codes: impl IntoIterator<Item = EventCode>) -> Self {
+        // Every code's raw value is below 0x300 (`EventCode::from_raw`);
+        // the map takes any that is not.
+        let mut dense = [0u64; 0x300];
+        let mut counts = HashMap::new();
+        for code in codes {
+            match dense.get_mut(usize::from(code.raw())) {
+                Some(n) => *n += 1,
+                None => *counts.entry(code).or_insert(0) += 1,
+            }
+        }
+        for (raw, &n) in dense.iter().enumerate().filter(|(_, &n)| n > 0) {
+            if let Some(code) = EventCode::from_raw(raw as u16) {
+                counts.insert(code, n);
+            }
+        }
+        EventCounts { counts }
+    }
+
     /// Count for one code.
     pub fn get(&self, code: EventCode) -> u64 {
         self.counts.get(&code).copied().unwrap_or(0)
@@ -206,10 +228,7 @@ pub fn compute_stats(trace: &AnalyzedTrace) -> TraceStats {
 pub fn compute_stats_with(trace: &AnalyzedTrace, intervals: &[SpeIntervals]) -> TraceStats {
     let spes = intervals.iter().map(SpeActivity::from_intervals).collect();
 
-    let mut counts = EventCounts::default();
-    for e in &trace.events {
-        *counts.counts.entry(e.code).or_insert(0) += 1;
-    }
+    let counts = EventCounts::tally(trace.events.iter().map(|e| e.code));
 
     let dma = observe_dma(trace);
     TraceStats {
@@ -239,10 +258,7 @@ pub(crate) fn compute_stats_columns_par(
 ) -> TraceStats {
     let spes = intervals.iter().map(SpeActivity::from_intervals).collect();
 
-    let mut counts = EventCounts::default();
-    for code in trace.events.codes() {
-        *counts.counts.entry(*code).or_insert(0) += 1;
-    }
+    let counts = EventCounts::tally(trace.events.codes().iter().copied());
 
     let dma = observe_dma_columns_par(trace, par);
     TraceStats {
@@ -407,6 +423,29 @@ mod tests {
             params,
             stream_seq: t,
         }
+    }
+
+    #[test]
+    fn dense_tally_matches_a_hash_count() {
+        let all: Vec<EventCode> = (0..=u16::MAX).filter_map(EventCode::from_raw).collect();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let codes: Vec<EventCode> = (0..10_000)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                // Skewed so some codes never occur.
+                all[(state % all.len() as u64) as usize % (all.len() - 3)]
+            })
+            .collect();
+        let mut expected = HashMap::new();
+        for &c in &codes {
+            *expected.entry(c).or_insert(0u64) += 1;
+        }
+        let counts = EventCounts::tally(codes.iter().copied());
+        assert_eq!(counts.counts, expected);
+        assert_eq!(counts.total(), codes.len() as u64);
+        assert_eq!(EventCounts::tally([]), EventCounts::default());
     }
 
     fn trace(events: Vec<GlobalEvent>) -> AnalyzedTrace {

@@ -207,3 +207,32 @@ fn cli_reports_errors_cleanly() {
     let (ok, _) = cli(&["--help"]);
     assert!(ok);
 }
+
+#[test]
+fn closed_stdout_is_an_error_not_a_panic() {
+    let dir = std::env::temp_dir().join(format!("ta-cli-pipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("p.pdt");
+    make_trace(&trace, 40_000);
+    let path = trace.to_str().unwrap();
+
+    for args in [
+        &["summary", path][..],
+        &["events", path],
+        &["timeline", path, "--svg", "/dev/stdout"],
+    ] {
+        // A pipe whose reader is gone: every write fails with EPIPE.
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_ta-cli"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("run ta-cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
+}

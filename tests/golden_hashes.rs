@@ -3,7 +3,9 @@
 //! default SVG timeline, for both the `.pdt` and the `.pdt2` form of
 //! each trace. The pins were taken from the row-decoding analyzer that
 //! the one-shot columnar ingest replaced, so they hold the ingest to
-//! the exact answers it inherited.
+//! the exact answers it inherited. A second table pins the HTML report
+//! and the SVG timeline of the middle-1% window, taken from the
+//! `String`-building exporters that the streaming ones replaced.
 //!
 //! Print the current hashes with
 //! `cargo test --test golden_hashes -- --ignored --nocapture`.
@@ -63,25 +65,65 @@ const PINS: [(&str, u64, u64, u64); 7] = [
     ),
 ];
 
+/// `(trace, HTML report, middle-1% window SVG)` hashes, shared by both
+/// containers like [`PINS`].
+const RENDER_PINS: [(&str, u64, u64); 7] = [
+    ("matmul.pdt", 0x1d315234d0524aaa, 0xbdecb4e806219ebf),
+    ("stream.pdt", 0x393f8e909224b075, 0xa11029eb7471f94d),
+    ("pipeline.pdt", 0x626444c45d90ac6e, 0x9bdfaa1f53822067),
+    ("stream_faulted.pdt", 0xfc52c22f558cd39c, 0x9a64d6ef9e4f3a8e),
+    ("stream_racy.pdt", 0xa8ca062a07ad4811, 0x0cbe12ba32d88235),
+    (
+        "stream_mbox_sync.pdt",
+        0x5990459d9724f873,
+        0x676c1c956241beb4,
+    ),
+    (
+        "stream_tag_hidden.pdt",
+        0x66bc1b5640745ceb,
+        0xd62e87c850462c39,
+    ),
+];
+
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
     })
 }
 
-/// The three answer hashes of one session, the window placed the way
-/// `ta-cli query --summary` callers place the middle 1% of the span.
-fn answers(a: &Analysis) -> (u64, u64, u64) {
+/// The middle 1% of the span, placed the way `ta-cli query --summary`
+/// callers place it.
+fn middle_window(a: &Analysis) -> (u64, u64) {
     let (s, e) = (a.index().start_tb(), a.index().end_tb());
     let w = (e - s) / 100;
     let t0 = s + (e - s) / 2 - w / 2;
-    let window = format!("{:?}", a.summarize(t0, t0 + w));
+    (t0, t0 + w)
+}
+
+/// The three answer hashes of one session.
+fn answers(a: &Analysis) -> (u64, u64, u64) {
+    let (t0, t1) = middle_window(a);
+    let window = format!("{:?}", a.summarize(t0, t1));
     let svg = a.render(ReportKind::Svg, &RenderOptions::default());
     (
         fnv1a(a.summary().as_bytes()),
         fnv1a(window.as_bytes()),
         fnv1a(svg.as_bytes()),
     )
+}
+
+/// The HTML report and windowed SVG hashes of one session.
+fn renders(a: &Analysis) -> (u64, u64) {
+    let (t0, t1) = middle_window(a);
+    let html = a.render(
+        ReportKind::Html,
+        &RenderOptions::default().with_title("golden"),
+    );
+    let svg = a.render(
+        ReportKind::Svg,
+        &RenderOptions::default().with_window(t0, t1),
+    );
+    (fnv1a(html.as_bytes()), fnv1a(svg.as_bytes()))
 }
 
 /// Every golden's `.pdt` and `.pdt2` sessions.
@@ -111,10 +153,28 @@ fn answers_match_the_pinned_hashes() {
 }
 
 #[test]
-#[ignore = "prints the pin table"]
+fn renders_match_the_pinned_hashes() {
+    let sessions = sessions();
+    assert_eq!(sessions.len(), 2 * RENDER_PINS.len());
+    for (name, a) in &sessions {
+        let v1_name = name.trim_end_matches('2');
+        let (_, html, svg) = RENDER_PINS
+            .into_iter()
+            .find(|p| p.0 == v1_name)
+            .unwrap_or_else(|| panic!("{name} has no render pin"));
+        assert_eq!(renders(a), (html, svg), "{name}");
+    }
+}
+
+#[test]
+#[ignore = "prints the pin tables"]
 fn print_pins() {
     for (name, a) in sessions() {
         let (summary, window, svg) = answers(&a);
         println!("    ({name:?}, {summary:#018x}, {window:#018x}, {svg:#018x}),");
+    }
+    for (name, a) in sessions() {
+        let (html, svg) = renders(&a);
+        println!("    ({name:?}, {html:#018x}, {svg:#018x}),");
     }
 }
