@@ -28,7 +28,9 @@
 //! root (stable schema: name, events_per_sec, wall_ms, threads) for
 //! the tracked perf trajectory. `BENCH_products.json` meta carries
 //! `host_cpus` and the number of shards the `ta::exec` fan-out ran
-//! over the columnar runs.
+//! over the columnar runs. `BENCH_ingest.json` times ingest at
+//! `Serial` and at `Workers(2)` (`ingest_decode_1t`/`_2t`); its meta
+//! carries the executors the 2-worker row actually ran on.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -175,20 +177,31 @@ fn run() -> Result<(), String> {
     let n = rows.events.len();
     println!("trace: {n} global events over {SPES} SPEs, host has {host_cpus} CPUs");
 
-    // Ingest (decode into columns) throughput. Decode runs on the
-    // calling thread, and no rows are materialized in the timed region.
-    let ms = best_ms(5, || {
-        Analysis::of(&trace)
-            .run()
-            .map(|a| a.columns().events.len())
-            .unwrap_or(0)
-    });
-    let ingest = [BenchRecord {
-        name: "ingest_decode".into(),
-        events_per_sec: n as f64 / (ms / 1e3),
-        wall_ms: ms,
-        threads: 1,
-    }];
+    // Ingest (decode into columns) throughput at one executor and at
+    // two. Each SPE stream decodes as one shard, and no rows are
+    // materialized in the timed region.
+    let ingest_points = [(Parallelism::Serial, 1usize), (Parallelism::Workers(2), 2)];
+    let ingest: Vec<BenchRecord> = ingest_points
+        .into_iter()
+        .map(|(par, threads)| {
+            let ms = best_ms(5, || {
+                Analysis::of(&trace)
+                    .parallelism(par)
+                    .run()
+                    .map(|a| a.columns().events.len())
+                    .unwrap_or(0)
+            });
+            BenchRecord {
+                name: format!("ingest_decode_{threads}t"),
+                events_per_sec: n as f64 / (ms / 1e3),
+                wall_ms: ms,
+                threads,
+            }
+        })
+        .collect();
+    // `map_indexed` runs at most one executor per host CPU and per SPE
+    // stream, whatever the requested count.
+    let ingest_executors = 2.min(host_cpus).min(SPES);
 
     // Full product set: serial row path vs columnar pipeline. Both
     // sides read the same ingested rows; the columnar side pays its
@@ -296,7 +309,11 @@ fn run() -> Result<(), String> {
     let p = write_bench_json(
         "BENCH_ingest.json",
         &ingest,
-        &[("events", n as f64), ("host_cpus", host_cpus as f64)],
+        &[
+            ("events", n as f64),
+            ("host_cpus", host_cpus as f64),
+            ("ingest_2t_executors", ingest_executors as f64),
+        ],
     )
     .map_err(|e| e.to_string())?;
     println!("wrote {}", p.display());

@@ -65,8 +65,10 @@
 //! malformed record instead.
 //!
 //! Concurrency is one knob: `-j N` (or `--parallelism N|serial|auto`,
-//! default `auto`) sets the [`ta::Parallelism`] every derived product
-//! is built with. `--exec-stats` prints the parallel fan-out counters
+//! default `auto`) sets the [`ta::Parallelism`] ingest decodes the SPE
+//! streams with (one shard per stream, `.pdt` and `.pdt2` alike) and
+//! every derived product is built with; the answer is byte-identical
+//! at every setting. `--exec-stats` prints the parallel fan-out counters
 //! (shards run, threads spawned, busy time) to stderr after the
 //! command completes.
 

@@ -21,9 +21,9 @@
 //! core_tag   [u8; n]      TraceCore::tag values
 //! code       [EventCode; n]
 //! stream_seq [u32; n]     u32::MAX = escape to the sorted wide_seq table
-//! params_id  [u32; n]     event i's params = dict_buf[doff[id]..doff[id+1]]
-//! dict_off   [u32; d + 1] one entry per distinct tuple
-//! dict_buf   [u64; sum]   deduplicated parameter words
+//! params_id  [u32; n]     event i's params = dict.buf[off[id]..off[id+1]]
+//! dict.off   [u32; d + 1] one entry per distinct tuple (ParamDict)
+//! dict.buf   [u64; sum]   deduplicated parameter words
 //! ```
 //!
 //! Interning rules: symbols are created only while the store is built
@@ -73,7 +73,7 @@ impl Interner {
         if let Some(&i) = self.lookup.get(s) {
             return Sym(i);
         }
-        let i = u32::try_from(self.strings.len()).expect("interner table exceeds u32");
+        let i = index32(self.strings.len());
         self.strings.push(s.to_owned());
         self.lookup.insert(s.to_owned(), i);
         Sym(i)
@@ -151,23 +151,36 @@ fn hash_params(params: &[u64]) -> u64 {
 }
 
 /// Interning switches to append-only once this many tuples have been
-/// interned with almost no deduplication (see [`DictIndex::intern`]).
+/// interned with almost no deduplication (see [`ParamDict::intern`]).
 const DICT_DEGENERATE_AFTER: u32 = 4096;
 
-/// Open-addressing index over the parameter dictionary: maps a tuple's
-/// hash to its dictionary id during store construction. Slots hold
-/// `id + 1` (0 = empty); collisions resolve by comparing the actual
-/// tuple in the dictionary buffers.
+/// A `u32` index into one of the store's arrays. The store addresses
+/// events, tuples and parameter words with `u32` (half the width of
+/// `usize`, the ~19 B/event layout): past 2^32 of any of them (a v1
+/// image of 64 GiB or more) there is no narrower index to fall back on.
+fn index32(n: usize) -> u32 {
+    u32::try_from(n).expect("columnar store exceeds u32 addressing")
+}
+
+/// A deduplicating parameter-tuple dictionary: tuple `id` is
+/// `buf[off[id]..off[id + 1]]`. The store keeps one; each stream of a
+/// one-shot ingest interns into its own and is remapped into the
+/// store's afterwards.
 ///
-/// Traces whose tuples barely repeat (distinct DMA effective
-/// addresses on every transfer) get nothing from the dictionary but
-/// would pay a hash + probe + periodic rehash on every event, so the
-/// index watches its own hit rate: once `DICT_DEGENERATE_AFTER`
-/// tuples have been interned with under 1/8 of lookups deduplicating,
-/// it drops the hash table and appends every tuple as a fresh id —
-/// the same cost profile as a flat offsets buffer.
-#[derive(Debug, Default, Clone)]
-struct DictIndex {
+/// An open-addressing index maps a tuple's hash to its id while the
+/// dictionary grows. Slots hold `id + 1` (0 = empty); collisions
+/// resolve by comparing the actual tuple in the buffers. Traces whose
+/// tuples barely repeat (distinct DMA effective addresses on every
+/// transfer) get nothing from deduplication but would pay a hash +
+/// probe + periodic rehash on every event, so the dictionary watches
+/// its own hit rate: once `DICT_DEGENERATE_AFTER` tuples have been
+/// interned with under 1/8 of lookups deduplicating, it drops the
+/// hash table and appends every tuple as a fresh id — the same cost
+/// profile as a flat offsets buffer.
+#[derive(Debug, Clone)]
+pub(crate) struct ParamDict {
+    off: Vec<u32>,
+    buf: Vec<u64>,
     slots: Vec<u32>,
     /// Total `intern` calls, saturating at `DICT_DEGENERATE_AFTER`
     /// (only the warm-up window is measured).
@@ -178,13 +191,36 @@ struct DictIndex {
     degenerate: bool,
 }
 
-impl DictIndex {
-    fn grow(&mut self, dict_off: &[u32], dict_buf: &[u64]) {
+impl Default for ParamDict {
+    fn default() -> Self {
+        ParamDict {
+            off: vec![0],
+            buf: Vec::new(),
+            slots: Vec::new(),
+            lookups: 0,
+            hits: 0,
+            degenerate: false,
+        }
+    }
+}
+
+impl ParamDict {
+    /// Distinct tuples (ids) in the dictionary.
+    pub(crate) fn len(&self) -> usize {
+        self.off.len() - 1
+    }
+
+    /// The tuple behind `id`.
+    pub(crate) fn get(&self, id: u32) -> &[u64] {
+        let id = id as usize;
+        &self.buf[self.off[id] as usize..self.off[id + 1] as usize]
+    }
+
+    fn grow(&mut self) {
         let cap = (self.slots.len() * 2).max(16);
         self.slots = vec![0u32; cap];
-        for id in 0..dict_off.len().saturating_sub(1) {
-            let tuple = &dict_buf[dict_off[id] as usize..dict_off[id + 1] as usize];
-            let mut at = hash_params(tuple) as usize & (cap - 1);
+        for id in 0..self.len() {
+            let mut at = hash_params(self.get(id as u32)) as usize & (cap - 1);
             while self.slots[at] != 0 {
                 at = (at + 1) & (cap - 1);
             }
@@ -192,64 +228,81 @@ impl DictIndex {
         }
     }
 
-    /// Appends `params` to the dictionary as a fresh id, bypassing the
-    /// hash table.
-    fn append(params: &[u64], dict_off: &mut Vec<u32>, dict_buf: &mut Vec<u64>) -> u32 {
-        let id = u32::try_from(dict_off.len() - 1).expect("params dictionary exceeds u32 ids");
-        dict_buf.extend_from_slice(params);
-        let end = u32::try_from(dict_buf.len()).expect("params dictionary exceeds u32 words");
-        dict_off.push(end);
+    /// Appends `params` as a fresh id, bypassing the hash table.
+    fn append(&mut self, params: &[u64]) -> u32 {
+        let id = index32(self.len());
+        self.buf.extend_from_slice(params);
+        self.off.push(index32(self.buf.len()));
         id
     }
 
-    /// Looks up `params` in the dictionary, interning it if new.
-    fn intern(&mut self, params: &[u64], dict_off: &mut Vec<u32>, dict_buf: &mut Vec<u64>) -> u32 {
-        if dict_off.is_empty() {
-            dict_off.push(0);
-        }
+    /// Looks up `params`, interning it if new.
+    pub(crate) fn intern(&mut self, params: &[u64]) -> u32 {
         if self.degenerate {
-            return Self::append(params, dict_off, dict_buf);
+            return self.append(params);
         }
         if self.lookups < DICT_DEGENERATE_AFTER {
             self.lookups += 1;
         } else if self.hits < DICT_DEGENERATE_AFTER / 8 {
             self.degenerate = true;
             self.slots = Vec::new();
-            return Self::append(params, dict_off, dict_buf);
+            return self.append(params);
         }
-        let n_ids = dict_off.len() - 1;
+        let (id, hit) = self.find_or_insert(params);
+        if hit && self.lookups < DICT_DEGENERATE_AFTER {
+            self.hits = self.hits.saturating_add(1);
+        }
+        id
+    }
+
+    /// Interns every tuple of `other` in id order, returning each
+    /// one's id here. `other`'s tuples are already distinct, so they
+    /// do not count towards this dictionary's hit rate; a degenerate
+    /// `other` makes this dictionary append-only too.
+    pub(crate) fn absorb(&mut self, other: &ParamDict) -> Vec<u32> {
+        if other.degenerate && !self.degenerate {
+            self.degenerate = true;
+            self.slots = Vec::new();
+        }
+        (0..other.len() as u32)
+            .map(|id| {
+                let params = other.get(id);
+                if self.degenerate {
+                    self.append(params)
+                } else {
+                    self.find_or_insert(params).0
+                }
+            })
+            .collect()
+    }
+
+    /// The hashed lookup: `params`'s id, and whether it was already
+    /// present.
+    fn find_or_insert(&mut self, params: &[u64]) -> (u32, bool) {
         // Load stays at or under 1/2: a linear-probing miss walks about
         // 1/(1-load)^2 slots, and each occupied one costs a tuple
         // compare in the (cache-cold) dictionary buffers.
-        if (n_ids + 1) * 2 >= self.slots.len() {
-            self.grow(dict_off, dict_buf);
+        if (self.len() + 1) * 2 >= self.slots.len() {
+            self.grow();
         }
         let mask = self.slots.len() - 1;
         let mut at = hash_params(params) as usize & mask;
         loop {
             match self.slots[at] {
                 0 => {
-                    let id = u32::try_from(n_ids).expect("params dictionary exceeds u32 ids");
-                    dict_buf.extend_from_slice(params);
-                    let end =
-                        u32::try_from(dict_buf.len()).expect("params dictionary exceeds u32 words");
-                    dict_off.push(end);
+                    let id = self.append(params);
                     self.slots[at] = id + 1;
-                    return id;
+                    return (id, false);
                 }
-                slot => {
-                    let id = (slot - 1) as usize;
-                    let tuple = &dict_buf[dict_off[id] as usize..dict_off[id + 1] as usize];
-                    if tuple == params {
-                        if self.lookups < DICT_DEGENERATE_AFTER {
-                            self.hits = self.hits.saturating_add(1);
-                        }
-                        return slot - 1;
-                    }
-                    at = (at + 1) & mask;
-                }
+                slot if self.get(slot - 1) == params => return (slot - 1, true),
+                _ => at = (at + 1) & mask,
             }
         }
+    }
+
+    /// Resident bytes of the buffers and the hash table.
+    fn bytes_in_memory(&self) -> usize {
+        self.off.capacity() * 4 + self.buf.capacity() * 8 + self.slots.capacity() * 4
     }
 }
 
@@ -257,7 +310,7 @@ impl DictIndex {
 /// core tags stored as single bytes, per-stream sequence numbers as
 /// `u32` with a sorted overflow escape, and parameter tuples
 /// deduplicated through a dictionary (`params_id` per event indexing
-/// `dict_off`/`dict_buf`) — DMA bursts and user markers repeat a
+/// it) — DMA bursts and user markers repeat a
 /// handful of tuples millions of times, so the dictionary collapses
 /// the dominant per-event cost of the old flattened buffer.
 #[derive(Debug, Default, Clone)]
@@ -270,9 +323,7 @@ pub struct EventColumns {
     /// sequence number is `>= u32::MAX`.
     wide_seq: Vec<(u32, u64)>,
     params_id: Vec<u32>,
-    dict_off: Vec<u32>,
-    dict_buf: Vec<u64>,
-    dict_index: DictIndex,
+    dict: ParamDict,
 }
 
 impl PartialEq for EventColumns {
@@ -300,9 +351,7 @@ impl EventColumns {
             stream_seq: Vec::with_capacity(n),
             wide_seq: Vec::new(),
             params_id: Vec::with_capacity(n),
-            dict_off: vec![0],
-            dict_buf: Vec::new(),
-            dict_index: DictIndex::default(),
+            dict: ParamDict::default(),
         }
     }
 
@@ -312,12 +361,7 @@ impl EventColumns {
     /// tail into a closed base copies base events by id.
     pub(crate) fn with_dict_of(&self, n: usize) -> Self {
         let mut out = EventColumns::with_capacity(n);
-        out.dict_off.clone_from(&self.dict_off);
-        out.dict_buf.clone_from(&self.dict_buf);
-        out.dict_index = self.dict_index.clone();
-        if out.dict_off.is_empty() {
-            out.dict_off.push(0);
-        }
+        out.dict.clone_from(&self.dict);
         out
     }
 
@@ -336,15 +380,20 @@ impl EventColumns {
     /// appending an event — the direct decode path interns at block
     /// granularity and appends ids later, during the merge.
     pub(crate) fn intern_params(&mut self, params: &[u64]) -> u32 {
-        self.dict_index
-            .intern(params, &mut self.dict_off, &mut self.dict_buf)
+        self.dict.intern(params)
+    }
+
+    /// Interns every tuple of `dict` (see [`ParamDict::absorb`]),
+    /// returning each one's id in this store.
+    pub(crate) fn absorb_dict(&mut self, dict: &ParamDict) -> Vec<u32> {
+        self.dict.absorb(dict)
     }
 
     fn push_seq(&mut self, stream_seq: u64) {
         match u32::try_from(stream_seq) {
             Ok(s) if s != SEQ_WIDE => self.stream_seq.push(s),
             _ => {
-                let i = u32::try_from(self.stream_seq.len()).expect("trace exceeds u32 events");
+                let i = index32(self.stream_seq.len());
                 self.stream_seq.push(SEQ_WIDE);
                 self.wide_seq.push((i, stream_seq));
             }
@@ -414,6 +463,8 @@ impl EventColumns {
     pub fn seq(&self, i: usize) -> u64 {
         match self.stream_seq[i] {
             SEQ_WIDE => {
+                // Invariant: every `SEQ_WIDE` sentinel is pushed or
+                // inserted together with its `wide_seq` entry.
                 let at = self
                     .wide_seq
                     .binary_search_by_key(&(i as u32), |&(idx, _)| idx)
@@ -431,14 +482,12 @@ impl EventColumns {
 
     /// The parameter tuple behind dictionary id `id`.
     pub fn dict_params(&self, id: u32) -> &[u64] {
-        let lo = self.dict_off[id as usize] as usize;
-        let hi = self.dict_off[id as usize + 1] as usize;
-        &self.dict_buf[lo..hi]
+        self.dict.get(id)
     }
 
     /// Distinct parameter tuples in the dictionary.
     pub fn dict_len(&self) -> usize {
-        self.dict_off.len().saturating_sub(1)
+        self.dict.len()
     }
 
     /// Event `i`'s parameter words.
@@ -456,9 +505,7 @@ impl EventColumns {
             + self.stream_seq.capacity() * 4
             + self.wide_seq.capacity() * 16
             + self.params_id.capacity() * 4
-            + self.dict_off.capacity() * 4
-            + self.dict_buf.capacity() * 8
-            + self.dict_index.slots.capacity() * 4
+            + self.dict.bytes_in_memory()
     }
 
     /// A borrowed view of event `i`.
@@ -490,6 +537,8 @@ impl EventColumns {
         params: &[u64],
         stream_seq: u64,
     ) {
+        // The `as u32` offsets below fit once the grown length does.
+        index32(self.time_tb.len() + 1);
         let id = self.intern_params(params);
         self.time_tb.insert(i, time_tb);
         self.core_tag.insert(i, core.tag());
@@ -512,7 +561,6 @@ impl EventColumns {
                 self.wide_seq.insert(at, (i as u32, stream_seq));
             }
         }
-        let _ = u32::try_from(self.time_tb.len()).expect("trace exceeds u32 events");
     }
 }
 
@@ -664,7 +712,7 @@ impl ColumnarTrace {
         let i = self.events.len();
         self.events.push(time_tb, core, code, params, stream_seq);
         if let Some(offsets) = self.core_offsets.get_mut() {
-            let off = u32::try_from(i).expect("trace exceeds u32 offset space");
+            let off = index32(i);
             match offsets.binary_search_by_key(&core.tag(), |(c, _)| c.tag()) {
                 Ok(slot) => offsets[slot].1.push(off),
                 Err(slot) => offsets.insert(slot, (core, vec![off])),
@@ -739,10 +787,8 @@ impl ColumnarTrace {
     /// first use and shared by every product.
     pub fn core_offsets(&self) -> &[(TraceCore, Vec<u32>)] {
         self.core_offsets.get_or_init(|| {
-            assert!(
-                self.events.len() <= u32::MAX as usize,
-                "trace exceeds u32 offset space"
-            );
+            // The `as u32` offsets below fit once the length does.
+            index32(self.events.len());
             let mut slots: Vec<Vec<u32>> = vec![Vec::new(); 256];
             for (i, &tag) in self.events.tags().iter().enumerate() {
                 slots[tag as usize].push(i as u32);
@@ -934,10 +980,10 @@ mod tests {
             );
         }
         assert!(
-            distinct.dict_index.degenerate,
+            distinct.dict.degenerate,
             "all-distinct params must trip append-only mode"
         );
-        assert!(distinct.dict_index.slots.is_empty(), "hash table freed");
+        assert!(distinct.dict.slots.is_empty(), "hash table freed");
         for i in 0..n {
             assert_eq!(distinct.params(i), &[i as u64, !(i as u64)]);
         }
@@ -954,7 +1000,7 @@ mod tests {
                 i as u64,
             );
         }
-        assert!(!repetitive.dict_index.degenerate);
+        assert!(!repetitive.dict.degenerate);
         assert_eq!(repetitive.dict_len(), 4);
         for i in 0..n {
             assert_eq!(repetitive.params(i), &[(i % 4) as u64]);

@@ -11,8 +11,9 @@
 //!    and memoizes every derived product behind typed accessors.
 //! 2. Ingestion decodes the per-core streams straight out of the trace
 //!    bytes, reconstructs global time from decrementer snapshots + the
-//!    `PpeCtxRun` sync records (wrap-safe), and k-way merges the
-//!    per-stream runs into the columnar store ([`ColumnarTrace`]). The
+//!    `PpeCtxRun` sync records (wrap-safe), one shard per SPE stream,
+//!    and k-way merges the per-stream runs into the columnar store
+//!    ([`ColumnarTrace`]). The
 //!    serial row path in [`mod@analyze`] is the reference it matches
 //!    byte for byte; [`mod@parallel`] keeps the row-returning wrappers.
 //! 3. [`reader`] — zero-copy views of serialized trace images.

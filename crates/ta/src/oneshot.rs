@@ -1,172 +1,166 @@
 //! One-shot ingest: a complete v1 trace decoded straight into the
-//! columnar store ([`ingest`]), and the merge front it shares with the
-//! direct v2 decoder in [`crate::v2read`]. See DESIGN.md, "One-shot
-//! ingest".
+//! columnar store, one shard per SPE stream ([`ingest`]), and the runs
+//! and merge front it shares with the direct v2 decoder in
+//! [`crate::v2read`]. See DESIGN.md, "One-shot ingest".
 
-use pdt::{EventCode, RecordScan, Scanned, TraceCore};
+use pdt::{DecodeGap, EventCode, RecordScan, Scanned, TraceCore};
 
 use crate::analyze::{AnalyzeError, SpeAnchor};
-use crate::columns::{ColumnarTrace, EventColumns};
+use crate::columns::{ColumnarTrace, EventColumns, ParamDict};
+use crate::exec::{self, Parallelism};
 use crate::loss::{DecodePolicy, LossReport, StreamLoss};
 use crate::reader::{ImageStream, TraceImage};
 
 /// The global sort key: `(time_tb, core tag, stream_seq)`.
 type Key = (u64, u8, u64);
 
-/// Placed events in stream order: times, core tags, codes and
-/// parameter ids already interned into the destination dictionary.
+/// One stream's placed events in stream order: times, core tags, codes
+/// and parameter ids interned into the stream's own dictionary, so
+/// streams decode independently.
 #[derive(Debug, Default)]
 pub(crate) struct Events {
-    time: Vec<u64>,
-    tag: Vec<u8>,
+    times: Times,
     code: Vec<EventCode>,
     id: Vec<u32>,
+    dict: ParamDict,
+}
+
+/// A run's times and core tags.
+#[derive(Debug)]
+enum Times {
+    /// Every event so far has core tag `tag` and lies at most `u32::MAX`
+    /// ticks after the one before: event `k` is at `first` plus
+    /// `step[1..=k]` (`step[0]` is 0). An SPE stream placed from its
+    /// anchor stays in this form, at 4 bytes per event.
+    Steps {
+        first: u64,
+        last: u64,
+        tag: u8,
+        step: Vec<u32>,
+    },
+    /// A time and core tag per event.
+    Each { time: Vec<u64>, tag: Vec<u8> },
+}
+
+impl Default for Times {
+    fn default() -> Self {
+        Times::Steps {
+            first: 0,
+            last: 0,
+            tag: 0,
+            step: Vec::new(),
+        }
+    }
+}
+
+impl Times {
+    /// Appends an event, leaving the step form for good once `t` and
+    /// `g` do not fit it.
+    fn push(&mut self, t: u64, g: u8) {
+        if let Times::Steps {
+            first,
+            last,
+            tag,
+            step,
+        } = self
+        {
+            if step.is_empty() {
+                (*first, *last, *tag) = (t, t, g);
+            }
+            match t.checked_sub(*last).map(u32::try_from) {
+                Some(Ok(d)) if g == *tag => {
+                    step.push(d);
+                    *last = t;
+                    return;
+                }
+                _ => {}
+            }
+            let mut at = *first;
+            let time = step.iter().map(|&d| {
+                at += u64::from(d);
+                at
+            });
+            *self = Times::Each {
+                time: time.collect(),
+                tag: vec![*tag; step.len()],
+            };
+        }
+        if let Times::Each { time, tag } = self {
+            time.push(t);
+            tag.push(g);
+        }
+    }
 }
 
 impl Events {
-    pub(crate) fn push(&mut self, time: u64, tag: u8, code: EventCode, id: u32) {
-        self.time.push(time);
-        self.tag.push(tag);
+    pub(crate) fn push(&mut self, time: u64, tag: u8, code: EventCode, params: &[u64]) {
+        self.times.push(time, tag);
         self.code.push(code);
-        self.id.push(id);
+        self.id.push(self.dict.intern(params));
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.time.len()
-    }
-
-    fn clear(&mut self) {
-        self.time.clear();
-        self.tag.clear();
-        self.code.clear();
-        self.id.clear();
+        self.code.len()
     }
 }
 
-/// Decodes a stream for the merge front one batch at a time.
-pub(crate) trait RunSource {
-    /// State shared by every source of one ingest.
-    type Ctx;
-    /// Why decoding stopped early.
-    type Error;
-
-    /// Appends the stream's next events, in key order, to the empty
-    /// `out`, interning their parameters into `dest`. Leaving `out`
-    /// empty means the stream is exhausted.
-    fn refill(
-        &mut self,
-        out: &mut Events,
-        dest: &mut EventColumns,
-        ctx: &mut Self::Ctx,
-    ) -> Result<(), Self::Error>;
-}
-
-/// One stream's placed events as the merge front sees them, in key
-/// order: all of them (eager), or the current batch of a source that
-/// refills when the front reaches the batch's end (lazy).
+/// One stream's placed events in key order, as the merge front reads
+/// them.
 #[derive(Debug)]
-pub(crate) struct Run<S> {
+pub(crate) struct Run {
     stream: usize,
     ev: Events,
-    /// Per-event `stream_seq` of a sorted eager run; empty while event
-    /// `k` is the stream's record `seq_base + k`.
+    /// Per-event `stream_seq` of a sorted run; empty while event `k`
+    /// is the stream's record `k`.
     seq: Vec<u64>,
-    seq_base: u64,
-    pos: usize,
-    src: Option<S>,
 }
 
-impl<S: RunSource> Run<S> {
-    /// An eager run over a whole stream's events, sorted into key order
-    /// unless already in it. The stable sort on `(time, tag)` keeps
-    /// equal keys in record order, as the row path's per-run sort does.
-    pub(crate) fn eager(stream: usize, ev: Events) -> Run<S> {
-        let sorted =
-            (1..ev.len()).all(|k| (ev.time[k - 1], ev.tag[k - 1]) <= (ev.time[k], ev.tag[k]));
-        let (ev, seq) = if sorted {
-            (ev, Vec::new())
-        } else {
-            let mut perm: Vec<usize> = (0..ev.len()).collect();
-            perm.sort_by_key(|&k| (ev.time[k], ev.tag[k]));
-            let sorted = Events {
-                time: perm.iter().map(|&k| ev.time[k]).collect(),
-                tag: perm.iter().map(|&k| ev.tag[k]).collect(),
-                code: perm.iter().map(|&k| ev.code[k]).collect(),
-                id: perm.iter().map(|&k| ev.id[k]).collect(),
-            };
-            (sorted, perm.into_iter().map(|k| k as u64).collect())
+impl Run {
+    /// A run over a whole stream's events, sorted into key order unless
+    /// already in it. The stable sort on `(time, tag)` keeps equal keys
+    /// in record order, as the row path's per-run sort does.
+    pub(crate) fn new(stream: usize, ev: Events) -> Run {
+        let (time, tag) = match &ev.times {
+            Times::Each { time, tag }
+                if (1..time.len()).any(|k| (time[k - 1], tag[k - 1]) > (time[k], tag[k])) =>
+            {
+                (time, tag)
+            }
+            // Steps never go back and share one tag.
+            _ => {
+                return Run {
+                    stream,
+                    ev,
+                    seq: Vec::new(),
+                }
+            }
         };
-        Run {
-            stream,
-            ev,
-            seq,
-            seq_base: 0,
-            pos: 0,
-            src: None,
-        }
+        let mut perm: Vec<usize> = (0..ev.len()).collect();
+        perm.sort_by_key(|&k| (time[k], tag[k]));
+        let times = Times::Each {
+            time: perm.iter().map(|&k| time[k]).collect(),
+            tag: perm.iter().map(|&k| tag[k]).collect(),
+        };
+        let ev = Events {
+            times,
+            code: perm.iter().map(|&k| ev.code[k]).collect(),
+            id: perm.iter().map(|&k| ev.id[k]).collect(),
+            dict: ev.dict,
+        };
+        let seq = perm.into_iter().map(|k| k as u64).collect();
+        Run { stream, ev, seq }
     }
 
-    /// A lazy run primed with its first batch; `None` when the stream
-    /// has no events.
-    pub(crate) fn lazy(
-        stream: usize,
-        mut src: S,
-        dest: &mut EventColumns,
-        ctx: &mut S::Ctx,
-    ) -> Result<Option<Run<S>>, S::Error> {
-        let mut ev = Events::default();
-        src.refill(&mut ev, dest, ctx)?;
-        Ok((ev.len() > 0).then_some(Run {
-            stream,
-            ev,
-            seq: Vec::new(),
-            seq_base: 0,
-            pos: 0,
-            src: Some(src),
-        }))
-    }
-
-    fn key(&self, k: usize) -> Key {
-        let seq = self.seq.get(k).copied();
-        let seq = seq.unwrap_or(self.seq_base + k as u64);
-        (self.ev.time[k], self.ev.tag[k], seq)
-    }
-
-    /// Appends events into `dest` until the head key reaches `limit`;
-    /// `Ok(true)` once the run is exhausted. Keys strictly increase
-    /// within a run, so the stop index is a binary search and the span
-    /// one bulk append.
-    fn advance(
-        &mut self,
-        limit: Option<(Key, usize)>,
-        dest: &mut EventColumns,
-        ctx: &mut S::Ctx,
-    ) -> Result<bool, S::Error> {
-        loop {
-            let n = self.ev.len();
-            let end = match limit {
-                None => n,
-                Some(lim) => upper_bound(self.pos, n, |k| (self.key(k), self.stream) < lim),
-            };
-            for k in self.pos..end {
-                let (time, tag, seq) = self.key(k);
-                dest.push_with_id(time, tag, self.ev.code[k], self.ev.id[k], seq);
-            }
-            self.pos = end;
-            if end < n {
-                return Ok(false);
-            }
-            let Some(src) = self.src.as_mut() else {
-                return Ok(true);
-            };
-            self.seq_base += n as u64;
-            self.pos = 0;
-            self.ev.clear();
-            src.refill(&mut self.ev, dest, ctx)?;
-            if self.ev.len() == 0 {
-                return Ok(true);
-            }
-        }
+    /// Event `k`'s merge key — its sort key, then its stream — given
+    /// event `k - 1`'s time.
+    fn key(&self, k: usize, prev: u64) -> (Key, usize) {
+        let (time, tag) = match &self.ev.times {
+            Times::Steps { first, tag, .. } if k == 0 => (*first, *tag),
+            Times::Steps { tag, step, .. } => (prev + u64::from(step[k]), *tag),
+            Times::Each { time, tag } => (time[k], tag[k]),
+        };
+        let seq = self.seq.get(k).map_or(k as u64, |&s| s);
+        ((time, tag, seq), self.stream)
     }
 }
 
@@ -191,157 +185,132 @@ pub(crate) fn upper_bound(
 /// K-way merges `runs` into `dest` by `(time, core tag, stream_seq)`,
 /// ties across runs broken by stream index — the order the serial
 /// [`analyze`](crate::analyze::analyze) produces with its stable sort.
-/// Each round gallops: the minimum run bulk-appends every event sorting
-/// strictly below the runner-up head.
-pub(crate) fn merge<S: RunSource>(
-    mut runs: Vec<Run<S>>,
-    dest: &mut EventColumns,
-    ctx: &mut S::Ctx,
-) -> Result<(), S::Error> {
+///
+/// First each run's dictionary is remapped into `dest`'s, in stream
+/// order, one intern per distinct tuple, so the store's ids do not
+/// depend on which executor decoded which stream. Then a loser tree
+/// over the cached head keys picks every event: the winner is
+/// appended, its run's next key replaces it, and one leaf-to-root
+/// replay of `log2(runs)` comparisons restores the tree.
+pub(crate) fn merge(mut runs: Vec<Run>, dest: &mut EventColumns) {
     runs.retain(|r| r.ev.len() > 0);
-    while runs.len() > 1 {
-        let mut mi = 0;
-        let mut mk = (runs[0].key(runs[0].pos), runs[0].stream);
-        let mut second: Option<(Key, usize)> = None;
-        for (j, run) in runs.iter().enumerate().skip(1) {
-            let k = (run.key(run.pos), run.stream);
-            if k < mk {
-                second = Some(mk);
-                mk = k;
-                mi = j;
-            } else if second.is_none_or(|s| k < s) {
-                second = Some(k);
+    runs.sort_unstable_by_key(|r| r.stream);
+    for run in &mut runs {
+        let map = dest.absorb_dict(&std::mem::take(&mut run.ev.dict));
+        for id in &mut run.ev.id {
+            *id = map[*id as usize];
+        }
+    }
+    let total = runs.iter().map(|r| r.ev.len()).sum();
+    dest.reserve_events(total);
+
+    // Heads above every real key once a run is exhausted: no run has
+    // stream index `usize::MAX`.
+    const DONE: (Key, usize) = ((u64::MAX, u8::MAX, u64::MAX), usize::MAX);
+    let n = runs.len();
+    let mut pos = vec![0usize; n];
+    let mut head: Vec<(Key, usize)> = runs.iter().map(|r| r.key(0, 0)).collect();
+    // Node `v` in `1..n` has children `2v` and `2v + 1`; position
+    // `n + i` is run `i`'s leaf. `loser[v]` is the run that lost the
+    // match at `v`; the build plays every match bottom-up once.
+    let mut loser = vec![0usize; n];
+    let mut won: Vec<usize> = (0..2 * n).map(|v| v.saturating_sub(n)).collect();
+    for v in (1..n).rev() {
+        let (a, b) = (won[2 * v], won[2 * v + 1]);
+        (won[v], loser[v]) = if head[a] < head[b] { (a, b) } else { (b, a) };
+    }
+    let mut w = won.get(1).copied().unwrap_or(0);
+    for _ in 0..total {
+        let run = &runs[w];
+        let k = pos[w];
+        let ((time, tag, seq), _) = head[w];
+        dest.push_with_id(time, tag, run.ev.code[k], run.ev.id[k], seq);
+        pos[w] = k + 1;
+        head[w] = if k + 1 < run.ev.len() {
+            run.key(k + 1, time)
+        } else {
+            DONE
+        };
+        let mut v = (w + n) / 2;
+        while v > 0 {
+            if head[loser[v]] < head[w] {
+                std::mem::swap(&mut loser[v], &mut w);
             }
-        }
-        if runs[mi].advance(second, dest, ctx)? {
-            runs.swap_remove(mi);
+            v /= 2;
         }
     }
-    if let Some(run) = runs.last_mut() {
-        run.advance(None, dest, ctx)?;
-    }
-    Ok(())
 }
 
-/// Records per lazily decoded v1 batch.
-const V1_BATCH: usize = 4096;
-
-/// State shared by the v1 sources of one ingest.
-#[derive(Debug)]
-struct V1Ctx {
-    /// Per-stream accounting, in stream order.
-    loss: Vec<StreamLoss>,
-    /// Sync anchors harvested from the PPE streams, first per SPE.
+/// One decoded v1 stream: its placed events (none for an unanchored
+/// SPE stream), the records and gaps the scan met, and, for a PPE
+/// stream, the sync anchors it carries, first per SPE.
+#[derive(Debug, Default)]
+struct V1Stream {
+    ev: Events,
+    records: u64,
+    gaps: Vec<DecodeGap>,
     anchors: Vec<SpeAnchor>,
+    /// An SPE stream with records but no anchor to place them by.
+    unanchored: bool,
 }
 
-/// A strict-policy failure: the stream index and its error.
-type V1Error = (usize, AnalyzeError);
-
-/// One v1 stream's records, decoded out of the borrowed image and
-/// placed on the global timeline: PPE records at their timebase stamp
-/// with per-thread core tags, SPE records at `run_tb + elapsed`
-/// (wrapping) from their anchor.
-#[derive(Debug)]
-struct V1Source<'a> {
-    stream: usize,
-    core: TraceCore,
-    scan: RecordScan<'a>,
-    strict: bool,
-    /// The SPE stream's sync anchor; `None` on PPE streams.
+/// Decodes one v1 stream out of the borrowed image and places it on the
+/// global timeline: PPE records at their timebase stamp with
+/// per-thread core tags, SPE records at `run_tb + elapsed` (wrapping)
+/// from their anchor. An SPE stream without an anchor is only counted.
+///
+/// # Errors
+///
+/// Under `strict`, the stream's first malformed record.
+fn decode_v1(
+    s: &ImageStream<'_>,
     anchor: Option<SpeAnchor>,
-    elapsed: u64,
-    prev_dec: u32,
-    params: Vec<u64>,
-}
-
-impl<'a> V1Source<'a> {
-    fn new(stream: usize, s: &ImageStream<'a>, anchor: Option<SpeAnchor>, strict: bool) -> Self {
-        V1Source {
-            stream,
-            core: s.core,
-            scan: if strict {
-                RecordScan::strict(s.bytes)
-            } else {
-                RecordScan::lossy(s.bytes, Some(s.core))
-            },
-            strict,
-            anchor,
-            elapsed: 0,
-            prev_dec: anchor.map_or(0, |a| a.dec_start),
-            params: Vec::new(),
-        }
-    }
-
-    /// Decodes and places up to `limit` records into `out`. PPE streams
-    /// harvest sync anchors on the way.
-    fn fill(
-        &mut self,
-        limit: usize,
-        out: &mut Events,
-        dest: &mut EventColumns,
-        ctx: &mut V1Ctx,
-    ) -> Result<(), V1Error> {
-        while out.len() < limit {
-            match self.scan.next() {
-                None => break,
-                Some(Scanned::Record(r)) => {
-                    let (time, tag) = match self.anchor {
-                        None => {
-                            harvest(&r, &mut ctx.anchors);
-                            (r.timestamp, r.core.tag())
-                        }
-                        Some(a) => {
-                            let dec = r.timestamp as u32;
-                            self.elapsed += u64::from(self.prev_dec.wrapping_sub(dec));
-                            self.prev_dec = dec;
-                            (a.run_tb.wrapping_add(self.elapsed), self.core.tag())
-                        }
-                    };
-                    self.params.clear();
-                    self.params.extend(r.params());
-                    out.push(time, tag, r.code, dest.intern_params(&self.params));
-                }
-                Some(Scanned::Gap(g)) if self.strict => {
-                    let (core, offset, cause) = (self.core, g.offset, g.cause);
-                    let err = AnalyzeError::Record {
-                        core,
-                        offset,
-                        cause,
-                    };
-                    return Err((self.stream, err));
-                }
-                Some(Scanned::Gap(g)) => ctx.loss[self.stream].gaps.push(g),
+    strict: bool,
+) -> Result<V1Stream, AnalyzeError> {
+    let mut out = V1Stream::default();
+    let mut scan = if strict {
+        RecordScan::strict(s.bytes)
+    } else {
+        RecordScan::lossy(s.bytes, Some(s.core))
+    };
+    let (mut elapsed, mut prev_dec) = (0u64, anchor.map_or(0, |a| a.dec_start));
+    let mut params = Vec::new();
+    for item in scan.by_ref() {
+        let r = match item {
+            Scanned::Record(r) => r,
+            Scanned::Gap(g) if strict => {
+                let (core, offset, cause) = (s.core, g.offset, g.cause);
+                return Err(AnalyzeError::Record {
+                    core,
+                    offset,
+                    cause,
+                });
             }
-        }
-        ctx.loss[self.stream].decoded_records = self.scan.records();
-        Ok(())
+            Scanned::Gap(g) => {
+                out.gaps.push(g);
+                continue;
+            }
+        };
+        let (time, tag) = match anchor {
+            None if s.core.is_spe() => continue,
+            None => {
+                harvest(&r, &mut out.anchors);
+                (r.timestamp, r.core.tag())
+            }
+            Some(a) => {
+                let dec = r.timestamp as u32;
+                elapsed += u64::from(prev_dec.wrapping_sub(dec));
+                prev_dec = dec;
+                (a.run_tb.wrapping_add(elapsed), s.core.tag())
+            }
+        };
+        params.clear();
+        params.extend(r.params());
+        out.ev.push(time, tag, r.code, &params);
     }
-
-    /// Decodes the whole stream into an eager run.
-    fn into_run(
-        mut self,
-        dest: &mut EventColumns,
-        ctx: &mut V1Ctx,
-    ) -> Result<Run<V1Source<'a>>, V1Error> {
-        let mut ev = Events::default();
-        self.fill(usize::MAX, &mut ev, dest, ctx)?;
-        Ok(Run::eager(self.stream, ev))
-    }
-}
-
-impl RunSource for V1Source<'_> {
-    type Ctx = V1Ctx;
-    type Error = V1Error;
-
-    fn refill(
-        &mut self,
-        out: &mut Events,
-        dest: &mut EventColumns,
-        ctx: &mut V1Ctx,
-    ) -> Result<(), V1Error> {
-        self.fill(V1_BATCH, out, dest, ctx)
-    }
+    out.records = scan.records();
+    out.unanchored = anchor.is_none() && s.core.is_spe() && out.records > 0;
+    Ok(out)
 }
 
 /// Records a `PpeCtxRun` sync anchor unless its SPE already has one.
@@ -357,17 +326,6 @@ fn harvest(r: &pdt::RecordRef<'_>, anchors: &mut Vec<SpeAnchor>) {
             dec_start: dec_start as u32,
         });
     }
-}
-
-/// Records in a clean stream, counted by hopping granule headers (an
-/// estimate on damaged streams): sizes the column reservation.
-fn record_count(bytes: &[u8]) -> usize {
-    let (mut off, mut n) = (0usize, 0usize);
-    while let Some(&g) = bytes.get(off).filter(|&&g| g > 0) {
-        off += g as usize * 16;
-        n += 1;
-    }
-    n
 }
 
 /// The strict policy's error: the first malformed record in stream
@@ -389,7 +347,11 @@ fn first_decode_error(streams: &[ImageStream<'_>]) -> Option<AnalyzeError> {
 /// the store and loss report the row path's
 /// [`analyze`](crate::analyze::analyze) /
 /// [`analyze_lossy`](crate::analyze::analyze_lossy) followed by
-/// [`ColumnarTrace::from_rows`] would produce.
+/// [`ColumnarTrace::from_rows`] would produce, whatever `par`.
+///
+/// The PPE streams decode first, since every anchor must be harvested
+/// before an SPE record can be placed; then each SPE stream decodes as
+/// one [`exec::map_indexed`] shard, and [`merge`] joins the runs.
 ///
 /// # Errors
 ///
@@ -399,82 +361,74 @@ fn first_decode_error(streams: &[ImageStream<'_>]) -> Option<AnalyzeError> {
 pub(crate) fn ingest(
     image: &TraceImage<'_>,
     policy: DecodePolicy,
+    par: Parallelism,
 ) -> Result<(ColumnarTrace, LossReport), AnalyzeError> {
     let strict = policy == DecodePolicy::Strict;
     let streams = image.streams();
-    // A strict failure in stream `si` yields to any failure before it.
-    let precedence = |(si, e): V1Error| first_decode_error(&streams[..si]).unwrap_or(e);
-    let mut dest = EventColumns::with_capacity(0);
-    let mut ctx = V1Ctx {
-        loss: streams
-            .iter()
-            .map(|s| StreamLoss {
-                core: s.core,
-                decoded_records: 0,
-                tracer_dropped: s.dropped,
-                gaps: Vec::new(),
-                unanchored: false,
-            })
-            .collect(),
-        anchors: Vec::new(),
+    let (ppe, spe): (Vec<usize>, Vec<usize>) =
+        (0..streams.len()).partition(|&si| !streams[si].core.is_spe());
+    // Decodes the streams `ids` in parallel. A strict failure in
+    // stream `si` yields to any failure before it.
+    let decode_all = |ids: &[usize], anchors: &[SpeAnchor]| {
+        let out = exec::map_indexed(par, ids.len(), |i| {
+            let s = &streams[ids[i]];
+            let anchor = match s.core {
+                TraceCore::Spe(spe) => anchors.iter().find(|a| a.spe == spe).copied(),
+                TraceCore::Ppe(_) => None,
+            };
+            decode_v1(s, anchor, strict).map_err(|e| (ids[i], e))
+        });
+        out.into_iter()
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|(si, e)| first_decode_error(&streams[..si]).unwrap_or(e))
     };
-    let mut runs = Vec::new();
-    let mut placed = 0usize;
 
-    // PPE streams first: every anchor must be harvested before an SPE
-    // record can be placed.
-    for (si, s) in streams.iter().enumerate().filter(|(_, s)| !s.core.is_spe()) {
-        let run = V1Source::new(si, s, None, strict).into_run(&mut dest, &mut ctx);
-        let run = run.map_err(precedence)?;
-        placed += run.ev.len();
-        runs.push(run);
+    let mut decoded: Vec<V1Stream> = streams.iter().map(|_| V1Stream::default()).collect();
+    let mut anchors: Vec<SpeAnchor> = Vec::new();
+    for (&si, d) in ppe.iter().zip(decode_all(&ppe, &[])?) {
+        for a in &d.anchors {
+            if !anchors.iter().any(|b| b.spe == a.spe) {
+                anchors.push(*a);
+            }
+        }
+        decoded[si] = d;
     }
-
-    for (si, s) in streams.iter().enumerate() {
-        let TraceCore::Spe(spe) = s.core else {
-            continue;
-        };
-        let Some(a) = ctx.anchors.iter().find(|a| a.spe == spe).copied() else {
-            if strict && !s.bytes.is_empty() {
+    if strict {
+        for s in streams.iter().filter(|s| !s.bytes.is_empty()) {
+            let TraceCore::Spe(spe) = s.core else {
+                continue;
+            };
+            if !anchors.iter().any(|a| a.spe == spe) {
                 return Err(
                     first_decode_error(streams).unwrap_or(AnalyzeError::MissingAnchor { spe })
                 );
             }
-            // Unplaceable: decoded for the loss accounting only.
-            let l = &mut ctx.loss[si];
-            for item in RecordScan::lossy(s.bytes, Some(s.core)) {
-                match item {
-                    Scanned::Record(_) => l.decoded_records += 1,
-                    Scanned::Gap(g) => l.gaps.push(g),
-                }
-            }
-            l.unanchored = l.decoded_records > 0;
-            continue;
-        };
-        let src = V1Source::new(si, s, Some(a), strict);
-        placed += record_count(s.bytes);
-        // Each record is at least 16 bytes and advances time by at most
-        // one decrementer period; a stream that could wrap `u64` time
-        // is placed eagerly and sorted.
-        let max_elapsed = (s.bytes.len() as u64 / 16).saturating_mul(u64::from(u32::MAX));
-        let run = if a.run_tb.checked_add(max_elapsed).is_none() {
-            Some(src.into_run(&mut dest, &mut ctx))
-        } else {
-            Run::lazy(si, src, &mut dest, &mut ctx).transpose()
-        };
-        if let Some(run) = run {
-            runs.push(run.map_err(precedence)?);
         }
     }
+    for (&si, d) in spe.iter().zip(decode_all(&spe, &anchors)?) {
+        decoded[si] = d;
+    }
 
-    dest.reserve_events(placed);
-    merge(runs, &mut dest, &mut ctx).map_err(precedence)?;
+    let mut runs = Vec::new();
+    let mut loss = Vec::new();
+    for (si, (s, d)) in streams.iter().zip(decoded).enumerate() {
+        loss.push(StreamLoss {
+            core: s.core,
+            decoded_records: d.records,
+            tracer_dropped: s.dropped,
+            gaps: d.gaps,
+            unanchored: d.unanchored,
+        });
+        runs.push(Run::new(si, d.ev));
+    }
+    let mut dest = EventColumns::with_capacity(0);
+    merge(runs, &mut dest);
 
     let mut trace = ColumnarTrace::empty(*image.header());
     trace.events = dest;
-    trace.anchors = ctx.anchors;
+    trace.anchors = anchors;
     trace.dropped = image.total_dropped();
     trace.set_ctx_names(image.ctx_names());
-    let streams = if strict { Vec::new() } else { ctx.loss };
+    let streams = if strict { Vec::new() } else { loss };
     Ok((trace, LossReport { streams }))
 }

@@ -10,13 +10,15 @@
 use pdt::TraceFile;
 
 use crate::analyze::{AnalyzeError, AnalyzedTrace};
+use crate::exec::Parallelism;
 use crate::loss::{DecodePolicy, LossReport};
 use crate::oneshot::ingest;
 use crate::reader::TraceImage;
 
 /// Reconstructs the global timeline: exactly the [`AnalyzedTrace`]
 /// (events, order, anchors, errors) of the serial
-/// [`analyze`](crate::analyze::analyze).
+/// [`analyze`](crate::analyze::analyze), with the SPE streams decoded
+/// under [`Parallelism::Auto`].
 ///
 /// # Errors
 ///
@@ -24,17 +26,23 @@ use crate::reader::TraceImage;
 /// anchors, with the same stream-order precedence as the serial path
 /// (all decode errors are reported before any anchor error).
 pub fn analyze_parallel(trace: &TraceFile) -> Result<AnalyzedTrace, AnalyzeError> {
-    let (columns, _) = ingest(&TraceImage::from(trace), DecodePolicy::Strict)?;
+    let (columns, _) = ingest(
+        &TraceImage::from(trace),
+        DecodePolicy::Strict,
+        Parallelism::Auto,
+    )?;
     Ok(columns.materialize())
 }
 
 /// The lossy counterpart of [`analyze_parallel`]: resynchronizes past
 /// corruption, never fails, and quantifies everything skipped in a
 /// [`LossReport`]. Output is identical to the serial
-/// [`analyze_lossy`](crate::analyze::analyze_lossy). `_threads` is
-/// ignored: ingestion decodes on the calling thread.
-pub fn analyze_parallel_lossy(trace: &TraceFile, _threads: usize) -> (AnalyzedTrace, LossReport) {
-    match ingest(&TraceImage::from(trace), DecodePolicy::Lossy) {
+/// [`analyze_lossy`](crate::analyze::analyze_lossy). The streams
+/// decode on up to `threads` executors
+/// ([`Parallelism::from_threads`]).
+pub fn analyze_parallel_lossy(trace: &TraceFile, threads: usize) -> (AnalyzedTrace, LossReport) {
+    let par = Parallelism::from_threads(threads);
+    match ingest(&TraceImage::from(trace), DecodePolicy::Lossy, par) {
         Ok((columns, loss)) => (columns.materialize(), loss),
         // The lossy policy has no error path: damage becomes gaps.
         Err(_) => unreachable!("lossy ingest never fails"),

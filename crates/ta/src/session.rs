@@ -40,7 +40,7 @@ use crate::causality::{sync_edges_columns, CausalEdge};
 use crate::columns::ColumnarTrace;
 use crate::exec::{self, Parallelism};
 use crate::index::{TraceIndex, WindowSummary};
-use crate::intervals::{build_intervals_columns, build_spe_intervals_columns, SpeIntervals};
+use crate::intervals::{build_spe_intervals_columns, SpeIntervals};
 use crate::lint::{lint_columns_sharded_with_edges, LintConfig, LintReport};
 use crate::loss::{DecodePolicy, LossReport};
 use crate::occupancy::{dma_occupancy_columns, dma_occupancy_columns_par, SpeOccupancy};
@@ -50,7 +50,7 @@ use crate::phases::{user_phases_columns, PhaseReport};
 use crate::query::EventFilter;
 use crate::reader::TraceImage;
 use crate::report::{RenderOptions, ReportKind};
-use crate::stats::{compute_stats_columns, compute_stats_columns_par, TraceStats};
+use crate::stats::{compute_stats_columns_par, TraceStats};
 use crate::stats::{observe_dma_over, DmaSummary};
 use crate::summary::render_summary_with;
 use crate::svg::SvgOptions;
@@ -69,10 +69,10 @@ pub struct AnalysisBuilder<'t> {
 }
 
 impl AnalysisBuilder<'_> {
-    /// Sets the session's concurrency: the [`Parallelism`] its products
-    /// are built with. Ingestion decodes on the calling thread, merging
-    /// as it goes. Defaults to [`Parallelism::Auto`] (the machine's
-    /// available parallelism).
+    /// Sets the session's concurrency: the [`Parallelism`] ingestion
+    /// decodes the SPE streams with and its products are built with.
+    /// Defaults to [`Parallelism::Auto`] (the machine's available
+    /// parallelism).
     pub fn parallelism(mut self, par: Parallelism) -> Self {
         self.par = par;
         self
@@ -111,7 +111,7 @@ impl AnalysisBuilder<'_> {
     /// the same precedence, as the serial
     /// [`analyze`](crate::analyze::analyze).
     pub fn run(self) -> Result<Analysis, AnalyzeError> {
-        let (mut columns, loss) = oneshot::ingest(&self.image, self.policy)?;
+        let (mut columns, loss) = oneshot::ingest(&self.image, self.policy, self.par)?;
         if let Some(f) = &self.filter {
             columns.retain_views(|v| f.matches_view(v));
         }
@@ -276,17 +276,25 @@ impl Analysis {
         &self.analyzed().events
     }
 
-    /// Per-SPE activity intervals (computed once, shared by
+    /// Per-SPE activity intervals (computed once, one shard per SPE
+    /// under the session's [`Parallelism`], shared by
     /// [`stats`](Self::stats) and [`timeline`](Self::timeline)).
     pub fn intervals(&self) -> &[SpeIntervals] {
-        self.intervals
-            .get_or_init(|| build_intervals_columns(self.columns()))
+        self.intervals.get_or_init(|| {
+            let spes = self.columns().spes();
+            let lanes = exec::map_indexed(self.par, spes.len(), |i| {
+                build_spe_intervals_columns(self.columns(), spes[i])
+            });
+            lanes.into_iter().flatten().collect()
+        })
     }
 
-    /// Per-SPE utilization, DMA traffic and event-count statistics.
+    /// Per-SPE utilization, DMA traffic and event-count statistics,
+    /// with the DMA observer's per-SPE shards under the session's
+    /// [`Parallelism`].
     pub fn stats(&self) -> &TraceStats {
         self.stats
-            .get_or_init(|| compute_stats_columns(self.columns(), self.intervals()))
+            .get_or_init(|| compute_stats_columns_par(self.columns(), self.intervals(), self.par))
     }
 
     /// The Gantt timeline model.
@@ -864,6 +872,14 @@ mod tests {
         assert_eq!(a.phases(), b.phases());
         assert_eq!(a.index(), b.index());
         assert_eq!(a.lint(), b.lint());
+        // Without `build_products`, the accessors fan out under the
+        // session's own parallelism, and ingest decodes under it too.
+        for par in [Parallelism::Workers(2), Parallelism::Workers(4)] {
+            let c = Analysis::of(&t).parallelism(par).run().unwrap();
+            assert_eq!(c.columns().events, a.columns().events, "{par:?}");
+            assert_eq!(c.intervals(), a.intervals(), "{par:?}");
+            assert_eq!(c.stats(), a.stats(), "{par:?}");
+        }
     }
 
     #[test]

@@ -31,8 +31,9 @@
 //!   [`EventColumns`] — per-stream runs, k-way merged at block
 //!   granularity, parameters interned as they decode — skipping the
 //!   v1-byte reconstruction entirely. The one-shot form harvests
-//!   anchors from the PPE pass and lazily decodes each anchored SPE
-//!   run; the chunked form buffers provisional per-stream runs
+//!   anchors from the PPE pass, then decodes each anchored SPE stream
+//!   into its own run as one [`crate::exec::map_indexed`] shard; the
+//!   chunked form buffers provisional per-stream runs
 //!   (timestamps still decrementer-relative) and applies each
 //!   stream's anchor offset as its run reaches the merge front,
 //!   freeing consumed run segments so peak memory stays near the
@@ -64,9 +65,9 @@ use pdt::{EventCode, TraceCore, TraceHeader, TraceRecord, VERSION};
 
 use crate::analyze::{GlobalEvent, SpeAnchor};
 use crate::columns::{ColumnarTrace, EventColumns};
-use crate::exec::Parallelism;
+use crate::exec::{self, Parallelism};
 use crate::loss::{LossReport, StreamLoss};
-use crate::oneshot::{merge, upper_bound, Events, Run, RunSource};
+use crate::oneshot::{merge, upper_bound, Events, Run};
 use crate::session::Analysis;
 use crate::stream::{IngestSession, StreamId};
 
@@ -277,29 +278,28 @@ impl<'a> V2Trace<'a> {
     /// The direct-to-columns fast path: validates the whole container,
     /// then decodes packed payloads straight into the slim columnar
     /// store — per-stream runs, placed on the global timeline as they
-    /// decode, k-way merged with galloping bulk appends. Returns
+    /// decode (the SPE streams in parallel under `par`), joined by the
+    /// one-shot merge front. Returns
     /// `None` on any damage or disorder; the caller falls back to the
     /// roundtrip reader, which re-reads from scratch (the partial
     /// direct output is discarded, so degraded images cost one wasted
     /// validation pass, never wrong output).
     fn analyze_direct(&self, par: Parallelism) -> Option<(Arc<Analysis>, CodecStats)> {
         let mut stats = CodecStats::default();
-        let mut clean = validate_clean(&self.file)?;
-        let mut trace = ColumnarTrace::empty(self.file.header);
-        let mut events = EventColumns::with_capacity(0);
+        let clean = validate_clean(&self.file)?;
+        let streams = &self.file.streams;
 
         // Pass 1: PPE streams decode fully up front — the anchor
         // harvest must see every candidate before any SPE record can
-        // be placed. Their runs are kept in memory for the merge (PPE
-        // streams are small next to the SPE firehose).
+        // be placed.
         let mut cands: Vec<DirectCand> = Vec::new();
-        let mut runs: Vec<Run<SpeBlocks<'_>>> = Vec::new();
-        for (si, meta) in self.file.streams.iter().enumerate() {
+        let mut runs: Vec<Run> = Vec::new();
+        for (si, meta) in streams.iter().enumerate() {
             if meta.core.is_spe() {
                 continue;
             }
-            let run = decode_ppe_run(si, &clean[si], &mut events, &mut cands, &mut stats)?;
-            runs.push(Run::eager(si, run));
+            let run = decode_ppe_run(si, &clean[si], &mut cands, &mut stats)?;
+            runs.push(Run::new(si, run));
         }
 
         // Winner per SPE number: the candidate at the smallest
@@ -319,58 +319,57 @@ impl<'a> V2Trace<'a> {
         }
         best.sort_unstable_by_key(|c| (c.stream, c.rec));
         let anchors: Vec<SpeAnchor> = best.iter().map(|c| c.anchor).collect();
+        let anchor_of = |core: TraceCore| match core {
+            TraceCore::Spe(spe) => anchors.iter().find(|a| a.spe == spe).copied(),
+            TraceCore::Ppe(_) => None,
+        };
 
-        // Pass 2: SPE streams become lazy runs (anchored) or decode
-        // for accounting only (unanchored — the roundtrip reader also
-        // decodes their blocks before discarding the events).
-        let mut losses: Vec<StreamLoss> = Vec::with_capacity(self.file.streams.len());
-        let mut placed_total: u64 = 0;
-        for (si, meta) in self.file.streams.iter().enumerate() {
-            let mut unanchored = false;
-            if let TraceCore::Spe(spe) = meta.core {
-                match best.iter().find(|c| c.anchor.spe == spe) {
-                    Some(c) => {
-                        placed_total += clean[si].records;
-                        let src = SpeBlocks {
-                            tag: meta.core.tag(),
-                            blocks: std::mem::take(&mut clean[si].blocks),
-                            next_block: 0,
-                            batch: ColumnBatch::default(),
-                            run_tb: c.anchor.run_tb,
-                            elapsed: 0,
-                            prev_dec: c.anchor.dec_start,
-                        };
-                        if let Some(run) = Run::lazy(si, src, &mut events, &mut stats).ok()? {
-                            runs.push(run);
-                        }
-                    }
-                    None => {
-                        decode_discard(&clean[si], &mut stats)?;
-                        unanchored = clean[si].records > 0;
-                    }
+        // Pass 2: each SPE stream is one shard, decoded into its own
+        // run (anchored) or for the codec counters only (unanchored —
+        // the roundtrip reader also decodes their blocks before
+        // discarding the events).
+        let spes: Vec<usize> = (0..streams.len())
+            .filter(|&si| streams[si].core.is_spe())
+            .collect();
+        let shards = exec::map_indexed(par, spes.len(), |i| {
+            let (si, mut stats) = (spes[i], CodecStats::default());
+            let run = match anchor_of(streams[si].core) {
+                Some(a) => Some(decode_spe_run(&clean[si], streams[si].core, a, &mut stats)?),
+                None => {
+                    decode_discard(&clean[si], &mut stats)?;
+                    None
                 }
-            } else {
-                placed_total += clean[si].records;
-            }
-            losses.push(StreamLoss {
+            };
+            Some((run, stats))
+        });
+        for (&si, shard) in spes.iter().zip(shards) {
+            let (run, shard_stats) = shard?;
+            stats.merge(&shard_stats);
+            runs.extend(run.map(|ev| Run::new(si, ev)));
+        }
+
+        let losses = streams
+            .iter()
+            .zip(&clean)
+            .map(|(meta, cs)| StreamLoss {
                 core: meta.core,
-                decoded_records: clean[si].records,
+                decoded_records: cs.records,
                 tracer_dropped: meta.dropped,
                 gaps: Vec::new(),
-                unanchored,
-            });
-        }
-        events.reserve_events(usize::try_from(placed_total).ok()?);
+                unanchored: meta.core.is_spe() && anchor_of(meta.core).is_none() && cs.records > 0,
+            })
+            .collect();
 
         // The shared one-shot merge front; its stream-index tie-break
         // is the commit order of the session the roundtrip reader
         // replays through.
-        merge(runs, &mut events, &mut stats).ok()?;
+        let mut events = EventColumns::with_capacity(0);
+        merge(runs, &mut events);
 
-        let dropped_total: u64 = self.file.streams.iter().map(|m| m.dropped).sum();
+        let mut trace = ColumnarTrace::empty(self.file.header);
         trace.events = events;
         trace.anchors = anchors;
-        trace.dropped = dropped_total;
+        trace.dropped = streams.iter().map(|m| m.dropped).sum();
         trace.set_ctx_names(&self.file.ctx_names);
         let loss = LossReport { streams: losses };
         let analysis = Analysis::from_shared(Arc::new(trace), loss, par);
@@ -589,7 +588,6 @@ struct DirectCand {
 fn decode_ppe_run(
     si: usize,
     cs: &CleanStream<'_>,
-    dest: &mut EventColumns,
     cands: &mut Vec<DirectCand>,
     stats: &mut CodecStats,
 ) -> Option<Events> {
@@ -618,7 +616,7 @@ fn decode_ppe_run(
                     },
                 });
             }
-            run.push(t, g, batch.codes[k], dest.intern_params(params));
+            run.push(t, g, batch.codes[k], params);
         }
     }
     Some(run)
@@ -655,50 +653,30 @@ fn decode_block(
     Some(())
 }
 
-/// An anchored SPE stream's blocks, decoded one block per batch as the
-/// merge front reaches them, so merge memory stays one block per
-/// stream.
-struct SpeBlocks<'a> {
-    tag: u8,
-    blocks: Vec<(BlockPrefix, &'a [u8])>,
-    next_block: usize,
-    batch: ColumnBatch,
-    run_tb: u64,
-    elapsed: u64,
-    prev_dec: u32,
-}
-
-impl RunSource for SpeBlocks<'_> {
-    type Ctx = CodecStats;
-    /// Decode damage or a time wrap: fall back to the roundtrip reader.
-    type Error = ();
-
-    fn refill(
-        &mut self,
-        out: &mut Events,
-        dest: &mut EventColumns,
-        stats: &mut CodecStats,
-    ) -> Result<(), ()> {
-        while out.len() == 0 {
-            let Some((prefix, payload)) = self.blocks.get(self.next_block) else {
-                return Ok(());
-            };
-            self.next_block += 1;
-            decode_block(prefix, payload, &mut self.batch, stats).ok_or(())?;
-            for k in 0..self.batch.len() {
-                let dec = self.batch.timestamps[k] as u32;
-                self.elapsed += u64::from(self.prev_dec.wrapping_sub(dec));
-                self.prev_dec = dec;
-                // A wrap would land events out of order, which the
-                // session absorbs by sorting — send such traces down
-                // the fallback.
-                let t = self.run_tb.checked_add(self.elapsed).ok_or(())?;
-                let id = dest.intern_params(self.batch.params_of(k));
-                out.push(t, self.tag, self.batch.codes[k], id);
-            }
+/// Decodes one clean, anchored SPE stream into a run placed from
+/// `anchor`. `None` on decode damage or a time wrap: a wrap would land
+/// events out of order, which the session absorbs by sorting, so such
+/// traces take the roundtrip reader.
+fn decode_spe_run(
+    cs: &CleanStream<'_>,
+    core: TraceCore,
+    anchor: SpeAnchor,
+    stats: &mut CodecStats,
+) -> Option<Events> {
+    let mut run = Events::default();
+    let mut batch = ColumnBatch::default();
+    let (mut elapsed, mut prev_dec) = (0u64, anchor.dec_start);
+    for (prefix, payload) in &cs.blocks {
+        decode_block(prefix, payload, &mut batch, stats)?;
+        for k in 0..batch.len() {
+            let dec = batch.timestamps[k] as u32;
+            elapsed += u64::from(prev_dec.wrapping_sub(dec));
+            prev_dec = dec;
+            let t = anchor.run_tb.checked_add(elapsed)?;
+            run.push(t, core.tag(), batch.codes[k], batch.params_of(k));
         }
-        Ok(())
     }
+    Some(run)
 }
 
 // ---------------------------------------------------------------------
@@ -1046,8 +1024,8 @@ impl DirectIngest {
             });
         }
 
-        // K-way galloping merge, identical in shape and keys to the
-        // one-shot path: minimum cursor bulk-appends everything
+        // K-way galloping merge, with the one-shot merge front's keys
+        // and tie-break: the minimum cursor bulk-appends everything
         // sorting strictly below the runner-up head.
         let mut events = std::mem::take(&mut self.dest);
         events.reserve_events(total);

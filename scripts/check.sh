@@ -62,6 +62,23 @@ if cargo run -q -p ta --bin ta-cli -- lint tests/golden/stream_racy.pdt > /dev/n
 fi
 cargo run -q -p ta --bin ta-cli -- lint tests/golden/stream.pdt > /dev/null
 
+echo "== ta-cli cross-parallelism smoke =="
+# Ingest decodes one shard per SPE stream under -j, so a golden's
+# summary and SVG timeline, as .pdt and as its .pdt2 packing, must be
+# byte-identical at -j serial and at -j 4.
+smoke_dir=$(mktemp -d)
+trap 'rm -rf "$smoke_dir"' EXIT
+ta_cli() { cargo run -q --release -p ta --bin ta-cli -- "$@"; }
+ta_cli pack tests/golden/stream.pdt "$smoke_dir/stream.pdt2" > /dev/null
+for trace in tests/golden/stream.pdt "$smoke_dir/stream.pdt2"; do
+  for j in serial 4; do
+    ta_cli summary "$trace" -j "$j" > "$smoke_dir/summary.$j"
+    ta_cli timeline "$trace" --svg "$smoke_dir/timeline.$j.svg" -j "$j" > /dev/null
+  done
+  cmp "$smoke_dir/summary.serial" "$smoke_dir/summary.4"
+  cmp "$smoke_dir/timeline.serial.svg" "$smoke_dir/timeline.4.svg"
+done
+
 echo "== fault-injection smoke (3 seeds) =="
 # Injects every corruption mode into a real trace and asserts the lossy
 # decoder terminates, serial == parallel, and the loss accounting

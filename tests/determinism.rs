@@ -6,11 +6,13 @@
 //! the one-shot `Analysis` path and the streaming `ImageIngest` path.
 //!
 //! This is the differential oracle for the shard-task decomposition:
-//! per-SPE interval shards, per-rule×per-shard lint sweeps, and
-//! per-core index blocks may execute in any order on any worker, but
-//! the assembled products must not depend on that order.
+//! per-stream decode shards, per-SPE interval shards, per-rule×per-shard
+//! lint sweeps, and per-core index blocks may execute in any order on
+//! any worker, but the assembled products must not depend on that
+//! order.
 
-use ta::{Analysis, ImageIngest, Parallelism};
+use pdt::v2::{pack, DEFAULT_BLOCK_RECORDS};
+use ta::{analyze_v2, Analysis, ImageIngest, Parallelism};
 
 #[path = "common/goldens.rs"]
 mod goldens;
@@ -37,8 +39,18 @@ fn assert_products_eq(reference: &Analysis, got: &Analysis, what: &str) {
     assert_eq!(got.lint(), reference.lint(), "{what}: lint");
 }
 
+/// One-shot ingest's own output: the event columns and their parameter
+/// dictionary size (ids are assigned in stream order, never in decode
+/// order).
+fn assert_ingest_eq(reference: &Analysis, got: &Analysis, what: &str) {
+    let (want, have) = (&reference.columns().events, &got.columns().events);
+    assert_eq!(have, want, "{what}: columns");
+    assert_eq!(have.dict_len(), want.dict_len(), "{what}: dict_len");
+}
+
 /// One-shot path: every parallelism setting, run twice each, must
-/// reproduce the serial products exactly on every golden trace.
+/// reproduce the serial ingest and products exactly on every golden
+/// trace.
 #[test]
 fn products_identical_across_parallelism_and_repeats() {
     for name in GOLDEN {
@@ -52,9 +64,28 @@ fn products_identical_across_parallelism_and_repeats() {
         for par in SETTINGS {
             for rep in 0..2 {
                 let a = Analysis::of(&trace).parallelism(par).run().unwrap();
+                let what = format!("{name} {par:?} rep{rep}");
+                assert_ingest_eq(&reference, &a, &what);
                 a.build_products(par);
-                assert_products_eq(&reference, &a, &format!("{name} {par:?} rep{rep}"));
+                assert_products_eq(&reference, &a, &what);
             }
+        }
+    }
+}
+
+/// One-shot v2 path: the direct decoder's columns, loss report and
+/// codec counters are identical at every parallelism setting.
+#[test]
+fn v2_ingest_identical_across_parallelism() {
+    for name in GOLDEN {
+        let packed = pack(&golden(name), DEFAULT_BLOCK_RECORDS);
+        let (reference, ref_stats) = analyze_v2(&packed, Parallelism::Serial).unwrap();
+        for par in SETTINGS {
+            let (a, stats) = analyze_v2(&packed, par).unwrap();
+            let what = format!("{name} v2 {par:?}");
+            assert_ingest_eq(&reference, &a, &what);
+            assert_eq!(a.loss(), reference.loss(), "{what}: loss");
+            assert_eq!(stats, ref_stats, "{what}: codec stats");
         }
     }
 }

@@ -2,13 +2,18 @@
 //! the machine shape, workload or damage, `Analysis::of(..).run()` must
 //! produce exactly the serial row analyzer's output — same events in
 //! the same order, same anchors, same loss report, same strict error —
-//! and every product must be identical at every `Parallelism`.
+//! at `Serial` and at `Workers(2)`, which decodes the SPE streams on
+//! two executors, and every product must be identical at every
+//! `Parallelism`.
 
 use proptest::prelude::*;
 
 use cell_pdt::prelude::*;
 use pdt::{EventCode, TraceHeader, TraceRecord, TraceStream, VERSION};
-use ta::{analyze_lossy, analyze_v2, AnalyzedTrace, V2Ingest};
+use ta::{analyze_lossy, analyze_v2, AnalyzeError, AnalyzedTrace, V2Ingest};
+
+/// The executor counts every ingest check runs at.
+const INGEST_PAR: [Parallelism; 2] = [Parallelism::Serial, Parallelism::Workers(2)];
 
 /// A generatable, always-terminating SPU action.
 #[derive(Debug, Clone)]
@@ -74,27 +79,40 @@ fn traced_run(programs: &[Vec<Step>], buffer_bytes: u32) -> TraceFile {
 }
 
 /// Asserts the ingest agrees with the serial row oracles under both
-/// policies: lossy rows + loss report, and the strict result or error.
+/// policies, at every count in [`INGEST_PAR`]: lossy rows + loss
+/// report, and the strict result or error.
 fn assert_matches_oracles(trace: &TraceFile) {
     let (rows, loss) = analyze_lossy(trace);
-    let a = Analysis::of(trace).run().expect("lossy never fails");
-    prop_assert_eq!(a.events(), rows.events.as_slice(), "lossy events");
-    prop_assert_eq!(&a.analyzed().anchors, &rows.anchors, "lossy anchors");
-    prop_assert_eq!(a.analyzed().dropped, rows.dropped);
-    prop_assert_eq!(a.loss(), &loss, "loss report");
+    let want = analyze(trace);
+    for par in INGEST_PAR {
+        let a = Analysis::of(trace)
+            .parallelism(par)
+            .run()
+            .expect("lossy never fails");
+        prop_assert_eq!(
+            a.events(),
+            rows.events.as_slice(),
+            "lossy events, {:?}",
+            par
+        );
+        prop_assert_eq!(&a.analyzed().anchors, &rows.anchors, "lossy anchors");
+        prop_assert_eq!(a.analyzed().dropped, rows.dropped);
+        prop_assert_eq!(a.loss(), &loss, "loss report, {:?}", par);
 
-    match (analyze(trace), Analysis::of(trace).strict().run()) {
-        (Ok(serial), Ok(strict)) => {
-            prop_assert_eq!(strict.events(), serial.events.as_slice(), "strict events");
-            prop_assert_eq!(&strict.analyzed().anchors, &serial.anchors);
+        match (&want, Analysis::of(trace).parallelism(par).strict().run()) {
+            (Ok(serial), Ok(strict)) => {
+                prop_assert_eq!(strict.events(), serial.events.as_slice(), "strict events");
+                prop_assert_eq!(&strict.analyzed().anchors, &serial.anchors);
+            }
+            (Err(want), Err(got)) => prop_assert_eq!(&got, want, "strict error, {:?}", par),
+            (want, got) => prop_assert!(
+                false,
+                "strict outcome differs at {:?}: serial ok={}, ingest ok={}",
+                par,
+                want.is_ok(),
+                got.is_ok()
+            ),
         }
-        (Err(want), Err(got)) => prop_assert_eq!(got, want, "strict error"),
-        (want, got) => prop_assert!(
-            false,
-            "strict outcome differs: serial ok={}, ingest ok={}",
-            want.is_ok(),
-            got.is_ok()
-        ),
     }
 }
 
@@ -207,6 +225,12 @@ fn ctx_run(spe: u8, tb: u64) -> TraceRecord {
 /// An SPE stream of `n` records, decrementer stepping by `step`, with
 /// parameter tuples that repeat every few records.
 fn spe_stream(spe: u8, n: usize, step: u32) -> Vec<u8> {
+    spe_stream_marked(spe, n, step, u64::from(spe))
+}
+
+/// [`spe_stream`] with `mark` as every record's second parameter, so
+/// two streams for one SPE can be told apart.
+fn spe_stream_marked(spe: u8, n: usize, step: u32, mark: u64) -> Vec<u8> {
     let mut dec = u32::MAX;
     let recs: Vec<TraceRecord> = (0..n)
         .map(|k| {
@@ -218,7 +242,7 @@ fn spe_stream(spe: u8, n: usize, step: u32) -> Vec<u8> {
                     EventCode::SpeTagWaitEnd
                 },
                 timestamp: u64::from(dec),
-                params: vec![(k % 5) as u64, u64::from(spe)],
+                params: vec![(k % 5) as u64, mark],
             };
             dec = dec.wrapping_sub(step);
             r
@@ -241,9 +265,24 @@ fn assert_case(trace: &TraceFile) {
     let bytes = trace.to_bytes();
     let image = TraceImage::parse(&bytes).unwrap();
     let (rows, loss) = analyze_lossy(trace);
-    let a = Analysis::of(image.clone()).run().unwrap();
-    assert_eq!(a.events(), rows.events.as_slice());
-    assert_eq!(a.loss(), &loss);
+    for par in INGEST_PAR {
+        let a = Analysis::of(image.clone()).parallelism(par).run().unwrap();
+        assert_eq!(a.events(), rows.events.as_slice(), "{par:?}");
+        assert_eq!(a.loss(), &loss, "{par:?}");
+    }
+}
+
+/// The strict error at every count in [`INGEST_PAR`], which must agree.
+fn strict_error(trace: &TraceFile) -> AnalyzeError {
+    let errs: Vec<AnalyzeError> = INGEST_PAR
+        .iter()
+        .map(|&par| {
+            let run = Analysis::of(trace).parallelism(par).strict().run();
+            run.expect_err("damaged trace must fail strict ingest")
+        })
+        .collect();
+    assert!(errs.windows(2).all(|w| w[0] == w[1]), "{errs:?}");
+    errs.into_iter().next().unwrap()
 }
 
 /// PPE hardware threads interleaved at equal ticks against tag order:
@@ -296,8 +335,10 @@ fn unanchored_and_empty_spe_streams_match_serial() {
     assert!(Analysis::of(&trace).run().unwrap().loss().streams[4].unanchored);
 }
 
-/// Streams sized around the lazy cursor's batch boundary, with damage
-/// landing on either side of it.
+/// Streams sized around 4096 records (the batch size of the lazy cursor
+/// ingest once had), with damage landing on either side of that
+/// boundary: the strict error must name the earlier stream whatever
+/// order the damage is met in.
 #[test]
 fn lazy_batch_boundaries_match_serial() {
     for n in [4095, 4096, 4097, 8192, 8193] {
@@ -373,4 +414,107 @@ fn anchor_near_u64_max_wraps_identically_everywhere() {
     v2_chunked.finish().unwrap();
     let v2_snap = v2_chunked.snapshot().unwrap();
     assert_eq!(v2_snap.events(), serial.events.as_slice(), "chunked v2");
+}
+
+/// Two damaged SPE streams decode as separate shards: the strict error
+/// names the lower stream, though its damage sits far later in its
+/// stream than the higher stream's, and the lossy report accounts both.
+#[test]
+fn two_damaged_spe_streams_report_the_lower_stream() {
+    let mut trace = TraceFile {
+        header: header(3),
+        streams: vec![
+            stream(
+                TraceCore::Ppe(0),
+                encode(&[ctx_run(0, 5), ctx_run(1, 6), ctx_run(2, 7)]),
+                0,
+            ),
+            stream(TraceCore::Spe(0), spe_stream(0, 300, 11), 0),
+            stream(TraceCore::Spe(1), spe_stream(1, 300, 13), 0),
+            stream(TraceCore::Spe(2), spe_stream(2, 300, 17), 0),
+        ],
+        ctx_names: vec![],
+    };
+    // Each record is 32 bytes; a zero granule count is malformed.
+    trace.streams[2].bytes[250 * 32] = 0;
+    trace.streams[3].bytes[32] = 0;
+    assert_case(&trace);
+    match strict_error(&trace) {
+        AnalyzeError::Record { core, offset, .. } => {
+            assert_eq!(core, TraceCore::Spe(1));
+            assert_eq!(offset, 250 * 32);
+        }
+        e => panic!("expected a record error, got {e:?}"),
+    }
+    let lossy = Analysis::of(&trace)
+        .parallelism(Parallelism::Workers(2))
+        .run()
+        .unwrap();
+    assert_eq!(lossy.loss().streams[2].gaps.len(), 1);
+    assert_eq!(lossy.loss().streams[3].gaps.len(), 1);
+}
+
+/// Two SPE streams for one SPE share its core tag, so their events tie
+/// on `(time, tag, stream_seq)`: the merge breaks every tie by stream
+/// index, at every executor count.
+#[test]
+fn streams_sharing_a_core_tag_break_ties_by_stream_index() {
+    let trace = TraceFile {
+        header: header(2),
+        streams: vec![
+            stream(
+                TraceCore::Ppe(0),
+                encode(&[ctx_run(0, 5), ctx_run(1, 9)]),
+                0,
+            ),
+            stream(TraceCore::Spe(0), spe_stream_marked(0, 80, 7, 100), 0),
+            stream(TraceCore::Spe(1), spe_stream(1, 40, 5), 0),
+            stream(TraceCore::Spe(0), spe_stream_marked(0, 80, 7, 200), 0),
+        ],
+        ctx_names: vec![],
+    };
+    assert_case(&trace);
+    for par in INGEST_PAR {
+        let a = Analysis::of(&trace).parallelism(par).run().unwrap();
+        let spe0: Vec<(u64, u64, u64)> = a
+            .events()
+            .iter()
+            .filter(|e| e.core == TraceCore::Spe(0))
+            .map(|e| (e.time_tb, e.stream_seq, e.params[1]))
+            .collect();
+        assert_eq!(spe0.len(), 160);
+        for pair in spe0.chunks(2) {
+            assert_eq!((pair[0].0, pair[0].1), (pair[1].0, pair[1].1), "{par:?}");
+            assert_eq!((pair[0].2, pair[1].2), (100, 200), "{par:?}");
+        }
+    }
+}
+
+/// Both SPE anchors near `u64::MAX`: every placed SPE stream wraps and
+/// takes the sorted run, one of them damaged, at every executor count.
+#[test]
+fn wrapping_spe_runs_sort_identically_at_every_executor_count() {
+    let mut trace = TraceFile {
+        header: header(2),
+        streams: vec![
+            stream(
+                TraceCore::Ppe(0),
+                encode(&[ctx_run(0, u64::MAX - 700), ctx_run(1, u64::MAX - 300)]),
+                0,
+            ),
+            stream(TraceCore::Spe(0), spe_stream(0, 90, 40), 0),
+            stream(TraceCore::Spe(1), spe_stream(1, 70, 30), 0),
+        ],
+        ctx_names: vec![],
+    };
+    assert_case(&trace);
+    trace.streams[2].bytes[40 * 32] = 0;
+    assert_case(&trace);
+    let a = Analysis::of(&trace)
+        .parallelism(Parallelism::Workers(2))
+        .run()
+        .unwrap();
+    let times = a.columns().events.times();
+    assert!(times.windows(2).all(|w| w[0] <= w[1]), "sorted");
+    assert!(times[0] < 1000, "time wrapped");
 }
