@@ -6,7 +6,7 @@
 //! (1/64 of the span, centered). The naive path rescans every global
 //! event per query, so its cost grows linearly with trace size; the
 //! indexed path resolves the window by binary search over per-core
-//! offsets plus the zoom pyramid, so its cost tracks the *result*
+//! offsets and the lane checkpoints, so its cost tracks the *result*
 //! size and stays near-flat. `query_smoke` asserts the ≥5x separation
 //! as a CI gate; this bench produces the full scaling table.
 

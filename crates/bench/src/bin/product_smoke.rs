@@ -27,8 +27,8 @@
 //! Emits `BENCH_products.json` and `BENCH_ingest.json` at the repo
 //! root (stable schema: name, events_per_sec, wall_ms, threads) for
 //! the tracked perf trajectory. `BENCH_products.json` meta carries
-//! `host_cpus` and the number of shards the `ta::exec` fan-out ran
-//! over the columnar runs. `BENCH_ingest.json` times ingest at
+//! `host_cpus`, the number of shards the `ta::exec` fan-out ran over
+//! the columnar runs, and the query index's `index_bytes_per_event`. `BENCH_ingest.json` times ingest at
 //! `Serial` and at `Workers(2)` (`ingest_decode_1t`/`_2t`); its meta
 //! carries the executors the 2-worker row actually ran on.
 
@@ -261,7 +261,7 @@ fn run() -> Result<(), String> {
             ta::phases::user_phases_columns(&cols).phases.len()
         }),
         ("product_index", &|| {
-            ta::index::TraceIndex::build_columns(&cols, &iv, &loss, 1)
+            ta::index::TraceIndex::build_columns(&cols, iv.as_slice(), &loss)
                 .cores()
                 .count()
         }),
@@ -295,8 +295,16 @@ fn run() -> Result<(), String> {
         sched.tasks, sched.workers
     );
 
+    let index_bytes =
+        ta::index::TraceIndex::build_columns(&cols, iv.as_slice(), &loss).bytes_in_memory();
+    println!(
+        "index: {index_bytes} bytes, {:.2} B/event",
+        index_bytes as f64 / n as f64
+    );
+
     let meta = [
         ("events", n as f64),
+        ("index_bytes_per_event", index_bytes as f64 / n as f64),
         ("peak_rss_kb", rss as f64),
         ("speedup_1t", speedup_1t),
         ("speedup_4t", speedup_4t),

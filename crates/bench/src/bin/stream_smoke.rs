@@ -12,7 +12,7 @@
 //! - **Ingestion must actually be incremental.** On a large synthetic
 //!   trace, appending the final ~1% of each SPE stream after a
 //!   snapshot must extend the maintained index, not rebuild it:
-//!   at most 5% of index blocks may be rebuilt.
+//!   at most 5% of lane checkpoints may be rewritten.
 //! - **A growing `.pdt` file costs O(tail) per poll.** Every clean
 //!   golden and the storm trace, fed to [`ta::ImageIngest`] in 120
 //!   equal appends with a snapshot and a `summarize` after each (the
@@ -258,7 +258,7 @@ fn check_incremental_bound(trace: &TraceFile) -> Result<(f64, usize, usize), Str
     let frac = delta.rebuilt_fraction();
     if frac > MAX_REBUILT_FRACTION {
         return Err(format!(
-            "appending a 1% tail rebuilt {:.1}% of index blocks ({}/{}, max {:.0}%)",
+            "appending a 1% tail rewrote {:.1}% of lane checkpoints ({}/{}, max {:.0}%)",
             frac * 100.0,
             delta.blocks_rebuilt,
             delta.blocks_total,
@@ -310,7 +310,7 @@ fn run() -> Result<(), String> {
     let n = storm.events().len();
     let (frac, rebuilt, total) = check_incremental_bound(&trace)?;
     println!(
-        "incremental bound: OK (1% tail rebuilt {rebuilt}/{total} blocks = {:.2}%, max 5%)",
+        "incremental bound: OK (1% tail rewrote {rebuilt}/{total} lane checkpoints = {:.2}%, max 5%)",
         frac * 100.0
     );
 

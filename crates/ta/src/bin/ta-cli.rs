@@ -55,7 +55,7 @@
 //! `query` runs through the session's trace index, so window and core
 //! restrictions resolve by binary search rather than a full rescan.
 //! Without `--summary` it lists the matching events; with it, it
-//! prints the window's pre-aggregated per-core event counts and
+//! prints the window's per-core event counts and
 //! per-SPE activity occupancy, flagging windows that overlap decode
 //! gaps as suspect.
 //!

@@ -29,7 +29,8 @@
 //! behind every parallel product build (shards run, threads spawned,
 //! cumulative busy time) and the followed session's ingest counters:
 //! out-of-order `splices`, `full_rebuilds` of the index, and the last
-//! index update's `blocks_rebuilt`/`blocks_total`.
+//! index update's `blocks_rebuilt`/`blocks_total`, counted in lane
+//! checkpoints (one per 64 intervals of an SPE lane).
 //!
 //! A request line longer than 64 KiB is discarded up to its newline
 //! and answered `err line too long`; the session stays usable.

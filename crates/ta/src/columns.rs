@@ -158,7 +158,7 @@ const DICT_DEGENERATE_AFTER: u32 = 4096;
 /// events, tuples and parameter words with `u32` (half the width of
 /// `usize`, the ~19 B/event layout): past 2^32 of any of them (a v1
 /// image of 64 GiB or more) there is no narrower index to fall back on.
-fn index32(n: usize) -> u32 {
+pub(crate) fn index32(n: usize) -> u32 {
     u32::try_from(n).expect("columnar store exceeds u32 addressing")
 }
 

@@ -173,8 +173,8 @@ impl Drop for ShardGuard {
 }
 
 /// Maps `f` over `0..n`, returning results in index order. The
-/// universal shard fan-out helper: per-SPE interval/stat/lane passes,
-/// per-core bucket counts, lint `(rule, shard)` sweeps and the product
+/// universal shard fan-out helper: per-SPE interval and DMA passes,
+/// row index offset chunks, lint `(rule, shard)` sweeps and the product
 /// rounds of [`Analysis::build_products`](crate::Analysis::build_products)
 /// all route through here.
 ///

@@ -1,27 +1,29 @@
-//! The indexed query engine: binary-searchable event offsets, an
-//! interval tree over activity segments, and a zoom pyramid of
-//! pre-aggregated time buckets.
+//! The indexed query engine: binary-searchable event offsets and
+//! checkpointed activity lanes.
 //!
 //! The Trace Analyzer's views are zoom-and-filter operations, and the
 //! paper's tool answered them interactively. A linear rescan of the
 //! merged event vector per view makes every interaction O(trace), so
 //! [`TraceIndex`] is built once per [`Analysis`](crate::session::Analysis)
-//! (in parallel, partitioned per stream/core) and answers the three
-//! recurring query shapes sub-linearly:
+//! and answers the three recurring query shapes sub-linearly:
 //!
 //! 1. **Window extraction** — per-core ascending offset lists into the
 //!    globally sorted event vector. A half-open time window maps to an
 //!    offset range by binary search (`partition_point`), so filtered
 //!    event listings cost O(log n + matches).
-//! 2. **Segment stabbing/range** — an augmented interval tree per SPE
-//!    over the reconstructed [`ActivityKind`] segments, answering
-//!    "what was SPE k doing at tick t / during `[t0,t1)`" in
-//!    O(log n + k).
-//! 3. **Window aggregation** — a zoom pyramid of power-of-two time
-//!    buckets holding per-core event counts and per-SPE activity
-//!    occupancy. Any `[t0,t1)` summary resolves from ~O(levels) bucket
-//!    reads plus two exactly-computed partial edge buckets, so the
-//!    result is *identical* to a full rescan, not an approximation.
+//! 2. **Segment stabbing/range** — each SPE's [`ActivityKind`]
+//!    intervals tile its lane in time order, so "what was SPE k doing
+//!    at tick t / during `[t0,t1)`" is a binary search, O(log n + k).
+//! 3. **Window aggregation** — per-core event counts are two binary
+//!    searches per core; per-SPE activity ticks are two lane
+//!    checkpoint differences (one cumulative per-kind sum per 64
+//!    intervals) trimmed at the window edges. The result is *identical*
+//!    to a full rescan, not an approximation.
+//!
+//! The index holds a `u32` offset per event and 32 bytes per 64
+//! intervals, O(events + intervals / 64); it shares the intervals
+//! themselves with its session. Nothing in it is sized by the trace's
+//! time span.
 //!
 //! ## Gap suspicion
 //!
@@ -31,29 +33,24 @@
 //! (counts, occupancy) silently under-reports. The index therefore
 //! maps every [`pdt::DecodeGap`] to the time range between the last
 //! surviving record before it and the first after it
-//! ([`DecodeGap::records_before`](pdt::DecodeGap::records_before)),
-//! and every pyramid bucket overlapping such a range inherits a
-//! suspect flag. Window summaries report suspicion from the exact
-//! ranges, so a lossy trace never reports a clean aggregate over
-//! damaged time.
+//! ([`DecodeGap::records_before`](pdt::DecodeGap::records_before)).
+//! Window summaries report suspicion from those exact ranges, so a
+//! lossy trace never reports a clean aggregate over damaged time.
 //!
 //! The pre-index scan paths survive behind the `scan-oracle` cargo
 //! feature (enabled by default) as the differential oracles the golden
 //! and property suites compare against.
 
+use std::sync::Arc;
+
 use pdt::TraceCore;
 
 use crate::analyze::{AnalyzedTrace, GlobalEvent};
-use crate::columns::ColumnarTrace;
+use crate::columns::{index32, ColumnarTrace};
 use crate::exec::{self, Parallelism};
-use crate::intervals::{ActivityKind, Interval, SpeIntervals};
+use crate::intervals::{overlapping, ActivityKind, Interval, LaneCheckpoints, SpeIntervals};
 use crate::loss::LossReport;
 use crate::query::EventFilter;
-
-/// Upper bound on base-level pyramid buckets. The base bucket width is
-/// the smallest power of two keeping the bucket count at or under this
-/// cap, so index memory stays bounded for arbitrarily long traces.
-pub const MAX_BASE_BUCKETS: usize = 1 << 14;
 
 /// A time range whose derived aggregates are untrustworthy, mapped
 /// from stream-level loss (decode gaps, tracer drops, discarded
@@ -198,17 +195,12 @@ pub(crate) fn suspect_ranges_with(
 // ---------------------------------------------------------------------------
 
 /// Anything with a half-open `[start_tb, end_tb)` extent on the
-/// timebase axis. Lets [`IntervalTree`] index activity segments here
-/// and DMA transfer lifetimes in `ta::lint` with one implementation.
+/// timebase axis. Lets [`IntervalTree`] index DMA transfer lifetimes
+/// in `ta::lint` and address spans in `ta::hb` with one
+/// implementation.
 pub(crate) trait Span: Copy {
     /// The half-open `(start_tb, end_tb)` extent.
     fn span(&self) -> (u64, u64);
-}
-
-impl Span for Interval {
-    fn span(&self) -> (u64, u64) {
-        (self.start_tb, self.end_tb)
-    }
 }
 
 /// A static augmented interval tree over any [`Span`] payload: spans
@@ -260,8 +252,7 @@ impl<T: Span> IntervalTree<T> {
         Some((first.span().0, self.max_end[self.nodes.len() / 2]))
     }
 
-    /// Spans `i` with `i.end > t0 && i.start < t1`, in start order —
-    /// the same overlap predicate as [`SpeIntervals::clip`].
+    /// Spans `i` with `i.end > t0 && i.start < t1`, in start order.
     pub(crate) fn range(&self, t0: u64, t1: u64) -> Vec<T> {
         let mut out = Vec::new();
         // Every span starts at or after t1: nothing to visit. (The
@@ -296,45 +287,6 @@ impl<T: Span> IntervalTree<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Zoom pyramid
-// ---------------------------------------------------------------------------
-
-/// One resolution level: `buckets` buckets of `1 << width_shift` ticks
-/// each, flat-packed accumulators.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct PyramidLevel {
-    buckets: usize,
-    /// `buckets * n_cores` event counts.
-    counts: Vec<u64>,
-    /// `buckets * n_lanes * 4` activity ticks (kind-major inner).
-    activity: Vec<u64>,
-    /// Per-bucket gap-suspicion flag.
-    suspect: Vec<bool>,
-}
-
-/// The multi-resolution bucket stack. Level 0 has the base bucket
-/// width; each level above merges bucket pairs, doubling the width,
-/// until one bucket covers the trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ZoomPyramid {
-    base_tb: u64,
-    shift: u32,
-    n_cores: usize,
-    n_lanes: usize,
-    levels: Vec<PyramidLevel>,
-}
-
-impl ZoomPyramid {
-    fn bucket_width(&self) -> u64 {
-        1u64 << self.shift
-    }
-
-    fn n_base(&self) -> usize {
-        self.levels.first().map_or(0, |l| l.buckets)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The index
 // ---------------------------------------------------------------------------
 
@@ -345,18 +297,10 @@ struct CoreOffsets {
     offsets: Vec<u32>,
 }
 
-/// One SPE's indexed activity lane.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct SpeLane {
-    spe: u8,
-    start_tb: u64,
-    stop_tb: u64,
-    tree: IntervalTree<Interval>,
-}
-
-/// Exact aggregate of a half-open window, resolved from the zoom
-/// pyramid plus exactly-computed partial edge buckets. Equal to a full
-/// rescan of the same window (the `scan-oracle` suites assert it).
+/// Exact aggregate of a half-open window: per-core event counts by
+/// binary search and per-lane activity from the lane checkpoints.
+/// Equal to a full rescan of the same window (the `scan-oracle`
+/// suites assert it).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowSummary {
     /// The queried window start.
@@ -406,8 +350,10 @@ pub struct TraceIndex {
     end_tb: u64,
     n_events: usize,
     per_core: Vec<CoreOffsets>,
-    lanes: Vec<SpeLane>,
-    pyramid: ZoomPyramid,
+    /// The SPE lanes, shared with the session that built the index.
+    lanes: Arc<[SpeIntervals]>,
+    /// One [`LaneCheckpoints`] per lane.
+    checkpoints: Vec<LaneCheckpoints>,
     suspects: Vec<SuspectRange>,
 }
 
@@ -419,24 +365,14 @@ impl TraceIndex {
     }
 
     /// Builds the index with up to `threads` workers: the event vector
-    /// is partitioned into contiguous chunks for offset extraction,
-    /// then cores (bucket counting) and SPE lanes (interval tree +
-    /// occupancy distribution) are distributed round-robin. Output is
-    /// identical for every worker count.
+    /// is partitioned into contiguous chunks for offset extraction.
+    /// Output is identical for every worker count.
     pub fn build_parallel(
         trace: &AnalyzedTrace,
         intervals: &[SpeIntervals],
         loss: &LossReport,
         threads: usize,
     ) -> Self {
-        assert!(
-            trace.events.len() <= u32::MAX as usize,
-            "trace exceeds u32 offset space"
-        );
-        let start_tb = trace.start_tb();
-        let end_tb = trace.end_tb();
-        let suspects = compute_suspect_ranges(trace, loss);
-
         // Stable core order: sorted by tag (PPE threads, then SPEs).
         let mut cores: Vec<TraceCore> = trace.events.iter().map(|e| e.core).collect();
         cores.sort_by_key(|c| c.tag());
@@ -445,170 +381,49 @@ impl TraceIndex {
         for (i, c) in cores.iter().enumerate() {
             slot_of[c.tag() as usize] = i;
         }
-
-        let workers = threads.max(1);
-        let per_core_offsets = extract_offsets(&trace.events, &cores, &slot_of, workers);
-        let events = &trace.events;
-        Self::finish_build(
-            start_tb,
-            end_tb,
-            events.len(),
-            cores,
-            per_core_offsets,
-            &|o| events[o as usize].time_tb,
-            intervals,
-            suspects,
-            workers,
-        )
-    }
-
-    /// Builds the index over the columnar store: per-core offsets come
-    /// from the store's memoized shared pass and bucket counting reads
-    /// the time column directly. Output is identical to
-    /// [`build_parallel`](Self::build_parallel) on the materialized
-    /// row trace (the differential suites assert it).
-    pub fn build_columns(
-        trace: &ColumnarTrace,
-        intervals: &[SpeIntervals],
-        loss: &LossReport,
-        threads: usize,
-    ) -> Self {
-        assert!(
-            trace.events.len() <= u32::MAX as usize,
-            "trace exceeds u32 offset space"
-        );
-        let start_tb = trace.start_tb();
-        let end_tb = trace.end_tb();
-        let suspects = compute_suspect_ranges_columns(trace, loss);
-        let workers = threads.max(1);
-        let (cores, per_core_offsets): (Vec<TraceCore>, Vec<Vec<u32>>) = trace
-            .core_offsets()
-            .iter()
-            .map(|(c, offs)| (*c, offs.to_vec()))
-            .unzip();
-        let times = trace.events.times();
-        Self::finish_build(
-            start_tb,
-            end_tb,
-            trace.events.len(),
-            cores,
-            per_core_offsets,
-            &|o| times[o as usize],
-            intervals,
-            suspects,
-            workers,
-        )
-    }
-
-    /// The shared back half of index construction: pyramid geometry,
-    /// bucket counting, lane building and level merging. `time_of`
-    /// resolves a global offset to its timestamp, abstracting the row
-    /// vector and the time column behind one lookup.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_build(
-        start_tb: u64,
-        end_tb: u64,
-        n_events: usize,
-        cores: Vec<TraceCore>,
-        per_core_offsets: Vec<Vec<u32>>,
-        time_of: &(dyn Fn(u32) -> u64 + Sync),
-        intervals: &[SpeIntervals],
-        suspects: Vec<SuspectRange>,
-        workers: usize,
-    ) -> Self {
-        // Pyramid geometry: smallest power-of-two bucket width keeping
-        // the base level at or under the cap. Span covers the last
-        // event inclusively.
-        let span = end_tb.saturating_sub(start_tb).saturating_add(1);
-        let mut shift = 0u32;
-        while (span >> shift) as u128 + u128::from(span & ((1u64 << shift) - 1) != 0)
-            > MAX_BASE_BUCKETS as u128
-        {
-            shift += 1;
-        }
-        let width = 1u64 << shift;
-        let n_base = span.div_ceil(width).max(1) as usize;
-
-        // Level-0 event counts: one pass per core, cores distributed
-        // round-robin over the workers.
-        let counts0 = count_buckets(
-            time_of,
-            &per_core_offsets,
-            start_tb,
-            shift,
-            n_base,
-            cores.len(),
-            workers,
-        );
-
-        // Lanes: interval tree + level-0 activity distribution, lanes
-        // distributed round-robin.
-        let (lanes, activity0) = build_lanes(intervals, start_tb, shift, n_base, workers);
-
-        // Level-0 suspicion: buckets overlapping any suspect range.
-        let mut suspect0 = vec![false; n_base];
-        for r in &suspects {
-            if r.end_tb <= start_tb || r.start_tb >= start_tb + width * n_base as u64 {
-                continue;
-            }
-            let lo = (r.start_tb.max(start_tb) - start_tb) >> shift;
-            let hi = (r.end_tb.saturating_sub(1).max(r.start_tb.max(start_tb)) - start_tb) >> shift;
-            for b in lo..=hi.min(n_base as u64 - 1) {
-                suspect0[b as usize] = true;
-            }
-        }
-
-        // Merge pairs upward until one bucket covers the span.
-        let n_cores = cores.len();
-        let n_lanes = intervals.len();
-        let mut levels = vec![PyramidLevel {
-            buckets: n_base,
-            counts: counts0,
-            activity: activity0,
-            suspect: suspect0,
-        }];
-        while levels.last().unwrap().buckets > 1 {
-            let prev = levels.last().unwrap();
-            let nb = prev.buckets.div_ceil(2);
-            let mut counts = vec![0u64; nb * n_cores];
-            let mut activity = vec![0u64; nb * n_lanes * 4];
-            let mut suspect = vec![false; nb];
-            for b in 0..prev.buckets {
-                let parent = b / 2;
-                for c in 0..n_cores {
-                    counts[parent * n_cores + c] += prev.counts[b * n_cores + c];
-                }
-                for k in 0..n_lanes * 4 {
-                    activity[parent * n_lanes * 4 + k] += prev.activity[b * n_lanes * 4 + k];
-                }
-                suspect[parent] |= prev.suspect[b];
-            }
-            levels.push(PyramidLevel {
-                buckets: nb,
-                counts,
-                activity,
-                suspect,
-            });
-        }
-
+        let offsets = extract_offsets(&trace.events, &cores, &slot_of, threads.max(1));
         TraceIndex {
-            start_tb,
-            end_tb,
-            n_events,
+            start_tb: trace.start_tb(),
+            end_tb: trace.end_tb(),
+            n_events: trace.events.len(),
             per_core: cores
                 .into_iter()
-                .zip(per_core_offsets)
+                .zip(offsets)
                 .map(|(core, offsets)| CoreOffsets { core, offsets })
                 .collect(),
+            checkpoints: checkpoint_lanes(intervals),
+            lanes: intervals.into(),
+            suspects: compute_suspect_ranges(trace, loss),
+        }
+    }
+
+    /// Builds the index over the columnar store: per-core offsets are
+    /// copied from the store's memoized shared pass, and the lanes are
+    /// shared, not copied, when `intervals` is already an `Arc`.
+    /// Output is identical to [`build_parallel`](Self::build_parallel)
+    /// on the materialized row trace (the differential suites assert
+    /// it).
+    pub fn build_columns(
+        trace: &ColumnarTrace,
+        intervals: impl Into<Arc<[SpeIntervals]>>,
+        loss: &LossReport,
+    ) -> Self {
+        let lanes = intervals.into();
+        TraceIndex {
+            start_tb: trace.start_tb(),
+            end_tb: trace.end_tb(),
+            n_events: trace.events.len(),
+            per_core: trace
+                .core_offsets()
+                .iter()
+                .map(|(core, offs)| CoreOffsets {
+                    core: *core,
+                    offsets: offs.clone(),
+                })
+                .collect(),
+            checkpoints: checkpoint_lanes(&lanes),
             lanes,
-            pyramid: ZoomPyramid {
-                base_tb: start_tb,
-                shift,
-                n_cores,
-                n_lanes,
-                levels,
-            },
-            suspects,
+            suspects: compute_suspect_ranges_columns(trace, loss),
         }
     }
 
@@ -639,9 +454,30 @@ impl TraceIndex {
     }
 
     /// Whether the half-open window `[t0, t1)` overlaps any suspect
-    /// range — the window-level form of the bucket suspicion rule.
+    /// range.
     pub fn window_suspect(&self, t0: u64, t1: u64) -> bool {
         self.suspects.iter().any(|r| r.overlaps(t0, t1))
+    }
+
+    /// Bytes the index holds, counting the lanes it shares with its
+    /// session: O(events + intervals), with one 32-byte checkpoint per
+    /// 64 intervals. Independent of the trace's time span.
+    pub fn bytes_in_memory(&self) -> usize {
+        use std::mem::size_of;
+        size_of::<Self>()
+            + self.per_core.capacity() * size_of::<CoreOffsets>()
+            + (self.per_core.iter())
+                .map(|c| c.offsets.capacity() * size_of::<u32>())
+                .sum::<usize>()
+            + self.lanes.len() * size_of::<SpeIntervals>()
+            + (self.lanes.iter())
+                .map(|l| l.intervals.capacity() * size_of::<Interval>())
+                .sum::<usize>()
+            + self.checkpoints.capacity() * size_of::<LaneCheckpoints>()
+            + (self.checkpoints.iter())
+                .map(LaneCheckpoints::heap_bytes)
+                .sum::<usize>()
+            + self.suspects.capacity() * size_of::<SuspectRange>()
     }
 
     fn check(&self, events: &[GlobalEvent]) {
@@ -736,18 +572,17 @@ impl TraceIndex {
         }
     }
 
-    /// The activity interval containing tick `t` on `spe`, if any —
-    /// the interval tree's stabbing query.
+    /// The activity interval containing tick `t` on `spe`, if any, by
+    /// binary search over the lane.
     pub fn stab(&self, spe: u8, t: u64) -> Option<Interval> {
         let lane = self.lanes.iter().find(|l| l.spe == spe)?;
-        lane.tree
-            .range(t, t.saturating_add(1))
-            .into_iter()
-            .find(|i| i.start_tb <= t && t < i.end_tb)
+        overlapping(&lane.intervals, t, t.saturating_add(1))
+            .first()
+            .copied()
     }
 
-    /// Clips one SPE's interval set to `[t0, t1)` via the interval
-    /// tree — identical to [`SpeIntervals::clip`] on the full set, in
+    /// Clips one SPE's interval set to `[t0, t1)` by binary search —
+    /// identical to [`SpeIntervals::clip`] on the full set, in
     /// O(log n + k) instead of O(n).
     pub fn clip(&self, spe: u8, t0: u64, t1: u64) -> Option<SpeIntervals> {
         let lane = self.lanes.iter().find(|l| l.spe == spe)?;
@@ -762,17 +597,15 @@ impl TraceIndex {
             .collect()
     }
 
-    fn clip_lane(lane: &SpeLane, t0: u64, t1: u64) -> SpeIntervals {
+    fn clip_lane(lane: &SpeIntervals, t0: u64, t1: u64) -> SpeIntervals {
         let s = t0.max(lane.start_tb);
         let e = t1.min(lane.stop_tb).max(s);
         SpeIntervals {
             spe: lane.spe,
             start_tb: s,
             stop_tb: e,
-            intervals: lane
-                .tree
-                .range(s, e)
-                .into_iter()
+            intervals: overlapping(&lane.intervals, s, e)
+                .iter()
                 .map(|i| Interval {
                     start_tb: i.start_tb.max(s),
                     end_tb: i.end_tb.min(e),
@@ -782,11 +615,10 @@ impl TraceIndex {
         }
     }
 
-    /// Exact aggregate of `[t0, t1)`: per-core event counts, per-SPE
-    /// activity occupancy and the gap-suspicion flag. Interior base
-    /// buckets resolve from ~O(levels) pyramid reads; the two partial
-    /// edge buckets are computed exactly (binary-searched counts,
-    /// tree-clipped activity), so the summary equals a full rescan.
+    /// Exact aggregate of `[t0, t1)`: per-core event counts by two
+    /// binary searches over each core's offsets, per-SPE activity from
+    /// the lane checkpoints, and the gap-suspicion flag from the
+    /// suspect ranges. Equal to a full rescan.
     ///
     /// `times` is the time column of the trace the index was built
     /// from ([`crate::EventColumns::times`]).
@@ -796,183 +628,64 @@ impl TraceIndex {
             self.n_events,
             "index queried with a different trace than it was built from"
         );
-        let p = &self.pyramid;
-        let mut counts = vec![0u64; p.n_cores];
-        let mut activity = vec![[0u64; 4]; p.n_lanes];
-
-        // Clamp to the indexed span; nothing exists outside it.
-        let c0 = t0.max(self.start_tb);
-        let c1 = t1.min(self.end_tb.saturating_add(1));
-        if c1 > c0 {
-            let width = p.bucket_width();
-            let b0 = ((c0 - p.base_tb) >> p.shift) as usize;
-            let b1 = (((c1 - 1) - p.base_tb) >> p.shift) as usize;
-            if b0 == b1 {
-                self.add_exact(times, c0, c1, &mut counts, &mut activity);
-            } else {
-                let b0_end = p.base_tb + (b0 as u64 + 1) * width;
-                let b1_start = p.base_tb + b1 as u64 * width;
-                self.add_exact(times, c0, b0_end, &mut counts, &mut activity);
-                self.add_exact(times, b1_start, c1, &mut counts, &mut activity);
-                self.add_pyramid(b0 + 1, b1, &mut counts, &mut activity);
-            }
-        }
-
         WindowSummary {
             start_tb: t0,
             end_tb: t1,
             events: self
                 .per_core
                 .iter()
-                .zip(&counts)
-                .map(|(c, &n)| (c.core, n))
+                .map(|c| {
+                    let lo = c.offsets.partition_point(|&o| times[o as usize] < t0);
+                    let hi = c.offsets.partition_point(|&o| times[o as usize] < t1);
+                    (c.core, hi.saturating_sub(lo) as u64)
+                })
                 .collect(),
             activity: self
                 .lanes
                 .iter()
-                .zip(activity)
-                .map(|(l, ticks)| WindowActivity { spe: l.spe, ticks })
+                .zip(&self.checkpoints)
+                .map(|(l, c)| WindowActivity {
+                    spe: l.spe,
+                    ticks: c.ticks(&l.intervals, t0, t1),
+                })
                 .collect(),
             suspect: self.window_suspect(t0, t1),
         }
     }
 
-    /// Exact accumulation over a sub-bucket range.
-    fn add_exact(
-        &self,
-        times: &[u64],
-        a: u64,
-        b: u64,
-        counts: &mut [u64],
-        activity: &mut [[u64; 4]],
-    ) {
-        for (ci, c) in self.per_core.iter().enumerate() {
-            let lo = c.offsets.partition_point(|&o| times[o as usize] < a);
-            let hi = c.offsets.partition_point(|&o| times[o as usize] < b);
-            counts[ci] += (hi - lo) as u64;
-        }
-        for (li, lane) in self.lanes.iter().enumerate() {
-            for iv in lane.tree.range(a, b) {
-                let overlap = iv.end_tb.min(b).saturating_sub(iv.start_tb.max(a));
-                activity[li][iv.kind.index()] += overlap;
-            }
-        }
+    /// Lane checkpoints over every lane — the unit incremental updates
+    /// are measured in.
+    pub fn lane_checkpoints(&self) -> usize {
+        self.checkpoints.iter().map(LaneCheckpoints::len).sum()
     }
 
-    /// Segment-tree-style aligned decomposition of whole base buckets
-    /// `[lo, hi)` across the pyramid levels: O(levels) bucket reads.
-    fn add_pyramid(&self, lo: usize, hi: usize, counts: &mut [u64], activity: &mut [[u64; 4]]) {
-        let p = &self.pyramid;
-        let (mut lo, mut hi, mut level) = (lo, hi, 0usize);
-        while lo < hi {
-            let l = &p.levels[level];
-            let mut take = |b: usize| {
-                for (c, count) in counts.iter_mut().enumerate().take(p.n_cores) {
-                    *count += l.counts[b * p.n_cores + c];
-                }
-                for (li, lane) in activity.iter_mut().enumerate().take(p.n_lanes) {
-                    for (k, ticks) in lane.iter_mut().enumerate() {
-                        *ticks += l.activity[(b * p.n_lanes + li) * 4 + k];
-                    }
-                }
-            };
-            if lo & 1 == 1 {
-                take(lo);
-                lo += 1;
-            }
-            if hi & 1 == 1 {
-                hi -= 1;
-                take(hi);
-            }
-            lo >>= 1;
-            hi >>= 1;
-            level += 1;
-        }
-    }
-
-    /// Whether base-level bucket `b` inherited the suspect flag — the
-    /// bucket-granular suspicion the renderers consult.
-    pub fn bucket_suspect(&self, b: usize) -> bool {
-        self.pyramid.levels[0]
-            .suspect
-            .get(b)
-            .copied()
-            .unwrap_or(false)
-    }
-
-    /// Base-level bucket count and width in ticks, for callers mapping
-    /// window positions to buckets.
-    pub fn bucket_geometry(&self) -> (usize, u64) {
-        (self.pyramid.n_base(), self.pyramid.bucket_width())
-    }
-
-    /// Total pyramid buckets across every level — the block count
-    /// incremental updates are measured against.
-    pub fn total_blocks(&self) -> usize {
-        self.pyramid.levels.iter().map(|l| l.buckets).sum()
-    }
-
-    /// Grows the index in place to cover `trace`, which must extend the
+    /// Grows the index in place to cover `trace`, which extends the
     /// indexed event prefix by appending events at the tail (the
     /// streaming-ingestion contract). The result is identical to a
     /// fresh [`build_columns`](Self::build_columns) over the grown
     /// trace; only the work is incremental:
     ///
     /// - per-core offset lists get the appended offsets pushed,
-    /// - appended events *add* into their base buckets (bucket counts
-    ///   are sums, so the boundary bucket needs no recount),
-    /// - upper pyramid levels recompute only the suffix reachable from
-    ///   touched base buckets,
-    /// - a span that outgrows [`MAX_BASE_BUCKETS`] coarsens by
-    ///   *dropping* base levels (level `k` of the old pyramid is
-    ///   exactly the base of the pyramid with `shift + k`), rewriting
-    ///   nothing,
-    /// - an SPE lane whose interval set is unchanged keeps its tree and
-    ///   activity cells; a changed lane is rebuilt.
+    /// - an SPE lane whose interval set is unchanged is kept; a changed
+    ///   lane keeps its intervals and checkpoints before its first
+    ///   changed interval and rewrites the rest.
     ///
-    /// Suspect ranges and flags are recomputed wholesale (loss
-    /// bracketing can move *interior* ranges when a gap's "after"
-    /// record arrives); they are cheap booleans and do not count as
-    /// rebuilt blocks. Falls back to a full rebuild — reported in the
-    /// returned [`IndexDelta`] — when the update is not a pure tail
-    /// append (new first event, new core, or a changed lane set).
+    /// Suspect ranges are recomputed wholesale (loss bracketing can
+    /// move *interior* ranges when a gap's "after" record arrives).
+    /// Falls back to a full rebuild — reported in the returned
+    /// [`IndexDelta`] — when the update is not a tail append: a first
+    /// build, a shorter trace, a new first event, a new core, or a
+    /// changed lane set.
     pub fn extend_columns(
         &mut self,
         trace: &ColumnarTrace,
-        intervals: &[SpeIntervals],
+        intervals: impl Into<Arc<[SpeIntervals]>>,
         loss: &LossReport,
-        threads: usize,
     ) -> IndexDelta {
-        assert!(
-            trace.events.len() <= u32::MAX as usize,
-            "trace exceeds u32 offset space"
-        );
+        let intervals = intervals.into();
         let n_new = trace.events.len();
         let from_ev = self.n_events;
-        assert!(n_new >= from_ev, "extend_columns requires an appended tail");
-        let appended_events = n_new - from_ev;
-
-        let full_rebuild = |slf: &mut Self| {
-            *slf = Self::build_columns(trace, intervals, loss, threads);
-            let blocks = slf.total_blocks();
-            IndexDelta {
-                appended_events,
-                blocks_total: blocks,
-                blocks_rebuilt: blocks,
-                lanes_total: slf.lanes.len(),
-                lanes_rebuilt: slf.lanes.len(),
-                coarsened: false,
-                full_rebuild: true,
-            }
-        };
-
-        // A tail append never moves the first event; anything else
-        // (first build, out-of-order splice repair) rebuilds.
-        if from_ev == 0 || trace.start_tb() != self.start_tb {
-            return full_rebuild(self);
-        }
-        // Appends can surface a brand-new core or SPE lane; both change
-        // the flat accumulator strides, so rebuild.
+        let appended_events = n_new.saturating_sub(from_ev);
         let same_cores = {
             let offs = trace.core_offsets();
             offs.len() == self.per_core.len()
@@ -984,251 +697,99 @@ impl TraceIndex {
         let same_lanes = intervals.len() == self.lanes.len()
             && intervals
                 .iter()
-                .zip(&self.lanes)
+                .zip(self.lanes.iter())
                 .all(|(iv, l)| iv.spe == l.spe);
-        if !same_cores || !same_lanes {
-            return full_rebuild(self);
-        }
-
-        let end_tb = trace.end_tb();
-        let span = end_tb.saturating_sub(self.start_tb).saturating_add(1);
-
-        // Coarsen: the span may need a wider base bucket. Level k of
-        // the current pyramid *is* the base level of the pyramid with
-        // `shift + k` (ceil-division composes), so coarsening is a
-        // prefix drop, not a rebuild.
-        let mut coarsened = false;
+        if from_ev == 0
+            || n_new < from_ev
+            || trace.start_tb() != self.start_tb
+            || !same_cores
+            || !same_lanes
         {
-            let p = &mut self.pyramid;
-            let mut new_shift = p.shift;
-            while (span >> new_shift) as u128 + u128::from(span & ((1u64 << new_shift) - 1) != 0)
-                > MAX_BASE_BUCKETS as u128
-            {
-                new_shift += 1;
-            }
-            let k = (new_shift - p.shift) as usize;
-            if k > 0 {
-                if k >= p.levels.len() {
-                    return full_rebuild(self);
-                }
-                p.levels.drain(..k);
-                p.shift = new_shift;
-                coarsened = true;
-            }
+            *self = Self::build_columns(trace, intervals, loss);
+            return IndexDelta::rebuilt(self, appended_events);
         }
 
-        let shift = self.pyramid.shift;
-        let width = 1u64 << shift;
-        let n_base = (span.div_ceil(width).max(1)) as usize;
-        let n_cores = self.pyramid.n_cores;
-        let n_lanes = self.pyramid.n_lanes;
-        let old_n_base = self.pyramid.levels[0].buckets;
-
-        // Grow the base level with zeroed buckets for the new span.
-        {
-            let base = &mut self.pyramid.levels[0];
-            base.buckets = n_base;
-            base.counts.resize(n_base * n_cores, 0);
-            base.activity.resize(n_base * n_lanes * 4, 0);
-            base.suspect.resize(n_base, false);
-        }
-
-        // Append per-core offsets and add the new events into their
-        // base buckets.
         let mut slot_of = [usize::MAX; 256];
         for (i, pc) in self.per_core.iter().enumerate() {
             slot_of[pc.core.tag() as usize] = i;
         }
-        let times = trace.events.times();
         let tags = trace.events.tags();
-        let base_tb = self.pyramid.base_tb;
-        {
-            let counts = &mut self.pyramid.levels[0].counts;
-            for i in from_ev..n_new {
-                let slot = slot_of[tags[i] as usize];
-                self.per_core[slot].offsets.push(i as u32);
-                let b = ((times[i] - base_tb) >> shift) as usize;
-                counts[b * n_cores + slot] += 1;
-            }
+        for (i, &tag) in tags.iter().enumerate().skip(from_ev) {
+            self.per_core[slot_of[tag as usize]]
+                .offsets
+                .push(index32(i));
         }
 
-        // Lanes: reuse a lane whose interval set is unchanged (the
-        // tree build is deterministic, so equal inputs mean an equal
-        // tree); rebuild a changed lane's tree and redistribute its
-        // activity cells from scratch.
-        let mut lanes_rebuilt = 0usize;
-        let mut lane_changed = false;
-        for (li, (lane, iv)) in self.lanes.iter_mut().zip(intervals).enumerate() {
-            let unchanged = lane.start_tb == iv.start_tb
-                && lane.stop_tb == iv.stop_tb
-                && lane.tree.nodes == iv.intervals;
-            if unchanged {
+        let (mut lanes_rebuilt, mut blocks_rebuilt) = (0usize, 0usize);
+        for ((old, new), c) in self
+            .lanes
+            .iter()
+            .zip(intervals.iter())
+            .zip(&mut self.checkpoints)
+        {
+            if old == new {
                 continue;
             }
-            lane.start_tb = iv.start_tb;
-            lane.stop_tb = iv.stop_tb;
-            lane.tree = IntervalTree::new(iv.intervals.to_vec());
-            let activity = &mut self.pyramid.levels[0].activity;
-            for b in 0..n_base {
-                for k in 0..4 {
-                    activity[(b * n_lanes + li) * 4 + k] = 0;
-                }
-            }
-            for i in &iv.intervals {
-                if i.end_tb <= i.start_tb {
-                    continue;
-                }
-                let b_from = ((i.start_tb - base_tb) >> shift) as usize;
-                let b_to = ((i.end_tb - 1 - base_tb) >> shift) as usize;
-                for b in b_from..=b_to {
-                    let bs = base_tb + b as u64 * width;
-                    let overlap = i.end_tb.min(bs + width) - i.start_tb.max(bs);
-                    activity[(b * n_lanes + li) * 4 + i.kind.index()] += overlap;
-                }
-            }
+            let same = (old.intervals.iter().zip(&new.intervals))
+                .take_while(|(a, b)| a == b)
+                .count();
+            blocks_rebuilt += c.update(&new.intervals, same);
             lanes_rebuilt += 1;
-            lane_changed = true;
         }
+        self.lanes = intervals;
 
-        // Suspicion is recomputed wholesale: bracketing can move
-        // interior ranges as a gap's "after" record arrives.
         self.suspects = compute_suspect_ranges_columns(trace, loss);
-        {
-            let base = &mut self.pyramid.levels[0];
-            base.suspect.iter_mut().for_each(|s| *s = false);
-            for r in &self.suspects {
-                if r.end_tb <= self.start_tb || r.start_tb >= self.start_tb + width * n_base as u64
-                {
-                    continue;
-                }
-                let lo = (r.start_tb.max(self.start_tb) - self.start_tb) >> shift;
-                let hi = (r
-                    .end_tb
-                    .saturating_sub(1)
-                    .max(r.start_tb.max(self.start_tb))
-                    - self.start_tb)
-                    >> shift;
-                for b in lo..=hi.min(n_base as u64 - 1) {
-                    base.suspect[b as usize] = true;
-                }
-            }
-        }
-
-        // Upper levels: recompute only the suffix reachable from
-        // touched base buckets (everything, when a lane changed).
-        // Including the last *old* bucket covers the parent that gains
-        // its first sibling child when the base grows.
-        let first_touched = if lane_changed {
-            0
-        } else if appended_events > 0 {
-            (((times[from_ev] - base_tb) >> shift) as usize).min(old_n_base.saturating_sub(1))
-        } else {
-            old_n_base.saturating_sub(1)
-        };
-        let mut blocks_rebuilt = n_base - first_touched;
-        self.rebuild_upper_levels(first_touched, &mut blocks_rebuilt);
-
-        self.end_tb = end_tb;
+        self.end_tb = trace.end_tb();
         self.n_events = n_new;
 
         IndexDelta {
             appended_events,
-            blocks_total: self.total_blocks(),
+            blocks_total: self.lane_checkpoints(),
             blocks_rebuilt,
             lanes_total: self.lanes.len(),
             lanes_rebuilt,
-            coarsened,
             full_rebuild: false,
-        }
-    }
-
-    /// Recomputes pyramid levels above the base from bucket
-    /// `from >> 1` per level upward, resizing levels for a grown base
-    /// and adding or dropping top levels as needed. Suspect flags are
-    /// recomputed over whole levels (cheap booleans); counts and
-    /// activity only over the suffix, whose rebuilt-bucket count is
-    /// added to `blocks_rebuilt`.
-    fn rebuild_upper_levels(&mut self, first_touched: usize, blocks_rebuilt: &mut usize) {
-        let p = &mut self.pyramid;
-        let n_cores = p.n_cores;
-        let n_lanes = p.n_lanes;
-        let mut from = first_touched;
-        let mut li = 0usize;
-        loop {
-            let child_buckets = p.levels[li].buckets;
-            if child_buckets <= 1 {
-                p.levels.truncate(li + 1);
-                break;
-            }
-            let nb = child_buckets.div_ceil(2);
-            let pfrom = from >> 1;
-            let mut counts_sfx = vec![0u64; (nb - pfrom) * n_cores];
-            let mut act_sfx = vec![0u64; (nb - pfrom) * n_lanes * 4];
-            let mut suspect = vec![false; nb];
-            {
-                let child = &p.levels[li];
-                for b in 0..child_buckets {
-                    let parent = b / 2;
-                    suspect[parent] |= child.suspect[b];
-                    if parent < pfrom {
-                        continue;
-                    }
-                    let pp = parent - pfrom;
-                    for c in 0..n_cores {
-                        counts_sfx[pp * n_cores + c] += child.counts[b * n_cores + c];
-                    }
-                    for k in 0..n_lanes * 4 {
-                        act_sfx[pp * n_lanes * 4 + k] += child.activity[b * n_lanes * 4 + k];
-                    }
-                }
-            }
-            if li + 1 >= p.levels.len() {
-                p.levels.push(PyramidLevel {
-                    buckets: 0,
-                    counts: Vec::new(),
-                    activity: Vec::new(),
-                    suspect: Vec::new(),
-                });
-            }
-            let parent = &mut p.levels[li + 1];
-            parent.buckets = nb;
-            parent.counts.resize(nb * n_cores, 0);
-            parent.activity.resize(nb * n_lanes * 4, 0);
-            parent.counts[pfrom * n_cores..].copy_from_slice(&counts_sfx);
-            parent.activity[pfrom * n_lanes * 4..].copy_from_slice(&act_sfx);
-            parent.suspect = suspect;
-            *blocks_rebuilt += nb - pfrom;
-            from = pfrom;
-            li += 1;
         }
     }
 }
 
-/// What [`TraceIndex::extend_columns`] did: how much of the index the
-/// update touched, for incremental-cost accounting and the
-/// `stream_smoke` bound (appending a small tail must rebuild a
-/// proportionally small share of blocks).
+/// What an index update did: how much of the index it touched, for
+/// incremental-cost accounting and the `stream_smoke` bound (appending
+/// a small tail must rewrite a proportionally small share of lane
+/// checkpoints). The "blocks" are lane checkpoints: one cumulative
+/// per-kind tick sum per 64 intervals of an SPE lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexDelta {
     /// Events appended by this update.
     pub appended_events: usize,
-    /// Total pyramid buckets across every level, after the update.
+    /// Lane checkpoints over every lane, after the update.
     pub blocks_total: usize,
-    /// Buckets whose count/activity accumulators were written.
+    /// Lane checkpoints the update wrote.
     pub blocks_rebuilt: usize,
     /// SPE lanes in the index.
     pub lanes_total: usize,
     /// Lanes whose interval set changed and were rebuilt.
     pub lanes_rebuilt: usize,
-    /// Whether the span outgrew the bucket cap and the base coarsened
-    /// (a level drop — no accumulators rewritten).
-    pub coarsened: bool,
     /// Whether the update fell back to a full rebuild.
     pub full_rebuild: bool,
 }
 
 impl IndexDelta {
-    /// Rebuilt share of the pyramid, `0.0..=1.0`.
+    /// The delta of a from-scratch build of `index`, which took
+    /// `appended_events` new events: every lane and checkpoint written.
+    pub(crate) fn rebuilt(index: &TraceIndex, appended_events: usize) -> Self {
+        let blocks = index.lane_checkpoints();
+        IndexDelta {
+            appended_events,
+            blocks_total: blocks,
+            blocks_rebuilt: blocks,
+            lanes_total: index.lanes.len(),
+            lanes_rebuilt: index.lanes.len(),
+            full_rebuild: true,
+        }
+    }
+
+    /// Rewritten share of the lane checkpoints, `0.0..=1.0`.
     pub fn rebuilt_fraction(&self) -> f64 {
         if self.blocks_total == 0 {
             0.0
@@ -1236,6 +797,14 @@ impl IndexDelta {
             self.blocks_rebuilt as f64 / self.blocks_total as f64
         }
     }
+}
+
+/// One [`LaneCheckpoints`] per lane.
+fn checkpoint_lanes(lanes: &[SpeIntervals]) -> Vec<LaneCheckpoints> {
+    lanes
+        .iter()
+        .map(|l| LaneCheckpoints::new(&l.intervals))
+        .collect()
 }
 
 /// Chunked per-core offset extraction: the event vector is split into
@@ -1251,7 +820,7 @@ fn extract_offsets(
     let scan = |base: usize, chunk: &[GlobalEvent]| {
         let mut per: Vec<Vec<u32>> = vec![Vec::new(); n_cores];
         for (i, e) in chunk.iter().enumerate() {
-            per[slot_of[e.core.tag() as usize]].push((base + i) as u32);
+            per[slot_of[e.core.tag() as usize]].push(index32(base + i));
         }
         per
     };
@@ -1271,90 +840,6 @@ fn extract_offsets(
         }
     }
     out
-}
-
-/// Level-0 event-count buckets, one core per task, round-robin over
-/// the workers. `time_of` resolves a global offset to its timestamp
-/// (row vector or time column).
-fn count_buckets(
-    time_of: &(dyn Fn(u32) -> u64 + Sync),
-    per_core: &[Vec<u32>],
-    base_tb: u64,
-    shift: u32,
-    n_base: usize,
-    n_cores: usize,
-    workers: usize,
-) -> Vec<u64> {
-    let count_one = |offsets: &Vec<u32>| {
-        let mut buckets = vec![0u64; n_base];
-        for &o in offsets {
-            buckets[((time_of(o) - base_tb) >> shift) as usize] += 1;
-        }
-        buckets
-    };
-    let per_core_buckets: Vec<Vec<u64>> =
-        exec::map_indexed(Parallelism::from_threads(workers), n_cores, |i| {
-            count_one(&per_core[i])
-        });
-    let mut counts = vec![0u64; n_base * n_cores];
-    for (ci, buckets) in per_core_buckets.iter().enumerate() {
-        for (b, &n) in buckets.iter().enumerate() {
-            counts[b * n_cores + ci] = n;
-        }
-    }
-    counts
-}
-
-/// Per-lane interval tree construction and level-0 activity
-/// distribution, lanes round-robin over the workers.
-fn build_lanes(
-    intervals: &[SpeIntervals],
-    base_tb: u64,
-    shift: u32,
-    n_base: usize,
-    workers: usize,
-) -> (Vec<SpeLane>, Vec<u64>) {
-    let n_lanes = intervals.len();
-    let width = 1u64 << shift;
-    let build_one = |iv: &SpeIntervals| {
-        let mut buckets = vec![[0u64; 4]; n_base];
-        for i in &iv.intervals {
-            if i.end_tb <= i.start_tb {
-                continue;
-            }
-            let b_from = ((i.start_tb - base_tb) >> shift) as usize;
-            let b_to = ((i.end_tb - 1 - base_tb) >> shift) as usize;
-            for (b, bucket) in buckets.iter_mut().enumerate().take(b_to + 1).skip(b_from) {
-                let bs = base_tb + b as u64 * width;
-                let overlap = i.end_tb.min(bs + width) - i.start_tb.max(bs);
-                bucket[i.kind.index()] += overlap;
-            }
-        }
-        (
-            SpeLane {
-                spe: iv.spe,
-                start_tb: iv.start_tb,
-                stop_tb: iv.stop_tb,
-                tree: IntervalTree::new(iv.intervals.to_vec()),
-            },
-            buckets,
-        )
-    };
-    let built: Vec<(SpeLane, Vec<[u64; 4]>)> =
-        exec::map_indexed(Parallelism::from_threads(workers), n_lanes, |i| {
-            build_one(&intervals[i])
-        });
-    let mut activity = vec![0u64; n_base * n_lanes * 4];
-    let mut lanes = Vec::with_capacity(n_lanes);
-    for (li, (lane, buckets)) in built.into_iter().enumerate() {
-        for (b, ticks) in buckets.iter().enumerate() {
-            for (k, &t) in ticks.iter().enumerate() {
-                activity[(b * n_lanes + li) * 4 + k] = t;
-            }
-        }
-        lanes.push(lane);
-    }
-    (lanes, activity)
 }
 
 /// Brute-force reference implementations of every index query — the
@@ -1596,6 +1081,112 @@ mod tests {
     }
 
     #[test]
+    fn index_memory_does_not_grow_with_the_time_span() {
+        let t = trace();
+        let mut stretched = trace();
+        for e in &mut stretched.events {
+            e.time_tb <<= 24;
+        }
+        let (small, _) = index_of(&t);
+        let (wide, _) = index_of(&stretched);
+        assert!(wide.end_tb() - wide.start_tb() > 1 << 30);
+        assert!(
+            small.bytes_in_memory().abs_diff(wide.bytes_in_memory()) <= 1024,
+            "{} vs {} bytes",
+            small.bytes_in_memory(),
+            wide.bytes_in_memory()
+        );
+    }
+
+    #[test]
+    fn extend_columns_rebuilds_when_the_trace_is_not_a_tail_append() {
+        let t = trace();
+        let iv = build_intervals(&t);
+        let loss = LossReport::default();
+        let full = ColumnarTrace::from_analyzed(&t);
+        let mut shorter = t;
+        shorter.events.truncate(6);
+        let shorter = ColumnarTrace::from_analyzed(&shorter);
+        let shorter_iv = crate::intervals::build_intervals_columns(&shorter);
+
+        let mut idx = TraceIndex::build_columns(&full, iv.as_slice(), &loss);
+        let delta = idx.extend_columns(&shorter, shorter_iv.as_slice(), &loss);
+        assert!(delta.full_rebuild);
+        assert_eq!(
+            idx,
+            TraceIndex::build_columns(&shorter, shorter_iv.as_slice(), &loss)
+        );
+
+        // Growing back gains both SPE lanes: a changed lane set.
+        assert!(idx.extend_columns(&full, iv.as_slice(), &loss).full_rebuild);
+        assert_eq!(idx, TraceIndex::build_columns(&full, iv.as_slice(), &loss));
+    }
+
+    #[test]
+    fn extend_columns_rewrites_checkpoints_from_the_first_changed_interval() {
+        use EventCode::*;
+        // SPE0 waits 128 times from its context start on, so the lane
+        // holds exactly 256 intervals (four checkpoints) when it stops
+        // at 2_000, and keeps recording waits after the stop. The first
+        // append past the stop replaces the closing compute interval,
+        // the last one under checkpoint 3; later appends only add.
+        let mut events = Vec::new();
+        let mut push = |t: u64, code| {
+            let seq = events.len() as u64;
+            events.push(ev(t, TraceCore::Spe(0), code, seq));
+        };
+        push(2, SpeCtxStart);
+        for k in 0..228 {
+            let t = if k < 128 {
+                k * 8
+            } else {
+                2_000 + (k - 128) * 8
+            };
+            if k == 128 {
+                push(2_000, SpeStop);
+            }
+            push(t + 2, SpeTagWaitBegin);
+            push(t + 5, SpeTagWaitEnd);
+        }
+        let stopped = 258;
+        let t = AnalyzedTrace {
+            header: header(),
+            events,
+            ctx_names: vec![],
+            anchors: vec![],
+            dropped: 0,
+        };
+        let loss = LossReport::default();
+        let prefix = |n: usize| {
+            let mut p = t.clone();
+            p.events.truncate(n);
+            let cols = ColumnarTrace::from_analyzed(&p);
+            let iv = crate::intervals::build_intervals_columns(&cols);
+            (cols, iv)
+        };
+        let (cols, iv) = prefix(stopped);
+        assert_eq!(iv[0].intervals.len(), 256);
+        let mut idx = TraceIndex::build_columns(&cols, iv, &loss);
+        let mut rewrote = Vec::new();
+        for n in stopped + 1..=t.events.len() {
+            let (cols, iv) = prefix(n);
+            let delta = idx.extend_columns(&cols, iv.as_slice(), &loss);
+            assert!(!delta.full_rebuild, "{n} events");
+            assert_eq!(delta.lanes_rebuilt, 1, "{n} events");
+            assert_eq!(
+                idx,
+                TraceIndex::build_columns(&cols, iv, &loss),
+                "{n} events"
+            );
+            rewrote.push(delta.blocks_rebuilt);
+        }
+        // Checkpoint 3 is rewritten once; each later one is written
+        // once, when its 64th interval arrives.
+        assert_eq!(rewrote[0], 1);
+        assert_eq!(rewrote.iter().sum::<usize>(), idx.lane_checkpoints() - 3);
+    }
+
+    #[test]
     fn parallel_build_is_identical() {
         let t = trace();
         let iv = build_intervals(&t);
@@ -1612,9 +1203,11 @@ mod tests {
         let iv = build_intervals(&t);
         let loss = LossReport::default();
         let cols = ColumnarTrace::from_analyzed(&t);
-        let row = TraceIndex::build_parallel(&t, &iv, &loss, 1);
         for threads in [1usize, 2, 4] {
-            assert_eq!(row, TraceIndex::build_columns(&cols, &iv, &loss, threads));
+            assert_eq!(
+                TraceIndex::build_parallel(&t, &iv, &loss, threads),
+                TraceIndex::build_columns(&cols, iv.as_slice(), &loss)
+            );
         }
     }
 
@@ -1660,7 +1253,7 @@ mod tests {
     }
 
     #[test]
-    fn gap_brackets_become_suspect_ranges_and_buckets() {
+    fn gap_brackets_become_suspect_ranges() {
         use pdt::{DecodeGap, RecordError};
         let t = trace();
         let iv = build_intervals(&t);
@@ -1689,16 +1282,15 @@ mod tests {
         assert!(idx.window_suspect(25, 30), "inside the bracket");
         assert!(!idx.window_suspect(61, 200), "after the bracket");
         assert!(!idx.window_suspect(0, 20), "before the bracket");
-        // Buckets covering the bracket inherit the flag; the span here
-        // is small enough that bucket width is 1 tick.
-        let (n, w) = idx.bucket_geometry();
-        assert_eq!(w, 1);
-        assert!(n >= 131);
-        assert!(idx.bucket_suspect(25));
-        assert!(!idx.bucket_suspect(100));
         // Summaries over the bracket are flagged, clean windows not.
         assert!(idx.summarize(&times(&t), 0, 200).suspect);
         assert!(!idx.summarize(&times(&t), 70, 200).suspect);
+    }
+
+    impl Span for Interval {
+        fn span(&self) -> (u64, u64) {
+            (self.start_tb, self.end_tb)
+        }
     }
 
     #[test]

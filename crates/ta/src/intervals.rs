@@ -142,6 +142,108 @@ impl SpeIntervals {
     }
 }
 
+/// Intervals per lane checkpoint.
+const CHECKPOINT_EVERY: usize = 64;
+
+/// The intervals of a lane overlapping `[t0, t1)` (`end > t0 &&
+/// start < t1`), by binary search. A lane's intervals tile its span in
+/// time order (each starts where the previous one ends), so the
+/// overlapping ones are one contiguous run.
+pub(crate) fn overlapping(lane: &[Interval], t0: u64, t1: u64) -> &[Interval] {
+    &lane[overlap_range(lane, t0, t1)]
+}
+
+fn overlap_range(lane: &[Interval], t0: u64, t1: u64) -> std::ops::Range<usize> {
+    let lo = lane.partition_point(|i| i.end_tb <= t0);
+    let hi = lane.partition_point(|i| i.start_tb < t1);
+    lo..hi.max(lo)
+}
+
+/// Cumulative per-kind tick checkpoints over a lane's intervals, one
+/// per [`CHECKPOINT_EVERY`] intervals, so a window's ticks are two
+/// checkpoint differences trimmed at the window edges: two binary
+/// searches plus at most `2 × 63` interval reads. The index's lanes
+/// and the live-tail overlay's open lanes share it; the intervals
+/// themselves stay with their owner and are passed in.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct LaneCheckpoints {
+    /// `sums[j]` = per-kind ticks of the first
+    /// `CHECKPOINT_EVERY * (j + 1)` intervals.
+    sums: Vec<[u64; 4]>,
+}
+
+impl LaneCheckpoints {
+    /// Checkpoints `lane`, whose intervals must tile in order (every
+    /// lane [`LaneWalk`] produces does).
+    pub(crate) fn new(lane: &[Interval]) -> Self {
+        debug_assert!(
+            lane.iter().all(|i| i.start_tb < i.end_tb)
+                && lane.windows(2).all(|w| w[0].end_tb == w[1].start_tb),
+            "lane intervals must tile in order"
+        );
+        let mut c = LaneCheckpoints::default();
+        c.update(lane, 0);
+        c
+    }
+
+    /// Checkpoints held.
+    pub(crate) fn len(&self) -> usize {
+        self.sums.len()
+    }
+
+    /// Heap bytes held.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.sums.capacity() * std::mem::size_of::<[u64; 4]>()
+    }
+
+    /// Brings the checkpoints up to date with `lane`, whose first
+    /// `same` intervals are the ones last checkpointed: only the
+    /// checkpoints past them are rewritten. Returns how many were.
+    pub(crate) fn update(&mut self, lane: &[Interval], same: usize) -> usize {
+        let j = (same / CHECKPOINT_EVERY).min(self.sums.len());
+        self.sums.truncate(j);
+        let mut acc = self.sums.last().copied().unwrap_or_default();
+        let full = lane.len() / CHECKPOINT_EVERY;
+        for chunk in
+            lane[j * CHECKPOINT_EVERY..full * CHECKPOINT_EVERY].chunks_exact(CHECKPOINT_EVERY)
+        {
+            for iv in chunk {
+                acc[iv.kind.index()] += iv.ticks();
+            }
+            self.sums.push(acc);
+        }
+        full - j
+    }
+
+    /// Per-kind ticks of the first `n` intervals of `lane`.
+    fn prefix(&self, lane: &[Interval], n: usize) -> [u64; 4] {
+        let j = n / CHECKPOINT_EVERY;
+        let mut acc = j.checked_sub(1).map_or([0; 4], |c| self.sums[c]);
+        for iv in &lane[j * CHECKPOINT_EVERY..n] {
+            acc[iv.kind.index()] += iv.ticks();
+        }
+        acc
+    }
+
+    /// Per-kind ticks of `lane`'s overlap with `[t0, t1)`.
+    pub(crate) fn ticks(&self, lane: &[Interval], t0: u64, t1: u64) -> [u64; 4] {
+        let mut ticks = [0u64; 4];
+        let r = overlap_range(lane, t0, t1);
+        if t0 >= t1 || r.is_empty() {
+            return ticks;
+        }
+        let (a, b) = (self.prefix(lane, r.start), self.prefix(lane, r.end));
+        for (k, t) in ticks.iter_mut().enumerate() {
+            *t = b[k] - a[k];
+        }
+        // The window cuts into the first and last interval only.
+        let (first, last) = (lane[r.start], lane[r.end - 1]);
+        ticks[first.kind.index()] -= t0.saturating_sub(first.start_tb);
+        ticks[last.kind.index()] -= last.end_tb.saturating_sub(t1);
+        ticks
+    }
+}
+
 fn wait_kind(code: EventCode) -> Option<ActivityKind> {
     match code {
         EventCode::SpeTagWaitBegin => Some(ActivityKind::DmaWait),

@@ -138,10 +138,7 @@ pub use exec::{ExecPool, ExecStats, Parallelism};
 pub use faults::{FaultInjector, FaultKind, InjectedFault};
 pub use hb::{event_clocks, Access, AccessDir, ClockTable, HbIndex, RaceWitness, Space, VecClock};
 pub use histogram::Log2Histogram;
-pub use index::{
-    compute_suspect_ranges, SuspectRange, TraceIndex, WindowActivity, WindowSummary,
-    MAX_BASE_BUCKETS,
-};
+pub use index::{compute_suspect_ranges, SuspectRange, TraceIndex, WindowActivity, WindowSummary};
 pub use intervals::{build_intervals, ActivityKind, Interval, SpeIntervals};
 #[cfg(feature = "scan-oracle")]
 pub use lint::dma_race_window_heuristic;
@@ -160,7 +157,7 @@ pub use report::{
     AsciiReport, CsvReport, CsvTable, HtmlReport, RenderOptions, Report, ReportKind, SvgReport,
 };
 pub use session::{Analysis, AnalysisBuilder};
-pub use stats::{compute_stats, DmaSummary, EventCounts, ObservedDma, SpeActivity, TraceStats};
+pub use stats::{compute_stats, DmaSummary, EventCounts, SpeActivity, TraceStats};
 pub use stream::{ImageIngest, IngestSession, StreamId};
 pub use summary::render_summary_with;
 pub use svg::SvgOptions;

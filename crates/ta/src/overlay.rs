@@ -26,7 +26,7 @@ use pdt::{EventCode, TraceCore};
 
 use crate::columns::{ColumnarTrace, EventColumns};
 use crate::index::{SuspectRange, TraceIndex, WindowActivity, WindowSummary};
-use crate::intervals::{Interval, LaneWalk};
+use crate::intervals::{Interval, LaneCheckpoints, LaneWalk};
 use crate::oneshot::upper_bound;
 
 /// One core's events within a run: offsets into the run's columns and
@@ -58,7 +58,8 @@ pub(crate) struct StreamRun {
 }
 
 /// An SPE run's interval state: the lifecycle bounds seen so far and
-/// the intervals the walk has closed, with per-kind prefix sums.
+/// the intervals the walk has closed, checkpointed as the index's
+/// lanes are.
 #[derive(Debug, Clone, Default)]
 struct RunLane {
     track: bool,
@@ -68,19 +69,14 @@ struct RunLane {
     /// run's first.
     walk: Option<LaneWalk>,
     intervals: Vec<Interval>,
-    /// `prefix[i]` = per-kind ticks of `intervals[..i]`.
-    prefix: Vec<[u64; 4]>,
+    checkpoints: LaneCheckpoints,
 }
 
 impl RunLane {
     fn push_interval(&mut self, iv: Interval) {
-        let mut next = *self.prefix.last().unwrap_or(&[0; 4]);
-        next[iv.kind.index()] += iv.ticks();
-        if self.prefix.is_empty() {
-            self.prefix.push([0; 4]);
-        }
-        self.prefix.push(next);
         self.intervals.push(iv);
+        self.checkpoints
+            .update(&self.intervals, self.intervals.len() - 1);
     }
 }
 
@@ -350,20 +346,9 @@ impl Part {
     /// The lane's activity ticks in `[t0, t1)`, per kind.
     fn activity(&self, t0: u64, t1: u64) -> Option<WindowActivity> {
         let lane = self.lane.as_ref()?;
-        let mut ticks = [0u64; 4];
+        let run = &self.run.lane;
+        let mut ticks = run.checkpoints.ticks(&run.intervals, t0, t1);
         if t0 < t1 {
-            let ivs = &self.run.lane.intervals;
-            let lo = ivs.partition_point(|iv| iv.end_tb <= t0);
-            let hi = ivs.partition_point(|iv| iv.start_tb < t1);
-            if lo < hi {
-                let prefix = &self.run.lane.prefix;
-                for (k, t) in ticks.iter_mut().enumerate() {
-                    *t = prefix[hi][k] - prefix[lo][k];
-                }
-                let (first, last) = (ivs[lo], ivs[hi - 1]);
-                ticks[first.kind.index()] -= t0.saturating_sub(first.start_tb);
-                ticks[last.kind.index()] -= last.end_tb.saturating_sub(t1);
-            }
             for iv in &lane.extra {
                 ticks[iv.kind.index()] += iv.end_tb.min(t1).saturating_sub(iv.start_tb.max(t0));
             }
@@ -401,7 +386,7 @@ impl Overlay {
     /// Exact aggregate of `[t0, t1)`, equal to
     /// [`TraceIndex::summarize`] over the merged epoch: base counts and
     /// lanes from the base index, each overlay core's count by binary
-    /// search, each overlay lane's ticks from prefix sums.
+    /// search, each overlay lane's ticks from its lane checkpoints.
     pub(crate) fn summarize(&self, t0: u64, t1: u64) -> WindowSummary {
         let (mut events, mut activity) = match &self.base_index {
             Some(idx) => {

@@ -51,7 +51,7 @@ use crate::query::EventFilter;
 use crate::reader::TraceImage;
 use crate::report::{RenderOptions, ReportKind};
 use crate::stats::{compute_stats_columns_par, TraceStats};
-use crate::stats::{observe_dma_over, DmaSummary};
+use crate::stats::{DmaMatcher, DmaSummary};
 use crate::summary::render_summary_with;
 use crate::svg::SvgOptions;
 use crate::timeline::{build_timeline_columns, build_timeline_where, Timeline};
@@ -144,7 +144,7 @@ pub struct Analysis {
     rows: OnceLock<AnalyzedTrace>,
     loss: LossReport,
     par: Parallelism,
-    intervals: OnceLock<Vec<SpeIntervals>>,
+    intervals: OnceLock<Arc<[SpeIntervals]>>,
     stats: OnceLock<TraceStats>,
     timeline: OnceLock<Timeline>,
     occupancy: OnceLock<Vec<SpeOccupancy>>,
@@ -230,7 +230,7 @@ impl Analysis {
 
     /// Seeds the memoized intervals (snapshot reuse across epochs when
     /// an SPE's events did not change). A no-op if already built.
-    pub(crate) fn preset_intervals(&self, intervals: Vec<SpeIntervals>) {
+    pub(crate) fn preset_intervals(&self, intervals: Arc<[SpeIntervals]>) {
         let _ = self.intervals.set(intervals);
     }
 
@@ -280,6 +280,11 @@ impl Analysis {
     /// under the session's [`Parallelism`], shared by
     /// [`stats`](Self::stats) and [`timeline`](Self::timeline)).
     pub fn intervals(&self) -> &[SpeIntervals] {
+        self.lanes()
+    }
+
+    /// The memoized intervals, shared with the index.
+    fn lanes(&self) -> &Arc<[SpeIntervals]> {
         self.intervals.get_or_init(|| {
             let spes = self.columns().spes();
             let lanes = exec::map_indexed(self.par, spes.len(), |i| {
@@ -362,14 +367,7 @@ impl Analysis {
         }
         exec::map_indexed(par, 4, |i| match i {
             0 => {
-                let _ = self.index.get_or_init(|| {
-                    Arc::new(TraceIndex::build_columns(
-                        self.columns(),
-                        self.intervals(),
-                        &self.loss,
-                        par.workers(),
-                    ))
-                });
+                let _ = self.index();
             }
             1 => {
                 let _ = self.lint.get_or_init(|| {
@@ -395,17 +393,16 @@ impl Analysis {
         self
     }
 
-    /// The query index: per-core binary-searchable event offsets, an
-    /// interval tree per SPE and the zoom pyramid of pre-aggregated
-    /// buckets. Built once (in parallel, with the session's
-    /// [`Parallelism`]) and memoized like the other products.
+    /// The query index: per-core binary-searchable event offsets and
+    /// each SPE's intervals with a lane checkpoint per 64 of them.
+    /// O(events + intervals) to build and hold, whatever the trace's
+    /// time span; memoized like the other products.
     pub fn index(&self) -> &TraceIndex {
         self.index.get_or_init(|| {
             Arc::new(TraceIndex::build_columns(
                 self.columns(),
-                self.intervals(),
+                Arc::clone(self.lanes()),
                 &self.loss,
-                self.par.workers(),
             ))
         })
     }
@@ -458,8 +455,8 @@ impl Analysis {
 
     /// Exact aggregate of the half-open window `[start_tb, end_tb)`:
     /// per-core event counts, per-SPE activity occupancy and the
-    /// gap-suspicion flag, resolved from ~O(levels) pyramid bucket
-    /// reads plus two exact edge buckets.
+    /// gap-suspicion flag, resolved by two binary searches per core
+    /// and two lane checkpoint differences per SPE.
     pub fn summarize(&self, start_tb: u64, end_tb: u64) -> WindowSummary {
         match &self.store {
             Store::Overlay(o) => o.summarize(start_tb, end_tb),
@@ -468,7 +465,7 @@ impl Analysis {
     }
 
     /// Every SPE's activity intervals clipped to `[start_tb, end_tb)`
-    /// via the interval tree — identical to
+    /// by binary search over the index's lanes — identical to
     /// [`SpeIntervals::clip`] on the full sets.
     pub fn intervals_window(&self, start_tb: u64, end_tb: u64) -> Vec<SpeIntervals> {
         self.index().clip_all(start_tb, end_tb)
@@ -476,7 +473,7 @@ impl Analysis {
 
     /// The timeline model restricted to `[start_tb, end_tb)`: the same
     /// lane set as [`timeline`](Self::timeline), with segments clipped
-    /// by the interval tree and markers extracted by binary search.
+    /// and markers extracted by binary search.
     pub fn timeline_window(&self, start_tb: u64, end_tb: u64) -> Timeline {
         build_timeline_where(self.analyzed(), self.index(), start_tb, end_tb)
     }
@@ -498,9 +495,14 @@ impl Analysis {
     pub fn dma_window(&self, start_tb: u64, end_tb: u64) -> DmaSummary {
         let idx = self.index();
         let rows = self.analyzed();
-        observe_dma_over(rows.spes(), |spe| {
-            idx.core_events_in(&rows.events, TraceCore::Spe(spe), start_tb, end_tb)
-        })
+        let mut m = DmaMatcher::default();
+        for spe in rows.spes() {
+            m.next_spe();
+            for e in idx.core_events_in(&rows.events, TraceCore::Spe(spe), start_tb, end_tb) {
+                m.observe(e.time_tb, e.code, &e.params);
+            }
+        }
+        m.finish()
     }
 
     /// Writes the session through the unified [`Report`] interface —
@@ -751,13 +753,11 @@ mod tests {
 
         // Windowed DMA equals the matcher run over scan-filtered events.
         let dma = a.dma_window(t0, t1);
-        let scan_dma = crate::stats::observe_dma_over(a.analyzed().spes(), |spe| {
-            a.events()
-                .iter()
-                .filter(move |e| e.core == TraceCore::Spe(spe) && e.time_tb >= t0 && e.time_tb < t1)
-                .collect::<Vec<_>>()
-        });
-        assert_eq!(dma, scan_dma);
+        let mut windowed = a.analyzed().clone();
+        windowed
+            .events
+            .retain(|e| e.time_tb >= t0 && e.time_tb < t1);
+        assert_eq!(dma, crate::stats::observe_dma(&windowed));
 
         // Windowed occupancy derives from the memoized full series.
         let occ = a.occupancy_window(t0, t1);

@@ -48,30 +48,6 @@ impl SpeActivity {
     }
 }
 
-/// One DMA command observed in the trace, with its completion as seen
-/// at the closing tag wait.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ObservedDma {
-    /// The issuing SPE.
-    pub spe: u8,
-    /// True for GET (memory → LS).
-    pub is_get: bool,
-    /// Transfer bytes.
-    pub bytes: u64,
-    /// Issue time.
-    pub issue_tb: u64,
-    /// Completion observation time (`SpeTagWaitEnd` covering the tag),
-    /// if any was seen.
-    pub complete_tb: Option<u64>,
-}
-
-impl ObservedDma {
-    /// Observed latency in ticks (issue to the wait that covered it).
-    pub fn latency_tb(&self) -> Option<u64> {
-        self.complete_tb.map(|c| c - self.issue_tb)
-    }
-}
-
 /// DMA traffic summary for the whole trace.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DmaSummary {
@@ -81,43 +57,97 @@ pub struct DmaSummary {
     pub puts: u64,
     /// Total bytes issued.
     pub bytes: u64,
-    /// Every observed command.
-    pub commands: Vec<ObservedDma>,
     /// Latency histogram (ticks), over commands with observed
     /// completion.
     pub latency_ticks: Log2Histogram,
     /// Size histogram (bytes).
     pub sizes: Log2Histogram,
+    /// Bytes of the commands with observed completion.
+    completed_bytes: u64,
 }
 
 impl DmaSummary {
-    /// Appends another summary, preserving command order: per-SPE
-    /// shard summaries absorbed in ascending SPE order reproduce the
-    /// exact summary one sequential pass over all SPEs builds (the
-    /// command list is a per-SPE concatenation; counters and
-    /// histograms are commutative reductions).
-    pub(crate) fn absorb(&mut self, mut other: DmaSummary) {
+    /// Folds another summary in: every field is a commutative sum or
+    /// histogram, so per-SPE shard summaries absorbed in any order
+    /// reproduce the summary one sequential pass builds.
+    pub(crate) fn absorb(&mut self, other: DmaSummary) {
         self.gets += other.gets;
         self.puts += other.puts;
         self.bytes += other.bytes;
-        self.commands.append(&mut other.commands);
         self.latency_ticks.merge(&other.latency_ticks);
         self.sizes.merge(&other.sizes);
+        self.completed_bytes += other.completed_bytes;
     }
 
     /// Aggregate observed bandwidth in bytes per tick: total bytes of
     /// completed commands divided by the sum of their latencies.
     pub fn observed_bytes_per_tick(&self) -> f64 {
-        let (b, t) = self
-            .commands
-            .iter()
-            .filter_map(|c| c.latency_tb().map(|l| (c.bytes, l)))
-            .fold((0u64, 0u64), |(b, t), (cb, cl)| (b + cb, t + cl));
-        if t == 0 {
+        let ticks = self.latency_ticks.sum();
+        if ticks == 0 {
             0.0
         } else {
-            b as f64 / t as f64
+            self.completed_bytes as f64 / ticks as f64
         }
+    }
+}
+
+/// Matches one SPE's DMA issue records to the tag waits that observe
+/// their completion, fed the SPE's events in time order. Rows and
+/// columns share it: the whole-trace statistics, their per-SPE shards
+/// and [`Analysis::dma_window`](crate::session::Analysis::dma_window).
+///
+/// A tag-wait mask names tags 0–31, so a command on a tag at or above
+/// 32, or one never waited on, counts in the traffic totals and sizes
+/// but never in latency.
+#[derive(Debug, Default)]
+pub(crate) struct DmaMatcher {
+    summary: DmaSummary,
+    /// Outstanding `(issue_tb, bytes)` per tag, in issue order.
+    outstanding: [Vec<(u64, u64)>; 32],
+}
+
+impl DmaMatcher {
+    /// Starts the next SPE's stream: its outstanding commands never
+    /// complete (tags are per SPE). The buffers are kept for reuse.
+    pub(crate) fn next_spe(&mut self) {
+        self.outstanding.iter_mut().for_each(Vec::clear);
+    }
+
+    /// Consumes one event of the current SPE.
+    pub(crate) fn observe(&mut self, time_tb: u64, code: EventCode, params: &[u64]) {
+        let s = &mut self.summary;
+        match code {
+            EventCode::SpeDmaGet | EventCode::SpeDmaPut => {
+                let bytes = params[2];
+                if code == EventCode::SpeDmaGet {
+                    s.gets += 1;
+                } else {
+                    s.puts += 1;
+                }
+                s.bytes += bytes;
+                s.sizes.add(bytes);
+                if let Some(q) = self.outstanding.get_mut((params[3] & 0xff) as usize) {
+                    q.push((time_tb, bytes));
+                }
+            }
+            EventCode::SpeTagWaitEnd => {
+                let mask = params[0] as u32;
+                for (tag, q) in self.outstanding.iter_mut().enumerate() {
+                    if mask & (1 << tag) != 0 {
+                        for (issue_tb, bytes) in q.drain(..) {
+                            s.latency_ticks.add(time_tb - issue_tb);
+                            s.completed_bytes += bytes;
+                        }
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// The summary of everything observed.
+    pub(crate) fn finish(self) -> DmaSummary {
+        self.summary
     }
 }
 
@@ -269,22 +299,27 @@ pub(crate) fn compute_stats_columns_par(
     }
 }
 
-/// [`observe_dma`] over the columnar store: the same matching
-/// algorithm, driven by per-SPE [`EventView`](crate::columns::EventView)s.
+/// [`observe_dma`] over the columnar store, driven by per-SPE
+/// [`EventView`](crate::columns::EventView)s.
 pub fn observe_dma_columns(trace: &ColumnarTrace) -> DmaSummary {
     observe_dma_columns_par(trace, crate::exec::Parallelism::Serial)
 }
 
-/// [`observe_dma_columns`] with the per-SPE shards fanned out through
-/// [`crate::exec::map_indexed`]; partial summaries are absorbed in SPE
-/// order, so the result is byte-identical to the sequential observer.
+/// [`observe_dma_columns`] with one [`DmaMatcher`] shard per SPE
+/// fanned out through [`crate::exec::map_indexed`] (tags never cross
+/// SPEs); the partial summaries absorb into the sequential result.
 pub(crate) fn observe_dma_columns_par(
     trace: &ColumnarTrace,
     par: crate::exec::Parallelism,
 ) -> DmaSummary {
     let spes = trace.spes();
-    let parts =
-        crate::exec::map_indexed(par, spes.len(), |i| observe_spe_dma_columns(trace, spes[i]));
+    let parts = crate::exec::map_indexed(par, spes.len(), |i| {
+        let mut m = DmaMatcher::default();
+        for v in trace.core_events(TraceCore::Spe(spes[i])) {
+            m.observe(v.time_tb, v.code, v.params);
+        }
+        m.finish()
+    });
     let mut summary = DmaSummary::default();
     for p in parts {
         summary.absorb(p);
@@ -292,121 +327,17 @@ pub(crate) fn observe_dma_columns_par(
     summary
 }
 
-/// One SPE's shard of [`observe_dma_columns`]: the DMA matcher is
-/// entirely stream-local (tags never cross SPEs), so per-SPE partial
-/// summaries absorbed in SPE order rebuild the whole-trace summary
-/// byte-for-byte. The independent shard unit the parallel product
-/// scheduler fans out per SPE.
-pub(crate) fn observe_spe_dma_columns(trace: &ColumnarTrace, spe: u8) -> DmaSummary {
-    let mut summary = DmaSummary::default();
-    let mut outstanding: HashMap<u8, Vec<usize>> = HashMap::new();
-    for v in trace.core_events(TraceCore::Spe(spe)) {
-        match v.code {
-            EventCode::SpeDmaGet | EventCode::SpeDmaPut => {
-                let is_get = v.code == EventCode::SpeDmaGet;
-                let bytes = v.params[2];
-                let tag = (v.params[3] & 0xff) as u8;
-                let idx = summary.commands.len();
-                summary.commands.push(ObservedDma {
-                    spe,
-                    is_get,
-                    bytes,
-                    issue_tb: v.time_tb,
-                    complete_tb: None,
-                });
-                outstanding.entry(tag).or_default().push(idx);
-                if is_get {
-                    summary.gets += 1;
-                } else {
-                    summary.puts += 1;
-                }
-                summary.bytes += bytes;
-                summary.sizes.add(bytes);
-            }
-            EventCode::SpeTagWaitEnd => {
-                let mask = v.params[0] as u32;
-                for tag in 0..32u8 {
-                    if mask & (1 << tag) != 0 {
-                        if let Some(idxs) = outstanding.remove(&tag) {
-                            for i in idxs {
-                                summary.commands[i].complete_tb = Some(v.time_tb);
-                                if let Some(l) = summary.commands[i].latency_tb() {
-                                    summary.latency_ticks.add(l);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    summary
-}
-
 /// Matches DMA issue records to the tag waits that observe their
 /// completion.
 pub fn observe_dma(trace: &AnalyzedTrace) -> DmaSummary {
-    observe_dma_over(trace.spes(), |spe| trace.core_events(TraceCore::Spe(spe)))
-}
-
-/// [`observe_dma`] generalized over the event source, so the full-
-/// trace path and the index-backed windowed path
-/// ([`Analysis::dma_window`](crate::session::Analysis::dma_window))
-/// share one matching algorithm: `events_of(spe)` yields that SPE's
-/// events in time order, and only what it yields is observed.
-pub fn observe_dma_over<'a, S, I>(spes: S, mut events_of: impl FnMut(u8) -> I) -> DmaSummary
-where
-    S: IntoIterator<Item = u8>,
-    I: IntoIterator<Item = &'a crate::analyze::GlobalEvent>,
-{
-    let mut summary = DmaSummary::default();
-    for spe in spes {
-        // Outstanding command indices per tag.
-        let mut outstanding: HashMap<u8, Vec<usize>> = HashMap::new();
-        for e in events_of(spe) {
-            match e.code {
-                EventCode::SpeDmaGet | EventCode::SpeDmaPut => {
-                    let is_get = e.code == EventCode::SpeDmaGet;
-                    let bytes = e.params[2];
-                    let tag = (e.params[3] & 0xff) as u8;
-                    let idx = summary.commands.len();
-                    summary.commands.push(ObservedDma {
-                        spe,
-                        is_get,
-                        bytes,
-                        issue_tb: e.time_tb,
-                        complete_tb: None,
-                    });
-                    outstanding.entry(tag).or_default().push(idx);
-                    if is_get {
-                        summary.gets += 1;
-                    } else {
-                        summary.puts += 1;
-                    }
-                    summary.bytes += bytes;
-                    summary.sizes.add(bytes);
-                }
-                EventCode::SpeTagWaitEnd => {
-                    let mask = e.params[0] as u32;
-                    for tag in 0..32u8 {
-                        if mask & (1 << tag) != 0 {
-                            if let Some(idxs) = outstanding.remove(&tag) {
-                                for i in idxs {
-                                    summary.commands[i].complete_tb = Some(e.time_tb);
-                                    if let Some(l) = summary.commands[i].latency_tb() {
-                                        summary.latency_ticks.add(l);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            }
+    let mut m = DmaMatcher::default();
+    for spe in trace.spes() {
+        m.next_spe();
+        for e in trace.core_events(TraceCore::Spe(spe)) {
+            m.observe(e.time_tb, e.code, &e.params);
         }
     }
-    summary
+    m.finish()
 }
 
 #[cfg(test)]
@@ -482,10 +413,11 @@ mod tests {
         assert_eq!(d.gets, 1);
         assert_eq!(d.puts, 1);
         assert_eq!(d.bytes, 4224);
-        assert_eq!(d.commands.len(), 2);
-        assert_eq!(d.commands[0].latency_tb(), Some(40));
-        assert_eq!(d.commands[1].latency_tb(), Some(38));
-        assert!(d.observed_bytes_per_tick() > 0.0);
+        // Latencies 40 (the GET) and 38 (the PUT).
+        assert_eq!(d.latency_ticks.count(), 2);
+        assert_eq!(d.latency_ticks.min(), Some(38));
+        assert_eq!(d.latency_ticks.max(), Some(40));
+        assert_eq!(d.observed_bytes_per_tick(), 4224.0 / 78.0);
     }
 
     #[test]
@@ -497,9 +429,41 @@ mod tests {
             ev(90, 0, SpeStop, vec![0]),
         ]);
         let d = observe_dma(&t);
-        assert_eq!(d.commands[0].complete_tb, None);
+        assert_eq!(d.gets, 1);
         assert_eq!(d.latency_ticks.count(), 0);
         assert_eq!(d.sizes.count(), 1);
+        assert_eq!(d.observed_bytes_per_tick(), 0.0);
+    }
+
+    #[test]
+    fn high_tags_and_unwaited_commands_count_as_traffic_only() {
+        use EventCode::*;
+        let all_tags = vec![u32::MAX as u64];
+        let t = trace(vec![
+            ev(0, 0, SpeCtxStart, vec![0]),
+            // Tags 32 and 0x1ff lie outside every 32-bit wait mask.
+            ev(10, 0, SpeDmaGet, vec![0, 0, 256, 32]),
+            ev(11, 0, SpeDmaPut, vec![0, 0, 512, 0x1ff]),
+            ev(14, 0, SpeDmaGet, vec![0, 0, 1024, 2]),
+            ev(30, 0, SpeTagWaitEnd, all_tags.clone()),
+            // Issued after SPE0's last wait: never waited on.
+            ev(40, 0, SpeDmaPut, vec![0, 0, 64, 5]),
+            ev(90, 0, SpeStop, vec![0]),
+            // SPE1's wait completes nothing of SPE0's.
+            ev(0, 1, SpeCtxStart, vec![0]),
+            ev(50, 1, SpeTagWaitEnd, all_tags),
+            ev(90, 1, SpeStop, vec![0]),
+        ]);
+        let rows = observe_dma(&t);
+        let cols = observe_dma_columns(&ColumnarTrace::from_analyzed(&t));
+        for d in [rows, cols] {
+            assert_eq!((d.gets, d.puts), (2, 2));
+            assert_eq!(d.bytes, 256 + 512 + 1024 + 64);
+            assert_eq!(d.sizes.count(), 4);
+            assert_eq!(d.latency_ticks.count(), 1);
+            assert_eq!(d.latency_ticks.sum(), 16);
+            assert_eq!(d.observed_bytes_per_tick(), 1024.0 / 16.0);
+        }
     }
 
     #[test]

@@ -49,8 +49,9 @@
 //! snapshot pins its epoch, and the first write after a snapshot that
 //! a reader still holds copies the store once, leaving the epoch
 //! frozen. In watermark mode the maintained [`TraceIndex`] grows by
-//! [`extend_columns`](TraceIndex::extend_columns) — tail-only bucket
-//! and offset updates — and each snapshot's index is the committed
+//! [`extend_columns`](TraceIndex::extend_columns) — appended offsets,
+//! and lane checkpoints rewritten only from a lane's first changed
+//! interval — and each snapshot's index is the committed
 //! index extended over the snapshot's uncommitted tail. In sequential
 //! mode an epoch with open streams shares the base index and answers
 //! windows without building one; an epoch without open streams shares
@@ -75,7 +76,7 @@ use crate::analyze::{GlobalEvent, SpeAnchor};
 use crate::columns::ColumnarTrace;
 use crate::exec::Parallelism;
 use crate::index::{suspect_ranges_with, IndexDelta, TraceIndex};
-use crate::intervals::build_intervals_columns;
+use crate::intervals::{build_intervals_columns, SpeIntervals};
 use crate::loss::{LossReport, StreamLoss};
 use crate::overlay::{merge, Overlay, Part, StreamRun};
 use crate::session::Analysis;
@@ -829,7 +830,8 @@ impl IngestSession {
             cols.set_dropped(meta.dropped);
             cols.set_ctx_names(&self.ctx_names);
         }
-        let committed_intervals = build_intervals_columns(&self.committed);
+        let committed_intervals: Arc<[SpeIntervals]> =
+            build_intervals_columns(&self.committed).into();
         if std::mem::take(&mut self.index_dirty) {
             self.index = None;
         }
@@ -837,28 +839,18 @@ impl IngestSession {
             Some(mut idx) => {
                 let d = Arc::make_mut(&mut idx).extend_columns(
                     &self.committed,
-                    &committed_intervals,
+                    Arc::clone(&committed_intervals),
                     &loss,
-                    self.par.workers(),
                 );
                 (idx, d)
             }
             None => {
                 let idx = TraceIndex::build_columns(
                     &self.committed,
-                    &committed_intervals,
+                    Arc::clone(&committed_intervals),
                     &loss,
-                    self.par.workers(),
                 );
-                let d = IndexDelta {
-                    appended_events: self.committed.events.len(),
-                    blocks_total: idx.total_blocks(),
-                    blocks_rebuilt: idx.total_blocks(),
-                    lanes_total: committed_intervals.len(),
-                    lanes_rebuilt: committed_intervals.len(),
-                    coarsened: false,
-                    full_rebuild: true,
-                };
+                let d = IndexDelta::rebuilt(&idx, self.committed.events.len());
                 (Arc::new(idx), d)
             }
         };
@@ -889,9 +881,9 @@ impl IngestSession {
             for (_, _, e) in &tail {
                 c.push_event(e.time_tb, e.core, e.code, &e.params, e.stream_seq);
             }
-            let snap_intervals = build_intervals_columns(&c);
+            let snap_intervals: Arc<[SpeIntervals]> = build_intervals_columns(&c).into();
             let mut idx = (*index).clone();
-            let _ = idx.extend_columns(&c, &snap_intervals, &loss, self.par.workers());
+            let _ = idx.extend_columns(&c, Arc::clone(&snap_intervals), &loss);
             let a = Analysis::from_shared(Arc::new(c), loss, self.par);
             a.preset_intervals(snap_intervals);
             a.preset_index(Arc::new(idx));
@@ -965,11 +957,10 @@ impl IngestSession {
         if let Some(idx) = self.index.as_ref().filter(|_| !rebuilt) {
             self.last_delta = Some(IndexDelta {
                 appended_events: total.saturating_sub(self.last_events),
-                blocks_total: idx.total_blocks(),
+                blocks_total: idx.lane_checkpoints(),
                 blocks_rebuilt: 0,
                 lanes_total: idx.spes().count(),
                 lanes_rebuilt: 0,
-                coarsened: false,
                 full_rebuild: false,
             });
         }
@@ -1059,16 +1050,8 @@ impl IngestSession {
             return;
         }
         let intervals = build_intervals_columns(&self.committed);
-        let idx = TraceIndex::build_columns(&self.committed, &intervals, loss, self.par.workers());
-        self.last_delta = Some(IndexDelta {
-            appended_events: self.committed.events.len(),
-            blocks_total: idx.total_blocks(),
-            blocks_rebuilt: idx.total_blocks(),
-            lanes_total: intervals.len(),
-            lanes_rebuilt: intervals.len(),
-            coarsened: false,
-            full_rebuild: true,
-        });
+        let idx = TraceIndex::build_columns(&self.committed, intervals, loss);
+        self.last_delta = Some(IndexDelta::rebuilt(&idx, self.committed.events.len()));
         self.index = Some(Arc::new(idx));
         self.index_loss = loss.clone();
         self.full_rebuilds += 1;

@@ -226,7 +226,7 @@ proptest! {
             (end, end + 1),
         ]);
         for (t0, t1) in cases {
-            // Aggregation: pyramid + exact edges == full rescan.
+            // Aggregation: binary search + lane checkpoints == full rescan.
             let fast = a.summarize(t0, t1);
             let slow = ta::index::oracle::window_summary(
                 a.analyzed(), intervals, suspects, t0, t1,
@@ -241,7 +241,7 @@ proptest! {
                 let scan: Vec<_> = a.events().iter().filter(|e| fc.matches(e)).collect();
                 prop_assert_eq!(a.query(&fc), scan, "query spe{} [{}, {})", spe, t0, t1);
             }
-            // Range clipping through the tree == SpeIntervals::clip.
+            // Range clipping by binary search == SpeIntervals::clip.
             let clipped = a.intervals_window(t0, t1);
             let expect: Vec<_> = intervals.iter().map(|iv| iv.clip(t0, t1)).collect();
             prop_assert_eq!(clipped, expect, "clip [{}, {})", t0, t1);
@@ -300,6 +300,30 @@ proptest! {
             let f = ta::EventFilter::new().in_window(t0, t1);
             let scan: Vec<_> = a.events().iter().filter(|e| f.matches(e)).collect();
             prop_assert_eq!(a.query(&f), scan);
+        }
+    }
+
+    #[test]
+    fn session_lanes_tile_their_span_in_order(
+        trace in arb_trace(),
+        seed in 0u64..1_000,
+        nmodes in 0usize..=5,
+    ) {
+        // The index and the live-tail overlay answer windows by binary
+        // search over each lane, which relies on this invariant.
+        let mut damaged = trace.clone();
+        ta::FaultInjector::new(seed).inject(&mut damaged, &ta::FaultKind::ALL[..nmodes]);
+        for t in [&trace, &damaged] {
+            let a = ta::Analysis::of(t).run().unwrap();
+            for iv in a.intervals() {
+                let mut cursor = iv.start_tb;
+                for seg in &iv.intervals {
+                    prop_assert_eq!(seg.start_tb, cursor, "spe{} gap or overlap", iv.spe);
+                    prop_assert!(seg.end_tb > seg.start_tb, "spe{} empty interval", iv.spe);
+                    cursor = seg.end_tb;
+                }
+                prop_assert_eq!(cursor, iv.stop_tb, "spe{} ends short of stop", iv.spe);
+            }
         }
     }
 

@@ -64,19 +64,32 @@ cargo run -q -p ta --bin ta-cli -- lint tests/golden/stream.pdt > /dev/null
 
 echo "== ta-cli cross-parallelism smoke =="
 # Ingest decodes one shard per SPE stream under -j, so a golden's
-# summary and SVG timeline, as .pdt and as its .pdt2 packing, must be
+# summary, SVG timeline and window summaries (whole trace and the
+# middle 1% of its span), as .pdt and as its .pdt2 packing, must be
 # byte-identical at -j serial and at -j 4.
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
 ta_cli() { cargo run -q --release -p ta --bin ta-cli -- "$@"; }
 ta_cli pack tests/golden/stream.pdt "$smoke_dir/stream.pdt2" > /dev/null
+span=$(ta_cli query tests/golden/stream.pdt --summary | head -1)
+span=${span#*over trace [}
+span=${span%]*}
+t_start=${span%,*}
+t_end=${span#*, }
+mid=$(( (t_start + t_end) / 2 ))
+half=$(( (t_end - t_start) / 200 ))
 for trace in tests/golden/stream.pdt "$smoke_dir/stream.pdt2"; do
   for j in serial 4; do
     ta_cli summary "$trace" -j "$j" > "$smoke_dir/summary.$j"
     ta_cli timeline "$trace" --svg "$smoke_dir/timeline.$j.svg" -j "$j" > /dev/null
+    ta_cli query "$trace" --summary -j "$j" > "$smoke_dir/query.$j"
+    ta_cli query "$trace" --summary --from $(( mid - half )) --to $(( mid + half + 1 )) \
+      -j "$j" > "$smoke_dir/window.$j"
   done
   cmp "$smoke_dir/summary.serial" "$smoke_dir/summary.4"
   cmp "$smoke_dir/timeline.serial.svg" "$smoke_dir/timeline.4.svg"
+  cmp "$smoke_dir/query.serial" "$smoke_dir/query.4"
+  cmp "$smoke_dir/window.serial" "$smoke_dir/window.4"
 done
 
 echo "== fault-injection smoke (3 seeds) =="
@@ -116,8 +129,8 @@ cargo test -q --test stream_differential
 
 echo "== streaming-ingestion smoke =="
 # Chunked-vs-oneshot parity on the goldens; the incremental bound:
-# appending a ~1% tail after a snapshot may rebuild at most 5% of
-# index blocks; and the follow bound: clean goldens and the storm trace
+# appending a ~1% tail after a snapshot may rewrite at most 5% of the
+# index's lane checkpoints; and the follow bound: clean goldens and the storm trace
 # fed in 120 appends splice nothing and rebuild the index at most once
 # per stream. Emits BENCH_stream.json at the repo root.
 cargo run -q --release -p bench --bin stream_smoke

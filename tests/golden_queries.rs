@@ -8,12 +8,16 @@
 //! (the simulator is deterministic; the generator refuses to silently
 //! overwrite drifted output).
 
+use std::sync::Arc;
+
 use pdt::{EventGroup, TraceCore};
-use ta::{index::oracle, Analysis, EventFilter};
+use ta::index::{oracle, TraceIndex};
+use ta::intervals::build_intervals_columns;
+use ta::{analyze_v2, Analysis, ColumnarTrace, EventFilter, Parallelism};
 
 #[path = "common/goldens.rs"]
 mod goldens;
-use goldens::{golden, GOLDEN};
+use goldens::{golden, golden_v2_bytes, GOLDEN};
 
 /// The window matrix every golden trace is queried with: edges,
 /// interior slices, zero-length, inverted, past-end, and full-range
@@ -72,7 +76,7 @@ fn assert_trace_agrees(name: &str) {
     let (start, end) = (idx.start_tb(), idx.end_tb());
 
     for (t0, t1) in windows(start, end) {
-        // Aggregation: pyramid + exact edges == full rescan, including
+        // Aggregation: binary search + lane checkpoints == full rescan, including
         // the suspect flag.
         let fast = a.summarize(t0, t1);
         let slow = oracle::window_summary(a.analyzed(), intervals, suspects, t0, t1);
@@ -91,7 +95,7 @@ fn assert_trace_agrees(name: &str) {
             );
         }
 
-        // Interval clipping through the tree == SpeIntervals::clip.
+        // Interval clipping by binary search == SpeIntervals::clip.
         let expect: Vec<_> = intervals.iter().map(|iv| iv.clip(t0, t1)).collect();
         assert_eq!(
             a.intervals_window(t0, t1),
@@ -235,5 +239,111 @@ fn per_core_offsets_cover_every_event_exactly_once() {
             cores.dedup();
             cores.len()
         });
+    }
+}
+
+/// Every golden, as `.pdt` and as its `.pdt2` packing, analyzed at
+/// `par`.
+fn golden_sessions(par: Parallelism) -> Vec<(String, Arc<Analysis>)> {
+    let mut out = Vec::new();
+    for name in GOLDEN {
+        let a = Analysis::of(&golden(name)).parallelism(par).run().unwrap();
+        out.push((name.to_string(), Arc::new(a)));
+        let (v2, _) = analyze_v2(&golden_v2_bytes(name), par).unwrap();
+        out.push((format!("{name}2"), v2));
+    }
+    out
+}
+
+#[test]
+fn edge_windows_match_oracle_on_every_golden() {
+    for par in [Parallelism::Serial, Parallelism::Workers(2)] {
+        for (name, a) in golden_sessions(par) {
+            let idx = a.index();
+            let intervals = a.intervals();
+            let suspects = idx.suspect_ranges();
+            let (start, end) = (idx.start_tb(), idx.end_tb());
+            let cases = [
+                ("whole trace", start, end + 1),
+                (
+                    "empty",
+                    start + (end - start) / 2,
+                    start + (end - start) / 2,
+                ),
+                ("reversed", end, start),
+                ("before the start", 0, start),
+                ("after the end", end + 1, end + 1_000),
+                (
+                    "one tick",
+                    start + (end - start) / 3,
+                    start + (end - start) / 3 + 1,
+                ),
+            ];
+            for (shape, t0, t1) in cases {
+                let at = format!("{name} {par:?}: {shape} [{t0}, {t1})");
+                assert_eq!(
+                    a.summarize(t0, t1),
+                    oracle::window_summary(a.analyzed(), intervals, suspects, t0, t1),
+                    "{at}: summarize"
+                );
+                assert_eq!(
+                    idx.clip_all(t0, t1),
+                    oracle::clip_all(intervals, t0, t1),
+                    "{at}: clip_all"
+                );
+                for iv in intervals {
+                    for t in [t0, t1.saturating_sub(1), iv.start_tb, iv.stop_tb] {
+                        assert_eq!(
+                            idx.stab(iv.spe, t),
+                            oracle::stab(intervals, iv.spe, t),
+                            "{at}: stab spe{} @{t}",
+                            iv.spe
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn extend_columns_equals_fresh_build_after_tail_cuts() {
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut next = |n: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % n as u64) as usize
+    };
+    for name in GOLDEN {
+        let a = Analysis::of(&golden(name)).run().unwrap();
+        let rows = a.analyzed();
+        let loss = a.loss();
+        let prefix = |k: usize| {
+            let mut t = rows.clone();
+            t.events.truncate(k);
+            let cols = ColumnarTrace::from_rows(t);
+            let iv = build_intervals_columns(&cols);
+            (cols, iv)
+        };
+        let n = rows.events.len();
+        for _ in 0..4 {
+            // Grow from one random cut through a second to the whole
+            // trace, checking the index against a fresh build at each
+            // step.
+            let mut cuts = [1 + next(n), 1 + next(n)];
+            cuts.sort_unstable();
+            let (cols, iv) = prefix(cuts[0]);
+            let mut idx = TraceIndex::build_columns(&cols, iv.as_slice(), loss);
+            for k in [cuts[1], n] {
+                let (cols, iv) = prefix(k);
+                let delta = idx.extend_columns(&cols, iv.as_slice(), loss);
+                assert_eq!(
+                    idx,
+                    TraceIndex::build_columns(&cols, iv.as_slice(), loss),
+                    "{name}: extend {cuts:?} -> {k} (delta {delta:?})"
+                );
+            }
+        }
     }
 }
