@@ -1,0 +1,240 @@
+//! Cold-process stage probe: where one `ta-cli` request spends its time
+//! and its first-touch page faults, stage by stage.
+//!
+//! ```text
+//! cargo run --release -p bench --bin stage_probe -- TRACE.pdt[2] [--reps N] [-j PAR]
+//! ```
+//!
+//! For every request kind and repetition the probe spawns a fresh child
+//! of itself, so each measurement starts from a cold heap the way a
+//! `ta-cli` invocation does. The child runs the request's stages in
+//! `ta-cli` order and reports, per stage, the wall time and the minor
+//! faults read from `/proc/self/stat`, then its peak RSS (`VmHWM`).
+//! After the request it builds the global event order, a stage no
+//! per-core request needs, and drops the session. The parent prints
+//! one JSON document with the median of every figure over the
+//! repetitions.
+//!
+//! Request kinds, each mirroring one `ta-cli` command:
+//!
+//! - `summary`: read, ingest, intervals, stats, render;
+//! - `query`: read, ingest, intervals, index, summarize (the middle 1%
+//!   of the span, as `ta-cli query --from --to --summary`);
+//! - `svg`: read, ingest, intervals, timeline, render (`timeline --svg`,
+//!   written to a sink);
+//! - `lint`: read, ingest, order, lint (`lint --format sarif`; the
+//!   order is the first thing the happens-before pass reads, so it is
+//!   timed on its own).
+//!
+//! Every kind ends with `order` (a no-op when the request built it) and
+//! `drop`.
+
+use std::process::Command;
+use std::time::Instant;
+
+use ta::{analyze_v2, is_v2_image, Analysis, MappedImage, Parallelism, ReportKind, TraceImage};
+
+const KINDS: [&str; 4] = ["summary", "query", "svg", "lint"];
+
+/// This process's minor page faults so far (field 10 of
+/// `/proc/self/stat`, counted after the parenthesised command name).
+fn minor_faults() -> u64 {
+    let stat = std::fs::read_to_string("/proc/self/stat").unwrap_or_default();
+    let after = stat.rsplit_once(')').map_or("", |(_, rest)| rest);
+    after
+        .split_whitespace()
+        .nth(7)
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0)
+}
+
+/// This process's peak resident set (`VmHWM`), KiB.
+fn peak_rss_kib() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+        .unwrap_or(0)
+}
+
+/// Times stages and prints one `stage ms faults` line per stage.
+struct Stages;
+
+impl Stages {
+    fn run<T>(&self, stage: &str, f: impl FnOnce() -> T) -> T {
+        let (f0, t0) = (minor_faults(), Instant::now());
+        let out = f();
+        let ms = t0.elapsed().as_secs_f64() * 1e3;
+        println!("{stage} {ms:.4} {}", minor_faults() - f0);
+        out
+    }
+}
+
+/// One request in this (fresh) process.
+fn child(kind: &str, path: &str, par: Parallelism) -> Result<(), String> {
+    let s = Stages;
+    let bytes = s
+        .run("read", || MappedImage::open(path))
+        .map_err(|e| e.to_string())?;
+    let a = s.run("ingest", || -> Result<_, String> {
+        if is_v2_image(&bytes) {
+            return analyze_v2(&bytes, par)
+                .map(|(a, _)| a)
+                .map_err(|e| e.to_string());
+        }
+        let image = TraceImage::parse(&bytes).map_err(|e| e.to_string())?;
+        let a = Analysis::of(image).parallelism(par).run();
+        a.map(std::sync::Arc::new).map_err(|e| e.to_string())
+    })?;
+    match kind {
+        "summary" => {
+            s.run("intervals", || a.intervals().len());
+            s.run("stats", || a.stats().spes.len());
+            s.run("render", || a.summary().len());
+        }
+        "query" => {
+            s.run("intervals", || a.intervals().len());
+            let (t0, t1) = s.run("index", || {
+                let (lo, hi) = (a.index().start_tb(), a.index().end_tb());
+                let w = (hi - lo) / 100;
+                let t0 = lo + (hi - lo) / 2 - w / 2;
+                (t0, t0 + w)
+            });
+            s.run("summarize", || a.summarize(t0, t1).total_events());
+        }
+        "svg" => {
+            s.run("intervals", || a.intervals().len());
+            s.run("timeline", || a.timeline().lanes.len());
+            s.run("render", || {
+                a.write_report(ReportKind::Svg, &Default::default(), &mut std::io::sink())
+            })
+            .map_err(|e| e.to_string())?;
+        }
+        "lint" => {
+            s.run("order", || a.columns().order().by_rank().len());
+            s.run("lint", || a.lint().to_sarif().len());
+        }
+        other => return Err(format!("unknown request kind {other:?}")),
+    }
+    println!("peak_rss_kib {}", peak_rss_kib());
+    s.run("order", || a.columns().order().by_rank().len());
+    s.run("drop", || drop((a, bytes)));
+    Ok(())
+}
+
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    match v.len() {
+        0 => 0.0,
+        n if n % 2 == 1 => v[n / 2],
+        n => (v[n / 2 - 1] + v[n / 2]) / 2.0,
+    }
+}
+
+/// Runs `reps` fresh children per request kind and prints the medians.
+fn parent(path: &str, reps: usize, par: &str) -> Result<(), String> {
+    let exe = std::env::current_exe().map_err(|e| e.to_string())?;
+    let mut requests = Vec::new();
+    for kind in KINDS {
+        // (stage, ms samples, fault samples), in first-seen order.
+        let mut stages: Vec<(String, Vec<f64>, Vec<f64>)> = Vec::new();
+        let mut rss = Vec::new();
+        for _ in 0..reps {
+            let out = Command::new(&exe)
+                .args(["--child", kind, path, "-j", par])
+                .output()
+                .map_err(|e| e.to_string())?;
+            if !out.status.success() {
+                return Err(format!(
+                    "{kind} child failed: {}",
+                    String::from_utf8_lossy(&out.stderr)
+                ));
+            }
+            // A stage that runs twice (a no-op second `order`) is
+            // recorded once per occurrence, distinguished by position.
+            let mut seen: Vec<String> = Vec::new();
+            for line in String::from_utf8_lossy(&out.stdout).lines() {
+                let f: Vec<&str> = line.split_whitespace().collect();
+                match f.as_slice() {
+                    ["peak_rss_kib", kib] => rss.push(kib.parse::<f64>().unwrap_or(0.0)),
+                    [stage, ms, faults] => {
+                        let n = seen.iter().filter(|s| s.as_str() == *stage).count();
+                        seen.push(stage.to_string());
+                        let name = if n == 0 {
+                            stage.to_string()
+                        } else {
+                            format!("{stage}#{}", n + 1)
+                        };
+                        let at = match stages.iter().position(|(s, _, _)| *s == name) {
+                            Some(at) => at,
+                            None => {
+                                stages.push((name, Vec::new(), Vec::new()));
+                                stages.len() - 1
+                            }
+                        };
+                        stages[at].1.push(ms.parse().unwrap_or(0.0));
+                        stages[at].2.push(faults.parse().unwrap_or(0.0));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let stage_json: Vec<String> = stages
+            .into_iter()
+            .map(|(name, ms, faults)| {
+                format!(
+                    "{{\"stage\": \"{name}\", \"ms\": {:.3}, \"minflt\": {:.0}}}",
+                    median(ms),
+                    median(faults)
+                )
+            })
+            .collect();
+        requests.push(format!(
+            "    {{\"request\": \"{kind}\", \"peak_rss_kib\": {:.0}, \"stages\": [\n      {}\n    ]}}",
+            median(rss),
+            stage_json.join(",\n      ")
+        ));
+    }
+    println!(
+        "{{\n  \"trace\": \"{}\",\n  \"reps\": {reps},\n  \"parallelism\": \"{par}\",\n  \"requests\": [\n{}\n  ]\n}}",
+        path.replace('\\', "\\\\").replace('"', "\\\""),
+        requests.join(",\n")
+    );
+    Ok(())
+}
+
+fn parse_par(s: &str) -> Result<Parallelism, String> {
+    match s {
+        "serial" => Ok(Parallelism::Serial),
+        "auto" => Ok(Parallelism::Auto),
+        n => n
+            .parse::<usize>()
+            .map(Parallelism::from_threads)
+            .map_err(|_| format!("bad parallelism {s:?}")),
+    }
+}
+
+fn main() {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let mut take = |flag: &str| {
+        let i = args.iter().position(|a| a == flag)?;
+        let v = args.get(i + 1).cloned();
+        args.drain(i..(i + 2).min(args.len()));
+        v
+    };
+    let par = take("-j").unwrap_or_else(|| "auto".into());
+    let reps = take("--reps")
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(7usize);
+    let kind = take("--child");
+    let result = match (kind, args.first()) {
+        (Some(kind), Some(path)) => parse_par(&par).and_then(|p| child(&kind, path, p)),
+        (None, Some(path)) => parent(path, reps.max(1), &par),
+        _ => Err("usage: stage_probe TRACE [--reps N] [-j N|serial|auto]".into()),
+    };
+    if let Err(e) = result {
+        eprintln!("stage_probe: {e}");
+        std::process::exit(1);
+    }
+}

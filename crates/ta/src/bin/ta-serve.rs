@@ -104,10 +104,11 @@ impl Server {
                     Some(n) => self.with_snapshot(|a| {
                         // Only the last `n` events are viewed; no rows
                         // are materialized.
-                        let events = &a.columns().events;
+                        let cols = a.columns();
+                        let last = cols.order().by_rank();
                         let mut text = String::new();
-                        for e in
-                            (events.len().saturating_sub(n)..events.len()).map(|i| events.view(i))
+                        for e in (last[last.len().saturating_sub(n)..].iter())
+                            .map(|&i| cols.events.view(i as usize))
                         {
                             text.push_str(&format!(
                                 "{},{},{},{:?}\n",

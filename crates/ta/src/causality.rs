@@ -125,14 +125,14 @@ pub fn causal_edges_with_loss(trace: &AnalyzedTrace, loss: &LossReport) -> Vec<C
 
 /// [`causal_edges_with_loss`] over the columnar store: the same
 /// single-pass queue construction and FIFO pairing, reading the core /
-/// code / params columns directly. Edge indices point into the global
-/// event order, which is shared by the columns and any materialized
-/// row vector. The lint rules use this path; the row function remains
+/// code / params columns directly, in the store's global order. Edge
+/// indices are global ranks, shared with any materialized row
+/// vector. The lint rules use this path; the row function remains
 /// the differential oracle.
 pub fn causal_edges_columns(trace: &ColumnarTrace, loss: &LossReport) -> Vec<CausalEdge> {
     let ctx_spe: HashMap<u32, u8> = trace.anchors.iter().map(|a| (a.ctx, a.spe)).collect();
     let mut q = SyncQueues::default();
-    for (i, v) in trace.events.iter().enumerate() {
+    for (i, v) in trace.ordered().enumerate() {
         q.observe(i, v.core, v.code, v.params, &ctx_spe);
     }
     q.emit(loss, false)
@@ -152,7 +152,7 @@ pub fn causal_edges_columns(trace: &ColumnarTrace, loss: &LossReport) -> Vec<Cau
 pub fn sync_edges_columns(trace: &ColumnarTrace, loss: &LossReport) -> Vec<CausalEdge> {
     let ctx_spe: HashMap<u32, u8> = trace.anchors.iter().map(|a| (a.ctx, a.spe)).collect();
     let mut q = SyncQueues::default();
-    for (i, v) in trace.events.iter().enumerate() {
+    for (i, v) in trace.ordered().enumerate() {
         q.observe(i, v.core, v.code, v.params, &ctx_spe);
     }
     let mut edges = q.emit(loss, true);

@@ -119,7 +119,7 @@ where
     F: FnMut(usize, usize, u32, &[u32]),
 {
     let mut p = Propagation::new(trace, edges);
-    let streams = p.offsets.len();
+    let streams = p.ranks.len();
     let mut remaining = trace.events.len();
     let mut degraded = false;
     while remaining > 0 {
@@ -138,7 +138,7 @@ where
             // producers that *have* released — losing a join loses
             // orderings, which can only add (suspect) findings.
             let si = (0..streams)
-                .find(|&s| p.cursors[s] < p.offsets[s].1.len())
+                .find(|&s| p.cursors[s] < p.ranks[s].len())
                 .expect("remaining > 0 implies an unfinished stream");
             p.process(si, &mut on_event);
             remaining -= 1;
@@ -152,7 +152,8 @@ where
 /// flat clock arenas (one `width`-wide row per clock) rather than
 /// per-event maps and heap-allocated clocks.
 struct Propagation<'t> {
-    offsets: &'t [(TraceCore, Vec<u32>)],
+    /// Per stream (core, tag-sorted): its events' global ranks.
+    ranks: Vec<&'t [u32]>,
     width: usize,
     /// Incoming sync edges in compressed-row form: the producers of
     /// event `g` are `producers[first[g]..first[g + 1]]`.
@@ -170,8 +171,11 @@ struct Propagation<'t> {
 
 impl<'t> Propagation<'t> {
     fn new(trace: &'t ColumnarTrace, edges: &[CausalEdge]) -> Self {
-        let offsets = trace.core_offsets();
-        let width = offsets.len();
+        let order = trace.order().ranks();
+        let ranks: Vec<&[u32]> = (trace.segments().into_iter())
+            .map(|(_, r)| &order[r])
+            .collect();
+        let width = ranks.len();
         let n = trace.events.len();
         let mut pairs: Vec<(u32, u32)> = edges
             .iter()
@@ -196,7 +200,7 @@ impl<'t> Propagation<'t> {
             }
         }
         Propagation {
-            offsets,
+            ranks,
             width,
             first,
             producers,
@@ -215,7 +219,7 @@ impl<'t> Propagation<'t> {
     /// Whether stream `si` has a next event whose producers have all
     /// been processed.
     fn ready(&self, si: usize) -> bool {
-        self.offsets[si].1.get(self.cursors[si]).is_some_and(|&g| {
+        self.ranks[si].get(self.cursors[si]).is_some_and(|&g| {
             self.producers_of(g as usize)
                 .iter()
                 .all(|&p| self.done[p as usize])
@@ -229,7 +233,7 @@ impl<'t> Propagation<'t> {
     {
         let w = self.width;
         let pos = self.cursors[si];
-        let g = self.offsets[si].1[pos] as usize;
+        let g = self.ranks[si][pos] as usize;
         let clock = &mut self.clocks[si * w..(si + 1) * w];
         clock[si] = pos as u32 + 1;
         let producers = &self.producers[self.first[g] as usize..self.first[g + 1] as usize];
@@ -458,16 +462,17 @@ impl Transfers {
     fn reconstruct(trace: &ColumnarTrace) -> Self {
         let cols = &trace.events;
         let codes = cols.codes();
-        let offsets = trace.core_offsets();
+        let segments = trace.segments();
         let mut all: Vec<Transfer> = Vec::new();
         let mut runs = Vec::new();
-        for (stream, (core, offs)) in offsets.iter().enumerate() {
+        for (stream, (core, seg)) in segments.iter().enumerate() {
             let TraceCore::Spe(spe) = *core else {
                 continue;
             };
             if !trace.core_has_group(*core, EventGroup::SpeDma) {
                 continue;
             }
+            let ranks = &trace.order().ranks()[seg.clone()];
             let base = all.len();
             // Unwaited transfers per tag group (a wait mask has one bit
             // per group, so a wider tag, which only damaged params
@@ -475,11 +480,11 @@ impl Transfers {
             // barrier has ordered yet.
             let mut pending: [Vec<usize>; 32] = Default::default();
             let mut unbarriered = base;
-            for (pos, &g) in offs.iter().enumerate() {
-                let (g, pos) = (g as usize, pos as u32);
-                match codes[g] {
+            for (pos, (i, &g)) in seg.clone().zip(ranks).enumerate() {
+                let pos = pos as u32;
+                match codes[i] {
                     code @ (EventCode::SpeDmaGet | EventCode::SpeDmaPut) => {
-                        let p = cols.params(g);
+                        let p = cols.params(i);
                         if p.len() < 4 {
                             continue;
                         }
@@ -499,9 +504,9 @@ impl Transfers {
                                 lsa: p[1],
                                 ea: p[0],
                                 bytes: p[2],
-                                time_tb: cols.times()[g],
-                                seq: cols.seq(g),
-                                global: g,
+                                time_tb: cols.times()[i],
+                                seq: cols.seq(i),
+                                global: g as usize,
                             },
                             list: p[3] >> 8 != 0,
                             pos,
@@ -511,7 +516,7 @@ impl Transfers {
                         });
                     }
                     EventCode::SpeTagWaitEnd => {
-                        let mut completed = cols.params(g).first().copied().unwrap_or(0) as u32;
+                        let mut completed = cols.params(i).first().copied().unwrap_or(0) as u32;
                         while completed != 0 {
                             let tag = completed.trailing_zeros() as usize;
                             completed &= completed - 1;
@@ -540,7 +545,7 @@ impl Transfers {
         Transfers {
             all,
             runs,
-            width: offsets.len(),
+            width: segments.len(),
             issue: Vec::new(),
         }
     }

@@ -12,8 +12,9 @@
 //! 2. Ingestion decodes the per-core streams straight out of the trace
 //!    bytes, reconstructs global time from decrementer snapshots + the
 //!    `PpeCtxRun` sync records (wrap-safe), one shard per SPE stream,
-//!    and k-way merges the per-stream runs into the columnar store
-//!    ([`ColumnarTrace`]). The
+//!    and lays the per-stream runs out core-major in the columnar
+//!    store ([`ColumnarTrace`]); the global order is built on demand.
+//!    The
 //!    serial row path in [`mod@analyze`] is the reference it matches
 //!    byte for byte; [`mod@parallel`] keeps the row-returning wrappers.
 //! 3. [`reader`] — zero-copy views of serialized trace images.

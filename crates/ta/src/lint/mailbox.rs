@@ -106,7 +106,7 @@ impl Lint for MailboxDeadlockShape {
             .iter()
             .filter(|e| e.kind == EdgeKind::InboundMbox)
             .fold(HashMap::new(), |mut m, e| {
-                if let TraceCore::Spe(s) = trace.events.core(e.later) {
+                if let TraceCore::Spe(s) = trace.view_at_rank(e.later).core {
                     *m.entry(s).or_default() += 1;
                 }
                 m
@@ -117,7 +117,7 @@ impl Lint for MailboxDeadlockShape {
         // PPE relay attribution: last SPE the PPE read a word from.
         let mut last_ppe_read: Option<u8> = None;
         let mut relay_producers: HashMap<u8, Vec<u8>> = HashMap::new();
-        for e in trace.events.iter() {
+        for e in trace.ordered() {
             match (e.core, e.code) {
                 (TraceCore::Ppe(_), EventCode::PpeMboxRead)
                 | (TraceCore::Ppe(_), EventCode::PpeIntrMboxRead) => {

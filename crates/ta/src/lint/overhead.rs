@@ -49,11 +49,11 @@ impl Lint for OverheadHotspot {
             // time-sorted events, so each interval resolves with two
             // binary searches. Reads the time and params columns
             // directly — no per-event view materialization.
-            let times: Vec<u64> = offs.iter().map(|&o| cols.times()[o as usize]).collect();
+            let times = &cols.times()[offs.clone()];
             let mut prefix = Vec::with_capacity(offs.len() + 1);
             prefix.push(0f64);
-            for &o in offs {
-                let cycles = model.spe_cost(cols.params(o as usize).len(), false);
+            for o in offs.clone() {
+                let cycles = model.spe_cost(cols.params(o).len(), false);
                 prefix.push(prefix.last().unwrap() + cycles as f64 / divider);
             }
             for iv in &lane.intervals {
@@ -69,14 +69,15 @@ impl Lint for OverheadHotspot {
                 let overhead_tb = prefix[hi] - prefix[lo];
                 let frac = overhead_tb / len as f64;
                 if frac > ctx.config.overhead_threshold {
-                    let anchor = offs
-                        .get(lo)
-                        .map(|&o| Anchor::at_view(&cols.view(o as usize)))
-                        .unwrap_or(Anchor {
+                    let anchor = if lo < offs.len() {
+                        Anchor::at_view(&cols.view(offs.start + lo))
+                    } else {
+                        Anchor {
                             core: TraceCore::Spe(lane.spe),
                             seq: 0,
                             time_tb: iv.start_tb,
-                        });
+                        }
+                    };
                     out.push(Diagnostic {
                         rule: self.id(),
                         severity: self.severity(),

@@ -66,10 +66,9 @@ impl Lint for UnbalancedIntervals {
         let events: Vec<EventView<'_>> = ctx
             .trace
             .core_slice(TraceCore::Spe(spe))
-            .iter()
-            .filter(|&&o| {
+            .filter(|&o| {
                 matches!(
-                    cols.codes()[o as usize],
+                    cols.codes()[o],
                     EventCode::SpeTagWaitBegin
                         | EventCode::SpeTagWaitEnd
                         | EventCode::SpeMboxReadBegin
@@ -80,7 +79,7 @@ impl Lint for UnbalancedIntervals {
                         | EventCode::SpeStop
                 )
             })
-            .map(|&o| cols.view(o as usize))
+            .map(|o| cols.view(o))
             .collect();
         for (name, begin, end) in FAMILIES {
             let mut open: Option<Anchor> = None;

@@ -113,9 +113,8 @@ impl EventFilter {
 
     /// Applies the filter through the session's
     /// [`TraceIndex`](crate::index::TraceIndex), preserving global
-    /// order: window bounds resolve by binary search and core
-    /// restrictions walk only the named cores' offset lists, so cost
-    /// is O(log n + matches) rather than O(trace).
+    /// order: window bounds resolve by binary search, so cost is
+    /// O(log n + window) rather than O(trace).
     pub fn apply<'a>(&self, analysis: &'a Analysis) -> Vec<&'a GlobalEvent> {
         analysis.query(self)
     }

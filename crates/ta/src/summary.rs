@@ -100,8 +100,8 @@ pub fn render_summary_with(
 
     // Per-core stream sizes.
     out.push_str("\n-- streams --\n");
-    for (core, offsets) in trace.core_offsets() {
-        out.push_str(&format!("{core}: {} events\n", offsets.len()));
+    for (core, segment) in trace.segments() {
+        out.push_str(&format!("{core}: {} events\n", segment.len()));
     }
 
     if let Some(l) = loss {

@@ -28,14 +28,14 @@
 //!
 //! * The **direct-to-columns** decoder, taken by every clean image,
 //!   expands packed payloads straight into
-//!   [`EventColumns`] — per-stream runs, k-way merged at block
-//!   granularity, parameters interned as they decode — skipping the
-//!   v1-byte reconstruction entirely. The one-shot form harvests
+//!   [`EventColumns`] — per-stream runs laid out core-major,
+//!   parameters interned as they decode — skipping the v1-byte
+//!   reconstruction entirely. The one-shot form harvests
 //!   anchors from the PPE pass, then decodes each anchored SPE stream
 //!   into its own run as one [`crate::exec::map_indexed`] shard; the
 //!   chunked form buffers provisional per-stream runs
 //!   (timestamps still decrementer-relative) and applies each
-//!   stream's anchor offset as its run reaches the merge front,
+//!   stream's anchor offset as its run reaches the finalize merge,
 //!   freeing consumed run segments so peak memory stays near the
 //!   final store size.
 //! * The **v1-roundtrip** decoder re-encodes clean runs canonically,
@@ -67,7 +67,7 @@ use crate::analyze::{GlobalEvent, SpeAnchor};
 use crate::columns::{ColumnarTrace, EventColumns};
 use crate::exec::{self, Parallelism};
 use crate::loss::{LossReport, StreamLoss};
-use crate::oneshot::{merge, upper_bound, Events, Run};
+use crate::oneshot::{place, upper_bound, Events, Run};
 use crate::session::Analysis;
 use crate::stream::{IngestSession, StreamId};
 
@@ -203,7 +203,7 @@ impl<'a> V2Trace<'a> {
     ///
     /// Clean containers take the direct-to-columns path: packed
     /// payloads decode straight into the columnar store and the
-    /// per-stream runs are k-way merged, skipping the v1-byte round
+    /// per-stream runs are laid out core-major, skipping the v1-byte round
     /// trip entirely. Any damage — a footer/prefix mismatch, a failed
     /// CRC, a gap block, a decode error — and the whole image falls
     /// back to [`analyze_roundtrip`](Self::analyze_roundtrip), so loss
@@ -278,8 +278,8 @@ impl<'a> V2Trace<'a> {
     /// The direct-to-columns fast path: validates the whole container,
     /// then decodes packed payloads straight into the slim columnar
     /// store — per-stream runs, placed on the global timeline as they
-    /// decode (the SPE streams in parallel under `par`), joined by the
-    /// one-shot merge front. Returns
+    /// decode (the SPE streams in parallel under `par`), laid out by the
+    /// one-shot placement. Returns
     /// `None` on any damage or disorder; the caller falls back to the
     /// roundtrip reader, which re-reads from scratch (the partial
     /// direct output is discarded, so degraded images cost one wasted
@@ -360,14 +360,10 @@ impl<'a> V2Trace<'a> {
             })
             .collect();
 
-        // The shared one-shot merge front; its stream-index tie-break
-        // is the commit order of the session the roundtrip reader
-        // replays through.
-        let mut events = EventColumns::with_capacity(0);
-        merge(runs, &mut events);
-
-        let mut trace = ColumnarTrace::empty(self.file.header);
-        trace.events = events;
+        // The shared one-shot placement; its stream-index tie-break is
+        // the commit order of the session the roundtrip reader replays
+        // through.
+        let mut trace = ColumnarTrace::empty(self.file.header).with_events(place(runs));
         trace.anchors = anchors;
         trace.dropped = streams.iter().map(|m| m.dropped).sum();
         trace.set_ctx_names(&self.file.ctx_names);
@@ -693,11 +689,14 @@ const SEG_EVENTS: usize = 1 << 20;
 const REPLAY_BATCH: usize = 4096;
 
 /// One segment of a decoded per-stream run: provisional times plus a
-/// packed meta word per record (`id << 32 | tag << 16 | code`).
+/// packed meta word per record (`id << 32 | tag << 16 | code`), and
+/// the records' stream positions once a PPE run is split by thread
+/// (empty while record `k` of the run is at position `k`).
 #[derive(Debug, Default)]
 struct RunSeg {
     time: Vec<u64>,
     meta: Vec<u64>,
+    seq: Vec<u64>,
 }
 
 /// Packs a record's dictionary id, core tag and code into one word.
@@ -711,6 +710,7 @@ fn push_run(segs: &mut VecDeque<RunSeg>, time: u64, meta: u64) {
         segs.push_back(RunSeg {
             time: Vec::with_capacity(SEG_EVENTS),
             meta: Vec::with_capacity(SEG_EVENTS),
+            seq: Vec::new(),
         });
     }
     let seg = segs.back_mut().expect("segment present");
@@ -747,8 +747,8 @@ struct DStream {
 
 /// The chunked reader's fast path: blocks decode straight into
 /// segmented per-stream runs with parameters interned on the fly, and
-/// [`finalize`](DirectIngest::finalize) k-way merges the runs into the
-/// columnar store. Any damage demotes the whole reader to the session
+/// [`finalize`](DirectIngest::finalize) merges the runs core by core
+/// into the columnar store. Any damage demotes the whole reader to the session
 /// backend via [`into_session`](DirectIngest::into_session), which
 /// replays every decoded record as v1 bytes — so degraded images get
 /// the exact roundtrip semantics at the cost of the replay.
@@ -988,27 +988,29 @@ impl DirectIngest {
         let total = usize::try_from(placed_total).map_err(|_| ())?;
 
         // Pass 2: loss rows in stream order; live streams become merge
-        // cursors, unanchored runs are freed (their events are
-        // unplaceable — the session discards them too).
+        // cursors, one per core (a PPE stream's threads split apart),
+        // and unanchored runs are freed (their events are unplaceable —
+        // the session discards them too).
         let mut losses: Vec<StreamLoss> = Vec::with_capacity(self.streams.len());
         let mut cursors: Vec<ChunkCursor> = Vec::new();
         for (si, st) in self.streams.iter_mut().enumerate() {
             let mut unanchored = false;
             match offsets[si] {
+                Some(_) if st.records == 0 => {}
+                Some(_) if !st.core.is_spe() => {
+                    cursors.extend(split_ppe_run(si, std::mem::take(&mut st.segs)));
+                }
                 Some(offset) => {
-                    if st.records > 0 {
-                        let mut c = ChunkCursor {
-                            stream: si,
-                            ppe: !st.core.is_spe(),
-                            tag: st.core.tag(),
-                            offset,
-                            segs: std::mem::take(&mut st.segs),
-                            pos: 0,
-                            seq_base: 0,
-                        };
-                        c.apply_offset();
-                        cursors.push(c);
-                    }
+                    let mut c = ChunkCursor {
+                        stream: si,
+                        tag: st.core.tag(),
+                        offset,
+                        segs: std::mem::take(&mut st.segs),
+                        pos: 0,
+                        seq_base: 0,
+                    };
+                    c.apply_offset();
+                    cursors.push(c);
                 }
                 None => {
                     unanchored = st.records > 0;
@@ -1024,15 +1026,17 @@ impl DirectIngest {
             });
         }
 
-        // K-way galloping merge, with the one-shot merge front's keys
-        // and tie-break: the minimum cursor bulk-appends everything
-        // sorting strictly below the runner-up head.
+        // K-way galloping merge into core-major order: keys are
+        // `(core tag, time, stream_seq)`, ties broken by stream as the
+        // one-shot placement breaks them. The minimum cursor
+        // bulk-appends everything sorting strictly below the runner-up
+        // head, so a core fed by one stream is one bulk append.
         let mut events = std::mem::take(&mut self.dest);
         events.reserve_events(total);
         while cursors.len() > 1 {
             let mut mi = 0;
             let mut mk = (cursors[0].head(), cursors[0].stream);
-            let mut second: Option<((u64, u8, u64), usize)> = None;
+            let mut second: Option<((u8, u64, u64), usize)> = None;
             for (j, c) in cursors.iter().enumerate().skip(1) {
                 let k = (c.head(), c.stream);
                 if k < mk {
@@ -1051,8 +1055,7 @@ impl DirectIngest {
             c.advance(None, &mut events);
         }
 
-        let mut trace = ColumnarTrace::empty(self.header);
-        trace.events = events;
+        let mut trace = ColumnarTrace::empty(self.header).with_events(events);
         trace.anchors = anchors;
         trace.dropped = self.streams.iter().map(|s| s.dropped).sum();
         trace.set_ctx_names(names);
@@ -1062,14 +1065,41 @@ impl DirectIngest {
     }
 }
 
-/// A finalize-merge cursor over one stream's segmented run.
+/// Splits a PPE stream's run into one run per hardware thread, each
+/// event keeping its stream position as an explicit sequence number.
+fn split_ppe_run(stream: usize, segs: VecDeque<RunSeg>) -> Vec<ChunkCursor> {
+    let mut by_tag: Vec<RunSeg> = (0..=u8::MAX).map(|_| RunSeg::default()).collect();
+    let mut seq = 0u64;
+    for seg in segs {
+        for (&time, &meta) in seg.time.iter().zip(&seg.meta) {
+            let run = &mut by_tag[usize::from((meta >> 16) as u8)];
+            run.time.push(time);
+            run.meta.push(meta);
+            run.seq.push(seq);
+            seq += 1;
+        }
+    }
+    (0u8..=u8::MAX)
+        .zip(by_tag)
+        .filter(|(_, run)| !run.time.is_empty())
+        .map(|(tag, run)| ChunkCursor {
+            stream,
+            tag,
+            offset: 0,
+            segs: VecDeque::from([run]),
+            pos: 0,
+            seq_base: 0,
+        })
+        .collect()
+}
+
+/// A finalize-merge cursor over one core's events of one stream's
+/// segmented run.
 #[derive(Debug)]
 struct ChunkCursor {
     stream: usize,
-    /// PPE streams read per-record tags from the meta words; SPE
-    /// streams use the stream core's tag (the session ignores SPE
-    /// record tags the same way).
-    ppe: bool,
+    /// The core: an SPE stream's own (the session ignores SPE record
+    /// tags the same way), or one thread of a split PPE run.
     tag: u8,
     /// Added to SPE provisional times as each segment becomes front.
     offset: u64,
@@ -1093,29 +1123,22 @@ impl ChunkCursor {
         }
     }
 
-    fn tag_at(&self, meta: u64) -> u8 {
-        if self.ppe {
-            (meta >> 16) as u8
-        } else {
-            self.tag
-        }
+    /// The `stream_seq` of the front segment's `k`-th event.
+    fn seq(&self, seg: &RunSeg, k: usize) -> u64 {
+        seg.seq.get(k).map_or(self.seq_base + k as u64, |&s| s)
     }
 
-    /// The head event's sort key. Live cursors always have one: they
-    /// are built non-empty and removed on exhaustion.
-    fn head(&self) -> (u64, u8, u64) {
+    /// The head event's core-major sort key. Live cursors always have
+    /// one: they are built non-empty and removed on exhaustion.
+    fn head(&self) -> (u8, u64, u64) {
         let seg = self.segs.front().expect("live cursor has a segment");
-        (
-            seg.time[self.pos],
-            self.tag_at(seg.meta[self.pos]),
-            self.seq_base + self.pos as u64,
-        )
+        (self.tag, seg.time[self.pos], self.seq(seg, self.pos))
     }
 
     /// Appends events into `dest` until the head key reaches `limit`;
     /// true when the run is exhausted. Consumed segments are freed
     /// immediately, returning their memory mid-merge.
-    fn advance(&mut self, limit: Option<((u64, u8, u64), usize)>, dest: &mut EventColumns) -> bool {
+    fn advance(&mut self, limit: Option<((u8, u64, u64), usize)>, dest: &mut EventColumns) -> bool {
         loop {
             let Some(seg) = self.segs.front() else {
                 return true;
@@ -1124,14 +1147,7 @@ impl ChunkCursor {
             let end = match limit {
                 None => n,
                 Some(lim) => upper_bound(self.pos, n, |k| {
-                    (
-                        (
-                            seg.time[k],
-                            self.tag_at(seg.meta[k]),
-                            self.seq_base + k as u64,
-                        ),
-                        self.stream,
-                    ) < lim
+                    ((self.tag, seg.time[k], self.seq(seg, k)), self.stream) < lim
                 }),
             };
             for k in self.pos..end {
@@ -1139,10 +1155,10 @@ impl ChunkCursor {
                 let code = EventCode::from_raw(m as u16).expect("meta holds a valid code");
                 dest.push_with_id(
                     seg.time[k],
-                    self.tag_at(m),
+                    self.tag,
                     code,
                     (m >> 32) as u32,
-                    self.seq_base + k as u64,
+                    self.seq(seg, k),
                 );
             }
             self.pos = end;

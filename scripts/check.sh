@@ -66,7 +66,9 @@ echo "== ta-cli cross-parallelism smoke =="
 # Ingest decodes one shard per SPE stream under -j, so a golden's
 # summary, SVG timeline and window summaries (whole trace and the
 # middle 1% of its span), as .pdt and as its .pdt2 packing, must be
-# byte-identical at -j serial and at -j 4.
+# byte-identical at -j serial and at -j 4. So must the answers that
+# read the global event order built on demand: the events listing, the
+# SARIF lint report and the middle-1% event listing.
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
 ta_cli() { cargo run -q --release -p ta --bin ta-cli -- "$@"; }
@@ -85,11 +87,18 @@ for trace in tests/golden/stream.pdt "$smoke_dir/stream.pdt2"; do
     ta_cli query "$trace" --summary -j "$j" > "$smoke_dir/query.$j"
     ta_cli query "$trace" --summary --from $(( mid - half )) --to $(( mid + half + 1 )) \
       -j "$j" > "$smoke_dir/window.$j"
+    ta_cli events "$trace" -j "$j" > "$smoke_dir/events.$j"
+    ta_cli lint "$trace" --format sarif -j "$j" > "$smoke_dir/sarif.$j"
+    ta_cli query "$trace" --from $(( mid - half )) --to $(( mid + half + 1 )) \
+      -j "$j" > "$smoke_dir/listing.$j"
   done
   cmp "$smoke_dir/summary.serial" "$smoke_dir/summary.4"
   cmp "$smoke_dir/timeline.serial.svg" "$smoke_dir/timeline.4.svg"
   cmp "$smoke_dir/query.serial" "$smoke_dir/query.4"
   cmp "$smoke_dir/window.serial" "$smoke_dir/window.4"
+  cmp "$smoke_dir/events.serial" "$smoke_dir/events.4"
+  cmp "$smoke_dir/sarif.serial" "$smoke_dir/sarif.4"
+  cmp "$smoke_dir/listing.serial" "$smoke_dir/listing.4"
 done
 
 echo "== fault-injection smoke (3 seeds) =="

@@ -366,7 +366,7 @@ proptest! {
         let edges = sync_edges_columns(&trace, &LossReport::default());
         let table = event_clocks(&trace, &edges);
         for core in trace.cores() {
-            let offs = trace.core_slice(core);
+            let offs = trace.core_ranks(core);
             for w in offs.windows(2) {
                 let (a, b) = (w[0] as usize, w[1] as usize);
                 prop_assert!(
@@ -417,7 +417,7 @@ fn oracle_transfers(trace: &ColumnarTrace) -> Vec<OracleTransfer> {
     let mut out = Vec::new();
     for spe in trace.spes() {
         let views: Vec<_> = trace.core_events(TraceCore::Spe(spe)).collect();
-        let offs = trace.core_slice(TraceCore::Spe(spe));
+        let offs = trace.core_ranks(TraceCore::Spe(spe));
         for (pos, v) in views.iter().enumerate() {
             if !matches!(v.code, SpeDmaGet | SpeDmaPut) || v.params.len() < 4 {
                 continue;

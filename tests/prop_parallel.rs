@@ -514,7 +514,8 @@ fn wrapping_spe_runs_sort_identically_at_every_executor_count() {
         .parallelism(Parallelism::Workers(2))
         .run()
         .unwrap();
-    let times = a.columns().events.times();
+    // The store is core-major; the global order is sorted by time.
+    let times: Vec<u64> = a.columns().ordered().map(|v| v.time_tb).collect();
     assert!(times.windows(2).all(|w| w[0] <= w[1]), "sorted");
     assert!(times[0] < 1000, "time wrapped");
 }
