@@ -150,7 +150,7 @@ fn row_products(rows: &AnalyzedTrace, loss: &LossReport, cfg: &LintConfig) -> us
     let tl = ta::timeline::build_timeline_with(rows, &iv);
     let oc = ta::occupancy::dma_occupancy(rows);
     let ph = ta::phases::user_phases(rows);
-    let ix = ta::index::TraceIndex::build_parallel(rows, &iv, loss, 1);
+    let ix = ta::index::TraceIndex::build(rows, &iv, loss);
     let li = ta::lint::lint_trace(rows, &iv, loss, cfg);
     std::hint::black_box((&st, &tl, &oc, &ph, &ix));
     iv.len() + li.diagnostics.len()

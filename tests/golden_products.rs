@@ -51,7 +51,7 @@ fn columnar_products_match_row_products_on_goldens() {
         assert_eq!(a.phases(), &user_phases(&rows), "{name}: phases");
         assert_eq!(
             a.index(),
-            &ta::index::TraceIndex::build_parallel(&rows, &iv, &loss, 1),
+            &ta::index::TraceIndex::build(&rows, &iv, &loss),
             "{name}: index"
         );
     }
