@@ -10,7 +10,8 @@
 //!   summaries, interval clipping, and stabbing must agree exactly.
 //! - **The index must actually be fast.** The fixed E13 window query
 //!   (1/64 of the span) is timed on both paths; the median indexed
-//!   cost must undercut the median naive rescan by at least 5x.
+//!   cost must undercut the median naive rescan by at least 5x. The
+//!   window's summary and windowed timeline are timed alongside.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -133,10 +134,12 @@ fn run() -> Result<(), String> {
     });
     let indexed = median_ns(5, 40, || a.query(&f).len());
     let summary = median_ns(5, 400, || a.summarize(t0, t1).total_events() as usize);
+    let timeline = median_ns(5, 40, || a.timeline_window(t0, t1).lanes.len());
     let speedup = naive / indexed;
     println!(
         "window [{t0}, {t1}) with {hits} hits: naive {naive:.0} ns, \
-         indexed {indexed:.0} ns ({speedup:.1}x), summary {summary:.0} ns"
+         indexed {indexed:.0} ns ({speedup:.1}x), summary {summary:.0} ns, \
+         timeline {timeline:.0} ns"
     );
     if speedup < MIN_SPEEDUP {
         return Err(format!(

@@ -16,6 +16,6 @@ pub mod runner;
 pub use chart::{line_chart, ChartOptions, Series};
 pub use exp::{run_all, run_one, ExperimentOutput};
 pub use runner::{
-    bench_json, overhead_pair, pct, peak_rss_kb, repo_root, write_bench_json, BenchRecord,
-    OverheadPair, Scale, Table,
+    bench_json, overhead_pair, pct, peak_rss_kb, repo_root, reset_peak_rss_kb, write_bench_json,
+    BenchRecord, OverheadPair, Scale, Table,
 };
