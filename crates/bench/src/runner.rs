@@ -177,8 +177,8 @@ fn meta_number(v: f64) -> String {
 }
 
 /// Renders records (plus free-form numeric metadata) as the
-/// `BENCH_*.json` document. JSON is written by hand — the vendored
-/// serde is a stub.
+/// `BENCH_*.json` document. JSON is written by hand; the workspace
+/// has no serialization dependency.
 pub fn bench_json(records: &[BenchRecord], meta: &[(&str, f64)]) -> String {
     let mut out = String::from("{\n  \"schema\": \"bench-v1\",\n  \"benchmarks\": [\n");
     for (i, r) in records.iter().enumerate() {

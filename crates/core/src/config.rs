@@ -1,7 +1,5 @@
 //! Tracing-session configuration.
 
-use serde::{Deserialize, Serialize};
-
 use crate::group::GroupMask;
 use crate::overhead::OverheadModel;
 
@@ -127,9 +125,9 @@ impl TracingConfig {
     }
 }
 
-/// Serializable mirror of [`TracingConfig`] (used for config
+/// Plain-data mirror of [`TracingConfig`] (used for config
 /// round-trips in tools and tests; `OverheadModel` is flattened).
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TracingConfigRepr {
     /// Group-mask bits.
     pub groups: u32,

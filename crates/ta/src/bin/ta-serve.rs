@@ -28,9 +28,9 @@
 //! `stats` reports, as one `ok key=value` line, the fan-out counters
 //! behind every parallel product build (shards run, threads spawned,
 //! cumulative busy time) and the followed session's ingest counters:
-//! out-of-order `splices`, `full_rebuilds` of the index, and the last
-//! index update's `blocks_rebuilt`/`blocks_total`, counted in lane
-//! checkpoints (one per 64 intervals of an SPE lane).
+//! `full_rebuilds` of the index, and the last epoch's
+//! `blocks_rebuilt`/`blocks_total`, counted in lane checkpoints (one
+//! per 64 intervals of an SPE lane).
 //!
 //! A request line longer than 64 KiB is discarded up to its newline
 //! and answered `err line too long`; the session stays usable.
@@ -200,12 +200,11 @@ impl Server {
         let session = self.follow.as_ref().and_then(|f| f.ingest.session());
         let delta = session.and_then(|s| s.last_delta());
         format!(
-            "ok tasks={} workers={} busy_ms={} splices={} full_rebuilds={} \
+            "ok tasks={} workers={} busy_ms={} full_rebuilds={} \
              blocks_rebuilt={} blocks_total={}\n",
             st.tasks,
             st.workers,
             st.busy_ns() / 1_000_000,
-            session.map_or(0, |s| s.splices()),
             session.map_or(0, |s| s.full_rebuilds()),
             delta.map_or(0, |d| d.blocks_rebuilt),
             delta.map_or(0, |d| d.blocks_total),

@@ -448,46 +448,6 @@ impl EventColumns {
         }
     }
 
-    /// Appends `src`'s events `range`, whose parameter ids name the
-    /// same tuples here (see [`with_dict_of`](Self::with_dict_of)).
-    pub(crate) fn extend_range(&mut self, src: &EventColumns, range: Range<usize>) {
-        let at = self.len();
-        index32(at + range.len());
-        self.time_tb.extend_from_slice(&src.time_tb[range.clone()]);
-        self.core_tag
-            .extend_from_slice(&src.core_tag[range.clone()]);
-        self.code.extend_from_slice(&src.code[range.clone()]);
-        self.stream_seq
-            .extend_from_slice(&src.stream_seq[range.clone()]);
-        self.params_id
-            .extend_from_slice(&src.params_id[range.clone()]);
-        let wide = |i: usize| src.wide_seq.partition_point(|&(w, _)| (w as usize) < i);
-        let moved = src.wide_seq[wide(range.start)..wide(range.end)].iter();
-        (self.wide_seq).extend(moved.map(|&(w, s)| ((w as usize - range.start + at) as u32, s)));
-    }
-
-    /// The events `src[0], src[1], ...` of this store, in that order,
-    /// sharing its parameter dictionary.
-    pub(crate) fn gather(&self, src: &[u32]) -> EventColumns {
-        let mut out = EventColumns {
-            time_tb: src.iter().map(|&g| self.time_tb[g as usize]).collect(),
-            core_tag: src.iter().map(|&g| self.core_tag[g as usize]).collect(),
-            code: src.iter().map(|&g| self.code[g as usize]).collect(),
-            stream_seq: src.iter().map(|&g| self.stream_seq[g as usize]).collect(),
-            wide_seq: Vec::new(),
-            params_id: src.iter().map(|&g| self.params_id[g as usize]).collect(),
-            dict: self.dict.clone(),
-        };
-        if !self.wide_seq.is_empty() {
-            for (p, &g) in src.iter().enumerate() {
-                if self.stream_seq[g as usize] == SEQ_WIDE {
-                    out.wide_seq.push((p as u32, self.seq(g as usize)));
-                }
-            }
-        }
-        out
-    }
-
     /// The globally ordered `rows` placed core-major by `order`: one
     /// pass over the rows, scattering each to its store position.
     fn placed<E: Borrow<GlobalEvent>>(
@@ -628,45 +588,6 @@ impl EventColumns {
     /// Views of every event, in global order.
     pub fn iter(&self) -> impl Iterator<Item = EventView<'_>> {
         (0..self.len()).map(move |i| self.view(i))
-    }
-
-    /// Inserts one event at position `i`, shifting later events. The
-    /// slow path of streaming ingestion — used only when a late event
-    /// sorts before already-committed ones (corrupt non-monotone
-    /// input); ordinary appends go through [`push`](EventColumns::push).
-    pub fn insert(
-        &mut self,
-        i: usize,
-        time_tb: u64,
-        core: TraceCore,
-        code: EventCode,
-        params: &[u64],
-        stream_seq: u64,
-    ) {
-        // The `as u32` offsets below fit once the grown length does.
-        index32(self.time_tb.len() + 1);
-        let id = self.intern_params(params);
-        self.time_tb.insert(i, time_tb);
-        self.core_tag.insert(i, core.tag());
-        self.code.insert(i, code);
-        self.params_id.insert(i, id);
-        // Shift the overflow table's indices past the insertion point,
-        // then record the new event's sequence.
-        for (idx, _) in &mut self.wide_seq {
-            if *idx as usize >= i {
-                *idx += 1;
-            }
-        }
-        match u32::try_from(stream_seq) {
-            Ok(s) if s != SEQ_WIDE => self.stream_seq.insert(i, s),
-            _ => {
-                self.stream_seq.insert(i, SEQ_WIDE);
-                let at = self
-                    .wide_seq
-                    .partition_point(|&(idx, _)| (idx as usize) < i);
-                self.wide_seq.insert(at, (i as u32, stream_seq));
-            }
-        }
     }
 }
 
@@ -856,47 +777,6 @@ impl ColumnarTrace {
             order_builds: BuildCount::default(),
             group_masks: OnceLock::new(),
         }
-    }
-
-    /// A store with this trace's metadata around `base`'s events grown
-    /// by `tail`: globally ordered events that all sort after `base`'s.
-    /// Each core's tail events extend its segment and take the global
-    /// ranks after `base`'s, so `base`'s order carries over: a sorted
-    /// append costs one copy of the columns, with no merge or sort.
-    pub(crate) fn with_appended(&self, base: &ColumnarTrace, tail: &EventColumns) -> Self {
-        let total = index32(base.events.len() + tail.len()) as usize;
-        let tail_tags = tail.tags();
-        let tail_order = GlobalOrder::of_tags(tail_tags);
-        let mut events = base.events.with_dict_of(total);
-        // Each tag's base segment, then its tail events; `shift[tag]`
-        // counts the tail events of smaller tags, placed before it.
-        let mut tail_at = vec![0u32; tail.len()];
-        let mut shift = [0u32; 256];
-        let mut segs = base.segments().into_iter().peekable();
-        let mut pending = tail_order.rank.iter().peekable();
-        let mut shifted = 0;
-        for tag in 0..=u8::MAX {
-            shift[tag as usize] = shifted;
-            if let Some((_, r)) = segs.next_if(|(c, _)| c.tag() == tag) {
-                events.extend_range(&base.events, r);
-            }
-            while let Some(&g) = pending.next_if(|&&g| tail_tags[g as usize] == tag) {
-                tail_at[g as usize] = index32(events.len());
-                let v = tail.view(g as usize);
-                events.push(v.time_tb, v.core, v.code, v.params, v.stream_seq);
-                shifted += 1;
-            }
-        }
-        let tags = base.events.tags();
-        let mut by_rank = Vec::with_capacity(total);
-        by_rank
-            .extend((base.order().by_rank.iter()).map(|&p| p + shift[tags[p as usize] as usize]));
-        by_rank.extend_from_slice(&tail_at);
-        let mut rank = vec![0u32; total];
-        for (g, &p) in by_rank.iter().enumerate() {
-            rank[p as usize] = g as u32;
-        }
-        self.with_order(events, GlobalOrder { by_rank, rank })
     }
 
     /// [`with_events`](Self::with_events) for core-major `events` whose

@@ -582,123 +582,32 @@ impl TraceIndex {
     pub fn lane_checkpoints(&self) -> usize {
         self.checkpoints.iter().map(LaneCheckpoints::len).sum()
     }
-
-    /// Grows the index in place to cover `trace`, which extends the
-    /// indexed events by appending events at the tail of the global
-    /// order (the streaming-ingestion contract). The result is
-    /// identical to a fresh [`build_columns`](Self::build_columns) over
-    /// the grown trace; only the work is incremental:
-    ///
-    /// - the cores' segments are relocated (one binary search each),
-    /// - an SPE lane whose interval set is unchanged is kept; a changed
-    ///   lane keeps its intervals and checkpoints before its first
-    ///   changed interval and rewrites the rest.
-    ///
-    /// Suspect ranges are recomputed wholesale (loss bracketing can
-    /// move *interior* ranges when a gap's "after" record arrives).
-    /// Falls back to a full rebuild — reported in the returned
-    /// [`IndexDelta`] — when the update is not a tail append: a first
-    /// build, a shorter trace, a new first event, a new core, or a
-    /// changed lane set.
-    pub fn extend_columns(
-        &mut self,
-        trace: &ColumnarTrace,
-        intervals: impl Into<Arc<[SpeIntervals]>>,
-        loss: &LossReport,
-    ) -> IndexDelta {
-        let intervals = intervals.into();
-        let n_new = trace.events.len();
-        let from_ev = self.n_events;
-        let appended_events = n_new.saturating_sub(from_ev);
-        let segments = trace.segments();
-        let same_cores = segments.len() == self.segments.len()
-            && (segments.iter().zip(&self.segments)).all(|((a, _), (b, _))| a == b);
-        let same_lanes = intervals.len() == self.lanes.len()
-            && intervals
-                .iter()
-                .zip(self.lanes.iter())
-                .all(|(iv, l)| iv.spe == l.spe);
-        if from_ev == 0
-            || n_new < from_ev
-            || trace.start_tb() != self.start_tb
-            || !same_cores
-            || !same_lanes
-        {
-            *self = Self::build_columns(trace, intervals, loss);
-            return IndexDelta::rebuilt(self, appended_events);
-        }
-
-        self.segments = segments;
-
-        let (mut lanes_rebuilt, mut blocks_rebuilt) = (0usize, 0usize);
-        for ((old, new), c) in self
-            .lanes
-            .iter()
-            .zip(intervals.iter())
-            .zip(&mut self.checkpoints)
-        {
-            if old == new {
-                continue;
-            }
-            let same = (old.intervals.iter().zip(&new.intervals))
-                .take_while(|(a, b)| a == b)
-                .count();
-            blocks_rebuilt += c.update(&new.intervals, same);
-            lanes_rebuilt += 1;
-        }
-        self.lanes = intervals;
-
-        self.suspects = compute_suspect_ranges_columns(trace, loss);
-        self.end_tb = trace.end_tb();
-        self.n_events = n_new;
-
-        IndexDelta {
-            appended_events,
-            blocks_total: self.lane_checkpoints(),
-            blocks_rebuilt,
-            lanes_total: self.lanes.len(),
-            lanes_rebuilt,
-            full_rebuild: false,
-        }
-    }
 }
 
-/// What an index update did: how much of the index it touched, for
-/// incremental-cost accounting and the `stream_smoke` bound (appending
-/// a small tail must rewrite a proportionally small share of lane
-/// checkpoints). The "blocks" are lane checkpoints: one cumulative
-/// per-kind tick sum per 64 intervals of an SPE lane.
+/// The index work of one streaming epoch
+/// ([`IngestSession::last_delta`](crate::IngestSession::last_delta)):
+/// how much of the lane state it wrote, for incremental-cost accounting
+/// and the `stream_smoke` bound (appending a small tail must write a
+/// proportionally small share of lane checkpoints). The "blocks" are
+/// lane checkpoints: one cumulative per-kind tick sum per 64 intervals
+/// of an SPE lane, in the base index or in an open stream's run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexDelta {
-    /// Events appended by this update.
+    /// Events the epoch added over the previous one.
     pub appended_events: usize,
-    /// Lane checkpoints over every lane, after the update.
+    /// Lane checkpoints over every lane, after the epoch.
     pub blocks_total: usize,
-    /// Lane checkpoints the update wrote.
+    /// Lane checkpoints the epoch wrote.
     pub blocks_rebuilt: usize,
-    /// SPE lanes in the index.
+    /// SPE lanes, in the base index and the open runs.
     pub lanes_total: usize,
-    /// Lanes whose interval set changed and were rebuilt.
+    /// Lanes rebuilt from scratch.
     pub lanes_rebuilt: usize,
-    /// Whether the update fell back to a full rebuild.
+    /// Whether the epoch built an index from scratch.
     pub full_rebuild: bool,
 }
 
 impl IndexDelta {
-    /// The delta of a from-scratch build of `index`, which took
-    /// `appended_events` new events: every lane and checkpoint written.
-    pub(crate) fn rebuilt(index: &TraceIndex, appended_events: usize) -> Self {
-        let blocks = index.lane_checkpoints();
-        IndexDelta {
-            appended_events,
-            blocks_total: blocks,
-            blocks_rebuilt: blocks,
-            lanes_total: index.lanes.len(),
-            lanes_rebuilt: index.lanes.len(),
-            full_rebuild: true,
-        }
-    }
-
     /// Rewritten share of the lane checkpoints, `0.0..=1.0`.
     pub fn rebuilt_fraction(&self) -> f64 {
         if self.blocks_total == 0 {
@@ -978,94 +887,6 @@ mod tests {
             small.bytes_in_memory(),
             wide.bytes_in_memory()
         );
-    }
-
-    #[test]
-    fn extend_columns_rebuilds_when_the_trace_is_not_a_tail_append() {
-        let t = trace();
-        let iv = build_intervals(&t);
-        let loss = LossReport::default();
-        let full = ColumnarTrace::from_analyzed(&t);
-        let mut shorter = t;
-        shorter.events.truncate(6);
-        let shorter = ColumnarTrace::from_analyzed(&shorter);
-        let shorter_iv = crate::intervals::build_intervals_columns(&shorter);
-
-        let mut idx = TraceIndex::build_columns(&full, iv.as_slice(), &loss);
-        let delta = idx.extend_columns(&shorter, shorter_iv.as_slice(), &loss);
-        assert!(delta.full_rebuild);
-        assert_eq!(
-            idx,
-            TraceIndex::build_columns(&shorter, shorter_iv.as_slice(), &loss)
-        );
-
-        // Growing back gains both SPE lanes: a changed lane set.
-        assert!(idx.extend_columns(&full, iv.as_slice(), &loss).full_rebuild);
-        assert_eq!(idx, TraceIndex::build_columns(&full, iv.as_slice(), &loss));
-    }
-
-    #[test]
-    fn extend_columns_rewrites_checkpoints_from_the_first_changed_interval() {
-        use EventCode::*;
-        // SPE0 waits 128 times from its context start on, so the lane
-        // holds exactly 256 intervals (four checkpoints) when it stops
-        // at 2_000, and keeps recording waits after the stop. The first
-        // append past the stop replaces the closing compute interval,
-        // the last one under checkpoint 3; later appends only add.
-        let mut events = Vec::new();
-        let mut push = |t: u64, code| {
-            let seq = events.len() as u64;
-            events.push(ev(t, TraceCore::Spe(0), code, seq));
-        };
-        push(2, SpeCtxStart);
-        for k in 0..228 {
-            let t = if k < 128 {
-                k * 8
-            } else {
-                2_000 + (k - 128) * 8
-            };
-            if k == 128 {
-                push(2_000, SpeStop);
-            }
-            push(t + 2, SpeTagWaitBegin);
-            push(t + 5, SpeTagWaitEnd);
-        }
-        let stopped = 258;
-        let t = AnalyzedTrace {
-            header: header(),
-            events,
-            ctx_names: vec![],
-            anchors: vec![],
-            dropped: 0,
-        };
-        let loss = LossReport::default();
-        let prefix = |n: usize| {
-            let mut p = t.clone();
-            p.events.truncate(n);
-            let cols = ColumnarTrace::from_analyzed(&p);
-            let iv = crate::intervals::build_intervals_columns(&cols);
-            (cols, iv)
-        };
-        let (cols, iv) = prefix(stopped);
-        assert_eq!(iv[0].intervals.len(), 256);
-        let mut idx = TraceIndex::build_columns(&cols, iv, &loss);
-        let mut rewrote = Vec::new();
-        for n in stopped + 1..=t.events.len() {
-            let (cols, iv) = prefix(n);
-            let delta = idx.extend_columns(&cols, iv.as_slice(), &loss);
-            assert!(!delta.full_rebuild, "{n} events");
-            assert_eq!(delta.lanes_rebuilt, 1, "{n} events");
-            assert_eq!(
-                idx,
-                TraceIndex::build_columns(&cols, iv, &loss),
-                "{n} events"
-            );
-            rewrote.push(delta.blocks_rebuilt);
-        }
-        // Checkpoint 3 is rewritten once; each later one is written
-        // once, when its 64th interval arrives.
-        assert_eq!(rewrote[0], 1);
-        assert_eq!(rewrote.iter().sum::<usize>(), idx.lane_checkpoints() - 3);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Live-tail epochs: a closed *base* plus per-stream *overlays*.
 //!
-//! A `.pdt` v1 image stores its streams end to end, so while a file is
-//! still being written exactly one stream is growing and every stream
-//! before it is complete. [`IngestSession`](crate::IngestSession) in
-//! sequential mode keeps the complete streams merged in a base store
+//! Both trace containers store their streams end to end, so while a
+//! file is still being written exactly one stream is growing and every
+//! stream before it is complete. [`IngestSession`](crate::IngestSession)
+//! keeps the complete streams merged in a base store
 //! with a full [`TraceIndex`], and each stream that is still open as a
 //! [`StreamRun`]: its placed events in stream order, in columns, with
 //! per-core offsets and its SPE lane grown from the tail only. The base
@@ -72,12 +72,15 @@ struct RunLane {
     walk: Option<LaneWalk>,
     intervals: Vec<Interval>,
     checkpoints: LaneCheckpoints,
+    /// Checkpoints written so far.
+    writes: usize,
 }
 
 impl RunLane {
     fn push_interval(&mut self, iv: Interval) {
         self.intervals.push(iv);
-        self.checkpoints
+        self.writes += self
+            .checkpoints
             .update(&self.intervals, self.intervals.len() - 1);
     }
 }
@@ -190,6 +193,12 @@ impl StreamRun {
         for iv in closed {
             lane.push_interval(iv);
         }
+    }
+
+    /// The SPE lane's checkpoints held and written so far, once the
+    /// run has reached its context start.
+    pub(crate) fn lane_checkpoints(&self) -> Option<(usize, usize)> {
+        (self.lane.walk.is_some()).then(|| (self.lane.checkpoints.len(), self.lane.writes))
     }
 
     /// Time of the run's event with sequence number `seq`, if placed.

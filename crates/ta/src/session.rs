@@ -133,7 +133,7 @@ impl AnalysisBuilder<'_> {
 ///
 /// The columns sit behind an [`Arc`] so a streaming
 /// [`IngestSession`](crate::stream::IngestSession) can hand out
-/// `Analysis` snapshots that share the committed store with the
+/// `Analysis` snapshots that share the base store with the
 /// ingestion side instead of copying it per epoch. A live-tail epoch
 /// may instead hold a base store plus per-stream overlays: it answers
 /// [`summarize`](Self::summarize) and
@@ -196,7 +196,7 @@ impl Analysis {
 
     /// Wraps a shared columnar store: the snapshot entry point used by
     /// [`IngestSession`](crate::stream::IngestSession), which keeps the
-    /// committed store alive on its side of the `Arc`.
+    /// base store alive on its side of the `Arc`.
     pub(crate) fn from_shared(
         columns: Arc<ColumnarTrace>,
         loss: LossReport,
@@ -205,7 +205,7 @@ impl Analysis {
         Self::from_store(Store::Columns(columns), loss, par)
     }
 
-    /// Wraps a live-tail epoch: the sequential
+    /// Wraps a live-tail epoch: the
     /// [`IngestSession`](crate::stream::IngestSession)'s snapshot entry
     /// point while a stream is open.
     pub(crate) fn from_overlay(overlay: Overlay, loss: LossReport, par: Parallelism) -> Self {
@@ -227,12 +227,6 @@ impl Analysis {
             sync_edges: OnceLock::new(),
             lint: OnceLock::new(),
         }
-    }
-
-    /// Seeds the memoized intervals (snapshot reuse across epochs when
-    /// an SPE's events did not change). A no-op if already built.
-    pub(crate) fn preset_intervals(&self, intervals: Arc<[SpeIntervals]>) {
-        let _ = self.intervals.set(intervals);
     }
 
     /// Seeds the memoized query index (snapshot reuse of the

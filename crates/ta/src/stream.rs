@@ -7,58 +7,44 @@
 //! query it concurrently while ingestion continues, and a snapshot
 //! taken after [`finish`](IngestSession::finish) is byte-identical to
 //! the one-shot [`Analysis::of`] over the same trace, no matter how the
-//! bytes were chunked. A session runs in one of two modes, chosen by
-//! how its streams arrive.
+//! bytes were chunked or in which order the streams' bytes arrived.
 //!
-//! ## Sequential mode: base plus overlays
+//! ## Base plus overlays
 //!
-//! A `.pdt` v1 image stores its streams end to end, so a growing file
-//! has complete streams, at most one open stream, and streams not yet
+//! Both containers store a trace's streams end to end (`.pdt` stream
+//! by stream, `.pdt2` region by region), so a growing file has
+//! complete streams, at most one open stream, and streams not yet
 //! announced — whose events may sort anywhere in the ones already
-//! seen. [`ImageIngest`] therefore declares the stream count up front
-//! ([`expect_streams`](IngestSession::expect_streams)), which puts the
-//! session in sequential mode: nothing is committed under a watermark. Each open stream places its events into an
-//! append-only columnar run (see the `overlay` module); once a stream is
-//! closed and placed, one linear merge folds it into the *base* store
-//! and the base index is rebuilt — one full rebuild per stream
-//! directory entry, and no splice ever. A snapshot is the base plus a
-//! frozen view of each run, so `summarize` and the event count cost
-//! O(tail); products that need the global order merge once per epoch,
-//! on first use.
+//! seen. The session is told the stream count up front
+//! ([`IngestSession::new`]). Each open stream places its events into
+//! an append-only columnar run (see the `overlay` module); once a
+//! stream is closed and placed, one linear merge folds it into the
+//! *base* store and the base index is rebuilt — one full rebuild per
+//! stream directory entry. A snapshot is the base plus a frozen view of
+//! each run, so `summarize` and the event count cost O(tail); products
+//! that need the global order merge once per epoch, on first use.
 //!
-//! ## Commit watermark
-//!
-//! With every stream registered up front and appended side by side
-//! (the default mode, used by the v2 replay path), events enter a
-//! per-stream pending list as their records decode and are committed
-//! to the shared store only once no open stream can still produce an
-//! event that sorts before them. Each stream exposes a lower bound on
-//! its future sort keys — a PPE stream's last timestamp, an anchored
-//! SPE stream's reconstructed frontier — and the global watermark is
-//! the minimum `(bound, stream)` pair. An SPE stream whose sync anchor
-//! is not yet final bounds at zero and parks its records until every
-//! earlier PPE stream closes, because a future `PpeCtxRun` record
-//! could place its events anywhere. Only corrupt input that breaks a
-//! bound (a PPE timestamp running backwards) commits out of order: it
-//! falls back to a sorted splice ([`IngestSession::splices`]) and a
-//! one-time index rebuild; the committed order is always exact.
+//! Streams may also be appended side by side, in any order. An SPE
+//! stream's records wait until its sync anchor is final — once every
+//! PPE stream before the winning `PpeCtxRun` candidate has closed —
+//! and it gives up on an anchor only once every declared stream is
+//! registered and every PPE stream is closed. An epoch whose runs
+//! cannot be answered apart (two open PPE streams, two streams on one
+//! SPE, or a core's times running backwards) is merged up front and
+//! counted as a full rebuild.
 //!
 //! ## Epoch semantics
 //!
 //! Stores sit behind `Arc`s and are mutated via [`Arc::make_mut`]: a
 //! snapshot pins its epoch, and the first write after a snapshot that
 //! a reader still holds copies the store once, leaving the epoch
-//! frozen. In watermark mode the maintained [`TraceIndex`] grows by
-//! [`extend_columns`](TraceIndex::extend_columns) — appended offsets,
-//! and lane checkpoints rewritten only from a lane's first changed
-//! interval — and each snapshot's index is the committed
-//! index extended over the snapshot's uncommitted tail. In sequential
-//! mode an epoch with open streams shares the base index and answers
-//! windows without building one; an epoch without open streams shares
-//! the base store and index outright. [`IngestSession::last_delta`],
-//! [`splices`](IngestSession::splices) and
+//! frozen. An epoch with open streams shares the base index and
+//! answers windows without building one; an epoch without open streams
+//! shares the base store and index outright.
+//! [`IngestSession::last_delta`] and
 //! [`full_rebuilds`](IngestSession::full_rebuilds) account for the
-//! work.
+//! work: an overlay epoch's delta counts the lane checkpoints the open
+//! runs wrote since the previous epoch.
 //!
 //! [`ImageIngest`] layers an incremental parser of the serialized
 //! `.pdt` image (header, stream directory, record bytes, name table)
@@ -73,22 +59,13 @@ use pdt::{
 };
 
 use crate::analyze::{GlobalEvent, SpeAnchor};
-use crate::columns::{ColumnarTrace, EventColumns};
+use crate::columns::ColumnarTrace;
 use crate::exec::Parallelism;
 use crate::index::{suspect_ranges_with, IndexDelta, TraceIndex};
-use crate::intervals::{build_intervals_columns, SpeIntervals};
+use crate::intervals::build_intervals_columns;
 use crate::loss::{LossReport, StreamLoss};
 use crate::overlay::{merge, Overlay, Part, StreamRun};
 use crate::session::Analysis;
-
-/// The global sort key: `(time_tb, core tag, stream_seq)`, ties across
-/// streams broken by stream index — the order the one-shot merge
-/// produces.
-type SortKey = (u64, u8, u64);
-
-fn key(e: &GlobalEvent) -> SortKey {
-    (e.time_tb, e.core.tag(), e.stream_seq)
-}
 
 /// Identifies a stream registered with [`IngestSession::add_stream`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,9 +84,8 @@ struct Candidate {
 /// Timestamp-reconstruction state for one stream.
 #[derive(Debug, Clone)]
 enum Placement {
-    /// PPE records carry timebase timestamps directly; `last_time` is
-    /// the monotone lower bound on future keys.
-    Ppe { last_time: Option<u64> },
+    /// PPE records carry timebase timestamps directly.
+    Ppe,
     /// SPE records parked until the stream's sync anchor is final.
     SpeWaiting { held: Vec<TraceRecord> },
     /// SPE stream with a final anchor: wrap-safe decrementer
@@ -137,76 +113,21 @@ struct StreamState {
     /// `stream_seq`.
     rec_idx: u64,
     place: Placement,
-    /// Watermark mode: placed events not yet committed, in arrival
-    /// order.
-    pending: Vec<GlobalEvent>,
-    pending_sorted: bool,
-    /// Sequential mode: placed events not yet merged into the base.
+    /// Placed events not yet merged into the base.
     run: Arc<StreamRun>,
-    /// Sequential mode: set once the run is merged into the base, to
-    /// the times of the events the stream's gaps are bracketed by, as
-    /// `(stream_seq, time)` pairs sorted by sequence.
+    /// Lane checkpoint writes of `run` already reported by an epoch's
+    /// [`IndexDelta`].
+    reported_writes: usize,
+    /// Set once the run is merged into the base, to the times of the
+    /// events the stream's gaps are bracketed by, as `(stream_seq,
+    /// time)` pairs sorted by sequence.
     in_base: Option<Vec<(u64, u64)>>,
     bytes_in: u64,
 }
 
 impl StreamState {
-    /// Lower bound on the sort key of any event this stream has not
-    /// yet placed into `pending`, or `None` when no more can come.
-    fn future_bound(&self) -> Option<SortKey> {
-        match &self.place {
-            Placement::SpeUnanchored => None,
-            Placement::SpeWaiting { held } => {
-                if self.closed && held.is_empty() {
-                    None
-                } else {
-                    // A future anchor could place held/coming records
-                    // anywhere on the timeline.
-                    Some((0, 0, 0))
-                }
-            }
-            Placement::Ppe { last_time } => {
-                if self.closed {
-                    None
-                } else {
-                    Some((last_time.unwrap_or(0), 0, 0))
-                }
-            }
-            Placement::SpeAnchored {
-                run_tb, elapsed, ..
-            } => {
-                if self.closed {
-                    None
-                } else {
-                    Some((run_tb.wrapping_add(*elapsed), self.core.tag(), self.rec_idx))
-                }
-            }
-        }
-    }
-
-    /// Records a placed event: into the run in sequential mode,
-    /// otherwise into the pending list (tracking sortedness).
-    fn place(&mut self, ev: GlobalEvent, sequential: bool) {
-        if sequential {
-            Arc::make_mut(&mut self.run).push(
-                ev.time_tb,
-                ev.core,
-                ev.code,
-                &ev.params,
-                ev.stream_seq,
-            );
-            return;
-        }
-        if let Some(last) = self.pending.last() {
-            if key(&ev) < key(last) {
-                self.pending_sorted = false;
-            }
-        }
-        self.pending.push(ev);
-    }
-
-    /// Sequential mode: the stream can place no more events, so its run
-    /// may join the base.
+    /// The stream can place no more events, so its run may join the
+    /// base.
     fn settled(&self) -> bool {
         self.closed && !matches!(self.place, Placement::SpeWaiting { .. })
     }
@@ -231,49 +152,43 @@ struct Preview {
 /// An incremental ingestion session: feed record bytes per stream in
 /// arbitrary chunks, take [`Analysis`] snapshots at any point.
 ///
-/// Construction mirrors the trace-file layout: declare the header,
-/// register streams in directory order, append each stream's record
-/// bytes as they arrive, and supply the context-name table whenever it
-/// is known (it arrives last in a streamed image). After
-/// [`finish`](Self::finish), a snapshot equals the one-shot analysis
-/// of the assembled trace exactly.
+/// Construction mirrors the trace-file layout: declare the header and
+/// the stream count, register streams in directory order, append each
+/// stream's record bytes as they arrive, and supply the context-name
+/// table whenever it is known (it arrives last in a streamed image).
+/// After [`finish`](Self::finish), a snapshot equals the one-shot
+/// analysis of the assembled trace exactly.
 #[derive(Debug)]
 pub struct IngestSession {
     header: TraceHeader,
     par: Parallelism,
-    /// Streams the trace declares, when they are registered one after
-    /// another (sequential mode).
-    expected: Option<usize>,
+    /// Streams the trace declares; until that many are registered, an
+    /// SPE stream without an anchor candidate keeps waiting, since a
+    /// stream not yet seen may be a PPE stream that anchors it.
+    declared: usize,
     streams: Vec<StreamState>,
     /// Best anchor candidate per SPE seen so far (minimal position) —
     /// the incremental form of the one-shot harvest.
     best: Vec<Candidate>,
     ctx_names: Vec<(u32, String)>,
-    /// Watermark mode: the events committed since the last snapshot,
-    /// in global order, appended to `committed` at the next one.
-    /// Empty in sequential mode.
-    batch: EventColumns,
-    /// Watermark mode: the committed prefix placed so far. Sequential
-    /// mode: the base, every settled stream merged. Shared with
-    /// snapshot epochs.
-    committed: Arc<ColumnarTrace>,
-    /// Source stream of each committed event, in global order
-    /// (watermark mode: `committed`, then `batch`) or in base order
-    /// (sequential mode); enables exact splices and merges.
-    committed_src: Vec<u32>,
-    /// Index over the committed store, shared with epochs.
+    /// Every settled stream merged, core-major. Shared with snapshot
+    /// epochs.
+    base: Arc<ColumnarTrace>,
+    /// Source stream of each base event, in base order; keeps merges
+    /// exact.
+    base_src: Vec<u32>,
+    /// Index over the base, shared with epochs; `None` while the base
+    /// is empty.
     index: Option<Arc<TraceIndex>>,
-    /// Watermark mode: set when a splice invalidated the index.
-    /// Sequential mode: set when the base changed.
+    /// Set when the base changed and its index must be rebuilt.
     index_dirty: bool,
-    /// Sequential mode: the loss report the base index's suspect
-    /// ranges were computed from.
+    /// The loss report the base index's suspect ranges were computed
+    /// from.
     index_loss: LossReport,
-    /// Cumulative delta of the last committed-index update.
+    /// The index work of the last epoch.
     last_delta: Option<IndexDelta>,
-    /// Events in the last epoch (sequential-mode deltas).
+    /// Events in the last epoch.
     last_events: usize,
-    splices: u64,
     full_rebuilds: u64,
     finished: bool,
     dirty: bool,
@@ -282,24 +197,25 @@ pub struct IngestSession {
 }
 
 impl IngestSession {
-    /// Starts a session for a trace with `header`.
-    pub fn new(header: TraceHeader) -> Self {
+    /// Starts a session for a trace with `header` and `streams`
+    /// streams. The stream count only delays giving up on an SPE
+    /// stream's anchor; [`finish`](Self::finish) takes the streams
+    /// registered by then as all of them.
+    pub fn new(header: TraceHeader, streams: usize) -> Self {
         IngestSession {
             header,
             par: Parallelism::Serial,
-            expected: None,
+            declared: streams,
             streams: Vec::new(),
             best: Vec::new(),
             ctx_names: Vec::new(),
-            batch: EventColumns::with_capacity(0),
-            committed: Arc::new(ColumnarTrace::empty(header)),
-            committed_src: Vec::new(),
+            base: Arc::new(ColumnarTrace::empty(header)),
+            base_src: Vec::new(),
             index: None,
             index_dirty: false,
             index_loss: LossReport::default(),
             last_delta: None,
             last_events: 0,
-            splices: 0,
             full_rebuilds: 0,
             finished: false,
             dirty: true,
@@ -312,26 +228,6 @@ impl IngestSession {
     pub fn with_parallelism(mut self, par: Parallelism) -> Self {
         self.par = par;
         self
-    }
-
-    /// Declares that the trace has `n` streams, registered one after
-    /// another as they arrive — the `.pdt` v1 image layout, which
-    /// [`ImageIngest`] feeds this way. The session then runs in
-    /// sequential mode: it keeps open streams as overlays and merges
-    /// each into the base once it closes, instead of committing under
-    /// the watermark (see the module docs), and it gives up on
-    /// anchoring an SPE stream only once every stream is registered,
-    /// since one not yet seen may be a PPE stream. Any arrival order
-    /// stays correct.
-    pub fn expect_streams(mut self, n: usize) -> Self {
-        self.expected = Some(n);
-        self
-    }
-
-    /// Whether [`expect_streams`](Self::expect_streams) put the session
-    /// in sequential mode.
-    fn sequential(&self) -> bool {
-        self.expected.is_some()
     }
 
     /// Registers the next stream in directory order. `dropped` is the
@@ -347,7 +243,7 @@ impl IngestSession {
         let place = if core.is_spe() {
             Placement::SpeWaiting { held: Vec::new() }
         } else {
-            Placement::Ppe { last_time: None }
+            Placement::Ppe
         };
         let id = self.streams.len();
         self.streams.push(StreamState {
@@ -358,9 +254,8 @@ impl IngestSession {
             gaps: Vec::new(),
             rec_idx: 0,
             place,
-            pending: Vec::new(),
-            pending_sorted: true,
             run: Arc::new(StreamRun::new(id, core)),
+            reported_writes: 0,
             in_base: None,
             bytes_in: 0,
         });
@@ -390,8 +285,8 @@ impl IngestSession {
     }
 
     /// Marks `id`'s stream complete: a trailing partial record becomes
-    /// a decode gap, and the stream stops bounding the commit
-    /// watermark.
+    /// a decode gap, and the stream's run joins the base at the next
+    /// snapshot once its events are placed.
     pub fn close_stream(&mut self, id: StreamId) {
         if self.streams[id.0].closed {
             return;
@@ -417,15 +312,18 @@ impl IngestSession {
         self.streams[id.0].dropped = dropped;
     }
 
-    /// Closes every stream and seals the session. Snapshots taken
-    /// afterwards share the fully committed store — no per-epoch copy.
+    /// Closes every stream and seals the session; the streams
+    /// registered so far are all the trace has. Snapshots taken
+    /// afterwards share the base store — no per-epoch copy.
     pub fn finish(&mut self) {
         if self.finished {
             return;
         }
+        self.declared = self.streams.len();
         for i in 0..self.streams.len() {
             self.close_stream(StreamId(i));
         }
+        self.resolve_anchors();
         self.touch();
         self.finished = true;
     }
@@ -452,19 +350,9 @@ impl IngestSession {
         self.streams.iter().map(|s| s.bytes_in).sum()
     }
 
-    /// Events committed so far: the committed prefix (placed, or
-    /// batched for the next snapshot), or in sequential mode the base.
-    pub fn committed_events(&self) -> usize {
-        self.committed.events.len() + self.batch.len()
-    }
-
-    /// Placed events still awaiting the commit watermark, or in
-    /// sequential mode the merge into the base.
-    pub fn pending_events(&self) -> usize {
-        self.streams
-            .iter()
-            .map(|s| s.pending.len() + s.run.len())
-            .sum()
+    /// Placed events of streams not yet merged into the base.
+    pub fn open_events(&self) -> usize {
+        self.streams.iter().map(|s| s.run.len()).sum()
     }
 
     /// Snapshot epochs taken so far.
@@ -472,23 +360,18 @@ impl IngestSession {
         self.epochs
     }
 
-    /// The incremental work of the last committed-index update: how
-    /// many index blocks the most recent snapshot's commits rebuilt.
-    /// In sequential mode an epoch that only grew the overlays
-    /// rebuilds no blocks. `None` until a snapshot has built an index.
+    /// The index work of the most recent epoch: the base index's lane
+    /// checkpoints and the open runs', and how many of them the epoch
+    /// wrote. An epoch that only grew the runs writes just the
+    /// checkpoints their new intervals completed. `None` until the
+    /// first snapshot.
     pub fn last_delta(&self) -> Option<IndexDelta> {
         self.last_delta
     }
 
-    /// Events committed out of order by an exact sorted splice — only
-    /// corrupt input that breaks a watermark bound does this.
-    pub fn splices(&self) -> u64 {
-        self.splices
-    }
-
-    /// Indexes built from scratch over the whole committed store (or,
-    /// for an epoch whose overlays cannot be answered apart, over the
-    /// merged epoch).
+    /// Indexes built from scratch: the base index after each merge
+    /// into it, and each epoch whose runs cannot be answered apart and
+    /// is merged up front.
     pub fn full_rebuilds(&self) -> u64 {
         self.full_rebuilds
     }
@@ -503,16 +386,15 @@ impl IngestSession {
         }
     }
 
-    /// Places one decoded record: PPE records become events (and offer
-    /// anchor candidates); SPE records accumulate decrementer time or
-    /// park until their anchor is final.
+    /// Places one decoded record into its stream's run: PPE records
+    /// carry their time (and offer anchor candidates); SPE records
+    /// accumulate decrementer time or park until their anchor is final.
     fn place_record(&mut self, i: usize, r: TraceRecord) {
-        let sequential = self.sequential();
         let s = &mut self.streams[i];
         let seq = s.rec_idx;
         s.rec_idx += 1;
-        let ev = match &mut s.place {
-            Placement::Ppe { last_time } => {
+        let (time_tb, core) = match &mut s.place {
+            Placement::Ppe => {
                 if let Some(anchor) = anchor_of(&r) {
                     let cand = Candidate {
                         stream: i,
@@ -521,14 +403,7 @@ impl IngestSession {
                     };
                     offer(&mut self.best, cand);
                 }
-                *last_time = Some(r.timestamp);
-                GlobalEvent {
-                    time_tb: r.timestamp,
-                    core: r.core, // records carry per-thread tags
-                    code: r.code,
-                    params: r.params,
-                    stream_seq: seq,
-                }
+                (r.timestamp, r.core) // records carry per-thread tags
             }
             Placement::SpeWaiting { held } => return held.push(r),
             Placement::SpeAnchored {
@@ -539,27 +414,21 @@ impl IngestSession {
                 let dec = r.timestamp as u32;
                 *elapsed += prev_dec.wrapping_sub(dec) as u64;
                 *prev_dec = dec;
-                GlobalEvent {
-                    time_tb: run_tb.wrapping_add(*elapsed),
-                    core: s.core,
-                    code: r.code,
-                    params: r.params,
-                    stream_seq: seq,
-                }
+                (run_tb.wrapping_add(*elapsed), s.core)
             }
             Placement::SpeUnanchored => return, // decoded but unusable
         };
-        s.place(ev, sequential);
+        Arc::make_mut(&mut s.run).push(time_tb, core, r.code, &r.params, seq);
     }
 
     /// Promotes waiting SPE streams whose anchor became final: the best
     /// candidate wins once every PPE stream before it has closed (no
     /// earlier candidate can appear), matching the one-shot
-    /// first-candidate harvest. With every PPE stream closed and no
-    /// candidate, the stream is unanchored and its records discarded —
-    /// also the one-shot rule.
+    /// first-candidate harvest. With every declared stream registered,
+    /// every PPE stream closed and no candidate, the stream is
+    /// unanchored and its records discarded — also the one-shot rule.
     fn resolve_anchors(&mut self) {
-        let all_ppe_closed = self.expected.is_none_or(|n| self.streams.len() >= n)
+        let all_ppe_closed = self.streams.len() >= self.declared
             && self.streams.iter().all(|s| s.core.is_spe() || s.closed);
         for i in 0..self.streams.len() {
             let TraceCore::Spe(spe) = self.streams[i].core else {
@@ -601,99 +470,19 @@ impl IngestSession {
         }
     }
 
-    /// Commits every pending event below the watermark into the shared
-    /// store. A key below the last committed one can only come from
-    /// corrupt input that broke a bound: it is spliced into its exact
-    /// position, and the index is rebuilt at the next snapshot.
-    fn flush_commits(&mut self) {
-        let threshold: Option<(SortKey, usize)> = self
-            .streams
-            .iter()
-            .enumerate()
-            .filter_map(|(j, s)| s.future_bound().map(|b| (b, j)))
-            .min();
-        for s in &mut self.streams {
-            if !s.pending_sorted {
-                s.pending.sort_unstable_by_key(key);
-                s.pending_sorted = true;
-            }
-        }
-        let mut heads: Vec<usize> = vec![0; self.streams.len()];
-        loop {
-            let mut min: Option<((SortKey, usize), usize)> = None;
-            for (j, s) in self.streams.iter().enumerate() {
-                if let Some(e) = s.pending.get(heads[j]) {
-                    let pair = (key(e), j);
-                    if min.is_none_or(|(m, _)| pair < m) {
-                        min = Some((pair, j));
-                    }
-                }
-            }
-            let Some((pair, j)) = min else { break };
-            if threshold.is_some_and(|t| pair >= t) {
-                break;
-            }
-            let e = &self.streams[j].pending[heads[j]];
-            heads[j] += 1;
-            let (base, batch, src) = (&self.committed, &self.batch, &self.committed_src);
-            let placed = base.events.len();
-            let key_at = |i: usize| {
-                let (ev, at) = match i.checked_sub(placed) {
-                    Some(b) => (batch, b),
-                    None => (&base.events, base.order().by_rank()[i] as usize),
-                };
-                ((ev.times()[at], ev.tags()[at], ev.seq(at)), src[i] as usize)
-            };
-            let n = src.len();
-            let pos = match n == 0 || pair >= key_at(n - 1) {
-                true => n,
-                false => crate::oneshot::upper_bound(0, n, |i| key_at(i) < pair),
-            };
-            if pos < n {
-                self.splices += 1;
-                self.index_dirty = true;
-            }
-            if pos < placed {
-                // The placed prefix is closed to inserts: return it to
-                // the batch in global order, to be placed again.
-                let mut all = base.events.gather(base.order().by_rank());
-                for v in self.batch.iter() {
-                    all.push(v.time_tb, v.core, v.code, v.params, v.stream_seq);
-                }
-                self.batch = all;
-                self.committed = Arc::new(ColumnarTrace::empty(self.header));
-            }
-            let at = pos - self.committed.events.len();
-            (self.batch).insert(at, e.time_tb, e.core, e.code, &e.params, e.stream_seq);
-            self.committed_src.insert(pos, j as u32);
-        }
-        for (j, s) in self.streams.iter_mut().enumerate() {
-            if heads[j] > 0 {
-                s.pending.drain(..heads[j]);
-            }
-        }
-    }
-
     /// Takes an immutable snapshot epoch: everything placed so far plus
     /// a preview of every open stream's undecoded carry, exactly what
     /// the one-shot analysis of all bytes appended so far would
     /// produce. Cheap when nothing changed (returns the cached epoch)
-    /// and after [`finish`](Self::finish) (shares the committed store).
+    /// and after [`finish`](Self::finish) (shares the base store).
     pub fn snapshot(&mut self) -> Arc<Analysis> {
         if !self.dirty {
             if let Some(cached) = &self.cache {
                 return Arc::clone(cached);
             }
         }
-        if !self.sequential() {
-            self.flush_commits();
-        }
         let preview = self.preview();
-        let epoch = Arc::new(if self.sequential() {
-            self.overlay_epoch(preview)
-        } else {
-            self.watermark_epoch(preview)
-        });
+        let epoch = Arc::new(self.epoch(preview));
         self.cache = Some(Arc::clone(&epoch));
         self.dirty = false;
         self.epochs += 1;
@@ -754,7 +543,7 @@ impl IngestSession {
             let mut events = Vec::new();
             let mut unanchored = false;
             match &s.place {
-                Placement::Ppe { .. } => {
+                Placement::Ppe => {
                     for (seq, r) in (s.rec_idx..).zip(records) {
                         events.push(GlobalEvent {
                             time_tb: r.timestamp,
@@ -825,122 +614,11 @@ impl IngestSession {
         meta
     }
 
-    /// Watermark mode: the committed store plus the sorted uncommitted
-    /// tail (pending and preview events), with the committed index
-    /// extended over it.
-    fn watermark_epoch(&mut self, preview: Preview) -> Analysis {
-        let Preview {
-            anchors,
-            loss,
-            placed,
-        } = preview;
-        let mut tail: Vec<(SortKey, usize, GlobalEvent)> = Vec::new();
-        for (i, (s, events)) in self.streams.iter().zip(placed).enumerate() {
-            tail.extend(s.pending.iter().map(|e| (key(e), i, e.clone())));
-            tail.extend(events.into_iter().map(|e| (key(&e), i, e)));
-        }
-        tail.sort_unstable_by_key(|&(k, src, _)| (k, src));
-
-        // Append the batch to the committed store if there is one, else
-        // refresh its metadata, and grow its index incrementally; the
-        // delta is this epoch's incremental cost.
-        let meta = self.meta(anchors);
-        if !self.batch.is_empty() {
-            let batch = std::mem::take(&mut self.batch);
-            self.committed = Arc::new(meta.with_appended(&self.committed, &batch));
-        } else {
-            let cols = Arc::make_mut(&mut self.committed);
-            cols.set_anchors(meta.anchors.clone());
-            cols.set_dropped(meta.dropped);
-            cols.set_ctx_names(&self.ctx_names);
-        }
-        let committed_intervals: Arc<[SpeIntervals]> =
-            build_intervals_columns(&self.committed).into();
-        if std::mem::take(&mut self.index_dirty) {
-            self.index = None;
-        }
-        let (index, delta) = match self.index.take() {
-            Some(mut idx) => {
-                let d = Arc::make_mut(&mut idx).extend_columns(
-                    &self.committed,
-                    Arc::clone(&committed_intervals),
-                    &loss,
-                );
-                (idx, d)
-            }
-            None => {
-                let idx = TraceIndex::build_columns(
-                    &self.committed,
-                    Arc::clone(&committed_intervals),
-                    &loss,
-                );
-                let d = IndexDelta::rebuilt(&idx, self.committed.events.len());
-                (Arc::new(idx), d)
-            }
-        };
-        if delta.full_rebuild {
-            self.full_rebuilds += 1;
-        }
-        self.last_delta = Some(delta);
-
-        // Share the committed store outright when there is no tail;
-        // otherwise append the tail to a copy, or — for corrupt
-        // non-monotone input whose tail interleaves with committed
-        // events — merge from scratch and leave the index to the epoch.
-        let n = self.committed.events.len();
-        let fast = n == 0 || {
-            let ev = &self.committed.events;
-            let p = self.committed.order().by_rank()[n - 1] as usize;
-            tail.first().is_none_or(|t| {
-                let last = (ev.times()[p], ev.tags()[p], ev.seq(p));
-                (t.0, t.1) >= (last, self.committed_src[n - 1] as usize)
-            })
-        };
-        let analysis = if tail.is_empty() {
-            let a = Analysis::from_shared(Arc::clone(&self.committed), loss, self.par);
-            a.preset_intervals(committed_intervals);
-            a.preset_index(Arc::clone(&index));
-            a
-        } else if fast {
-            let mut grown = EventColumns::with_capacity(tail.len());
-            for (_, _, e) in &tail {
-                grown.push(e.time_tb, e.core, e.code, &e.params, e.stream_seq);
-            }
-            let c = meta.with_appended(&self.committed, &grown);
-            let snap_intervals: Arc<[SpeIntervals]> = build_intervals_columns(&c).into();
-            let mut idx = (*index).clone();
-            let _ = idx.extend_columns(&c, Arc::clone(&snap_intervals), &loss);
-            let a = Analysis::from_shared(Arc::new(c), loss, self.par);
-            a.preset_intervals(snap_intervals);
-            a.preset_index(Arc::new(idx));
-            a
-        } else {
-            let mut runs: Vec<StreamRun> = (self.streams.iter().enumerate())
-                .map(|(i, s)| StreamRun::new(i, s.core))
-                .collect();
-            for (_, i, e) in &tail {
-                runs[*i].push(e.time_tb, e.core, e.code, &e.params, e.stream_seq);
-            }
-            let runs: Vec<&StreamRun> = runs.iter().collect();
-            // The merge reads the base core-major, sources included.
-            let ranks = self.committed.order().ranks();
-            let src: Vec<u32> = ranks
-                .iter()
-                .map(|&g| self.committed_src[g as usize])
-                .collect();
-            let (events, _) = merge(&self.committed.events, Some(&src), &runs);
-            self.full_rebuilds += 1;
-            Analysis::from_shared(Arc::new(meta.with_events(events)), loss, self.par)
-        };
-        self.index = Some(index);
-        analysis
-    }
-
-    /// Sequential mode: merges settled streams into the base, then
-    /// builds the epoch — the base alone when no stream is open, the
-    /// base plus one overlay part per open stream when the parts can
-    /// be answered apart, else the merged epoch.
-    fn overlay_epoch(&mut self, preview: Preview) -> Analysis {
+    /// Merges settled streams into the base, then builds the epoch —
+    /// the base alone when no stream is open, the base plus one overlay
+    /// part per open stream when the parts can be answered apart, else
+    /// the merged epoch.
+    fn epoch(&mut self, preview: Preview) -> Analysis {
         let Preview {
             anchors,
             loss,
@@ -959,53 +637,45 @@ impl IngestSession {
             }
             parts.push(Part::new(Arc::clone(&s.run), tail));
         }
-        let base_events = self.committed.events.len();
+        let base_events = self.base.events.len();
         let total = base_events + parts.iter().map(Part::len).sum::<usize>();
 
         let rebuilt = self.index_dirty;
         if rebuilt {
             self.rebuild_base_index(&loss);
         }
-        if parts.is_empty() && (self.index.is_none() || self.index_loss == loss) {
-            // Every stream is in the base and the base index is current:
-            // share both, refreshing the metadata the epoch changed.
-            let base = &self.committed;
-            if base.anchors != meta.anchors
-                || base.dropped != meta.dropped
-                || !base.ctx_entries().eq(meta.ctx_entries())
-            {
-                let base = Arc::make_mut(&mut self.committed);
-                base.set_anchors(meta.anchors.clone());
-                base.set_dropped(meta.dropped);
-                base.set_ctx_names(&self.ctx_names);
-            }
-            let a = Analysis::from_shared(Arc::clone(&self.committed), loss, self.par);
-            if let Some(idx) = &self.index {
-                a.preset_index(Arc::clone(idx));
-            }
-            self.last_events = total;
-            return a;
-        }
-        if let Some(idx) = self.index.as_ref().filter(|_| !rebuilt) {
-            self.last_delta = Some(IndexDelta {
-                appended_events: total.saturating_sub(self.last_events),
-                blocks_total: idx.lane_checkpoints(),
-                blocks_rebuilt: 0,
-                lanes_total: idx.spes().count(),
-                lanes_rebuilt: 0,
-                full_rebuild: false,
-            });
-        }
-        self.last_events = total;
-
+        // Every stream is in the base and the base index is current.
+        let shared = parts.is_empty() && (self.index.is_none() || self.index_loss == loss);
         // The parts answer apart only if each stream owns its cores and
         // each core's times run forward (see `crate::overlay`).
         let mut classes: Vec<Option<u8>> = self.streams.iter().map(StreamState::class).collect();
         classes.sort_unstable();
         let owned = classes.windows(2).all(|w| w[0] != w[1]);
-        if !(owned && parts.iter().all(Part::ordered)) {
+        let apart = owned && parts.iter().all(Part::ordered);
+        let merged = !(shared || apart);
+        self.record_delta(total, rebuilt, merged);
+        if shared {
+            // Share the base and its index, refreshing the metadata the
+            // epoch changed.
+            let base = &self.base;
+            if base.anchors != meta.anchors
+                || base.dropped != meta.dropped
+                || !base.ctx_entries().eq(meta.ctx_entries())
+            {
+                let base = Arc::make_mut(&mut self.base);
+                base.set_anchors(meta.anchors.clone());
+                base.set_dropped(meta.dropped);
+                base.set_ctx_names(&self.ctx_names);
+            }
+            let a = Analysis::from_shared(Arc::clone(&self.base), loss, self.par);
+            if let Some(idx) = &self.index {
+                a.preset_index(Arc::clone(idx));
+            }
+            return a;
+        }
+        if merged {
             let runs: Vec<&StreamRun> = parts.iter().flat_map(Part::runs).collect();
-            let (events, _) = merge(&self.committed.events, Some(&self.committed_src), &runs);
+            let (events, _) = merge(&self.base.events, Some(&self.base_src), &runs);
             self.full_rebuilds += 1;
             return Analysis::from_shared(Arc::new(meta.with_events(events)), loss, self.par);
         }
@@ -1013,7 +683,7 @@ impl IngestSession {
         let span = parts
             .iter()
             .filter_map(Part::span)
-            .chain((base_events > 0).then(|| (self.committed.start_tb(), self.committed.end_tb())))
+            .chain((base_events > 0).then(|| (self.base.start_tb(), self.base.end_tb())))
             .reduce(|(a, b), (c, d)| (a.min(c), b.max(d)))
             .unwrap_or((0, 0));
         let suspects = suspect_ranges_with(&loss, span.0, span.1, |si, seq| {
@@ -1028,7 +698,7 @@ impl IngestSession {
         });
         let overlay = Overlay {
             meta,
-            base: Arc::clone(&self.committed),
+            base: Arc::clone(&self.base),
             base_index: self.index.clone(),
             parts,
             suspects,
@@ -1037,9 +707,43 @@ impl IngestSession {
         Analysis::from_overlay(overlay, loss, self.par)
     }
 
-    /// Sequential mode: folds every settled stream's run into the base
-    /// with one linear merge, remembering the event times its gaps are
-    /// bracketed by, and marks the base index for a rebuild.
+    /// Records the index work of an epoch with `total` events: the
+    /// lane checkpoints of the base index (all written when it was
+    /// `rebuilt`) and of the open runs (those their new intervals
+    /// completed since the previous epoch). A `merged` epoch answers
+    /// from a fresh index, so it counts every checkpoint and lane as
+    /// written.
+    fn record_delta(&mut self, total: usize, rebuilt: bool, merged: bool) {
+        let (base_blocks, base_lanes) = (self.index.as_ref())
+            .map_or((0, 0), |idx| (idx.lane_checkpoints(), idx.spes().count()));
+        let (mut blocks, mut lanes) = (base_blocks, base_lanes);
+        let mut written = if rebuilt { base_blocks } else { 0 };
+        for s in &mut self.streams {
+            if let Some((held, writes)) = s.run.lane_checkpoints() {
+                blocks += held;
+                lanes += 1;
+                written += writes - s.reported_writes;
+                s.reported_writes = writes;
+            }
+        }
+        self.last_delta = Some(IndexDelta {
+            appended_events: total.saturating_sub(self.last_events),
+            blocks_total: blocks,
+            blocks_rebuilt: if merged { blocks } else { written },
+            lanes_total: lanes,
+            lanes_rebuilt: match (merged, rebuilt) {
+                (true, _) => lanes,
+                (false, true) => base_lanes,
+                (false, false) => 0,
+            },
+            full_rebuild: rebuilt || merged,
+        });
+        self.last_events = total;
+    }
+
+    /// Folds every settled stream's run into the base with one linear
+    /// merge, remembering the event times its gaps are bracketed by,
+    /// and marks the base index for a rebuild.
     fn merge_settled(&mut self) {
         let ready: Vec<usize> = (0..self.streams.len())
             .filter(|&i| self.streams[i].settled() && self.streams[i].in_base.is_none())
@@ -1053,9 +757,9 @@ impl IngestSession {
             .filter(|r| r.len() > 0)
             .collect();
         if !runs.is_empty() {
-            let (events, src) = merge(&self.committed.events, Some(&self.committed_src), &runs);
-            self.committed = Arc::new(self.committed.with_events(events));
-            self.committed_src = src;
+            let (events, src) = merge(&self.base.events, Some(&self.base_src), &runs);
+            self.base = Arc::new(self.base.with_events(events));
+            self.base_src = src;
             self.index_dirty = true;
         }
         for i in ready {
@@ -1069,6 +773,7 @@ impl IngestSession {
             known.dedup();
             s.in_base = Some(known);
             s.run = Arc::new(StreamRun::new(i, s.core));
+            s.reported_writes = 0;
         }
     }
 
@@ -1077,13 +782,12 @@ impl IngestSession {
     /// windows as an overlay epoch instead of rebuilding.
     fn rebuild_base_index(&mut self, loss: &LossReport) {
         self.index_dirty = false;
-        if self.committed.events.is_empty() {
+        if self.base.events.is_empty() {
             self.index = None;
             return;
         }
-        let intervals = build_intervals_columns(&self.committed);
-        let idx = TraceIndex::build_columns(&self.committed, intervals, loss);
-        self.last_delta = Some(IndexDelta::rebuilt(&idx, self.committed.events.len()));
+        let intervals = build_intervals_columns(&self.base);
+        let idx = TraceIndex::build_columns(&self.base, intervals, loss);
         self.index = Some(Arc::new(idx));
         self.index_loss = loss.clone();
         self.full_rebuilds += 1;
@@ -1220,8 +924,8 @@ impl ImageIngest {
                     }
                     let n = le_u32(&self.carry[..4]);
                     self.carry.clear();
-                    let session = IngestSession::new(header).with_parallelism(self.par);
-                    self.session = Some(session.expect_streams(n as usize));
+                    let session = IngestSession::new(header, n as usize);
+                    self.session = Some(session.with_parallelism(self.par));
                     self.state = if n == 0 {
                         ImageState::NameCount
                     } else {
@@ -1499,7 +1203,8 @@ mod tests {
 
     /// Ingests `t` in `chunk`-byte pieces per stream and finishes.
     fn ingest_chunked(t: &TraceFile, chunk: usize) -> IngestSession {
-        let mut s = IngestSession::new(t.header).with_parallelism(Parallelism::Workers(2));
+        let mut s =
+            IngestSession::new(t.header, t.streams.len()).with_parallelism(Parallelism::Workers(2));
         let ids: Vec<StreamId> = t
             .streams
             .iter()
@@ -1584,7 +1289,8 @@ mod tests {
         // of the open session must equal the one-shot analysis of the
         // trace truncated to those prefixes.
         for cuts in [[7usize, 23, 41], [16, 16, 16], [1, 96, 50]] {
-            let mut s = IngestSession::new(t.header).with_parallelism(Parallelism::Workers(2));
+            let mut s = IngestSession::new(t.header, t.streams.len())
+                .with_parallelism(Parallelism::Workers(2));
             let ids: Vec<StreamId> = t
                 .streams
                 .iter()
@@ -1619,7 +1325,8 @@ mod tests {
     #[test]
     fn snapshots_are_frozen_epochs() {
         let t = trace(2);
-        let mut s = IngestSession::new(t.header).with_parallelism(Parallelism::Serial);
+        let mut s =
+            IngestSession::new(t.header, t.streams.len()).with_parallelism(Parallelism::Serial);
         let ids: Vec<StreamId> = t
             .streams
             .iter()
@@ -1689,58 +1396,110 @@ mod tests {
         assert!(ing.finish().is_ok());
     }
 
-    /// A trace whose tail (SpeUser records after SpeStop) changes no
-    /// intervals: the incremental-index bound is measurable.
-    fn tailable_trace(spes: u8, users: usize) -> TraceFile {
+    /// A trace whose SPE lanes are long: after the fixture's lifecycle,
+    /// a second context run of `cycles` DMA-and-wait rounds, two
+    /// intervals a round, so the lane holds several checkpoints.
+    fn long_lane_trace(spes: u8, cycles: usize) -> TraceFile {
         let mut t = trace(spes);
         for st in t.streams.iter_mut().skip(1) {
             // Continue the decrementer below the fixture's last value.
-            let mut dec = (u32::MAX - 2410) as u64;
-            for k in 0..users {
-                dec -= 3;
+            let mut dec = u32::MAX - 2410;
+            let mut emit = |code, step: u32, params: Vec<u64>| {
+                dec -= step;
                 TraceRecord {
                     core: st.core,
-                    code: EventCode::SpeUser,
-                    timestamp: dec,
-                    params: vec![9, (k % 2 + 1) as u64, 0],
+                    code,
+                    timestamp: dec as u64,
+                    params,
                 }
                 .encode_into(&mut st.bytes);
+            };
+            emit(EventCode::SpeCtxStart, 5, vec![0]);
+            for k in 0..cycles as u32 {
+                emit(
+                    EventCode::SpeDmaGet,
+                    200 + k % 7 * 30,
+                    vec![0x1000, 0x100000, 4096, 1],
+                );
+                emit(EventCode::SpeTagWaitBegin, 10, vec![2, 0]);
+                emit(EventCode::SpeTagWaitEnd, 50 + k % 5 * 10, vec![2]);
             }
+            emit(EventCode::SpeStop, 20, vec![0]);
         }
         t
     }
 
-    #[test]
-    fn appending_a_small_tail_rebuilds_few_index_blocks() {
-        let t = tailable_trace(4, 600);
-        let mut s = IngestSession::new(t.header).with_parallelism(Parallelism::Workers(2));
-        let ids: Vec<StreamId> = t
-            .streams
-            .iter()
+    /// A session with `t`'s PPE stream closed and the first `head(len)`
+    /// bytes of every SPE stream appended, streams left open.
+    fn open_session(
+        t: &TraceFile,
+        head: impl Fn(usize) -> usize,
+    ) -> (IngestSession, Vec<StreamId>) {
+        let mut s =
+            IngestSession::new(t.header, t.streams.len()).with_parallelism(Parallelism::Workers(2));
+        let ids: Vec<StreamId> = (t.streams.iter())
             .map(|st| s.add_stream(st.core, st.dropped))
             .collect();
         s.set_ctx_names(t.ctx_names.clone());
         s.append(ids[0], &t.streams[0].bytes);
         s.close_stream(ids[0]);
         for (i, st) in t.streams.iter().enumerate().skip(1) {
-            let head = st.bytes.len() * 99 / 100 / 16 * 16;
-            s.append(ids[i], &st.bytes[..head]);
+            s.append(ids[i], &st.bytes[..head(st.bytes.len())]);
         }
-        let _ = s.snapshot(); // builds the committed index
+        (s, ids)
+    }
+
+    #[test]
+    fn appending_a_small_tail_writes_few_lane_checkpoints() {
+        let t = long_lane_trace(4, 200);
+        let (mut s, ids) = open_session(&t, |n| n * 95 / 100);
+        let _ = s.snapshot(); // the base index over the PPE stream
+        assert!(s.last_delta().unwrap().full_rebuild);
         for (i, st) in t.streams.iter().enumerate().skip(1) {
-            let head = st.bytes.len() * 99 / 100 / 16 * 16;
-            s.append(ids[i], &st.bytes[head..]);
+            s.append(ids[i], &st.bytes[st.bytes.len() * 95 / 100..]);
         }
+        let snap = s.snapshot();
+        let one = Analysis::of(&t)
+            .parallelism(Parallelism::Workers(2))
+            .run()
+            .unwrap();
+        assert_eq!(snap.analyzed().events, one.analyzed().events);
+        assert_eq!(snap.index(), one.index());
+        // The open runs hold every lane checkpoint of the trace, and
+        // the tail completed one more per lane.
+        let delta = s.last_delta().unwrap();
+        assert!(!delta.full_rebuild, "a tail append must not rebuild");
+        assert_eq!(delta.lanes_total, 4);
+        assert_eq!(delta.lanes_rebuilt, 0);
+        assert_eq!(delta.blocks_total, one.index().lane_checkpoints());
+        assert_eq!(delta.blocks_rebuilt, 4);
+        assert!(delta.rebuilt_fraction() <= 0.25);
         s.finish();
         assert_matches_oneshot(&mut s, &t);
+        assert_eq!(s.last_delta().unwrap().blocks_total, delta.blocks_total);
+    }
+
+    #[test]
+    fn merged_epochs_report_a_full_rebuild() {
+        // Two streams recording SPE 1: the runs cannot be answered
+        // apart, so the epoch merges them up front.
+        let mut t = long_lane_trace(2, 200);
+        let copy = t.streams[2].clone();
+        t.streams.push(copy);
+        let (mut s, ids) = open_session(&t, |_| 0);
+        let _ = s.snapshot(); // the base index over the PPE stream
+        assert_eq!(s.full_rebuilds(), 1);
+        for (i, st) in t.streams.iter().enumerate().skip(1) {
+            s.append(ids[i], &st.bytes);
+        }
+        let snap = s.snapshot();
+        let one = Analysis::of(&t).run().unwrap();
+        assert_eq!(snap.analyzed().events, one.analyzed().events);
         let delta = s.last_delta().unwrap();
-        assert!(!delta.full_rebuild, "tail append must extend, not rebuild");
-        assert_eq!(delta.lanes_rebuilt, 0, "intervals unchanged");
-        assert!(
-            delta.rebuilt_fraction() <= 0.05,
-            "rebuilt {}/{} blocks",
-            delta.blocks_rebuilt,
-            delta.blocks_total
-        );
+        assert!(delta.full_rebuild, "{delta:?}");
+        assert!(delta.blocks_total > 0);
+        assert_eq!(delta.blocks_rebuilt, delta.blocks_total);
+        assert_eq!(delta.lanes_rebuilt, delta.lanes_total);
+        assert_eq!(s.full_rebuilds(), 2);
     }
 }

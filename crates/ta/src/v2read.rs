@@ -46,6 +46,11 @@
 //!   short region, truncation) or on a mid-stream
 //!   [`V2Ingest::snapshot`]. A demotion replays everything already
 //!   decoded, so degraded images keep exact roundtrip semantics.
+//!   Blocks arrive region by region, so the session sees the streams
+//!   end to end, as it sees a growing `.pdt`: each closed stream merges
+//!   into its base and the open one is an overlay. It is told the
+//!   container's stream count; a demoted session, the streams
+//!   registered plus the stream headers still to come.
 //!
 //! Products, loss accounting and resync behaviour are byte-identical
 //! across all four combinations and to analyzing the v1 image the
@@ -229,7 +234,8 @@ impl<'a> V2Trace<'a> {
     /// the [`crate::LossReport`] rather than going unnoticed.
     pub fn analyze_roundtrip(&self, par: Parallelism) -> (Arc<Analysis>, CodecStats) {
         let mut stats = CodecStats::default();
-        let mut session = IngestSession::new(self.file.header).with_parallelism(par);
+        let mut session =
+            IngestSession::new(self.file.header, self.file.streams.len()).with_parallelism(par);
         for (si, meta) in self.file.streams.iter().enumerate() {
             let id = session.add_stream(meta.core, meta.dropped);
             let mut raw_left = raw_fill_budget(meta.raw_len, meta.payloads_len);
@@ -361,7 +367,7 @@ impl<'a> V2Trace<'a> {
             .collect();
 
         // The shared one-shot placement; its stream-index tie-break is
-        // the commit order of the session the roundtrip reader replays
+        // the merge order of the session the roundtrip reader replays
         // through.
         let mut trace = ColumnarTrace::empty(self.file.header).with_events(place(runs));
         trace.anchors = anchors;
@@ -876,14 +882,15 @@ impl DirectIngest {
     }
 
     /// Demotes to the session backend: replays every decoded record as
-    /// re-encoded v1 bytes through a fresh session, closing streams
-    /// whose regions already ended. Analysis output is identical to
+    /// re-encoded v1 bytes through a fresh session of `streams` streams
+    /// (those registered here plus the headers still to come), closing
+    /// streams whose regions already ended. Analysis output is identical to
     /// having streamed the image through the session from the start —
     /// SPE decrementer values reconstruct exactly from the provisional
     /// elapsed deltas, and re-encoded lengths equal the prefixes' raw
     /// lengths, so loss accounting and byte counters agree too.
-    fn into_session(self, par: Parallelism) -> (IngestSession, Vec<StreamId>) {
-        let mut session = IngestSession::new(self.header).with_parallelism(par);
+    fn into_session(self, streams: usize, par: Parallelism) -> (IngestSession, Vec<StreamId>) {
+        let mut session = IngestSession::new(self.header, streams).with_parallelism(par);
         let mut ids = Vec::with_capacity(self.streams.len());
         let dest = self.dest;
         for st in self.streams {
@@ -1304,13 +1311,7 @@ impl V2Ingest {
     /// already there or no header arrived yet). Called at every damage
     /// site so degraded images keep roundtrip semantics exactly.
     fn demote(&mut self) {
-        if matches!(self.backend, Some(Backend::Direct(_))) {
-            let Some(Backend::Direct(d)) = self.backend.take() else {
-                unreachable!()
-            };
-            let (session, ids) = d.into_session(self.par);
-            self.backend = Some(Backend::Session { session, ids });
-        }
+        demote(&mut self.backend, self.streams_left, self.par);
     }
 
     /// Total bytes consumed so far.
@@ -1612,19 +1613,16 @@ impl V2Ingest {
     /// replays, so the output is never wrong — only slower.
     fn complete(&mut self) {
         let names = std::mem::take(&mut self.names);
+        self.state = V2State::Done;
         if let Some(Backend::Direct(d)) = &mut self.backend {
             if d.finalize(&names, self.par).is_ok() {
-                self.state = V2State::Done;
                 return;
             }
-            self.demote();
         }
-        let Some(Backend::Session { session, .. }) = &mut self.backend else {
-            unreachable!("complete requires a backend");
-        };
-        session.set_ctx_names(names);
-        session.finish();
-        self.state = V2State::Done;
+        if let Some((session, _)) = demote(&mut self.backend, self.streams_left, self.par) {
+            session.set_ctx_names(names);
+            session.finish();
+        }
     }
 
     /// Declares the image complete; errors if parsing stopped
@@ -1665,24 +1663,21 @@ impl V2Ingest {
         if self.state == V2State::Done {
             return Ok(());
         }
-        if self.backend.is_none() {
-            return Err(V2Error::Truncated { reading: "header" });
-        }
         // Truncation is damage: the session backend owns all damage.
-        self.demote();
+        let Some((session, ids)) = demote(&mut self.backend, self.streams_left, self.par) else {
+            return Err(V2Error::Truncated { reading: "header" });
+        };
         self.carry.clear();
-        if let V2State::BlockPayload(_) = self.state {
+        let partial = matches!(self.state, V2State::BlockPayload(_));
+        if partial {
             // The partial block never arrived in full.
             self.stats.blocks_corrupt += 1;
         }
         if let Some(cur) = self.cur.take() {
-            let Some(Backend::Session { session, ids }) = &mut self.backend else {
-                unreachable!("demote left a session backend");
-            };
             if cur.raw_left > 0 {
                 append_zeros(session, ids[cur.idx], cur.raw_left);
                 self.stats.raw_bytes_out += cur.raw_left;
-                if !matches!(self.state, V2State::BlockPayload(_)) {
+                if !partial {
                     self.stats.blocks_corrupt += 1;
                 }
             }
@@ -1702,17 +1697,34 @@ impl V2Ingest {
     /// snapshots are the session's contract, and the direct backend
     /// only materializes columns at completion.
     pub fn snapshot(&mut self) -> Option<Arc<Analysis>> {
-        self.backend.as_ref()?;
         if let Some(Backend::Direct(d)) = &self.backend {
             if let Some(a) = &d.result {
                 return Some(Arc::clone(a));
             }
         }
-        self.demote();
-        match &mut self.backend {
-            Some(Backend::Session { session, .. }) => Some(session.snapshot()),
-            _ => None,
-        }
+        let (session, _) = demote(&mut self.backend, self.streams_left, self.par)?;
+        Some(session.snapshot())
+    }
+}
+
+/// Demotes a direct `backend` to the session backend, replaying
+/// everything decoded so far (a no-op once demoted), and returns the
+/// session with its stream ids; `None` before the header arrived. The
+/// session expects the registered streams plus the `streams_left`
+/// headers still to come.
+fn demote(
+    backend: &mut Option<Backend>,
+    streams_left: u32,
+    par: Parallelism,
+) -> Option<(&mut IngestSession, &[StreamId])> {
+    if let Some(Backend::Direct(d)) = backend.take_if(|b| matches!(b, Backend::Direct(_))) {
+        let streams = d.streams.len() + streams_left as usize;
+        let (session, ids) = d.into_session(streams, par);
+        *backend = Some(Backend::Session { session, ids });
+    }
+    match backend {
+        Some(Backend::Session { session, ids }) => Some((session, ids)),
+        _ => None,
     }
 }
 

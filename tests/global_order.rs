@@ -3,9 +3,9 @@
 //! whole or windowed) never build it, and the global-order consumers
 //! (`lint`, the events listing) build it exactly once per session, on
 //! every golden, in both containers, at every parallelism. (A damaged
-//! `.pdt2` falls back to the chunked reader, whose globally ordered
-//! columns are placed core-major by a counting sort that yields the
-//! order for free: it builds none.)
+//! `.pdt2` falls back to the roundtrip reader, whose session merges the
+//! streams core-major like every other load, so it builds the order
+//! once too.)
 
 use std::sync::Arc;
 
@@ -48,9 +48,8 @@ fn per_core_requests_build_no_order_and_listings_build_it_once() {
             assert_eq!(builds(), 0, "{name} {par:?}: per-core requests");
 
             // ta-cli lint, then ta-cli events and a listing query.
-            let once = usize::from(!name.ends_with('2') || a.loss().is_clean());
             let _ = a.lint().to_sarif();
-            assert_eq!(builds(), once, "{name} {par:?}: lint");
+            assert_eq!(builds(), 1, "{name} {par:?}: lint");
             a.write_report(
                 ReportKind::Csv,
                 &RenderOptions::default(),
@@ -58,7 +57,7 @@ fn per_core_requests_build_no_order_and_listings_build_it_once() {
             )
             .unwrap();
             let _ = a.query(&EventFilter::new().in_window(s, e));
-            assert_eq!(builds(), once, "{name} {par:?}: lint, events and query");
+            assert_eq!(builds(), 1, "{name} {par:?}: lint, events and query");
         }
     }
 }

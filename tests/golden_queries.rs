@@ -11,9 +11,8 @@
 use std::sync::Arc;
 
 use pdt::{EventGroup, TraceCore};
-use ta::index::{oracle, TraceIndex};
-use ta::intervals::build_intervals_columns;
-use ta::{analyze_v2, Analysis, ColumnarTrace, EventFilter, Parallelism};
+use ta::index::oracle;
+use ta::{analyze_v2, Analysis, EventFilter, Parallelism};
 
 #[path = "common/goldens.rs"]
 mod goldens;
@@ -307,48 +306,6 @@ fn edge_windows_match_oracle_on_every_golden() {
                         );
                     }
                 }
-            }
-        }
-    }
-}
-
-#[test]
-fn extend_columns_equals_fresh_build_after_tail_cuts() {
-    let mut state = 0x2545_f491_4f6c_dd1du64;
-    let mut next = |n: usize| {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        (state % n as u64) as usize
-    };
-    for name in GOLDEN {
-        let a = Analysis::of(&golden(name)).run().unwrap();
-        let rows = a.analyzed();
-        let loss = a.loss();
-        let prefix = |k: usize| {
-            let mut t = rows.clone();
-            t.events.truncate(k);
-            let cols = ColumnarTrace::from_rows(t);
-            let iv = build_intervals_columns(&cols);
-            (cols, iv)
-        };
-        let n = rows.events.len();
-        for _ in 0..4 {
-            // Grow from one random cut through a second to the whole
-            // trace, checking the index against a fresh build at each
-            // step.
-            let mut cuts = [1 + next(n), 1 + next(n)];
-            cuts.sort_unstable();
-            let (cols, iv) = prefix(cuts[0]);
-            let mut idx = TraceIndex::build_columns(&cols, iv.as_slice(), loss);
-            for k in [cuts[1], n] {
-                let (cols, iv) = prefix(k);
-                let delta = idx.extend_columns(&cols, iv.as_slice(), loss);
-                assert_eq!(
-                    idx,
-                    TraceIndex::build_columns(&cols, iv.as_slice(), loss),
-                    "{name}: extend {cuts:?} -> {k} (delta {delta:?})"
-                );
             }
         }
     }

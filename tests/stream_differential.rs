@@ -224,8 +224,8 @@ fn prefix_trace(full: &TraceFile, image_len: usize, n: usize) -> Option<TraceFil
 /// (all, first half, newest 1%) and its last five events must equal
 /// the one-shot analysis of the same byte prefix, and the final epoch
 /// the one-shot analysis of the whole trace. Returns the session's
-/// `(splices, full_rebuilds)`.
-fn follow_matches_prefixes(name: &str, full: &TraceFile) -> (u64, u64) {
+/// full index rebuilds.
+fn follow_matches_prefixes(name: &str, full: &TraceFile) -> u64 {
     let image = full.to_bytes();
     let mut ing = ImageIngest::new().with_parallelism(Parallelism::Workers(2));
     let step = image.len().div_ceil(120);
@@ -270,22 +270,17 @@ fn follow_matches_prefixes(name: &str, full: &TraceFile) -> (u64, u64) {
         .run()
         .unwrap();
     assert_identical(name, &ing.snapshot().unwrap(), &one, "120 appends");
-    let session = ing.session().unwrap();
-    (session.splices(), session.full_rebuilds())
+    ing.session().unwrap().full_rebuilds()
 }
 
 /// Every golden followed in 120 appends matches the one-shot analysis
-/// of each byte prefix. Clean goldens do it without a splice, and every
-/// golden with at most one full index rebuild per stream directory
-/// entry.
+/// of each byte prefix, with at most one full index rebuild per stream
+/// directory entry.
 #[test]
 fn hundred_twenty_appends_match_prefix_oneshot() {
     for name in GOLDEN {
         let full = TraceFile::read_from(golden_path(name)).unwrap();
-        let (splices, rebuilds) = follow_matches_prefixes(name, &full);
-        if !name.contains("faulted") {
-            assert_eq!(splices, 0, "{name}: splices");
-        }
+        let rebuilds = follow_matches_prefixes(name, &full);
         let streams = full.streams.len() as u64;
         assert!(
             rebuilds <= streams,
@@ -308,14 +303,97 @@ fn unusual_stream_layouts_follow_exactly() {
     let copy = shared_core.streams[1].clone();
     shared_core.streams.push(copy);
     for (name, trace) in [("ppe-last", ppe_last), ("shared-core", shared_core)] {
-        let (splices, _) = follow_matches_prefixes(name, &trace);
-        assert_eq!(splices, 0, "{name}: splices");
+        follow_matches_prefixes(name, &trace);
     }
 }
 
-/// Corrupt input that breaks the watermark — PPE records written out
-/// of time order — must still commit through the exact splice path
-/// and match the serial row oracle.
+/// An append: a stream and a byte range of its records.
+type Append = (usize, std::ops::Range<usize>);
+
+/// The orders a session may receive a trace's streams in, as lists of
+/// appends: each stream end to end in directory order, round-robin over
+/// the streams, and each stream end to end in reverse directory order,
+/// in 4 KiB pieces. The goldens' streams are shorter than 4 KiB, so
+/// round-robin also runs in 256-byte pieces, which interleave.
+fn arrival_orders(trace: &TraceFile) -> Vec<(&'static str, Vec<Append>)> {
+    let pieces = |i: usize, piece: usize| {
+        let len = trace.streams[i].bytes.len();
+        (0..len)
+            .step_by(piece)
+            .map(move |at| (i, at..(at + piece).min(len)))
+    };
+    let n = trace.streams.len();
+    let round_robin = |piece: usize| {
+        let mut iters: Vec<_> = (0..n).map(|i| pieces(i, piece)).collect();
+        let mut out = Vec::new();
+        loop {
+            let before = out.len();
+            for it in &mut iters {
+                out.extend(it.next());
+            }
+            if out.len() == before {
+                return out;
+            }
+        }
+    };
+    vec![
+        ("end to end", (0..n).flat_map(|i| pieces(i, 4096)).collect()),
+        ("round-robin 4 KiB", round_robin(4096)),
+        ("round-robin 256 B", round_robin(256)),
+        (
+            "reverse directory order",
+            (0..n).rev().flat_map(|i| pieces(i, 4096)).collect(),
+        ),
+    ]
+}
+
+/// Any arrival order of a trace's streams ends in the one-shot
+/// analysis: every golden, at `Serial` and `Workers(2)`, appended in
+/// each of [`arrival_orders`] with an epoch taken after every append.
+/// Each stream is closed once its last byte has arrived.
+#[test]
+fn any_arrival_order_matches_oneshot() {
+    for name in GOLDEN {
+        let trace = TraceFile::read_from(golden_path(name)).unwrap();
+        for par in [Parallelism::Serial, Parallelism::Workers(2)] {
+            let one = Analysis::of(&trace).parallelism(par).run().unwrap();
+            for (order, appends) in arrival_orders(&trace) {
+                let how = format!("{order}, {par:?}");
+                let mut s =
+                    IngestSession::new(trace.header, trace.streams.len()).with_parallelism(par);
+                let ids: Vec<StreamId> = (trace.streams.iter())
+                    .map(|st| s.add_stream(st.core, st.dropped))
+                    .collect();
+                s.set_ctx_names(trace.ctx_names.clone());
+                for (i, range) in appends {
+                    let last = range.end == trace.streams[i].bytes.len();
+                    s.append(ids[i], &trace.streams[i].bytes[range]);
+                    if last {
+                        s.close_stream(ids[i]);
+                    }
+                    let epoch = s.snapshot();
+                    let span = epoch.summarize(0, u64::MAX);
+                    assert_eq!(
+                        span.total_events(),
+                        epoch.event_count() as u64,
+                        "{name} [{how}]"
+                    );
+                }
+                s.finish();
+                assert_identical(name, &s.snapshot(), &one, &how);
+                assert_eq!(
+                    s.open_events(),
+                    0,
+                    "{name} [{how}]: every stream in the base"
+                );
+            }
+        }
+    }
+}
+
+/// Corrupt input whose PPE records run backwards in time cannot be
+/// answered as an overlay: its epochs merge up front, counted as full
+/// rebuilds, and still match the serial row oracle.
 #[test]
 fn non_monotone_ppe_stream_splices_exactly() {
     let mut trace = TraceFile::read_from(golden_path("pipeline.pdt")).unwrap();
@@ -331,13 +409,14 @@ fn non_monotone_ppe_stream_splices_exactly() {
         r.encode_into(&mut ppe.bytes);
     }
 
-    let mut s = IngestSession::new(trace.header).with_parallelism(Parallelism::Workers(2));
+    let mut s = IngestSession::new(trace.header, trace.streams.len())
+        .with_parallelism(Parallelism::Workers(2));
     let ids: Vec<StreamId> = (trace.streams.iter())
         .map(|st| s.add_stream(st.core, st.dropped))
         .collect();
     s.set_ctx_names(trace.ctx_names.clone());
     // Everything but the late record first, so the events it belongs
-    // before are already committed when it arrives.
+    // before are already placed when it arrives.
     let ppe_at = trace
         .streams
         .iter()
@@ -363,7 +442,7 @@ fn non_monotone_ppe_stream_splices_exactly() {
     s.append(ids[ppe_at], &ppe_bytes[cut..]);
     s.finish();
     let snap = s.snapshot();
-    assert!(s.splices() > 0, "the late PPE record must be spliced");
+    assert!(s.full_rebuilds() > 0, "the late PPE record must merge");
     let oracle = ta::analyze(&trace).unwrap();
     assert_eq!(snap.analyzed().events, oracle.events);
     assert_eq!(snap.analyzed().anchors, oracle.anchors);
