@@ -12,29 +12,65 @@
 //!   (1/64 of the span) is timed on both paths; the median indexed
 //!   cost must undercut the median naive rescan by at least 5x. The
 //!   window's summary and windowed timeline are timed alongside.
+//! - **The SVG timeline is sized by the canvas.** The whole-trace SVG
+//!   of a DMA storm (every step a get waited on at once, so each SPE
+//!   lane holds thousands of sub-pixel segments) is rendered at 1x and
+//!   4x the steps; the larger trace's document may be at most 10%
+//!   larger. The user-event storm cannot carry this gate: its SVG is
+//!   almost all point markers, which are not folded.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
-use cellsim::{MachineConfig, PpeThreadId, SpeJob, SpmdDriver, SpuAction, SpuScript};
+use cellsim::{
+    LsAddr, MachineConfig, PpeThreadId, SpeJob, SpmdDriver, SpuAction, SpuScript, TagId,
+    TagWaitMode,
+};
 use pdt::{TraceFile, TraceSession, TracingConfig};
-use ta::{index::oracle, Analysis, EventFilter};
+use ta::{index::oracle, Analysis, EventFilter, ReportKind};
 
 const SPES: usize = 8;
 const MIN_SPEEDUP: f64 = 5.0;
+/// Most the SVG may grow when the trace grows 4x.
+const MAX_SVG_GROWTH: f64 = 0.10;
 
-fn storm_trace(events_per_spe: usize) -> TraceFile {
+/// What each step of a storm SPE does.
+#[derive(Debug, Clone, Copy)]
+enum Storm {
+    /// A user event, then compute: point markers on one compute lane.
+    Markers,
+    /// A DMA get waited on at once, then compute: short alternating
+    /// dma-wait and compute segments.
+    Dma,
+}
+
+fn storm_trace(events_per_spe: usize, storm: Storm) -> TraceFile {
     let mut m = cellsim::Machine::new(MachineConfig::default().with_num_spes(SPES)).unwrap();
     let session = TraceSession::install(TracingConfig::default(), &mut m).unwrap();
     let jobs = (0..SPES)
         .map(|i| {
             let mut actions = Vec::with_capacity(2 * events_per_spe);
             for k in 0..events_per_spe {
-                actions.push(SpuAction::UserEvent {
-                    id: (k % 50) as u32,
-                    a0: k as u64,
-                    a1: i as u64,
-                });
+                match storm {
+                    Storm::Markers => actions.push(SpuAction::UserEvent {
+                        id: (k % 50) as u32,
+                        a0: k as u64,
+                        a1: i as u64,
+                    }),
+                    Storm::Dma => {
+                        let tag = TagId::new(0).expect("tag 0 is valid");
+                        actions.push(SpuAction::DmaGet {
+                            lsa: LsAddr::new(0x1000),
+                            ea: 0x10_0000 + (k % 64) as u64 * 128,
+                            size: 128,
+                            tag,
+                        });
+                        actions.push(SpuAction::WaitTags {
+                            mask: tag.mask_bit(),
+                            mode: TagWaitMode::All,
+                        });
+                    }
+                }
                 actions.push(SpuAction::Compute(200));
             }
             SpeJob::new(format!("storm{i}"), Box::new(SpuScript::new(actions)))
@@ -108,7 +144,7 @@ fn run() -> Result<(), String> {
         .transpose()?
         .unwrap_or(12_000);
 
-    let trace = storm_trace(events_per_spe);
+    let trace = storm_trace(events_per_spe, Storm::Markers);
     let a = Analysis::of(&trace)
         .run()
         .map_err(|e| format!("analysis: {e}"))?;
@@ -144,6 +180,40 @@ fn run() -> Result<(), String> {
     if speedup < MIN_SPEEDUP {
         return Err(format!(
             "indexed query only {speedup:.1}x faster than the naive scan (need {MIN_SPEEDUP}x)"
+        ));
+    }
+    check_svg_growth(events_per_spe / 4)
+}
+
+/// The SVG gate: a DMA storm of `steps` per SPE, then of 4x as many.
+fn check_svg_growth(steps: usize) -> Result<(), String> {
+    let render = |steps: usize| -> Result<(usize, usize, usize), String> {
+        let a = Analysis::of(&storm_trace(steps, Storm::Dma))
+            .run()
+            .map_err(|e| format!("analysis: {e}"))?;
+        let segments = a.intervals().iter().map(|iv| iv.intervals.len()).sum();
+        let svg = a.render(ReportKind::Svg, &Default::default());
+        Ok((a.events().len(), segments, svg.len()))
+    };
+    let (n1, seg1, bytes1) = render(steps)?;
+    let (n4, seg4, bytes4) = render(4 * steps)?;
+    let growth = bytes4 as f64 / bytes1 as f64 - 1.0;
+    println!(
+        "svg: {n1} events, {seg1} segments -> {bytes1} B; {n4} events, {seg4} segments \
+         -> {bytes4} B ({:+.1}%)",
+        growth * 100.0
+    );
+    // A storm with fewer segments than pixel columns would pass vacuously.
+    if seg4 < 4 * 960 {
+        return Err(format!(
+            "DMA storm has only {seg4} segments, too few to fold"
+        ));
+    }
+    if growth >= MAX_SVG_GROWTH {
+        return Err(format!(
+            "SVG grew {:.1}% for 4x the events (limit {:.0}%)",
+            growth * 100.0,
+            MAX_SVG_GROWTH * 100.0
         ));
     }
     Ok(())

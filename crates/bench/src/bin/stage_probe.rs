@@ -21,7 +21,7 @@
 //! - `query`: read, ingest, intervals, index, summarize (the middle 1%
 //!   of the span, as `ta-cli query --from --to --summary`);
 //! - `svg`: read, ingest, intervals, timeline, render (`timeline --svg`,
-//!   written to a sink);
+//!   written to a sink that counts its bytes, reported as `svg_bytes`);
 //! - `lint`: read, ingest, order, lint (`lint --format sarif`; the
 //!   order is the first thing the happens-before pass reads, so it is
 //!   timed on its own).
@@ -56,6 +56,20 @@ fn peak_rss_kib() -> u64 {
         .find_map(|l| l.strip_prefix("VmHWM:"))
         .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
         .unwrap_or(0)
+}
+
+/// An `io::Write` that keeps nothing and counts what it is handed.
+struct Counting(u64);
+
+impl std::io::Write for Counting {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0 += buf.len() as u64;
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 /// Times stages and prints one `stage ms faults` line per stage.
@@ -106,10 +120,12 @@ fn child(kind: &str, path: &str, par: Parallelism) -> Result<(), String> {
         "svg" => {
             s.run("intervals", || a.intervals().len());
             s.run("timeline", || a.timeline().lanes.len());
+            let mut out = Counting(0);
             s.run("render", || {
-                a.write_report(ReportKind::Svg, &Default::default(), &mut std::io::sink())
+                a.write_report(ReportKind::Svg, &Default::default(), &mut out)
             })
             .map_err(|e| e.to_string())?;
+            println!("svg_bytes {}", out.0);
         }
         "lint" => {
             s.run("order", || a.columns().order().by_rank().len());
@@ -140,6 +156,7 @@ fn parent(path: &str, reps: usize, par: &str) -> Result<(), String> {
         // (stage, ms samples, fault samples), in first-seen order.
         let mut stages: Vec<(String, Vec<f64>, Vec<f64>)> = Vec::new();
         let mut rss = Vec::new();
+        let mut svg_bytes = Vec::new();
         for _ in 0..reps {
             let out = Command::new(&exe)
                 .args(["--child", kind, path, "-j", par])
@@ -158,6 +175,7 @@ fn parent(path: &str, reps: usize, par: &str) -> Result<(), String> {
                 let f: Vec<&str> = line.split_whitespace().collect();
                 match f.as_slice() {
                     ["peak_rss_kib", kib] => rss.push(kib.parse::<f64>().unwrap_or(0.0)),
+                    ["svg_bytes", n] => svg_bytes.push(n.parse::<f64>().unwrap_or(0.0)),
                     [stage, ms, faults] => {
                         let n = seen.iter().filter(|s| s.as_str() == *stage).count();
                         seen.push(stage.to_string());
@@ -190,8 +208,13 @@ fn parent(path: &str, reps: usize, par: &str) -> Result<(), String> {
                 )
             })
             .collect();
+        let bytes_json = if svg_bytes.is_empty() {
+            String::new()
+        } else {
+            format!(", \"svg_bytes\": {:.0}", median(svg_bytes))
+        };
         requests.push(format!(
-            "    {{\"request\": \"{kind}\", \"peak_rss_kib\": {:.0}, \"stages\": [\n      {}\n    ]}}",
+            "    {{\"request\": \"{kind}\", \"peak_rss_kib\": {:.0}{bytes_json}, \"stages\": [\n      {}\n    ]}}",
             median(rss),
             stage_json.join(",\n      ")
         ));

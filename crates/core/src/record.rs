@@ -162,6 +162,7 @@ impl TraceRecord {
     ///
     /// Panics if the record has more than [`MAX_PARAMS`] parameters.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
+        // Caller contract (see Panics): the u8 count field holds at most MAX_PARAMS.
         assert!(
             self.params.len() <= MAX_PARAMS,
             "record with {} params exceeds MAX_PARAMS",
@@ -705,6 +706,7 @@ impl LossyCursor {
     ///
     /// Panics if the cursor was already [`finish`](LossyCursor::finish)ed.
     pub fn push(&mut self, chunk: &[u8]) {
+        // Caller contract (see Panics): a finished stream's bytes are final.
         assert!(!self.finished, "push after finish");
         self.buf.extend_from_slice(chunk);
         self.drain();
@@ -719,7 +721,9 @@ impl LossyCursor {
         }
         self.finished = true;
         self.drain();
+        // Invariant: a finished drain decodes every byte or gaps it, so no carry is left.
         debug_assert!(self.buf.is_empty(), "finish consumes every byte");
+        // Invariant: a finished drain runs any resync scan to the end and closes its gap.
         debug_assert!(self.resync.open_gap.is_none(), "finish closes any open gap");
     }
 

@@ -1,7 +1,7 @@
 //! ASCII rendering of timelines, for terminals and test assertions.
 //!
 //! Each lane is one row; each column covers `span / width` ticks and
-//! shows the activity that dominates it:
+//! shows the last segment, in lane order, that touches it:
 //!
 //! ```text
 //! =  compute      d  DMA wait      m  mailbox wait      s  signal wait
@@ -50,8 +50,8 @@ pub(crate) fn write_ascii(
     for lane in &timeline.lanes {
         let mut row = vec!['.'; width];
         for seg in &lane.segments {
-            // Midpoint-dominance sampling: a column takes the kind of
-            // the segment covering its midpoint.
+            // Last writer wins: each segment paints every column it
+            // touches, so a shared column shows the latest segment.
             let c0 = ((seg.start_tb - timeline.start_tb) as f64 / span * width as f64) as usize;
             let c1 = (((seg.end_tb - timeline.start_tb) as f64 / span * width as f64).ceil()
                 as usize)

@@ -68,7 +68,9 @@ echo "== ta-cli cross-parallelism smoke =="
 # middle 1% of its span), as .pdt and as its .pdt2 packing, must be
 # byte-identical at -j serial and at -j 4. So must the answers that
 # read the global event order built on demand: the events listing, the
-# SARIF lint report and the middle-1% event listing.
+# SARIF lint report and the middle-1% event listing. The summary and the
+# SVG timeline must also be byte-identical between the .pdt and the
+# .pdt2.
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
 ta_cli() { cargo run -q --release -p ta --bin ta-cli -- "$@"; }
@@ -99,7 +101,12 @@ for trace in tests/golden/stream.pdt "$smoke_dir/stream.pdt2"; do
   cmp "$smoke_dir/events.serial" "$smoke_dir/events.4"
   cmp "$smoke_dir/sarif.serial" "$smoke_dir/sarif.4"
   cmp "$smoke_dir/listing.serial" "$smoke_dir/listing.4"
+  ext=${trace##*.}
+  cp "$smoke_dir/summary.serial" "$smoke_dir/summary.$ext"
+  cp "$smoke_dir/timeline.serial.svg" "$smoke_dir/timeline.$ext.svg"
 done
+cmp "$smoke_dir/summary.pdt" "$smoke_dir/summary.pdt2"
+cmp "$smoke_dir/timeline.pdt.svg" "$smoke_dir/timeline.pdt2.svg"
 
 echo "== fault-injection smoke (3 seeds) =="
 # Injects every corruption mode into a real trace and asserts the lossy
@@ -109,8 +116,9 @@ cargo run -q -p bench --bin fault_smoke -- 1 2 3
 
 echo "== indexed-query smoke (1 size point) =="
 # Asserts index == oracle on a window matrix and that the indexed
-# window query beats the naive rescan by >= 5x (exits nonzero on
-# divergence or a speedup miss).
+# window query beats the naive rescan by >= 5x, and that the whole-trace
+# SVG of a DMA storm grows by under 10% when the storm has 4x the events
+# (exits nonzero on divergence, a speedup miss or an SVG that grows).
 cargo run -q --release -p bench --bin query_smoke
 
 echo "== parallel-product smoke (1 size point) =="
