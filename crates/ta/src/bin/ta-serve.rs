@@ -38,7 +38,7 @@
 use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::process::ExitCode;
 
-use ta::{CsvTable, ImageIngest, Parallelism, RenderOptions, ReportKind};
+use ta::{CsvReport, CsvTable, ImageIngest, Parallelism, RenderOptions, Report};
 
 /// Longest request line accepted, newline excluded.
 const MAX_LINE: usize = 64 * 1024;
@@ -92,10 +92,13 @@ impl Server {
                 }
             }
             "loss" => self.with_snapshot(|a| {
-                a.render(
-                    ReportKind::Csv,
-                    &RenderOptions::default().with_csv(CsvTable::Loss),
-                )
+                // Named directly rather than through `ReportKind`, so the
+                // timeline emitters (SVG, HTML, ASCII) stay out of this
+                // binary. Writing into a `Vec` cannot fail.
+                let mut out = Vec::new();
+                let opts = RenderOptions::default().with_csv(CsvTable::Loss);
+                let _ = CsvReport.write(a, &opts, &mut out);
+                String::from_utf8_lossy(&out).into_owned()
             }),
             "stats" => Ok(self.stats()),
             "events" => {
