@@ -9,30 +9,41 @@
 //! of itself, so each measurement starts from a cold heap the way a
 //! `ta-cli` invocation does. The child runs the request's stages in
 //! `ta-cli` order and reports, per stage, the wall time and the minor
-//! faults read from `/proc/self/stat`, then its peak RSS (`VmHWM`).
-//! After the request it builds the global event order, a stage no
+//! faults read from `/proc/self/stat`, then its peak RSS (`VmHWM`) and
+//! the trace-file bytes its load read (`bytes_read`, from
+//! `ta::reader::bytes_read`).
+//!
+//! Loading mirrors `ta-cli`: `open` opens the file; `read` sniffs the
+//! container and, for a `.pdt`, reads only the header, the stream
+//! directory and the name table (a `.pdt2` is read whole); `ingest`
+//! decodes, and for a `.pdt` each ingest shard reads its own stream in
+//! chunks, so those reads are timed inside `ingest`. After the request
+//! it builds the global event order, a stage no
 //! per-core request needs, and drops the session. The parent prints
 //! one JSON document with the median of every figure over the
 //! repetitions.
 //!
-//! Request kinds, each mirroring one `ta-cli` command:
+//! Request kinds, each mirroring one `ta-cli` command, and the stages
+//! each runs after `open`, `read` and `ingest`:
 //!
-//! - `summary`: read, ingest, intervals, stats, render;
-//! - `query`: read, ingest, intervals, index, summarize (the middle 1%
+//! - `summary`: intervals, stats, render;
+//! - `query`: intervals, index, summarize (the middle 1%
 //!   of the span, as `ta-cli query --from --to --summary`);
-//! - `svg`: read, ingest, intervals, timeline, render (`timeline --svg`,
+//! - `svg`: intervals, timeline, render (`timeline --svg`,
 //!   written to a sink that counts its bytes, reported as `svg_bytes`);
-//! - `lint`: read, ingest, order, lint (`lint --format sarif`; the
+//! - `lint`: order, lint (`lint --format sarif`; the
 //!   order is the first thing the happens-before pass reads, so it is
 //!   timed on its own).
 //!
 //! Every kind ends with `order` (a no-op when the request built it) and
 //! `drop`.
 
+use std::fs::File;
 use std::process::Command;
 use std::time::Instant;
 
-use ta::{analyze_v2, is_v2_image, Analysis, MappedImage, Parallelism, ReportKind, TraceImage};
+use ta::reader::bytes_read;
+use ta::{analyze_v2, is_v2_file, Analysis, MappedImage, Parallelism, ReportKind, TraceImage};
 
 const KINDS: [&str; 4] = ["summary", "query", "svg", "lint"];
 
@@ -85,22 +96,41 @@ impl Stages {
     }
 }
 
+/// A trace as `ta-cli` loads it: a `.pdt`'s layout, its streams left
+/// in the file, or a whole `.pdt2`.
+enum Loaded<'f> {
+    V1(TraceImage<'f>),
+    V2(MappedImage),
+}
+
 /// One request in this (fresh) process.
 fn child(kind: &str, path: &str, par: Parallelism) -> Result<(), String> {
     let s = Stages;
-    let bytes = s
-        .run("read", || MappedImage::open(path))
+    let bytes0 = bytes_read();
+    let file = s
+        .run("open", || File::open(path))
+        .map_err(|e| e.to_string())?;
+    let loaded = s
+        .run("read", || -> std::io::Result<_> {
+            if is_v2_file(&file)? {
+                return MappedImage::open(path).map(Loaded::V2);
+            }
+            TraceImage::read(&file).map(Loaded::V1)
+        })
         .map_err(|e| e.to_string())?;
     let a = s.run("ingest", || -> Result<_, String> {
-        if is_v2_image(&bytes) {
-            return analyze_v2(&bytes, par)
+        match &loaded {
+            Loaded::V2(bytes) => analyze_v2(bytes, par)
                 .map(|(a, _)| a)
-                .map_err(|e| e.to_string());
+                .map_err(|e| e.to_string()),
+            Loaded::V1(image) => Analysis::of(image.clone())
+                .parallelism(par)
+                .run()
+                .map(std::sync::Arc::new)
+                .map_err(|e| e.to_string()),
         }
-        let image = TraceImage::parse(&bytes).map_err(|e| e.to_string())?;
-        let a = Analysis::of(image).parallelism(par).run();
-        a.map(std::sync::Arc::new).map_err(|e| e.to_string())
     })?;
+    println!("bytes_read {}", bytes_read() - bytes0);
     match kind {
         "summary" => {
             s.run("intervals", || a.intervals().len());
@@ -135,7 +165,7 @@ fn child(kind: &str, path: &str, par: Parallelism) -> Result<(), String> {
     }
     println!("peak_rss_kib {}", peak_rss_kib());
     s.run("order", || a.columns().order().by_rank().len());
-    s.run("drop", || drop((a, bytes)));
+    s.run("drop", || drop((a, loaded)));
     Ok(())
 }
 
@@ -157,6 +187,7 @@ fn parent(path: &str, reps: usize, par: &str) -> Result<(), String> {
         let mut stages: Vec<(String, Vec<f64>, Vec<f64>)> = Vec::new();
         let mut rss = Vec::new();
         let mut svg_bytes = Vec::new();
+        let mut read_bytes = Vec::new();
         for _ in 0..reps {
             let out = Command::new(&exe)
                 .args(["--child", kind, path, "-j", par])
@@ -176,6 +207,7 @@ fn parent(path: &str, reps: usize, par: &str) -> Result<(), String> {
                 match f.as_slice() {
                     ["peak_rss_kib", kib] => rss.push(kib.parse::<f64>().unwrap_or(0.0)),
                     ["svg_bytes", n] => svg_bytes.push(n.parse::<f64>().unwrap_or(0.0)),
+                    ["bytes_read", n] => read_bytes.push(n.parse::<f64>().unwrap_or(0.0)),
                     [stage, ms, faults] => {
                         let n = seen.iter().filter(|s| s.as_str() == *stage).count();
                         seen.push(stage.to_string());
@@ -208,11 +240,10 @@ fn parent(path: &str, reps: usize, par: &str) -> Result<(), String> {
                 )
             })
             .collect();
-        let bytes_json = if svg_bytes.is_empty() {
-            String::new()
-        } else {
-            format!(", \"svg_bytes\": {:.0}", median(svg_bytes))
-        };
+        let mut bytes_json = format!(", \"bytes_read\": {:.0}", median(read_bytes));
+        if !svg_bytes.is_empty() {
+            bytes_json += &format!(", \"svg_bytes\": {:.0}", median(svg_bytes));
+        }
         requests.push(format!(
             "    {{\"request\": \"{kind}\", \"peak_rss_kib\": {:.0}{bytes_json}, \"stages\": [\n      {}\n    ]}}",
             median(rss),

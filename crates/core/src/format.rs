@@ -97,11 +97,10 @@ impl TraceStream {
 
 /// Location of one core's stream inside a serialized trace image.
 ///
-/// [`TraceFile::scan_stream_table`] produces these from the stream
-/// directory alone — no record bytes are copied or decoded — so a
-/// parallel reader can hand each worker a disjoint
-/// `&image[offset..offset + len]` slice without a serial pre-scan of
-/// the record data.
+/// [`ImageLayout`] lists these from the stream directory alone — no
+/// record bytes are read or decoded — so a parallel reader can hand
+/// each worker a disjoint region of the image without a serial
+/// pre-scan of the record data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamMeta {
     /// The producing core.
@@ -172,6 +171,14 @@ impl std::fmt::Display for FormatError {
 }
 
 impl std::error::Error for FormatError {}
+
+impl From<FormatError> for std::io::Error {
+    /// An [`InvalidData`](std::io::ErrorKind::InvalidData) error that
+    /// displays as the format error, for readers that walk a file.
+    fn from(e: FormatError) -> Self {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, e)
+    }
+}
 
 impl TraceFile {
     /// Total encoded record bytes over all streams.
@@ -246,45 +253,6 @@ impl TraceFile {
         TraceFile::from_bytes(&bytes).map_err(std::io::Error::other)
     }
 
-    /// Parses only the header of a serialized trace image.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FormatError`] on bad magic, version or truncation.
-    pub fn scan_header(image: &[u8]) -> Result<TraceHeader, FormatError> {
-        let mut buf = image;
-        parse_header(&mut buf)
-    }
-
-    /// Scans only the header and stream directory of a serialized
-    /// trace image, returning each stream's [`StreamMeta`] without
-    /// copying or decoding any record bytes. A parallel reader uses
-    /// this to slice `image` into per-worker stream windows in O(number
-    /// of streams) rather than O(file size).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FormatError`] on structural corruption of the header
-    /// or directory (the name table past the streams is not visited).
-    pub fn scan_stream_table(image: &[u8]) -> Result<Vec<StreamMeta>, FormatError> {
-        let mut buf = image;
-        parse_header(&mut buf)?;
-        parse_stream_directory(image, &mut buf)
-    }
-
-    /// Parses the context-name table of a serialized trace image,
-    /// skipping over the stream bytes without copying them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FormatError`] on structural corruption.
-    pub fn scan_ctx_names(image: &[u8]) -> Result<Vec<(u32, String)>, FormatError> {
-        let mut buf = image;
-        parse_header(&mut buf)?;
-        parse_stream_directory(image, &mut buf)?;
-        parse_ctx_names(&mut buf)
-    }
-
     /// Parses the on-disk byte layout.
     ///
     /// # Errors
@@ -292,12 +260,10 @@ impl TraceFile {
     /// Returns [`FormatError`] on structural corruption. Record-level
     /// corruption is reported later by [`TraceStream::records`].
     pub fn from_bytes(image: &[u8]) -> Result<TraceFile, FormatError> {
-        let mut buf = image;
-        let header = parse_header(&mut buf)?;
-        let metas = parse_stream_directory(image, &mut buf)?;
-        let ctx_names = parse_ctx_names(&mut buf)?;
-        let streams = metas
-            .into_iter()
+        let layout = ImageLayout::parse(image)?;
+        let streams = layout
+            .streams
+            .iter()
             .map(|m| TraceStream {
                 core: m.core,
                 bytes: m.slice(image).to_vec(),
@@ -305,6 +271,117 @@ impl TraceFile {
             })
             .collect();
         Ok(TraceFile {
+            header: layout.header,
+            streams,
+            ctx_names: layout.ctx_names,
+        })
+    }
+}
+
+/// Everything in a serialized trace image but the record bytes: the
+/// header, the stream directory and the context-name table.
+///
+/// [`ImageLayout::read`] walks an image through positioned reads and
+/// skips every stream's record bytes, so a reader can learn where each
+/// stream lies in a file without reading the streams; a parallel
+/// reader then hands each worker its own stream's region.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ImageLayout {
+    /// The trace header.
+    pub header: TraceHeader,
+    /// Each stream's location, in image order.
+    pub streams: Vec<StreamMeta>,
+    /// The context-name table.
+    pub ctx_names: Vec<(u32, String)>,
+}
+
+impl ImageLayout {
+    /// Parses the layout of an image held in memory.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FormatError`] if the image is truncated or its header,
+    /// directory or name table is malformed.
+    pub fn parse(image: &[u8]) -> Result<ImageLayout, FormatError> {
+        ImageLayout::read(image.len(), |at, buf| {
+            let src = image
+                .get(at..at + buf.len())
+                .ok_or(FormatError::Truncated { reading: "image" })?;
+            buf.copy_from_slice(src);
+            Ok(())
+        })
+    }
+
+    /// Reads the layout of an image of `len` bytes through `read_at`,
+    /// which fills `buf` with the image bytes at offset `at`; it is
+    /// asked only for bytes inside `len`. The walk reads the header,
+    /// each stream's 20-byte directory entry and the name table, and
+    /// reads no record bytes.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`FormatError`] [`ImageLayout::parse`] returns for
+    /// the same bytes, or the first error of `read_at`.
+    pub fn read<E: From<FormatError>>(
+        len: usize,
+        read_at: impl FnMut(usize, &mut [u8]) -> Result<(), E>,
+    ) -> Result<ImageLayout, E> {
+        let mut w = Walk {
+            len,
+            at: 0,
+            read_at,
+        };
+        let magic: [u8; 4] = w.take("magic")?;
+        if &magic != MAGIC {
+            return Err(FormatError::BadMagic.into());
+        }
+        let h: [u8; 32] = w.take("header")?;
+        let mut h = &h[..];
+        let version = h.get_u16_le();
+        if version != VERSION {
+            return Err(FormatError::BadVersion { found: version }.into());
+        }
+        let header = TraceHeader {
+            version,
+            num_ppe_threads: h.get_u8(),
+            num_spes: h.get_u8(),
+            core_hz: h.get_u64_le(),
+            timebase_divider: h.get_u64_le(),
+            dec_start: h.get_u32_le(),
+            group_mask: h.get_u32_le(),
+            spe_buffer_bytes: h.get_u32_le(),
+        };
+        let n_streams = u32::from_le_bytes(w.take("stream count")?);
+        // Every entry takes 20 bytes, so a damaged count cannot ask
+        // for more room than the image could fill.
+        let mut streams = Vec::with_capacity((n_streams as usize).min(w.left() / 20));
+        for _ in 0..n_streams {
+            let e: [u8; 20] = w.take("stream header")?;
+            let mut e = &e[..];
+            let core = TraceCore::from_tag(e.get_u8());
+            e.advance(3);
+            let len = e.get_u64_le();
+            let dropped = e.get_u64_le();
+            let offset = w.at;
+            w.skip(len, "stream bytes")?;
+            streams.push(StreamMeta {
+                core,
+                offset,
+                len: len as usize,
+                dropped,
+            });
+        }
+        let n_names = u32::from_le_bytes(w.take("name table")?);
+        let mut ctx_names = Vec::with_capacity((n_names as usize).min(w.left() / 8));
+        for _ in 0..n_names {
+            let e: [u8; 8] = w.take("name entry")?;
+            let ctx = u32::from_le_bytes([e[0], e[1], e[2], e[3]]);
+            let len = u32::from_le_bytes([e[4], e[5], e[6], e[7]]);
+            let name = w.take_vec(len as usize, "name bytes")?;
+            let name = String::from_utf8(name).map_err(|_| FormatError::BadName)?;
+            ctx_names.push((ctx, name));
+        }
+        Ok(ImageLayout {
             header,
             streams,
             ctx_names,
@@ -312,79 +389,53 @@ impl TraceFile {
     }
 }
 
-fn need(buf: &[u8], n: usize, what: &'static str) -> Result<(), FormatError> {
-    if buf.len() < n {
-        Err(FormatError::Truncated { reading: what })
-    } else {
+/// A forward walk over an image read through positioned reads.
+struct Walk<F> {
+    len: usize,
+    at: usize,
+    read_at: F,
+}
+
+impl<E: From<FormatError>, F: FnMut(usize, &mut [u8]) -> Result<(), E>> Walk<F> {
+    /// Bytes left after the walk's position.
+    fn left(&self) -> usize {
+        self.len - self.at
+    }
+
+    /// Moves past `n` bytes, failing with a truncation at `what` if the
+    /// image ends first.
+    fn skip(&mut self, n: u64, what: &'static str) -> Result<(), E> {
+        if n > self.left() as u64 {
+            return Err(FormatError::Truncated { reading: what }.into());
+        }
+        self.at += n as usize;
         Ok(())
     }
-}
 
-/// Parses the magic + header, advancing `buf` past them.
-fn parse_header(buf: &mut &[u8]) -> Result<TraceHeader, FormatError> {
-    need(buf, 4, "magic")?;
-    if &buf[..4] != MAGIC {
-        return Err(FormatError::BadMagic);
+    /// Reads the next `buf.len()` bytes.
+    fn fill(&mut self, buf: &mut [u8], what: &'static str) -> Result<(), E> {
+        let at = self.at;
+        self.skip(buf.len() as u64, what)?;
+        (self.read_at)(at, buf)
     }
-    buf.advance(4);
-    need(buf, 2 + 1 + 1 + 8 + 8 + 4 + 4 + 4, "header")?;
-    let version = buf.get_u16_le();
-    if version != VERSION {
-        return Err(FormatError::BadVersion { found: version });
-    }
-    Ok(TraceHeader {
-        version,
-        num_ppe_threads: buf.get_u8(),
-        num_spes: buf.get_u8(),
-        core_hz: buf.get_u64_le(),
-        timebase_divider: buf.get_u64_le(),
-        dec_start: buf.get_u32_le(),
-        group_mask: buf.get_u32_le(),
-        spe_buffer_bytes: buf.get_u32_le(),
-    })
-}
 
-/// Walks the stream directory (header already consumed), recording
-/// each stream's location in `image` and advancing `buf` past the
-/// record bytes without copying them.
-fn parse_stream_directory(image: &[u8], buf: &mut &[u8]) -> Result<Vec<StreamMeta>, FormatError> {
-    need(buf, 4, "stream count")?;
-    let n_streams = buf.get_u32_le();
-    let mut metas = Vec::with_capacity(n_streams as usize);
-    for _ in 0..n_streams {
-        need(buf, 4 + 8 + 8, "stream header")?;
-        let core = TraceCore::from_tag(buf.get_u8());
-        buf.advance(3);
-        let len = buf.get_u64_le() as usize;
-        let dropped = buf.get_u64_le();
-        need(buf, len, "stream bytes")?;
-        let offset = image.len() - buf.len();
-        buf.advance(len);
-        metas.push(StreamMeta {
-            core,
-            offset,
-            len,
-            dropped,
-        });
+    /// Reads the next `N` bytes.
+    fn take<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], E> {
+        let mut buf = [0; N];
+        self.fill(&mut buf, what)?;
+        Ok(buf)
     }
-    Ok(metas)
-}
 
-/// Parses the context-name table (directory already consumed).
-fn parse_ctx_names(buf: &mut &[u8]) -> Result<Vec<(u32, String)>, FormatError> {
-    need(buf, 4, "name table")?;
-    let n_names = buf.get_u32_le();
-    let mut ctx_names = Vec::with_capacity(n_names as usize);
-    for _ in 0..n_names {
-        need(buf, 8, "name entry")?;
-        let ctx = buf.get_u32_le();
-        let len = buf.get_u32_le() as usize;
-        need(buf, len, "name bytes")?;
-        let name = String::from_utf8(buf[..len].to_vec()).map_err(|_| FormatError::BadName)?;
-        buf.advance(len);
-        ctx_names.push((ctx, name));
+    /// Reads the next `n` bytes, allocating only once they are known
+    /// to be in the image.
+    fn take_vec(&mut self, n: usize, what: &'static str) -> Result<Vec<u8>, E> {
+        if n > self.left() {
+            return Err(FormatError::Truncated { reading: what }.into());
+        }
+        let mut buf = vec![0; n];
+        self.fill(&mut buf, what)?;
+        Ok(buf)
     }
-    Ok(ctx_names)
 }
 
 #[cfg(test)]
@@ -483,31 +534,79 @@ mod tests {
     }
 
     #[test]
-    fn stream_table_scan_matches_full_parse() {
+    fn layout_matches_full_parse() {
         let f = sample();
         let bytes = f.to_bytes();
-        let metas = TraceFile::scan_stream_table(&bytes).unwrap();
-        assert_eq!(metas.len(), f.streams.len());
-        for (meta, stream) in metas.iter().zip(&f.streams) {
+        let layout = ImageLayout::parse(&bytes).unwrap();
+        assert_eq!(layout.header, f.header);
+        assert_eq!(layout.ctx_names, f.ctx_names);
+        assert_eq!(layout.streams.len(), f.streams.len());
+        for (meta, stream) in layout.streams.iter().zip(&f.streams) {
             assert_eq!(meta.core, stream.core);
             assert_eq!(meta.len, stream.bytes.len());
             assert_eq!(meta.dropped, stream.dropped);
             assert_eq!(meta.slice(&bytes), stream.bytes.as_slice());
         }
-        assert_eq!(TraceFile::scan_header(&bytes).unwrap(), f.header);
-        assert_eq!(TraceFile::scan_ctx_names(&bytes).unwrap(), f.ctx_names);
     }
 
     #[test]
-    fn stream_table_scan_rejects_corruption() {
+    fn layout_read_touches_no_record_bytes() {
+        let f = sample();
+        let bytes = f.to_bytes();
+        let mut read = vec![false; bytes.len()];
+        let layout = ImageLayout::read(bytes.len(), |at, buf: &mut [u8]| {
+            buf.copy_from_slice(&bytes[at..at + buf.len()]);
+            read[at..at + buf.len()].iter_mut().for_each(|r| *r = true);
+            Ok::<_, FormatError>(())
+        })
+        .unwrap();
+        assert_eq!(layout, ImageLayout::parse(&bytes).unwrap());
+        for m in &layout.streams {
+            assert!(!read[m.offset..m.offset + m.len].contains(&true));
+        }
+    }
+
+    #[test]
+    fn layout_rejects_corruption() {
         let mut bytes = sample().to_bytes();
         bytes[0] = b'X';
-        assert_eq!(
-            TraceFile::scan_stream_table(&bytes),
-            Err(FormatError::BadMagic)
-        );
+        assert_eq!(ImageLayout::parse(&bytes), Err(FormatError::BadMagic));
         let bytes = sample().to_bytes();
-        assert!(TraceFile::scan_stream_table(&bytes[..41]).is_err());
+        assert!(ImageLayout::parse(&bytes[..41]).is_err());
+    }
+
+    #[test]
+    fn huge_counts_fail_as_truncation_without_allocating() {
+        let mut bytes = sample().to_bytes();
+        bytes[36..40].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            ImageLayout::parse(&bytes),
+            Err(FormatError::Truncated {
+                reading: "stream header"
+            })
+        );
+        let f = TraceFile {
+            header: sample().header,
+            streams: vec![],
+            ctx_names: vec![(1, "k".into())],
+        };
+        let mut bytes = f.to_bytes();
+        let n = bytes.len();
+        bytes[n - 5..n - 1].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            ImageLayout::parse(&bytes),
+            Err(FormatError::Truncated {
+                reading: "name bytes"
+            })
+        );
+        let mut bytes = f.to_bytes();
+        bytes[n - 13..n - 9].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            ImageLayout::parse(&bytes),
+            Err(FormatError::Truncated {
+                reading: "name entry"
+            })
+        );
     }
 
     #[test]

@@ -93,14 +93,16 @@ pub mod v2;
 pub use buffer::{BufferStats, SpeTraceBuffer, WriteOutcome};
 pub use config::{TracingConfig, TracingConfigError, TracingConfigRepr};
 pub use event::{encode_event, EncodedEvent, EventCode};
-pub use format::{FormatError, StreamMeta, TraceFile, TraceHeader, TraceStream, MAGIC, VERSION};
+pub use format::{
+    FormatError, ImageLayout, StreamMeta, TraceFile, TraceHeader, TraceStream, MAGIC, VERSION,
+};
 pub use group::{EventGroup, GroupMask};
 pub use overhead::OverheadModel;
 pub use ppe_tracer::PdtPpeTracer;
 pub use record::{
-    decode_stream, decode_stream_lossy, granules_for, DecodeGap, LossyCursor, LossyDecode,
-    RecordError, RecordRef, RecordScan, Scanned, TraceCore, TraceRecord, DEFAULT_WRAP_TOLERANCE,
-    MAX_PARAMS,
+    decode_stream, decode_stream_lossy, granules_for, ChunkScan, DecodeGap, LossyCursor,
+    LossyDecode, RecordError, RecordRef, RecordScan, Scanned, TraceCore, TraceRecord,
+    DEFAULT_WRAP_TOLERANCE, MAX_PARAMS,
 };
 pub use session::TraceSession;
 pub use spe_tracer::PdtSpeTracer;

@@ -442,8 +442,9 @@ enum Step<'a> {
 }
 
 /// The decode-and-resynchronize state machine behind every stream
-/// decoder: [`RecordScan`] runs it over a whole stream, [`LossyCursor`]
-/// over a stream arriving in chunks.
+/// decoder: [`ChunkScan`] runs it over a stream of known length read in
+/// chunks ([`RecordScan`] is the one-chunk case), [`LossyCursor`] over a
+/// stream whose bytes are still arriving.
 ///
 /// On a malformed record it scans forward in 16-byte steps (the record
 /// granule size, so an intact suffix stays aligned) until a record
@@ -478,16 +479,18 @@ impl Resync {
 
     /// Takes the next step over `buf`, whose first byte sits at stream
     /// offset `base`; `pos` is the stream offset of the next record.
-    /// While `finished` is false more bytes may arrive, so a record or
-    /// resync candidate that fails only for lack of bytes pauses the
-    /// scan instead of opening (or extending) a gap.
+    /// `end` is the stream's length once it is known. Until `buf`
+    /// reaches it more bytes may arrive, so a record or resync
+    /// candidate that fails only for lack of bytes pauses the scan
+    /// instead of opening (or extending) a gap.
     fn step<'b>(
         &mut self,
         buf: &'b [u8],
         base: usize,
         pos: &mut usize,
-        finished: bool,
+        end: Option<usize>,
     ) -> Step<'b> {
+        let finished = end.is_some_and(|e| base + buf.len() >= e);
         loop {
             if let Some(cand) = self.open_gap.as_ref().map(|g| g.cand) {
                 // Resync scan: candidate headers live on the 16-byte
@@ -538,6 +541,8 @@ impl Resync {
                 // bytes. At end-of-stream the same error is a torn
                 // flush and falls through to open a gap.
                 Err(RecordError::Truncated { .. }) if !finished => return Step::Pending,
+                // A strict gap runs to the end of the stream, which a
+                // strict scan always knows, not to the end of `buf`.
                 Err(cause) if self.strict => {
                     let gap = OpenGap {
                         start: *pos,
@@ -545,7 +550,7 @@ impl Resync {
                         records_before: self.records,
                         cand: *pos,
                     };
-                    *pos = base + buf.len();
+                    *pos = end.unwrap_or(base + buf.len());
                     return Step::Gap(gap.close(*pos));
                 }
                 Err(cause) => {
@@ -573,13 +578,12 @@ pub enum Scanned<'a> {
 }
 
 /// Walks a complete stream, yielding records borrowed from `bytes` and
-/// the gaps between them, in stream order. The one-shot form of the
-/// decoder every other stream decode is built on.
+/// the gaps between them, in stream order: a [`ChunkScan`] over one
+/// chunk that holds the whole stream.
 #[derive(Debug, Clone)]
 pub struct RecordScan<'a> {
     bytes: &'a [u8],
-    pos: usize,
-    resync: Resync,
+    scan: ChunkScan,
 }
 
 impl<'a> RecordScan<'a> {
@@ -588,8 +592,7 @@ impl<'a> RecordScan<'a> {
     pub fn lossy(bytes: &'a [u8], stream_core: Option<TraceCore>) -> RecordScan<'a> {
         RecordScan {
             bytes,
-            pos: 0,
-            resync: Resync::new(stream_core, false),
+            scan: ChunkScan::lossy(bytes.len(), stream_core),
         }
     }
 
@@ -598,14 +601,13 @@ impl<'a> RecordScan<'a> {
     pub fn strict(bytes: &'a [u8]) -> RecordScan<'a> {
         RecordScan {
             bytes,
-            pos: 0,
-            resync: Resync::new(None, true),
+            scan: ChunkScan::strict(bytes.len()),
         }
     }
 
     /// Records yielded so far.
     pub fn records(&self) -> u64 {
-        self.resync.records
+        self.scan.records()
     }
 }
 
@@ -614,7 +616,101 @@ impl<'a> Iterator for RecordScan<'a> {
 
     #[inline]
     fn next(&mut self) -> Option<Scanned<'a>> {
-        match self.resync.step(self.bytes, 0, &mut self.pos, true) {
+        self.scan.next(self.bytes, 0)
+    }
+}
+
+/// The decoder over a stream of known length whose bytes the caller
+/// reads in chunks, such as a stream region of a trace file read with
+/// positioned reads into one reused buffer.
+///
+/// The caller drives it:
+///
+/// ```
+/// # use pdt::{ChunkScan, Scanned};
+/// # let stream = vec![0u8; 0];
+/// let mut scan = ChunkScan::lossy(stream.len(), None);
+/// while !scan.is_done() {
+///     // Read the chunk starting at `resume_at`; at least
+///     // `ChunkScan::MIN_CHUNK` bytes unless the stream ends first.
+///     let base = scan.resume_at();
+///     let end = stream.len().min(base + ChunkScan::MIN_CHUNK);
+///     let chunk = &stream[base..end];
+///     while let Some(item) = scan.next(chunk, base) {
+///         match item {
+///             Scanned::Record(_) => {}
+///             Scanned::Gap(_) => {}
+///         }
+///     }
+/// }
+/// ```
+///
+/// Whatever the chunking, it yields exactly the items a [`RecordScan`]
+/// over the whole stream yields: a record or resync candidate cut by
+/// the end of a chunk is retried from [`resume_at`](Self::resume_at) in
+/// the next one, and a gap that spans chunks is reported once.
+#[derive(Debug, Clone)]
+pub struct ChunkScan {
+    resync: Resync,
+    /// Stream offset of the next record when no gap is open.
+    pos: usize,
+    /// The stream's length in bytes.
+    len: usize,
+}
+
+impl ChunkScan {
+    /// The smallest chunk that always lets a scan go on: one record of
+    /// the most granules a header can claim (255 × 16 bytes). A chunk
+    /// this long that starts at [`resume_at`](Self::resume_at) holds
+    /// whatever the next step needs.
+    pub const MIN_CHUNK: usize = 255 * 16;
+
+    /// A lossy scan of a `len`-byte stream, like [`RecordScan::lossy`].
+    pub fn lossy(len: usize, stream_core: Option<TraceCore>) -> ChunkScan {
+        ChunkScan {
+            resync: Resync::new(stream_core, false),
+            pos: 0,
+            len,
+        }
+    }
+
+    /// A strict scan of a `len`-byte stream, like [`RecordScan::strict`].
+    /// Its one gap runs to the end of the stream.
+    pub fn strict(len: usize) -> ChunkScan {
+        ChunkScan {
+            resync: Resync::new(None, true),
+            pos: 0,
+            len,
+        }
+    }
+
+    /// Stream offset of the first byte the scan still needs: where the
+    /// next chunk must start.
+    pub fn resume_at(&self) -> usize {
+        match &self.resync.open_gap {
+            Some(g) => g.cand,
+            None => self.pos,
+        }
+    }
+
+    /// True once every byte of the stream is decoded or in a gap.
+    pub fn is_done(&self) -> bool {
+        self.resync.open_gap.is_none() && self.pos >= self.len
+    }
+
+    /// Records yielded so far.
+    pub fn records(&self) -> u64 {
+        self.resync.records
+    }
+
+    /// The next item in `chunk`, the stream bytes from offset `base`
+    /// (the [`resume_at`](Self::resume_at) before the chunk was read)
+    /// up to at most the stream's end. `None` once the chunk holds no
+    /// further item: read the next chunk unless the scan
+    /// [`is_done`](Self::is_done).
+    #[inline]
+    pub fn next<'b>(&mut self, chunk: &'b [u8], base: usize) -> Option<Scanned<'b>> {
+        match self.resync.step(chunk, base, &mut self.pos, Some(self.len)) {
             Step::Record(r) => Some(Scanned::Record(r)),
             Step::Gap(g) => Some(Scanned::Gap(g)),
             Step::Pending | Step::Done => None,
@@ -773,10 +869,8 @@ impl LossyCursor {
     /// then discards the consumed prefix so the carry stays bounded.
     fn drain(&mut self) {
         loop {
-            match self
-                .resync
-                .step(&self.buf, self.base, &mut self.pos, self.finished)
-            {
+            let end = self.finished.then_some(self.base + self.buf.len());
+            match self.resync.step(&self.buf, self.base, &mut self.pos, end) {
                 Step::Record(r) => self.records.push(r.to_record()),
                 Step::Gap(g) => self.gaps.push(g),
                 Step::Pending | Step::Done => break,

@@ -126,6 +126,15 @@ pub enum AnalyzeError {
         /// The SPE without a sync anchor.
         spe: u8,
     },
+    /// A file-backed stream's bytes could not be read.
+    Read {
+        /// The stream's core.
+        core: TraceCore,
+        /// Stream offset of the chunk being read.
+        offset: usize,
+        /// The I/O error, as displayed.
+        message: String,
+    },
 }
 
 impl std::fmt::Display for AnalyzeError {
@@ -144,6 +153,11 @@ impl std::fmt::Display for AnalyzeError {
                 "SPE{spe} has trace records but no PpeCtxRun sync record; \
                  enable the ppe-lifecycle group to reconstruct SPE time"
             ),
+            AnalyzeError::Read {
+                core,
+                offset,
+                message,
+            } => write!(f, "cannot read {core} stream at byte {offset}: {message}"),
         }
     }
 }

@@ -79,21 +79,37 @@ use std::sync::Arc;
 
 use pdt::{TraceCore, TraceFile, DEFAULT_BLOCK_RECORDS};
 use ta::{
-    analyze_v2, compare_traces, is_v2_image, user_phases, Analysis, CsvTable, EventFilter,
-    LintConfig, MappedImage, Parallelism, RenderOptions, ReportKind, SvgOptions, TraceImage,
-    V2Trace,
+    analyze_v2, compare_traces, is_v2_file, is_v2_image, user_phases, Analysis, CsvTable,
+    EventFilter, LintConfig, MappedImage, Parallelism, RenderOptions, ReportKind, SvgOptions,
+    TraceImage, V2Trace,
 };
 
-/// Loads a trace image, sniffing the container by magic: `PDT1`
-/// images take the v1 path, `PDT2` images decode through the blocked
-/// v2 reader (falling back to the lossy streaming reader when the
-/// container is truncated).
+/// A trace file opened by container.
+enum Trace {
+    /// A `.pdt`, left on disk: ingest reads each stream itself.
+    V1(File),
+    /// A `.pdt2`, read whole.
+    V2(MappedImage),
+}
+
+/// Opens the trace at `path`, sniffing the container by its magic.
+fn open(path: &str) -> Result<Trace, String> {
+    let err = |e: io::Error| format!("{path}: {e}");
+    let file = File::open(path).map_err(err)?;
+    if is_v2_file(&file).map_err(err)? {
+        return MappedImage::open(path).map(Trace::V2).map_err(err);
+    }
+    Ok(Trace::V1(file))
+}
+
+/// Loads a trace, sniffing the container by magic: `PDT1` images take
+/// the v1 path, `PDT2` images decode through the blocked v2 reader
+/// (falling back to the lossy streaming reader when the container is
+/// truncated).
 fn load(path: &str, strict: bool, par: Parallelism) -> Result<Arc<Analysis>, String> {
-    // Memory-mapped when the `mmap` feature is on: the one-shot v2
-    // reader borrows blocks straight out of the mapping.
-    let bytes = MappedImage::open(path).map_err(|e| format!("{path}: {e}"))?;
-    if is_v2_image(&bytes) {
-        if strict {
+    let file = match open(path)? {
+        Trace::V1(file) => file,
+        Trace::V2(bytes) if strict => {
             // Strict mode reconstructs the exact v1 bytes first, so a
             // damaged block fails the run like a malformed v1 record.
             let trace = pdt::unpack(&bytes).map_err(|e| format!("{path}: {e}"))?;
@@ -104,11 +120,14 @@ fn load(path: &str, strict: bool, par: Parallelism) -> Result<Arc<Analysis>, Str
                 .map_err(|e| format!("{path}: {e}"))?;
             return Ok(Arc::new(a));
         }
-        let (a, _) = analyze_v2(&bytes, par).map_err(|e| format!("{path}: {e}"))?;
-        return Ok(a);
-    }
-    // Records are decoded straight out of the image: no stream copies.
-    let image = TraceImage::parse(&bytes).map_err(|e| format!("{path}: {e}"))?;
+        Trace::V2(bytes) => {
+            let (a, _) = analyze_v2(&bytes, par).map_err(|e| format!("{path}: {e}"))?;
+            return Ok(a);
+        }
+    };
+    // Only the header, the stream directory and the name table are read
+    // here; each ingest shard reads its own stream in chunks.
+    let image = TraceImage::read(&file).map_err(|e| format!("{path}: {e}"))?;
     let builder = Analysis::of(image).parallelism(par);
     let builder = if strict { builder.strict() } else { builder };
     builder
@@ -420,8 +439,7 @@ fn run(out: &mut dyn Write) -> Result<(), Failure> {
             // block-skip path: only packed blocks whose footer time
             // range overlaps the window are decoded at all.
             if !summary && !strict {
-                let data = MappedImage::open(path).map_err(|e| format!("{path}: {e}"))?;
-                if is_v2_image(&data) {
+                if let Trace::V2(data) = open(path)? {
                     if let Ok(v2) = V2Trace::parse(&data) {
                         let (t0, t1) = (from.unwrap_or(0), to.unwrap_or(u64::MAX));
                         let mut filter = EventFilter::new().in_window(t0, t1);

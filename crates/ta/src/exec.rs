@@ -8,7 +8,8 @@
 //! - [`map_indexed`] — maps a function over `0..n` on scoped threads
 //!   (`std::thread::scope`). Executors claim shard indices from one
 //!   shared counter, so uneven shards still balance, and the results
-//!   come back in index order.
+//!   come back in index order. [`map_indexed_with`] also lends each
+//!   executor one state its shards reuse, such as a read buffer.
 //! - [`ExecStats`] — process-wide counters (shards run, threads
 //!   spawned, busy time), surfaced through `ta-serve`'s `stats`
 //!   command and `ta-cli --exec-stats`.
@@ -190,21 +191,35 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
+    map_indexed_with(par, n, || (), |_, i| f(i))
+}
+
+/// [`map_indexed`] with per-executor state: each executor builds one
+/// `S` with `init` and lends it to every shard it runs, so shards can
+/// reuse a buffer instead of allocating their own.
+pub fn map_indexed_with<S, T, I, F>(par: Parallelism, n: usize, init: I, f: F) -> Vec<T>
+where
+    T: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> T + Sync,
+{
     let executors = par.workers().min(host_parallelism()).min(n);
     if executors <= 1 || IN_SHARD.get() {
-        return (0..n).map(f).collect();
+        let mut state = init();
+        return (0..n).map(|i| f(&mut state, i)).collect();
     }
     let next = AtomicUsize::new(0);
     let run = || {
         let _guard = ShardGuard::enter();
         let start = Instant::now();
+        let mut state = init();
         let mut done = Vec::new();
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= n {
                 break;
             }
-            done.push((i, f(i)));
+            done.push((i, f(&mut state, i)));
         }
         let ns = start.elapsed().as_nanos() as u64;
         pool().busy_ns.fetch_add(ns, Ordering::Relaxed);
@@ -265,6 +280,32 @@ mod tests {
                 let got = map_indexed(par, n, |i| (i * i) as u64);
                 assert_eq!(got, serial, "n={n} {par:?}");
             }
+        }
+    }
+
+    #[test]
+    fn each_executor_builds_one_state_and_reuses_it() {
+        for par in ALL {
+            let inits = AtomicUsize::new(0);
+            let got = map_indexed_with(
+                par,
+                40,
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    Vec::<usize>::new()
+                },
+                |seen, i| {
+                    seen.push(i);
+                    (i, seen.len())
+                },
+            );
+            let executors = par.workers().min(host_parallelism()).min(40);
+            assert_eq!(inits.load(Ordering::Relaxed), executors, "{par:?}");
+            assert!(got.iter().enumerate().all(|(k, &(i, _))| i == k));
+            // Only an executor's first shard found its state empty (an
+            // executor may run none, if the others claimed them all).
+            let firsts = got.iter().filter(|&&(_, n)| n == 1).count();
+            assert!((1..=executors).contains(&firsts), "{par:?}: {firsts}");
         }
     }
 

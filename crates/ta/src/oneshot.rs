@@ -3,7 +3,7 @@
 //! and core-major placement it shares with the direct v2 decoder in
 //! [`crate::v2read`]. See DESIGN.md, "One-shot ingest".
 
-use pdt::{DecodeGap, EventCode, RecordScan, Scanned, TraceCore};
+use pdt::{ChunkScan, DecodeGap, EventCode, Scanned, TraceCore};
 
 use crate::analyze::{AnalyzeError, SpeAnchor};
 use crate::columns::{ColumnarTrace, EventColumns, ParamDict};
@@ -271,59 +271,71 @@ struct V1Stream {
     unanchored: bool,
 }
 
-/// Decodes one v1 stream out of the borrowed image and places it on the
-/// global timeline: PPE records at their timebase stamp with
-/// per-thread core tags, SPE records at `run_tb + elapsed` (wrapping)
-/// from their anchor. An SPE stream without an anchor is only counted.
+/// Decodes one v1 stream and places it on the global timeline: PPE
+/// records at their timebase stamp with per-thread core tags, SPE
+/// records at `run_tb + elapsed` (wrapping) from their anchor. An SPE
+/// stream without an anchor is only counted. A stream in memory is
+/// scanned as one chunk; a file-backed one is read chunk by chunk into
+/// `buf`.
 ///
 /// # Errors
 ///
-/// Under `strict`, the stream's first malformed record.
+/// Under `strict`, the stream's first malformed record; under either
+/// policy, a failed read of a file-backed stream.
 fn decode_v1(
     s: &ImageStream<'_>,
     anchor: Option<SpeAnchor>,
     strict: bool,
+    buf: &mut Vec<u8>,
 ) -> Result<V1Stream, AnalyzeError> {
     let mut out = V1Stream::default();
     let mut scan = if strict {
-        RecordScan::strict(s.bytes)
+        ChunkScan::strict(s.len())
     } else {
-        RecordScan::lossy(s.bytes, Some(s.core))
+        ChunkScan::lossy(s.len(), Some(s.core))
     };
     let (mut elapsed, mut prev_dec) = (0u64, anchor.map_or(0, |a| a.dec_start));
     let mut params = Vec::new();
-    for item in scan.by_ref() {
-        let r = match item {
-            Scanned::Record(r) => r,
-            Scanned::Gap(g) if strict => {
-                let (core, offset, cause) = (s.core, g.offset, g.cause);
-                return Err(AnalyzeError::Record {
-                    core,
-                    offset,
-                    cause,
-                });
-            }
-            Scanned::Gap(g) => {
-                out.gaps.push(g);
-                continue;
-            }
-        };
-        let (time, tag) = match anchor {
-            None if s.core.is_spe() => continue,
-            None => {
-                harvest(&r, &mut out.anchors);
-                (r.timestamp, r.core.tag())
-            }
-            Some(a) => {
-                let dec = r.timestamp as u32;
-                elapsed += u64::from(prev_dec.wrapping_sub(dec));
-                prev_dec = dec;
-                (a.run_tb.wrapping_add(elapsed), s.core.tag())
-            }
-        };
-        params.clear();
-        params.extend(r.params());
-        out.ev.push(time, tag, r.code, &params);
+    while !scan.is_done() {
+        let base = scan.resume_at();
+        let chunk = s.chunk(base, buf).map_err(|e| AnalyzeError::Read {
+            core: s.core,
+            offset: base,
+            message: e.to_string(),
+        })?;
+        while let Some(item) = scan.next(chunk, base) {
+            let r = match item {
+                Scanned::Record(r) => r,
+                Scanned::Gap(g) if strict => {
+                    let (core, offset, cause) = (s.core, g.offset, g.cause);
+                    return Err(AnalyzeError::Record {
+                        core,
+                        offset,
+                        cause,
+                    });
+                }
+                Scanned::Gap(g) => {
+                    out.gaps.push(g);
+                    continue;
+                }
+            };
+            let (time, tag) = match anchor {
+                None if s.core.is_spe() => continue,
+                None => {
+                    harvest(&r, &mut out.anchors);
+                    (r.timestamp, r.core.tag())
+                }
+                Some(a) => {
+                    let dec = r.timestamp as u32;
+                    elapsed += u64::from(prev_dec.wrapping_sub(dec));
+                    prev_dec = dec;
+                    (a.run_tb.wrapping_add(elapsed), s.core.tag())
+                }
+            };
+            params.clear();
+            params.extend(r.params());
+            out.ev.push(time, tag, r.code, &params);
+        }
     }
     out.records = scan.records();
     out.unanchored = anchor.is_none() && s.core.is_spe() && out.records > 0;
@@ -346,18 +358,12 @@ fn harvest(r: &pdt::RecordRef<'_>, anchors: &mut Vec<SpeAnchor>) {
 }
 
 /// The strict policy's error: the first malformed record in stream
-/// order, if any.
+/// order, if any, scanned through each stream's own source.
 fn first_decode_error(streams: &[ImageStream<'_>]) -> Option<AnalyzeError> {
-    streams.iter().find_map(|s| {
-        RecordScan::strict(s.bytes).find_map(|item| match item {
-            Scanned::Gap(g) => Some(AnalyzeError::Record {
-                core: s.core,
-                offset: g.offset,
-                cause: g.cause,
-            }),
-            Scanned::Record(_) => None,
-        })
-    })
+    let mut buf = Vec::new();
+    streams
+        .iter()
+        .find_map(|s| decode_v1(s, None, true, &mut buf).err())
 }
 
 /// Ingests a complete v1 image into the columnar store under `policy`:
@@ -368,14 +374,15 @@ fn first_decode_error(streams: &[ImageStream<'_>]) -> Option<AnalyzeError> {
 ///
 /// The PPE streams decode first, since every anchor must be harvested
 /// before an SPE record can be placed; then each SPE stream decodes as
-/// one [`exec::map_indexed`] shard, and [`place`] lays the runs out
+/// one [`exec::map_indexed_with`] shard, and [`place`] lays the runs out
 /// core-major.
 ///
 /// # Errors
 ///
 /// Under [`DecodePolicy::Strict`], the first malformed record in stream
 /// order, else the first SPE stream with records but no sync anchor.
-/// The lossy policy never fails.
+/// Under either policy, a file-backed stream that cannot be read
+/// ([`AnalyzeError::Read`]); in memory, the lossy policy never fails.
 pub(crate) fn ingest(
     image: &TraceImage<'_>,
     policy: DecodePolicy,
@@ -385,20 +392,27 @@ pub(crate) fn ingest(
     let streams = image.streams();
     let (ppe, spe): (Vec<usize>, Vec<usize>) =
         (0..streams.len()).partition(|&si| !streams[si].core.is_spe());
-    // Decodes the streams `ids` in parallel. A strict failure in
+    // Decodes the streams `ids` in parallel, each executor reading
+    // file-backed streams into one reused buffer. A strict failure in
     // stream `si` yields to any failure before it.
     let decode_all = |ids: &[usize], anchors: &[SpeAnchor]| {
-        let out = exec::map_indexed(par, ids.len(), |i| {
+        let out = exec::map_indexed_with(par, ids.len(), Vec::new, |buf, i| {
             let s = &streams[ids[i]];
             let anchor = match s.core {
                 TraceCore::Spe(spe) => anchors.iter().find(|a| a.spe == spe).copied(),
                 TraceCore::Ppe(_) => None,
             };
-            decode_v1(s, anchor, strict).map_err(|e| (ids[i], e))
+            decode_v1(s, anchor, strict, buf).map_err(|e| (ids[i], e))
         });
         out.into_iter()
             .collect::<Result<Vec<_>, _>>()
-            .map_err(|(si, e)| first_decode_error(&streams[..si]).unwrap_or(e))
+            .map_err(|(si, e)| {
+                if strict {
+                    first_decode_error(&streams[..si]).unwrap_or(e)
+                } else {
+                    e
+                }
+            })
     };
 
     let mut decoded: Vec<V1Stream> = streams.iter().map(|_| V1Stream::default()).collect();
@@ -412,7 +426,7 @@ pub(crate) fn ingest(
         decoded[si] = d;
     }
     if strict {
-        for s in streams.iter().filter(|s| !s.bytes.is_empty()) {
+        for s in streams.iter().filter(|s| !s.is_empty()) {
             let TraceCore::Spe(spe) = s.core else {
                 continue;
             };

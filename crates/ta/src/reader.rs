@@ -1,88 +1,78 @@
-//! Zero-copy ingestion of serialized trace images.
+//! Trace images: what one-shot analysis reads.
 //!
-//! [`TraceImage`] parses a serialized PDT image (the byte format
-//! written by [`TraceFile::to_bytes`]) without copying any record
-//! bytes: only the header, the stream directory and the context-name
-//! table are materialized, while every stream's records stay borrowed
-//! windows into the caller's buffer. Analysis then decodes those
-//! windows straight into the columnar store, so a trace loaded from
-//! disk is decoded exactly once, in place.
+//! [`TraceImage`] holds a trace's header, stream directory and
+//! context-name table, and says where each stream's record bytes are.
+//! An in-memory image — a serialized buffer ([`TraceImage::parse`]) or
+//! an owned [`TraceFile`] (`From`) — borrows its record bytes and never
+//! copies them. A file-backed image ([`TraceImage::read`]) reads only
+//! the header, the directory and the name table with positioned reads
+//! and leaves the records on disk. Analysis then decodes each stream
+//! as one shard: an in-memory stream as one chunk, a file-backed one in
+//! fixed chunks read into a buffer its executor reuses, so a trace
+//! loaded from disk is never held whole.
 //!
-//! For small traces the copy saved is negligible; for the multi-SPE
-//! captures the analyzer targets it removes the single largest
-//! allocation of the load path.
+//! [`MappedImage`] reads a whole file onto the heap, for the readers
+//! that need the bytes at once (the `.pdt2` container).
 
 use std::borrow::Cow;
+use std::fs::File;
+use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use pdt::{FormatError, TraceCore, TraceFile, TraceHeader, TraceStream};
+use pdt::{ChunkScan, FormatError, ImageLayout, TraceCore, TraceFile, TraceHeader};
 
-/// An owned trace image loaded from disk, memory-mapped when the
-/// default-on `mmap` feature is enabled (falling back to a heap read
-/// when it is off or the map fails). Both representations expose the
-/// same `&[u8]`, so every parser ([`TraceImage::parse`],
-/// [`crate::V2Trace::parse`], [`crate::is_v2_image`]) borrows from the
-/// image without caring how it is backed — one load path for v1 and
-/// v2 containers.
-#[derive(Debug)]
-pub struct MappedImage {
-    repr: Repr,
+/// Bytes a file-backed stream reads per positioned read: below
+/// malloc's mmap threshold, so each executor's reused buffer stays on
+/// its heap.
+pub(crate) const CHUNK: usize = 64 << 10;
+
+// A chunk must hold any record the scan may need whole.
+const _: () = assert!(CHUNK >= ChunkScan::MIN_CHUNK);
+
+static BYTES_READ: AtomicU64 = AtomicU64::new(0);
+
+/// Trace-file bytes this process has read so far through
+/// [`MappedImage::open`] and file-backed [`TraceImage`]s.
+pub fn bytes_read() -> u64 {
+    BYTES_READ.load(Ordering::Relaxed)
 }
 
+/// Fills `buf` from `file` at `offset`. A file that ends first has
+/// shrunk since its length was taken.
+fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
+    file.read_exact_at(buf, offset)
+        .map_err(|e| match e.kind() {
+            io::ErrorKind::UnexpectedEof => io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "trace file shrank after it was opened",
+            ),
+            _ => e,
+        })?;
+    BYTES_READ.fetch_add(buf.len() as u64, Ordering::Relaxed);
+    Ok(())
+}
+
+/// A whole trace file read onto the heap. Every parser
+/// ([`TraceImage::parse`], [`crate::V2Trace::parse`],
+/// [`crate::is_v2_image`]) borrows from it through `Deref<[u8]>`.
 #[derive(Debug)]
-enum Repr {
-    #[cfg(feature = "mmap")]
-    Mapped(memmap2::Mmap),
-    Heap(Vec<u8>),
+pub struct MappedImage {
+    bytes: Vec<u8>,
 }
 
 impl MappedImage {
-    /// Loads the image at `path`, mapping it when possible.
+    /// Reads the file at `path`.
     ///
     /// # Errors
     ///
     /// Returns the underlying I/O error when the file cannot be
     /// opened or read.
-    pub fn open(path: impl AsRef<Path>) -> std::io::Result<MappedImage> {
-        let path = path.as_ref();
-        #[cfg(feature = "mmap")]
-        {
-            let file = std::fs::File::open(path)?;
-            if let Ok(map) = memmap2::Mmap::map(&file) {
-                return Ok(MappedImage {
-                    repr: Repr::Mapped(map),
-                });
-            }
-        }
-        Ok(MappedImage {
-            repr: Repr::Heap(std::fs::read(path)?),
-        })
-    }
-
-    /// Wraps bytes already in memory (the heap representation).
-    pub fn from_vec(bytes: Vec<u8>) -> MappedImage {
-        MappedImage {
-            repr: Repr::Heap(bytes),
-        }
-    }
-
-    /// The image bytes.
-    pub fn bytes(&self) -> &[u8] {
-        match &self.repr {
-            #[cfg(feature = "mmap")]
-            Repr::Mapped(m) => m,
-            Repr::Heap(v) => v,
-        }
-    }
-
-    /// Image length in bytes.
-    pub fn len(&self) -> usize {
-        self.bytes().len()
-    }
-
-    /// True when the image is empty.
-    pub fn is_empty(&self) -> bool {
-        self.bytes().is_empty()
+    pub fn open(path: impl AsRef<Path>) -> io::Result<MappedImage> {
+        let bytes = std::fs::read(path)?;
+        BYTES_READ.fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        Ok(MappedImage { bytes })
     }
 }
 
@@ -90,35 +80,72 @@ impl std::ops::Deref for MappedImage {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        self.bytes()
+        &self.bytes
     }
 }
 
-impl AsRef<[u8]> for MappedImage {
-    fn as_ref(&self) -> &[u8] {
-        self.bytes()
-    }
+/// Where a stream's record bytes are.
+#[derive(Debug, Clone, Copy)]
+enum Region<'a> {
+    /// Borrowed from memory.
+    Memory(&'a [u8]),
+    /// In `file`, from byte `offset`.
+    File { file: &'a File, offset: u64 },
 }
 
-/// One stream of a [`TraceImage`]: its core, its record bytes borrowed
-/// from the image, and the tracer-dropped count from the directory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One stream of a [`TraceImage`]: its core, the tracer-dropped count
+/// from the directory, and where its record bytes are.
+#[derive(Debug, Clone, Copy)]
 pub struct ImageStream<'a> {
     /// The producing core.
     pub core: TraceCore,
-    /// The stream's record bytes.
-    pub bytes: &'a [u8],
     /// Records the tracer dropped on this stream.
     pub dropped: u64,
+    len: usize,
+    region: Region<'a>,
 }
 
-/// A borrowed view of a complete trace: the header, the context-name
-/// table, and every stream's record bytes as a window into someone
-/// else's buffer — the input of [`Analysis::of`](crate::Analysis::of).
-///
-/// [`TraceImage::parse`] builds one over a serialized image (a mapped
-/// `.pdt` file) without copying any record bytes; an owned
-/// [`TraceFile`] lends its streams the same way through `From`.
+impl<'a> ImageStream<'a> {
+    /// The stream's length in bytes.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the stream holds no bytes.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The stream's bytes from offset `at`: all the rest of them when
+    /// the stream is in memory, else the next [`CHUNK`] bytes (fewer at
+    /// the end of the stream) read from the file into `buf`.
+    ///
+    /// # Errors
+    ///
+    /// The I/O error of the read, including a file that shrank after
+    /// the image was read.
+    pub(crate) fn chunk<'b>(&self, at: usize, buf: &'b mut Vec<u8>) -> io::Result<&'b [u8]>
+    where
+        'a: 'b,
+    {
+        match self.region {
+            Region::Memory(bytes) => Ok(bytes.get(at..).unwrap_or_default()),
+            Region::File { file, offset } => {
+                let n = CHUNK.min(self.len.saturating_sub(at));
+                if buf.capacity() < CHUNK {
+                    *buf = Vec::with_capacity(CHUNK);
+                }
+                buf.resize(n, 0);
+                read_exact_at(file, buf, offset + at as u64)?;
+                Ok(buf.as_slice())
+            }
+        }
+    }
+}
+
+/// A complete trace as analysis reads it: the header, the
+/// context-name table, and each stream's record bytes, in memory or
+/// left in a file — the input of [`Analysis::of`](crate::Analysis::of).
 #[derive(Debug, Clone)]
 pub struct TraceImage<'a> {
     header: TraceHeader,
@@ -127,10 +154,10 @@ pub struct TraceImage<'a> {
 }
 
 impl<'a> TraceImage<'a> {
-    /// Parses the image's header, stream directory and context-name
-    /// table, validating the overall layout. Record bytes are not
-    /// inspected — corrupt records surface later, when the image is
-    /// analyzed.
+    /// Parses a serialized image held in memory: its header, stream
+    /// directory and context-name table, validating the overall
+    /// layout. Record bytes are borrowed, not copied or inspected —
+    /// corrupt records surface later, when the image is analyzed.
     ///
     /// # Errors
     ///
@@ -138,20 +165,61 @@ impl<'a> TraceImage<'a> {
     /// header, directory or name table is malformed — the same errors
     /// [`TraceFile::from_bytes`] returns.
     pub fn parse(image: &'a [u8]) -> Result<Self, FormatError> {
-        let header = TraceFile::scan_header(image)?;
-        let metas = TraceFile::scan_stream_table(image)?;
-        let ctx_names = TraceFile::scan_ctx_names(image)?;
+        let layout = ImageLayout::parse(image)?;
+        let streams = layout
+            .streams
+            .iter()
+            .map(|m| {
+                let bytes =
+                    image
+                        .get(m.offset..m.offset + m.len)
+                        .ok_or(FormatError::Truncated {
+                            reading: "stream bytes",
+                        })?;
+                Ok(ImageStream {
+                    core: m.core,
+                    dropped: m.dropped,
+                    len: m.len,
+                    region: Region::Memory(bytes),
+                })
+            })
+            .collect::<Result<_, FormatError>>()?;
         Ok(Self {
-            header,
-            streams: metas
+            header: layout.header,
+            streams,
+            ctx_names: Cow::Owned(layout.ctx_names),
+        })
+    }
+
+    /// Reads the header, stream directory and context-name table of
+    /// the `.pdt` file `file` with positioned reads, and leaves every
+    /// stream's record bytes in the file for analysis to read.
+    ///
+    /// # Errors
+    ///
+    /// The I/O error of a read, or, as an
+    /// [`InvalidData`](io::ErrorKind::InvalidData) error that displays
+    /// as itself, the [`FormatError`] [`TraceImage::parse`] returns for
+    /// the same bytes.
+    pub fn read(file: &'a File) -> io::Result<Self> {
+        let len = usize::try_from(file.metadata()?.len()).map_err(io::Error::other)?;
+        let layout = ImageLayout::read(len, |at, buf| read_exact_at(file, buf, at as u64))?;
+        Ok(Self {
+            header: layout.header,
+            streams: layout
+                .streams
                 .iter()
                 .map(|m| ImageStream {
                     core: m.core,
-                    bytes: m.slice(image),
                     dropped: m.dropped,
+                    len: m.len,
+                    region: Region::File {
+                        file,
+                        offset: m.offset as u64,
+                    },
                 })
                 .collect(),
-            ctx_names: Cow::Owned(ctx_names),
+            ctx_names: Cow::Owned(layout.ctx_names),
         })
     }
 
@@ -170,36 +238,9 @@ impl<'a> TraceImage<'a> {
         &self.ctx_names
     }
 
-    /// The record bytes of stream `index`, borrowed from the image.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn stream_bytes(&self, index: usize) -> &'a [u8] {
-        self.streams[index].bytes
-    }
-
     /// Records dropped across all streams.
     pub fn total_dropped(&self) -> u64 {
         self.streams.iter().map(|s| s.dropped).sum()
-    }
-
-    /// Materializes an owned [`TraceFile`], copying the record bytes.
-    /// Useful when the backing buffer cannot outlive the trace.
-    pub fn to_trace_file(&self) -> TraceFile {
-        TraceFile {
-            header: self.header,
-            streams: self
-                .streams
-                .iter()
-                .map(|s| TraceStream {
-                    core: s.core,
-                    bytes: s.bytes.to_vec(),
-                    dropped: s.dropped,
-                })
-                .collect(),
-            ctx_names: self.ctx_names.to_vec(),
-        }
     }
 }
 
@@ -212,8 +253,9 @@ impl<'a> From<&'a TraceFile> for TraceImage<'a> {
                 .iter()
                 .map(|s| ImageStream {
                     core: s.core,
-                    bytes: &s.bytes,
                     dropped: s.dropped,
+                    len: s.bytes.len(),
+                    region: Region::Memory(&s.bytes),
                 })
                 .collect(),
             ctx_names: Cow::Borrowed(&trace.ctx_names),
@@ -226,7 +268,7 @@ mod tests {
     use super::*;
     use crate::analyze::analyze;
     use crate::session::Analysis;
-    use pdt::{EventCode, TraceRecord, VERSION};
+    use pdt::{EventCode, TraceRecord, TraceStream, VERSION};
 
     fn trace(spes: u8) -> TraceFile {
         let mut ppe = Vec::new();
@@ -320,13 +362,11 @@ mod tests {
         for (s, view) in t.streams.iter().zip(image.streams()) {
             assert_eq!(view.core, s.core);
             assert_eq!(view.dropped, s.dropped);
-            assert_eq!(
-                view.bytes.as_ptr(),
-                s.bytes.as_ptr(),
-                "borrowed, not copied"
-            );
+            assert_eq!(view.len(), s.bytes.len());
+            let mut buf = Vec::new();
+            let chunk = view.chunk(0, &mut buf).unwrap();
+            assert_eq!(chunk.as_ptr(), s.bytes.as_ptr(), "borrowed, not copied");
         }
-        assert_eq!(image.to_trace_file(), t);
     }
 
     #[test]
@@ -335,20 +375,15 @@ mod tests {
         let bytes = t.to_bytes();
         let image = TraceImage::parse(&bytes).unwrap();
         let base = bytes.as_ptr() as usize;
-        for (i, s) in t.streams.iter().enumerate() {
-            let window = image.stream_bytes(i);
+        for (s, view) in t.streams.iter().zip(image.streams()) {
+            // One chunk holds the whole in-memory stream, uncopied.
+            let mut buf = Vec::new();
+            let window = view.chunk(0, &mut buf).unwrap();
             assert_eq!(window, s.bytes.as_slice());
             let addr = window.as_ptr() as usize;
             assert!(addr >= base && addr + window.len() <= base + bytes.len());
+            assert_eq!(buf.capacity(), 0);
         }
-    }
-
-    #[test]
-    fn to_trace_file_round_trips() {
-        let t = trace(3);
-        let bytes = t.to_bytes();
-        let image = TraceImage::parse(&bytes).unwrap();
-        assert_eq!(image.to_trace_file(), t);
     }
 
     #[test]
@@ -359,20 +394,96 @@ mod tests {
         assert!(TraceImage::parse(&bytes[..10]).is_err());
     }
 
+    /// A temporary file removed on drop.
+    struct TempFile(std::path::PathBuf);
+
+    impl TempFile {
+        fn new(tag: &str, bytes: &[u8]) -> TempFile {
+            let path =
+                std::env::temp_dir().join(format!("ta-reader-{tag}-{}.pdt", std::process::id()));
+            std::fs::write(&path, bytes).unwrap();
+            TempFile(path)
+        }
+    }
+
+    impl Drop for TempFile {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+        }
+    }
+
     #[test]
-    fn mapped_image_matches_heap_read() {
+    fn file_backed_image_reads_the_layout_and_streams_in_chunks() {
+        let t = trace(3);
+        let bytes = t.to_bytes();
+        let tmp = TempFile::new("layout", &bytes);
+        let file = File::open(&tmp.0).unwrap();
+        let image = TraceImage::read(&file).unwrap();
+        assert_eq!(image.header(), &t.header);
+        assert_eq!(image.ctx_names(), t.ctx_names.as_slice());
+        assert_eq!(image.total_dropped(), t.total_dropped());
+        let mut buf = Vec::new();
+        for (s, view) in t.streams.iter().zip(image.streams()) {
+            assert_eq!(view.len(), s.bytes.len());
+            assert_eq!(view.chunk(0, &mut buf).unwrap(), s.bytes.as_slice());
+            assert_eq!(view.chunk(16, &mut buf).unwrap(), &s.bytes[16..]);
+        }
+
+        let memory = TraceImage::parse(&bytes).unwrap();
+        let a = Analysis::of(image.clone()).run().unwrap();
+        let b = Analysis::of(memory).run().unwrap();
+        assert_eq!(a.events(), b.events());
+        assert_eq!(a.loss(), b.loss());
+    }
+
+    #[test]
+    fn a_file_that_shrinks_after_open_is_an_error() {
         let t = trace(2);
         let bytes = t.to_bytes();
-        let path = std::env::temp_dir().join("ta_mapped_image_test.pdt");
-        std::fs::write(&path, &bytes).unwrap();
-        let mapped = MappedImage::open(&path).unwrap();
-        assert_eq!(mapped.bytes(), bytes.as_slice());
-        assert_eq!(mapped.len(), bytes.len());
-        assert!(!mapped.is_empty());
-        let heap = MappedImage::from_vec(bytes);
-        assert_eq!(&*mapped, &*heap);
-        let image = TraceImage::parse(&mapped).unwrap();
-        assert_eq!(image.to_trace_file(), t);
-        let _ = std::fs::remove_file(&path);
+        let tmp = TempFile::new("shrink", &bytes);
+        let file = File::open(&tmp.0).unwrap();
+        let image = TraceImage::read(&file).unwrap();
+        let last = image.streams().last().copied().unwrap();
+        let shrunk = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&tmp.0)
+            .unwrap();
+        shrunk.set_len(20).unwrap();
+        let mut buf = Vec::new();
+        let err = last.chunk(0, &mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        for strict in [false, true] {
+            let builder = Analysis::of(image.clone());
+            let builder = if strict { builder.strict() } else { builder };
+            let err = builder.run().unwrap_err();
+            assert!(
+                matches!(err, crate::AnalyzeError::Read { .. }),
+                "strict={strict}: {err}"
+            );
+            assert!(err.to_string().contains("shrank"), "{err}");
+        }
+    }
+
+    #[test]
+    fn format_errors_read_from_a_file_display_as_themselves() {
+        let t = trace(2);
+        let bytes = t.to_bytes();
+        for cut in [0, 3, 10, 40, 41, bytes.len() - 1] {
+            let tmp = TempFile::new(&format!("cut{cut}"), &bytes[..cut]);
+            let file = File::open(&tmp.0).unwrap();
+            let got = TraceImage::read(&file).unwrap_err();
+            let want = TraceImage::parse(&bytes[..cut]).unwrap_err();
+            assert_eq!(got.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(got.to_string(), want.to_string(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn mapped_image_reads_the_whole_file() {
+        let t = trace(2);
+        let bytes = t.to_bytes();
+        let tmp = TempFile::new("mapped", &bytes);
+        let mapped = MappedImage::open(&tmp.0).unwrap();
+        assert_eq!(&*mapped, bytes.as_slice());
     }
 }

@@ -105,8 +105,10 @@ impl AnalysisBuilder<'_> {
     ///
     /// # Errors
     ///
-    /// Under the default [lossy](Self::lossy) policy this never fails:
-    /// corruption becomes decode gaps in the session's [`LossReport`].
+    /// Under the default [lossy](Self::lossy) policy, corruption
+    /// becomes decode gaps in the session's [`LossReport`], so only a
+    /// file-backed image whose streams cannot be read fails
+    /// ([`AnalyzeError::Read`]).
     /// Under [`strict`](Self::strict) it returns [`AnalyzeError`] on
     /// corrupt records or missing sync anchors — the same errors, in
     /// the same precedence, as the serial
@@ -165,9 +167,9 @@ enum Store {
 }
 
 impl Analysis {
-    /// Starts building an analysis of `trace`: a borrowed
-    /// [`TraceImage`], or a `&`[`TraceFile`](pdt::TraceFile), which
-    /// lends its streams the same way.
+    /// Starts building an analysis of `trace`: a [`TraceImage`], in
+    /// memory or read from a file, or a `&`[`TraceFile`](pdt::TraceFile),
+    /// which lends its streams without copying them.
     pub fn of<'t>(trace: impl Into<TraceImage<'t>>) -> AnalysisBuilder<'t> {
         AnalysisBuilder {
             image: trace.into(),

@@ -166,6 +166,13 @@ impl<'w> Chunked<'w> {
     }
 }
 
+/// Tick `i` of the time axis's eight equal steps, computed in `u128`
+/// so that spans above 2^61 do not overflow.
+fn axis_tick(timeline: &Timeline, i: u64) -> u64 {
+    let step = u128::from(timeline.span()) * u128::from(i) / 8;
+    timeline.start_tb + step as u64
+}
+
 /// `pre`, then `v` in decimal, then `post`: attribute text that repeats
 /// on many elements, spelled once.
 fn fragment(pre: &str, v: u64, post: &str) -> Vec<u8> {
@@ -536,7 +543,7 @@ pub(crate) fn write_svg(
         .u64(axis_y)
         .str("\" stroke=\"#999\"/>\n");
     for i in 0..=8u64 {
-        let tb = timeline.start_tb + timeline.span() * i / 8;
+        let tb = axis_tick(timeline, i);
         let x = x_of(tb);
         o.str(r#"<line x1=""#)
             .dp1(x)
@@ -779,8 +786,8 @@ mod tests {
             opts.gutter,
             opts.gutter + opts.width
         );
-        for i in 0..=8u64 {
-            let tb = timeline.start_tb + timeline.span() * i / 8;
+        for i in 0..=8u128 {
+            let tb = timeline.start_tb + (u128::from(timeline.span()) * i / 8) as u64;
             let x = x_of(tb);
             let _ = writeln!(
                 s,
@@ -1156,6 +1163,30 @@ mod tests {
         let svg = render(&t, &opts);
         assert_exact(&t, &opts, &svg);
         assert_eq!(drawn(&svg)[0].cells.last().unwrap().hi, t.end_tb);
+    }
+
+    #[test]
+    fn axis_labels_past_u64_products_are_exact() {
+        // A span of 2^63 + 2^62 ticks: `span * i` overflows `u64` from
+        // the third tick on.
+        let parts = [(0, 1 << 63, 0), (1, 1 << 62, 0)];
+        let segments = tile(5, &parts);
+        let t = Timeline {
+            start_tb: 5,
+            end_tb: segments.last().unwrap().end_tb,
+            lanes: vec![lane(segments)],
+        };
+        assert!(t.span() > 1 << 61);
+        let svg = render(&t, &SvgOptions::default());
+        let labels: Vec<u64> = svg
+            .split("fill=\"#666\">")
+            .skip(1)
+            .map(|rest| rest.split('<').next().unwrap().parse().unwrap())
+            .collect();
+        let span = u128::from(t.span());
+        let want: Vec<u64> = (0..=8u128).map(|i| 5 + (span * i / 8) as u64).collect();
+        assert_eq!(labels, want);
+        assert_eq!(labels[8], t.end_tb);
     }
 
     fn arb_timeline() -> impl Strategy<Value = (Timeline, SvgOptions)> {

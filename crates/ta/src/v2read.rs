@@ -59,6 +59,9 @@
 //! every golden.
 
 use std::collections::VecDeque;
+use std::fs::File;
+use std::io;
+use std::os::unix::fs::FileExt;
 use std::sync::Arc;
 
 use pdt::v2::{
@@ -80,6 +83,21 @@ use crate::stream::{IngestSession, StreamId};
 /// used by `ta-cli` to route `.pdt` vs `.pdt2` images.
 pub fn is_v2_image(bytes: &[u8]) -> bool {
     bytes.len() >= 4 && &bytes[..4] == MAGIC2
+}
+
+/// True when `file` starts with the v2 container magic: the sniff of
+/// [`is_v2_image`], reading only the magic.
+///
+/// # Errors
+///
+/// The I/O error of the read; a file shorter than the magic is not v2.
+pub fn is_v2_file(file: &File) -> io::Result<bool> {
+    let mut magic = [0u8; 4];
+    match file.read_exact_at(&mut magic, 0) {
+        Ok(()) => Ok(is_v2_image(&magic)),
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(false),
+        Err(e) => Err(e),
+    }
 }
 
 const ZEROS: [u8; 4096] = [0; 4096];

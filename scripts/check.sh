@@ -16,11 +16,10 @@ echo "== clippy redundant_clone over ta =="
 cargo clippy -p ta --all-targets -- -D warnings -D clippy::redundant_clone
 
 echo "== clippy feature matrix over ta =="
-# ta builds with any subset of {mmap, scan-oracle}; every combination
-# must stay warning-free (the default union is covered by the
-# workspace pass above).
+# ta builds with and without its one feature, scan-oracle; both must
+# stay warning-free (the default is covered by the workspace pass
+# above).
 cargo clippy -p ta --all-targets --no-default-features -- -D warnings
-cargo clippy -p ta --all-targets --no-default-features --features mmap -- -D warnings
 cargo clippy -p ta --all-targets --no-default-features --features scan-oracle -- -D warnings
 
 echo "== cargo test -q --workspace =="
@@ -107,6 +106,29 @@ for trace in tests/golden/stream.pdt "$smoke_dir/stream.pdt2"; do
 done
 cmp "$smoke_dir/summary.pdt" "$smoke_dir/summary.pdt2"
 cmp "$smoke_dir/timeline.pdt.svg" "$smoke_dir/timeline.pdt2.svg"
+
+echo "== ta-cli damaged-file smoke =="
+# ta-cli reads a .pdt's streams from the file in chunks, so damage must
+# still end in loss accounting or an error, never a panic (exit 101):
+# summary, loss and --strict summary on a truncated copy and on a
+# byte-flipped copy of a golden.
+head -c 3000 tests/golden/stream.pdt > "$smoke_dir/truncated.pdt"
+cp tests/golden/stream.pdt "$smoke_dir/flipped.pdt"
+# Zero the granule counts of two SPE0 records (the stream's data starts
+# at byte 304), so the lossy ingest opens a gap there.
+printf '\0' | dd of="$smoke_dir/flipped.pdt" bs=1 seek=432 conv=notrunc status=none
+printf '\0' | dd of="$smoke_dir/flipped.pdt" bs=1 seek=1056 conv=notrunc status=none
+for damaged in truncated flipped; do
+  for cmd in summary loss "--strict summary"; do
+    status=0
+    # shellcheck disable=SC2086 # $cmd holds the flag and the command.
+    ta_cli $cmd "$smoke_dir/$damaged.pdt" > /dev/null 2>&1 || status=$?
+    if [ "$status" -eq 101 ]; then
+      echo "ta-cli $cmd panicked on the $damaged golden" >&2
+      exit 1
+    fi
+  done
+done
 
 echo "== fault-injection smoke (3 seeds) =="
 # Injects every corruption mode into a real trace and asserts the lossy

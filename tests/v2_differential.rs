@@ -9,8 +9,9 @@
 //! oracle (clean runs re-encoded canonically, gap bytes carried
 //! verbatim, fed through `IngestSession`). This suite differentials
 //! the fast path against the oracle — products *and* codec stats —
-//! on every golden, and pins that `MappedImage` (mmap-backed) and
-//! heap-read images decode identically.
+//! on every golden. (`ta-cli` reads a `.pdt2` whole, through
+//! `MappedImage`; the file-backed v1 reader has its own suite,
+//! `tests/file_backed.rs`.)
 //!
 //! Also pins the block-skip acceptance criterion: a windowed query
 //! decodes only the packed blocks whose footer time range overlaps
@@ -18,10 +19,8 @@
 //! against a directory walk), and returns exactly the events
 //! [`EventFilter`] selects from the full analysis.
 
-use proptest::prelude::*;
-
 use pdt::v2::{pack, unpack, Anchoring, BlockKind, DEFAULT_BLOCK_RECORDS, FLAG_UNPLACED};
-use ta::{Analysis, EventFilter, MappedImage, Parallelism, V2Ingest, V2Trace};
+use ta::{Analysis, EventFilter, Parallelism, V2Ingest, V2Trace};
 
 #[path = "common/goldens.rs"]
 mod goldens;
@@ -330,57 +329,5 @@ fn mid_stream_snapshot_keeps_products_exact() {
             a.build_products(Parallelism::Serial);
             assert_products_eq(&reference, &a, &format!("{name} snapshot@1/{frac}"));
         }
-    }
-}
-
-/// Every golden `.pdt2`, loaded through [`MappedImage::open`] (the
-/// mmap-backed loader `ta-cli` uses), analyzes byte-identically to the
-/// same image read onto the heap.
-#[test]
-fn mapped_golden_images_analyze_identically() {
-    let dir = std::env::temp_dir();
-    for name in GOLDEN {
-        let image = golden_v2_bytes(name);
-        let path = dir.join(format!("ta-map-golden-{}-{name}2", std::process::id()));
-        std::fs::write(&path, &image).unwrap();
-        let mapped = MappedImage::open(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(mapped.bytes(), &image[..], "{name}: loader changed bytes");
-
-        let heap = MappedImage::from_vec(image);
-        let (a, astats) = V2Trace::parse(&mapped)
-            .unwrap()
-            .analyze(Parallelism::Serial);
-        let (b, bstats) = V2Trace::parse(&heap).unwrap().analyze(Parallelism::Serial);
-        assert_eq!(astats, bstats, "{name}: stats diverge across loaders");
-        assert_eq!(a.events(), b.events(), "{name}: events diverge");
-        assert_eq!(a.loss(), b.loss(), "{name}: loss diverges");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// [`MappedImage::open`] returns exactly the bytes on disk for
-    /// arbitrary contents (including empty files), byte-identical to
-    /// the heap loader — so analyses over either representation can
-    /// never diverge.
-    #[test]
-    fn mapped_image_is_byte_identical_to_heap(
-        bytes in prop::collection::vec(any::<u8>(), 0..4096),
-        salt in any::<u32>(),
-    ) {
-        let path = std::env::temp_dir().join(format!(
-            "ta-map-prop-{}-{salt:08x}.bin",
-            std::process::id()
-        ));
-        std::fs::write(&path, &bytes).unwrap();
-        let mapped = MappedImage::open(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-
-        prop_assert_eq!(mapped.len(), bytes.len());
-        prop_assert_eq!(mapped.bytes(), &bytes[..]);
-        let heap = MappedImage::from_vec(bytes);
-        prop_assert_eq!(mapped.bytes(), heap.bytes());
     }
 }
