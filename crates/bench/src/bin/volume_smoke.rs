@@ -14,6 +14,9 @@
 //!   the decoded in-memory store ([`ColumnarTrace::bytes_in_memory`])
 //!   must stay at or under 100 B/event, so the decode path can never
 //!   regress into buffering the whole image or fattening the columns.
+//!   The chunked reader decodes each stream into a run as its blocks
+//!   arrive and places the runs as the one-shot reader does, freeing
+//!   each run as it is copied, so the peak sits near the final store.
 //! - **Throughput is fatal** (release builds). The one-shot decode
 //!   must clear 3x — and the chunked decode 2x — the pre-direct-path
 //!   baseline of 1,233,175 events/s: the direct-to-columns decoder's
@@ -67,8 +70,8 @@ const GOLDEN: [&str; 5] = [
 
 /// Peak-RSS ceiling for the whole run, including the 100M-event point
 /// when it fires: the slim columnar store costs ~19 B/event resident
-/// (~1.8 GiB at 100M) and the provisional decode runs free
-/// progressively during the merge, so the full-scale session fits.
+/// (~1.8 GiB at 100M), and placement frees each decoded run column as
+/// it copies it into the store, so the full-scale session fits.
 const RSS_BUDGET_MIB: u64 = 2048;
 
 /// Ceiling on the decoded store's resident bytes per event
@@ -85,10 +88,11 @@ const ROUNDTRIP_BASELINE_EVPS: f64 = 1_233_175.0;
 /// figure for the direct path.
 const MIN_ONESHOT_EVPS: f64 = 3.0 * ROUNDTRIP_BASELINE_EVPS;
 
-/// Chunked decode floor (release builds): the streaming path pays an
-/// extra provisional-run copy plus the final k-way merge, so it gates
-/// at 2x — still well clear of the roundtrip baseline, with margin
-/// against scheduler noise.
+/// Chunked decode floor (release builds): the streaming path decodes
+/// every stream on the pushing thread as its blocks arrive, where the
+/// one-shot path decodes one shard per stream, so it gates at 2x —
+/// still well clear of the roundtrip baseline, with margin against
+/// scheduler noise.
 const MIN_CHUNKED_EVPS: f64 = 2.0 * ROUNDTRIP_BASELINE_EVPS;
 
 /// The full-scale point.
@@ -526,9 +530,11 @@ fn run() -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    // The 100M-event merge stays under the RSS budget by freeing each
-    // consumed provisional run as the merge passes it — which only
-    // returns memory to the OS if those multi-MiB buffers were mmap'd.
+    // The 100M-event point stays under the RSS budget because
+    // placement (`EventColumns::extend_core`, called by the one-shot
+    // placement both v2 readers share) frees each decoded run column
+    // as soon as it is copied into the store — which only returns
+    // memory to the OS if those multi-MiB buffers were mmap'd.
     // glibc's *dynamic* mmap threshold defeats that: once an earlier
     // phase frees an mmap'd block, the threshold rises past the run
     // size and the runs land on the main heap, where frees shrink

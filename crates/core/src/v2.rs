@@ -1354,7 +1354,13 @@ pub fn unpack(image: &[u8]) -> Result<TraceFile, V2Error> {
     let v2 = V2File::parse(image)?;
     let mut streams = Vec::with_capacity(v2.streams.len());
     for (idx, meta) in v2.streams.iter().enumerate() {
-        let mut bytes = Vec::with_capacity(meta.raw_len as usize);
+        // The header's raw length is checked only once the blocks are
+        // decoded, so a damaged one may reserve no more than 16 raw
+        // bytes per payload byte: twice what the packed codec expands
+        // to (at least an index and a timestamp byte per 16-byte
+        // record, at least one byte per 8-byte parameter).
+        let budget = meta.raw_len.min(meta.payloads_len.saturating_mul(16));
+        let mut bytes = Vec::with_capacity(usize::try_from(budget).unwrap_or(0));
         for item in v2.blocks(idx) {
             let (prefix, payload) = item?;
             if crc32(payload) != prefix.payload_crc {
@@ -1484,7 +1490,10 @@ impl<'a> V2File<'a> {
             });
         }
         let n_streams = buf.get_u32_le();
-        let mut streams = Vec::with_capacity(n_streams as usize);
+        // Every stream header takes STREAM_HEADER_BYTES, so a damaged
+        // count cannot ask for more room than the image could fill.
+        let mut streams =
+            Vec::with_capacity((n_streams as usize).min(buf.len() / STREAM_HEADER_BYTES));
         for _ in 0..n_streams {
             if buf.len() < STREAM_HEADER_BYTES {
                 return Err(V2Error::Truncated {
@@ -1537,7 +1546,8 @@ impl<'a> V2File<'a> {
             });
         }
         let n_names = buf.get_u32_le();
-        let mut ctx_names = Vec::with_capacity(n_names as usize);
+        // Likewise for the 8-byte name entry headers.
+        let mut ctx_names = Vec::with_capacity((n_names as usize).min(buf.len() / 8));
         for _ in 0..n_names {
             if buf.len() < 8 {
                 return Err(V2Error::Truncated {

@@ -425,26 +425,32 @@ impl EventColumns {
 
     /// Appends `codes.len()` events of core `tag` whose parameter
     /// tuples are already interned: the bulk form of
-    /// [`push_with_id`](Self::push_with_id) one-shot ingest places a
-    /// whole core segment with. `seqs` of `None` numbers the events
+    /// [`push_with_id`](Self::push_with_id) one-shot placement copies a
+    /// whole core segment with. Empty `seqs` number the events
     /// `0, 1, ...` (a stream's own records, in record order).
+    ///
+    /// Each source is freed as soon as it is copied, and the columns no
+    /// source feeds are written last, so placing runs this way never
+    /// holds more than the final store plus one run's times.
     pub(crate) fn extend_core(
         &mut self,
         tag: u8,
+        codes: Vec<EventCode>,
+        ids: Vec<u32>,
         times: impl IntoIterator<Item = u64>,
-        codes: &[EventCode],
-        ids: &[u32],
-        seqs: Option<&[u64]>,
+        seqs: Vec<u64>,
     ) {
         let n = codes.len();
+        self.code.extend(codes);
+        self.params_id.extend(ids);
         self.time_tb.extend(times);
         self.core_tag.resize(self.core_tag.len() + n, tag);
-        self.code.extend_from_slice(codes);
-        self.params_id.extend_from_slice(ids);
-        match seqs {
-            None if n < SEQ_WIDE as usize => self.stream_seq.extend(0..n as u32),
-            None => (0..n as u64).for_each(|s| self.push_seq(s)),
-            Some(seqs) => seqs.iter().for_each(|&s| self.push_seq(s)),
+        if !seqs.is_empty() {
+            seqs.into_iter().for_each(|s| self.push_seq(s));
+        } else if n < SEQ_WIDE as usize {
+            self.stream_seq.extend(0..n as u32);
+        } else {
+            (0..n as u64).for_each(|s| self.push_seq(s));
         }
     }
 

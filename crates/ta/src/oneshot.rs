@@ -1,7 +1,9 @@
 //! One-shot ingest: a complete v1 trace decoded straight into the
-//! columnar store, one shard per SPE stream ([`ingest`]), and the runs
-//! and core-major placement it shares with the direct v2 decoder in
-//! [`crate::v2read`]. See DESIGN.md, "One-shot ingest".
+//! columnar store, one shard per SPE stream ([`ingest`]), and what it
+//! shares with the direct v2 decoder in [`crate::v2read`] (one-shot and
+//! chunked alike): the [`Events`] runs, the sync-anchor harvest and
+//! winner pick, and the core-major [`place`]. See DESIGN.md, "One-shot
+//! ingest".
 
 use pdt::{ChunkScan, DecodeGap, EventCode, Scanned, TraceCore};
 
@@ -84,22 +86,48 @@ impl Times {
         }
     }
 
+    /// Event `k`'s core tag.
+    fn tag(&self, k: usize) -> u8 {
+        match self {
+            Times::Steps { tag, .. } => *tag,
+            Times::Each { tag, .. } => tag[k],
+        }
+    }
+
     /// Every event's time, expanding the step form.
     fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        let (mut at, step, time): (u64, &[u32], &[u64]) = match self {
-            Times::Steps { first, step, .. } => (*first, step, &[]),
-            Times::Each { time, .. } => (0, &[], time),
-        };
-        // One exact-length loop for both forms, so `Vec::extend` sizes
-        // its destination once.
-        (0..step.len().max(time.len())).map(move |k| match step.get(k) {
-            Some(&d) => {
-                at += u64::from(d);
-                at
-            }
-            None => time[k],
-        })
+        match self {
+            Times::Steps { first, step, .. } => expand(*first, step.as_slice(), &[][..]),
+            Times::Each { time, .. } => expand(0, &[][..], time.as_slice()),
+        }
     }
+
+    /// [`iter`](Self::iter) spending the run: its storage is freed when
+    /// the iterator is.
+    fn into_times(self) -> impl Iterator<Item = u64> {
+        match self {
+            Times::Steps { first, step, .. } => expand(first, step, Vec::new()),
+            Times::Each { time, .. } => expand(0, Vec::new(), time),
+        }
+    }
+}
+
+/// The times of a step-form run from `first` (`step`) or of a run with
+/// a time per event (`time`); the other one is empty. One exact-length
+/// loop for both forms, so `Vec::extend` sizes its destination once.
+fn expand(
+    mut at: u64,
+    step: impl AsRef<[u32]>,
+    time: impl AsRef<[u64]>,
+) -> impl Iterator<Item = u64> {
+    let n = step.as_ref().len().max(time.as_ref().len());
+    (0..n).map(move |k| match step.as_ref().get(k) {
+        Some(&d) => {
+            at += u64::from(d);
+            at
+        }
+        None => time.as_ref()[k],
+    })
 }
 
 impl Events {
@@ -111,6 +139,28 @@ impl Events {
 
     pub(crate) fn len(&self) -> usize {
         self.code.len()
+    }
+
+    /// Every event in push order: time, core tag, code and parameters.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, u8, EventCode, &[u64])> + '_ {
+        let times = self.times.iter().enumerate();
+        times.map(|(k, t)| {
+            (
+                t,
+                self.times.tag(k),
+                self.code[k],
+                self.dict.get(self.id[k]),
+            )
+        })
+    }
+
+    /// Moves every event `by` ticks later. The caller has checked that
+    /// the latest time plus `by` fits; a step-form run moves in O(1).
+    pub(crate) fn shift(&mut self, by: u64) {
+        match &mut self.times {
+            Times::Steps { first, last, .. } => (*first, *last) = (*first + by, *last + by),
+            Times::Each { time, .. } => time.iter_mut().for_each(|t| *t += by),
+        }
     }
 }
 
@@ -193,9 +243,10 @@ pub(crate) fn upper_bound(
 /// First each run's dictionary is remapped into the store's, in stream
 /// order, one intern per distinct tuple, so the store's ids do not
 /// depend on which executor decoded which stream. Then a core fed by
-/// one run (every SPE stream) is copied as the run stands; only a core
-/// that several runs feed (PPE threads spread over PPE streams) is
-/// sorted.
+/// one run (every SPE stream) is copied as the run stands, and the
+/// run's storage is freed as soon as it is copied, so the store and the
+/// runs not yet placed are never both whole; only a core that several
+/// runs feed (PPE threads spread over PPE streams) is sorted.
 pub(crate) fn place(mut runs: Vec<Run>) -> EventColumns {
     runs.retain(|r| r.ev.len() > 0);
     runs.sort_unstable_by_key(|r| r.stream);
@@ -227,10 +278,11 @@ pub(crate) fn place(mut runs: Vec<Run>) -> EventColumns {
             [] => {}
             // One run is the whole core: copied as it stands.
             [(r, true)] => {
-                let run = &runs[r];
-                let (code, id) = (&run.ev.code, &run.ev.id);
-                let seq = (!run.seq.is_empty()).then_some(run.seq.as_slice());
-                dest.extend_core(tag, run.ev.times.iter(), code, id, seq);
+                let Events {
+                    times, code, id, ..
+                } = std::mem::take(&mut runs[r].ev);
+                let seq = std::mem::take(&mut runs[r].seq);
+                dest.extend_core(tag, code, id, times.into_times(), seq);
             }
             // Several streams feed the core (PPE threads): sort its
             // events by (time, stream_seq, stream).
@@ -238,12 +290,8 @@ pub(crate) fn place(mut runs: Vec<Run>) -> EventColumns {
                 let mut events = Vec::new();
                 for &(r, _) in feed {
                     let run = &runs[r];
-                    let tag_of = |k: usize| match &run.ev.times {
-                        Times::Each { tag, .. } => tag[k],
-                        Times::Steps { tag, .. } => *tag,
-                    };
                     for (k, time) in run.ev.times.iter().enumerate() {
-                        if tag_of(k) == tag {
+                        if run.ev.times.tag(k) == tag {
                             events.push((time, run.seq(k), r, k));
                         }
                     }
@@ -319,10 +367,12 @@ fn decode_v1(
                     continue;
                 }
             };
+            params.clear();
+            params.extend(r.params());
             let (time, tag) = match anchor {
                 None if s.core.is_spe() => continue,
                 None => {
-                    harvest(&r, &mut out.anchors);
+                    harvest(r.code, r.timestamp, &params, &mut out.anchors);
                     (r.timestamp, r.core.tag())
                 }
                 Some(a) => {
@@ -332,8 +382,6 @@ fn decode_v1(
                     (a.run_tb.wrapping_add(elapsed), s.core.tag())
                 }
             };
-            params.clear();
-            params.extend(r.params());
             out.ev.push(time, tag, r.code, &params);
         }
     }
@@ -342,19 +390,35 @@ fn decode_v1(
     Ok(out)
 }
 
-/// Records a `PpeCtxRun` sync anchor unless its SPE already has one.
-fn harvest(r: &pdt::RecordRef<'_>, anchors: &mut Vec<SpeAnchor>) {
-    let (Some(ctx), Some(spe), Some(dec_start)) = (r.param(0), r.param(1), r.param(2)) else {
+/// Records a PPE record's `PpeCtxRun` sync anchor, stamped at `time`,
+/// unless its SPE already has one.
+pub(crate) fn harvest(code: EventCode, time: u64, params: &[u64], anchors: &mut Vec<SpeAnchor>) {
+    let [ctx, spe, dec_start, ..] = *params else {
         return;
     };
-    if r.code == EventCode::PpeCtxRun && !anchors.iter().any(|a| a.spe == spe as u8) {
+    if code == EventCode::PpeCtxRun && !anchors.iter().any(|a| a.spe == spe as u8) {
         anchors.push(SpeAnchor {
             spe: spe as u8,
             ctx: ctx as u32,
-            run_tb: r.timestamp,
+            run_tb: time,
             dec_start: dec_start as u32,
         });
     }
+}
+
+/// The winning anchor per SPE from each stream's harvest, in stream
+/// order: the first in stream order, then record order, as the row
+/// path's harvest picks them. Winners are listed in that order too.
+pub(crate) fn pick_anchors<'a>(
+    per_stream: impl IntoIterator<Item = &'a [SpeAnchor]>,
+) -> Vec<SpeAnchor> {
+    let mut anchors: Vec<SpeAnchor> = Vec::new();
+    for a in per_stream.into_iter().flatten() {
+        if !anchors.iter().any(|b| b.spe == a.spe) {
+            anchors.push(*a);
+        }
+    }
+    anchors
 }
 
 /// The strict policy's error: the first malformed record in stream
@@ -416,15 +480,10 @@ pub(crate) fn ingest(
     };
 
     let mut decoded: Vec<V1Stream> = streams.iter().map(|_| V1Stream::default()).collect();
-    let mut anchors: Vec<SpeAnchor> = Vec::new();
     for (&si, d) in ppe.iter().zip(decode_all(&ppe, &[])?) {
-        for a in &d.anchors {
-            if !anchors.iter().any(|b| b.spe == a.spe) {
-                anchors.push(*a);
-            }
-        }
         decoded[si] = d;
     }
+    let anchors = pick_anchors(decoded.iter().map(|d| d.anchors.as_slice()));
     if strict {
         for s in streams.iter().filter(|s| !s.is_empty()) {
             let TraceCore::Spe(spe) = s.core else {

@@ -26,26 +26,27 @@
 //!
 //! Each path has **two decoders** under it:
 //!
-//! * The **direct-to-columns** decoder, taken by every clean image,
-//!   expands packed payloads straight into
-//!   [`EventColumns`] — per-stream runs laid out core-major,
-//!   parameters interned as they decode — skipping the v1-byte
-//!   reconstruction entirely. The one-shot form harvests
-//!   anchors from the PPE pass, then decodes each anchored SPE stream
-//!   into its own run as one [`crate::exec::map_indexed`] shard; the
-//!   chunked form buffers provisional per-stream runs
-//!   (timestamps still decrementer-relative) and applies each
-//!   stream's anchor offset as its run reaches the finalize merge,
-//!   freeing consumed run segments so peak memory stays near the
-//!   final store size.
+//! * The **direct-to-columns** decoder, taken by every clean image, is
+//!   one per-stream decoder with two drivers. Each block expands
+//!   straight into the stream's [`crate::oneshot`] run (parameters
+//!   interned as they decode), skipping the v1-byte reconstruction;
+//!   SPE records sit at provisional, decrementer-relative times, since
+//!   their anchor may arrive after them. One finish step then picks the
+//!   anchor winners, shifts each anchored SPE run onto the global
+//!   timeline in O(1) and lays the runs out core-major with the one-shot
+//!   placement, which frees each run as it is copied. The one-shot
+//!   driver decodes each stream as one [`crate::exec::map_indexed`]
+//!   shard; the chunked driver decodes blocks as they arrive and runs
+//!   the finish step at completion. There is no merge on either path.
 //! * The **v1-roundtrip** decoder re-encodes clean runs canonically,
 //!   carries gap bytes verbatim, and feeds the reconstructed v1
 //!   record bytes through [`IngestSession`] — the oracle the direct
 //!   decoder is differentialed against, and the fallback both paths
 //!   demote to on *any* structural damage (bad prefix, CRC failure,
-//!   short region, truncation) or on a mid-stream
-//!   [`V2Ingest::snapshot`]. A demotion replays everything already
-//!   decoded, so degraded images keep exact roundtrip semantics.
+//!   short region, truncation), on a run that would wrap past
+//!   `u64::MAX`, or on a mid-stream [`V2Ingest::snapshot`]. A chunked
+//!   demotion replays the direct runs decoded so far, so degraded images
+//!   keep exact roundtrip semantics.
 //!   Blocks arrive region by region, so the session sees the streams
 //!   end to end, as it sees a growing `.pdt`: each closed stream merges
 //!   into its base and the open one is an overlay. It is told the
@@ -58,7 +59,6 @@
 //! `tests/v2_differential.rs` pin products *and* [`CodecStats`] on
 //! every golden.
 
-use std::collections::VecDeque;
 use std::fs::File;
 use std::io;
 use std::os::unix::fs::FileExt;
@@ -69,13 +69,13 @@ use pdt::v2::{
     BlockKind, BlockPrefix, CodecStats, ColumnBatch, V2Error, V2File, FLAG_GAP, FLAG_UNPLACED,
     MAGIC2, PREFIX_BYTES, VERSION2,
 };
-use pdt::{EventCode, TraceCore, TraceHeader, TraceRecord, VERSION};
+use pdt::{TraceCore, TraceHeader, TraceRecord, VERSION};
 
 use crate::analyze::{GlobalEvent, SpeAnchor};
-use crate::columns::{ColumnarTrace, EventColumns};
+use crate::columns::ColumnarTrace;
 use crate::exec::{self, Parallelism};
 use crate::loss::{LossReport, StreamLoss};
-use crate::oneshot::{place, upper_bound, Events, Run};
+use crate::oneshot::{harvest, pick_anchors, place, Events, Run};
 use crate::session::Analysis;
 use crate::stream::{IngestSession, StreamId};
 
@@ -300,100 +300,34 @@ impl<'a> V2Trace<'a> {
     }
 
     /// The direct-to-columns fast path: validates the whole container,
-    /// then decodes packed payloads straight into the slim columnar
-    /// store — per-stream runs, placed on the global timeline as they
-    /// decode (the SPE streams in parallel under `par`), laid out by the
-    /// one-shot placement. Returns
-    /// `None` on any damage or disorder; the caller falls back to the
-    /// roundtrip reader, which re-reads from scratch (the partial
-    /// direct output is discarded, so degraded images cost one wasted
-    /// validation pass, never wrong output).
+    /// decodes every stream as one [`exec::map_indexed`] shard under
+    /// `par` (SPE times stay provisional until the finish step, so no
+    /// stream waits on another's anchors) and lays the runs out with
+    /// the one-shot placement. Returns `None` on any damage or disorder,
+    /// or when an anchored run would wrap; the caller falls back to the
+    /// roundtrip reader, which re-reads from scratch (the partial direct
+    /// output is discarded, so degraded images cost one wasted pass,
+    /// never wrong output).
     fn analyze_direct(&self, par: Parallelism) -> Option<(Arc<Analysis>, CodecStats)> {
-        let mut stats = CodecStats::default();
         let clean = validate_clean(&self.file)?;
         let streams = &self.file.streams;
-
-        // Pass 1: PPE streams decode fully up front — the anchor
-        // harvest must see every candidate before any SPE record can
-        // be placed.
-        let mut cands: Vec<DirectCand> = Vec::new();
-        let mut runs: Vec<Run> = Vec::new();
-        for (si, meta) in streams.iter().enumerate() {
-            if meta.core.is_spe() {
-                continue;
+        let shards = exec::map_indexed(par, streams.len(), |si| {
+            let mut st = StreamDecode::new(streams[si].core, streams[si].dropped);
+            let (mut batch, mut stats) = (ColumnBatch::default(), CodecStats::default());
+            for (prefix, payload) in &clean[si] {
+                st.emit(prefix, payload, &mut batch, &mut stats)?;
             }
-            let run = decode_ppe_run(si, &clean[si], &mut cands, &mut stats)?;
-            runs.push(Run::new(si, run));
-        }
-
-        // Winner per SPE number: the candidate at the smallest
-        // (stream, record) position — exactly the first one the
-        // one-shot harvest encounters. Anchors are reported in
-        // candidate-position order.
-        let mut best: Vec<DirectCand> = Vec::new();
-        for c in &cands {
-            match best.iter_mut().find(|b| b.anchor.spe == c.anchor.spe) {
-                Some(b) => {
-                    if (c.stream, c.rec) < (b.stream, b.rec) {
-                        *b = *c;
-                    }
-                }
-                None => best.push(*c),
-            }
-        }
-        best.sort_unstable_by_key(|c| (c.stream, c.rec));
-        let anchors: Vec<SpeAnchor> = best.iter().map(|c| c.anchor).collect();
-        let anchor_of = |core: TraceCore| match core {
-            TraceCore::Spe(spe) => anchors.iter().find(|a| a.spe == spe).copied(),
-            TraceCore::Ppe(_) => None,
-        };
-
-        // Pass 2: each SPE stream is one shard, decoded into its own
-        // run (anchored) or for the codec counters only (unanchored —
-        // the roundtrip reader also decodes their blocks before
-        // discarding the events).
-        let spes: Vec<usize> = (0..streams.len())
-            .filter(|&si| streams[si].core.is_spe())
-            .collect();
-        let shards = exec::map_indexed(par, spes.len(), |i| {
-            let (si, mut stats) = (spes[i], CodecStats::default());
-            let run = match anchor_of(streams[si].core) {
-                Some(a) => Some(decode_spe_run(&clean[si], streams[si].core, a, &mut stats)?),
-                None => {
-                    decode_discard(&clean[si], &mut stats)?;
-                    None
-                }
-            };
-            Some((run, stats))
+            Some((st, stats))
         });
-        for (&si, shard) in spes.iter().zip(shards) {
-            let (run, shard_stats) = shard?;
+        let mut stats = CodecStats::default();
+        let mut decoded = Vec::with_capacity(streams.len());
+        for shard in shards {
+            let (st, shard_stats) = shard?;
             stats.merge(&shard_stats);
-            runs.extend(run.map(|ev| Run::new(si, ev)));
+            decoded.push(st);
         }
-
-        let losses = streams
-            .iter()
-            .zip(&clean)
-            .map(|(meta, cs)| StreamLoss {
-                core: meta.core,
-                decoded_records: cs.records,
-                tracer_dropped: meta.dropped,
-                gaps: Vec::new(),
-                unanchored: meta.core.is_spe() && anchor_of(meta.core).is_none() && cs.records > 0,
-            })
-            .collect();
-
-        // The shared one-shot placement; its stream-index tie-break is
-        // the merge order of the session the roundtrip reader replays
-        // through.
-        let mut trace = ColumnarTrace::empty(self.file.header).with_events(place(runs));
-        trace.anchors = anchors;
-        trace.dropped = streams.iter().map(|m| m.dropped).sum();
-        trace.set_ctx_names(&self.file.ctx_names);
-        let loss = LossReport { streams: losses };
-        let analysis = Analysis::from_shared(Arc::new(trace), loss, par);
-        Some((Arc::new(analysis), stats))
+        let analysis = finish_direct(self.file.header, &mut decoded, &self.file.ctx_names, par)?;
+        Some((analysis, stats))
     }
 
     /// Events whose reconstructed global time falls in the half-open
@@ -538,29 +472,26 @@ fn place_block_events(
 }
 
 // ---------------------------------------------------------------------
-// Direct-to-columns decode (shared by the one-shot and chunked paths).
+// Direct-to-columns decode: one per-stream decoder, one finish step,
+// driven by the one-shot and the chunked reader alike.
 // ---------------------------------------------------------------------
 
-/// One stream's validated block list for the direct path: every inline
-/// prefix agreed with its CRC-protected footer entry, every payload
-/// CRC held, every block is packed (no gap stand-ins), and the raw
-/// lengths sum to exactly what the stream header promised — the
-/// preconditions under which the roundtrip reader would decode every
-/// block cleanly with empty loss.
-struct CleanStream<'a> {
-    blocks: Vec<(BlockPrefix, &'a [u8])>,
-    /// Total records promised by the prefixes (= decoded, when clean).
-    records: u64,
-}
+/// One stream's blocks, in region order.
+type Blocks<'a> = Vec<(BlockPrefix, &'a [u8])>;
 
-/// Validates the whole container for the direct path. `None` means
-/// some stream carries damage (or gap blocks) and the image must take
-/// the roundtrip reader so degradation semantics stay identical.
-fn validate_clean<'a>(file: &V2File<'a>) -> Option<Vec<CleanStream<'a>>> {
+/// Validates the whole container for the one-shot direct driver: every
+/// inline prefix agrees with its CRC-protected footer entry, no block
+/// is a gap stand-in, and the raw lengths sum to exactly what the
+/// stream header promised. Together with the checks of
+/// [`StreamDecode::emit`] (kind, payload CRC, decode, raw length) these
+/// are the preconditions under which the roundtrip reader would decode
+/// every block cleanly with empty loss. `None` means some stream
+/// carries damage (or gap blocks) and the image must take the roundtrip
+/// reader so degradation semantics stay identical.
+fn validate_clean<'a>(file: &V2File<'a>) -> Option<Vec<Blocks<'a>>> {
     let mut out = Vec::with_capacity(file.streams.len());
     for (si, meta) in file.streams.iter().enumerate() {
-        let mut blocks: Vec<(BlockPrefix, &'a [u8])> = Vec::with_capacity(meta.n_blocks as usize);
-        let mut records = 0u64;
+        let mut blocks: Blocks<'a> = Vec::with_capacity(meta.n_blocks as usize);
         let mut raw_sum = 0u64;
         for item in file.blocks(si) {
             let (prefix, payload) = item.ok()?;
@@ -569,14 +500,9 @@ fn validate_clean<'a>(file: &V2File<'a>) -> Option<Vec<CleanStream<'a>>> {
                 return None;
             }
             let entry = file.entry(si, bi).ok()?;
-            if !entry_matches(&entry, &prefix)
-                || entry.flags & FLAG_GAP != 0
-                || prefix.kind != BlockKind::Packed
-                || crc32(payload) != prefix.payload_crc
-            {
+            if !entry_matches(&entry, &prefix) || entry.flags & FLAG_GAP != 0 {
                 return None;
             }
-            records += u64::from(prefix.n_records);
             raw_sum += u64::from(prefix.raw_len);
             blocks.push((prefix, payload));
         }
@@ -585,205 +511,219 @@ fn validate_clean<'a>(file: &V2File<'a>) -> Option<Vec<CleanStream<'a>>> {
         {
             return None;
         }
-        out.push(CleanStream { blocks, records });
+        out.push(blocks);
     }
     Some(out)
 }
 
-/// A sync-anchor candidate harvested by the direct path: a
-/// `PpeCtxRun` record at `(stream, rec)`, mirroring the session's
-/// incremental harvest.
-#[derive(Debug, Clone, Copy)]
-struct DirectCand {
-    stream: usize,
-    rec: u64,
-    anchor: SpeAnchor,
-}
-
-/// Decodes one clean PPE stream for an eager run, harvesting anchor
-/// candidates along the way. `None` when a payload fails to decode,
-/// its raw length disagrees with the prefix, or the stream's sort
-/// keys are not non-decreasing (corrupt-ish input the session would
-/// handle by sorting — the roundtrip reader takes over).
-fn decode_ppe_run(
-    si: usize,
-    cs: &CleanStream<'_>,
-    cands: &mut Vec<DirectCand>,
-    stats: &mut CodecStats,
-) -> Option<Events> {
-    let mut run = Events::default();
-    let mut batch = ColumnBatch::default();
-    let mut last = (0u64, 0u8);
-    for (prefix, payload) in &cs.blocks {
-        decode_block(prefix, payload, &mut batch, stats)?;
-        for k in 0..batch.len() {
-            let t = batch.timestamps[k];
-            let g = batch.tags[k];
-            if (t, g) < last {
-                return None;
-            }
-            last = (t, g);
-            let params = batch.params_of(k);
-            if batch.codes[k] == EventCode::PpeCtxRun && params.len() >= 3 {
-                cands.push(DirectCand {
-                    stream: si,
-                    rec: run.len() as u64,
-                    anchor: SpeAnchor {
-                        spe: params[1] as u8,
-                        ctx: params[0] as u32,
-                        run_tb: t,
-                        dec_start: params[2] as u32,
-                    },
-                });
-            }
-            run.push(t, g, batch.codes[k], params);
-        }
-    }
-    Some(run)
-}
-
-/// Decodes every block of an unanchored stream purely for the codec
-/// counters — the roundtrip reader decodes them too before the
-/// session discards the unplaceable events.
-fn decode_discard(cs: &CleanStream<'_>, stats: &mut CodecStats) -> Option<()> {
-    let mut batch = ColumnBatch::default();
-    for (prefix, payload) in &cs.blocks {
-        decode_block(prefix, payload, &mut batch, stats)?;
-    }
-    Some(())
-}
-
-/// Decodes one clean block into `batch` and accounts it, enforcing the
-/// prefix's raw-length claim (the roundtrip reader re-encodes and
-/// compares; the columnar batch computes the same total from counts).
-fn decode_block(
-    prefix: &BlockPrefix,
-    payload: &[u8],
-    batch: &mut ColumnBatch,
-    stats: &mut CodecStats,
-) -> Option<()> {
-    decode_packed_columns(payload, prefix.n_records, batch).ok()?;
-    if batch.raw_len() != u64::from(prefix.raw_len) {
-        return None;
-    }
-    stats.blocks_decoded += 1;
-    stats.records_decoded += u64::from(prefix.n_records);
-    stats.payload_bytes_read += payload.len() as u64;
-    stats.raw_bytes_out += u64::from(prefix.raw_len);
-    Some(())
-}
-
-/// Decodes one clean, anchored SPE stream into a run placed from
-/// `anchor`. `None` on decode damage or a time wrap: a wrap would land
-/// events out of order, which the session absorbs by sorting, so such
-/// traces take the roundtrip reader.
-fn decode_spe_run(
-    cs: &CleanStream<'_>,
-    core: TraceCore,
-    anchor: SpeAnchor,
-    stats: &mut CodecStats,
-) -> Option<Events> {
-    let mut run = Events::default();
-    let mut batch = ColumnBatch::default();
-    let (mut elapsed, mut prev_dec) = (0u64, anchor.dec_start);
-    for (prefix, payload) in &cs.blocks {
-        decode_block(prefix, payload, &mut batch, stats)?;
-        for k in 0..batch.len() {
-            let dec = batch.timestamps[k] as u32;
-            elapsed += u64::from(prev_dec.wrapping_sub(dec));
-            prev_dec = dec;
-            let t = anchor.run_tb.checked_add(elapsed)?;
-            run.push(t, core.tag(), batch.codes[k], batch.params_of(k));
-        }
-    }
-    Some(run)
-}
-
-// ---------------------------------------------------------------------
-// Direct-to-columns backend of the chunked reader.
-// ---------------------------------------------------------------------
-
-/// Events per run segment (1M: 8 MiB of times + 8 MiB of meta words).
-/// Segments are dropped one by one as the finalize merge consumes
-/// them, so the resident overlap of run storage and the destination
-/// columns stays bounded at the 100M-event point.
-const SEG_EVENTS: usize = 1 << 20;
-
-/// Records per replayed v1 append when demoting to the session.
-const REPLAY_BATCH: usize = 4096;
-
-/// One segment of a decoded per-stream run: provisional times plus a
-/// packed meta word per record (`id << 32 | tag << 16 | code`), and
-/// the records' stream positions once a PPE run is split by thread
-/// (empty while record `k` of the run is at position `k`).
-#[derive(Debug, Default)]
-struct RunSeg {
-    time: Vec<u64>,
-    meta: Vec<u64>,
-    seq: Vec<u64>,
-}
-
-/// Packs a record's dictionary id, core tag and code into one word.
-fn pack_meta(id: u32, tag: u8, code: EventCode) -> u64 {
-    (u64::from(id) << 32) | (u64::from(tag) << 16) | u64::from(code.raw())
-}
-
-/// Appends one record to a segmented run.
-fn push_run(segs: &mut VecDeque<RunSeg>, time: u64, meta: u64) {
-    if segs.back().is_none_or(|s| s.time.len() == SEG_EVENTS) {
-        segs.push_back(RunSeg {
-            time: Vec::with_capacity(SEG_EVENTS),
-            meta: Vec::with_capacity(SEG_EVENTS),
-            seq: Vec::new(),
-        });
-    }
-    let seg = segs.back_mut().expect("segment present");
-    seg.time.push(time);
-    seg.meta.push(meta);
-}
-
-/// One stream accumulating in the chunked direct backend.
+/// One stream decoding straight into an [`Events`] run, with its
+/// parameters interned as they arrive.
 ///
-/// PPE records store their own timestamps; SPE records store the
-/// *provisional* elapsed time `Σ dec deltas` from the stream's first
-/// record — the anchor (which may arrive after the SPE data) only
-/// shifts the whole run by a constant, applied during the finalize
-/// merge. That keeps ingest single-pass while matching the session's
-/// `run_tb + elapsed` placement exactly.
+/// PPE records keep their own timestamps. SPE records are pushed at
+/// their *provisional* elapsed time, `Σ dec deltas` since the stream's
+/// first record, in the 4-byte step form: the anchor that places them
+/// may arrive after the SPE data, and it only shifts the whole run by a
+/// constant, which [`finish_direct`] applies. That matches the
+/// session's `run_tb + elapsed` placement exactly.
 #[derive(Debug)]
-struct DStream {
+struct StreamDecode {
     core: TraceCore,
     dropped: u64,
-    /// Block region fully consumed (stream closed in stream order).
-    closed: bool,
-    segs: VecDeque<RunSeg>,
-    /// Records decoded into this stream.
-    records: u64,
+    ev: Events,
     /// First record's decrementer value (SPE streams).
     first_dec: u32,
     /// Previous record's decrementer value (SPE streams).
     prev_dec: u32,
-    /// Provisional elapsed ticks since the first record (SPE streams).
+    /// Provisional elapsed ticks of the latest record (SPE streams).
     elapsed: u64,
     /// Last `(time, tag)` sort key (PPE order validation).
     last: (u64, u8),
+    /// The sync anchors this stream carries, first per SPE.
+    anchors: Vec<SpeAnchor>,
 }
 
-/// The chunked reader's fast path: blocks decode straight into
-/// segmented per-stream runs with parameters interned on the fly, and
-/// [`finalize`](DirectIngest::finalize) merges the runs core by core
-/// into the columnar store. Any damage demotes the whole reader to the session
-/// backend via [`into_session`](DirectIngest::into_session), which
-/// replays every decoded record as v1 bytes — so degraded images get
-/// the exact roundtrip semantics at the cost of the replay.
+impl StreamDecode {
+    fn new(core: TraceCore, dropped: u64) -> Self {
+        StreamDecode {
+            core,
+            dropped,
+            ev: Events::default(),
+            first_dec: 0,
+            prev_dec: 0,
+            elapsed: 0,
+            last: (0, 0),
+            anchors: Vec::new(),
+        }
+    }
+
+    /// Decodes one block (through `batch`) onto the run and accounts
+    /// it. `None` when the block is not a cleanly decodable packed block
+    /// (wrong kind, failed CRC, undecodable payload, a raw length other
+    /// than the prefix's) or a PPE block's sort keys go backwards, which
+    /// the session would handle by sorting. Then nothing was appended or
+    /// accounted, so the chunked driver can demote and re-dispatch the
+    /// same block through the session.
+    fn emit(
+        &mut self,
+        prefix: &BlockPrefix,
+        payload: &[u8],
+        batch: &mut ColumnBatch,
+        stats: &mut CodecStats,
+    ) -> Option<()> {
+        if prefix.kind != BlockKind::Packed || crc32(payload) != prefix.payload_crc {
+            return None;
+        }
+        decode_packed_columns(payload, prefix.n_records, batch).ok()?;
+        if batch.raw_len() != u64::from(prefix.raw_len) {
+            return None;
+        }
+        if self.core.is_spe() {
+            for k in 0..batch.len() {
+                let dec = batch.timestamps[k] as u32;
+                if self.ev.len() == 0 {
+                    (self.first_dec, self.prev_dec) = (dec, dec);
+                }
+                self.elapsed += u64::from(self.prev_dec.wrapping_sub(dec));
+                self.prev_dec = dec;
+                let (code, params) = (batch.codes[k], batch.params_of(k));
+                self.ev.push(self.elapsed, self.core.tag(), code, params);
+            }
+        } else {
+            // Validate order across the whole block before appending
+            // anything: a failed block must leave no partial records
+            // behind, or the demote replay would double them.
+            let mut last = self.last;
+            for k in 0..batch.len() {
+                let key = (batch.timestamps[k], batch.tags[k]);
+                if key < last {
+                    return None;
+                }
+                last = key;
+            }
+            self.last = last;
+            for k in 0..batch.len() {
+                let (t, code, params) = (batch.timestamps[k], batch.codes[k], batch.params_of(k));
+                harvest(code, t, params, &mut self.anchors);
+                self.ev.push(t, batch.tags[k], code, params);
+            }
+        }
+        stats.blocks_decoded += 1;
+        stats.records_decoded += u64::from(prefix.n_records);
+        stats.payload_bytes_read += payload.len() as u64;
+        stats.raw_bytes_out += u64::from(prefix.raw_len);
+        Some(())
+    }
+
+    /// Replays the decoded records into `session` stream `id` as
+    /// re-encoded v1 bytes. SPE decrementer values come back exactly
+    /// from the provisional times: each delta fits u32, so
+    /// `first_dec - elapsed` recovers their low 32 bits, all the session
+    /// reads. Re-encoded lengths equal the prefixes' raw lengths, so
+    /// loss accounting and byte counters agree too.
+    fn replay(&self, session: &mut IngestSession, id: StreamId) {
+        let mut recs: Vec<TraceRecord> = Vec::with_capacity(REPLAY_BATCH);
+        for (time, tag, code, params) in self.ev.iter() {
+            let (core, timestamp) = match self.core {
+                TraceCore::Spe(_) => (
+                    self.core,
+                    u64::from(self.first_dec.wrapping_sub(time as u32)),
+                ),
+                TraceCore::Ppe(_) => (TraceCore::from_tag(tag), time),
+            };
+            recs.push(TraceRecord {
+                core,
+                code,
+                timestamp,
+                params: params.to_vec(),
+            });
+            if recs.len() == REPLAY_BATCH {
+                session.append(id, &records_to_bytes(&recs));
+                recs.clear();
+            }
+        }
+        if !recs.is_empty() {
+            session.append(id, &records_to_bytes(&recs));
+        }
+    }
+}
+
+/// The finish step both direct drivers share: picks the anchor winners,
+/// moves each anchored SPE run onto the global timeline, drops the
+/// unanchored ones (the session discards their events too), builds the
+/// loss rows and lays the runs out through [`place`].
+///
+/// An anchored SPE run's true time is `offset + provisional elapsed`
+/// with `offset = run_tb + (dec_start - first_dec)`. `None` when the
+/// offset, or its sum with the run's last (largest) elapsed value,
+/// overflows u64: placement would wrap where the session sorts, so the
+/// caller takes its fallback. Every offset is checked before any run is
+/// consumed, so on `None` the runs stand as decoded.
+fn finish_direct(
+    header: TraceHeader,
+    streams: &mut [StreamDecode],
+    names: &[(u32, String)],
+    par: Parallelism,
+) -> Option<Arc<Analysis>> {
+    let anchors = pick_anchors(streams.iter().map(|st| st.anchors.as_slice()));
+    // Per stream, the shift onto the global timeline; `None` for an
+    // unanchored SPE stream.
+    let mut offsets: Vec<Option<u64>> = Vec::with_capacity(streams.len());
+    for st in streams.iter() {
+        offsets.push(match st.core {
+            TraceCore::Ppe(_) => Some(0),
+            TraceCore::Spe(spe) => match anchors.iter().find(|a| a.spe == spe) {
+                Some(a) => {
+                    let diff = u64::from(a.dec_start.wrapping_sub(st.first_dec));
+                    let offset = a.run_tb.checked_add(diff)?;
+                    offset.checked_add(st.elapsed)?;
+                    Some(offset)
+                }
+                None => None,
+            },
+        });
+    }
+
+    let mut runs = Vec::with_capacity(streams.len());
+    let mut losses = Vec::with_capacity(streams.len());
+    for (si, (st, offset)) in streams.iter_mut().zip(offsets).enumerate() {
+        let mut ev = std::mem::take(&mut st.ev);
+        losses.push(StreamLoss {
+            core: st.core,
+            decoded_records: ev.len() as u64,
+            tracer_dropped: st.dropped,
+            gaps: Vec::new(),
+            unanchored: offset.is_none() && ev.len() > 0,
+        });
+        if let Some(offset) = offset {
+            ev.shift(offset);
+            runs.push(Run::new(si, ev));
+        }
+    }
+    // The shared one-shot placement; its stream-index tie-break is the
+    // merge order of the session the roundtrip reader replays through.
+    let mut trace = ColumnarTrace::empty(header).with_events(place(runs));
+    trace.anchors = anchors;
+    trace.dropped = streams.iter().map(|st| st.dropped).sum();
+    trace.set_ctx_names(names);
+    let loss = LossReport { streams: losses };
+    Some(Arc::new(Analysis::from_shared(Arc::new(trace), loss, par)))
+}
+
+/// Records per replayed v1 append when demoting to the session.
+const REPLAY_BATCH: usize = 4096;
+
+/// The chunked reader's direct backend: each block decodes through its
+/// stream's [`StreamDecode`] as it arrives, and [`finish_direct`] places
+/// the runs at completion. Any damage demotes the whole reader to the
+/// session backend via [`into_session`](DirectIngest::into_session),
+/// which replays every decoded record as v1 bytes, so degraded images
+/// get the exact roundtrip semantics at the cost of the replay.
 #[derive(Debug)]
 struct DirectIngest {
     header: TraceHeader,
-    streams: Vec<DStream>,
-    cands: Vec<DirectCand>,
-    /// Destination columns; only the parameter dictionary is touched
-    /// before the finalize merge appends the events.
-    dest: EventColumns,
+    streams: Vec<StreamDecode>,
+    /// Streams whose block region has ended (they end in add order).
+    closed: usize,
     batch: ColumnBatch,
     result: Option<Arc<Analysis>>,
 }
@@ -793,411 +733,29 @@ impl DirectIngest {
         DirectIngest {
             header,
             streams: Vec::new(),
-            cands: Vec::new(),
-            dest: EventColumns::with_capacity(0),
+            closed: 0,
             batch: ColumnBatch::default(),
             result: None,
         }
     }
 
-    fn add_stream(&mut self, core: TraceCore, dropped: u64) -> usize {
-        self.streams.push(DStream {
-            core,
-            dropped,
-            closed: false,
-            segs: VecDeque::new(),
-            records: 0,
-            first_dec: 0,
-            prev_dec: 0,
-            elapsed: 0,
-            last: (0, 0),
-        });
-        self.streams.len() - 1
-    }
-
-    /// Decodes one block into stream `idx`'s run. `Err` means the
-    /// block is not a cleanly decodable packed block (or PPE keys went
-    /// backwards) — nothing was appended or accounted, so the caller
-    /// can demote and re-dispatch the same block through the session.
-    fn emit(
-        &mut self,
-        idx: usize,
-        prefix: &BlockPrefix,
-        payload: &[u8],
-        raw_left: &mut u64,
-        stats: &mut CodecStats,
-    ) -> Result<(), ()> {
-        if prefix.kind != BlockKind::Packed || crc32(payload) != prefix.payload_crc {
-            return Err(());
-        }
-        decode_packed_columns(payload, prefix.n_records, &mut self.batch).map_err(|_| ())?;
-        if self.batch.raw_len() != u64::from(prefix.raw_len) {
-            return Err(());
-        }
-        let DirectIngest {
-            streams,
-            cands,
-            dest,
-            batch,
-            ..
-        } = self;
-        let st = &mut streams[idx];
-        if st.core.is_spe() {
-            for k in 0..batch.len() {
-                let dec = batch.timestamps[k] as u32;
-                if st.records == 0 && k == 0 {
-                    st.first_dec = dec;
-                } else {
-                    st.elapsed += u64::from(st.prev_dec.wrapping_sub(dec));
-                }
-                st.prev_dec = dec;
-                let id = dest.intern_params(batch.params_of(k));
-                push_run(&mut st.segs, st.elapsed, pack_meta(id, 0, batch.codes[k]));
-            }
-        } else {
-            // Validate order across the whole block before appending
-            // anything: a failed block must leave no partial records
-            // behind, or the demote replay would double them.
-            let mut last = st.last;
-            for k in 0..batch.len() {
-                let key = (batch.timestamps[k], batch.tags[k]);
-                if key < last {
-                    return Err(());
-                }
-                last = key;
-            }
-            st.last = last;
-            for k in 0..batch.len() {
-                let t = batch.timestamps[k];
-                let params = batch.params_of(k);
-                if batch.codes[k] == EventCode::PpeCtxRun && params.len() >= 3 {
-                    cands.push(DirectCand {
-                        stream: idx,
-                        rec: st.records + k as u64,
-                        anchor: SpeAnchor {
-                            spe: params[1] as u8,
-                            ctx: params[0] as u32,
-                            run_tb: t,
-                            dec_start: params[2] as u32,
-                        },
-                    });
-                }
-                let id = dest.intern_params(params);
-                push_run(
-                    &mut st.segs,
-                    t,
-                    pack_meta(id, batch.tags[k], batch.codes[k]),
-                );
-            }
-        }
-        st.records += u64::from(prefix.n_records);
-        stats.blocks_decoded += 1;
-        stats.records_decoded += u64::from(prefix.n_records);
-        stats.payload_bytes_read += payload.len() as u64;
-        stats.raw_bytes_out += u64::from(prefix.raw_len);
-        *raw_left = raw_left.saturating_sub(u64::from(prefix.raw_len));
-        Ok(())
-    }
-
-    /// Demotes to the session backend: replays every decoded record as
-    /// re-encoded v1 bytes through a fresh session of `streams` streams
-    /// (those registered here plus the headers still to come), closing
-    /// streams whose regions already ended. Analysis output is identical to
-    /// having streamed the image through the session from the start —
-    /// SPE decrementer values reconstruct exactly from the provisional
-    /// elapsed deltas, and re-encoded lengths equal the prefixes' raw
-    /// lengths, so loss accounting and byte counters agree too.
+    /// Demotes to the session backend: replays every decoded record
+    /// through a fresh session of `streams` streams (those registered
+    /// here plus the headers still to come), closing streams whose
+    /// regions already ended. Analysis output is identical to having
+    /// streamed the image through the session from the start.
     fn into_session(self, streams: usize, par: Parallelism) -> (IngestSession, Vec<StreamId>) {
         let mut session = IngestSession::new(self.header, streams).with_parallelism(par);
         let mut ids = Vec::with_capacity(self.streams.len());
-        let dest = self.dest;
-        for st in self.streams {
+        for (si, st) in self.streams.into_iter().enumerate() {
             let id = session.add_stream(st.core, st.dropped);
             ids.push(id);
-            let spe = st.core.is_spe();
-            let mut prev_dec = st.first_dec;
-            let mut prev_time = 0u64;
-            let mut recs: Vec<TraceRecord> = Vec::with_capacity(REPLAY_BATCH);
-            for seg in st.segs {
-                for k in 0..seg.time.len() {
-                    let m = seg.meta[k];
-                    let code = EventCode::from_raw(m as u16).expect("meta holds a valid code");
-                    let params = dest.dict_params((m >> 32) as u32).to_vec();
-                    let (core, timestamp) = if spe {
-                        // Invert the provisional placement: each delta
-                        // fits u32, so the original decrementer values
-                        // (their low 32 bits — all the session reads)
-                        // come back exactly.
-                        let dec = prev_dec.wrapping_sub((seg.time[k] - prev_time) as u32);
-                        prev_time = seg.time[k];
-                        prev_dec = dec;
-                        (st.core, u64::from(dec))
-                    } else {
-                        (TraceCore::from_tag((m >> 16) as u8), seg.time[k])
-                    };
-                    recs.push(TraceRecord {
-                        core,
-                        code,
-                        timestamp,
-                        params,
-                    });
-                    if recs.len() == REPLAY_BATCH {
-                        session.append(id, &records_to_bytes(&recs));
-                        recs.clear();
-                    }
-                }
-                // `seg` drops here: replay frees run storage as it goes.
-            }
-            if !recs.is_empty() {
-                session.append(id, &records_to_bytes(&recs));
-            }
-            if st.closed {
+            st.replay(&mut session, id);
+            if si < self.closed {
                 session.close_stream(id);
             }
         }
         (session, ids)
-    }
-
-    /// Merges the accumulated runs into the columnar store and builds
-    /// the analysis. `Err` (decrementer arithmetic would overflow the
-    /// session's unchecked `run_tb + elapsed`, or the event count
-    /// exceeds the address space) leaves every run intact so the
-    /// caller can demote and replay instead.
-    fn finalize(&mut self, names: &[(u32, String)], par: Parallelism) -> Result<(), ()> {
-        // Anchor winners, as the session harvest would pick them: the
-        // candidate at the smallest (stream, record) position per SPE,
-        // reported in candidate-position order.
-        let mut best: Vec<DirectCand> = Vec::new();
-        for c in &self.cands {
-            match best.iter_mut().find(|b| b.anchor.spe == c.anchor.spe) {
-                Some(b) => {
-                    if (c.stream, c.rec) < (b.stream, b.rec) {
-                        *b = *c;
-                    }
-                }
-                None => best.push(*c),
-            }
-        }
-        best.sort_unstable_by_key(|c| (c.stream, c.rec));
-        let anchors: Vec<SpeAnchor> = best.iter().map(|c| c.anchor).collect();
-
-        // Pass 1 (fallible, mutation-free): per-stream placement
-        // offsets. An anchored SPE run's true time is
-        // `offset + provisional elapsed` with
-        // `offset = run_tb + (dec_start - first_dec)`; both the offset
-        // and its sum with the run's last (largest) elapsed value must
-        // fit u64, or placement would wrap where the session sorts —
-        // fall back before any run is consumed.
-        let mut offsets: Vec<Option<u64>> = Vec::with_capacity(self.streams.len());
-        let mut placed_total: u64 = 0;
-        for st in &self.streams {
-            let offset = if let TraceCore::Spe(spe) = st.core {
-                match best.iter().find(|c| c.anchor.spe == spe) {
-                    Some(c) => {
-                        let diff = u64::from(c.anchor.dec_start.wrapping_sub(st.first_dec));
-                        let offset = c.anchor.run_tb.checked_add(diff).ok_or(())?;
-                        if let Some(last) = st.segs.back().and_then(|s| s.time.last()) {
-                            offset.checked_add(*last).ok_or(())?;
-                        }
-                        placed_total += st.records;
-                        Some(offset)
-                    }
-                    None => None,
-                }
-            } else {
-                placed_total += st.records;
-                Some(0)
-            };
-            offsets.push(offset);
-        }
-        let total = usize::try_from(placed_total).map_err(|_| ())?;
-
-        // Pass 2: loss rows in stream order; live streams become merge
-        // cursors, one per core (a PPE stream's threads split apart),
-        // and unanchored runs are freed (their events are unplaceable —
-        // the session discards them too).
-        let mut losses: Vec<StreamLoss> = Vec::with_capacity(self.streams.len());
-        let mut cursors: Vec<ChunkCursor> = Vec::new();
-        for (si, st) in self.streams.iter_mut().enumerate() {
-            let mut unanchored = false;
-            match offsets[si] {
-                Some(_) if st.records == 0 => {}
-                Some(_) if !st.core.is_spe() => {
-                    cursors.extend(split_ppe_run(si, std::mem::take(&mut st.segs)));
-                }
-                Some(offset) => {
-                    let mut c = ChunkCursor {
-                        stream: si,
-                        tag: st.core.tag(),
-                        offset,
-                        segs: std::mem::take(&mut st.segs),
-                        pos: 0,
-                        seq_base: 0,
-                    };
-                    c.apply_offset();
-                    cursors.push(c);
-                }
-                None => {
-                    unanchored = st.records > 0;
-                    st.segs = VecDeque::new();
-                }
-            }
-            losses.push(StreamLoss {
-                core: st.core,
-                decoded_records: st.records,
-                tracer_dropped: st.dropped,
-                gaps: Vec::new(),
-                unanchored,
-            });
-        }
-
-        // K-way galloping merge into core-major order: keys are
-        // `(core tag, time, stream_seq)`, ties broken by stream as the
-        // one-shot placement breaks them. The minimum cursor
-        // bulk-appends everything sorting strictly below the runner-up
-        // head, so a core fed by one stream is one bulk append.
-        let mut events = std::mem::take(&mut self.dest);
-        events.reserve_events(total);
-        while cursors.len() > 1 {
-            let mut mi = 0;
-            let mut mk = (cursors[0].head(), cursors[0].stream);
-            let mut second: Option<((u8, u64, u64), usize)> = None;
-            for (j, c) in cursors.iter().enumerate().skip(1) {
-                let k = (c.head(), c.stream);
-                if k < mk {
-                    second = Some(mk);
-                    mk = k;
-                    mi = j;
-                } else if second.is_none_or(|s| k < s) {
-                    second = Some(k);
-                }
-            }
-            if cursors[mi].advance(second, &mut events) {
-                cursors.swap_remove(mi);
-            }
-        }
-        if let Some(c) = cursors.last_mut() {
-            c.advance(None, &mut events);
-        }
-
-        let mut trace = ColumnarTrace::empty(self.header).with_events(events);
-        trace.anchors = anchors;
-        trace.dropped = self.streams.iter().map(|s| s.dropped).sum();
-        trace.set_ctx_names(names);
-        let loss = LossReport { streams: losses };
-        self.result = Some(Arc::new(Analysis::from_shared(Arc::new(trace), loss, par)));
-        Ok(())
-    }
-}
-
-/// Splits a PPE stream's run into one run per hardware thread, each
-/// event keeping its stream position as an explicit sequence number.
-fn split_ppe_run(stream: usize, segs: VecDeque<RunSeg>) -> Vec<ChunkCursor> {
-    let mut by_tag: Vec<RunSeg> = (0..=u8::MAX).map(|_| RunSeg::default()).collect();
-    let mut seq = 0u64;
-    for seg in segs {
-        for (&time, &meta) in seg.time.iter().zip(&seg.meta) {
-            let run = &mut by_tag[usize::from((meta >> 16) as u8)];
-            run.time.push(time);
-            run.meta.push(meta);
-            run.seq.push(seq);
-            seq += 1;
-        }
-    }
-    (0u8..=u8::MAX)
-        .zip(by_tag)
-        .filter(|(_, run)| !run.time.is_empty())
-        .map(|(tag, run)| ChunkCursor {
-            stream,
-            tag,
-            offset: 0,
-            segs: VecDeque::from([run]),
-            pos: 0,
-            seq_base: 0,
-        })
-        .collect()
-}
-
-/// A finalize-merge cursor over one core's events of one stream's
-/// segmented run.
-#[derive(Debug)]
-struct ChunkCursor {
-    stream: usize,
-    /// The core: an SPE stream's own (the session ignores SPE record
-    /// tags the same way), or one thread of a split PPE run.
-    tag: u8,
-    /// Added to SPE provisional times as each segment becomes front.
-    offset: u64,
-    segs: VecDeque<RunSeg>,
-    pos: usize,
-    /// `stream_seq` of the front segment's first record.
-    seq_base: u64,
-}
-
-impl ChunkCursor {
-    /// Shifts the (new) front segment onto the global timeline. The
-    /// finalize pre-check proved `offset + last elapsed` fits, and
-    /// elapsed values are monotone, so plain adds cannot wrap.
-    fn apply_offset(&mut self) {
-        if self.offset != 0 {
-            if let Some(seg) = self.segs.front_mut() {
-                for t in &mut seg.time {
-                    *t += self.offset;
-                }
-            }
-        }
-    }
-
-    /// The `stream_seq` of the front segment's `k`-th event.
-    fn seq(&self, seg: &RunSeg, k: usize) -> u64 {
-        seg.seq.get(k).map_or(self.seq_base + k as u64, |&s| s)
-    }
-
-    /// The head event's core-major sort key. Live cursors always have
-    /// one: they are built non-empty and removed on exhaustion.
-    fn head(&self) -> (u8, u64, u64) {
-        let seg = self.segs.front().expect("live cursor has a segment");
-        (self.tag, seg.time[self.pos], self.seq(seg, self.pos))
-    }
-
-    /// Appends events into `dest` until the head key reaches `limit`;
-    /// true when the run is exhausted. Consumed segments are freed
-    /// immediately, returning their memory mid-merge.
-    fn advance(&mut self, limit: Option<((u8, u64, u64), usize)>, dest: &mut EventColumns) -> bool {
-        loop {
-            let Some(seg) = self.segs.front() else {
-                return true;
-            };
-            let n = seg.time.len();
-            let end = match limit {
-                None => n,
-                Some(lim) => upper_bound(self.pos, n, |k| {
-                    ((self.tag, seg.time[k], self.seq(seg, k)), self.stream) < lim
-                }),
-            };
-            for k in self.pos..end {
-                let m = seg.meta[k];
-                let code = EventCode::from_raw(m as u16).expect("meta holds a valid code");
-                dest.push_with_id(
-                    seg.time[k],
-                    self.tag,
-                    code,
-                    (m >> 32) as u32,
-                    self.seq(seg, k),
-                );
-            }
-            self.pos = end;
-            if self.pos < n {
-                return false;
-            }
-            self.seq_base += n as u64;
-            self.pos = 0;
-            self.segs.pop_front();
-            if self.segs.is_empty() {
-                return true;
-            }
-            self.apply_offset();
-        }
     }
 }
 
@@ -1205,7 +763,8 @@ impl ChunkCursor {
 // Streaming (chunked) reader.
 // ---------------------------------------------------------------------
 
-/// Parse progress of the chunked v2 reader.
+/// Parse progress of the chunked v2 reader. The states inside a stream
+/// carry that stream's progress.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum V2State {
     /// Waiting for the 36-byte container header.
@@ -1215,13 +774,13 @@ enum V2State {
     /// Waiting for a 40-byte stream header.
     StreamHeader,
     /// Waiting for a 17-byte inline block prefix.
-    BlockPrefix,
+    BlockPrefix(CurStream),
     /// Buffering one block payload.
-    BlockPayload(BlockPrefix),
+    BlockPayload(CurStream, BlockPrefix),
     /// Discarding the rest of a structurally damaged block region.
-    SkipRegion,
+    SkipRegion(CurStream),
     /// Discarding the footer directory (already consumed as blocks).
-    Directory,
+    Directory(CurStream),
     /// Waiting for the u32 name count.
     NameCount,
     /// Waiting for an 8-byte name entry header.
@@ -1233,7 +792,7 @@ enum V2State {
 }
 
 /// Per-stream progress while its block region streams through.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct CurStream {
     /// Stream index (add order — the backends key off it).
     idx: usize,
@@ -1264,11 +823,11 @@ enum Backend {
 /// `PDT2` image and analyze with bounded parse-state memory — at most
 /// one block payload is buffered. Decoded blocks land on one of two
 /// backends: the default direct-to-columns `DirectIngest` (clean
-/// images; provisional per-stream runs merged into [`EventColumns`]
-/// at `finish`), or an [`IngestSession`] fed reconstructed v1 bytes,
-/// which any damage or mid-stream [`V2Ingest::snapshot`] demotes to
-/// by replaying everything decoded so far. The v2 analogue of
-/// [`crate::stream::ImageIngest`].
+/// images; the one-shot reader's per-stream decoder, its runs placed
+/// at `finish` by the same finish step), or an [`IngestSession`] fed
+/// reconstructed v1 bytes, which any damage or mid-stream
+/// [`V2Ingest::snapshot`] demotes to by replaying everything decoded so
+/// far. The v2 analogue of [`crate::stream::ImageIngest`].
 ///
 /// Streaming is inline-prefix-driven (the footer directory trails the
 /// payloads and is discarded); payload integrity is still CRC-checked
@@ -1280,7 +839,6 @@ pub struct V2Ingest {
     par: Parallelism,
     state: V2State,
     carry: Vec<u8>,
-    cur: Option<CurStream>,
     streams_left: u32,
     names: Vec<(u32, String)>,
     names_left: u32,
@@ -1302,7 +860,6 @@ impl V2Ingest {
             par: Parallelism::Serial,
             state: V2State::Header,
             carry: Vec::new(),
-            cur: None,
             streams_left: 0,
             names: Vec::new(),
             names_left: 0,
@@ -1407,35 +964,39 @@ impl V2Ingest {
                     let raw_len = le_u64(&h[16..24]);
                     let payloads_len = le_u64(&h[24..32]);
                     self.carry.clear();
+                    // The container header, which creates the backend,
+                    // precedes every stream header.
                     let idx = match self.backend.as_mut().expect("backend exists") {
-                        Backend::Direct(d) => d.add_stream(core, dropped),
+                        Backend::Direct(d) => {
+                            d.streams.push(StreamDecode::new(core, dropped));
+                            d.streams.len() - 1
+                        }
                         Backend::Session { session, ids } => {
                             ids.push(session.add_stream(core, dropped));
                             ids.len() - 1
                         }
                     };
-                    self.cur = Some(CurStream {
+                    let cur = CurStream {
                         idx,
                         raw_left: raw_fill_budget(raw_len, payloads_len),
                         payloads_left: payloads_len,
                         dir_left: u64::from(n_blocks) * pdt::v2::ENTRY_BYTES as u64,
-                    });
+                    };
                     self.streams_left -= 1;
                     if payloads_len == 0 {
-                        self.end_blocks();
+                        self.end_blocks(cur);
                     } else {
-                        self.state = V2State::BlockPrefix;
+                        self.state = V2State::BlockPrefix(cur);
                     }
                 }
-                V2State::BlockPrefix => {
-                    let left = self.cur.as_ref().expect("stream open").payloads_left;
-                    if left < PREFIX_BYTES as u64 {
+                V2State::BlockPrefix(mut cur) => {
+                    if cur.payloads_left < PREFIX_BYTES as u64 {
                         // Region too short for another prefix: framing
                         // damage — drop the remainder as one corrupt
                         // block.
                         self.demote();
                         self.stats.blocks_corrupt += 1;
-                        self.state = V2State::SkipRegion;
+                        self.state = V2State::SkipRegion(cur);
                         continue;
                     }
                     if !fill(&mut self.carry, PREFIX_BYTES, &mut chunk) {
@@ -1443,17 +1004,15 @@ impl V2Ingest {
                     }
                     let decoded = BlockPrefix::decode(&self.carry);
                     self.carry.clear();
-                    let cur = self.cur.as_mut().expect("stream open");
                     cur.payloads_left -= PREFIX_BYTES as u64;
                     match decoded {
                         Ok(p) if u64::from(p.payload_len) <= cur.payloads_left => {
                             if p.payload_len == 0 {
                                 // Degenerate but well-formed: process
                                 // with an empty payload immediately.
-                                self.state = V2State::BlockPayload(p);
-                                self.finish_block(&p);
+                                self.finish_block(cur, &p);
                             } else {
-                                self.state = V2State::BlockPayload(p);
+                                self.state = V2State::BlockPayload(cur, p);
                             }
                         }
                         _ => {
@@ -1461,33 +1020,34 @@ impl V2Ingest {
                             // pointing past the region: skip the rest.
                             self.demote();
                             self.stats.blocks_corrupt += 1;
-                            self.state = V2State::SkipRegion;
+                            self.state = V2State::SkipRegion(cur);
                         }
                     }
                 }
-                V2State::BlockPayload(prefix) => {
+                V2State::BlockPayload(cur, prefix) => {
                     if !fill(&mut self.carry, prefix.payload_len as usize, &mut chunk) {
                         return Ok(());
                     }
-                    self.finish_block(&prefix);
+                    self.finish_block(cur, &prefix);
                 }
-                V2State::SkipRegion => {
-                    let cur = self.cur.as_mut().expect("stream open");
+                V2State::SkipRegion(mut cur) => {
                     let n = (cur.payloads_left).min(chunk.len() as u64) as usize;
                     cur.payloads_left -= n as u64;
                     chunk = &chunk[n..];
                     if cur.payloads_left == 0 {
-                        self.end_blocks();
+                        self.end_blocks(cur);
+                    } else {
+                        self.state = V2State::SkipRegion(cur);
                     }
                 }
-                V2State::Directory => {
-                    let cur = self.cur.as_mut().expect("stream open");
+                V2State::Directory(mut cur) => {
                     let n = (cur.dir_left).min(chunk.len() as u64) as usize;
                     cur.dir_left -= n as u64;
                     chunk = &chunk[n..];
                     if cur.dir_left == 0 {
-                        self.cur = None;
                         self.next_stream();
+                    } else {
+                        self.state = V2State::Directory(cur);
                     }
                 }
                 V2State::NameCount => {
@@ -1532,27 +1092,20 @@ impl V2Ingest {
         Ok(())
     }
 
-    /// Processes the carried payload for `prefix` and advances past it.
-    fn finish_block(&mut self, prefix: &BlockPrefix) {
+    /// Processes the carried payload for `prefix` of stream `cur` and
+    /// advances past it.
+    fn finish_block(&mut self, mut cur: CurStream, prefix: &BlockPrefix) {
         if let Some(Backend::Direct(d)) = &mut self.backend {
-            let cur = self.cur.as_mut().expect("stream open");
-            if d.emit(
-                cur.idx,
-                prefix,
-                &self.carry,
-                &mut cur.raw_left,
-                &mut self.stats,
-            )
-            .is_err()
-            {
+            let st = &mut d.streams[cur.idx];
+            match st.emit(prefix, &self.carry, &mut d.batch, &mut self.stats) {
+                Some(()) => cur.raw_left = cur.raw_left.saturating_sub(u64::from(prefix.raw_len)),
                 // Not a cleanly decodable packed block: demote (the
                 // failed emit appended nothing) and re-dispatch the
                 // same block through the session below.
-                self.demote();
+                None => self.demote(),
             }
         }
         if let Some(Backend::Session { session, ids }) = &mut self.backend {
-            let cur = self.cur.as_mut().expect("stream open");
             emit_block(
                 session,
                 ids[cur.idx],
@@ -1564,29 +1117,26 @@ impl V2Ingest {
             );
         }
         self.carry.clear();
-        let cur = self.cur.as_mut().expect("stream open");
         cur.payloads_left -= u64::from(prefix.payload_len);
         if cur.payloads_left == 0 {
-            self.end_blocks();
+            self.end_blocks(cur);
         } else {
-            self.state = V2State::BlockPrefix;
+            self.state = V2State::BlockPrefix(cur);
         }
     }
 
-    /// Closes the current stream's record flow once its block region
-    /// is fully consumed (or abandoned) and moves to its directory.
-    fn end_blocks(&mut self) {
-        if self.cur.as_ref().is_some_and(|c| c.raw_left > 0) {
+    /// Closes stream `cur`'s record flow once its block region is fully
+    /// consumed (or abandoned) and moves to its directory.
+    fn end_blocks(&mut self, mut cur: CurStream) {
+        if cur.raw_left > 0 {
             // The region ended short of the bytes the stream header
             // promised: damage — the session path zero-fills it below.
             self.demote();
         }
-        let cur = self.cur.as_mut().expect("stream open");
-        let dir_left = cur.dir_left;
+        // The container header, which creates the backend, precedes
+        // every stream.
         match self.backend.as_mut().expect("backend exists") {
-            Backend::Direct(d) => {
-                d.streams[cur.idx].closed = true;
-            }
+            Backend::Direct(d) => d.closed = cur.idx + 1,
             Backend::Session { session, ids } => {
                 if cur.raw_left > 0 {
                     // Zero-fill so the shortfall shows up as a gap.
@@ -1597,11 +1147,10 @@ impl V2Ingest {
                 session.close_stream(ids[cur.idx]);
             }
         }
-        if dir_left == 0 {
-            self.cur = None;
+        if cur.dir_left == 0 {
             self.next_stream();
         } else {
-            self.state = V2State::Directory;
+            self.state = V2State::Directory(cur);
         }
     }
 
@@ -1625,15 +1174,16 @@ impl V2Ingest {
     }
 
     /// Applies the name table and finishes whichever backend is live:
-    /// the direct backend merges its runs into the columnar store, the
-    /// session backend finishes the replay session. A direct finalize
-    /// refusal (decrementer arithmetic would wrap) demotes and
-    /// replays, so the output is never wrong — only slower.
+    /// the direct backend places its runs through the finish step the
+    /// one-shot reader uses, the session backend finishes the replay
+    /// session. A direct refusal (an anchored run would wrap) demotes
+    /// and replays, so the output is never wrong — only slower.
     fn complete(&mut self) {
         let names = std::mem::take(&mut self.names);
         self.state = V2State::Done;
         if let Some(Backend::Direct(d)) = &mut self.backend {
-            if d.finalize(&names, self.par).is_ok() {
+            d.result = finish_direct(d.header, &mut d.streams, &names, self.par);
+            if d.result.is_some() {
                 return;
             }
         }
@@ -1657,10 +1207,10 @@ impl V2Ingest {
             V2State::Header => "header",
             V2State::StreamCount => "stream count",
             V2State::StreamHeader => "stream header",
-            V2State::BlockPrefix => "block prefix",
-            V2State::BlockPayload(_) => "block payload",
-            V2State::SkipRegion => "block region",
-            V2State::Directory => "footer directory",
+            V2State::BlockPrefix(_) => "block prefix",
+            V2State::BlockPayload(..) => "block payload",
+            V2State::SkipRegion(_) => "block region",
+            V2State::Directory(_) => "footer directory",
             V2State::NameCount => "name table",
             V2State::NameHeader => "name entry",
             V2State::NameBytes { .. } => "name bytes",
@@ -1686,12 +1236,19 @@ impl V2Ingest {
             return Err(V2Error::Truncated { reading: "header" });
         };
         self.carry.clear();
-        let partial = matches!(self.state, V2State::BlockPayload(_));
+        let partial = matches!(self.state, V2State::BlockPayload(..));
         if partial {
             // The partial block never arrived in full.
             self.stats.blocks_corrupt += 1;
         }
-        if let Some(cur) = self.cur.take() {
+        let open = match self.state {
+            V2State::BlockPrefix(cur)
+            | V2State::BlockPayload(cur, _)
+            | V2State::SkipRegion(cur)
+            | V2State::Directory(cur) => Some(cur),
+            _ => None,
+        };
+        if let Some(cur) = open {
             if cur.raw_left > 0 {
                 append_zeros(session, ids[cur.idx], cur.raw_left);
                 self.stats.raw_bytes_out += cur.raw_left;
@@ -1782,7 +1339,11 @@ pub fn analyze_v2(image: &[u8], par: Parallelism) -> Result<(Arc<Analysis>, Code
             let mut ingest = V2Ingest::new().with_parallelism(par);
             ingest.push(image)?;
             ingest.finish_lossy()?;
-            let analysis = ingest.snapshot().expect("session after finish_lossy");
+            // `finish_lossy` succeeds only once the header arrived, and
+            // from then on a snapshot exists.
+            let analysis = ingest
+                .snapshot()
+                .ok_or(V2Error::Truncated { reading: "header" })?;
             Ok((analysis, ingest.stats()))
         }
         Err(e) => Err(e),

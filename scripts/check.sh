@@ -109,22 +109,30 @@ cmp "$smoke_dir/timeline.pdt.svg" "$smoke_dir/timeline.pdt2.svg"
 
 echo "== ta-cli damaged-file smoke =="
 # ta-cli reads a .pdt's streams from the file in chunks, so damage must
-# still end in loss accounting or an error, never a panic (exit 101):
-# summary, loss and --strict summary on a truncated copy and on a
-# byte-flipped copy of a golden.
+# still end in loss accounting (exit 0) or an error (exit 1), never a
+# panic (101) or an abort (134): summary, loss and --strict summary on
+# a truncated copy and on a byte-flipped copy of a golden, and on two
+# .pdt2 copies whose stream count or name count claims billions of
+# entries.
 head -c 3000 tests/golden/stream.pdt > "$smoke_dir/truncated.pdt"
 cp tests/golden/stream.pdt "$smoke_dir/flipped.pdt"
 # Zero the granule counts of two SPE0 records (the stream's data starts
 # at byte 304), so the lossy ingest opens a gap there.
 printf '\0' | dd of="$smoke_dir/flipped.pdt" bs=1 seek=432 conv=notrunc status=none
 printf '\0' | dd of="$smoke_dir/flipped.pdt" bs=1 seek=1056 conv=notrunc status=none
-for damaged in truncated flipped; do
+# The high bytes of stream.pdt2's u32 stream count (after the 36-byte
+# header) and of its u32 name count.
+cp tests/golden/stream.pdt2 "$smoke_dir/stream_count.pdt2"
+printf '\377' | dd of="$smoke_dir/stream_count.pdt2" bs=1 seek=39 conv=notrunc status=none
+cp tests/golden/stream.pdt2 "$smoke_dir/name_count.pdt2"
+printf '\377' | dd of="$smoke_dir/name_count.pdt2" bs=1 seek=2569 conv=notrunc status=none
+for damaged in truncated.pdt flipped.pdt stream_count.pdt2 name_count.pdt2; do
   for cmd in summary loss "--strict summary"; do
     status=0
     # shellcheck disable=SC2086 # $cmd holds the flag and the command.
-    ta_cli $cmd "$smoke_dir/$damaged.pdt" > /dev/null 2>&1 || status=$?
-    if [ "$status" -eq 101 ]; then
-      echo "ta-cli $cmd panicked on the $damaged golden" >&2
+    ta_cli $cmd "$smoke_dir/$damaged" > /dev/null 2>&1 || status=$?
+    if [ "$status" -gt 1 ]; then
+      echo "ta-cli $cmd exited $status on the damaged $damaged" >&2
       exit 1
     fi
   done

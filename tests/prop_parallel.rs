@@ -372,48 +372,51 @@ fn lazy_batch_boundaries_match_serial() {
 
 /// A `PpeCtxRun` anchor near `u64::MAX` wraps the placed SPE time.
 /// Nothing may panic (debug builds check overflow), and every reader
-/// must agree with the serial oracle.
+/// must agree with the serial oracle. The wrapping anchor comes first
+/// in one PPE stream, so its keys go backwards, and last in the other,
+/// so the v2 direct decoder meets the wrap itself and must refuse it.
 #[test]
 fn anchor_near_u64_max_wraps_identically_everywhere() {
-    let trace = TraceFile {
-        header: header(2),
-        streams: vec![
-            stream(
-                TraceCore::Ppe(0),
-                encode(&[ctx_run(0, u64::MAX - 1000), ctx_run(1, 40)]),
-                0,
-            ),
-            stream(TraceCore::Spe(0), spe_stream(0, 60, 50), 0),
-            stream(TraceCore::Spe(1), spe_stream(1, 20, 9), 0),
-        ],
-        ctx_names: vec![(0, "k0".into())],
-    };
-    let serial: AnalyzedTrace = analyze(&trace).unwrap();
-    assert!(
-        serial.events.iter().any(|e| e.time_tb < 1000),
-        "time wrapped"
-    );
-    assert_case(&trace);
+    for ppe in [
+        [ctx_run(0, u64::MAX - 1000), ctx_run(1, 40)],
+        [ctx_run(1, 40), ctx_run(0, u64::MAX - 1000)],
+    ] {
+        let trace = TraceFile {
+            header: header(2),
+            streams: vec![
+                stream(TraceCore::Ppe(0), encode(&ppe), 0),
+                stream(TraceCore::Spe(0), spe_stream(0, 60, 50), 0),
+                stream(TraceCore::Spe(1), spe_stream(1, 20, 9), 0),
+            ],
+            ctx_names: vec![(0, "k0".into())],
+        };
+        let serial: AnalyzedTrace = analyze(&trace).unwrap();
+        assert!(
+            serial.events.iter().any(|e| e.time_tb < 1000),
+            "time wrapped"
+        );
+        assert_case(&trace);
 
-    let bytes = trace.to_bytes();
-    let mut chunked = ImageIngest::new();
-    for chunk in bytes.chunks(97) {
-        chunked.push(chunk).unwrap();
-    }
-    let snap = chunked.snapshot().unwrap();
-    assert_eq!(snap.events(), serial.events.as_slice(), "chunked v1");
+        let bytes = trace.to_bytes();
+        let mut chunked = ImageIngest::new();
+        for chunk in bytes.chunks(97) {
+            chunked.push(chunk).unwrap();
+        }
+        let snap = chunked.snapshot().unwrap();
+        assert_eq!(snap.events(), serial.events.as_slice(), "chunked v1");
 
-    // `pack` places events too: it must not panic on the wrap either.
-    let packed = pdt::pack(&trace, 16);
-    let (v2, _) = analyze_v2(&packed, Parallelism::Serial).unwrap();
-    assert_eq!(v2.events(), serial.events.as_slice(), "one-shot v2");
-    let mut v2_chunked = V2Ingest::new();
-    for chunk in packed.chunks(61) {
-        v2_chunked.push(chunk).unwrap();
+        // `pack` places events too: it must not panic on the wrap either.
+        let packed = pdt::pack(&trace, 16);
+        let (v2, _) = analyze_v2(&packed, Parallelism::Serial).unwrap();
+        assert_eq!(v2.events(), serial.events.as_slice(), "one-shot v2");
+        let mut v2_chunked = V2Ingest::new();
+        for chunk in packed.chunks(61) {
+            v2_chunked.push(chunk).unwrap();
+        }
+        v2_chunked.finish().unwrap();
+        let v2_snap = v2_chunked.snapshot().unwrap();
+        assert_eq!(v2_snap.events(), serial.events.as_slice(), "chunked v2");
     }
-    v2_chunked.finish().unwrap();
-    let v2_snap = v2_chunked.snapshot().unwrap();
-    assert_eq!(v2_snap.events(), serial.events.as_slice(), "chunked v2");
 }
 
 /// Two damaged SPE streams decode as separate shards: the strict error

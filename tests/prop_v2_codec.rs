@@ -224,7 +224,9 @@ proptest! {
     }
 
     /// Chunked streaming ingestion matches the one-shot reader on the
-    /// same image regardless of the split pattern.
+    /// same image regardless of the split pattern. Both drive the one
+    /// direct decoder, so each is also held to the independent
+    /// roundtrip oracle.
     #[test]
     fn chunked_ingest_matches_one_shot(
         trace in arb_trace(),
@@ -248,6 +250,9 @@ proptest! {
         let got = ing.snapshot().unwrap();
         prop_assert_eq!(got.events(), reference.events());
         prop_assert_eq!(got.loss(), reference.loss());
+        let (oracle, _) = v2.analyze_roundtrip(Parallelism::Serial);
+        prop_assert_eq!(reference.events(), oracle.events());
+        prop_assert_eq!(reference.loss(), oracle.loss());
     }
 
     /// Random byte mutations over a valid image: both readers must

@@ -4,12 +4,12 @@
 //! names: a truncated final block, flipped footer-directory bytes,
 //! and fault-style damage inside a compressed payload.
 
-use pdt::v2::{pack, BlockKind, ENTRY_BYTES, PREFIX_BYTES};
+use pdt::v2::{pack, unpack, BlockKind, V2Error, ENTRY_BYTES, PREFIX_BYTES};
 use ta::{analyze_v2, Parallelism, V2Ingest, V2Trace};
 
 #[path = "common/goldens.rs"]
 mod goldens;
-use goldens::{golden, GOLDEN};
+use goldens::{golden, golden_v2_bytes, GOLDEN};
 
 const BLOCK_RECORDS: usize = 8;
 
@@ -190,6 +190,58 @@ fn analyze_v2_falls_back_on_truncation() {
     // Nor is an empty or sub-header image.
     assert!(analyze_v2(&[], Parallelism::Serial).is_err());
     assert!(analyze_v2(&image[..10], Parallelism::Serial).is_err());
+}
+
+/// A flipped high byte in the stream count or the name count claims
+/// billions of entries. The parser must not reserve room for them up
+/// front (that aborts the process): the one-shot parse reports the
+/// truncation it runs into, the strict chunked close does too, and
+/// `analyze_v2` falls back to the lossy reader, which still decodes
+/// every record the streams hold.
+#[test]
+fn flipped_header_counts_fail_cleanly_instead_of_aborting() {
+    let image = golden_v2_bytes("stream.pdt");
+    let v2 = V2Trace::parse(&image).unwrap();
+    let (clean, _) = v2.analyze(Parallelism::Serial);
+    // The stream count is the u32 after the 36-byte header; the name
+    // count is the u32 after the last stream's footer directory.
+    let last = v2.file().streams.last().unwrap();
+    let name_count = last.dir_off + last.n_blocks as usize * ENTRY_BYTES;
+    for at in [36 + 3, name_count + 3] {
+        let mut bad = image.clone();
+        bad[at] = 0xff;
+        assert!(
+            matches!(V2Trace::parse(&bad), Err(V2Error::Truncated { .. })),
+            "byte {at}: one-shot parse"
+        );
+        let mut strict = V2Ingest::new();
+        strict.push(&bad).unwrap();
+        assert!(strict.finish().is_err(), "byte {at}: strict close");
+        let (a, stats) = analyze_v2(&bad, Parallelism::Serial).unwrap();
+        assert_eq!(stats.blocks_corrupt, 0, "byte {at}");
+        assert_eq!(a.events(), clean.events(), "byte {at}: events");
+        assert_eq!(a.loss(), clean.loss(), "byte {at}: loss");
+    }
+}
+
+/// A stream header whose raw length claims petabytes: strict unpacking
+/// must report the mismatch rather than reserve the claimed length up
+/// front (that aborts the process), and analysis accounts the stream's
+/// missing bytes as a decode gap.
+#[test]
+fn flipped_raw_length_fails_cleanly_instead_of_aborting() {
+    let mut image = golden_v2_bytes("stream.pdt");
+    // Byte 6 of the first stream header's u64 raw length; the stream
+    // header follows the 36-byte container header and the u32 count.
+    image[40 + 16 + 6] = 0x7f;
+    assert!(matches!(
+        unpack(&image),
+        Err(V2Error::Corrupt {
+            what: "stream raw length"
+        })
+    ));
+    let (a, _) = analyze_v2(&image, Parallelism::Serial).unwrap();
+    assert!(gap_total(&a) > 0, "the missing bytes are a gap");
 }
 
 /// Sweep: truncate a packed image at *every* byte offset and push it

@@ -4,8 +4,9 @@
 //! products to the v1 path — one-shot ([`V2Trace`]) and streamed
 //! ([`V2Ingest`], chunk boundaries everywhere), across `Serial` and
 //! `Workers(4)`. The container now has **two readers**: the default
-//! direct-to-columns decoder (payloads land straight in
-//! `EventColumns`, merged at block granularity) and the v1-roundtrip
+//! direct-to-columns decoder (payloads land straight in per-stream
+//! runs placed into `EventColumns`, one decoder under the one-shot and
+//! the chunked reader) and the v1-roundtrip
 //! oracle (clean runs re-encoded canonically, gap bytes carried
 //! verbatim, fed through `IngestSession`). This suite differentials
 //! the fast path against the oracle — products *and* codec stats —
@@ -328,6 +329,68 @@ fn mid_stream_snapshot_keeps_products_exact() {
             let a = ing.snapshot().expect("snapshot after finish");
             a.build_products(Parallelism::Serial);
             assert_products_eq(&reference, &a, &format!("{name} snapshot@1/{frac}"));
+        }
+    }
+}
+
+/// The direct decoder's two drivers and the roundtrip oracle agree with
+/// the v1 reader on stream layouts the goldens do not have: the PPE
+/// stream packed last, so every sync anchor arrives after the SPE data
+/// it places, and an SPE stream packed twice, so one core is fed by
+/// two runs. Products and the loss report must match
+/// [`Analysis::of`] on the same v1 trace, through
+/// [`V2Trace::analyze`], through [`V2Ingest`] at 61-byte chunks and
+/// through [`V2Trace::analyze_roundtrip`].
+#[test]
+fn unusual_stream_layouts_decode_identically_everywhere() {
+    let base = golden("pipeline.pdt");
+    let mut ppe_last = base.clone();
+    ppe_last.streams.rotate_left(1);
+    assert!(!ppe_last.streams.last().unwrap().core.is_spe());
+    let mut spe_twice = base.clone();
+    let spe = spe_twice
+        .streams
+        .iter()
+        .find(|s| s.core.is_spe())
+        .unwrap()
+        .clone();
+    spe_twice.streams.push(spe);
+
+    for (what, trace) in [("ppe last", &ppe_last), ("spe twice", &spe_twice)] {
+        let reference = Analysis::of(trace)
+            .parallelism(Parallelism::Serial)
+            .run()
+            .unwrap();
+        reference.build_products(Parallelism::Serial);
+        assert!(
+            reference.loss().streams.iter().all(|s| !s.unanchored),
+            "{what}: every SPE stream is anchored"
+        );
+        let image = pack(trace, BLOCK_RECORDS);
+        let v2 = V2Trace::parse(&image).unwrap();
+        for par in PARS {
+            let (direct, direct_stats) = v2.analyze(par);
+            let (oracle, oracle_stats) = v2.analyze_roundtrip(par);
+            assert_eq!(direct_stats, oracle_stats, "{what} {par:?}: codec stats");
+            let mut ing = V2Ingest::new().with_parallelism(par);
+            for chunk in image.chunks(61) {
+                ing.push(chunk).unwrap();
+            }
+            ing.finish().unwrap();
+            assert_eq!(
+                ing.stats(),
+                oracle_stats,
+                "{what} {par:?}: chunked codec stats"
+            );
+            let chunked = ing.snapshot().unwrap();
+            for (reader, a) in [
+                ("one-shot", &direct),
+                ("chunked", &chunked),
+                ("roundtrip", &oracle),
+            ] {
+                a.build_products(par);
+                assert_products_eq(&reference, a, &format!("{what} {par:?} {reader}"));
+            }
         }
     }
 }
