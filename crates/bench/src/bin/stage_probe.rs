@@ -14,10 +14,11 @@
 //! `ta::reader::bytes_read`).
 //!
 //! Loading mirrors `ta-cli`: `open` opens the file; `read` sniffs the
-//! container and, for a `.pdt`, reads only the header, the stream
-//! directory and the name table (a `.pdt2` is read whole); `ingest`
-//! decodes, and for a `.pdt` each ingest shard reads its own stream in
-//! chunks, so those reads are timed inside `ingest`. After the request
+//! container and reads only its structure (for a `.pdt`, the header,
+//! the stream directory and the name table; for a `.pdt2`, also each
+//! stream's footer directory); `ingest` decodes, and each ingest shard
+//! reads its own stream (in chunks, or block by block), so those reads
+//! are timed inside `ingest`. After the request
 //! it builds the global event order, a stage no
 //! per-core request needs, and drops the session. The parent prints
 //! one JSON document with the median of every figure over the
@@ -43,7 +44,7 @@ use std::process::Command;
 use std::time::Instant;
 
 use ta::reader::bytes_read;
-use ta::{analyze_v2, is_v2_file, Analysis, MappedImage, Parallelism, ReportKind, TraceImage};
+use ta::{is_v2_file, Analysis, Parallelism, ReportKind, TraceImage, V2Trace};
 
 const KINDS: [&str; 4] = ["summary", "query", "svg", "lint"];
 
@@ -96,11 +97,11 @@ impl Stages {
     }
 }
 
-/// A trace as `ta-cli` loads it: a `.pdt`'s layout, its streams left
-/// in the file, or a whole `.pdt2`.
+/// A trace as `ta-cli` loads it: its container structure, every
+/// stream left in the file.
 enum Loaded<'f> {
     V1(TraceImage<'f>),
-    V2(MappedImage),
+    V2(V2Trace<'f>),
 }
 
 /// One request in this (fresh) process.
@@ -113,16 +114,14 @@ fn child(kind: &str, path: &str, par: Parallelism) -> Result<(), String> {
     let loaded = s
         .run("read", || -> std::io::Result<_> {
             if is_v2_file(&file)? {
-                return MappedImage::open(path).map(Loaded::V2);
+                return V2Trace::read(&file).map(Loaded::V2);
             }
             TraceImage::read(&file).map(Loaded::V1)
         })
         .map_err(|e| e.to_string())?;
     let a = s.run("ingest", || -> Result<_, String> {
         match &loaded {
-            Loaded::V2(bytes) => analyze_v2(bytes, par)
-                .map(|(a, _)| a)
-                .map_err(|e| e.to_string()),
+            Loaded::V2(v2) => v2.analyze(par).map(|(a, _)| a).map_err(|e| e.to_string()),
             Loaded::V1(image) => Analysis::of(image.clone())
                 .parallelism(par)
                 .run()

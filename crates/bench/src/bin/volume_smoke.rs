@@ -9,28 +9,34 @@
 //!   6 bytes/event against 16 for a raw minimal record, and the
 //!   ≥10M-event synthetic must hit the same target.
 //! - **Memory is fatal.** The synthetic is written through
-//!   [`V2Writer`] and decoded through [`ta::V2Ingest`] in 1 MiB
-//!   chunks; peak RSS (`VmHWM`) must stay under a fixed budget, and
-//!   the decoded in-memory store ([`ColumnarTrace::bytes_in_memory`])
-//!   must stay at or under 100 B/event, so the decode path can never
-//!   regress into buffering the whole image or fattening the columns.
-//!   The chunked reader decodes each stream into a run as its blocks
-//!   arrive and places the runs as the one-shot reader does, freeing
-//!   each run as it is copied, so the peak sits near the final store.
-//! - **Throughput is fatal** (release builds). The one-shot decode
-//!   must clear 3x — and the chunked decode 2x — the pre-direct-path
-//!   baseline of 1,233,175 events/s: the direct-to-columns decoder's
-//!   reason to exist.
+//!   [`V2Writer`] to a temp file and decoded from the file through a
+//!   file-backed [`ta::V2Trace`], whose decode shards each read their
+//!   stream one block at a time, so the image is never held whole;
+//!   peak RSS (`VmHWM`) must stay under a fixed budget, and the decoded
+//!   in-memory store ([`ColumnarTrace::bytes_in_memory`]) must stay at
+//!   or under 100 B/event, so the decode path can never regress into
+//!   buffering the whole image or fattening the columns. Each stream
+//!   decodes into a run that the one-shot placement copies into the
+//!   store, freeing each run as it is copied, so the peak sits near the
+//!   final store.
+//! - **Throughput is fatal** (release builds). The file-backed decode
+//!   and the in-memory decode of the same image must each clear 3x the
+//!   pre-direct-path baseline of 1,233,175 events/s: the
+//!   direct-to-columns decoder's reason to exist.
+//! - **Reads are fatal.** A window over ~1% of the trace span, queried
+//!   on the file, may decode at most 5% of the blocks and read at most
+//!   5% of the file's bytes ([`ta::reader::bytes_read`], the container
+//!   walk included).
 //! - **Drift is fatal.** If a previous `BENCH_volume.json` exists, any
 //!   bytes/event figure more than 5% worse than the recorded one fails
 //!   the gate (the codec is deterministic, so this never flakes).
 //!
 //! When the measured 10M-event rates project the 100M-event point to
 //! fit a fixed wall-clock budget (release builds only), the gate also
-//! writes 100M events through [`V2Writer`] **to disk** and streams
-//! the file back through [`ta::V2Ingest`] — the full-scale point must
-//! clear the same RSS budget, proving the container + slim store hold
-//! a 100M-event session under 2 GiB.
+//! writes 100M events through [`V2Writer`] **to disk** and decodes the
+//! file through a file-backed [`ta::V2Trace`] — the full-scale point
+//! must clear the same RSS budget, proving the container + slim store
+//! hold a 100M-event session under 2 GiB.
 //!
 //! Event counts come from the columnar store, never from the
 //! materialized row view — rows would triple the footprint and turn
@@ -40,8 +46,10 @@
 //! trajectory. Emits `BENCH_volume.json` at the repo root.
 
 use std::fs::File;
-use std::io::{self, Read, Seek, Write};
+use std::io::{self, Seek, Write};
+use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Instant;
 
 use bench::{peak_rss_kb, repo_root, write_bench_json, BenchRecord};
@@ -49,7 +57,8 @@ use pdt::v2::V2Writer;
 use pdt::{
     pack, EventCode, TraceCore, TraceFile, TraceHeader, TraceRecord, DEFAULT_BLOCK_RECORDS, VERSION,
 };
-use ta::{Parallelism, V2Ingest, V2Trace};
+use ta::reader::bytes_read;
+use ta::{Analysis, Parallelism, V2Trace};
 
 /// Dense traces must pack to at most this many bytes per event
 /// (a raw minimal record is 16).
@@ -84,16 +93,12 @@ const MEM_MAX_BYTES_PER_EVENT: f64 = 100.0;
 /// direct-to-columns decoder landed (BENCH_volume.json history).
 const ROUNDTRIP_BASELINE_EVPS: f64 = 1_233_175.0;
 
-/// One-shot decode floor (release builds): the headline acceptance
-/// figure for the direct path.
+/// Decode floor (release builds), in memory and file-backed alike:
+/// the headline acceptance figure for the direct path.
 const MIN_ONESHOT_EVPS: f64 = 3.0 * ROUNDTRIP_BASELINE_EVPS;
 
-/// Chunked decode floor (release builds): the streaming path decodes
-/// every stream on the pushing thread as its blocks arrive, where the
-/// one-shot path decodes one shard per stream, so it gates at 2x —
-/// still well clear of the roundtrip baseline, with margin against
-/// scheduler noise.
-const MIN_CHUNKED_EVPS: f64 = 2.0 * ROUNDTRIP_BASELINE_EVPS;
+/// The most of the file a 1% window may read, container walk included.
+const WINDOW_MAX_READ_FRACTION: f64 = 0.05;
 
 /// The full-scale point.
 const BIG_EVENTS: usize = 100_000_000;
@@ -242,61 +247,89 @@ fn check_throughput(what: &str, evps: f64, floor: f64) -> Result<(), String> {
     Ok(())
 }
 
+/// A temp file path, removed on drop.
+struct TempPath(PathBuf);
+
+impl TempPath {
+    fn new(tag: &str) -> TempPath {
+        TempPath(std::env::temp_dir().join(format!("ta-volume-{tag}-{}.pdt2", std::process::id())))
+    }
+}
+
+impl Drop for TempPath {
+    fn drop(&mut self) {
+        std::fs::remove_file(&self.0).ok();
+    }
+}
+
+/// Writes a ≥`events`-event synthetic to `path`. Returns the event
+/// count, the raw (v1-equivalent) byte size, the file's length and the
+/// write time in ms.
+fn write_file(path: &TempPath, events: usize) -> Result<(usize, u64, u64, f64), String> {
+    let t = Instant::now();
+    let file = File::create(&path.0).map_err(|e| e.to_string())?;
+    let (file, total, raw) = write_synthetic(file, events).map_err(|e| e.to_string())?;
+    file.sync_all().map_err(|e| e.to_string())?;
+    let len = file.metadata().map_err(|e| e.to_string())?.len();
+    Ok((total, raw, len, t.elapsed().as_nanos() as f64 / 1e6))
+}
+
+/// Decodes `v2` under four workers and checks the result: no corrupt
+/// block, `total` events in the store, at most
+/// [`MEM_MAX_BYTES_PER_EVENT`] resident. Returns the analysis, its
+/// resident bytes per event, the decode time in ms and the rate.
+fn decode(
+    what: &str,
+    v2: &V2Trace<'_>,
+    total: usize,
+    t: Instant,
+) -> Result<(Arc<Analysis>, f64, f64, f64), String> {
+    let (a, stats) = v2
+        .analyze(Parallelism::Workers(4))
+        .map_err(|e| format!("{what}: {e}"))?;
+    let ms = t.elapsed().as_nanos() as f64 / 1e6;
+    if stats.blocks_corrupt != 0 {
+        return Err(format!(
+            "{what}: {} corrupt blocks in a clean image",
+            stats.blocks_corrupt
+        ));
+    }
+    // Count from the columns, never the materialized rows: rows would
+    // triple the footprint and corrupt the RSS measurement.
+    let decoded = a.columns().events.len();
+    if decoded != total {
+        return Err(format!("{what}: decoded {decoded} of {total} events"));
+    }
+    let mem_bpe = a.columns().bytes_in_memory() as f64 / total as f64;
+    if mem_bpe > MEM_MAX_BYTES_PER_EVENT {
+        return Err(format!(
+            "{what}: {mem_bpe:.1} B/event in memory exceeds {MEM_MAX_BYTES_PER_EVENT}"
+        ));
+    }
+    let evps = total as f64 / (ms / 1e3);
+    println!(
+        "{what}: {} blocks, {total} events in {ms:.0} ms \
+         ({:.2} M events/s, {mem_bpe:.1} B/event resident)",
+        stats.blocks_decoded,
+        evps / 1e6
+    );
+    check_throughput(what, evps, MIN_ONESHOT_EVPS)?;
+    Ok((a, mem_bpe, ms, evps))
+}
+
 /// The 100M-event point: write the synthetic through [`V2Writer`] to
-/// a temp file, stream it back through [`V2Ingest`] in 8 MiB chunks,
-/// and verify the count, the per-event memory and the RSS budget at
-/// full scale. Returns `(events, write_ms, decode_ms, evps)`.
+/// a temp file, decode the file through a file-backed [`V2Trace`], and
+/// verify the count, the per-event memory and the RSS budget at full
+/// scale. Returns `(events, write_ms, decode_ms, evps)`.
 fn run_big_point() -> Result<(usize, f64, f64, f64), String> {
-    let path = std::env::temp_dir().join(format!("ta-volume-big-{}.pdt2", std::process::id()));
-    let res = (|| {
-        let t = Instant::now();
-        let file = File::create(&path).map_err(|e| e.to_string())?;
-        let (file, total, _) = write_synthetic(file, BIG_EVENTS).map_err(|e| e.to_string())?;
-        file.sync_all().map_err(|e| e.to_string())?;
-        drop(file);
-        let write_ms = t.elapsed().as_nanos() as f64 / 1e6;
-
-        let t = Instant::now();
-        let mut ing = V2Ingest::new().with_parallelism(Parallelism::Workers(4));
-        let mut f = File::open(&path).map_err(|e| e.to_string())?;
-        let mut buf = vec![0u8; 8 << 20];
-        loop {
-            let n = f.read(&mut buf).map_err(|e| e.to_string())?;
-            if n == 0 {
-                break;
-            }
-            ing.push(&buf[..n]).map_err(|e| e.to_string())?;
-        }
-        ing.finish().map_err(|e| e.to_string())?;
-        let snap = ing.snapshot().ok_or("100m: no snapshot after finish")?;
-        let decode_ms = t.elapsed().as_nanos() as f64 / 1e6;
-
-        if ing.stats().blocks_corrupt != 0 {
-            return Err(format!(
-                "100m: {} corrupt blocks in a clean image",
-                ing.stats().blocks_corrupt
-            ));
-        }
-        let decoded = snap.columns().events.len();
-        if decoded != total {
-            return Err(format!("100m: decoded {decoded} of {total} events"));
-        }
-        let mem_bpe = snap.columns().bytes_in_memory() as f64 / total as f64;
-        if mem_bpe > MEM_MAX_BYTES_PER_EVENT {
-            return Err(format!(
-                "100m: {mem_bpe:.1} B/event in memory exceeds {MEM_MAX_BYTES_PER_EVENT}"
-            ));
-        }
-        let evps = total as f64 / (decode_ms / 1e3);
-        println!(
-            "100m: {total} events written in {write_ms:.0} ms, decoded in {decode_ms:.0} ms \
-             ({:.2} M events/s, {mem_bpe:.1} B/event resident)",
-            evps / 1e6
-        );
-        Ok((total, write_ms, decode_ms, evps))
-    })();
-    std::fs::remove_file(&path).ok();
-    res
+    let path = TempPath::new("big");
+    let (total, _, _, write_ms) = write_file(&path, BIG_EVENTS)?;
+    let t = Instant::now();
+    let file = File::open(&path.0).map_err(|e| e.to_string())?;
+    let v2 = V2Trace::read(&file).map_err(|e| e.to_string())?;
+    println!("100m: {total} events written in {write_ms:.0} ms");
+    let (_, _, decode_ms, evps) = decode("100m file-backed decode", &v2, total, t)?;
+    Ok((total, write_ms, decode_ms, evps))
 }
 
 fn run() -> Result<(), String> {
@@ -322,21 +355,18 @@ fn run() -> Result<(), String> {
         }
     }
 
-    // Synthetic volume: bounded-memory write, then bounded-memory
-    // chunked decode.
-    let t = Instant::now();
-    let (cursor, total, raw) =
-        write_synthetic(io::Cursor::new(Vec::new()), events).map_err(|e| e.to_string())?;
-    let image = cursor.into_inner();
-    let write_ms = t.elapsed().as_nanos() as f64 / 1e6;
-    let bpe = image.len() as f64 / total as f64;
+    // Synthetic volume: bounded-memory write to a file, then a
+    // bounded-memory decode from the file.
+    let path = TempPath::new("10m");
+    let (total, raw, image_len, write_ms) = write_file(&path, events)?;
+    let bpe = image_len as f64 / total as f64;
     let raw_bpe = raw as f64 / total as f64;
     println!(
         "synthetic: {total} events, raw {:.1} MiB ({raw_bpe:.1} B/event) -> \
          packed {:.1} MiB ({bpe:.2} B/event, {:.2}x) in {write_ms:.0} ms",
         raw as f64 / (1 << 20) as f64,
-        image.len() as f64 / (1 << 20) as f64,
-        raw as f64 / image.len() as f64,
+        image_len as f64 / (1 << 20) as f64,
+        raw as f64 / image_len as f64,
     );
     if total < events {
         return Err(format!("synthetic produced {total} < {events} events"));
@@ -348,73 +378,34 @@ fn run() -> Result<(), String> {
     }
 
     let t = Instant::now();
-    let mut ing = V2Ingest::new().with_parallelism(Parallelism::Workers(4));
-    for chunk in image.chunks(1 << 20) {
-        ing.push(chunk).map_err(|e| e.to_string())?;
-    }
-    ing.finish().map_err(|e| e.to_string())?;
-    let snap = ing.snapshot().ok_or("no snapshot after finish")?;
-    let decode_ms = t.elapsed().as_nanos() as f64 / 1e6;
-    let stats = ing.stats();
-    if stats.blocks_corrupt != 0 {
-        return Err(format!(
-            "{} corrupt blocks in a clean image",
-            stats.blocks_corrupt
-        ));
-    }
-    // Count from the columns, never the materialized rows: rows would
-    // triple the footprint and corrupt the RSS measurement.
-    let decoded = snap.columns().events.len();
-    if decoded != total {
-        return Err(format!("decode returned {decoded} of {total} events"));
-    }
-    let mem_bpe = snap.columns().bytes_in_memory() as f64 / total as f64;
-    let evps = total as f64 / (decode_ms / 1e3);
-    println!(
-        "decode: {} blocks, {total} events in {decode_ms:.0} ms \
-         ({:.2} M events/s, {mem_bpe:.1} B/event resident)",
-        stats.blocks_decoded,
-        evps / 1e6
-    );
-    if mem_bpe > MEM_MAX_BYTES_PER_EVENT {
-        return Err(format!(
-            "{mem_bpe:.1} B/event in memory exceeds {MEM_MAX_BYTES_PER_EVENT}"
-        ));
-    }
-    check_throughput("chunked decode", evps, MIN_CHUNKED_EVPS)?;
-
-    // One-shot direct decode over the same image.
-    let t = Instant::now();
-    let v2 = V2Trace::parse(&image).map_err(|e| e.to_string())?;
-    let (oneshot, ostats) = v2.analyze(Parallelism::Workers(4));
-    let oneshot_ms = t.elapsed().as_nanos() as f64 / 1e6;
-    if ostats.blocks_corrupt != 0 {
-        return Err("one-shot: corrupt blocks in a clean image".into());
-    }
-    if oneshot.columns().events.len() != total {
-        return Err(format!(
-            "one-shot decoded {} of {total} events",
-            oneshot.columns().events.len()
-        ));
-    }
-    let oneshot_evps = total as f64 / (oneshot_ms / 1e3);
-    println!(
-        "one-shot decode: {total} events in {oneshot_ms:.0} ms ({:.2} M events/s)",
-        oneshot_evps / 1e6
-    );
-    check_throughput("one-shot decode", oneshot_evps, MIN_ONESHOT_EVPS)?;
-    drop(oneshot);
-
-    // Block-skip win: a window covering ~1% of the trace span must
-    // touch only the footer-overlapping blocks, not the whole file.
+    let file = File::open(&path.0).map_err(|e| e.to_string())?;
+    let v2 = V2Trace::read(&file).map_err(|e| e.to_string())?;
+    let (snap, mem_bpe, decode_ms, evps) = decode("file-backed decode", &v2, total, t)?;
     let (lo, hi) = (snap.columns().start_tb(), snap.columns().end_tb());
-    let (mid, half) = (lo + (hi - lo) / 2, (hi - lo) / 200);
+    drop(snap);
+
+    // The same image decoded from memory.
+    let image = std::fs::read(&path.0).map_err(|e| e.to_string())?;
     let t = Instant::now();
-    let wq = v2.window_events(mid - half, mid + half);
+    let memory = V2Trace::parse(&image).map_err(|e| e.to_string())?;
+    let (_, _, oneshot_ms, oneshot_evps) = decode("in-memory decode", &memory, total, t)?;
+    drop(image);
+
+    // Block-skip win: a window covering ~1% of the trace span, queried
+    // on the file, must read and decode only the footer-overlapping
+    // blocks, not the whole file.
+    let (mid, half) = (lo + (hi - lo) / 2, (hi - lo) / 200);
+    let (t, read0) = (Instant::now(), bytes_read());
+    let v2 = V2Trace::read(&file).map_err(|e| e.to_string())?;
+    let wq = v2
+        .window_events(mid - half, mid + half)
+        .map_err(|e| e.to_string())?;
     let window_ms = t.elapsed().as_nanos() as f64 / 1e6;
+    let window_read = bytes_read() - read0;
     let total_blocks = v2.file().total_blocks();
     println!(
-        "1% window: {} events, {} of {total_blocks} blocks decoded in {window_ms:.1} ms",
+        "1% window: {} events, {} of {total_blocks} blocks decoded, \
+         {window_read} of {image_len} file bytes read in {window_ms:.1} ms",
         wq.events.len(),
         wq.stats.blocks_decoded,
     );
@@ -427,16 +418,20 @@ fn run() -> Result<(), String> {
             wq.stats.blocks_decoded
         ));
     }
+    if window_read as f64 > WINDOW_MAX_READ_FRACTION * image_len as f64 {
+        return Err(format!(
+            "1% window read {window_read} of {image_len} file bytes (max {:.0}%)",
+            WINDOW_MAX_READ_FRACTION * 100.0
+        ));
+    }
     let window_evps = wq.events.len() as f64 / (window_ms / 1e3);
     let window_blocks = wq.stats.blocks_decoded;
-    let image_len = image.len();
     // Free the 10M-point structures before the full-scale point so
     // its RSS high-water mark measures the 100M session alone.
     drop(wq);
     drop(v2);
-    drop(snap);
-    drop(ing);
-    drop(image);
+    drop(file);
+    drop(path);
 
     // The full-scale point, behind a wall-clock budget projected from
     // the measured rates (with 25% headroom): only worth the disk and
@@ -476,13 +471,13 @@ fn run() -> Result<(), String> {
 
     let mut records = vec![
         BenchRecord {
-            name: "volume_decode_10m".into(),
+            name: "volume_file_10m".into(),
             events_per_sec: evps,
             wall_ms: decode_ms,
             threads: 4,
         },
         BenchRecord {
-            name: "volume_oneshot_10m".into(),
+            name: "volume_memory_10m".into(),
             events_per_sec: oneshot_evps,
             wall_ms: oneshot_ms,
             threads: 4,
@@ -504,11 +499,12 @@ fn run() -> Result<(), String> {
         ("write_ms_10m".into(), write_ms),
         ("peak_rss_mib".into(), rss_mib as f64),
         ("window_blocks_decoded".into(), window_blocks as f64),
+        ("window_bytes_read".into(), window_read as f64),
         ("total_blocks".into(), total_blocks as f64),
     ];
     if let Some((big_total, big_write_ms, big_decode_ms, big_evps)) = big {
         records.push(BenchRecord {
-            name: "volume_decode_100m".into(),
+            name: "volume_file_100m".into(),
             events_per_sec: big_evps,
             wall_ms: big_decode_ms,
             threads: 4,
@@ -532,7 +528,7 @@ fn run() -> Result<(), String> {
 fn main() -> ExitCode {
     // The 100M-event point stays under the RSS budget because
     // placement (`EventColumns::extend_core`, called by the one-shot
-    // placement both v2 readers share) frees each decoded run column
+    // placement the v2 reader shares) frees each decoded run column
     // as soon as it is copied into the store — which only returns
     // memory to the OS if those multi-MiB buffers were mmap'd.
     // glibc's *dynamic* mmap threshold defeats that: once an earlier

@@ -108,5 +108,5 @@ pub use session::TraceSession;
 pub use spe_tracer::PdtSpeTracer;
 pub use v2::{
     pack, unpack, Anchoring, BlockEntry, BlockIter, BlockKind, BlockPrefix, CodecStats, SyncAnchor,
-    V2Error, V2File, V2StreamMeta, V2Writer, DEFAULT_BLOCK_RECORDS, MAGIC2, VERSION2,
+    Truncation, V2Error, V2File, V2StreamMeta, V2Writer, DEFAULT_BLOCK_RECORDS, MAGIC2, VERSION2,
 };

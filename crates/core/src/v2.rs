@@ -114,6 +114,14 @@ impl std::fmt::Display for V2Error {
 
 impl std::error::Error for V2Error {}
 
+impl From<V2Error> for io::Error {
+    /// An [`InvalidData`](io::ErrorKind::InvalidData) error that
+    /// displays as the v2 error, for readers that walk a file.
+    fn from(e: V2Error) -> Self {
+        io::Error::new(io::ErrorKind::InvalidData, e)
+    }
+}
+
 // ---------------------------------------------------------------------
 // Primitive codecs: varint, zigzag, crc32.
 // ---------------------------------------------------------------------
@@ -1316,29 +1324,33 @@ impl<W: Write + Seek> V2Writer<W> {
 /// gap offsets, gap causes, resync points — is identical to the
 /// original's.
 pub fn pack(trace: &TraceFile, block_records: usize) -> Vec<u8> {
-    let anchors = harvest_sync_anchors(trace);
-    let cursor = io::Cursor::new(Vec::new());
-    let mut w = V2Writer::new(cursor, trace.header, block_records).expect("vec io");
-    w.preset_anchors(&anchors);
+    // Writing into a `Vec` cannot fail, and the preset anchors keep
+    // `finish` from refusing an anchor that arrives after its SPE.
+    try_pack(trace, block_records).expect("vec io")
+}
+
+/// [`pack`], with the writer's errors returned.
+fn try_pack(trace: &TraceFile, block_records: usize) -> io::Result<Vec<u8>> {
+    let mut w = V2Writer::new(io::Cursor::new(Vec::new()), trace.header, block_records)?;
+    w.preset_anchors(&harvest_sync_anchors(trace));
     for s in &trace.streams {
-        w.begin_stream(s.core, s.dropped).expect("vec io");
+        w.begin_stream(s.core, s.dropped)?;
         let lossy = decode_stream_lossy(&s.bytes, Some(s.core));
         let mut next = 0usize;
         for gap in &lossy.gaps {
             while next < gap.records_before as usize {
-                w.push(&lossy.records[next]).expect("vec io");
+                w.push(&lossy.records[next])?;
                 next += 1;
             }
-            w.push_gap(&s.bytes[gap.offset..gap.offset + gap.len])
-                .expect("vec io");
+            w.push_gap(&s.bytes[gap.offset..gap.offset + gap.len])?;
         }
         while next < lossy.records.len() {
-            w.push(&lossy.records[next]).expect("vec io");
+            w.push(&lossy.records[next])?;
             next += 1;
         }
-        w.end_stream().expect("vec io");
+        w.end_stream()?;
     }
-    w.finish(&trace.ctx_names).expect("vec io").into_inner()
+    Ok(w.finish(&trace.ctx_names)?.into_inner())
 }
 
 /// Unpacks a v2 container back into an in-memory v1 trace.
@@ -1353,7 +1365,7 @@ pub fn pack(trace: &TraceFile, block_records: usize) -> Vec<u8> {
 pub fn unpack(image: &[u8]) -> Result<TraceFile, V2Error> {
     let v2 = V2File::parse(image)?;
     let mut streams = Vec::with_capacity(v2.streams.len());
-    for (idx, meta) in v2.streams.iter().enumerate() {
+    for meta in &v2.streams {
         // The header's raw length is checked only once the blocks are
         // decoded, so a damaged one may reserve no more than 16 raw
         // bytes per payload byte: twice what the packed codec expands
@@ -1361,7 +1373,7 @@ pub fn unpack(image: &[u8]) -> Result<TraceFile, V2Error> {
         // record, at least one byte per 8-byte parameter).
         let budget = meta.raw_len.min(meta.payloads_len.saturating_mul(16));
         let mut bytes = Vec::with_capacity(usize::try_from(budget).unwrap_or(0));
-        for item in v2.blocks(idx) {
+        for item in BlockIter::new(meta.region(image)) {
             let (prefix, payload) = item?;
             if crc32(payload) != prefix.payload_crc {
                 return Err(V2Error::Corrupt {
@@ -1408,7 +1420,7 @@ pub fn unpack(image: &[u8]) -> Result<TraceFile, V2Error> {
 }
 
 // ---------------------------------------------------------------------
-// Random-access scan of a v2 image.
+// The container walk: everything in a v2 image but the blocks.
 // ---------------------------------------------------------------------
 
 /// Location and placement metadata of one stream inside a v2 image.
@@ -1428,19 +1440,61 @@ pub struct V2StreamMeta {
     pub n_blocks: u32,
     /// Absolute offset of the block region within the image.
     pub blocks_off: usize,
-    /// Block-region length in bytes.
+    /// Block-region length the stream header claims.
     pub payloads_len: u64,
-    /// Absolute offset of the footer directory within the image.
+    /// Block-region bytes the image holds: `payloads_len`, unless the
+    /// image ends inside the region.
+    pub present: usize,
+    /// Absolute offset of the footer directory within the image (where
+    /// it would start, when the image ends first).
     pub dir_off: usize,
+    /// Whether the image holds the footer directory whole: false only
+    /// for the stream the image ends inside.
+    pub directory: bool,
 }
 
-/// A parsed v2 container: header, per-stream block-region locations
-/// and footer directories — no payload is decoded. Parsing is O(stream
-/// count); queries then read only the directory entries and payloads
-/// they need.
+impl V2StreamMeta {
+    /// The block-region bytes `image` holds for this stream; empty when
+    /// `image` is not the image the stream was walked from.
+    pub fn region<'a>(&self, image: &'a [u8]) -> &'a [u8] {
+        image
+            .get(self.blocks_off..self.blocks_off.saturating_add(self.present))
+            .unwrap_or_default()
+    }
+}
+
+/// Where a v2 walk stopped: the structure the image ends inside and the
+/// byte offset that structure starts at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Truncation {
+    /// The structure, as [`V2Error::Truncated`] names it.
+    pub reading: &'static str,
+    /// Its absolute offset within the image.
+    pub offset: usize,
+}
+
+impl std::fmt::Display for Truncation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "image ends inside the {} at byte {}",
+            self.reading, self.offset
+        )
+    }
+}
+
+/// A v2 container's structure: the header, per-stream block-region
+/// locations with their footer directories, and the name table — no
+/// block is read. Queries then decode the directory entries and read
+/// the payloads they need.
+///
+/// [`V2File::read`] walks an image through positioned reads. An image
+/// that ends inside a structure keeps what it holds whole: the complete
+/// streams, the stream it ends inside (its header and the region bytes
+/// present, without a directory), the names read so far, and
+/// [`truncation`](Self::truncation) says where it stopped.
 #[derive(Debug, Clone)]
-pub struct V2File<'a> {
-    image: &'a [u8],
+pub struct V2File {
     /// Session/machine header (version rewritten to the v1 value so a
     /// reconstructed [`TraceFile`] serializes valid v1 bytes).
     pub header: TraceHeader,
@@ -1448,87 +1502,139 @@ pub struct V2File<'a> {
     pub streams: Vec<V2StreamMeta>,
     /// Context-name table.
     pub ctx_names: Vec<(u32, String)>,
+    /// Where the walk stopped, when the image ends inside a structure.
+    pub truncation: Option<Truncation>,
+    /// Each stream's footer directory bytes (empty without one).
+    dirs: Vec<Vec<u8>>,
 }
 
-impl<'a> V2File<'a> {
-    /// Parses the container structure (header, stream directory, name
-    /// table) without touching any block payload.
+impl V2File {
+    /// Walks a whole image held in memory.
     ///
     /// # Errors
     ///
-    /// Returns [`V2Error`] on bad magic/version, truncation or a
-    /// structurally inconsistent stream directory.
-    pub fn parse(image: &'a [u8]) -> Result<V2File<'a>, V2Error> {
-        let mut buf = image;
-        if buf.len() < 4 {
-            return Err(V2Error::Truncated { reading: "magic" });
+    /// Returns [`V2Error`] on bad magic/version, a structurally
+    /// inconsistent stream directory, an invalid name, or an image that
+    /// ends inside any structure ([`V2Error::Truncated`]).
+    pub fn parse(image: &[u8]) -> Result<V2File, V2Error> {
+        let file = V2File::walk(image)?;
+        match file.truncation {
+            Some(t) => Err(V2Error::Truncated { reading: t.reading }),
+            None => Ok(file),
         }
-        if &buf[..4] != MAGIC2 {
-            return Err(V2Error::BadMagic);
+    }
+
+    /// Walks an image held in memory, keeping the prefix of one that
+    /// ends inside a structure, as [`V2File::read`] does.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`V2File::read`].
+    pub fn walk(image: &[u8]) -> Result<V2File, V2Error> {
+        V2File::read(image.len(), |at, buf| {
+            let src = image
+                .get(at..at + buf.len())
+                .ok_or(V2Error::Truncated { reading: "image" })?;
+            buf.copy_from_slice(src);
+            Ok(())
+        })
+    }
+
+    /// Walks an image of `len` bytes through `read_at`, which fills
+    /// `buf` with the image bytes at offset `at`; it is asked only for
+    /// bytes inside `len`. The walk reads the header, each 40-byte
+    /// stream header, each stream's footer directory (whole) and the
+    /// name table, skips every block region, and stops at the first
+    /// structure the image ends inside.
+    ///
+    /// # Errors
+    ///
+    /// [`V2Error::Truncated`] when the image ends before the container
+    /// header does, [`V2Error`] on bad magic/version, an invalid stream
+    /// anchoring byte or name, or the first error of `read_at`.
+    pub fn read<E: From<V2Error>>(
+        len: usize,
+        read_at: impl FnMut(usize, &mut [u8]) -> Result<(), E>,
+    ) -> Result<V2File, E> {
+        let mut w = Walk {
+            len,
+            at: 0,
+            read_at,
+        };
+        let magic: [u8; 4] = w.take()?.ok_or(V2Error::Truncated { reading: "magic" })?;
+        if &magic != MAGIC2 {
+            return Err(V2Error::BadMagic.into());
         }
-        buf.advance(4);
-        if buf.len() < 2 + 1 + 1 + 8 + 8 + 4 + 4 + 4 {
-            return Err(V2Error::Truncated { reading: "header" });
-        }
-        let version = buf.get_u16_le();
+        let h: [u8; 32] = w.take()?.ok_or(V2Error::Truncated { reading: "header" })?;
+        let mut h = &h[..];
+        let version = h.get_u16_le();
         if version != VERSION2 {
-            return Err(V2Error::BadVersion { found: version });
+            return Err(V2Error::BadVersion { found: version }.into());
         }
         let header = TraceHeader {
             version: VERSION,
-            num_ppe_threads: buf.get_u8(),
-            num_spes: buf.get_u8(),
-            core_hz: buf.get_u64_le(),
-            timebase_divider: buf.get_u64_le(),
-            dec_start: buf.get_u32_le(),
-            group_mask: buf.get_u32_le(),
-            spe_buffer_bytes: buf.get_u32_le(),
+            num_ppe_threads: h.get_u8(),
+            num_spes: h.get_u8(),
+            core_hz: h.get_u64_le(),
+            timebase_divider: h.get_u64_le(),
+            dec_start: h.get_u32_le(),
+            group_mask: h.get_u32_le(),
+            spe_buffer_bytes: h.get_u32_le(),
         };
-        if buf.len() < 4 {
-            return Err(V2Error::Truncated {
-                reading: "stream count",
-            });
-        }
-        let n_streams = buf.get_u32_le();
+        let mut file = V2File {
+            header,
+            streams: Vec::new(),
+            ctx_names: Vec::new(),
+            truncation: None,
+            dirs: Vec::new(),
+        };
+        file.truncation = file.walk_streams(&mut w)?;
+        Ok(file)
+    }
+
+    /// Walks the streams and the name table after the header, keeping
+    /// what the image holds whole, and returns the structure the image
+    /// ends inside, if any.
+    fn walk_streams<E: From<V2Error>, F: FnMut(usize, &mut [u8]) -> Result<(), E>>(
+        &mut self,
+        w: &mut Walk<F>,
+    ) -> Result<Option<Truncation>, E> {
+        let stop = |reading, offset| Ok(Some(Truncation { reading, offset }));
+        let at = w.at;
+        let Some(count) = w.take()? else {
+            return stop("stream count", at);
+        };
+        let n_streams = u32::from_le_bytes(count);
         // Every stream header takes STREAM_HEADER_BYTES, so a damaged
         // count cannot ask for more room than the image could fill.
-        let mut streams =
-            Vec::with_capacity((n_streams as usize).min(buf.len() / STREAM_HEADER_BYTES));
+        self.streams
+            .reserve((n_streams as usize).min(w.left() / STREAM_HEADER_BYTES));
         for _ in 0..n_streams {
-            if buf.len() < STREAM_HEADER_BYTES {
-                return Err(V2Error::Truncated {
-                    reading: "stream header",
-                });
-            }
-            let core = TraceCore::from_tag(buf.get_u8());
-            let anchoring = Anchoring::from_byte(buf.get_u8()).ok_or(V2Error::Corrupt {
+            let at = w.at;
+            let Some(h) = w.take::<STREAM_HEADER_BYTES>()? else {
+                return stop("stream header", at);
+            };
+            let mut h = &h[..];
+            let core = TraceCore::from_tag(h.get_u8());
+            let anchoring = Anchoring::from_byte(h.get_u8()).ok_or(V2Error::Corrupt {
                 what: "stream anchoring byte",
             })?;
-            buf.advance(2);
-            let n_blocks = buf.get_u32_le();
-            let dropped = buf.get_u64_le();
-            let raw_len = buf.get_u64_le();
-            let payloads_len = buf.get_u64_le();
-            let run_tb = buf.get_u64_le();
-            let blocks_off = image.len() - buf.len();
-            let region = usize::try_from(payloads_len).map_err(|_| V2Error::Corrupt {
-                what: "stream payload length",
-            })?;
-            if buf.len() < region {
-                return Err(V2Error::Truncated {
-                    reading: "block region",
-                });
-            }
-            buf.advance(region);
-            let dir_off = image.len() - buf.len();
-            let dir_len = n_blocks as usize * ENTRY_BYTES;
-            if buf.len() < dir_len {
-                return Err(V2Error::Truncated {
-                    reading: "footer directory",
-                });
-            }
-            buf.advance(dir_len);
-            streams.push(V2StreamMeta {
+            h.advance(2);
+            let n_blocks = h.get_u32_le();
+            let dropped = h.get_u64_le();
+            let raw_len = h.get_u64_le();
+            let payloads_len = h.get_u64_le();
+            let run_tb = h.get_u64_le();
+            let blocks_off = w.at;
+            let present = payloads_len.min(w.left() as u64) as usize;
+            w.at += present;
+            let dir_off = w.at;
+            let dir = if present as u64 == payloads_len {
+                w.take_vec(u64::from(n_blocks) * ENTRY_BYTES as u64)?
+            } else {
+                None
+            };
+            self.streams.push(V2StreamMeta {
                 core,
                 anchoring,
                 run_tb,
@@ -1537,99 +1643,87 @@ impl<'a> V2File<'a> {
                 n_blocks,
                 blocks_off,
                 payloads_len,
+                present,
                 dir_off,
+                directory: dir.is_some(),
             });
+            let Some(dir) = dir else {
+                return if present as u64 == payloads_len {
+                    stop("footer directory", dir_off)
+                } else {
+                    stop("block region", blocks_off)
+                };
+            };
+            self.dirs.push(dir);
         }
-        if buf.len() < 4 {
-            return Err(V2Error::Truncated {
-                reading: "name table",
-            });
-        }
-        let n_names = buf.get_u32_le();
+        let at = w.at;
+        let Some(count) = w.take()? else {
+            return stop("name table", at);
+        };
+        let n_names = u32::from_le_bytes(count);
         // Likewise for the 8-byte name entry headers.
-        let mut ctx_names = Vec::with_capacity((n_names as usize).min(buf.len() / 8));
+        self.ctx_names.reserve((n_names as usize).min(w.left() / 8));
         for _ in 0..n_names {
-            if buf.len() < 8 {
-                return Err(V2Error::Truncated {
-                    reading: "name entry",
-                });
-            }
-            let ctx = buf.get_u32_le();
-            let len = buf.get_u32_le() as usize;
-            if buf.len() < len {
-                return Err(V2Error::Truncated {
-                    reading: "name bytes",
-                });
-            }
-            let name = String::from_utf8(buf[..len].to_vec()).map_err(|_| V2Error::BadName)?;
-            buf.advance(len);
-            ctx_names.push((ctx, name));
+            let at = w.at;
+            let Some(e) = w.take::<8>()? else {
+                return stop("name entry", at);
+            };
+            let ctx = u32::from_le_bytes([e[0], e[1], e[2], e[3]]);
+            let len = u32::from_le_bytes([e[4], e[5], e[6], e[7]]);
+            let Some(name) = w.take_vec(u64::from(len))? else {
+                return stop("name bytes", at + 8);
+            };
+            let name = String::from_utf8(name).map_err(|_| V2Error::BadName)?;
+            self.ctx_names.push((ctx, name));
         }
-        Ok(V2File {
-            image,
-            header,
-            streams,
-            ctx_names,
-        })
+        Ok(None)
     }
 
-    /// Decodes (and CRC-verifies) one footer directory entry.
+    /// Decodes (and CRC-verifies) entry `block` of stream `stream`'s
+    /// footer directory.
     ///
     /// # Errors
     ///
-    /// Returns [`V2Error::Corrupt`] on a flipped footer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stream` or `block` is out of range.
+    /// Returns [`V2Error::Corrupt`] on a flipped footer, or on an
+    /// index outside the directory the image holds (the stream the
+    /// image ends inside has none).
     pub fn entry(&self, stream: usize, block: u32) -> Result<BlockEntry, V2Error> {
-        let meta = &self.streams[stream];
-        assert!(block < meta.n_blocks, "block index out of range");
-        let off = meta.dir_off + block as usize * ENTRY_BYTES;
-        BlockEntry::decode(&self.image[off..off + ENTRY_BYTES])
+        let at = block as usize * ENTRY_BYTES;
+        let bytes = self
+            .dirs
+            .get(stream)
+            .and_then(|d| d.get(at..at + ENTRY_BYTES))
+            .ok_or(V2Error::Corrupt {
+                what: "directory entry index",
+            })?;
+        BlockEntry::decode(bytes)
     }
 
-    /// The payload bytes a (trusted) footer entry points at.
+    /// The range, within stream `stream`'s block region, of the payload
+    /// a (trusted) footer entry points at.
     ///
     /// # Errors
     ///
     /// Returns [`V2Error::Corrupt`] when the entry points outside the
-    /// stream's block region (a corrupt entry that passed its CRC
-    /// cannot happen, but a caller may pass a synthetic one).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stream` is out of range.
-    pub fn payload(&self, stream: usize, entry: &BlockEntry) -> Result<&'a [u8], V2Error> {
-        let meta = &self.streams[stream];
-        let region = &self.image[meta.blocks_off..meta.blocks_off + meta.payloads_len as usize];
+    /// region bytes the image holds (a corrupt entry that passed its CRC
+    /// cannot happen, but a caller may pass a synthetic one) or the
+    /// stream index is out of range.
+    pub fn payload_range(
+        &self,
+        stream: usize,
+        entry: &BlockEntry,
+    ) -> Result<std::ops::Range<usize>, V2Error> {
+        let bad = V2Error::Corrupt {
+            what: "footer block offset",
+        };
+        let present = self.streams.get(stream).ok_or(bad.clone())?.present;
         let start = usize::try_from(entry.block_off)
             .ok()
             .and_then(|o| o.checked_add(PREFIX_BYTES))
-            .ok_or(V2Error::Corrupt {
-                what: "footer block offset",
-            })?;
-        let end = start.checked_add(entry.payload_len as usize);
-        match end {
-            Some(end) if end <= region.len() => Ok(&region[start..end]),
-            _ => Err(V2Error::Corrupt {
-                what: "footer block offset",
-            }),
-        }
-    }
-
-    /// Iterates a stream's blocks in order via the inline prefixes
-    /// (the streaming decode path — no directory access).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stream` is out of range.
-    pub fn blocks(&self, stream: usize) -> BlockIter<'a> {
-        let meta = &self.streams[stream];
-        BlockIter {
-            region: &self.image[meta.blocks_off..meta.blocks_off + meta.payloads_len as usize],
-            off: 0,
-            failed: false,
+            .ok_or(bad.clone())?;
+        match start.checked_add(entry.payload_len as usize) {
+            Some(end) if end <= present => Ok(start..end),
+            _ => Err(bad),
         }
     }
 
@@ -1639,9 +1733,48 @@ impl<'a> V2File<'a> {
     }
 }
 
-/// Iterator over one stream's `(prefix, payload)` pairs, driven by the
-/// inline prefixes. Yields one `Err` and then fuses if the block
-/// region is structurally inconsistent.
+/// A forward walk over an image read through positioned reads.
+struct Walk<F> {
+    len: usize,
+    at: usize,
+    read_at: F,
+}
+
+impl<E, F: FnMut(usize, &mut [u8]) -> Result<(), E>> Walk<F> {
+    /// Bytes left after the walk's position.
+    fn left(&self) -> usize {
+        self.len - self.at
+    }
+
+    /// Reads the next `N` bytes; `None`, reading nothing, when the
+    /// image ends first.
+    fn take<const N: usize>(&mut self) -> Result<Option<[u8; N]>, E> {
+        if N > self.left() {
+            return Ok(None);
+        }
+        let mut buf = [0; N];
+        (self.read_at)(self.at, &mut buf)?;
+        self.at += N;
+        Ok(Some(buf))
+    }
+
+    /// Reads the next `n` bytes, allocating only once they are known to
+    /// be in the image; `None` when the image ends first.
+    fn take_vec(&mut self, n: u64) -> Result<Option<Vec<u8>>, E> {
+        if n > self.left() as u64 {
+            return Ok(None);
+        }
+        let mut buf = vec![0; n as usize];
+        (self.read_at)(self.at, &mut buf)?;
+        self.at += buf.len();
+        Ok(Some(buf))
+    }
+}
+
+/// Iterator over the `(prefix, payload)` pairs of one stream's block
+/// region, driven by the inline prefixes. Yields one `Err` and then
+/// fuses if the region is structurally inconsistent or ends inside a
+/// block.
 #[derive(Debug, Clone)]
 pub struct BlockIter<'a> {
     region: &'a [u8],
@@ -1649,32 +1782,45 @@ pub struct BlockIter<'a> {
     failed: bool,
 }
 
+impl<'a> BlockIter<'a> {
+    /// Iterates the blocks of `region`, a stream's block-region bytes
+    /// ([`V2StreamMeta::region`]).
+    pub fn new(region: &'a [u8]) -> Self {
+        BlockIter {
+            region,
+            off: 0,
+            failed: false,
+        }
+    }
+}
+
 impl<'a> Iterator for BlockIter<'a> {
     type Item = Result<(BlockPrefix, &'a [u8]), V2Error>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.failed || self.off >= self.region.len() {
+        let rest = self.region.get(self.off..).unwrap_or_default();
+        if self.failed || rest.is_empty() {
             return None;
         }
-        let prefix = match BlockPrefix::decode(&self.region[self.off..]) {
+        let prefix = match BlockPrefix::decode(rest) {
             Ok(p) => p,
             Err(e) => {
                 self.failed = true;
                 return Some(Err(e));
             }
         };
-        let start = self.off + PREFIX_BYTES;
-        let end = match start.checked_add(prefix.payload_len as usize) {
-            Some(end) if end <= self.region.len() => end,
-            _ => {
-                self.failed = true;
-                return Some(Err(V2Error::Truncated {
-                    reading: "block payload",
-                }));
+        match rest.get(PREFIX_BYTES..PREFIX_BYTES + prefix.payload_len as usize) {
+            Some(payload) => {
+                self.off += PREFIX_BYTES + payload.len();
+                Some(Ok((prefix, payload)))
             }
-        };
-        self.off = end;
-        Some(Ok((prefix, &self.region[start..end])))
+            None => {
+                self.failed = true;
+                Some(Err(V2Error::Truncated {
+                    reading: "block payload",
+                }))
+            }
+        }
     }
 }
 
@@ -2017,11 +2163,19 @@ mod tests {
         assert_eq!(p1.core_mask, 1 << 1);
 
         // Payload access agrees with the block iterator.
-        let by_iter: Vec<_> = v2.blocks(1).map(|r| r.unwrap().1.to_vec()).collect();
+        let region = v2.streams[1].region(&image);
+        let by_iter: Vec<_> = BlockIter::new(region)
+            .map(|r| r.unwrap().1.to_vec())
+            .collect();
         for (i, want) in by_iter.iter().enumerate() {
             let e = v2.entry(1, i as u32).unwrap();
-            assert_eq!(v2.payload(1, &e).unwrap(), want.as_slice());
+            assert_eq!(&region[v2.payload_range(1, &e).unwrap()], want.as_slice());
         }
+        // Indices outside the directories are errors, not panics.
+        assert!(v2.entry(1, 3).is_err());
+        assert!(v2.entry(2, 0).is_err());
+        let e0 = v2.entry(1, 0).unwrap();
+        assert!(v2.payload_range(2, &e0).is_err());
     }
 
     #[test]
@@ -2099,6 +2253,55 @@ mod tests {
     }
 
     #[test]
+    fn the_walk_keeps_the_prefix_of_a_truncated_image() {
+        let f = sample();
+        let image = pack(&f, 2);
+        let whole = V2File::parse(&image).unwrap();
+        assert_eq!(whole.truncation, None);
+        let walk = |cut: usize| V2File::walk(&image[..cut]);
+        assert_eq!(
+            walk(35).unwrap_err(),
+            V2Error::Truncated { reading: "header" }
+        );
+        let (s0, s1) = (whole.streams[0], whole.streams[1]);
+        let names = s1.dir_off + s1.n_blocks as usize * ENTRY_BYTES;
+        let last_name = f.ctx_names.last().unwrap().1.len();
+        for (cut, reading, offset, streams) in [
+            (38, "stream count", 36, 0),
+            (40 + 39, "stream header", 40, 0),
+            (s0.blocks_off + 20, "block region", s0.blocks_off, 1),
+            (s1.dir_off + 79, "footer directory", s1.dir_off, 2),
+            (names + 3, "name table", names, 2),
+            (names + 4 + 7, "name entry", names + 4, 2),
+            (image.len() - 1, "name bytes", image.len() - last_name, 2),
+        ] {
+            let cut_file = walk(cut).unwrap();
+            assert_eq!(
+                cut_file.truncation,
+                Some(Truncation { reading, offset }),
+                "cut at {cut}"
+            );
+            assert_eq!(cut_file.streams.len(), streams, "cut at {cut}");
+            assert_eq!(
+                V2File::parse(&image[..cut]).unwrap_err(),
+                V2Error::Truncated { reading },
+                "cut at {cut}"
+            );
+        }
+        // The stream the image ends inside keeps its present bytes and
+        // has no directory; the complete one before it keeps its own.
+        let cut = walk(s1.blocks_off + 30).unwrap();
+        let last = cut.streams[1];
+        assert_eq!((last.present, last.directory), (30, false));
+        assert!(cut.entry(1, 0).is_err());
+        assert!(cut.streams[0].directory);
+        assert_eq!(cut.entry(0, 0), whole.entry(0, 0));
+        // Whole streams before a cut name table keep every name read.
+        let cut = walk(image.len() - 1).unwrap();
+        assert_eq!(cut.ctx_names.len(), f.ctx_names.len() - 1);
+    }
+
+    #[test]
     fn block_iter_fuses_on_structural_damage() {
         let image = pack(&sample(), 2);
         let v2 = V2File::parse(&image).unwrap();
@@ -2107,7 +2310,7 @@ mod tests {
         let off = v2.streams[1].blocks_off + 9;
         bad[off..off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         let v2b = V2File::parse(&bad).unwrap();
-        let mut it = v2b.blocks(1);
+        let mut it = BlockIter::new(v2b.streams[1].region(&bad));
         assert!(it.next().unwrap().is_err());
         assert!(it.next().is_none(), "iterator must fuse after an error");
     }

@@ -354,7 +354,10 @@ pub fn analyze_lossy(trace: &TraceFile) -> (AnalyzedTrace, LossReport) {
             anchors,
             dropped: trace.total_dropped(),
         },
-        LossReport { streams: losses },
+        LossReport {
+            streams: losses,
+            truncated: None,
+        },
     )
 }
 

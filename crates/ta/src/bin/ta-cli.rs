@@ -30,8 +30,10 @@
 //! footers) images are both accepted. On a v2 image, a windowed
 //! `query` listing decodes only the blocks whose footer time range
 //! overlaps the window and reports the decode/skip counters on
-//! stderr; truncated v2 images degrade to loss accounting through the
-//! streaming reader instead of failing.
+//! stderr; a truncated v2 image degrades to loss accounting, whose
+//! report names the structure the image ends inside, instead of
+//! failing. Both containers are read with positioned reads, never
+//! whole (but for `--strict` on a `.pdt2`, `pack` and `unpack`).
 //!
 //! Answers go to stdout through one buffered writer, and reports
 //! (`timeline`, `events`, `loss`, `report`) are streamed into it, or
@@ -79,17 +81,18 @@ use std::sync::Arc;
 
 use pdt::{TraceCore, TraceFile, DEFAULT_BLOCK_RECORDS};
 use ta::{
-    analyze_v2, compare_traces, is_v2_file, is_v2_image, user_phases, Analysis, CsvTable,
-    EventFilter, LintConfig, MappedImage, Parallelism, RenderOptions, ReportKind, SvgOptions,
-    TraceImage, V2Trace,
+    compare_traces, is_v2_file, is_v2_image, user_phases, Analysis, CsvTable, EventFilter,
+    LintConfig, MappedImage, Parallelism, RenderOptions, ReportKind, SvgOptions, TraceImage,
+    V2Trace,
 };
 
-/// A trace file opened by container.
+/// A trace file opened by container, left on disk: ingest reads what
+/// it needs itself.
 enum Trace {
-    /// A `.pdt`, left on disk: ingest reads each stream itself.
+    /// A `.pdt`.
     V1(File),
-    /// A `.pdt2`, read whole.
-    V2(MappedImage),
+    /// A `.pdt2`.
+    V2(File),
 }
 
 /// Opens the trace at `path`, sniffing the container by its magic.
@@ -97,43 +100,44 @@ fn open(path: &str) -> Result<Trace, String> {
     let err = |e: io::Error| format!("{path}: {e}");
     let file = File::open(path).map_err(err)?;
     if is_v2_file(&file).map_err(err)? {
-        return MappedImage::open(path).map(Trace::V2).map_err(err);
+        return Ok(Trace::V2(file));
     }
     Ok(Trace::V1(file))
 }
 
 /// Loads a trace, sniffing the container by magic: `PDT1` images take
-/// the v1 path, `PDT2` images decode through the blocked v2 reader
-/// (falling back to the lossy streaming reader when the container is
-/// truncated).
+/// the v1 path, `PDT2` images decode through the blocked v2 reader,
+/// which degrades a truncated container to loss accounting.
 fn load(path: &str, strict: bool, par: Parallelism) -> Result<Arc<Analysis>, String> {
+    let err = |e: &dyn std::fmt::Display| format!("{path}: {e}");
     let file = match open(path)? {
         Trace::V1(file) => file,
-        Trace::V2(bytes) if strict => {
+        Trace::V2(_) if strict => {
             // Strict mode reconstructs the exact v1 bytes first, so a
             // damaged block fails the run like a malformed v1 record.
-            let trace = pdt::unpack(&bytes).map_err(|e| format!("{path}: {e}"))?;
+            let bytes = MappedImage::open(path).map_err(|e| err(&e))?;
+            let trace = pdt::unpack(&bytes).map_err(|e| err(&e))?;
             let a = Analysis::of(&trace)
                 .parallelism(par)
                 .strict()
                 .run()
-                .map_err(|e| format!("{path}: {e}"))?;
+                .map_err(|e| err(&e))?;
             return Ok(Arc::new(a));
         }
-        Trace::V2(bytes) => {
-            let (a, _) = analyze_v2(&bytes, par).map_err(|e| format!("{path}: {e}"))?;
+        Trace::V2(file) => {
+            // Only the container structure is read here; each decode
+            // shard reads its own stream's blocks.
+            let v2 = V2Trace::read(&file).map_err(|e| err(&e))?;
+            let (a, _) = v2.analyze(par).map_err(|e| err(&e))?;
             return Ok(a);
         }
     };
     // Only the header, the stream directory and the name table are read
     // here; each ingest shard reads its own stream in chunks.
-    let image = TraceImage::read(&file).map_err(|e| format!("{path}: {e}"))?;
+    let image = TraceImage::read(&file).map_err(|e| err(&e))?;
     let builder = Analysis::of(image).parallelism(par);
     let builder = if strict { builder.strict() } else { builder };
-    builder
-        .run()
-        .map(Arc::new)
-        .map_err(|e| format!("{path}: {e}"))
+    builder.run().map(Arc::new).map_err(|e| err(&e))
 }
 
 fn parse_parallelism(s: &str) -> Result<Parallelism, String> {
@@ -437,10 +441,11 @@ fn run(out: &mut dyn Write) -> Result<(), Failure> {
 
             // On an intact v2 container, a listing query takes the
             // block-skip path: only packed blocks whose footer time
-            // range overlaps the window are decoded at all.
+            // range overlaps the window are read and decoded at all.
             if !summary && !strict {
-                if let Trace::V2(data) = open(path)? {
-                    if let Ok(v2) = V2Trace::parse(&data) {
+                if let Trace::V2(file) = open(path)? {
+                    let v2 = V2Trace::read(&file).ok();
+                    if let Some(v2) = v2.filter(|v2| v2.file().truncation.is_none()) {
                         let (t0, t1) = (from.unwrap_or(0), to.unwrap_or(u64::MAX));
                         let mut filter = EventFilter::new().in_window(t0, t1);
                         for c in &cores {
@@ -452,7 +457,9 @@ fn run(out: &mut dyn Write) -> Result<(), Failure> {
                         for g in &groups {
                             filter = filter.in_group(parse_group(g)?);
                         }
-                        let wq = v2.window_events(t0, t1);
+                        let wq = v2
+                            .window_events(t0, t1)
+                            .map_err(|e| format!("{path}: {e}"))?;
                         for e in wq.events.iter().filter(|e| filter.matches(e)) {
                             write_event(out, e)?;
                         }

@@ -522,6 +522,7 @@ mod tests {
         // not count) survives.
         let loss = LossReport {
             streams: vec![lossy(TraceCore::Spe(0))],
+            truncated: None,
         };
         let edges = causal_edges_with_loss(&t, &loss);
         assert_eq!(edges.len(), 1, "{edges:?}");
@@ -530,6 +531,7 @@ mod tests {
         // same result.
         let loss = LossReport {
             streams: vec![lossy(TraceCore::Ppe(0))],
+            truncated: None,
         };
         let edges = causal_edges_with_loss(&t, &loss);
         assert_eq!(edges.len(), 1, "{edges:?}");
@@ -537,6 +539,7 @@ mod tests {
         // A gap in some *other* SPE's stream taints nothing here.
         let loss = LossReport {
             streams: vec![lossy(TraceCore::Spe(5))],
+            truncated: None,
         };
         assert_eq!(causal_edges_with_loss(&t, &loss).len(), 3);
         // And the unaware helper is the empty-loss special case.
@@ -570,6 +573,7 @@ mod tests {
                 gaps: vec![],
                 unanchored: false,
             }],
+            truncated: None,
         };
         assert_eq!(
             sorted(causal_edges_columns(&cols, &loss)),
@@ -663,6 +667,7 @@ mod tests {
         // PPE's register-2 edge survives (PPE streams are clean here).
         let loss = LossReport {
             streams: vec![lossy(TraceCore::Spe(1))],
+            truncated: None,
         };
         let sig: Vec<usize> = sync_edges_columns(&cols, &loss)
             .iter()
@@ -673,6 +678,7 @@ mod tests {
         // Suspect *target* (SPE0): every signal pairing into it drops.
         let loss = LossReport {
             streams: vec![lossy(TraceCore::Spe(0))],
+            truncated: None,
         };
         assert!(sync_edges_columns(&cols, &loss)
             .iter()

@@ -118,7 +118,8 @@ pub(crate) fn write_activity_window(
 }
 
 /// Writes loss accounting as
-/// `stream,decoded,gaps,gap_bytes,est_lost,tracer_dropped,unanchored`.
+/// `stream,decoded,gaps,gap_bytes,est_lost,tracer_dropped,unanchored`,
+/// then, for a truncated image, one row naming where it ends.
 /// Front door: [`Analysis::write_report`](crate::session::Analysis::write_report)
 /// with [`CsvTable::Loss`](crate::report::CsvTable::Loss).
 pub(crate) fn write_loss(report: &LossReport, out: &mut dyn io::Write) -> io::Result<()> {
@@ -135,6 +136,9 @@ pub(crate) fn write_loss(report: &LossReport, out: &mut dyn io::Write) -> io::Re
             s.tracer_dropped,
             s.unanchored
         )?;
+    }
+    if let Some(t) = &report.truncated {
+        writeln!(out, "truncated: {t},,,,,,")?;
     }
     Ok(())
 }
@@ -227,6 +231,7 @@ mod tests {
                 }],
                 unanchored: false,
             }],
+            truncated: None,
         };
         let csv = text(|out| write_loss(&report, out));
         let lines: Vec<&str> = csv.lines().collect();
@@ -235,5 +240,19 @@ mod tests {
             "stream,decoded,gaps,gap_bytes,est_lost,tracer_dropped,unanchored"
         );
         assert_eq!(lines[1], "SPE1,12,1,32,5,3,false");
+        assert_eq!(lines.len(), 2);
+
+        let truncated = LossReport {
+            truncated: Some(pdt::Truncation {
+                reading: "name entry",
+                offset: 2600,
+            }),
+            ..report
+        };
+        let csv = text(|out| write_loss(&truncated, out));
+        assert_eq!(
+            csv.lines().nth(2),
+            Some("truncated: image ends inside the name entry at byte 2600,,,,,,")
+        );
     }
 }

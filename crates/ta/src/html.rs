@@ -125,7 +125,7 @@ span {span_ms:.3} ms · core {ghz:.2} GHz, timebase {tb_mhz:.2} MHz</p>
     out.write_all(b"</table>\n\n")?;
 
     // Degraded-analysis section: present whenever loss accounting ran.
-    if !a.loss().streams.is_empty() {
+    if !a.loss().streams.is_empty() || a.loss().truncated.is_some() {
         write!(
             out,
             "<h2>Loss accounting</h2>\n<pre>{}</pre>\n",

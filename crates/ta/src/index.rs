@@ -935,6 +935,7 @@ mod tests {
                     unanchored: true,
                 },
             ],
+            truncated: None,
         };
         assert_eq!(
             compute_suspect_ranges_columns(&cols, &loss),
@@ -962,6 +963,7 @@ mod tests {
                 }],
                 unanchored: false,
             }],
+            truncated: None,
         };
         let ranges = compute_suspect_ranges(&t, &loss);
         assert_eq!(ranges.len(), 1);

@@ -163,5 +163,5 @@ pub use stream::{ImageIngest, IngestSession, StreamId};
 pub use summary::render_summary_with;
 pub use svg::SvgOptions;
 pub use timeline::{build_timeline, Lane, Marker, Segment, Timeline};
-pub use v2read::{analyze_v2, is_v2_file, is_v2_image, V2Ingest, V2Trace, WindowQuery};
+pub use v2read::{analyze_v2, is_v2_file, is_v2_image, V2Trace, WindowQuery};
 pub use validate::{rel_err, validate, validate_with_loss, SpeValidation, ValidationReport};

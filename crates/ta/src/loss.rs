@@ -9,7 +9,7 @@
 //! [`LossReport`], and per-SPE statistics derived from damaged streams
 //! are flagged as suspect.
 
-use pdt::{DecodeGap, TraceCore};
+use pdt::{DecodeGap, TraceCore, Truncation};
 
 /// How the analyzer treats malformed records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -70,21 +70,27 @@ impl StreamLoss {
     }
 }
 
-/// Trace-wide loss accounting: one entry per stream, in stream order.
+/// Trace-wide loss accounting: one entry per stream, in stream order,
+/// and where the image ends early, if it does.
 ///
-/// An empty report (no streams) means loss accounting was not run —
-/// the strict decode policy aborts instead of accounting.
+/// An empty report (no streams, no truncation) means loss accounting
+/// was not run — the strict decode policy aborts instead of
+/// accounting.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LossReport {
     /// Per-stream loss, in stream order.
     pub streams: Vec<StreamLoss>,
+    /// The structure a truncated `.pdt2` image ends inside, and its
+    /// offset: the streams after it, or the names, are missing. `None`
+    /// for a whole image.
+    pub truncated: Option<Truncation>,
 }
 
 impl LossReport {
-    /// True when every stream decoded completely and nothing was
-    /// dropped.
+    /// True when the image is whole, every stream decoded completely
+    /// and nothing was dropped.
     pub fn is_clean(&self) -> bool {
-        self.streams.iter().all(StreamLoss::is_clean)
+        self.truncated.is_none() && self.streams.iter().all(StreamLoss::is_clean)
     }
 
     /// Total bytes skipped by the resync decoder over all streams.
@@ -151,6 +157,9 @@ impl LossReport {
                 flags.trim_end()
             ));
         }
+        if let Some(t) = &self.truncated {
+            out.push_str(&format!("truncated: {t}\n"));
+        }
         out.push_str(&format!(
             "total: {} gap(s), {} gap bytes, ~{} record(s) lost ({} tracer-dropped)\n",
             self.total_gaps(),
@@ -187,6 +196,7 @@ mod tests {
                 gaps: vec![],
                 unanchored: false,
             }],
+            truncated: None,
         };
         assert!(r.is_clean());
         assert_eq!(r.total_gap_bytes(), 0);
@@ -214,6 +224,7 @@ mod tests {
                     unanchored: false,
                 },
             ],
+            truncated: None,
         };
         assert!(!r.is_clean());
         assert_eq!(r.total_gap_bytes(), 48);
@@ -235,9 +246,26 @@ mod tests {
                 gaps: vec![gap(0, 16)],
                 unanchored: false,
             }],
+            truncated: None,
         };
         assert!(r.suspect(0));
         assert!(r.suspect(7));
+    }
+
+    #[test]
+    fn a_truncation_is_loss_and_is_rendered() {
+        let r = LossReport {
+            streams: Vec::new(),
+            truncated: Some(Truncation {
+                reading: "stream header",
+                offset: 2566,
+            }),
+        };
+        assert!(!r.is_clean());
+        assert_eq!(r.total_est_lost(), 0);
+        assert!(r
+            .render()
+            .contains("truncated: image ends inside the stream header at byte 2566\n"));
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! One-shot ingest: a complete v1 trace decoded straight into the
 //! columnar store, one shard per SPE stream ([`ingest`]), and what it
-//! shares with the direct v2 decoder in [`crate::v2read`] (one-shot and
-//! chunked alike): the [`Events`] runs, the sync-anchor harvest and
-//! winner pick, and the core-major [`place`]. See DESIGN.md, "One-shot
-//! ingest".
+//! shares with the direct v2 decoder in [`crate::v2read`]: the
+//! [`Events`] runs, the sync-anchor harvest and winner pick, and the
+//! core-major [`place`]. See DESIGN.md, "One-shot ingest".
 
 use pdt::{ChunkScan, DecodeGap, EventCode, Scanned, TraceCore};
 
@@ -139,19 +138,6 @@ impl Events {
 
     pub(crate) fn len(&self) -> usize {
         self.code.len()
-    }
-
-    /// Every event in push order: time, core tag, code and parameters.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, u8, EventCode, &[u64])> + '_ {
-        let times = self.times.iter().enumerate();
-        times.map(|(k, t)| {
-            (
-                t,
-                self.times.tag(k),
-                self.code[k],
-                self.dict.get(self.id[k]),
-            )
-        })
     }
 
     /// Moves every event `by` ticks later. The caller has checked that
@@ -517,5 +503,11 @@ pub(crate) fn ingest(
     trace.dropped = image.total_dropped();
     trace.set_ctx_names(image.ctx_names());
     let streams = if strict { Vec::new() } else { loss };
-    Ok((trace, LossReport { streams }))
+    Ok((
+        trace,
+        LossReport {
+            streams,
+            truncated: None,
+        },
+    ))
 }

@@ -11,8 +11,10 @@
 //! fixed chunks read into a buffer its executor reuses, so a trace
 //! loaded from disk is never held whole.
 //!
-//! [`MappedImage`] reads a whole file onto the heap, for the readers
-//! that need the bytes at once (the `.pdt2` container).
+//! A `.pdt2` container is read the same two ways by
+//! [`crate::V2Trace`]. [`MappedImage`] reads a whole file onto the
+//! heap, for the readers that need the bytes at once (strict `.pdt2`
+//! unpacking and repacking).
 
 use std::borrow::Cow;
 use std::fs::File;
@@ -34,14 +36,15 @@ const _: () = assert!(CHUNK >= ChunkScan::MIN_CHUNK);
 static BYTES_READ: AtomicU64 = AtomicU64::new(0);
 
 /// Trace-file bytes this process has read so far through
-/// [`MappedImage::open`] and file-backed [`TraceImage`]s.
+/// [`MappedImage::open`], file-backed [`TraceImage`]s and file-backed
+/// [`crate::V2Trace`]s.
 pub fn bytes_read() -> u64 {
     BYTES_READ.load(Ordering::Relaxed)
 }
 
 /// Fills `buf` from `file` at `offset`. A file that ends first has
 /// shrunk since its length was taken.
-fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
+pub(crate) fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
     file.read_exact_at(buf, offset)
         .map_err(|e| match e.kind() {
             io::ErrorKind::UnexpectedEof => io::Error::new(
@@ -84,13 +87,43 @@ impl std::ops::Deref for MappedImage {
     }
 }
 
-/// Where a stream's record bytes are.
+/// Where a `.pdt` stream's bytes, or a whole `.pdt2` image, are.
 #[derive(Debug, Clone, Copy)]
-enum Region<'a> {
+pub(crate) enum Region<'a> {
     /// Borrowed from memory.
     Memory(&'a [u8]),
     /// In `file`, from byte `offset`.
     File { file: &'a File, offset: u64 },
+}
+
+impl<'a> Region<'a> {
+    /// The `n` bytes at offset `at`: borrowed when the region is in
+    /// memory, else read from the file into `buf`.
+    ///
+    /// # Errors
+    ///
+    /// The I/O error of the read, including a file that shrank after
+    /// it was opened; in memory, a range past the region's end.
+    pub(crate) fn bytes<'b>(
+        &self,
+        at: usize,
+        n: usize,
+        buf: &'b mut Vec<u8>,
+    ) -> io::Result<&'b [u8]>
+    where
+        'a: 'b,
+    {
+        match *self {
+            Region::Memory(bytes) => bytes.get(at..at + n).ok_or_else(|| {
+                io::Error::new(io::ErrorKind::UnexpectedEof, "read past the image's end")
+            }),
+            Region::File { file, offset } => {
+                buf.resize(n, 0);
+                read_exact_at(file, buf, offset + at as u64)?;
+                Ok(buf.as_slice())
+            }
+        }
+    }
 }
 
 /// One stream of a [`TraceImage`]: its core, the tracer-dropped count
@@ -130,14 +163,12 @@ impl<'a> ImageStream<'a> {
     {
         match self.region {
             Region::Memory(bytes) => Ok(bytes.get(at..).unwrap_or_default()),
-            Region::File { file, offset } => {
-                let n = CHUNK.min(self.len.saturating_sub(at));
+            Region::File { .. } => {
                 if buf.capacity() < CHUNK {
                     *buf = Vec::with_capacity(CHUNK);
                 }
-                buf.resize(n, 0);
-                read_exact_at(file, buf, offset + at as u64)?;
-                Ok(buf.as_slice())
+                let n = CHUNK.min(self.len.saturating_sub(at));
+                self.region.bytes(at, n, buf)
             }
         }
     }

@@ -105,7 +105,7 @@ pub fn render_summary_with(
     }
 
     if let Some(l) = loss {
-        if !l.streams.is_empty() {
+        if !l.streams.is_empty() || l.truncated.is_some() {
             out.push_str("\n-- loss --\n");
             out.push_str(&l.render());
             if !l.is_clean() {

@@ -108,13 +108,16 @@ cmp "$smoke_dir/summary.pdt" "$smoke_dir/summary.pdt2"
 cmp "$smoke_dir/timeline.pdt.svg" "$smoke_dir/timeline.pdt2.svg"
 
 echo "== ta-cli damaged-file smoke =="
-# ta-cli reads a .pdt's streams from the file in chunks, so damage must
-# still end in loss accounting (exit 0) or an error (exit 1), never a
-# panic (101) or an abort (134): summary, loss and --strict summary on
-# a truncated copy and on a byte-flipped copy of a golden, and on two
-# .pdt2 copies whose stream count or name count claims billions of
-# entries.
+# ta-cli reads both containers from the file (a .pdt's streams in
+# chunks, a .pdt2's blocks one at a time), so damage must still end in
+# loss accounting (exit 0) or an error (exit 1), never a panic (101) or
+# an abort (134): summary, loss and --strict summary on a truncated
+# copy and on a byte-flipped copy of a golden, on a truncated .pdt2,
+# and on two .pdt2 copies whose stream count or name count claims
+# billions of entries. Those two run out of bytes inside the name
+# table, so `loss` must name the truncation.
 head -c 3000 tests/golden/stream.pdt > "$smoke_dir/truncated.pdt"
+head -c 2000 tests/golden/stream.pdt2 > "$smoke_dir/truncated.pdt2"
 cp tests/golden/stream.pdt "$smoke_dir/flipped.pdt"
 # Zero the granule counts of two SPE0 records (the stream's data starts
 # at byte 304), so the lossy ingest opens a gap there.
@@ -126,7 +129,7 @@ cp tests/golden/stream.pdt2 "$smoke_dir/stream_count.pdt2"
 printf '\377' | dd of="$smoke_dir/stream_count.pdt2" bs=1 seek=39 conv=notrunc status=none
 cp tests/golden/stream.pdt2 "$smoke_dir/name_count.pdt2"
 printf '\377' | dd of="$smoke_dir/name_count.pdt2" bs=1 seek=2569 conv=notrunc status=none
-for damaged in truncated.pdt flipped.pdt stream_count.pdt2 name_count.pdt2; do
+for damaged in truncated.pdt flipped.pdt truncated.pdt2 stream_count.pdt2 name_count.pdt2; do
   for cmd in summary loss "--strict summary"; do
     status=0
     # shellcheck disable=SC2086 # $cmd holds the flag and the command.
@@ -136,6 +139,10 @@ for damaged in truncated.pdt flipped.pdt stream_count.pdt2 name_count.pdt2; do
       exit 1
     fi
   done
+done
+for damaged in stream_count.pdt2 name_count.pdt2; do
+  ta_cli loss "$smoke_dir/$damaged" | grep -q '^truncated: image ends inside the ' \
+    || { echo "ta-cli loss names no truncation on $damaged" >&2; exit 1; }
 done
 
 echo "== fault-injection smoke (3 seeds) =="
@@ -185,22 +192,26 @@ cargo run -q --release -p bench --bin stream_smoke
 
 echo "== v2-container differential + corruption suites =="
 # Every golden packed into the blocked, compressed PDT2 container must
-# re-analyze byte-identically to v1 (one-shot and streamed, Serial and
-# Workers(4)); windowed queries must decode only footer-overlapping
-# blocks; damage must degrade to DecodeGap accounting, never a panic.
+# re-analyze byte-identically to v1 (in memory and read from a file,
+# Serial and Workers(4)); windowed queries must decode only
+# footer-overlapping blocks; damage and truncation at every offset must
+# degrade to DecodeGap accounting and a truncation record, identically
+# in memory and from a file, never a panic.
 cargo test -q --test v2_differential
 cargo test -q --test v2_corruption
 cargo test -q --test prop_v2_codec
 
 echo "== trace-volume smoke (v2 container) =="
 # Density gate (<= 6 B/event on dense traces vs 16 raw), a >= 10M-event
-# synthetic written through the streaming V2Writer and decoded through
-# chunked V2Ingest under a peak-RSS budget and an in-memory <= 100
-# B/event ceiling, decode-throughput floors for the direct path (3x
-# the roundtrip baseline one-shot, 2x chunked), the 100M-event
-# disk-backed point when the projected wall time fits its budget, and
-# a 5% no-regression gate on the deterministic bytes/event figures.
-# Emits BENCH_volume.json.
+# synthetic written through the streaming V2Writer to a file and
+# decoded from the file through the file-backed V2Trace under a
+# peak-RSS budget and an in-memory <= 100 B/event ceiling, a
+# decode-throughput floor for the direct path (3x the roundtrip
+# baseline, file-backed and in memory), a 1% window on the file that
+# may decode 5% of the blocks and read 5% of the file's bytes, the
+# 100M-event file-backed point when the projected wall time fits its
+# budget, and a 5% no-regression gate on the deterministic bytes/event
+# figures. Emits BENCH_volume.json.
 cargo run -q --release -p bench --bin volume_smoke
 
 echo "== ta-serve / ta-cli follow smoke =="

@@ -11,7 +11,6 @@
 //! boundaries.
 
 use std::fs::File;
-use std::path::PathBuf;
 
 use pdt::{EventCode, TraceCore, TraceFile, TraceHeader, TraceRecord, TraceStream, VERSION};
 use ta::{Analysis, AnalyzeError, Parallelism, TraceImage};
@@ -19,29 +18,14 @@ use ta::{Analysis, AnalyzeError, Parallelism, TraceImage};
 #[path = "common/goldens.rs"]
 mod goldens;
 use goldens::{golden_bytes, GOLDEN};
+#[path = "common/tempfile.rs"]
+mod tempfile;
+use tempfile::TempFile;
 
 const PARS: [Parallelism; 2] = [Parallelism::Serial, Parallelism::Workers(2)];
 
 /// Bytes a file-backed stream reads per chunk.
 const CHUNK: usize = 64 << 10;
-
-/// A temporary file removed on drop.
-struct TempFile(PathBuf);
-
-impl TempFile {
-    fn new(tag: &str, bytes: &[u8]) -> TempFile {
-        let path =
-            std::env::temp_dir().join(format!("ta-file-backed-{}-{tag}.pdt", std::process::id()));
-        std::fs::write(&path, bytes).unwrap();
-        TempFile(path)
-    }
-}
-
-impl Drop for TempFile {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-    }
-}
 
 fn run(image: TraceImage<'_>, par: Parallelism, strict: bool) -> Result<Analysis, String> {
     let builder = Analysis::of(image).parallelism(par);
@@ -52,7 +36,7 @@ fn run(image: TraceImage<'_>, par: Parallelism, strict: bool) -> Result<Analysis
 /// Asserts that `bytes`, analyzed from a file and from memory, give
 /// the same answers under every parallelism and policy.
 fn assert_same(what: &str, bytes: &[u8]) {
-    let tmp = TempFile::new(&what.replace(['/', ' '], "_"), bytes);
+    let tmp = TempFile::new(what, bytes);
     let file = File::open(&tmp.0).unwrap();
     let from_file = TraceImage::read(&file).map_err(|e| e.to_string());
     let in_memory = TraceImage::parse(bytes).map_err(|e| e.to_string());

@@ -57,7 +57,8 @@ fn analysis_v2(name: &str) -> std::sync::Arc<Analysis> {
     let bytes = golden_v2_bytes(name);
     let (a, stats) = V2Trace::parse(&bytes)
         .unwrap()
-        .analyze(Parallelism::Workers(2));
+        .analyze(Parallelism::Workers(2))
+        .unwrap();
     assert_eq!(stats.blocks_corrupt, 0, "{name}.pdt2");
     a
 }

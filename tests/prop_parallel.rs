@@ -10,7 +10,11 @@ use proptest::prelude::*;
 
 use cell_pdt::prelude::*;
 use pdt::{EventCode, TraceHeader, TraceRecord, TraceStream, VERSION};
-use ta::{analyze_lossy, analyze_v2, AnalyzeError, AnalyzedTrace, V2Ingest};
+use ta::{analyze_lossy, analyze_v2, AnalyzeError, AnalyzedTrace, V2Trace};
+
+#[path = "common/tempfile.rs"]
+mod tempfile;
+use tempfile::TempFile;
 
 /// The executor counts every ingest check runs at.
 const INGEST_PAR: [Parallelism; 2] = [Parallelism::Serial, Parallelism::Workers(2)];
@@ -409,13 +413,13 @@ fn anchor_near_u64_max_wraps_identically_everywhere() {
         let packed = pdt::pack(&trace, 16);
         let (v2, _) = analyze_v2(&packed, Parallelism::Serial).unwrap();
         assert_eq!(v2.events(), serial.events.as_slice(), "one-shot v2");
-        let mut v2_chunked = V2Ingest::new();
-        for chunk in packed.chunks(61) {
-            v2_chunked.push(chunk).unwrap();
-        }
-        v2_chunked.finish().unwrap();
-        let v2_snap = v2_chunked.snapshot().unwrap();
-        assert_eq!(v2_snap.events(), serial.events.as_slice(), "chunked v2");
+        let tmp = TempFile::new("wrap", &packed);
+        let file = tmp.open();
+        let (v2_file, _) = V2Trace::read(&file)
+            .unwrap()
+            .analyze(Parallelism::Workers(2))
+            .unwrap();
+        assert_eq!(v2_file.events(), serial.events.as_slice(), "file-backed v2");
     }
 }
 

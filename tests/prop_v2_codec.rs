@@ -8,9 +8,9 @@
 //!   with clean runs, decode-proof garbage gaps, anchored and
 //!   unanchored SPE streams — at tiny block sizes so every run is
 //!   split at every block boundary.
-//! * Chunk splits at arbitrary (and, for one case, **every**) offsets
-//!   through the streaming [`V2Ingest`] reader, differential against
-//!   the one-shot [`V2Trace`] path.
+//! * The file-backed [`V2Trace`] reader, differential against the
+//!   same image in memory — whole, and for one case truncated at
+//!   **every** offset.
 //! * Random byte mutations over a valid image: the readers may report
 //!   loss but must never panic.
 
@@ -18,7 +18,11 @@ use proptest::prelude::*;
 
 use pdt::v2::{decode_packed_payload, encode_packed_payload, pack, records_to_bytes, unpack};
 use pdt::{EventCode, TraceCore, TraceFile, TraceHeader, TraceRecord, TraceStream, VERSION};
-use ta::{Parallelism, V2Ingest, V2Trace};
+use ta::{analyze_v2, Parallelism, V2Trace};
+
+#[path = "common/tempfile.rs"]
+mod tempfile;
+use tempfile::TempFile;
 
 const CODES: &[EventCode] = &[
     EventCode::SpeCtxStart,
@@ -223,34 +227,28 @@ proptest! {
         }
     }
 
-    /// Chunked streaming ingestion matches the one-shot reader on the
-    /// same image regardless of the split pattern. Both drive the one
-    /// direct decoder, so each is also held to the independent
-    /// roundtrip oracle.
+    /// The file-backed reader matches the in-memory reader on the same
+    /// image. Both drive the one direct decoder, so each is also held
+    /// to the independent roundtrip oracle.
     #[test]
     fn chunked_ingest_matches_one_shot(
         trace in arb_trace(),
-        splits in prop::collection::vec(1usize..97, 1..6),
         br in prop_oneof![Just(2usize), Just(5usize), Just(64usize)],
     ) {
         let image = pack(&trace, br);
         let v2 = V2Trace::parse(&image).unwrap();
-        let (reference, _) = v2.analyze(Parallelism::Serial);
+        let (reference, ref_stats) = v2.analyze(Parallelism::Serial).unwrap();
 
-        let mut ing = V2Ingest::new();
-        let mut off = 0;
-        let mut i = 0;
-        while off < image.len() {
-            let n = splits[i % splits.len()].min(image.len() - off);
-            ing.push(&image[off..off + n]).unwrap();
-            off += n;
-            i += 1;
-        }
-        ing.finish().unwrap();
-        let got = ing.snapshot().unwrap();
+        let tmp = TempFile::new("prop", &image);
+        let file = tmp.open();
+        let (got, stats) = V2Trace::read(&file)
+            .unwrap()
+            .analyze(Parallelism::Workers(2))
+            .unwrap();
         prop_assert_eq!(got.events(), reference.events());
         prop_assert_eq!(got.loss(), reference.loss());
-        let (oracle, _) = v2.analyze_roundtrip(Parallelism::Serial);
+        prop_assert_eq!(stats, ref_stats);
+        let (oracle, _) = v2.analyze_roundtrip(Parallelism::Serial).unwrap();
         prop_assert_eq!(reference.events(), oracle.events());
         prop_assert_eq!(reference.loss(), oracle.loss());
     }
@@ -269,35 +267,50 @@ proptest! {
             image[off] ^= 1 << bit;
         }
         if let Ok(v2) = V2Trace::parse(&image) {
-            let (a, _) = v2.analyze(Parallelism::Serial);
+            let (a, _) = v2.analyze(Parallelism::Serial).unwrap();
             let _ = a.events();
-            let _ = v2.window_events(0, u64::MAX);
+            let _ = v2.window_events(0, u64::MAX).unwrap();
         }
-        let mut ing = V2Ingest::new();
-        if ing.push(&image).is_ok() && ing.finish_lossy().is_ok() {
-            let _ = ing.snapshot().unwrap().events();
+        if let Ok((a, _)) = analyze_v2(&image, Parallelism::Serial) {
+            let _ = a.events();
         }
     }
 }
 
-/// Exhaustive split coverage: one fixed small trace, the streaming
-/// reader fed as `[..k] + [k..]` for **every** interior offset `k`,
-/// must always equal the one-shot products.
+/// Exhaustive truncation coverage: one fixed small trace cut at
+/// **every** offset and read from a file must equal the same prefix
+/// analyzed in memory (or fail with the same error), and the whole file
+/// must equal the one-shot products.
 #[test]
-fn every_split_offset_matches_one_shot() {
+fn every_truncation_offset_reads_identically_from_a_file() {
     let trace = small_fixed_trace();
     let image = pack(&trace, 3);
     let v2 = V2Trace::parse(&image).unwrap();
-    let (reference, _) = v2.analyze(Parallelism::Serial);
+    let (reference, _) = v2.analyze(Parallelism::Serial).unwrap();
 
-    for k in 0..=image.len() {
-        let mut ing = V2Ingest::new();
-        ing.push(&image[..k]).unwrap();
-        ing.push(&image[k..]).unwrap();
-        ing.finish().unwrap();
-        let got = ing.snapshot().unwrap();
-        assert_eq!(got.events(), reference.events(), "split at {k}");
-        assert_eq!(got.loss(), reference.loss(), "split at {k}");
+    let tmp = TempFile::new("every-cut", &image);
+    let file = std::fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(&tmp.0)
+        .unwrap();
+    for k in (0..=image.len()).rev() {
+        file.set_len(k as u64).unwrap();
+        let memory = analyze_v2(&image[..k], Parallelism::Serial);
+        let from_file = V2Trace::read(&file).map_err(|e| e.to_string());
+        let (m, f) = match (memory, from_file) {
+            (Ok((m, _)), Ok(f)) => (m, f.analyze(Parallelism::Serial).unwrap().0),
+            (m, f) => {
+                assert_eq!(m.err().map(|e| e.to_string()), f.err(), "cut at {k}");
+                continue;
+            }
+        };
+        assert_eq!(f.events(), m.events(), "cut at {k}");
+        assert_eq!(f.loss(), m.loss(), "cut at {k}");
+        if k == image.len() {
+            assert_eq!(f.events(), reference.events());
+            assert_eq!(f.loss(), reference.loss());
+        }
     }
 }
 

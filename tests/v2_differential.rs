@@ -1,18 +1,16 @@
 //! v2-container differential suite: every golden trace (including the
 //! fault-injected and racy ones) packed into the blocked, compressed
 //! `PDT2` container and re-analyzed must produce **byte-identical**
-//! products to the v1 path — one-shot ([`V2Trace`]) and streamed
-//! ([`V2Ingest`], chunk boundaries everywhere), across `Serial` and
-//! `Workers(4)`. The container now has **two readers**: the default
+//! products to the v1 path — through the one `.pdt2` reader,
+//! [`V2Trace`], in memory and read from a file, across `Serial` and
+//! `Workers(4)`. The reader has **two decoders**: the default
 //! direct-to-columns decoder (payloads land straight in per-stream
-//! runs placed into `EventColumns`, one decoder under the one-shot and
-//! the chunked reader) and the v1-roundtrip
-//! oracle (clean runs re-encoded canonically, gap bytes carried
-//! verbatim, fed through `IngestSession`). This suite differentials
-//! the fast path against the oracle — products *and* codec stats —
-//! on every golden. (`ta-cli` reads a `.pdt2` whole, through
-//! `MappedImage`; the file-backed v1 reader has its own suite,
-//! `tests/file_backed.rs`.)
+//! runs placed into `EventColumns`) and the v1-roundtrip oracle (clean
+//! runs re-encoded canonically, gap bytes carried verbatim, fed
+//! through `IngestSession`). This suite differentials the fast path
+//! against the oracle — products *and* codec stats — on every golden.
+//! (The file-backed v1 reader has its own suite, `tests/file_backed.rs`;
+//! damaged and truncated `.pdt2` images are in `tests/v2_corruption.rs`.)
 //!
 //! Also pins the block-skip acceptance criterion: a windowed query
 //! decodes only the packed blocks whose footer time range overlaps
@@ -21,11 +19,14 @@
 //! [`EventFilter`] selects from the full analysis.
 
 use pdt::v2::{pack, unpack, Anchoring, BlockKind, DEFAULT_BLOCK_RECORDS, FLAG_UNPLACED};
-use ta::{Analysis, EventFilter, Parallelism, V2Ingest, V2Trace};
+use ta::{Analysis, EventFilter, Parallelism, V2Trace};
 
 #[path = "common/goldens.rs"]
 mod goldens;
 use goldens::{golden, golden_v2_bytes, GOLDEN};
+#[path = "common/tempfile.rs"]
+mod tempfile;
+use tempfile::TempFile;
 
 /// Small enough that every golden spans many blocks.
 const BLOCK_RECORDS: usize = 8;
@@ -80,7 +81,8 @@ fn on_disk_pdt2_goldens_match_the_codec() {
         );
         let (a, stats) = V2Trace::parse(&on_disk)
             .unwrap()
-            .analyze(Parallelism::Serial);
+            .analyze(Parallelism::Serial)
+            .unwrap();
         assert_eq!(stats.blocks_corrupt, 0, "{name}");
         let reference = Analysis::of(&trace)
             .parallelism(Parallelism::Serial)
@@ -108,7 +110,7 @@ fn v2_one_shot_products_match_v1() {
             let image = pack(&trace, br);
             for par in PARS {
                 let v2 = V2Trace::parse(&image).unwrap();
-                let (a, stats) = v2.analyze(par);
+                let (a, stats) = v2.analyze(par).unwrap();
                 a.build_products(par);
                 assert_products_eq(&reference, &a, &format!("{name} @{br} {par:?}"));
                 assert_eq!(stats.blocks_corrupt, 0, "{name} @{br} {par:?}");
@@ -122,9 +124,9 @@ fn v2_one_shot_products_match_v1() {
     }
 }
 
-/// Streamed v2 ingestion equals the v1 reference whatever the chunk
-/// boundaries — including one byte at a time, so every header, prefix
-/// and payload is split at every interior offset.
+/// The file-backed reader equals the v1 reference: the container walk
+/// reads the structure with positioned reads and each decode shard
+/// reads its stream block by block from the file.
 #[test]
 fn v2_streamed_products_match_v1() {
     for name in GOLDEN {
@@ -134,21 +136,16 @@ fn v2_streamed_products_match_v1() {
             .run()
             .unwrap();
         reference.build_products(Parallelism::Serial);
-        let image = pack(&trace, BLOCK_RECORDS);
+        let tmp = TempFile::new(name, &pack(&trace, BLOCK_RECORDS));
+        let file = tmp.open();
+        let v2 = V2Trace::read(&file).unwrap();
+        assert_eq!(v2.file().truncation, None, "{name}");
 
         for par in PARS {
-            for split in [1usize, 7, 4096] {
-                let mut ing = V2Ingest::new().with_parallelism(par);
-                for chunk in image.chunks(split) {
-                    ing.push(chunk).unwrap();
-                }
-                ing.finish().unwrap();
-                assert!(ing.is_complete());
-                assert_eq!(ing.stats().blocks_corrupt, 0, "{name} {par:?} s{split}");
-                let a = ing.snapshot().expect("snapshot after finish");
-                a.build_products(par);
-                assert_products_eq(&reference, &a, &format!("{name} {par:?} split{split}"));
-            }
+            let (a, stats) = v2.analyze(par).unwrap();
+            assert_eq!(stats.blocks_corrupt, 0, "{name} {par:?}");
+            a.build_products(par);
+            assert_products_eq(&reference, &a, &format!("{name} {par:?} file-backed"));
         }
     }
 }
@@ -163,7 +160,7 @@ fn windowed_query_decodes_only_overlapping_blocks() {
         let trace = golden(name);
         let image = pack(&trace, BLOCK_RECORDS);
         let v2 = V2Trace::parse(&image).unwrap();
-        let (a, _) = v2.analyze(Parallelism::Serial);
+        let (a, _) = v2.analyze(Parallelism::Serial).unwrap();
         let events = a.events();
         assert!(!events.is_empty(), "{name}: empty golden");
 
@@ -181,7 +178,7 @@ fn windowed_query_decodes_only_overlapping_blocks() {
         ];
 
         for (t0, t1) in windows {
-            let wq = v2.window_events(t0, t1);
+            let wq = v2.window_events(t0, t1).unwrap();
 
             let expect = EventFilter::new().in_window(t0, t1).apply(&a);
             assert_eq!(
@@ -224,7 +221,7 @@ fn windowed_query_decodes_only_overlapping_blocks() {
 
         // The interior window must actually skip something, or the
         // criterion is vacuous.
-        let wq = v2.window_events(t_lo, t_hi);
+        let wq = v2.window_events(t_lo, t_hi).unwrap();
         assert!(
             wq.stats.blocks_skipped > 0,
             "{name}: interior window skipped no block"
@@ -250,8 +247,8 @@ fn v2_direct_decode_matches_roundtrip_oracle() {
             let image = pack(&trace, br);
             let v2 = V2Trace::parse(&image).unwrap();
             for par in PARS {
-                let (oracle, oracle_stats) = v2.analyze_roundtrip(par);
-                let (fast, fast_stats) = v2.analyze(par);
+                let (oracle, oracle_stats) = v2.analyze_roundtrip(par).unwrap();
+                let (fast, fast_stats) = v2.analyze(par).unwrap();
                 assert_eq!(
                     fast_stats, oracle_stats,
                     "{name} @{br} {par:?}: codec stats diverge"
@@ -264,83 +261,44 @@ fn v2_direct_decode_matches_roundtrip_oracle() {
     }
 }
 
-/// The chunked reader's codec stats match the one-shot oracle on a
-/// clean image: every block decoded (none skipped, none corrupt), the
-/// same record and byte totals — whichever backend (direct or
-/// session) the build selected.
+/// The file-backed reader's codec stats match the in-memory oracle on
+/// a clean image: every block decoded (none skipped, none corrupt), the
+/// same record and byte totals — through the direct decoder and
+/// through the roundtrip decoder reading the file.
 #[test]
 fn v2_chunked_stats_match_roundtrip_oracle() {
     for name in GOLDEN {
-        let trace = golden(name);
-        let image = pack(&trace, BLOCK_RECORDS);
+        let image = pack(&golden(name), BLOCK_RECORDS);
         let v2 = V2Trace::parse(&image).unwrap();
-        let (_, oracle_stats) = v2.analyze_roundtrip(Parallelism::Serial);
+        let (_, oracle_stats) = v2.analyze_roundtrip(Parallelism::Serial).unwrap();
 
-        let mut ing = V2Ingest::new();
-        for chunk in image.chunks(512) {
-            ing.push(chunk).unwrap();
+        let tmp = TempFile::new(name, &image);
+        let file = tmp.open();
+        let from_file = V2Trace::read(&file).unwrap();
+        for par in PARS {
+            let (_, stats) = from_file.analyze(par).unwrap();
+            assert_eq!(
+                stats, oracle_stats,
+                "{name} {par:?}: file-backed stats diverge"
+            );
+            let (_, stats) = from_file.analyze_roundtrip(par).unwrap();
+            assert_eq!(stats, oracle_stats, "{name} {par:?}: file-backed roundtrip");
         }
-        ing.finish().unwrap();
-        assert_eq!(ing.stats(), oracle_stats, "{name}: chunked stats diverge");
         assert_eq!(
-            ing.stats().blocks_decoded,
+            oracle_stats.blocks_decoded,
             v2.file().total_blocks(),
-            "{name}: chunked ingest must decode every block"
+            "{name}: the oracle must decode every block"
         );
     }
 }
 
-/// A snapshot taken **mid-stream** (which demotes the direct backend
-/// to the incremental session, replaying everything decoded so far)
-/// must not disturb the final result: the run still completes and the
-/// products stay byte-identical to the v1 reference.
-#[test]
-fn mid_stream_snapshot_keeps_products_exact() {
-    for name in GOLDEN {
-        let trace = golden(name);
-        let reference = Analysis::of(&trace)
-            .parallelism(Parallelism::Serial)
-            .run()
-            .unwrap();
-        reference.build_products(Parallelism::Serial);
-        let image = pack(&trace, BLOCK_RECORDS);
-
-        // Snapshot at several interior cut points, including very
-        // early (header only) and late (footer in flight).
-        for frac in [8usize, 2, 1] {
-            let cut = (image.len() - 1) / frac;
-            let mut ing = V2Ingest::new();
-            ing.push(&image[..cut]).unwrap();
-            // Mid-stream observation: may legitimately see a partial
-            // prefix of the events, but must never error or panic.
-            if let Some(partial) = ing.snapshot() {
-                assert!(
-                    partial.events().len() <= reference.events().len(),
-                    "{name} @1/{frac}: snapshot invented events"
-                );
-            }
-            ing.push(&image[cut..]).unwrap();
-            ing.finish().unwrap();
-            assert_eq!(
-                ing.stats().blocks_corrupt,
-                0,
-                "{name} @1/{frac}: clean image, corrupt blocks"
-            );
-            let a = ing.snapshot().expect("snapshot after finish");
-            a.build_products(Parallelism::Serial);
-            assert_products_eq(&reference, &a, &format!("{name} snapshot@1/{frac}"));
-        }
-    }
-}
-
-/// The direct decoder's two drivers and the roundtrip oracle agree with
-/// the v1 reader on stream layouts the goldens do not have: the PPE
-/// stream packed last, so every sync anchor arrives after the SPE data
-/// it places, and an SPE stream packed twice, so one core is fed by
-/// two runs. Products and the loss report must match
-/// [`Analysis::of`] on the same v1 trace, through
-/// [`V2Trace::analyze`], through [`V2Ingest`] at 61-byte chunks and
-/// through [`V2Trace::analyze_roundtrip`].
+/// The direct decoder, in memory and file-backed, and the roundtrip
+/// oracle agree with the v1 reader on stream layouts the goldens do not
+/// have: the PPE stream packed last, so every sync anchor arrives after
+/// the SPE data it places, and an SPE stream packed twice, so one core
+/// is fed by two runs. Products and the loss report must match
+/// [`Analysis::of`] on the same v1 trace, through [`V2Trace::analyze`]
+/// in memory and on a file and through [`V2Trace::analyze_roundtrip`].
 #[test]
 fn unusual_stream_layouts_decode_identically_everywhere() {
     let base = golden("pipeline.pdt");
@@ -368,24 +326,21 @@ fn unusual_stream_layouts_decode_identically_everywhere() {
         );
         let image = pack(trace, BLOCK_RECORDS);
         let v2 = V2Trace::parse(&image).unwrap();
+        let tmp = TempFile::new(what, &image);
+        let file = tmp.open();
+        let from_file = V2Trace::read(&file).unwrap();
         for par in PARS {
-            let (direct, direct_stats) = v2.analyze(par);
-            let (oracle, oracle_stats) = v2.analyze_roundtrip(par);
+            let (direct, direct_stats) = v2.analyze(par).unwrap();
+            let (oracle, oracle_stats) = v2.analyze_roundtrip(par).unwrap();
             assert_eq!(direct_stats, oracle_stats, "{what} {par:?}: codec stats");
-            let mut ing = V2Ingest::new().with_parallelism(par);
-            for chunk in image.chunks(61) {
-                ing.push(chunk).unwrap();
-            }
-            ing.finish().unwrap();
+            let (file_backed, file_stats) = from_file.analyze(par).unwrap();
             assert_eq!(
-                ing.stats(),
-                oracle_stats,
-                "{what} {par:?}: chunked codec stats"
+                file_stats, oracle_stats,
+                "{what} {par:?}: file-backed codec stats"
             );
-            let chunked = ing.snapshot().unwrap();
             for (reader, a) in [
-                ("one-shot", &direct),
-                ("chunked", &chunked),
+                ("in memory", &direct),
+                ("file-backed", &file_backed),
                 ("roundtrip", &oracle),
             ] {
                 a.build_products(par);
