@@ -32,9 +32,11 @@
 //!   of the span, as `ta-cli query --from --to --summary`);
 //! - `svg`: intervals, timeline, render (`timeline --svg`,
 //!   written to a sink that counts its bytes, reported as `svg_bytes`);
-//! - `lint`: order, lint (`lint --format sarif`; the
-//!   order is the first thing the happens-before pass reads, so it is
-//!   timed on its own).
+//! - `lint`: order, intervals, edges, lint (`lint --format sarif`).
+//!   The sync-edge extraction is the first reader of the global order,
+//!   so the order is timed on its own first; `edges` is that
+//!   extraction (`Analysis::sync_edges`), and `lint` is what is left:
+//!   the rules, the happens-before pass among them, and the rendering.
 //!
 //! Every kind ends with `order` (a no-op when the request built it) and
 //! `drop`.
@@ -158,6 +160,8 @@ fn child(kind: &str, path: &str, par: Parallelism) -> Result<(), String> {
         }
         "lint" => {
             s.run("order", || a.columns().order().by_rank().len());
+            s.run("intervals", || a.intervals().len());
+            s.run("edges", || a.sync_edges().len());
             s.run("lint", || a.lint().to_sarif().len());
         }
         other => return Err(format!("unknown request kind {other:?}")),

@@ -44,9 +44,8 @@
 //! participate in the LS check only. PPE-side proxy DMA is not
 //! reconstructed (matching the window heuristic).
 
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use pdt::{EventCode, EventGroup, TraceCore};
 
@@ -120,32 +119,30 @@ where
 {
     let mut p = Propagation::new(trace, edges);
     let streams = p.ranks.len();
-    let mut remaining = trace.events.len();
     let mut degraded = false;
-    while remaining > 0 {
+    loop {
         let mut progressed = false;
         for si in 0..streams {
             while p.ready(si) {
                 p.process(si, &mut on_event);
-                remaining -= 1;
                 progressed = true;
             }
         }
-        if !progressed {
-            // Every stream is blocked on an unprocessed producer: a
-            // cycle through the edge set. Break it at the lowest-tag
-            // blocked stream (deterministic), joining only the
-            // producers that *have* released — losing a join loses
-            // orderings, which can only add (suspect) findings.
-            let si = (0..streams)
-                .find(|&s| p.cursors[s] < p.ranks[s].len())
-                .expect("remaining > 0 implies an unfinished stream");
-            p.process(si, &mut on_event);
-            remaining -= 1;
-            degraded = true;
+        if progressed {
+            continue;
         }
+        // No stream can advance. When one is unfinished, every such
+        // stream is blocked on an unprocessed producer: a cycle
+        // through the edge set. Break it at the lowest-tag blocked
+        // stream (deterministic), joining only the producers that
+        // *have* released — losing a join loses orderings, which can
+        // only add (suspect) findings.
+        let Some(si) = (0..streams).find(|&s| p.cursors[s] < p.ranks[s].len()) else {
+            return degraded;
+        };
+        p.process(si, &mut on_event);
+        degraded = true;
     }
-    degraded
 }
 
 /// The state of one [`propagate`] run, in dense per-event vectors and
@@ -346,6 +343,17 @@ pub enum Space {
     MainMemory,
 }
 
+/// The half-open byte range `[lo, lo + bytes)` in `space`, its end
+/// saturating at `u64::MAX`, so hostile params shorten a range
+/// instead of wrapping it.
+fn byte_range(space: Space, lsa: u64, ea: u64, bytes: u64) -> (u64, u64) {
+    let lo = match space {
+        Space::LocalStore => lsa,
+        Space::MainMemory => ea,
+    };
+    (lo, lo.saturating_add(bytes))
+}
+
 /// One endpoint of a race: a reconstructed DMA transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Access {
@@ -374,11 +382,7 @@ impl Access {
     /// `space`. The end saturates at `u64::MAX`, so hostile params
     /// shorten a range instead of wrapping it.
     pub fn range(&self, space: Space) -> (u64, u64) {
-        let lo = match space {
-            Space::LocalStore => self.lsa,
-            Space::MainMemory => self.ea,
-        };
-        (lo, lo.saturating_add(self.bytes))
+        byte_range(space, self.lsa, self.ea, self.bytes)
     }
 }
 
@@ -402,29 +406,242 @@ pub struct RaceWitness {
     pub same_tag: bool,
 }
 
-/// One reconstructed transfer with its ordering state.
-struct Transfer {
-    acc: Access,
-    /// List DMA: the EA side scatters, so it joins the LS check only.
-    list: bool,
+/// One reconstructed transfer: its stream position, the fields the
+/// sweeps read and its ordering state. The full [`Access`] (issue
+/// tick, sequence number, global rank) is built only for a witness.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Transfer {
+    pub(crate) lsa: u64,
+    ea: u64,
+    pub(crate) bytes: u64,
     /// Position of the issue in its SPE's stream.
-    pos: u32,
+    pub(crate) pos: u32,
     /// First position that orders later same-queue issues after this
     /// transfer: the first covering `SpeTagWaitEnd` or the first
     /// `SpeDmaBarrier` after issue (`u32::MAX` when neither exists).
     order_pos: u32,
     /// First covering `SpeTagWaitEnd` — the only completion witness
     /// other streams can observe (`u32::MAX` when never waited).
-    wait_pos: u32,
-    /// Stream index of the issuing SPE in the clock universe.
-    stream: usize,
+    pub(crate) wait_pos: u32,
+    pub(crate) tag: u8,
+    pub(crate) dir: AccessDir,
+    /// List DMA: the EA side scatters, so it joins the LS check only.
+    list: bool,
 }
 
 impl Transfer {
+    pub(crate) fn range(&self, space: Space) -> (u64, u64) {
+        byte_range(space, self.lsa, self.ea, self.bytes)
+    }
+
     /// Whether the transfer takes part in the `space` check: it moves
     /// bytes, and (main memory only) its EA side is one range.
     fn checked_in(&self, space: Space) -> bool {
-        self.acc.bytes > 0 && (space == Space::LocalStore || !self.list)
+        self.bytes > 0 && (space == Space::LocalStore || !self.list)
+    }
+
+    /// Whether a tag wait ever covered the transfer.
+    pub(crate) fn waited(&self) -> bool {
+        self.wait_pos != u32::MAX
+    }
+}
+
+/// The direction of a DMA issue code; `None` for every other code.
+fn issue_dir(code: EventCode) -> Option<AccessDir> {
+    match code {
+        EventCode::SpeDmaGet => Some(AccessDir::Get),
+        EventCode::SpeDmaPut => Some(AccessDir::Put),
+        _ => None,
+    }
+}
+
+/// One SPE's DMA state, replayed once from its stream: the transfers
+/// with their ordering positions, and the tag waits that covered
+/// nothing. The one definition of transfer lifetimes, read by
+/// `dma-race` (through [`HbIndex`]), `unwaited-tag-group` and
+/// `wait-without-dma`.
+#[derive(Debug, Default)]
+pub(crate) struct SpeDma {
+    pub(crate) spe: u8,
+    /// Stream index of the SPE in the clock universe.
+    stream: usize,
+    /// The SPE's segment of the store: stream position `p` is store
+    /// position `seg.start + p`.
+    pub(crate) seg: Range<usize>,
+    pub(crate) transfers: Vec<Transfer>,
+    /// The transfers some wait or barrier ordered, in `order_pos`
+    /// order: the sweep's expiry list.
+    expiry: Vec<u32>,
+    /// `SpeTagWaitBegin` events whose mask covered zero outstanding
+    /// transfers: `(stream position, mask)`.
+    pub(crate) vacuous_waits: Vec<(u32, u32)>,
+    /// Per GET or PUT whose params are too short to read as a
+    /// transfer, the number of transfers issued before it. Each still
+    /// has an issue-clock row.
+    short: Vec<u32>,
+}
+
+impl SpeDma {
+    /// Replays the SPE's DMA events: issues, tag waits and barriers.
+    /// Every other event is skipped on the code column, without
+    /// reading its params.
+    fn replay(trace: &ColumnarTrace, spe: u8, stream: usize, seg: Range<usize>) -> Self {
+        let mut rec = SpeDma {
+            spe,
+            stream,
+            seg: seg.clone(),
+            ..SpeDma::default()
+        };
+        // The group mask knows whether this SPE recorded any DMA or
+        // tag-wait event at all.
+        if !trace.core_has_group(TraceCore::Spe(spe), EventGroup::SpeDma) {
+            return rec;
+        }
+        let cols = &trace.events;
+        let codes = cols.codes();
+        // Unwaited transfers per tag group, with bit `t` of
+        // `outstanding` set while group `t` has any. A wait mask has
+        // one bit per group, so a wider tag, which only damaged params
+        // produce, is never waited. `unbarriered` is the first transfer
+        // no barrier has ordered yet.
+        let mut pending: [Vec<u32>; 32] = Default::default();
+        let mut outstanding = 0u32;
+        let mut unbarriered = 0usize;
+        let ts = &mut rec.transfers;
+        for (pos, i) in seg.enumerate() {
+            let pos = pos as u32;
+            if let Some(dir) = issue_dir(codes[i]) {
+                // `[ea, lsa, size, tag]`; damaged params may be short.
+                let p = cols.params(i);
+                if p.len() < 4 {
+                    rec.short.push(ts.len() as u32);
+                    continue;
+                }
+                let tag = (p[3] & 0xff) as u8;
+                if let Some(q) = pending.get_mut(usize::from(tag)) {
+                    q.push(ts.len() as u32);
+                    outstanding |= 1 << tag;
+                }
+                ts.push(Transfer {
+                    lsa: p[1],
+                    ea: p[0],
+                    bytes: p[2],
+                    pos,
+                    order_pos: u32::MAX,
+                    wait_pos: u32::MAX,
+                    tag,
+                    dir,
+                    list: p[3] >> 8 != 0,
+                });
+                continue;
+            }
+            match codes[i] {
+                EventCode::SpeTagWaitBegin => {
+                    let mask = cols.params(i).first().copied().unwrap_or(0) as u32;
+                    if mask & outstanding == 0 {
+                        rec.vacuous_waits.push((pos, mask));
+                    }
+                }
+                EventCode::SpeTagWaitEnd => {
+                    let completed = cols.params(i).first().copied().unwrap_or(0) as u32;
+                    let mut groups = completed & outstanding;
+                    outstanding &= !completed;
+                    while groups != 0 {
+                        let tag = groups.trailing_zeros() as usize;
+                        groups &= groups - 1;
+                        for k in pending[tag].drain(..) {
+                            let t = &mut ts[k as usize];
+                            t.wait_pos = pos;
+                            // Positions only grow, so the first order
+                            // set is the earliest.
+                            if t.order_pos == u32::MAX {
+                                t.order_pos = pos;
+                                rec.expiry.push(k);
+                            }
+                        }
+                    }
+                }
+                EventCode::SpeDmaBarrier => {
+                    // The barrier command holds the MFC queue until
+                    // every earlier command completes: all still-
+                    // open transfers become ordered before anything
+                    // issued after this position. Transfers already
+                    // waited keep their (earlier) wait position.
+                    for (k, t) in ts.iter_mut().enumerate().skip(unbarriered) {
+                        if t.order_pos == u32::MAX {
+                            t.order_pos = pos;
+                            rec.expiry.push(k as u32);
+                        }
+                    }
+                    unbarriered = ts.len();
+                }
+                _ => {}
+            }
+        }
+        rec
+    }
+
+    /// Transfer `k`'s row among the SPE's issue clocks.
+    fn row(&self, k: usize) -> usize {
+        k + self.short.partition_point(|&s| s as usize <= k)
+    }
+
+    /// Transfer `k` as a race endpoint.
+    fn access(&self, trace: &ColumnarTrace, k: usize) -> Access {
+        let t = &self.transfers[k];
+        let i = self.seg.start + t.pos as usize;
+        Access {
+            spe: self.spe,
+            dir: t.dir,
+            tag: t.tag,
+            lsa: t.lsa,
+            ea: t.ea,
+            bytes: t.bytes,
+            time_tb: trace.events.times()[i],
+            seq: trace.events.seq(i),
+            global: trace.order().ranks()[i] as usize,
+        }
+    }
+}
+
+/// The per-SPE memo cells of one DMA replay: cell `k` holds the
+/// [`SpeDma`] record of the trace's `k`-th SPE (the per-SPE lint shard
+/// `k`), replayed on first use by whichever reader asks first. A lint
+/// run keeps one for all its rules, so every SPE is replayed once.
+#[derive(Debug)]
+pub(crate) struct DmaReplay<'t> {
+    trace: &'t ColumnarTrace,
+    /// Per SPE, in stream order: `(spe, stream index, segment, cell)`.
+    cells: Vec<(u8, usize, Range<usize>, OnceLock<SpeDma>)>,
+}
+
+impl<'t> DmaReplay<'t> {
+    /// Empty cells, one per SPE that recorded events.
+    pub(crate) fn new(trace: &'t ColumnarTrace) -> Self {
+        let cells = (trace.segments().into_iter().enumerate())
+            .filter_map(|(stream, (core, seg))| match core {
+                TraceCore::Spe(spe) => Some((spe, stream, seg, OnceLock::new())),
+                TraceCore::Ppe(_) => None,
+            })
+            .collect();
+        DmaReplay { trace, cells }
+    }
+
+    /// The number of SPEs, the per-SPE shard count.
+    pub(crate) fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// The `k`-th SPE's record, replayed on first use (`None` past the
+    /// last SPE).
+    pub(crate) fn spe(&self, k: usize) -> Option<&SpeDma> {
+        let (spe, stream, seg, cell) = self.cells.get(k)?;
+        Some(cell.get_or_init(|| SpeDma::replay(self.trace, *spe, *stream, seg.clone())))
+    }
+
+    /// Every SPE's record, in SPE order.
+    pub(crate) fn records(&self) -> impl Iterator<Item = &SpeDma> {
+        (0..self.len()).filter_map(|k| self.spe(k))
     }
 }
 
@@ -443,216 +660,196 @@ fn conflicts(space: Space, a: AccessDir, b: AccessDir) -> bool {
     a == writer(space) || b == writer(space)
 }
 
-/// Every SPE's transfers in one flat list, stream-major in clock
-/// order (so flat order is the global order within each stream), with
-/// each SPE's run and the issue clocks.
-struct Transfers {
-    all: Vec<Transfer>,
-    runs: Vec<Range<usize>>,
-    /// Stream width of the clock universe.
+/// Every DMA issue's clock: stream `s`'s GETs and PUTs have
+/// consecutive `width`-wide rows of `clocks[s]`, in issue order.
+struct IssueClocks {
     width: usize,
-    /// Transfer `k`'s issue clock is `issue[k * width..(k + 1) * width]`.
-    issue: Vec<u32>,
+    clocks: Vec<Vec<u32>>,
 }
 
-impl Transfers {
-    /// Replays every SPE stream's DMA events: issues, covering waits
-    /// and barriers. Every other event is skipped on the code column,
-    /// without reading its params.
-    fn reconstruct(trace: &ColumnarTrace) -> Self {
-        let cols = &trace.events;
-        let codes = cols.codes();
-        let segments = trace.segments();
-        let mut all: Vec<Transfer> = Vec::new();
-        let mut runs = Vec::new();
-        for (stream, (core, seg)) in segments.iter().enumerate() {
-            let TraceCore::Spe(spe) = *core else {
-                continue;
-            };
-            if !trace.core_has_group(*core, EventGroup::SpeDma) {
-                continue;
-            }
-            let ranks = &trace.order().ranks()[seg.clone()];
-            let base = all.len();
-            // Unwaited transfers per tag group (a wait mask has one bit
-            // per group, so a wider tag, which only damaged params
-            // produce, is never waited), and the first transfer no
-            // barrier has ordered yet.
-            let mut pending: [Vec<usize>; 32] = Default::default();
-            let mut unbarriered = base;
-            for (pos, (i, &g)) in seg.clone().zip(ranks).enumerate() {
-                let pos = pos as u32;
-                match codes[i] {
-                    code @ (EventCode::SpeDmaGet | EventCode::SpeDmaPut) => {
-                        let p = cols.params(i);
-                        if p.len() < 4 {
-                            continue;
-                        }
-                        let tag = (p[3] & 0xff) as u8;
-                        if let Some(q) = pending.get_mut(usize::from(tag)) {
-                            q.push(all.len());
-                        }
-                        all.push(Transfer {
-                            acc: Access {
-                                spe,
-                                dir: if code == EventCode::SpeDmaGet {
-                                    AccessDir::Get
-                                } else {
-                                    AccessDir::Put
-                                },
-                                tag,
-                                lsa: p[1],
-                                ea: p[0],
-                                bytes: p[2],
-                                time_tb: cols.times()[i],
-                                seq: cols.seq(i),
-                                global: g as usize,
-                            },
-                            list: p[3] >> 8 != 0,
-                            pos,
-                            order_pos: u32::MAX,
-                            wait_pos: u32::MAX,
-                            stream,
-                        });
-                    }
-                    EventCode::SpeTagWaitEnd => {
-                        let mut completed = cols.params(i).first().copied().unwrap_or(0) as u32;
-                        while completed != 0 {
-                            let tag = completed.trailing_zeros() as usize;
-                            completed &= completed - 1;
-                            for i in pending[tag].drain(..) {
-                                all[i].wait_pos = pos;
-                                all[i].order_pos = all[i].order_pos.min(pos);
-                            }
-                        }
-                    }
-                    EventCode::SpeDmaBarrier => {
-                        // The barrier command holds the MFC queue until
-                        // every earlier command completes: all still-
-                        // open transfers become ordered before anything
-                        // issued after this position. Transfers already
-                        // waited keep their (earlier) wait position.
-                        for t in &mut all[unbarriered..] {
-                            t.order_pos = t.order_pos.min(pos);
-                        }
-                        unbarriered = all.len();
-                    }
-                    _ => {}
-                }
-            }
-            runs.push(base..all.len());
+impl IssueClocks {
+    /// Propagates clocks over `edges` and snapshots the clock of every
+    /// SPE GET and PUT, the transfers the replay reconstructs (see
+    /// [`SpeDma::row`]). Also returns the propagation's degraded flag;
+    /// `None` when no SPE issued one. Reads no params and needs no
+    /// replay, so a lint run replays beside it.
+    fn snapshot(trace: &ColumnarTrace, edges: &[CausalEdge]) -> Option<(Self, bool)> {
+        let segs = trace.segments();
+        // Only SPE streams that recorded DMA events issue transfers;
+        // with none, skip the propagation.
+        let issuing: Vec<bool> = (segs.iter())
+            .map(|&(core, _)| core.is_spe() && trace.core_has_group(core, EventGroup::SpeDma))
+            .collect();
+        if !issuing.contains(&true) {
+            return None;
         }
-        Transfers {
-            all,
-            runs,
-            width: segments.len(),
-            issue: Vec::new(),
-        }
-    }
-
-    /// Propagates clocks over `edges` and snapshots each transfer's
-    /// issue clock. Returns the propagation's degraded flag.
-    fn snapshot_clocks(&mut self, trace: &ColumnarTrace, edges: &[CausalEdge]) -> bool {
-        let w = self.width;
-        let mut issue = vec![0u32; self.all.len() * w];
-        // Per stream, the next transfer whose issue is still ahead;
-        // `propagate` visits each stream's events in position order.
-        let mut next: Vec<Range<usize>> = vec![0..0; w];
-        for run in &self.runs {
-            if let Some(t) = self.all.get(run.start) {
-                next[t.stream] = run.clone();
-            }
-        }
-        let all = &self.all;
+        let codes = trace.events.codes();
+        let mut clocks: Vec<Vec<u32>> = (segs.iter().zip(&issuing))
+            .map(|((_, seg), &on)| {
+                let issues = |c: &&EventCode| issue_dir(**c).is_some();
+                let rows = if on {
+                    codes[seg.clone()].iter().filter(issues).count()
+                } else {
+                    0
+                };
+                Vec::with_capacity(rows * segs.len())
+            })
+            .collect();
         let degraded = propagate(trace, edges, |_, si, pos, clock| {
-            let k = next[si].start;
-            if k < next[si].end && all[k].pos == pos {
-                issue[k * w..(k + 1) * w].copy_from_slice(clock);
-                next[si].start += 1;
+            if issuing[si] && issue_dir(codes[segs[si].1.start + pos as usize]).is_some() {
+                clocks[si].extend_from_slice(clock);
             }
         });
-        self.issue = issue;
-        degraded
+        let width = segs.len();
+        (!clocks.iter().all(Vec::is_empty)).then_some((IssueClocks { width, clocks }, degraded))
     }
 
     /// Whether transfer `a`'s completion is ordered before transfer
-    /// `b`'s issue across streams: `a` has a completion witness (first
-    /// covering wait-end at `wait_pos` on its own stream) and `b`'s
-    /// issue clock has observed that position.
-    fn completes_before(&self, a: usize, b: usize) -> bool {
-        let a = &self.all[a];
-        a.wait_pos != u32::MAX && self.issue[b * self.width + a.stream] > a.wait_pos
+    /// `b`'s issue across streams, each given as `(record, index)`:
+    /// `a` has a completion witness (first covering wait-end at
+    /// `wait_pos` on its own stream) and `b`'s issue clock has
+    /// observed that position.
+    fn completes_before(&self, a: (&SpeDma, usize), b: (&SpeDma, usize)) -> bool {
+        let wait = a.0.transfers[a.1].wait_pos;
+        let issue = &self.clocks[b.0.stream][b.0.row(b.1) * self.width..];
+        wait != u32::MAX && issue[a.0.stream] > wait
     }
 }
 
-/// Walks one stream's transfers in issue order and calls `pair(a, t)`
-/// for every earlier transfer `a` still unordered at `t`'s issue
-/// (`t.pos < a.order_pos`) whose `space` range overlaps `t`'s, where
-/// at least one of the two writes `space`. Returns the number of open
-/// entries examined: the pairs reported, plus per lookup the entries
-/// that start within the longest range below `t` without reaching it.
-fn sweep_stream(ts: &[Transfer], space: Space, mut pair: impl FnMut(&Transfer, &Transfer)) -> u64 {
-    // The open set: earlier transfers nothing has ordered yet, as
-    // `(lo, index)` per direction (`Get` = 0, `Put` = 1) so a lookup
-    // visits only nearby entries, with an expiry heap on `order_pos`.
-    // No open range is longer than `max_len`, so one starting further
-    // below a query's start cannot reach it.
-    let mut open: [BTreeSet<(u64, u32)>; 2] = Default::default();
-    let mut expiry: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
-    let mut max_len = 0u64;
+/// Most keys one run of an [`OpenSet`] holds before it splits.
+const RUN: usize = 64;
+
+/// One direction's open set in a sweep: `(start, index)` keys in
+/// order, as consecutive sorted runs of at most [`RUN`] keys. An open
+/// set is usually a few keys in one flat run. A large one (a
+/// never-waited storm) spreads over many runs, so an insert or a
+/// removal moves at most one run's keys, plus the list of runs when a
+/// run splits or empties.
+struct OpenSet {
+    /// Never empty; only a sole run may be empty.
+    runs: Vec<Vec<(u64, u32)>>,
+}
+
+impl OpenSet {
+    fn new() -> Self {
+        OpenSet {
+            runs: vec![Vec::new()],
+        }
+    }
+
+    /// The run `key` belongs in: the first whose last key is not below
+    /// it, else the last run.
+    fn run_of(&self, key: (u64, u32)) -> usize {
+        let r = (self.runs).partition_point(|run| run.last().is_some_and(|&last| last < key));
+        r.min(self.runs.len() - 1)
+    }
+
+    fn insert(&mut self, key: (u64, u32)) {
+        let r = self.run_of(key);
+        let run = &mut self.runs[r];
+        run.insert(run.partition_point(|&k| k < key), key);
+        if run.len() > RUN {
+            let tail = run.split_off(RUN / 2);
+            self.runs.insert(r + 1, tail);
+        }
+    }
+
+    fn remove(&mut self, key: (u64, u32)) {
+        let r = self.run_of(key);
+        let run = &mut self.runs[r];
+        if let Ok(at) = run.binary_search(&key) {
+            run.remove(at);
+            if run.is_empty() && self.runs.len() > 1 {
+                self.runs.remove(r);
+            }
+        }
+    }
+
+    /// The indices of the keys whose start lies in `[from, to)`, in
+    /// key order.
+    fn starting_in(&self, from: u64, to: u64) -> impl Iterator<Item = usize> + '_ {
+        let first = (self.runs).partition_point(|run| run.last().is_some_and(|&(s, _)| s < from));
+        let mut runs = self.runs[first..].iter();
+        let head = runs
+            .next()
+            .map(|run| &run[run.partition_point(|&(s, _)| s < from)..]);
+        (head.into_iter().flatten().chain(runs.flatten()))
+            .take_while(move |&&(s, _)| s < to)
+            .map(|&(_, j)| j as usize)
+    }
+}
+
+/// The two address spaces, indexable as `space as usize`.
+const SPACES: [Space; 2] = [Space::LocalStore, Space::MainMemory];
+
+/// Walks one SPE's transfers in issue order and calls
+/// `pair(space, j, i)` for every earlier transfer `j` still unordered
+/// at `i`'s issue (`t.pos < order_pos`) whose `space` range overlaps
+/// `i`'s, where at least one of the two writes `space`. Pairs come per
+/// space and direction in `(start, index)` order of the earlier
+/// transfer. Returns the number of open entries examined: the pairs
+/// reported, plus per lookup the entries that start within the longest
+/// range below `i` without reaching it.
+fn sweep_stream(rec: &SpeDma, mut pair: impl FnMut(Space, usize, usize)) -> u64 {
+    let ts = &rec.transfers;
+    // The open sets: earlier transfers nothing has ordered yet, per
+    // space and direction (`Get` = 0, `Put` = 1) in address order, so a
+    // lookup visits only nearby entries. They leave in the record's
+    // expiry order. No open range in a space is longer than its
+    // `max_len`, so one starting further below a query's start cannot
+    // reach it.
+    let mut open = SPACES.map(|_| [OpenSet::new(), OpenSet::new()]);
+    let mut expiry = rec.expiry.iter().map(|&k| k as usize).peekable();
+    let mut max_len = [0u64; 2];
     let mut examined = 0u64;
     for (i, t) in ts.iter().enumerate() {
-        if !t.checked_in(space) {
-            continue;
-        }
-        while let Some(&Reverse((at, j))) = expiry.peek() {
-            if at > t.pos {
-                break;
+        while let Some(j) = expiry.next_if(|&j| ts[j].order_pos <= t.pos) {
+            let a = &ts[j];
+            for space in SPACES.into_iter().filter(|&s| a.checked_in(s)) {
+                open[space as usize][a.dir as usize].remove((a.range(space).0, j as u32));
             }
-            expiry.pop();
-            let a = &ts[j as usize];
-            open[a.acc.dir as usize].remove(&(a.acc.range(space).0, j));
         }
-        let (lo, hi) = t.acc.range(space);
-        for dir in [AccessDir::Get, AccessDir::Put] {
-            if !conflicts(space, dir, t.acc.dir) {
-                continue;
-            }
-            let from = (lo.saturating_sub(max_len), 0);
-            for &(_, j) in open[dir as usize].range(from..(hi, 0)) {
-                examined += 1;
-                let a = &ts[j as usize];
-                if a.acc.range(space).1 > lo {
-                    pair(a, t);
+        for space in SPACES.into_iter().filter(|&s| t.checked_in(s)) {
+            let (lo, hi) = t.range(space);
+            let sets = &mut open[space as usize];
+            let from = lo.saturating_sub(max_len[space as usize]);
+            for dir in [AccessDir::Get, AccessDir::Put] {
+                if !conflicts(space, dir, t.dir) {
+                    continue;
+                }
+                for j in sets[dir as usize].starting_in(from, hi) {
+                    examined += 1;
+                    if ts[j].range(space).1 > lo {
+                        pair(space, j, i);
+                    }
                 }
             }
+            sets[t.dir as usize].insert((lo, i as u32));
+            max_len[space as usize] = max_len[space as usize].max(hi - lo);
         }
-        open[t.acc.dir as usize].insert((lo, i as u32));
-        if t.order_pos != u32::MAX {
-            expiry.push(Reverse((t.order_pos, i as u32)));
-        }
-        max_len = max_len.max(hi - lo);
     }
     examined
 }
 
-/// An address-space span carried by the overlap tree.
+/// A half-open span an [`IntervalTree`] carries (an address range, or
+/// a time window), with the index of the transfer it belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct AddrSpan {
-    lo: u64,
-    hi: u64,
-    idx: u32,
+pub(crate) struct TreeSpan {
+    pub(crate) lo: u64,
+    pub(crate) hi: u64,
+    pub(crate) idx: u32,
 }
 
-impl Span for AddrSpan {
+impl Span for TreeSpan {
     fn span(&self) -> (u64, u64) {
         (self.lo, self.hi)
     }
 }
 
 /// The built race index: every proven [`RaceWitness`], grouped into
-/// per-`(spe, tag)` shards for the parallel lint runner.
-#[derive(Debug)]
+/// per-`(spe, tag)` shards of its anchor access (the order `dma-race`
+/// reports them in).
+#[derive(Debug, Default)]
 pub struct HbIndex {
     /// Sorted distinct `(spe, tag)` pairs over *all* transfers — the
     /// shard universe. A race lands in the shard of its `second`
@@ -679,97 +876,98 @@ impl HbIndex {
     /// transfers are waited. Pairs across SPEs query per-stream
     /// main-memory trees of the opposite or writing direction only.
     pub fn build(trace: &ColumnarTrace, edges: &[CausalEdge]) -> Self {
-        let mut ts = Transfers::reconstruct(trace);
+        Self::from_replay(&DmaReplay::new(trace), edges)
+    }
 
+    /// [`HbIndex::build`] over a lint run's shared per-SPE replay.
+    pub(crate) fn from_replay(replay: &DmaReplay<'_>, edges: &[CausalEdge]) -> Self {
+        let trace = replay.trace;
         // No transfers, no races: skip clock propagation entirely, so
         // DMA-free traces (all-user-event storms, pure compute) pay
         // nothing for the engine.
-        if ts.all.is_empty() {
-            return HbIndex {
-                shards: Vec::new(),
-                races: Vec::new(),
-                ranges: Vec::new(),
-                degraded: false,
-                candidates: 0,
-            };
+        let Some((clocks, degraded)) = IssueClocks::snapshot(trace, edges) else {
+            return HbIndex::default();
+        };
+        let recs: Vec<&SpeDma> = replay
+            .records()
+            .filter(|r| !r.transfers.is_empty())
+            .collect();
+        if recs.is_empty() {
+            return HbIndex::default();
         }
-        let degraded = ts.snapshot_clocks(trace, edges);
 
         let mut races: Vec<RaceWitness> = Vec::new();
         let mut candidates = 0u64;
-        for run in &ts.runs {
-            let stream = &ts.all[run.clone()];
-            // Local-store pairs: they race when the bytes overlap, at
-            // least one writes LS (a GET), and the later was issued
-            // before anything ordered the earlier's completion (no
-            // covering wait-end or barrier in between). Same-tag pairs
-            // are *not* exempt.
-            candidates += sweep_stream(stream, Space::LocalStore, |a, t| {
-                races.push(witness(Space::LocalStore, a, t));
-            });
-            // Main-memory pairs on one MFC queue: the same position
-            // rule decides. A pair already racing in local store is
-            // one finding, not two: keep the LS witness.
-            candidates += sweep_stream(stream, Space::MainMemory, |a, t| {
-                let (alo, ahi) = a.acc.range(Space::LocalStore);
-                let (tlo, thi) = t.acc.range(Space::LocalStore);
-                let ls_race =
-                    alo < thi && tlo < ahi && conflicts(Space::LocalStore, a.acc.dir, t.acc.dir);
-                if !ls_race {
-                    races.push(witness(Space::MainMemory, a, t));
+        for rec in &recs {
+            let ts = &rec.transfers;
+            // Local-store pairs race when the bytes overlap, at least
+            // one writes LS (a GET), and the later was issued before
+            // anything ordered the earlier's completion (no covering
+            // wait-end or barrier in between). Same-tag pairs are *not*
+            // exempt. Main-memory pairs on one MFC queue: the same
+            // position rule decides, and a pair already racing in local
+            // store is one finding, not two: keep the LS witness.
+            candidates += sweep_stream(rec, |space, j, k| {
+                let (a, t) = (&ts[j], &ts[k]);
+                let (alo, ahi) = a.range(Space::LocalStore);
+                let (tlo, thi) = t.range(Space::LocalStore);
+                let ls_race = alo < thi && tlo < ahi && conflicts(Space::LocalStore, a.dir, t.dir);
+                if space == Space::LocalStore || !ls_race {
+                    races.push(witness(space, rec.access(trace, j), rec.access(trace, k)));
                 }
             });
         }
 
         // Main-memory pairs across streams: ordered only when one
         // side's completion witness is inside the other's issue clock.
-        // Each stream's transfers query the trees of the streams before
-        // it, one per direction, for conflicting direction pairs only
-        // (never GET–GET), and skip a tree whose hull misses theirs.
-        let trees: Vec<[IntervalTree<AddrSpan>; 2]> = ts
-            .runs
-            .iter()
-            .map(|run| {
-                let mut spans: [Vec<AddrSpan>; 2] = Default::default();
-                for k in run.clone() {
-                    let t = &ts.all[k];
+        // Each stream's transfers, per direction, query the trees of
+        // the streams before it, for conflicting direction pairs only
+        // (never GET–GET) whose hulls meet. A tree is built on its
+        // first such query, so streams on disjoint memory build none.
+        let spans: Vec<[Vec<TreeSpan>; 2]> = (recs.iter())
+            .map(|rec| {
+                let mut spans: [Vec<TreeSpan>; 2] = Default::default();
+                for (k, t) in rec.transfers.iter().enumerate() {
                     if t.checked_in(Space::MainMemory) {
-                        let (lo, hi) = t.acc.range(Space::MainMemory);
-                        spans[t.acc.dir as usize].push(AddrSpan {
-                            lo,
-                            hi,
-                            idx: k as u32,
-                        });
+                        let (lo, hi) = t.range(Space::MainMemory);
+                        let idx = k as u32;
+                        spans[t.dir as usize].push(TreeSpan { lo, hi, idx });
                     }
                 }
-                spans.map(IntervalTree::new)
+                spans
             })
             .collect();
+        let hull = |v: &Vec<TreeSpan>| {
+            Some((v.iter().map(|x| x.lo).min()?, v.iter().map(|x| x.hi).max()?))
+        };
+        let hulls: Vec<[Option<(u64, u64)>; 2]> =
+            spans.iter().map(|d| d.each_ref().map(hull)).collect();
+        let mut trees: Vec<[Option<IntervalTree<TreeSpan>>; 2]> =
+            spans.iter().map(|_| [None, None]).collect();
         let dirs = [AccessDir::Get, AccessDir::Put];
-        for (s, mine) in trees.iter().enumerate() {
-            for theirs in &trees[..s] {
+        for s in 0..recs.len() {
+            for o in 0..s {
                 for (my, their) in dirs.iter().flat_map(|&m| dirs.map(|t| (m, t))) {
-                    let (queries, tree) = (&mine[my as usize], &theirs[their as usize]);
-                    let hulls_meet = match (queries.extent(), tree.extent()) {
+                    let hulls_meet = match (hulls[s][my as usize], hulls[o][their as usize]) {
                         (Some((qlo, qhi)), Some((tlo, thi))) => qlo < thi && tlo < qhi,
                         _ => false,
                     };
                     if !conflicts(Space::MainMemory, my, their) || !hulls_meet {
                         continue;
                     }
-                    for q in queries.spans() {
+                    let theirs = &spans[o][their as usize];
+                    let tree = trees[o][their as usize]
+                        .get_or_insert_with(|| IntervalTree::new(theirs.clone()));
+                    for q in &spans[s][my as usize] {
                         for span in tree.range(q.lo, q.hi) {
                             candidates += 1;
-                            let (j, k) = (span.idx as usize, q.idx as usize);
-                            if ts.completes_before(j, k) || ts.completes_before(k, j) {
+                            let a = (recs[o], span.idx as usize);
+                            let b = (recs[s], q.idx as usize);
+                            if clocks.completes_before(a, b) || clocks.completes_before(b, a) {
                                 continue;
                             }
-                            let (a, t) = (&ts.all[j], &ts.all[k]);
-                            let (first, second) = if a.acc.global < t.acc.global {
-                                (a, t)
-                            } else {
-                                (t, a)
-                            };
+                            let (x, y) = (a.0.access(trace, a.1), b.0.access(trace, b.1));
+                            let (first, second) = if x.global < y.global { (x, y) } else { (y, x) };
                             races.push(witness(Space::MainMemory, first, second));
                         }
                     }
@@ -777,26 +975,31 @@ impl HbIndex {
             }
         }
 
-        // Shard universe: every (spe, tag) with at least one transfer.
-        let mut shards: Vec<(u8, u8)> = ts.all.iter().map(|t| (t.acc.spe, t.acc.tag)).collect();
-        shards.sort_unstable();
-        shards.dedup();
-        let shard_rank = |a: &Access| {
-            shards
-                .binary_search(&(a.spe, a.tag))
-                .expect("every transfer's (spe, tag) is a shard")
-        };
-        races.sort_by_key(|r| (shard_rank(&r.second), r.second.global, r.first.global));
-        let mut ranges = vec![(0usize, 0usize); shards.len()];
-        let mut at = 0;
-        for (i, &shard) in shards.iter().enumerate() {
-            let start = at;
-            while at < races.len() && (races[at].second.spe, races[at].second.tag) == shard {
-                at += 1;
+        // Shard universe: every (spe, tag) with at least one transfer,
+        // sorted, since the records come in SPE order.
+        let mut shards = Vec::new();
+        for rec in &recs {
+            let mut seen = [false; 256];
+            for t in &rec.transfers {
+                seen[usize::from(t.tag)] = true;
             }
-            ranges[i] = (start, at);
+            shards.extend(
+                (0..=255u8)
+                    .filter(|&tag| seen[usize::from(tag)])
+                    .map(|tag| (rec.spe, tag)),
+            );
         }
-        debug_assert_eq!(at, races.len(), "every race belongs to a shard");
+        // Sorting by `(spe, tag)` sorts by shard. A race's anchor is a
+        // transfer, so its `(spe, tag)` is a shard and the per-shard
+        // ranges cover every race.
+        let shard_of = |r: &RaceWitness| (r.second.spe, r.second.tag);
+        races.sort_by_key(|r| (shard_of(r), r.second.global, r.first.global));
+        let ranges = (shards.iter())
+            .map(|&s| {
+                let lo = races.partition_point(|r| shard_of(r) < s);
+                (lo, lo + races[lo..].partition_point(|r| shard_of(r) == s))
+            })
+            .collect();
 
         HbIndex {
             shards,
@@ -818,10 +1021,11 @@ impl HbIndex {
     }
 
     /// The races of shard `i`, in `(second.global, first.global)`
-    /// order.
+    /// order; none past the last shard.
     pub fn races_in_shard(&self, i: usize) -> &[RaceWitness] {
-        let (lo, hi) = self.ranges[i];
-        &self.races[lo..hi]
+        self.ranges
+            .get(i)
+            .map_or(&[], |&(lo, hi)| &self.races[lo..hi])
     }
 
     /// Every race, grouped by shard.
@@ -846,16 +1050,16 @@ impl HbIndex {
 
 /// Builds the witness for an unordered overlapping pair; `a` precedes
 /// `b` in global event order.
-fn witness(space: Space, a: &Transfer, b: &Transfer) -> RaceWitness {
-    let (alo, ahi) = a.acc.range(space);
-    let (blo, bhi) = b.acc.range(space);
+fn witness(space: Space, a: Access, b: Access) -> RaceWitness {
+    let (alo, ahi) = a.range(space);
+    let (blo, bhi) = b.range(space);
     RaceWitness {
         space,
-        first: a.acc,
-        second: b.acc,
+        first: a,
+        second: b,
         lo: alo.max(blo),
         hi: ahi.min(bhi),
-        same_tag: a.acc.tag == b.acc.tag,
+        same_tag: a.tag == b.tag,
     }
 }
 
@@ -1090,6 +1294,48 @@ mod tests {
     }
 
     #[test]
+    fn short_params_keep_their_issue_clock_rows() {
+        use EventCode::*;
+        let p = TraceCore::Ppe(0);
+        let s0 = TraceCore::Spe(0);
+        let s1 = TraceCore::Spe(1);
+        // As the mailbox case: SPE0's waited PUT is ordered before
+        // SPE1's PUT of the same range. SPE1 also issues a PUT with
+        // damaged (short) params before the mailbox read; it is no
+        // transfer, but its issue clock row comes first, so reading
+        // the real PUT's clock from the wrong row would report a race.
+        let mut c = cols(
+            vec![
+                dma(10, s0, SpeDmaPut, 0x100000, 0x1000, 4096, 0, 0),
+                ev(20, s0, SpeTagWaitBegin, vec![1, 0], 1),
+                ev(30, s0, SpeTagWaitEnd, vec![1], 2),
+                ev(40, s0, SpeMboxWrite, vec![1], 3),
+                ev(50, p, PpeMboxRead, vec![0, 1], 0),
+                ev(60, p, PpeMboxWrite, vec![1, 1], 1),
+                ev(65, s1, SpeDmaPut, vec![0x100800, 0x1000], 0),
+                ev(70, s1, SpeMboxReadBegin, vec![], 1),
+                ev(80, s1, SpeMboxReadEnd, vec![1], 2),
+                dma(90, s1, SpeDmaPut, 0x100800, 0x1000, 4096, 0, 3),
+                ev(100, s1, SpeTagWaitBegin, vec![1, 0], 4),
+                ev(110, s1, SpeTagWaitEnd, vec![1], 5),
+            ],
+            2,
+        );
+        c.set_anchors(
+            (0..2)
+                .map(|spe| crate::analyze::SpeAnchor {
+                    spe,
+                    ctx: u32::from(spe),
+                    run_tb: 0,
+                    dec_start: u32::MAX,
+                })
+                .collect(),
+        );
+        let idx = build(&c);
+        assert!(idx.races().is_empty(), "{:?}", idx.races());
+    }
+
+    #[test]
     fn list_dma_skips_ea_check_but_keeps_ls_check() {
         use EventCode::*;
         let s = TraceCore::Spe(0);
@@ -1301,5 +1547,86 @@ mod tests {
         let idx = build(&merged(events, 4));
         assert!(idx.races().is_empty());
         assert_output_sensitive(&idx, 4 * per_spe as usize);
+    }
+
+    #[test]
+    fn never_waited_storm_at_descending_addresses_costs_linear_candidates() {
+        use EventCode::*;
+        // Every transfer stays open and each lands below all earlier
+        // ones: the worst insertion order for an address-ordered set.
+        let s = TraceCore::Spe(0);
+        let transfers = 100_000u64;
+        let events = (0..transfers)
+            .map(|k| {
+                let code = if k % 2 == 0 { SpeDmaGet } else { SpeDmaPut };
+                let at = 0x100 * (transfers - 1 - k);
+                dma(10 * k, s, code, 0x1000_0000 + at, at, 0x100, k % 32, k)
+            })
+            .collect();
+        let idx = build(&merged(events, 1));
+        assert!(idx.races().is_empty());
+        assert_output_sensitive(&idx, transfers as usize);
+    }
+
+    #[test]
+    fn staggered_expiry_storm_costs_linear_candidates() {
+        use EventCode::*;
+        // Never-waited GETs on tag 1 pile up in the open set while a
+        // GET on tag 0 between each pair of them is waited at once. The
+        // waited ones land below every open key, so each is inserted
+        // and removed at the front of a set of thousands.
+        let s = TraceCore::Spe(0);
+        let open = 30_000u64;
+        let mut events = Vec::new();
+        let mut seq = 0u64;
+        let mut push = |code, params: Vec<u64>| {
+            events.push(ev(10 * seq, s, code, params, seq));
+            seq += 1;
+        };
+        for k in 0..open {
+            let (kept, waited) = (0x100 * (open + k), 0x100 * (open - 1 - k));
+            push(SpeDmaGet, vec![0x1000_0000 + kept, kept, 0x100, 1]);
+            push(SpeDmaGet, vec![0x1000_0000 + waited, waited, 0x100, 0]);
+            push(SpeTagWaitEnd, vec![1]);
+        }
+        let idx = build(&merged(events, 1));
+        assert!(idx.races().is_empty());
+        assert_output_sensitive(&idx, 2 * open as usize);
+    }
+
+    #[test]
+    fn open_set_matches_a_sorted_model() {
+        // Dense keys from a small address range, so runs split, empty
+        // and merge back into the list; every lookup must return the
+        // model's keys in order.
+        let mut set = OpenSet::new();
+        let mut model: Vec<(u64, u32)> = Vec::new();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for step in 0..20_000u32 {
+            let r = next();
+            let key = (r % 512, step);
+            if r % 5 < 3 || model.is_empty() {
+                set.insert(key);
+                let at = model.partition_point(|&k| k < key);
+                model.insert(at, key);
+            } else {
+                let gone = model.remove((r >> 32) as usize % model.len());
+                set.remove(gone);
+            }
+            let (from, to) = (next() % 512, next() % 600);
+            let got: Vec<usize> = set.starting_in(from, to).collect();
+            let want: Vec<usize> = (model.iter())
+                .filter(|&&(s, _)| from <= s && s < to)
+                .map(|&(_, j)| j as usize)
+                .collect();
+            assert_eq!(got, want, "step {step}");
+        }
+        assert!(set.runs.len() > 1, "the model run never split");
     }
 }

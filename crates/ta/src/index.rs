@@ -243,18 +243,6 @@ impl<T: Span> IntervalTree<T> {
         }
     }
 
-    /// Every span, in `(start, end)` order.
-    pub(crate) fn spans(&self) -> &[T] {
-        &self.nodes
-    }
-
-    /// The `(min start, max end)` hull of all spans, `None` when empty.
-    pub(crate) fn extent(&self) -> Option<(u64, u64)> {
-        let first = self.nodes.first()?;
-        // The root of the implicit tree over `[0, n)` is `n / 2`.
-        Some((first.span().0, self.max_end[self.nodes.len() / 2]))
-    }
-
     /// Spans `i` with `i.end > t0 && i.start < t1`, in start order.
     pub(crate) fn range(&self, t0: u64, t1: u64) -> Vec<T> {
         let mut out = Vec::new();
@@ -1033,15 +1021,6 @@ mod tests {
                 .collect();
             want.sort_by_key(|i| (i.start_tb, i.end_tb));
             assert_eq!(tree.range(a, b), want, "range [{a},{b})");
-        }
-        // The hull is (min start, max end) at every size.
-        for n in 0..=ivs.len() {
-            let tree = IntervalTree::new(ivs[..n].to_vec());
-            let hull = ivs[..n]
-                .iter()
-                .map(|i| (i.start_tb, i.end_tb))
-                .reduce(|(a, b), (c, d)| (a.min(c), b.max(d)));
-            assert_eq!(tree.extent(), hull, "{n} spans");
         }
     }
 

@@ -57,36 +57,7 @@
 //! # }
 //! ```
 //!
-//! ## Migrating from the free-function API
-//!
-//! Earlier versions drove the pipeline through free functions, each
-//! recomputing shared inputs:
-//!
-//! ```text
-//! let analyzed = ta::analyze(&trace)?;            // serial decode
-//! let stats    = ta::compute_stats(&analyzed);    // interval pass #1
-//! let timeline = ta::build_timeline(&analyzed);   // interval pass #2
-//! let svg      = ta::render_svg(&timeline, &opts);
-//! ```
-//!
-//! The [`Analysis`] session replaces that with one ingestion
-//! and memoized accessors:
-//!
-//! ```text
-//! let a = ta::Analysis::of(&trace).parallelism(ta::Parallelism::Workers(8)).run()?;
-//! let stats = a.stats();          // intervals computed once,
-//! let svg   = a.svg(&opts);       // shared with the timeline
-//! ```
-//!
-//! The deprecated render/export shims (`render_svg`, `render_ascii`,
-//! `html_report`, `events_csv`, `intervals_csv`, `activity_csv`,
-//! `EventFilter::apply_scan`) have been removed; route rendering
-//! through [`Analysis::write_report`], which streams to any
-//! `io::Write`, or its `String` wrappers [`Analysis::render`] /
-//! [`Analysis::svg`], and queries
-//! through [`Analysis::query`] or [`EventFilter::apply`]. The
-//! analysis-stage functions (`analyze`, `compute_stats`,
-//! `build_timeline`, `build_intervals`) remain public building blocks.
+//! ## Incremental ingest
 //!
 //! For traces that arrive incrementally — a file still being written,
 //! a socket — use [`IngestSession`] / [`ImageIngest`] from
@@ -144,9 +115,8 @@ pub use intervals::{build_intervals, ActivityKind, Interval, SpeIntervals};
 #[cfg(feature = "scan-oracle")]
 pub use lint::dma_race_window_heuristic;
 pub use lint::{
-    lint_columns, lint_columns_sharded, lint_columns_sharded_with_edges, lint_columns_with_edges,
-    lint_trace, Anchor, ConfigError, Diagnostic, Lint, LintConfig, LintContext, LintReport,
-    RuleInfo, Severity, Suppression,
+    lint_columns, lint_trace, Anchor, ConfigError, Diagnostic, Lint, LintConfig, LintContext,
+    LintReport, RuleInfo, Severity, Suppression,
 };
 pub use loss::{DecodePolicy, LossReport, StreamLoss};
 pub use occupancy::{dma_occupancy, OccupancyStep, SpeOccupancy};

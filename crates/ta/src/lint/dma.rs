@@ -1,203 +1,49 @@
-//! DMA transfer-lifetime reconstruction and the three tag-group rules.
+//! The three tag-group rules, over one DMA replay per SPE.
 //!
-//! `dma-race` runs on the happens-before engine ([`crate::hb`]): the
-//! rule builds one [`HbIndex`] per lint run (memoized in the rule
-//! instance, shared across shards) and renders its [`RaceWitness`]es
-//! as diagnostics — the two accesses, the exact byte intersection and
-//! the absence-of-sync explanation. The pre-engine *window heuristic*
-//! (issue → first covering `SpeTagWaitEnd`, overlapping windows +
-//! overlapping local store + different tags + ≥1 GET) survives behind
-//! the `scan-oracle` feature as [`dma_race_window_heuristic`], the
-//! differential baseline the `hb_smoke` CI gate compares the engine
-//! against — exactly how PR 3/5 kept the naive scans.
+//! A lint run replays each SPE's DMA events once, into the per-SPE
+//! records of a [`DmaReplay`]: the transfers with their first covering
+//! wait and ordering positions, and the tag waits that covered
+//! nothing. That replay is the one definition of transfer lifetimes,
+//! shared by all three DMA rules:
 //!
-//! `unwaited-tag-group` and `wait-without-dma` still replay transfer
-//! lifetimes with [`sweep`], the single definition of the wait-window
-//! semantics.
+//! - `dma-race` builds the happens-before [`HbIndex`] from it, as the
+//!   run's first unit of work, and renders its [`RaceWitness`]es as
+//!   diagnostics: the two accesses, the exact byte intersection and
+//!   the absence-of-sync explanation;
+//! - `unwaited-tag-group` reports the transfers no wait covered;
+//! - `wait-without-dma` reports the vacuous waits.
+//!
+//! The pre-engine *window heuristic* (issue → first covering
+//! `SpeTagWaitEnd`, overlapping windows + overlapping local store +
+//! different tags + ≥1 GET) survives behind the `scan-oracle` feature
+//! as [`dma_race_window_heuristic`], the differential baseline the
+//! `hb_smoke` CI gate compares the engine against. It derives its
+//! windows from the same records.
 
-use std::sync::OnceLock;
-
-use pdt::{EventCode, TraceCore};
+use pdt::TraceCore;
 
 use crate::columns::ColumnarTrace;
-use crate::hb::{HbIndex, RaceWitness, Space};
 #[cfg(feature = "scan-oracle")]
-use crate::index::{IntervalTree, Span};
-
-use super::{check_by_shards, spe_of_shard, Anchor, Diagnostic, Lint, LintContext, Severity};
-
-/// Direction of a reconstructed transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Dir {
-    /// GET: main storage → local store (writes LS).
-    Get,
-    /// PUT: local store → main storage (reads LS).
-    Put,
-}
-
-/// One reconstructed DMA transfer on one SPE.
-#[derive(Debug, Clone)]
-struct Transfer {
-    dir: Dir,
-    lsa: u64,
-    bytes: u64,
-    tag: u8,
-    /// Issue tick.
-    start_tb: u64,
-    /// First covering tag-wait end, or the lane's last tick when the
-    /// transfer was never waited.
-    end_tb: u64,
-    waited: bool,
-    anchor: Anchor,
-}
-
-impl Transfer {
-    #[cfg(feature = "scan-oracle")]
-    fn ls_overlaps(&self, other: &Transfer) -> bool {
-        self.lsa < other.ls_end() && other.lsa < self.ls_end()
-    }
-
-    /// End of the local-store range, saturating on hostile params.
-    #[cfg(feature = "scan-oracle")]
-    fn ls_end(&self) -> u64 {
-        self.lsa.saturating_add(self.bytes)
-    }
-}
-
-/// A transfer's unsynchronized window plus its index in the history,
-/// the payload the heuristic's interval tree carries.
+use crate::hb::{AccessDir, DmaReplay, Space::LocalStore, TreeSpan};
+use crate::hb::{HbIndex, RaceWitness, Space, SpeDma, Transfer};
 #[cfg(feature = "scan-oracle")]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct TransferSpan {
-    start_tb: u64,
-    end_tb: u64,
-    idx: u32,
-}
+use crate::index::IntervalTree;
 
-#[cfg(feature = "scan-oracle")]
-impl Span for TransferSpan {
-    fn span(&self) -> (u64, u64) {
-        (self.start_tb, self.end_tb)
-    }
-}
+use super::{check_by_shards, Anchor, Diagnostic, Lint, LintContext, Severity};
 
-/// One SPE's reconstructed DMA history.
-#[derive(Debug)]
-struct SpeDmaHistory {
-    spe: u8,
-    transfers: Vec<Transfer>,
-    /// `SpeTagWaitBegin` events whose mask covered zero outstanding
-    /// transfers, with the offending mask.
-    vacuous_waits: Vec<(Anchor, u32)>,
-}
-
-/// The wait-mask bit of MFC tag group `tag`. A wait mask has one bit
-/// per group (32); a wider tag, which only damaged params produce, is
-/// covered by no mask.
-fn tag_bit(tag: u8) -> u32 {
-    1u32.checked_shl(u32::from(tag)).unwrap_or(0)
-}
-
-/// Replays one SPE's stream, tracking transfer lifetimes against the
-/// tag-wait events. Shared by all three DMA rules so the lifetime
-/// semantics have exactly one definition.
-fn sweep(trace: &ColumnarTrace, spe: u8) -> SpeDmaHistory {
-    // The group mask knows whether this SPE recorded any DMA or
-    // tag-wait event at all; when it did not, the replay below cannot
-    // produce anything, so skip the scan.
-    if !trace.core_has_group(TraceCore::Spe(spe), pdt::EventGroup::SpeDma) {
-        return SpeDmaHistory {
-            spe,
-            transfers: Vec::new(),
-            vacuous_waits: Vec::new(),
-        };
-    }
-    let mut transfers: Vec<Transfer> = Vec::new();
-    let mut pending: Vec<usize> = Vec::new();
-    let mut vacuous_waits = Vec::new();
-    let mut last_tb = 0u64;
-    for v in trace.core_events(TraceCore::Spe(spe)) {
-        last_tb = last_tb.max(v.time_tb);
-        match v.code {
-            EventCode::SpeDmaGet | EventCode::SpeDmaPut => {
-                if v.params.len() < 4 {
-                    continue;
-                }
-                transfers.push(Transfer {
-                    dir: if v.code == EventCode::SpeDmaGet {
-                        Dir::Get
-                    } else {
-                        Dir::Put
-                    },
-                    lsa: v.params[1],
-                    bytes: v.params[2],
-                    tag: (v.params[3] & 0xff) as u8,
-                    start_tb: v.time_tb,
-                    end_tb: u64::MAX,
-                    waited: false,
-                    anchor: Anchor::at_view(&v),
-                });
-                pending.push(transfers.len() - 1);
-            }
-            EventCode::SpeTagWaitBegin => {
-                let mask = v.params.first().copied().unwrap_or(0) as u32;
-                let covers_any = pending
-                    .iter()
-                    .any(|&i| mask & tag_bit(transfers[i].tag) != 0);
-                if !covers_any {
-                    vacuous_waits.push((Anchor::at_view(&v), mask));
-                }
-            }
-            EventCode::SpeTagWaitEnd => {
-                let completed = v.params.first().copied().unwrap_or(0) as u32;
-                pending.retain(|&i| {
-                    if completed & tag_bit(transfers[i].tag) != 0 {
-                        transfers[i].end_tb = v.time_tb;
-                        transfers[i].waited = true;
-                        false
-                    } else {
-                        true
-                    }
-                });
-            }
-            _ => {}
-        }
-    }
-    // Transfers never covered by a wait stay open past the lane's end.
-    for &i in &pending {
-        transfers[i].end_tb = last_tb.max(transfers[i].start_tb).saturating_add(1);
-    }
-    // Guard degenerate clocks: a window is never empty.
-    for t in &mut transfers {
-        t.end_tb = t.end_tb.max(t.start_tb.saturating_add(1));
-    }
-    SpeDmaHistory {
-        spe,
-        transfers,
-        vacuous_waits,
+/// The anchor at stream position `pos` of `rec`'s SPE.
+fn anchor(trace: &ColumnarTrace, rec: &SpeDma, pos: u32) -> Anchor {
+    let i = rec.seg.start + pos as usize;
+    Anchor {
+        core: TraceCore::Spe(rec.spe),
+        seq: trace.events.seq(i),
+        time_tb: trace.events.times()[i],
     }
 }
 
 /// `dma-race`: overlapping DMA accesses with no happens-before
 /// ordering path, at least one writing the shared bytes.
-pub(super) struct DmaRace {
-    /// The engine's race index, built once per lint run on first use
-    /// and shared by every shard (rule instances are created fresh per
-    /// run by `default_rules`, so the cache can never go stale).
-    hb: OnceLock<HbIndex>,
-}
-
-impl DmaRace {
-    pub(super) fn new() -> Self {
-        DmaRace {
-            hb: OnceLock::new(),
-        }
-    }
-
-    fn index(&self, ctx: &LintContext<'_>) -> &HbIndex {
-        self.hb.get_or_init(|| HbIndex::build(ctx.trace, ctx.edges))
-    }
-}
+pub(super) struct DmaRace;
 
 impl Lint for DmaRace {
     fn id(&self) -> &'static str {
@@ -216,21 +62,12 @@ impl Lint for DmaRace {
          MFC orders nothing within a tag group absent a wait or barrier)."
     }
 
+    /// One unit of work, the first of the run: builds the race index
+    /// while the other rules' shards run, then renders its races in
+    /// `(spe, tag)` shard order of their later (anchor) access.
     fn check(&self, ctx: &LintContext<'_>) -> Vec<Diagnostic> {
-        check_by_shards(self, ctx)
-    }
-
-    /// One shard per `(spe, tag)` pair with at least one transfer; a
-    /// race is checked in the shard of its later (anchor) access.
-    fn shards(&self, ctx: &LintContext<'_>) -> usize {
-        self.index(ctx).shard_count()
-    }
-
-    fn check_shard(&self, ctx: &LintContext<'_>, shard: usize) -> Vec<Diagnostic> {
-        let index = self.index(ctx);
-        index
-            .races_in_shard(shard)
-            .iter()
+        let index = HbIndex::from_replay(ctx.dma, ctx.edges);
+        (index.races().iter())
             .map(|w| {
                 let mut d = race_diagnostic(w);
                 // A degraded propagation (cycle through skewed sync
@@ -311,50 +148,60 @@ fn race_diagnostic(w: &RaceWitness) -> Diagnostic {
 #[cfg(feature = "scan-oracle")]
 pub fn dma_race_window_heuristic(trace: &ColumnarTrace) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for spe in trace.spes() {
-        let hist = sweep(trace, spe);
-        if hist.transfers.len() < 2 {
+    let replay = DmaReplay::new(trace);
+    for rec in replay.records() {
+        let ts = &rec.transfers;
+        if ts.len() < 2 {
             continue;
         }
-        // The unsynchronized windows, indexed by the shared tree.
+        let times = &trace.events.times()[rec.seg.clone()];
+        let last_tb = times.iter().copied().max().unwrap_or(0);
+        // Issue to first covering wait end; a transfer never waited
+        // stays open past the lane's last tick. Never empty.
+        let window = |t: &Transfer| {
+            let start = times[t.pos as usize];
+            let end = match t.waited() {
+                true => times[t.wait_pos as usize],
+                false => last_tb.max(start).saturating_add(1),
+            };
+            (start, end.max(start.saturating_add(1)))
+        };
         let tree = IntervalTree::new(
-            hist.transfers
-                .iter()
-                .enumerate()
-                .map(|(i, t)| TransferSpan {
-                    start_tb: t.start_tb,
-                    end_tb: t.end_tb,
-                    idx: i as u32,
+            (ts.iter().enumerate())
+                .map(|(i, t)| {
+                    let (lo, hi) = window(t);
+                    let idx = i as u32;
+                    TreeSpan { lo, hi, idx }
                 })
                 .collect(),
         );
-        for (i, t) in hist.transfers.iter().enumerate() {
-            for span in tree.range(t.start_tb, t.end_tb) {
+        for (i, t) in ts.iter().enumerate() {
+            let (start, end) = window(t);
+            let (t_lo, t_hi) = t.range(LocalStore);
+            for span in tree.range(start, end) {
                 let j = span.idx as usize;
                 // Each unordered pair once, reported at the later issue.
                 if j >= i {
                     continue;
                 }
-                let o = &hist.transfers[j];
-                if o.tag != t.tag && t.ls_overlaps(o) && (t.dir == Dir::Get || o.dir == Dir::Get) {
+                let o = &ts[j];
+                let (o_lo, o_hi) = o.range(LocalStore);
+                let get = t.dir == AccessDir::Get || o.dir == AccessDir::Get;
+                if o.tag != t.tag && t_lo < o_hi && o_lo < t_hi && get {
                     out.push(Diagnostic {
                         rule: "dma-race",
                         severity: Severity::Error,
                         suspect: false,
-                        anchor: Some(t.anchor),
-                        related: vec![o.anchor],
+                        anchor: Some(anchor(trace, rec, t.pos)),
+                        related: vec![anchor(trace, rec, o.pos)],
                         message: format!(
-                            "SPE{}: {} tag {} [LS {:#x}..{:#x}) races {} tag {} \
-                             [LS {:#x}..{:#x}) — no tag wait orders them",
-                            hist.spe,
-                            dir_name(t.dir),
+                            "SPE{}: {} tag {} [LS {t_lo:#x}..{t_hi:#x}) races {} tag {} \
+                             [LS {o_lo:#x}..{o_hi:#x}) — no tag wait orders them",
+                            rec.spe,
+                            t.dir.name(),
                             t.tag,
-                            t.lsa,
-                            t.ls_end(),
-                            dir_name(o.dir),
+                            o.dir.name(),
                             o.tag,
-                            o.lsa,
-                            o.ls_end(),
                         ),
                     });
                 }
@@ -362,13 +209,6 @@ pub fn dma_race_window_heuristic(trace: &ColumnarTrace) -> Vec<Diagnostic> {
         }
     }
     out
-}
-
-fn dir_name(d: Dir) -> &'static str {
-    match d {
-        Dir::Get => "GET",
-        Dir::Put => "PUT",
-    }
 }
 
 /// `unwaited-tag-group`: DMA issued but never covered by a tag wait.
@@ -392,48 +232,42 @@ impl Lint for UnwaitedTagGroup {
     }
 
     fn shards(&self, ctx: &LintContext<'_>) -> usize {
-        ctx.trace.spes().len()
+        ctx.dma.len()
     }
 
     fn check_shard(&self, ctx: &LintContext<'_>, shard: usize) -> Vec<Diagnostic> {
-        let hist = sweep(ctx.trace, spe_of_shard(ctx, shard));
-        let mut out = Vec::new();
+        let Some(rec) = ctx.dma.spe(shard) else {
+            return Vec::new();
+        };
         // One diagnostic per (spe, tag): anchored at the first
-        // unwaited issue, the rest related.
-        let mut tags: Vec<u8> = hist
-            .transfers
-            .iter()
-            .filter(|t| !t.waited)
-            .map(|t| t.tag)
-            .collect();
-        tags.sort_unstable();
-        tags.dedup();
-        for tag in tags {
-            let unwaited: Vec<&Transfer> = hist
-                .transfers
-                .iter()
-                .filter(|t| !t.waited && t.tag == tag)
-                .collect();
-            let first = unwaited[0];
-            out.push(Diagnostic {
-                rule: self.id(),
-                severity: self.severity(),
-                suspect: false,
-                anchor: Some(first.anchor),
-                related: unwaited.iter().skip(1).take(4).map(|t| t.anchor).collect(),
-                message: format!(
-                    "SPE{}: {} transfer(s) on tag {} issued but never waited \
-                     (first: {} of {} bytes at LS {:#x})",
-                    hist.spe,
-                    unwaited.len(),
-                    tag,
-                    dir_name(first.dir),
-                    first.bytes,
-                    first.lsa,
-                ),
-            });
-        }
-        out
+        // unwaited issue, the rest related. The sort is stable, so
+        // each tag's transfers stay in issue order.
+        let mut unwaited: Vec<&Transfer> = rec.transfers.iter().filter(|t| !t.waited()).collect();
+        unwaited.sort_by_key(|t| t.tag);
+        (unwaited.chunk_by(|a, b| a.tag == b.tag))
+            .filter_map(|group| {
+                let (first, rest) = group.split_first()?;
+                Some(Diagnostic {
+                    rule: self.id(),
+                    severity: self.severity(),
+                    suspect: false,
+                    anchor: Some(anchor(ctx.trace, rec, first.pos)),
+                    related: (rest.iter().take(4))
+                        .map(|t| anchor(ctx.trace, rec, t.pos))
+                        .collect(),
+                    message: format!(
+                        "SPE{}: {} transfer(s) on tag {} issued but never waited \
+                         (first: {} of {} bytes at LS {:#x})",
+                        rec.spe,
+                        group.len(),
+                        first.tag,
+                        first.dir.name(),
+                        first.bytes,
+                        first.lsa,
+                    ),
+                })
+            })
+            .collect()
     }
 }
 
@@ -460,41 +294,41 @@ impl Lint for WaitWithoutDma {
     }
 
     fn shards(&self, ctx: &LintContext<'_>) -> usize {
-        ctx.trace.spes().len()
+        ctx.dma.len()
     }
 
     fn check_shard(&self, ctx: &LintContext<'_>, shard: usize) -> Vec<Diagnostic> {
-        let hist = sweep(ctx.trace, spe_of_shard(ctx, shard));
-        let mut out = Vec::new();
-        for (anchor, mask) in &hist.vacuous_waits {
-            out.push(Diagnostic {
+        let Some(rec) = ctx.dma.spe(shard) else {
+            return Vec::new();
+        };
+        (rec.vacuous_waits.iter())
+            .map(|&(pos, mask)| Diagnostic {
                 rule: self.id(),
                 severity: self.severity(),
                 suspect: false,
-                anchor: Some(*anchor),
+                anchor: Some(anchor(ctx.trace, rec, pos)),
                 related: Vec::new(),
                 message: format!(
                     "SPE{}: tag wait on mask {:#x} with zero outstanding \
                      transfers on those tags — the wait is vacuous",
-                    hist.spe, mask,
+                    rec.spe, mask,
                 ),
-            });
-        }
-        out
+            })
+            .collect()
     }
 }
 
-// The sweep itself is covered through the rule tests in
-// `tests/golden_lints.rs` and the synthetic-trace tests in
-// `lint::tests` (mod.rs side), which exercise every lifetime case:
+// The replay itself is covered through the rule tests below and in
+// `tests/golden_lints.rs`, which exercise every lifetime case:
 // waited, never-waited, partial completion masks, and vacuous waits.
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analyze::{AnalyzedTrace, GlobalEvent};
+    use crate::hb::DmaReplay;
     use crate::loss::LossReport;
-    use pdt::{TraceHeader, VERSION};
+    use pdt::{EventCode, TraceHeader, VERSION};
 
     fn header() -> TraceHeader {
         TraceHeader {
@@ -547,6 +381,7 @@ mod tests {
             suspects: &[],
             edges: &edges,
             config: &config,
+            dma: &DmaReplay::new(&cols),
         };
         rule.check(&ctx)
     }
@@ -562,7 +397,7 @@ mod tests {
             ev(40, SpeTagWaitEnd, vec![0b11], 4),
             ev(50, SpeStop, vec![0], 5),
         ]);
-        let d = run_rule(&DmaRace::new(), &t);
+        let d = run_rule(&DmaRace, &t);
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].anchor.unwrap().seq, 2, "anchored at the later issue");
         assert_eq!(d[0].related[0].seq, 1);
@@ -580,7 +415,7 @@ mod tests {
             ev(50, SpeTagWaitBegin, vec![0b10, 0], 4),
             ev(60, SpeTagWaitEnd, vec![0b10], 5),
         ]);
-        assert!(run_rule(&DmaRace::new(), &t).is_empty());
+        assert!(run_rule(&DmaRace, &t).is_empty());
     }
 
     #[test]
@@ -596,7 +431,7 @@ mod tests {
             ev(30, SpeTagWaitBegin, vec![0b1, 0], 2),
             ev(40, SpeTagWaitEnd, vec![0b1], 3),
         ]);
-        let d = run_rule(&DmaRace::new(), &t);
+        let d = run_rule(&DmaRace, &t);
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(d[0].message.contains("same tag group"), "{}", d[0].message);
         #[cfg(feature = "scan-oracle")]
@@ -617,7 +452,7 @@ mod tests {
             ev(30, SpeTagWaitBegin, vec![0b11, 0], 2),
             ev(40, SpeTagWaitEnd, vec![0b11], 3),
         ]);
-        assert!(run_rule(&DmaRace::new(), &t).is_empty());
+        assert!(run_rule(&DmaRace, &t).is_empty());
         // A PUT against a concurrent overlapping GET does race.
         let t = trace_of(vec![
             dma(10, SpeDmaPut, 0x1000, 4096, 0, 0),
@@ -625,7 +460,7 @@ mod tests {
             ev(30, SpeTagWaitBegin, vec![0b11, 0], 2),
             ev(40, SpeTagWaitEnd, vec![0b11], 3),
         ]);
-        assert_eq!(run_rule(&DmaRace::new(), &t).len(), 1);
+        assert_eq!(run_rule(&DmaRace, &t).len(), 1);
     }
 
     #[test]
@@ -640,7 +475,7 @@ mod tests {
             ev(30, SpeTagWaitBegin, vec![0b11, 0], 2),
             ev(40, SpeTagWaitEnd, vec![0b11], 3),
         ]);
-        let d = run_rule(&DmaRace::new(), &t);
+        let d = run_rule(&DmaRace, &t);
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(
             d[0].message.contains("[EA 0x100000..0x101000)"),
@@ -658,7 +493,7 @@ mod tests {
             ev(30, SpeTagWaitBegin, vec![0b11, 0], 2),
             ev(40, SpeTagWaitEnd, vec![0b11], 3),
         ]);
-        assert!(run_rule(&DmaRace::new(), &t).is_empty());
+        assert!(run_rule(&DmaRace, &t).is_empty());
     }
 
     #[test]
@@ -673,7 +508,7 @@ mod tests {
             ev(30, SpeTagWaitBegin, vec![u64::MAX, 0], 2),
             ev(40, SpeTagWaitEnd, vec![u64::MAX], 3),
         ]);
-        let d = run_rule(&DmaRace::new(), &t);
+        let d = run_rule(&DmaRace, &t);
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(
             d[0].message

@@ -282,6 +282,7 @@ mod tests {
             suspects: &[],
             edges: &edges,
             config: &config,
+            dma: &crate::hb::DmaReplay::new(&cols),
         };
         MailboxDeadlockShape.check(&ctx)
     }

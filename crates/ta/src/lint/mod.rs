@@ -39,10 +39,11 @@ mod baseline;
 
 use pdt::TraceCore;
 
-use crate::analyze::{AnalyzedTrace, GlobalEvent};
+use crate::analyze::AnalyzedTrace;
 use crate::causality::{sync_edges_columns, CausalEdge};
 use crate::columns::{ColumnarTrace, EventView};
 use crate::exec::{self, Parallelism};
+use crate::hb::DmaReplay;
 use crate::index::{compute_suspect_ranges_columns, SuspectRange};
 use crate::intervals::SpeIntervals;
 use crate::loss::LossReport;
@@ -87,15 +88,6 @@ pub struct Anchor {
 }
 
 impl Anchor {
-    /// Anchors at `event`.
-    pub fn at(event: &GlobalEvent) -> Self {
-        Anchor {
-            core: event.core,
-            seq: event.stream_seq,
-            time_tb: event.time_tb,
-        }
-    }
-
     /// Anchors at a columnar event view.
     pub fn at_view(view: &EventView<'_>) -> Self {
         Anchor {
@@ -127,41 +119,6 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
-    /// Builds a diagnostic for `rule` anchored at `event`.
-    pub fn new(
-        rule: &'static str,
-        severity: Severity,
-        event: &GlobalEvent,
-        message: String,
-    ) -> Self {
-        Diagnostic {
-            rule,
-            severity,
-            suspect: false,
-            anchor: Some(Anchor::at(event)),
-            related: Vec::new(),
-            message,
-        }
-    }
-
-    /// Same, without an anchor (trace-level findings).
-    pub fn unanchored(rule: &'static str, severity: Severity, message: String) -> Self {
-        Diagnostic {
-            rule,
-            severity,
-            suspect: false,
-            anchor: None,
-            related: Vec::new(),
-            message,
-        }
-    }
-
-    /// Adds a related event.
-    pub fn with_related(mut self, event: &GlobalEvent) -> Self {
-        self.related.push(Anchor::at(event));
-        self
-    }
-
     /// True for a firm (non-suspect) error — the kind that gates CI.
     pub fn is_firm_error(&self) -> bool {
         self.severity == Severity::Error && !self.suspect
@@ -237,7 +194,9 @@ impl LintConfig {
 
 /// A lint rule: stable id, default severity, one-paragraph docs, and
 /// the check itself. Rules are stateless (`Send + Sync`) so the
-/// parallel runner can sweep shards of several rules concurrently.
+/// parallel runner can sweep shards of several rules concurrently;
+/// what rules share within one run (the per-SPE DMA replay) lives in
+/// the run's [`LintContext`].
 pub trait Lint: Send + Sync {
     /// Stable kebab-case id (`"dma-race"`).
     fn id(&self) -> &'static str;
@@ -259,10 +218,12 @@ pub trait Lint: Send + Sync {
     }
     /// Runs one shard (see [`Lint::shards`]). Per-SPE rules map a
     /// shard index to one SPE's sweep; the default delegates the only
-    /// shard to [`Lint::check`].
+    /// shard to [`Lint::check`]. A shard past the last holds nothing.
     fn check_shard(&self, ctx: &LintContext<'_>, shard: usize) -> Vec<Diagnostic> {
-        debug_assert_eq!(shard, 0, "rules with one shard only have shard 0");
-        self.check(ctx)
+        match shard {
+            0 => self.check(ctx),
+            _ => Vec::new(),
+        }
     }
 }
 
@@ -273,13 +234,10 @@ impl std::fmt::Debug for dyn Lint + '_ {
 }
 
 /// The SPE a shard index denotes: shard `k` is the `k`-th SPE in the
-/// trace's stable SPE order, for every per-SPE-sharded rule.
-pub(super) fn spe_of_shard(ctx: &LintContext<'_>, shard: usize) -> u8 {
-    ctx.trace
-        .spes()
-        .into_iter()
-        .nth(shard)
-        .expect("shard index within the trace's SPE count")
+/// trace's stable SPE order, for every per-SPE-sharded rule (`None`
+/// past the last SPE).
+pub(super) fn spe_of_shard(ctx: &LintContext<'_>, shard: usize) -> Option<u8> {
+    ctx.trace.spes().get(shard).copied()
 }
 
 /// The serial `check` of a sharded rule: concatenate the shards in
@@ -311,6 +269,9 @@ pub struct LintContext<'a> {
     pub edges: &'a [CausalEdge],
     /// The run's configuration.
     pub config: &'a LintConfig,
+    /// The run's DMA replay, one memo cell per SPE, shared by the
+    /// three DMA rules.
+    dma: &'a DmaReplay<'a>,
 }
 
 impl LintContext<'_> {
@@ -400,7 +361,7 @@ impl LintReport {
 /// The built-in rule registry, in documentation order.
 pub fn default_rules() -> Vec<Box<dyn Lint>> {
     vec![
-        Box::new(dma::DmaRace::new()),
+        Box::new(dma::DmaRace),
         Box::new(dma::UnwaitedTagGroup),
         Box::new(dma::WaitWithoutDma),
         Box::new(structure::UnbalancedIntervals),
@@ -440,46 +401,21 @@ pub fn lint_columns(
     config: &LintConfig,
 ) -> LintReport {
     let edges = sync_edges_columns(trace, loss);
-    lint_columns_with_edges(trace, intervals, loss, &edges, config)
+    lint_columns_sharded_with_edges(trace, intervals, loss, &edges, config, Parallelism::Serial)
 }
 
-/// [`lint_columns`] with the sync-edge set supplied by the caller —
-/// the session path, where [`Analysis`](crate::Analysis) memoizes the
-/// extraction once per snapshot instead of once per lint run. The
-/// serial case of [`lint_columns_sharded_with_edges`].
-pub fn lint_columns_with_edges(
-    trace: &ColumnarTrace,
-    intervals: &[SpeIntervals],
-    loss: &LossReport,
-    edges: &[CausalEdge],
-    config: &LintConfig,
-) -> LintReport {
-    lint_columns_sharded_with_edges(trace, intervals, loss, edges, config, Parallelism::Serial)
-}
-
-/// [`lint_columns`] with shard-parallel rule sweeps: every
+/// [`lint_columns`] with a caller-supplied sync-edge set (the
+/// memoized session path) and shard-parallel rule sweeps: every
 /// `(rule, shard)` pair — per-SPE sweeps for the DMA and structure
 /// rules, per-lane for `overhead-hotspot`, whole-trace for
-/// `mailbox-deadlock-shape` — becomes one shard of an
-/// [`exec::map_indexed`] fan-out. Shard results are assembled in
+/// `mailbox-deadlock-shape` and `dma-race` (whose one shard builds the
+/// race index, so it is scheduled first) — becomes one unit of an
+/// [`exec::map_indexed`] fan-out. Results are assembled in
 /// `(rule, shard)` order (each rule's `check` order, by the sharding
 /// contract), then post-processed (deny promotion, suspect downgrade,
 /// suppression) and sorted, so the report is byte-identical under every
 /// [`Parallelism`]; [`lint_columns`] is the `Serial` case.
-pub fn lint_columns_sharded(
-    trace: &ColumnarTrace,
-    intervals: &[SpeIntervals],
-    loss: &LossReport,
-    config: &LintConfig,
-    par: Parallelism,
-) -> LintReport {
-    let edges = sync_edges_columns(trace, loss);
-    lint_columns_sharded_with_edges(trace, intervals, loss, &edges, config, par)
-}
-
-/// [`lint_columns_sharded`] with a caller-supplied sync-edge set (the
-/// memoized session path).
-pub fn lint_columns_sharded_with_edges(
+pub(crate) fn lint_columns_sharded_with_edges(
     trace: &ColumnarTrace,
     intervals: &[SpeIntervals],
     loss: &LossReport,
@@ -488,6 +424,7 @@ pub fn lint_columns_sharded_with_edges(
     par: Parallelism,
 ) -> LintReport {
     let suspects = compute_suspect_ranges_columns(trace, loss);
+    let dma = DmaReplay::new(trace);
     let ctx = LintContext {
         trace,
         intervals,
@@ -495,6 +432,7 @@ pub fn lint_columns_sharded_with_edges(
         suspects: &suspects,
         edges,
         config,
+        dma: &dma,
     };
     let rules: Vec<Box<dyn Lint>> = default_rules()
         .into_iter()

@@ -151,6 +151,7 @@ mod tests {
             suspects: &[],
             edges: &[],
             config,
+            dma: &crate::hb::DmaReplay::new(&cols),
         };
         OverheadHotspot.check(&ctx)
     }

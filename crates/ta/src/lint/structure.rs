@@ -57,7 +57,9 @@ impl Lint for UnbalancedIntervals {
     }
 
     fn check_shard(&self, ctx: &LintContext<'_>, shard: usize) -> Vec<Diagnostic> {
-        let spe = spe_of_shard(ctx, shard);
+        let Some(spe) = spe_of_shard(ctx, shard) else {
+            return Vec::new();
+        };
         let mut out = Vec::new();
         // Only pairing-relevant codes matter below; pre-filter on
         // the code column so dense traces (user-event storms) do
@@ -201,6 +203,7 @@ mod tests {
             suspects: &[],
             edges: &[],
             config: &config,
+            dma: &crate::hb::DmaReplay::new(&cols),
         };
         UnbalancedIntervals.check(&ctx)
     }
