@@ -100,8 +100,8 @@ pub use group::{EventGroup, GroupMask};
 pub use overhead::OverheadModel;
 pub use ppe_tracer::PdtPpeTracer;
 pub use record::{
-    decode_stream, decode_stream_lossy, granules_for, ChunkScan, DecodeGap, LossyCursor,
-    LossyDecode, RecordError, RecordRef, RecordScan, Scanned, TraceCore, TraceRecord,
+    check_in_stream, decode_stream, decode_stream_lossy, granules_for, ChunkScan, DecodeGap,
+    LossyCursor, LossyDecode, RecordError, RecordRef, RecordScan, Scanned, TraceCore, TraceRecord,
     DEFAULT_WRAP_TOLERANCE, MAX_PARAMS,
 };
 pub use session::TraceSession;

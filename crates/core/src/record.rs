@@ -359,47 +359,64 @@ impl LossyDecode {
     }
 }
 
-/// Decodes one record and applies the stream-invariant checks used for
-/// resynchronization: the record's core tag must belong to the stream,
-/// and SPE timestamps must fit the 32-bit decrementer and step forward
-/// (downward counts) within `wrap_tol` of the previous good snapshot.
+/// Checks a record of core `core` stamped `timestamp` against the
+/// invariants of the stream `stream` it came from, which the lossy
+/// decoders use to resynchronize: the record's core tag must belong to
+/// the stream, and SPE timestamps must fit the 32-bit decrementer and
+/// step forward (downward counts) by less than
+/// [`DEFAULT_WRAP_TOLERANCE`] from `prev_dec`, the stream's previous
+/// good snapshot.
 ///
-/// Traces produced by an intact tracer always satisfy these invariants,
-/// so on clean input the checked decode accepts exactly what
-/// [`TraceRecord::decode`] accepts.
+/// Traces produced by an intact tracer always satisfy these invariants.
+///
+/// # Errors
+///
+/// The [`RecordError`] of the first invariant the record breaks.
+#[inline]
+pub fn check_in_stream(
+    stream: TraceCore,
+    core: TraceCore,
+    timestamp: u64,
+    prev_dec: Option<u32>,
+) -> Result<(), RecordError> {
+    let matches = match stream {
+        // The PPE stream multiplexes hardware threads.
+        TraceCore::Ppe(_) => !core.is_spe(),
+        TraceCore::Spe(_) => core == stream,
+    };
+    if !matches {
+        return Err(RecordError::CoreMismatch {
+            expect: stream.tag(),
+            found: core.tag(),
+        });
+    }
+    if stream.is_spe() {
+        if timestamp > u64::from(u32::MAX) {
+            return Err(RecordError::TimestampWide { raw: timestamp });
+        }
+        if let Some(prev) = prev_dec {
+            if prev.wrapping_sub(timestamp as u32) >= DEFAULT_WRAP_TOLERANCE {
+                return Err(RecordError::TimestampJump {
+                    prev: u64::from(prev),
+                    found: timestamp,
+                });
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Decodes one record and, given the stream's core, applies
+/// [`check_in_stream`]. On clean input the checked decode accepts
+/// exactly what [`TraceRecord::decode`] accepts.
 fn decode_checked(
     buf: &[u8],
     stream_core: Option<TraceCore>,
     prev_dec: Option<u32>,
-    wrap_tol: u32,
 ) -> Result<(RecordRef<'_>, usize), RecordError> {
     let (rec, used) = RecordRef::decode(buf)?;
-    if let Some(expect) = stream_core {
-        let matches = match expect {
-            // The PPE stream multiplexes hardware threads.
-            TraceCore::Ppe(_) => !rec.core.is_spe(),
-            TraceCore::Spe(_) => rec.core == expect,
-        };
-        if !matches {
-            return Err(RecordError::CoreMismatch {
-                expect: expect.tag(),
-                found: rec.core.tag(),
-            });
-        }
-        if expect.is_spe() {
-            if rec.timestamp > u64::from(u32::MAX) {
-                return Err(RecordError::TimestampWide { raw: rec.timestamp });
-            }
-            if let Some(prev) = prev_dec {
-                let step = prev.wrapping_sub(rec.timestamp as u32);
-                if step >= wrap_tol {
-                    return Err(RecordError::TimestampJump {
-                        prev: u64::from(prev),
-                        found: rec.timestamp,
-                    });
-                }
-            }
-        }
+    if let Some(stream) = stream_core {
+        check_in_stream(stream, rec.core, rec.timestamp, prev_dec)?;
     }
     Ok((rec, used))
 }
@@ -456,7 +473,6 @@ enum Step<'a> {
 struct Resync {
     stream_core: Option<TraceCore>,
     strict: bool,
-    wrap_tol: u32,
     /// Last good decrementer snapshot on SPE streams; survives gaps (the
     /// decrementer keeps counting down through lost records).
     prev_dec: Option<u32>,
@@ -470,7 +486,6 @@ impl Resync {
         Resync {
             stream_core,
             strict,
-            wrap_tol: DEFAULT_WRAP_TOLERANCE,
             prev_dec: None,
             records: 0,
             open_gap: None,
@@ -502,12 +517,7 @@ impl Resync {
                     }
                     base + buf.len()
                 } else {
-                    match decode_checked(
-                        &buf[rel..],
-                        self.stream_core,
-                        self.prev_dec,
-                        self.wrap_tol,
-                    ) {
+                    match decode_checked(&buf[rel..], self.stream_core, self.prev_dec) {
                         Ok(_) => cand,
                         Err(RecordError::Truncated { .. }) if !finished => return Step::Pending,
                         Err(_) => {
@@ -528,7 +538,7 @@ impl Resync {
             if rel >= buf.len() {
                 return if finished { Step::Done } else { Step::Pending };
             }
-            match decode_checked(&buf[rel..], self.stream_core, self.prev_dec, self.wrap_tol) {
+            match decode_checked(&buf[rel..], self.stream_core, self.prev_dec) {
                 Ok((rec, used)) => {
                     if self.stream_core.is_some_and(TraceCore::is_spe) {
                         self.prev_dec = Some(rec.timestamp as u32);

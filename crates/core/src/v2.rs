@@ -630,12 +630,12 @@ pub fn decode_packed_payload(payload: &[u8], n_records: u32) -> Result<Vec<Trace
         return Err(CORRUPT);
     }
     let mut timestamps: Vec<u64> = Vec::with_capacity(n);
-    let first_ts = get_varint(&mut buf).ok_or(CORRUPT)?;
-    timestamps.push(first_ts);
+    let mut prev = get_varint(&mut buf).ok_or(CORRUPT)?;
+    timestamps.push(prev);
     for _ in 1..n {
         let delta = unzigzag(get_varint(&mut buf).ok_or(CORRUPT)?);
-        let prev = *timestamps.last().expect("nonempty");
-        timestamps.push(prev.wrapping_add(delta as u64));
+        prev = prev.wrapping_add(delta as u64);
+        timestamps.push(prev);
     }
     let mut records: Vec<TraceRecord> = Vec::with_capacity(n);
     for i in 0..n {

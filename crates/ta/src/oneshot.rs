@@ -1,22 +1,24 @@
-//! One-shot ingest: a complete v1 trace decoded straight into the
-//! columnar store, one shard per SPE stream ([`ingest`]), and what it
-//! shares with the direct v2 decoder in [`crate::v2read`]: the
-//! [`Events`] runs, the sync-anchor harvest and winner pick, and the
-//! core-major [`place`]. See DESIGN.md, "One-shot ingest".
+//! One-shot ingest: one per-stream decoder ([`StreamDecode`]) and one
+//! finish step ([`finish`]) for both containers. Every stream of a
+//! `.pdt` ([`ingest`]) or a `.pdt2` ([`crate::v2read`]), PPE or SPE,
+//! decodes as one shard, all in one round, into an [`Events`] run at
+//! provisional times; the finish step picks the sync anchors, moves
+//! each SPE run onto the global timeline and lays the runs out
+//! core-major ([`place`]). See DESIGN.md, "One-shot ingest".
 
-use pdt::{ChunkScan, DecodeGap, EventCode, Scanned, TraceCore};
+use pdt::{ChunkScan, DecodeGap, EventCode, Scanned, TraceCore, TraceHeader};
 
 use crate::analyze::{AnalyzeError, SpeAnchor};
 use crate::columns::{ColumnarTrace, EventColumns, ParamDict};
 use crate::exec::{self, Parallelism};
 use crate::loss::{DecodePolicy, LossReport, StreamLoss};
-use crate::reader::{ImageStream, TraceImage};
+use crate::reader::{ChunkBuf, ImageStream, TraceImage};
 
 /// One stream's placed events in stream order: times, core tags, codes
 /// and parameter ids interned into the stream's own dictionary, so
 /// streams decode independently.
 #[derive(Debug, Default)]
-pub(crate) struct Events {
+struct Events {
     times: Times,
     code: Vec<EventCode>,
     id: Vec<u32>,
@@ -130,29 +132,38 @@ fn expand(
 }
 
 impl Events {
-    pub(crate) fn push(&mut self, time: u64, tag: u8, code: EventCode, params: &[u64]) {
+    fn push(&mut self, time: u64, tag: u8, code: EventCode, params: &[u64]) {
         self.times.push(time, tag);
         self.code.push(code);
         self.id.push(self.dict.intern(params));
     }
 
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.code.len()
     }
 
     /// Moves every event `by` ticks later. The caller has checked that
     /// the latest time plus `by` fits; a step-form run moves in O(1).
-    pub(crate) fn shift(&mut self, by: u64) {
+    fn shift(&mut self, by: u64) {
         match &mut self.times {
             Times::Steps { first, last, .. } => (*first, *last) = (*first + by, *last + by),
             Times::Each { time, .. } => time.iter_mut().for_each(|t| *t += by),
+        }
+    }
+
+    /// Maps every event's time through `f`, keeping its core tag; the
+    /// run leaves the step form if the new times do not fit it.
+    fn retime(&mut self, f: impl Fn(u64) -> u64) {
+        let old = std::mem::take(&mut self.times);
+        for (k, t) in old.iter().enumerate() {
+            self.times.push(f(t), old.tag(k));
         }
     }
 }
 
 /// One stream's placed events in key order, as [`place`] reads them.
 #[derive(Debug)]
-pub(crate) struct Run {
+struct Run {
     stream: usize,
     ev: Events,
     /// Per-event `stream_seq` of a sorted run; empty while event `k`
@@ -164,7 +175,7 @@ impl Run {
     /// A run over a whole stream's events, sorted into key order unless
     /// already in it. The stable sort on `(time, tag)` keeps equal keys
     /// in record order, as the row path's per-run sort does.
-    pub(crate) fn new(stream: usize, ev: Events) -> Run {
+    fn new(stream: usize, ev: Events) -> Run {
         let (time, tag) = match &ev.times {
             Times::Each { time, tag }
                 if (1..time.len()).any(|k| (time[k - 1], tag[k - 1]) > (time[k], tag[k])) =>
@@ -233,7 +244,7 @@ pub(crate) fn upper_bound(
 /// run's storage is freed as soon as it is copied, so the store and the
 /// runs not yet placed are never both whole; only a core that several
 /// runs feed (PPE threads spread over PPE streams) is sorted.
-pub(crate) fn place(mut runs: Vec<Run>) -> EventColumns {
+fn place(mut runs: Vec<Run>) -> EventColumns {
     runs.retain(|r| r.ev.len() > 0);
     runs.sort_unstable_by_key(|r| r.stream);
     let mut dest = EventColumns::with_capacity(0);
@@ -292,24 +303,76 @@ pub(crate) fn place(mut runs: Vec<Run>) -> EventColumns {
     dest
 }
 
-/// One decoded v1 stream: its placed events (none for an unanchored
-/// SPE stream), the records and gaps the scan met, and, for a PPE
-/// stream, the sync anchors it carries, first per SPE.
-#[derive(Debug, Default)]
-struct V1Stream {
+/// One stream decoding into its [`Events`] run, with its parameters
+/// interned as they arrive: the one per-stream decoder of both
+/// containers, fed record by record from a `.pdt` stream's scan
+/// ([`decode_v1`]) or from a `.pdt2` stream's blocks
+/// ([`crate::v2read`]).
+///
+/// PPE records keep their own timestamps, and their sync anchors are
+/// harvested. SPE records are pushed at *provisional* times, the
+/// elapsed decrementer ticks since the stream's first record, in the
+/// 4-byte step form: the anchor that places them may sit in any
+/// stream, and it only moves the whole run, which [`finish`] does.
+#[derive(Debug)]
+pub(crate) struct StreamDecode {
+    core: TraceCore,
+    dropped: u64,
     ev: Events,
-    records: u64,
-    gaps: Vec<DecodeGap>,
+    /// First record's decrementer value (SPE streams).
+    first_dec: u32,
+    /// Previous record's decrementer value (SPE streams).
+    prev_dec: u32,
+    /// Provisional elapsed ticks of the latest record (SPE streams).
+    elapsed: u64,
+    /// The sync anchors this stream carries, first per SPE.
     anchors: Vec<SpeAnchor>,
-    /// An SPE stream with records but no anchor to place them by.
-    unanchored: bool,
+    /// The byte ranges the decode skipped, in stream order.
+    gaps: Vec<DecodeGap>,
 }
 
-/// Decodes one v1 stream and places it on the global timeline: PPE
-/// records at their timebase stamp with per-thread core tags, SPE
-/// records at `run_tb + elapsed` (wrapping) from their anchor. An SPE
-/// stream without an anchor is only counted. A stream in memory is
-/// scanned as one chunk; a file-backed one is read chunk by chunk into
+impl StreamDecode {
+    /// An empty decode of a stream from `core` whose tracer dropped
+    /// `dropped` records.
+    pub(crate) fn new(core: TraceCore, dropped: u64) -> StreamDecode {
+        StreamDecode {
+            core,
+            dropped,
+            ev: Events::default(),
+            first_dec: 0,
+            prev_dec: 0,
+            elapsed: 0,
+            anchors: Vec::new(),
+            gaps: Vec::new(),
+        }
+    }
+
+    /// Appends the stream's next record: its raw timestamp (timebase on
+    /// a PPE stream, decrementer on an SPE stream), its core tag, code
+    /// and parameters. An SPE record takes the stream's core tag.
+    pub(crate) fn record(&mut self, timestamp: u64, tag: u8, code: EventCode, params: &[u64]) {
+        if self.core.is_spe() {
+            let dec = timestamp as u32;
+            if self.ev.len() == 0 {
+                (self.first_dec, self.prev_dec) = (dec, dec);
+            }
+            self.elapsed += u64::from(self.prev_dec.wrapping_sub(dec));
+            self.prev_dec = dec;
+            self.ev.push(self.elapsed, self.core.tag(), code, params);
+        } else {
+            harvest(code, timestamp, params, &mut self.anchors);
+            self.ev.push(timestamp, tag, code, params);
+        }
+    }
+
+    /// Records a byte range the decode skipped.
+    pub(crate) fn gap(&mut self, gap: DecodeGap) {
+        self.gaps.push(gap);
+    }
+}
+
+/// Decodes one v1 stream into its run. A stream in memory is scanned
+/// as one chunk; a file-backed one is read chunk by chunk through
 /// `buf`.
 ///
 /// # Errors
@@ -318,17 +381,15 @@ struct V1Stream {
 /// policy, a failed read of a file-backed stream.
 fn decode_v1(
     s: &ImageStream<'_>,
-    anchor: Option<SpeAnchor>,
     strict: bool,
-    buf: &mut Vec<u8>,
-) -> Result<V1Stream, AnalyzeError> {
-    let mut out = V1Stream::default();
+    buf: &mut ChunkBuf,
+) -> Result<StreamDecode, AnalyzeError> {
+    let mut st = StreamDecode::new(s.core, s.dropped);
     let mut scan = if strict {
         ChunkScan::strict(s.len())
     } else {
         ChunkScan::lossy(s.len(), Some(s.core))
     };
-    let (mut elapsed, mut prev_dec) = (0u64, anchor.map_or(0, |a| a.dec_start));
     let mut params = Vec::new();
     while !scan.is_done() {
         let base = scan.resume_at();
@@ -338,47 +399,29 @@ fn decode_v1(
             message: e.to_string(),
         })?;
         while let Some(item) = scan.next(chunk, base) {
-            let r = match item {
-                Scanned::Record(r) => r,
+            match item {
+                Scanned::Record(r) => {
+                    params.clear();
+                    params.extend(r.params());
+                    st.record(r.timestamp, r.core.tag(), r.code, &params);
+                }
                 Scanned::Gap(g) if strict => {
-                    let (core, offset, cause) = (s.core, g.offset, g.cause);
                     return Err(AnalyzeError::Record {
-                        core,
-                        offset,
-                        cause,
+                        core: s.core,
+                        offset: g.offset,
+                        cause: g.cause,
                     });
                 }
-                Scanned::Gap(g) => {
-                    out.gaps.push(g);
-                    continue;
-                }
-            };
-            params.clear();
-            params.extend(r.params());
-            let (time, tag) = match anchor {
-                None if s.core.is_spe() => continue,
-                None => {
-                    harvest(r.code, r.timestamp, &params, &mut out.anchors);
-                    (r.timestamp, r.core.tag())
-                }
-                Some(a) => {
-                    let dec = r.timestamp as u32;
-                    elapsed += u64::from(prev_dec.wrapping_sub(dec));
-                    prev_dec = dec;
-                    (a.run_tb.wrapping_add(elapsed), s.core.tag())
-                }
-            };
-            out.ev.push(time, tag, r.code, &params);
+                Scanned::Gap(g) => st.gap(g),
+            }
         }
     }
-    out.records = scan.records();
-    out.unanchored = anchor.is_none() && s.core.is_spe() && out.records > 0;
-    Ok(out)
+    Ok(st)
 }
 
 /// Records a PPE record's `PpeCtxRun` sync anchor, stamped at `time`,
 /// unless its SPE already has one.
-pub(crate) fn harvest(code: EventCode, time: u64, params: &[u64], anchors: &mut Vec<SpeAnchor>) {
+fn harvest(code: EventCode, time: u64, params: &[u64], anchors: &mut Vec<SpeAnchor>) {
     let [ctx, spe, dec_start, ..] = *params else {
         return;
     };
@@ -392,28 +435,66 @@ pub(crate) fn harvest(code: EventCode, time: u64, params: &[u64], anchors: &mut 
     }
 }
 
-/// The winning anchor per SPE from each stream's harvest, in stream
-/// order: the first in stream order, then record order, as the row
-/// path's harvest picks them. Winners are listed in that order too.
-pub(crate) fn pick_anchors<'a>(
-    per_stream: impl IntoIterator<Item = &'a [SpeAnchor]>,
-) -> Vec<SpeAnchor> {
+/// The finish step of both containers: picks the anchor winners, moves
+/// each anchored SPE run from its provisional times onto the global
+/// timeline, drops the unanchored ones (their events cannot be placed),
+/// builds the loss rows and lays the runs out through [`place`].
+///
+/// The winner per SPE is its first anchor in stream order, then record
+/// order, as the row path's harvest picks them, and winners are listed
+/// in that order too.
+///
+/// An anchored SPE record's time is its provisional `elapsed` plus
+/// `run_tb + (dec_start - first_dec)`. A run whose times all fit in u64
+/// moves in O(1); one that would pass `u64::MAX` is re-timed with
+/// wrapping adds, as the row path places it, and [`Run::new`] sorts it.
+pub(crate) fn finish(
+    header: TraceHeader,
+    streams: Vec<StreamDecode>,
+    names: &[(u32, String)],
+) -> (ColumnarTrace, LossReport) {
     let mut anchors: Vec<SpeAnchor> = Vec::new();
-    for a in per_stream.into_iter().flatten() {
+    for a in streams.iter().flat_map(|st| &st.anchors) {
         if !anchors.iter().any(|b| b.spe == a.spe) {
             anchors.push(*a);
         }
     }
-    anchors
-}
-
-/// The strict policy's error: the first malformed record in stream
-/// order, if any, scanned through each stream's own source.
-fn first_decode_error(streams: &[ImageStream<'_>]) -> Option<AnalyzeError> {
-    let mut buf = Vec::new();
-    streams
-        .iter()
-        .find_map(|s| decode_v1(s, None, true, &mut buf).err())
+    let dropped = streams.iter().map(|st| st.dropped).sum();
+    let mut runs = Vec::with_capacity(streams.len());
+    let mut loss = Vec::with_capacity(streams.len());
+    for (si, st) in streams.into_iter().enumerate() {
+        let mut ev = st.ev;
+        let anchor = match st.core {
+            TraceCore::Spe(spe) => anchors.iter().find(|a| a.spe == spe),
+            TraceCore::Ppe(_) => None,
+        };
+        loss.push(StreamLoss {
+            core: st.core,
+            decoded_records: ev.len() as u64,
+            tracer_dropped: st.dropped,
+            gaps: st.gaps,
+            unanchored: st.core.is_spe() && anchor.is_none() && ev.len() > 0,
+        });
+        if let Some(a) = anchor {
+            let diff = u64::from(a.dec_start.wrapping_sub(st.first_dec));
+            match a.run_tb.checked_add(diff) {
+                Some(offset) if offset.checked_add(st.elapsed).is_some() => ev.shift(offset),
+                _ => ev.retime(|elapsed| a.run_tb.wrapping_add(diff + elapsed)),
+            }
+        } else if st.core.is_spe() {
+            continue;
+        }
+        runs.push(Run::new(si, ev));
+    }
+    let mut trace = ColumnarTrace::empty(header).with_events(place(runs));
+    trace.anchors = anchors;
+    trace.dropped = dropped;
+    trace.set_ctx_names(names);
+    let loss = LossReport {
+        streams: loss,
+        truncated: None,
+    };
+    (trace, loss)
 }
 
 /// Ingests a complete v1 image into the columnar store under `policy`:
@@ -422,10 +503,9 @@ fn first_decode_error(streams: &[ImageStream<'_>]) -> Option<AnalyzeError> {
 /// [`analyze_lossy`](crate::analyze::analyze_lossy) followed by
 /// [`ColumnarTrace::from_rows`] would produce, whatever `par`.
 ///
-/// The PPE streams decode first, since every anchor must be harvested
-/// before an SPE record can be placed; then each SPE stream decodes as
-/// one [`exec::map_indexed_with`] shard, and [`place`] lays the runs out
-/// core-major.
+/// Every stream, PPE or SPE, decodes as one [`exec::map_indexed_with`]
+/// shard in one round, since SPE records wait at provisional times for
+/// their anchors; then [`finish`] places the runs core-major.
 ///
 /// # Errors
 ///
@@ -440,74 +520,19 @@ pub(crate) fn ingest(
 ) -> Result<(ColumnarTrace, LossReport), AnalyzeError> {
     let strict = policy == DecodePolicy::Strict;
     let streams = image.streams();
-    let (ppe, spe): (Vec<usize>, Vec<usize>) =
-        (0..streams.len()).partition(|&si| !streams[si].core.is_spe());
-    // Decodes the streams `ids` in parallel, each executor reading
-    // file-backed streams into one reused buffer. A strict failure in
-    // stream `si` yields to any failure before it.
-    let decode_all = |ids: &[usize], anchors: &[SpeAnchor]| {
-        let out = exec::map_indexed_with(par, ids.len(), Vec::new, |buf, i| {
-            let s = &streams[ids[i]];
-            let anchor = match s.core {
-                TraceCore::Spe(spe) => anchors.iter().find(|a| a.spe == spe).copied(),
-                TraceCore::Ppe(_) => None,
-            };
-            decode_v1(s, anchor, strict, buf).map_err(|e| (ids[i], e))
-        });
-        out.into_iter()
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(|(si, e)| {
-                if strict {
-                    first_decode_error(&streams[..si]).unwrap_or(e)
-                } else {
-                    e
-                }
-            })
-    };
-
-    let mut decoded: Vec<V1Stream> = streams.iter().map(|_| V1Stream::default()).collect();
-    for (&si, d) in ppe.iter().zip(decode_all(&ppe, &[])?) {
-        decoded[si] = d;
-    }
-    let anchors = pick_anchors(decoded.iter().map(|d| d.anchors.as_slice()));
+    // The first failure in stream order wins, whichever executor met it.
+    let decoded = exec::map_indexed_with(par, streams.len(), ChunkBuf::default, |buf, si| {
+        decode_v1(&streams[si], strict, buf)
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
+    let (trace, mut loss) = finish(*image.header(), decoded, image.ctx_names());
     if strict {
-        for s in streams.iter().filter(|s| !s.is_empty()) {
-            let TraceCore::Spe(spe) = s.core else {
-                continue;
-            };
-            if !anchors.iter().any(|a| a.spe == spe) {
-                return Err(
-                    first_decode_error(streams).unwrap_or(AnalyzeError::MissingAnchor { spe })
-                );
-            }
+        let unanchored = loss.streams.iter().find(|s| s.unanchored);
+        if let Some(TraceCore::Spe(spe)) = unanchored.map(|s| s.core) {
+            return Err(AnalyzeError::MissingAnchor { spe });
         }
+        loss.streams.clear();
     }
-    for (&si, d) in spe.iter().zip(decode_all(&spe, &anchors)?) {
-        decoded[si] = d;
-    }
-
-    let mut runs = Vec::new();
-    let mut loss = Vec::new();
-    for (si, (s, d)) in streams.iter().zip(decoded).enumerate() {
-        loss.push(StreamLoss {
-            core: s.core,
-            decoded_records: d.records,
-            tracer_dropped: s.dropped,
-            gaps: d.gaps,
-            unanchored: d.unanchored,
-        });
-        runs.push(Run::new(si, d.ev));
-    }
-    let mut trace = ColumnarTrace::empty(*image.header()).with_events(place(runs));
-    trace.anchors = anchors;
-    trace.dropped = image.total_dropped();
-    trace.set_ctx_names(image.ctx_names());
-    let streams = if strict { Vec::new() } else { loss };
-    Ok((
-        trace,
-        LossReport {
-            streams,
-            truncated: None,
-        },
-    ))
+    Ok((trace, loss))
 }

@@ -126,6 +126,45 @@ impl<'a> Region<'a> {
     }
 }
 
+/// An executor's read buffer for file-backed streams: the bytes the
+/// last chunk read, from file offset `at`. A record that chunk's end
+/// cut stays in it, so the next chunk reads only the bytes it lacks.
+#[derive(Debug, Default)]
+pub(crate) struct ChunkBuf {
+    bytes: Vec<u8>,
+    at: u64,
+}
+
+impl ChunkBuf {
+    /// The `n` file bytes from offset `at`: the ones the last chunk
+    /// already holds are kept, and `read(dst, from)` fills `dst` with
+    /// the rest, from file offset `from`.
+    fn refill(
+        &mut self,
+        at: u64,
+        n: usize,
+        mut read: impl FnMut(&mut [u8], u64) -> io::Result<()>,
+    ) -> io::Result<&[u8]> {
+        let keep = match at.checked_sub(self.at).map(usize::try_from) {
+            Some(Ok(skip)) if skip < self.bytes.len() => {
+                self.bytes.drain(..skip);
+                self.bytes.len().min(n)
+            }
+            _ => 0,
+        };
+        if self.bytes.capacity() < CHUNK {
+            self.bytes.reserve_exact(CHUNK - self.bytes.len());
+        }
+        self.bytes.resize(n, 0);
+        self.at = at;
+        if let Err(e) = read(&mut self.bytes[keep..], at + keep as u64) {
+            self.bytes.clear();
+            return Err(e);
+        }
+        Ok(&self.bytes)
+    }
+}
+
 /// One stream of a [`TraceImage`]: its core, the tracer-dropped count
 /// from the directory, and where its record bytes are.
 #[derive(Debug, Clone, Copy)]
@@ -151,24 +190,24 @@ impl<'a> ImageStream<'a> {
 
     /// The stream's bytes from offset `at`: all the rest of them when
     /// the stream is in memory, else the next [`CHUNK`] bytes (fewer at
-    /// the end of the stream) read from the file into `buf`.
+    /// the end of the stream), read from the file into `buf` but for
+    /// those it holds from the last chunk.
     ///
     /// # Errors
     ///
     /// The I/O error of the read, including a file that shrank after
     /// the image was read.
-    pub(crate) fn chunk<'b>(&self, at: usize, buf: &'b mut Vec<u8>) -> io::Result<&'b [u8]>
+    pub(crate) fn chunk<'b>(&self, at: usize, buf: &'b mut ChunkBuf) -> io::Result<&'b [u8]>
     where
         'a: 'b,
     {
         match self.region {
             Region::Memory(bytes) => Ok(bytes.get(at..).unwrap_or_default()),
-            Region::File { .. } => {
-                if buf.capacity() < CHUNK {
-                    *buf = Vec::with_capacity(CHUNK);
-                }
+            Region::File { file, offset } => {
                 let n = CHUNK.min(self.len.saturating_sub(at));
-                self.region.bytes(at, n, buf)
+                buf.refill(offset + at as u64, n, |dst, from| {
+                    read_exact_at(file, dst, from)
+                })
             }
         }
     }
@@ -394,7 +433,7 @@ mod tests {
             assert_eq!(view.core, s.core);
             assert_eq!(view.dropped, s.dropped);
             assert_eq!(view.len(), s.bytes.len());
-            let mut buf = Vec::new();
+            let mut buf = ChunkBuf::default();
             let chunk = view.chunk(0, &mut buf).unwrap();
             assert_eq!(chunk.as_ptr(), s.bytes.as_ptr(), "borrowed, not copied");
         }
@@ -408,12 +447,12 @@ mod tests {
         let base = bytes.as_ptr() as usize;
         for (s, view) in t.streams.iter().zip(image.streams()) {
             // One chunk holds the whole in-memory stream, uncopied.
-            let mut buf = Vec::new();
+            let mut buf = ChunkBuf::default();
             let window = view.chunk(0, &mut buf).unwrap();
             assert_eq!(window, s.bytes.as_slice());
             let addr = window.as_ptr() as usize;
             assert!(addr >= base && addr + window.len() <= base + bytes.len());
-            assert_eq!(buf.capacity(), 0);
+            assert_eq!(buf.bytes.capacity(), 0);
         }
     }
 
@@ -453,7 +492,7 @@ mod tests {
         assert_eq!(image.header(), &t.header);
         assert_eq!(image.ctx_names(), t.ctx_names.as_slice());
         assert_eq!(image.total_dropped(), t.total_dropped());
-        let mut buf = Vec::new();
+        let mut buf = ChunkBuf::default();
         for (s, view) in t.streams.iter().zip(image.streams()) {
             assert_eq!(view.len(), s.bytes.len());
             assert_eq!(view.chunk(0, &mut buf).unwrap(), s.bytes.as_slice());
@@ -480,7 +519,7 @@ mod tests {
             .open(&tmp.0)
             .unwrap();
         shrunk.set_len(20).unwrap();
-        let mut buf = Vec::new();
+        let mut buf = ChunkBuf::default();
         let err = last.chunk(0, &mut buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         for strict in [false, true] {
@@ -507,6 +546,44 @@ mod tests {
             assert_eq!(got.kind(), io::ErrorKind::InvalidData);
             assert_eq!(got.to_string(), want.to_string(), "cut at {cut}");
         }
+    }
+
+    #[test]
+    fn chunks_read_each_stream_byte_once() {
+        // Records of 16..=112 bytes, so chunk ends cut many of them.
+        let mut stream = Vec::new();
+        for k in 0..12_000u64 {
+            TraceRecord {
+                core: TraceCore::Spe(0),
+                code: EventCode::SpeUser,
+                timestamp: u64::from(u32::MAX) - k,
+                params: (0..k % 7).collect(),
+            }
+            .encode_into(&mut stream);
+        }
+        assert!(stream.len() > 4 * CHUNK);
+        let (mut buf, mut asked) = (ChunkBuf::default(), 0);
+        let mut scan = ChunkScan::lossy(stream.len(), Some(TraceCore::Spe(0)));
+        let mut records = 0;
+        while !scan.is_done() {
+            let base = scan.resume_at();
+            let n = CHUNK.min(stream.len() - base);
+            let chunk = buf
+                .refill(base as u64, n, |dst, from| {
+                    asked += dst.len();
+                    let from = from as usize;
+                    dst.copy_from_slice(&stream[from..from + dst.len()]);
+                    Ok(())
+                })
+                .unwrap();
+            assert_eq!(chunk, &stream[base..base + n]);
+            while let Some(item) = scan.next(chunk, base) {
+                assert!(matches!(item, pdt::Scanned::Record(_)));
+                records += 1;
+            }
+        }
+        assert_eq!(records, 12_000);
+        assert_eq!(asked, stream.len(), "every byte is read once");
     }
 
     #[test]

@@ -54,8 +54,8 @@
 use std::sync::{Arc, OnceLock};
 
 use pdt::{
-    DecodeGap, EventCode, FormatError, LossyCursor, TraceCore, TraceHeader, TraceRecord,
-    Truncation, MAGIC, VERSION,
+    DecodeGap, EventCode, FormatError, LossyCursor, TraceCore, TraceHeader, TraceRecord, MAGIC,
+    VERSION,
 };
 
 use crate::analyze::{GlobalEvent, SpeAnchor};
@@ -171,8 +171,6 @@ pub struct IngestSession {
     /// the incremental form of the one-shot harvest.
     best: Vec<Candidate>,
     ctx_names: Vec<(u32, String)>,
-    /// Where the image ends early, for the loss report.
-    truncated: Option<Truncation>,
     /// Every settled stream merged, core-major. Shared with snapshot
     /// epochs.
     base: Arc<ColumnarTrace>,
@@ -211,7 +209,6 @@ impl IngestSession {
             streams: Vec::new(),
             best: Vec::new(),
             ctx_names: Vec::new(),
-            truncated: None,
             base: Arc::new(ColumnarTrace::empty(header)),
             base_src: Vec::new(),
             index: None,
@@ -307,12 +304,6 @@ impl IngestSession {
     pub fn set_ctx_names(&mut self, names: Vec<(u32, String)>) {
         self.touch();
         self.ctx_names = names;
-    }
-
-    /// Records where a truncated image ends, for the loss report.
-    pub(crate) fn set_truncated(&mut self, truncated: Option<Truncation>) {
-        self.touch();
-        self.truncated = truncated;
     }
 
     /// Updates the tracer-dropped count for `id`'s stream.
@@ -611,7 +602,7 @@ impl IngestSession {
             anchors,
             loss: LossReport {
                 streams: losses,
-                truncated: self.truncated,
+                truncated: None,
             },
             placed,
         }

@@ -8,31 +8,31 @@
 //! ends inside a structure keeps what it holds whole, and the walk
 //! records where it stopped.
 //!
-//! [`V2Trace::analyze`] has two decoders:
+//! [`V2Trace::analyze`] feeds the one per-stream decoder of
+//! the one-shot ingest (`oneshot`). Each stream decodes as one
+//! [`exec::map_indexed_with`] shard, all in one round, from one of two
+//! sources:
 //!
-//! * The **direct-to-columns** decoder, taken by every whole, clean
-//!   image. Each stream decodes as one [`exec::map_indexed_with`]
-//!   shard, which reads the stream one block at a time (prefix and
-//!   payload) into a buffer its executor reuses, cross-checks every
-//!   inline prefix against its footer directory entry, and expands
-//!   each block straight into the stream's [`crate::oneshot`] run
-//!   (parameters interned as they decode), skipping the v1-byte
-//!   reconstruction. SPE records sit at provisional,
-//!   decrementer-relative times, since their anchor may be in a later
-//!   stream. One finish step then picks the anchor winners, shifts each
-//!   anchored SPE run onto the global timeline in O(1) and lays the
-//!   runs out core-major with the one-shot placement, which frees each
-//!   run as it is copied. There is no merge.
-//! * The **v1-roundtrip** decoder re-encodes clean runs canonically,
-//!   carries gap bytes verbatim, and feeds the reconstructed v1 record
-//!   bytes through [`IngestSession`], zero-filling damaged blocks so
-//!   they surface as `DecodeGap`s — the oracle the direct decoder is
-//!   differentialed against, and the path of *any* structural damage
-//!   (a footer/prefix mismatch, a failed CRC, a gap block, a short
-//!   region), of a run that would wrap past `u64::MAX`, and of a
-//!   truncated image. The stream a truncated image ends inside has no
-//!   directory, so its blocks are trusted by their prefixes, and the
-//!   [`crate::LossReport`] records the truncation.
+//! * A **clean** stream is read one block at a time (prefix and
+//!   payload) into a buffer its executor reuses. Every inline prefix is
+//!   cross-checked against its footer directory entry, and each packed
+//!   block expands straight into the stream's run, with no v1 bytes
+//!   in between.
+//! * A **damaged** stream is read again, one block at a time, in the
+//!   same shard: a prefix that disagrees with its footer, a failed CRC,
+//!   an undecodable payload, a gap block, a short region, or no
+//!   directory (the stream a truncated image ends inside, whose blocks
+//!   are trusted by their prefixes). The v1 bytes its blocks stand for
+//!   (the canonical re-encoding of each good block, a gap block's bytes
+//!   verbatim, and zeros for each damaged block, bounded by the stream
+//!   header's raw length) go through a lossy [`LossyCursor`], so the
+//!   damage surfaces as [`pdt::DecodeGap`]s exactly as in the `.pdt`
+//!   the container was packed from.
+//!
+//! The one-shot finish step then places every run, and the
+//! [`crate::LossReport`] records where a truncated image ends. A clean
+//! stream is read once, and a damaged one twice; the image is never
+//! read whole.
 //!
 //! [`V2Trace::window_events`] is the skip path: it reads only the
 //! packed blocks whose footer `[min_tb, max_tb]` overlaps the query
@@ -40,12 +40,13 @@
 //! `entry_dec`/`entry_elapsed`/`entry_seq` resume state without
 //! touching any predecessor block.
 //!
-//! Products, loss accounting and resync behaviour are byte-identical
-//! between the two decoders, in memory and file-backed, and to
-//! analyzing the v1 image the container was packed from — the
-//! differential suites in `tests/v2_differential.rs` pin products
-//! *and* [`CodecStats`] on every golden.
+//! Products, loss accounting and [`CodecStats`] are byte-identical, in
+//! memory and file-backed, to analyzing the v1 image the container was
+//! packed from and to the v1-roundtrip oracle in the test suites
+//! (`tests/common/roundtrip.rs`), which replays every block through an
+//! [`crate::IngestSession`].
 
+use std::borrow::Cow;
 use std::fs::File;
 use std::io;
 use std::os::unix::fs::FileExt;
@@ -53,19 +54,16 @@ use std::sync::Arc;
 
 use pdt::v2::{
     crc32, decode_packed_columns, decode_packed_payload, records_to_bytes, Anchoring, BlockEntry,
-    BlockIter, BlockKind, BlockPrefix, CodecStats, ColumnBatch, V2Error, V2File, FLAG_GAP,
-    FLAG_UNPLACED, MAGIC2, PREFIX_BYTES,
+    BlockKind, BlockPrefix, CodecStats, ColumnBatch, V2Error, V2File, FLAG_GAP, FLAG_UNPLACED,
+    MAGIC2, PREFIX_BYTES,
 };
-use pdt::{TraceCore, TraceHeader, TraceRecord};
+use pdt::{check_in_stream, LossyCursor, TraceCore, TraceRecord};
 
-use crate::analyze::{GlobalEvent, SpeAnchor};
-use crate::columns::ColumnarTrace;
+use crate::analyze::GlobalEvent;
 use crate::exec::{self, Parallelism};
-use crate::loss::{LossReport, StreamLoss};
-use crate::oneshot::{harvest, pick_anchors, place, Events, Run};
+use crate::oneshot::{finish, StreamDecode};
 use crate::reader::{read_exact_at, Region};
 use crate::session::Analysis;
-use crate::stream::{IngestSession, StreamId};
 
 /// True when `bytes` starts with the v2 container magic — the sniff
 /// used by `ta-cli` to route `.pdt` vs `.pdt2` images.
@@ -88,8 +86,6 @@ pub fn is_v2_file(file: &File) -> io::Result<bool> {
     }
 }
 
-const ZEROS: [u8; 4096] = [0; 4096];
-
 /// Clamps a stream header's claimed raw length to what its block
 /// region could honestly expand to (the packed codec never exceeds
 /// 16 bytes out per payload byte in; 160× leaves a 10× margin), plus
@@ -100,68 +96,6 @@ fn raw_fill_budget(raw_len: u64, payloads_len: u64) -> u64 {
     raw_len
         .min(payloads_len.saturating_mul(160).saturating_add(4096))
         .min(1 << 26)
-}
-
-/// Appends `len` zero bytes to a stream in bounded chunks. The lossy
-/// v1 decoder turns the run into a single `ZeroLength` gap.
-fn append_zeros(session: &mut IngestSession, id: StreamId, mut len: u64) {
-    while len > 0 {
-        let n = len.min(ZEROS.len() as u64) as usize;
-        session.append(id, &ZEROS[..n]);
-        len -= n as u64;
-    }
-}
-
-/// Feeds one block into the session: CRC-verify, decode (packed) or
-/// pass through (raw), zero-fill on any damage. `trusted_ok` carries
-/// the caller's extra integrity verdict: the footer cross-check, or
-/// `true` for a stream without a directory.
-fn emit_block(
-    session: &mut IngestSession,
-    id: StreamId,
-    prefix: &BlockPrefix,
-    payload: &[u8],
-    trusted_ok: bool,
-    raw_left: &mut u64,
-    stats: &mut CodecStats,
-) {
-    let good = trusted_ok && crc32(payload) == prefix.payload_crc;
-    if good {
-        match prefix.kind {
-            BlockKind::Packed => {
-                if let Ok(records) = decode_packed_payload(payload, prefix.n_records) {
-                    let raw = records_to_bytes(&records);
-                    if raw.len() == prefix.raw_len as usize {
-                        session.append(id, &raw);
-                        stats.blocks_decoded += 1;
-                        stats.records_decoded += u64::from(prefix.n_records);
-                        stats.payload_bytes_read += payload.len() as u64;
-                        stats.raw_bytes_out += raw.len() as u64;
-                        *raw_left = raw_left.saturating_sub(raw.len() as u64);
-                        return;
-                    }
-                }
-            }
-            BlockKind::Raw => {
-                if prefix.raw_len == prefix.payload_len {
-                    session.append(id, payload);
-                    stats.blocks_decoded += 1;
-                    stats.payload_bytes_read += payload.len() as u64;
-                    stats.raw_bytes_out += payload.len() as u64;
-                    *raw_left = raw_left.saturating_sub(payload.len() as u64);
-                    return;
-                }
-            }
-        }
-    }
-    // Damaged block: stand in a zero range for the bytes it claimed to
-    // cover, capped by what the stream header still owes us so a lying
-    // length field cannot inflate the fill.
-    let fill = u64::from(prefix.raw_len).min(*raw_left);
-    append_zeros(session, id, fill);
-    stats.blocks_corrupt += 1;
-    stats.raw_bytes_out += fill;
-    *raw_left -= fill;
 }
 
 // ---------------------------------------------------------------------
@@ -235,168 +169,191 @@ impl<'a> V2Trace<'a> {
         &self.file
     }
 
-    /// Decodes every block and runs the full analysis pipeline.
-    ///
-    /// A whole, clean container takes the direct-to-columns path:
-    /// packed payloads decode straight into per-stream runs laid out
-    /// core-major, skipping the v1-byte round trip entirely. Any damage
-    /// — a footer/prefix mismatch, a failed CRC, a gap block, a decode
-    /// error, a truncated image — and the whole image takes
-    /// [`analyze_roundtrip`](Self::analyze_roundtrip), so loss
-    /// accounting stays byte-identical to the v1 reader in every
-    /// degraded case. Products are byte-identical between the two
-    /// paths (pinned per golden in `tests/v2_differential.rs`).
+    /// Decodes every stream and runs the full analysis pipeline. Each
+    /// stream decodes as one [`exec::map_indexed_with`] shard under
+    /// `par`, all in one round, and the one-shot finish step places the
+    /// runs. A damaged stream is read again in its own shard, and its
+    /// damage becomes decode gaps in the [`crate::LossReport`], as in
+    /// the `.pdt` the container was packed from; the report also
+    /// records where a truncated image ends.
     ///
     /// # Errors
     ///
     /// The I/O error of a file-backed read, including a file that
     /// shrank after it was opened. In memory, reads cannot fail.
     pub fn analyze(&self, par: Parallelism) -> io::Result<(Arc<Analysis>, CodecStats)> {
-        if self.file.truncation.is_none() {
-            if let Some(out) = self.analyze_direct(par)? {
-                return Ok(out);
-            }
-        }
-        self.analyze_roundtrip(par)
-    }
-
-    /// The v1-roundtrip reader: every block decodes to v1 record bytes
-    /// that replay through an [`IngestSession`], exactly as if the
-    /// original `.pdt` image were analyzed. The damage path of
-    /// [`analyze`](Self::analyze) and the differential oracle the
-    /// direct decoder is tested against. It reads each stream's block
-    /// region whole.
-    ///
-    /// Each inline prefix is cross-checked against its footer
-    /// directory entry; a mismatch or an unreadable footer marks the
-    /// block corrupt (zero-filled), so flipped footer bytes surface in
-    /// the [`crate::LossReport`] rather than going unnoticed. The
-    /// stream a truncated image ends inside has no directory: its
-    /// blocks are trusted by their prefixes, and the missing tail of
-    /// its raw bytes is zero-filled.
-    ///
-    /// # Errors
-    ///
-    /// The I/O error of a file-backed read.
-    pub fn analyze_roundtrip(&self, par: Parallelism) -> io::Result<(Arc<Analysis>, CodecStats)> {
-        let mut stats = CodecStats::default();
-        let mut session =
-            IngestSession::new(self.file.header, self.file.streams.len()).with_parallelism(par);
-        let mut buf = Vec::new();
-        for (si, meta) in self.file.streams.iter().enumerate() {
-            let id = session.add_stream(meta.core, meta.dropped);
-            let mut raw_left = raw_fill_budget(meta.raw_len, meta.payloads_len);
-            let mut bi: u32 = 0;
-            let mut structural_break = false;
-            let region = self.source.bytes(meta.blocks_off, meta.present, &mut buf)?;
-            for item in BlockIter::new(region) {
-                let Ok((prefix, payload)) = item else {
-                    structural_break = true;
-                    break;
-                };
-                let entry_ok = !meta.directory
-                    || self
-                        .file
-                        .entry(si, bi)
-                        .is_ok_and(|e| entry_matches(&e, &prefix));
-                emit_block(
-                    &mut session,
-                    id,
-                    &prefix,
-                    payload,
-                    entry_ok,
-                    &mut raw_left,
-                    &mut stats,
-                );
-                bi = bi.saturating_add(1);
-            }
-            if raw_left > 0 {
-                // Structural damage or fewer blocks than the stream
-                // header promised: the missing tail becomes one gap.
-                append_zeros(&mut session, id, raw_left);
-                stats.raw_bytes_out += raw_left;
-                if structural_break || bi < meta.n_blocks {
-                    stats.blocks_corrupt += 1;
-                }
-            }
-            session.close_stream(id);
-        }
-        session.set_ctx_names(self.file.ctx_names.clone());
-        session.set_truncated(self.file.truncation);
-        session.finish();
-        Ok((session.snapshot(), stats))
-    }
-
-    /// The direct-to-columns fast path: decodes every stream as one
-    /// [`exec::map_indexed_with`] shard under `par` (SPE times stay
-    /// provisional until the finish step, so no stream waits on
-    /// another's anchors) and lays the runs out with the one-shot
-    /// placement. `None` on any damage or disorder, or when an anchored
-    /// run would wrap; the caller then takes the roundtrip reader,
-    /// which reads the image again (degraded images cost one wasted
-    /// pass, never wrong output).
-    fn analyze_direct(&self, par: Parallelism) -> io::Result<Option<(Arc<Analysis>, CodecStats)>> {
-        let streams = &self.file.streams;
-        let shards = exec::map_indexed_with(par, streams.len(), Vec::new, |buf, si| {
-            self.decode_direct(si, buf)
+        let shards = exec::map_indexed_with(par, self.file.streams.len(), Vec::new, |buf, si| {
+            self.decode_stream(si, buf)
         });
         let mut stats = CodecStats::default();
-        let mut decoded = Vec::with_capacity(streams.len());
+        let mut decoded = Vec::with_capacity(shards.len());
         for shard in shards {
-            let Some((st, shard_stats)) = shard? else {
-                return Ok(None);
-            };
+            let (st, shard_stats) = shard?;
             stats.merge(&shard_stats);
             decoded.push(st);
         }
-        let analysis = finish_direct(self.file.header, decoded, &self.file.ctx_names, par);
-        Ok(analysis.map(|a| (a, stats)))
+        let (trace, mut loss) = finish(self.file.header, decoded, &self.file.ctx_names);
+        loss.truncated = self.file.truncation;
+        Ok((
+            Arc::new(Analysis::from_shared(Arc::new(trace), loss, par)),
+            stats,
+        ))
     }
 
-    /// Decodes stream `si` into its run, reading one block at a time
-    /// into `buf`. `None` unless every inline prefix agrees with its
-    /// CRC-protected footer entry, no block is a gap stand-in, the
-    /// blocks fill the region exactly, their raw lengths cover the
-    /// zero-fill budget of the stream header's raw length (so the
-    /// roundtrip reader would append no trailing gap), and
-    /// [`StreamDecode::emit`] takes every block (kind, payload CRC,
-    /// decode, raw length, PPE order): the conditions under which the
-    /// roundtrip reader would decode every block cleanly with empty
-    /// loss.
-    fn decode_direct(
+    /// Decodes stream `si` and accounts its blocks, reading through
+    /// `buf`: block by block as a clean stream, and once more through
+    /// [`rescan`](Self::rescan) if it shows damage.
+    fn decode_stream(
         &self,
         si: usize,
         buf: &mut Vec<u8>,
-    ) -> io::Result<Option<(StreamDecode, CodecStats)>> {
+    ) -> io::Result<(StreamDecode, CodecStats)> {
         let meta = &self.file.streams[si];
         let mut st = StreamDecode::new(meta.core, meta.dropped);
-        let (mut batch, mut stats) = (ColumnBatch::default(), CodecStats::default());
-        let (mut off, mut raw_sum) = (0usize, 0u64);
+        let mut stats = CodecStats::default();
+        if self.decode_clean(si, &mut st, &mut stats, buf)? {
+            Ok((st, stats))
+        } else {
+            self.rescan(si, buf)
+        }
+    }
+
+    /// Decodes stream `si` onto `st`, one block at a time, as a clean
+    /// stream: each packed block expands straight into the run. False,
+    /// leaving `st` and `stats` to be dropped, unless every inline
+    /// prefix agrees with its CRC-protected footer entry, no block is a
+    /// gap stand-in, every block is packed, passes its CRC and decodes
+    /// to the raw length its prefix claims, every record passes the
+    /// stream invariants of the lossy v1 scan ([`check_in_stream`]; one
+    /// that fails them is a gap there), the blocks fill the region
+    /// exactly, and their raw lengths cover the fill budget of the
+    /// stream header's raw length (no bytes are missing).
+    fn decode_clean(
+        &self,
+        si: usize,
+        st: &mut StreamDecode,
+        stats: &mut CodecStats,
+        buf: &mut Vec<u8>,
+    ) -> io::Result<bool> {
+        let meta = &self.file.streams[si];
+        let mut batch = ColumnBatch::default();
+        let (mut off, mut raw_sum, mut prev_dec) = (0usize, 0u64, None);
         for bi in 0..meta.n_blocks {
             let Ok(entry) = self.file.entry(si, bi) else {
-                return Ok(None);
+                return Ok(false);
             };
             let len = PREFIX_BYTES + entry.payload_len as usize;
             if entry.flags & FLAG_GAP != 0 || len > meta.present - off {
-                return Ok(None);
+                return Ok(false);
             }
             let (prefix, payload) = self
                 .source
                 .bytes(meta.blocks_off + off, len, buf)?
                 .split_at(PREFIX_BYTES);
-            let prefix = match BlockPrefix::decode(prefix) {
-                Ok(p) if entry_matches(&entry, &p) => p,
-                _ => return Ok(None),
-            };
-            if st.emit(&prefix, payload, &mut batch, &mut stats).is_none() {
-                return Ok(None);
+            let clean = BlockPrefix::decode(prefix).is_ok_and(|p| entry_matches(&entry, &p))
+                && entry.kind == BlockKind::Packed
+                && crc32(payload) == entry.payload_crc
+                && decode_packed_columns(payload, entry.n_records, &mut batch).is_ok()
+                && batch.raw_len() == u64::from(entry.raw_len);
+            if !clean {
+                return Ok(false);
             }
-            raw_sum += u64::from(prefix.raw_len);
+            for k in 0..batch.len() {
+                let (time, tag) = (batch.timestamps[k], batch.tags[k]);
+                if check_in_stream(meta.core, TraceCore::from_tag(tag), time, prev_dec).is_err() {
+                    return Ok(false);
+                }
+                if meta.core.is_spe() {
+                    prev_dec = Some(time as u32);
+                }
+                st.record(time, tag, batch.codes[k], batch.params_of(k));
+            }
+            stats.blocks_decoded += 1;
+            stats.records_decoded += u64::from(entry.n_records);
+            stats.payload_bytes_read += payload.len() as u64;
+            stats.raw_bytes_out += u64::from(entry.raw_len);
+            raw_sum += u64::from(entry.raw_len);
             off += len;
         }
-        let whole =
-            off == meta.present && raw_sum >= raw_fill_budget(meta.raw_len, meta.payloads_len);
-        Ok(whole.then_some((st, stats)))
+        Ok(off == meta.present && raw_sum >= raw_fill_budget(meta.raw_len, meta.payloads_len))
+    }
+
+    /// Reads damaged stream `si` again, one block at a time through
+    /// `buf`, following the inline prefixes, and decodes the v1 bytes
+    /// its blocks stand for through a lossy [`LossyCursor`]: a good
+    /// block's canonical re-encoding (a raw gap block's bytes
+    /// verbatim), and zeros for a damaged block and for the raw bytes
+    /// no block covers, bounded by [`raw_fill_budget`]. A block is good
+    /// when it agrees with its footer entry (while the stream has a
+    /// directory), passes its CRC and yields the raw length its prefix
+    /// claims. The stream's `CodecStats` come from this pass alone.
+    fn rescan(&self, si: usize, buf: &mut Vec<u8>) -> io::Result<(StreamDecode, CodecStats)> {
+        let meta = &self.file.streams[si];
+        let mut st = StreamDecode::new(meta.core, meta.dropped);
+        let mut stats = CodecStats::default();
+        let mut cursor = LossyCursor::new(Some(meta.core));
+        let mut raw_left = raw_fill_budget(meta.raw_len, meta.payloads_len);
+        let (mut off, mut bi) = (0usize, 0u32);
+        // Set when a prefix is unreadable or runs past the region.
+        let mut broken = false;
+        while off < meta.present {
+            let (at, left) = (meta.blocks_off + off, meta.present - off);
+            let bytes = self.source.bytes(at, PREFIX_BYTES.min(left), buf)?;
+            let Ok(prefix) = BlockPrefix::decode(bytes) else {
+                broken = true;
+                break;
+            };
+            let len = prefix.payload_len as usize;
+            if len > left - PREFIX_BYTES {
+                broken = true;
+                break;
+            }
+            let payload = self.source.bytes(at + PREFIX_BYTES, len, buf)?;
+            let trusted = !meta.directory
+                || self
+                    .file
+                    .entry(si, bi)
+                    .is_ok_and(|e| entry_matches(&e, &prefix));
+            let raw = if trusted && crc32(payload) == prefix.payload_crc {
+                block_bytes(&prefix, payload)
+            } else {
+                None
+            };
+            match raw {
+                Some(raw) => {
+                    stats.blocks_decoded += 1;
+                    if prefix.kind == BlockKind::Packed {
+                        stats.records_decoded += u64::from(prefix.n_records);
+                    }
+                    stats.payload_bytes_read += payload.len() as u64;
+                    stats.raw_bytes_out += raw.len() as u64;
+                    raw_left = raw_left.saturating_sub(raw.len() as u64);
+                    cursor.push(&raw);
+                }
+                None => {
+                    let fill = u64::from(prefix.raw_len).min(raw_left);
+                    stats.blocks_corrupt += 1;
+                    stats.raw_bytes_out += fill;
+                    raw_left -= fill;
+                    push_zeros(&mut cursor, fill);
+                }
+            }
+            take_decoded(&mut cursor, &mut st);
+            off += PREFIX_BYTES + len;
+            bi = bi.saturating_add(1);
+        }
+        if raw_left > 0 {
+            // Fewer bytes than the stream header promised: the missing
+            // tail becomes one gap.
+            push_zeros(&mut cursor, raw_left);
+            stats.raw_bytes_out += raw_left;
+            if broken || bi < meta.n_blocks {
+                stats.blocks_corrupt += 1;
+            }
+        }
+        cursor.finish();
+        take_decoded(&mut cursor, &mut st);
+        Ok((st, stats))
     }
 
     /// Events whose reconstructed global time falls in the half-open
@@ -514,202 +471,69 @@ fn place_block_events(
     end_tb: u64,
     out: &mut Vec<GlobalEvent>,
 ) {
-    match anchoring {
-        Anchoring::Ppe => {
-            for (j, rec) in records.iter().enumerate() {
-                let t = rec.timestamp;
-                if t >= start_tb && t < end_tb {
-                    out.push(GlobalEvent {
-                        time_tb: t,
-                        core: rec.core,
-                        code: rec.code,
-                        params: rec.params.clone(),
-                        stream_seq: entry.entry_seq + j as u64,
-                    });
-                }
-            }
-        }
-        Anchoring::Anchored => {
-            let mut prev = entry.entry_dec;
-            let mut elapsed = entry.entry_elapsed;
-            for (j, rec) in records.iter().enumerate() {
+    let (mut prev, mut elapsed) = (entry.entry_dec, entry.entry_elapsed);
+    for (j, rec) in records.iter().enumerate() {
+        let t = match anchoring {
+            Anchoring::Ppe => rec.timestamp,
+            Anchoring::Anchored => {
                 let dec = rec.timestamp as u32;
                 elapsed += u64::from(prev.wrapping_sub(dec));
                 prev = dec;
-                let t = run_tb.wrapping_add(elapsed);
-                if t >= start_tb && t < end_tb {
-                    out.push(GlobalEvent {
-                        time_tb: t,
-                        core: rec.core,
-                        code: rec.code,
-                        params: rec.params.clone(),
-                        stream_seq: entry.entry_seq + j as u64,
-                    });
-                }
+                run_tb.wrapping_add(elapsed)
             }
-        }
-        Anchoring::Unanchored => {}
-    }
-}
-
-// ---------------------------------------------------------------------
-// Direct-to-columns decode: one per-stream decoder, one finish step.
-// ---------------------------------------------------------------------
-
-/// One stream decoding straight into an [`Events`] run, with its
-/// parameters interned as they arrive.
-///
-/// PPE records keep their own timestamps. SPE records are pushed at
-/// their *provisional* elapsed time, `Σ dec deltas` since the stream's
-/// first record, in the 4-byte step form: the anchor that places them
-/// may arrive after the SPE data, and it only shifts the whole run by a
-/// constant, which [`finish_direct`] applies. That matches the
-/// session's `run_tb + elapsed` placement exactly.
-#[derive(Debug)]
-struct StreamDecode {
-    core: TraceCore,
-    dropped: u64,
-    ev: Events,
-    /// First record's decrementer value (SPE streams).
-    first_dec: u32,
-    /// Previous record's decrementer value (SPE streams).
-    prev_dec: u32,
-    /// Provisional elapsed ticks of the latest record (SPE streams).
-    elapsed: u64,
-    /// Last `(time, tag)` sort key (PPE order validation).
-    last: (u64, u8),
-    /// The sync anchors this stream carries, first per SPE.
-    anchors: Vec<SpeAnchor>,
-}
-
-impl StreamDecode {
-    fn new(core: TraceCore, dropped: u64) -> Self {
-        StreamDecode {
-            core,
-            dropped,
-            ev: Events::default(),
-            first_dec: 0,
-            prev_dec: 0,
-            elapsed: 0,
-            last: (0, 0),
-            anchors: Vec::new(),
-        }
-    }
-
-    /// Decodes one block (through `batch`) onto the run and accounts
-    /// it. `None` when the block is not a cleanly decodable packed block
-    /// (wrong kind, failed CRC, undecodable payload, a raw length other
-    /// than the prefix's) or a PPE block's sort keys go backwards, which
-    /// the session would handle by sorting.
-    fn emit(
-        &mut self,
-        prefix: &BlockPrefix,
-        payload: &[u8],
-        batch: &mut ColumnBatch,
-        stats: &mut CodecStats,
-    ) -> Option<()> {
-        if prefix.kind != BlockKind::Packed || crc32(payload) != prefix.payload_crc {
-            return None;
-        }
-        decode_packed_columns(payload, prefix.n_records, batch).ok()?;
-        if batch.raw_len() != u64::from(prefix.raw_len) {
-            return None;
-        }
-        for k in 0..batch.len() {
-            let (code, params) = (batch.codes[k], batch.params_of(k));
-            if self.core.is_spe() {
-                let dec = batch.timestamps[k] as u32;
-                if self.ev.len() == 0 {
-                    (self.first_dec, self.prev_dec) = (dec, dec);
-                }
-                self.elapsed += u64::from(self.prev_dec.wrapping_sub(dec));
-                self.prev_dec = dec;
-                self.ev.push(self.elapsed, self.core.tag(), code, params);
-            } else {
-                let key = (batch.timestamps[k], batch.tags[k]);
-                if key < self.last {
-                    return None;
-                }
-                self.last = key;
-                harvest(code, key.0, params, &mut self.anchors);
-                self.ev.push(key.0, key.1, code, params);
-            }
-        }
-        stats.blocks_decoded += 1;
-        stats.records_decoded += u64::from(prefix.n_records);
-        stats.payload_bytes_read += payload.len() as u64;
-        stats.raw_bytes_out += u64::from(prefix.raw_len);
-        Some(())
-    }
-}
-
-/// The direct decoder's finish step: picks the anchor winners, moves
-/// each anchored SPE run onto the global timeline, drops the unanchored
-/// ones (the session discards their events too), builds the loss rows
-/// and lays the runs out through [`place`].
-///
-/// An anchored SPE run's true time is `offset + provisional elapsed`
-/// with `offset = run_tb + (dec_start - first_dec)`. `None` when the
-/// offset, or its sum with the run's last (largest) elapsed value,
-/// overflows u64: placement would wrap where the session sorts, so the
-/// caller takes the roundtrip reader.
-fn finish_direct(
-    header: TraceHeader,
-    streams: Vec<StreamDecode>,
-    names: &[(u32, String)],
-    par: Parallelism,
-) -> Option<Arc<Analysis>> {
-    let anchors = pick_anchors(streams.iter().map(|st| st.anchors.as_slice()));
-    let dropped = streams.iter().map(|st| st.dropped).sum();
-    let mut runs = Vec::with_capacity(streams.len());
-    let mut losses = Vec::with_capacity(streams.len());
-    for (si, st) in streams.into_iter().enumerate() {
-        // The shift onto the global timeline; `None` for an unanchored
-        // SPE stream.
-        let offset = match st.core {
-            TraceCore::Ppe(_) => Some(0),
-            TraceCore::Spe(spe) => match anchors.iter().find(|a| a.spe == spe) {
-                Some(a) => {
-                    let diff = u64::from(a.dec_start.wrapping_sub(st.first_dec));
-                    let offset = a.run_tb.checked_add(diff)?;
-                    offset.checked_add(st.elapsed)?;
-                    Some(offset)
-                }
-                None => None,
-            },
+            Anchoring::Unanchored => return,
         };
-        let mut ev = st.ev;
-        losses.push(StreamLoss {
-            core: st.core,
-            decoded_records: ev.len() as u64,
-            tracer_dropped: st.dropped,
-            gaps: Vec::new(),
-            unanchored: offset.is_none() && ev.len() > 0,
-        });
-        if let Some(offset) = offset {
-            ev.shift(offset);
-            runs.push(Run::new(si, ev));
+        if t >= start_tb && t < end_tb {
+            out.push(GlobalEvent {
+                time_tb: t,
+                core: rec.core,
+                code: rec.code,
+                params: rec.params.clone(),
+                stream_seq: entry.entry_seq + j as u64,
+            });
         }
     }
-    // The shared one-shot placement; its stream-index tie-break is the
-    // merge order of the session the roundtrip reader replays through.
-    let mut trace = ColumnarTrace::empty(header).with_events(place(runs));
-    trace.anchors = anchors;
-    trace.dropped = dropped;
-    trace.set_ctx_names(names);
-    let loss = LossReport {
-        streams: losses,
-        truncated: None,
-    };
-    Some(Arc::new(Analysis::from_shared(Arc::new(trace), loss, par)))
 }
 
-/// Analyzes a v2 image held in memory. A whole image goes through
-/// [`V2Trace::analyze`]; one that ends inside a structure keeps the
-/// prefix the container walk holds whole and takes the roundtrip
-/// reader, so truncation degrades to loss accounting: the stream it
-/// ends inside carries a trailing gap, streams whose headers are
-/// missing are absent, and the loss report records where it ends.
+/// The v1 bytes of a block that passed its footer check and CRC: the
+/// canonical re-encoding of a packed block's records, or a raw block's
+/// bytes. `None` when a packed payload does not decode, or either kind
+/// yields a length other than its prefix's raw length.
+fn block_bytes<'p>(prefix: &BlockPrefix, payload: &'p [u8]) -> Option<Cow<'p, [u8]>> {
+    let raw = match prefix.kind {
+        BlockKind::Packed => {
+            let records = decode_packed_payload(payload, prefix.n_records).ok()?;
+            Cow::Owned(records_to_bytes(&records))
+        }
+        BlockKind::Raw => Cow::Borrowed(payload),
+    };
+    (raw.len() == prefix.raw_len as usize).then_some(raw)
+}
+
+/// Pushes `n` zero bytes, which the cursor decodes to one gap.
+fn push_zeros(cursor: &mut LossyCursor, mut n: u64) {
+    let zeros = [0u8; 4096];
+    while n > 0 {
+        let k = n.min(zeros.len() as u64) as usize;
+        cursor.push(&zeros[..k]);
+        n -= k as u64;
+    }
+}
+
+/// Moves what `cursor` has decoded so far onto `st`.
+fn take_decoded(cursor: &mut LossyCursor, st: &mut StreamDecode) {
+    let out = cursor.take_output();
+    for r in &out.records {
+        st.record(r.timestamp, r.core.tag(), r.code, &r.params);
+    }
+    out.gaps.into_iter().for_each(|g| st.gap(g));
+}
+
+/// Analyzes a v2 image held in memory through [`V2Trace::analyze`]. An
+/// image that ends inside a structure keeps the prefix the container
+/// walk holds whole, so truncation degrades to loss accounting: the
+/// stream it ends inside carries a trailing gap, streams whose headers
+/// are missing are absent, and the loss report records where it ends.
 ///
 /// # Errors
 ///

@@ -113,9 +113,9 @@ echo "== ta-cli damaged-file smoke =="
 # loss accounting (exit 0) or an error (exit 1), never a panic (101) or
 # an abort (134): summary, loss and --strict summary on a truncated
 # copy and on a byte-flipped copy of a golden, on a truncated .pdt2,
-# and on two .pdt2 copies whose stream count or name count claims
-# billions of entries. Those two run out of bytes inside the name
-# table, so `loss` must name the truncation.
+# on a .pdt2 with a failing block, and on two .pdt2 copies whose stream
+# count or name count claims billions of entries. Those two run out of
+# bytes inside the name table, so `loss` must name the truncation.
 head -c 3000 tests/golden/stream.pdt > "$smoke_dir/truncated.pdt"
 head -c 2000 tests/golden/stream.pdt2 > "$smoke_dir/truncated.pdt2"
 cp tests/golden/stream.pdt "$smoke_dir/flipped.pdt"
@@ -129,7 +129,11 @@ cp tests/golden/stream.pdt2 "$smoke_dir/stream_count.pdt2"
 printf '\377' | dd of="$smoke_dir/stream_count.pdt2" bs=1 seek=39 conv=notrunc status=none
 cp tests/golden/stream.pdt2 "$smoke_dir/name_count.pdt2"
 printf '\377' | dd of="$smoke_dir/name_count.pdt2" bs=1 seek=2569 conv=notrunc status=none
-for damaged in truncated.pdt flipped.pdt truncated.pdt2 stream_count.pdt2 name_count.pdt2; do
+# Byte 300 lies in the payload of SPE0's first block (from byte 287),
+# so that block fails its CRC and the stream is read again.
+cp tests/golden/stream.pdt2 "$smoke_dir/block.pdt2"
+printf '\377' | dd of="$smoke_dir/block.pdt2" bs=1 seek=300 conv=notrunc status=none
+for damaged in truncated.pdt flipped.pdt truncated.pdt2 block.pdt2 stream_count.pdt2 name_count.pdt2; do
   for cmd in summary loss "--strict summary"; do
     status=0
     # shellcheck disable=SC2086 # $cmd holds the flag and the command.
@@ -144,6 +148,9 @@ for damaged in stream_count.pdt2 name_count.pdt2; do
   ta_cli loss "$smoke_dir/$damaged" | grep -q '^truncated: image ends inside the ' \
     || { echo "ta-cli loss names no truncation on $damaged" >&2; exit 1; }
 done
+# The failing block's 19 records become one 304-byte gap in SPE0.
+ta_cli loss "$smoke_dir/block.pdt2" | grep -qx 'SPE0,44,1,304,19,0,false' \
+  || { echo "ta-cli loss on block.pdt2 lacks the SPE0 gap row" >&2; exit 1; }
 
 echo "== fault-injection smoke (3 seeds) =="
 # Injects every corruption mode into a real trace and asserts the lossy
@@ -196,7 +203,11 @@ echo "== v2-container differential + corruption suites =="
 # Serial and Workers(4)); windowed queries must decode only
 # footer-overlapping blocks; damage and truncation at every offset must
 # degrade to DecodeGap accounting and a truncation record, identically
-# in memory and from a file, never a panic.
+# in memory and from a file, never a panic. The reader decodes a clean
+# stream straight from its blocks and reads a damaged one again through
+# a lossy cursor; both are held to the v1-roundtrip oracle of
+# tests/common/roundtrip.rs on every truncation of every golden .pdt2
+# and every byte flip of stream.pdt2.
 cargo test -q --test v2_differential
 cargo test -q --test v2_corruption
 cargo test -q --test prop_v2_codec

@@ -276,6 +276,63 @@ fn strict_missing_anchor_yields_to_a_record_error_read_from_the_file() {
     assert_same("anchor", &bytes);
 }
 
+/// A layout the goldens lack, now that every stream decodes in one
+/// round: the PPE stream listed last, so every anchor follows the SPE
+/// data it places; an SPE stream before it with a malformed record; and
+/// a second SPE stream with no anchor. In memory and file-backed, at
+/// every parallelism, the strict error and the lossy events, anchors
+/// and loss equal the serial row path's.
+#[test]
+fn ppe_last_with_a_malformed_and_an_unanchored_spe_stream() {
+    let mut trace = synthetic(4_000, Some(1));
+    trace.streams.rotate_left(1);
+    assert!(!trace.streams[2].core.is_spe());
+    // A record header claiming zero granules, past SPE0's first chunk.
+    let spe0 = &mut trace.streams[0].bytes;
+    let at = record_starts(spe0, 0, spe0.len())
+        .into_iter()
+        .find(|&s| s > CHUNK + 100)
+        .unwrap();
+    spe0[at] = 0;
+
+    let strict = ta::analyze(&trace).unwrap_err();
+    assert!(
+        matches!(
+            strict,
+            AnalyzeError::Record {
+                core: TraceCore::Spe(0),
+                ..
+            }
+        ),
+        "{strict}"
+    );
+    let (rows, loss) = ta::analyze_lossy(&trace);
+    assert!(!loss.streams[0].gaps.is_empty(), "SPE0 has a gap");
+    assert!(loss.streams[1].unanchored, "SPE1 has no anchor");
+
+    let bytes = trace.to_bytes();
+    let tmp = TempFile::new("ppe-last", &bytes);
+    let file = File::open(&tmp.0).unwrap();
+    for (reader, image) in [
+        ("in memory", TraceImage::parse(&bytes).unwrap()),
+        ("file-backed", TraceImage::read(&file).unwrap()),
+    ] {
+        for par in [
+            Parallelism::Serial,
+            Parallelism::Workers(2),
+            Parallelism::Workers(4),
+        ] {
+            let at = format!("{reader} {par:?}");
+            let err = run(image.clone(), par, true).err();
+            assert_eq!(err, Some(strict.to_string()), "{at}: strict error");
+            let a = run(image.clone(), par, false).unwrap();
+            assert_eq!(a.events(), rows.events.as_slice(), "{at}: events");
+            assert_eq!(a.analyzed().anchors, rows.anchors, "{at}: anchors");
+            assert_eq!(a.loss(), &loss, "{at}: loss");
+        }
+    }
+}
+
 #[test]
 fn the_container_is_sniffed_from_the_file_magic() {
     let v1 = TempFile::new("sniff-v1", &golden_bytes("stream.pdt"));

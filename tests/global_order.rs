@@ -3,9 +3,9 @@
 //! whole or windowed) never build it, and the global-order consumers
 //! (`lint`, the events listing) build it exactly once per session, on
 //! every golden, in both containers, at every parallelism. (A damaged
-//! `.pdt2` falls back to the roundtrip reader, whose session merges the
-//! streams core-major like every other load, so it builds the order
-//! once too.)
+//! `.pdt2` stream is read again by the same one-shot decoder, whose
+//! finish step lays the streams out core-major like every other load,
+//! so it builds the order once too.)
 
 use std::sync::Arc;
 

@@ -377,8 +377,9 @@ fn lazy_batch_boundaries_match_serial() {
 /// A `PpeCtxRun` anchor near `u64::MAX` wraps the placed SPE time.
 /// Nothing may panic (debug builds check overflow), and every reader
 /// must agree with the serial oracle. The wrapping anchor comes first
-/// in one PPE stream, so its keys go backwards, and last in the other,
-/// so the v2 direct decoder meets the wrap itself and must refuse it.
+/// in one PPE stream, so its keys go backwards, and last in the other.
+/// The one-shot finish step re-times the wrapping SPE run with wrapping
+/// adds and sorts it, for both containers.
 #[test]
 fn anchor_near_u64_max_wraps_identically_everywhere() {
     for ppe in [

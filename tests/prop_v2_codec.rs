@@ -20,6 +20,9 @@ use pdt::v2::{decode_packed_payload, encode_packed_payload, pack, records_to_byt
 use pdt::{EventCode, TraceCore, TraceFile, TraceHeader, TraceRecord, TraceStream, VERSION};
 use ta::{analyze_v2, Parallelism, V2Trace};
 
+#[path = "common/roundtrip.rs"]
+mod roundtrip;
+use roundtrip::Roundtrip;
 #[path = "common/tempfile.rs"]
 mod tempfile;
 use tempfile::TempFile;
@@ -248,9 +251,9 @@ proptest! {
         prop_assert_eq!(got.events(), reference.events());
         prop_assert_eq!(got.loss(), reference.loss());
         prop_assert_eq!(stats, ref_stats);
-        let (oracle, _) = v2.analyze_roundtrip(Parallelism::Serial).unwrap();
-        prop_assert_eq!(reference.events(), oracle.events());
-        prop_assert_eq!(reference.loss(), oracle.loss());
+        let oracle = Roundtrip::walk(&image).unwrap().analyze(Parallelism::Serial).unwrap();
+        prop_assert_eq!(reference.events(), oracle.analysis.events());
+        prop_assert_eq!(reference.loss(), &oracle.loss);
     }
 
     /// Random byte mutations over a valid image: both readers must

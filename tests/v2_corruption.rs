@@ -16,6 +16,9 @@ use ta::{analyze_v2, Analysis, Parallelism, V2Trace};
 #[path = "common/goldens.rs"]
 mod goldens;
 use goldens::{golden, golden_v2_bytes, GOLDEN};
+#[path = "common/roundtrip.rs"]
+mod roundtrip;
+use roundtrip::Roundtrip;
 #[path = "common/tempfile.rs"]
 mod tempfile;
 use tempfile::TempFile;
@@ -333,14 +336,15 @@ fn every_truncation_offset_is_survivable() {
 }
 
 /// A `.pdt2` that shrinks after its structure was read is an I/O error
-/// from every file-backed read — analysis through either decoder and
-/// the windowed query — never a panic.
+/// from every file-backed read — analysis, the roundtrip oracle and the
+/// windowed query — never a panic.
 #[test]
 fn a_file_that_shrinks_after_open_is_an_error() {
     let image = golden_v2_bytes("stream.pdt");
     let tmp = TempFile::new("shrink", &image);
     let file = tmp.open();
     let v2 = V2Trace::read(&file).unwrap();
+    let oracle = Roundtrip::read(&file).unwrap();
     std::fs::OpenOptions::new()
         .write(true)
         .open(&tmp.0)
@@ -350,7 +354,7 @@ fn a_file_that_shrinks_after_open_is_an_error() {
     for par in [Parallelism::Serial, Parallelism::Workers(2)] {
         for err in [
             v2.analyze(par).unwrap_err(),
-            v2.analyze_roundtrip(par).unwrap_err(),
+            oracle.analyze(par).err().unwrap(),
         ] {
             assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{par:?}");
             assert!(err.to_string().contains("shrank"), "{par:?}: {err}");

@@ -3,14 +3,16 @@
 //! `PDT2` container and re-analyzed must produce **byte-identical**
 //! products to the v1 path — through the one `.pdt2` reader,
 //! [`V2Trace`], in memory and read from a file, across `Serial` and
-//! `Workers(4)`. The reader has **two decoders**: the default
-//! direct-to-columns decoder (payloads land straight in per-stream
-//! runs placed into `EventColumns`) and the v1-roundtrip oracle (clean
-//! runs re-encoded canonically, gap bytes carried verbatim, fed
-//! through `IngestSession`). This suite differentials the fast path
-//! against the oracle — products *and* codec stats — on every golden.
-//! (The file-backed v1 reader has its own suite, `tests/file_backed.rs`;
-//! damaged and truncated `.pdt2` images are in `tests/v2_corruption.rs`.)
+//! `Workers(4)`. The reader decodes each block straight into its
+//! stream's run; the v1-roundtrip oracle in `common/roundtrip.rs`
+//! (clean runs re-encoded canonically, gap bytes carried verbatim, fed
+//! through `IngestSession`) is an independent second decoder. This
+//! suite differentials the reader against the oracle — products *and*
+//! codec stats — on every golden, and on every truncation of every
+//! golden `.pdt2` and every single-byte flip of the block region of
+//! `stream.pdt2`. (The file-backed v1 reader has its own suite,
+//! `tests/file_backed.rs`; the damage shapes of `.pdt2` images are in
+//! `tests/v2_corruption.rs`.)
 //!
 //! Also pins the block-skip acceptance criterion: a windowed query
 //! decodes only the packed blocks whose footer time range overlaps
@@ -18,12 +20,17 @@
 //! against a directory walk), and returns exactly the events
 //! [`EventFilter`] selects from the full analysis.
 
+use std::os::unix::fs::FileExt;
+
 use pdt::v2::{pack, unpack, Anchoring, BlockKind, DEFAULT_BLOCK_RECORDS, FLAG_UNPLACED};
-use ta::{Analysis, EventFilter, Parallelism, V2Trace};
+use ta::{analyze_v2, Analysis, EventFilter, Parallelism, V2Trace};
 
 #[path = "common/goldens.rs"]
 mod goldens;
 use goldens::{golden, golden_v2_bytes, GOLDEN};
+#[path = "common/roundtrip.rs"]
+mod roundtrip;
+use roundtrip::{assert_matches, Roundtrip};
 #[path = "common/tempfile.rs"]
 mod tempfile;
 use tempfile::TempFile;
@@ -247,7 +254,8 @@ fn v2_direct_decode_matches_roundtrip_oracle() {
             let image = pack(&trace, br);
             let v2 = V2Trace::parse(&image).unwrap();
             for par in PARS {
-                let (oracle, oracle_stats) = v2.analyze_roundtrip(par).unwrap();
+                let oracle = Roundtrip::walk(&image).unwrap().analyze(par).unwrap();
+                let (oracle, oracle_stats) = (oracle.analysis, oracle.stats);
                 let (fast, fast_stats) = v2.analyze(par).unwrap();
                 assert_eq!(
                     fast_stats, oracle_stats,
@@ -270,7 +278,11 @@ fn v2_chunked_stats_match_roundtrip_oracle() {
     for name in GOLDEN {
         let image = pack(&golden(name), BLOCK_RECORDS);
         let v2 = V2Trace::parse(&image).unwrap();
-        let (_, oracle_stats) = v2.analyze_roundtrip(Parallelism::Serial).unwrap();
+        let oracle_stats = Roundtrip::walk(&image)
+            .unwrap()
+            .analyze(Parallelism::Serial)
+            .unwrap()
+            .stats;
 
         let tmp = TempFile::new(name, &image);
         let file = tmp.open();
@@ -281,7 +293,7 @@ fn v2_chunked_stats_match_roundtrip_oracle() {
                 stats, oracle_stats,
                 "{name} {par:?}: file-backed stats diverge"
             );
-            let (_, stats) = from_file.analyze_roundtrip(par).unwrap();
+            let stats = Roundtrip::read(&file).unwrap().analyze(par).unwrap().stats;
             assert_eq!(stats, oracle_stats, "{name} {par:?}: file-backed roundtrip");
         }
         assert_eq!(
@@ -298,7 +310,7 @@ fn v2_chunked_stats_match_roundtrip_oracle() {
 /// the SPE data it places, and an SPE stream packed twice, so one core
 /// is fed by two runs. Products and the loss report must match
 /// [`Analysis::of`] on the same v1 trace, through [`V2Trace::analyze`]
-/// in memory and on a file and through [`V2Trace::analyze_roundtrip`].
+/// in memory and on a file and through the roundtrip oracle.
 #[test]
 fn unusual_stream_layouts_decode_identically_everywhere() {
     let base = golden("pipeline.pdt");
@@ -331,7 +343,8 @@ fn unusual_stream_layouts_decode_identically_everywhere() {
         let from_file = V2Trace::read(&file).unwrap();
         for par in PARS {
             let (direct, direct_stats) = v2.analyze(par).unwrap();
-            let (oracle, oracle_stats) = v2.analyze_roundtrip(par).unwrap();
+            let oracle = Roundtrip::walk(&image).unwrap().analyze(par).unwrap();
+            let (oracle, oracle_stats) = (oracle.analysis, oracle.stats);
             assert_eq!(direct_stats, oracle_stats, "{what} {par:?}: codec stats");
             let (file_backed, file_stats) = from_file.analyze(par).unwrap();
             assert_eq!(
@@ -347,5 +360,72 @@ fn unusual_stream_layouts_decode_identically_everywhere() {
                 assert_products_eq(&reference, a, &format!("{what} {par:?} {reader}"));
             }
         }
+    }
+}
+
+/// Holds the reader to the oracle on `image`, and on `file`, which
+/// holds the same bytes: [`analyze_v2`] and the file-backed
+/// [`V2Trace::analyze`], at `Serial` and `Workers(3)`, each equal the
+/// oracle, or fail with its error.
+fn assert_matches_oracle(what: &str, image: &[u8], file: &std::fs::File) {
+    let oracle = Roundtrip::walk(image).map(|r| r.analyze(Parallelism::Serial).unwrap());
+    let read = V2Trace::read(file).map_err(|e| e.to_string());
+    let oracle = match oracle {
+        Ok(oracle) => oracle,
+        Err(e) => {
+            for par in [Parallelism::Serial, Parallelism::Workers(3)] {
+                assert_eq!(analyze_v2(image, par).err(), Some(e.clone()), "{what}");
+            }
+            let oracle_read = Roundtrip::read(file).map_err(|e| e.to_string());
+            assert_eq!(read.err(), oracle_read.err(), "{what}: file-backed");
+            return;
+        }
+    };
+    let v2 = read.unwrap();
+    for par in [Parallelism::Serial, Parallelism::Workers(3)] {
+        let (a, stats) = analyze_v2(image, par).unwrap();
+        assert_matches(&format!("{what} {par:?}"), &a, &stats, &oracle);
+        let (a, stats) = v2.analyze(par).unwrap();
+        assert_matches(&format!("{what} {par:?} file-backed"), &a, &stats, &oracle);
+    }
+}
+
+/// The byte-identity sweep over damaged images: every truncation of
+/// every golden `.pdt2`, and every single-byte flip (xor 0xff) of bytes
+/// 40–2599 of `stream.pdt2` (its stream headers, blocks, footers and
+/// name table). The reader decodes a clean stream directly and reads a
+/// damaged one again through its own lossy cursor, so this holds that
+/// second path to the oracle on every shape of damage.
+#[test]
+fn damaged_images_match_the_roundtrip_oracle() {
+    for name in GOLDEN {
+        let image = golden_v2_bytes(name);
+        let tmp = TempFile::new(name, &image);
+        let file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(&tmp.0)
+            .unwrap();
+        for cut in (0..=image.len()).rev() {
+            file.set_len(cut as u64).unwrap();
+            assert_matches_oracle(&format!("{name} @{cut}"), &image[..cut], &file);
+        }
+    }
+
+    let image = golden_v2_bytes("stream.pdt");
+    assert_eq!(image.len(), 2600, "stream.pdt2 changed size");
+    let tmp = TempFile::new("flips", &image);
+    let file = std::fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(&tmp.0)
+        .unwrap();
+    let mut bad = image.clone();
+    for at in 40..2600 {
+        bad[at] ^= 0xff;
+        file.write_all_at(&bad[at..=at], at as u64).unwrap();
+        assert_matches_oracle(&format!("stream.pdt2 ^{at}"), &bad, &file);
+        bad[at] ^= 0xff;
+        file.write_all_at(&bad[at..=at], at as u64).unwrap();
     }
 }
