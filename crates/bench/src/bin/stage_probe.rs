@@ -20,9 +20,9 @@
 //! reads its own stream (in chunks, or block by block), so those reads
 //! are timed inside `ingest`. After the request
 //! it builds the global event order, a stage no
-//! per-core request needs, and drops the session. The parent prints
-//! one JSON document with the median of every figure over the
-//! repetitions.
+//! per-core request and no lint needs, and drops the session. The
+//! parent prints one JSON document with the median of every figure
+//! over the repetitions.
 //!
 //! Request kinds, each mirroring one `ta-cli` command, and the stages
 //! each runs after `open`, `read` and `ingest`:
@@ -32,11 +32,10 @@
 //!   of the span, as `ta-cli query --from --to --summary`);
 //! - `svg`: intervals, timeline, render (`timeline --svg`,
 //!   written to a sink that counts its bytes, reported as `svg_bytes`);
-//! - `lint`: order, intervals, edges, lint (`lint --format sarif`).
-//!   The sync-edge extraction is the first reader of the global order,
-//!   so the order is timed on its own first; `edges` is that
-//!   extraction (`Analysis::sync_edges`), and `lint` is what is left:
-//!   the rules, the happens-before pass among them, and the rendering.
+//! - `lint`: intervals, lint (`lint --format sarif`): the sync-edge
+//!   extraction, the rules with the happens-before pass among them,
+//!   and the rendering. Lint builds no global order, so the trailing
+//!   `order` stage builds it in full.
 //!
 //! Every kind ends with `order` (a no-op when the request built it) and
 //! `drop`.
@@ -159,9 +158,7 @@ fn child(kind: &str, path: &str, par: Parallelism) -> Result<(), String> {
             println!("svg_bytes {}", out.0);
         }
         "lint" => {
-            s.run("order", || a.columns().order().by_rank().len());
             s.run("intervals", || a.intervals().len());
-            s.run("edges", || a.sync_edges().len());
             s.run("lint", || a.lint().to_sarif().len());
         }
         other => return Err(format!("unknown request kind {other:?}")),

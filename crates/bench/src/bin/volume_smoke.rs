@@ -13,7 +13,7 @@
 //!   file-backed [`ta::V2Trace`], whose decode shards each read their
 //!   stream one block at a time, so the image is never held whole;
 //!   peak RSS (`VmHWM`) must stay under a fixed budget, and the decoded
-//!   in-memory store ([`ColumnarTrace::bytes_in_memory`]) must stay at
+//!   in-memory store ([`ColumnarTrace::bytes_in_memory`](ta::ColumnarTrace::bytes_in_memory)) must stay at
 //!   or under 100 B/event, so the decode path can never regress into
 //!   buffering the whole image or fattening the columns. Each stream
 //!   decodes into a run that the one-shot placement copies into the

@@ -30,7 +30,7 @@
 //! decode cleanly under the stream invariants of
 //! [`decode_stream_lossy`]; their payload is columnar and compressed.
 //! **Raw** blocks hold byte ranges the lossy decoder skipped
-//! ([`DecodeGap`]s) verbatim. Decoding a v2 stream therefore
+//! ([`DecodeGap`](crate::DecodeGap)s) verbatim. Decoding a v2 stream therefore
 //! reconstructs the *decode-equivalent* v1 byte stream: every clean
 //! record re-encodes canonically at its original offset and every gap
 //! byte is preserved, so the lossy decoder reports identical records,
@@ -40,7 +40,7 @@
 //! Corruption inside a v2 image (a failed payload CRC, a torn block, a
 //! flipped footer) is never fatal: readers substitute zero bytes for
 //! the block's raw range, which the lossy decoder reports as a single
-//! [`DecodeGap`] — damage degrades to the same loss accounting the v1
+//! [`DecodeGap`](crate::DecodeGap) — damage degrades to the same loss accounting the v1
 //! path uses.
 
 use std::io::{self, Seek, SeekFrom, Write};
@@ -296,7 +296,7 @@ impl CodecStats {
 pub enum BlockKind {
     /// Columnar-compressed run of cleanly decodable records.
     Packed,
-    /// Verbatim bytes of a [`DecodeGap`] range.
+    /// Verbatim bytes of a [`DecodeGap`](crate::DecodeGap) range.
     Raw,
 }
 

@@ -120,22 +120,21 @@ pub fn causal_edges_with_loss(trace: &AnalyzedTrace, loss: &LossReport) -> Vec<C
     for (i, e) in trace.events.iter().enumerate() {
         q.observe(i, e.core, e.code, &e.params, &ctx_spe);
     }
-    q.emit(loss, false)
+    q.emit(loss, false, |i| i as u128)
 }
 
-/// [`causal_edges_with_loss`] over the columnar store: the same
-/// single-pass queue construction and FIFO pairing, reading the core /
-/// code / params columns directly, in the store's global order. Edge
-/// indices are global ranks, shared with any materialized row
-/// vector. The lint rules use this path; the row function remains
+/// [`causal_edges_with_loss`] over the columnar store: the same queue
+/// construction and FIFO pairing, fed core by core from the columns.
+/// Edge indices are global ranks, shared with any materialized row
+/// vector (the order is built to map them). The row function remains
 /// the differential oracle.
 pub fn causal_edges_columns(trace: &ColumnarTrace, loss: &LossReport) -> Vec<CausalEdge> {
-    let ctx_spe: HashMap<u32, u8> = trace.anchors.iter().map(|a| (a.ctx, a.spe)).collect();
-    let mut q = SyncQueues::default();
-    for (i, v) in trace.ordered().enumerate() {
-        q.observe(i, v.core, v.code, v.params, &ctx_spe);
+    let mut edges = store_queues(trace).emit(loss, false, |i| trace.order_key(i));
+    let ranks = trace.order().ranks();
+    for e in &mut edges {
+        (e.earlier, e.later) = (ranks[e.earlier] as usize, ranks[e.later] as usize);
     }
-    q.emit(loss, false)
+    edges
 }
 
 /// The full synchronization-edge set of a trace — the shared extraction
@@ -146,33 +145,102 @@ pub fn causal_edges_columns(trace: &ColumnarTrace, loss: &LossReport) -> Vec<Cau
 /// rules stop re-deriving pairings per rule, per shard, and per
 /// streaming snapshot epoch.
 ///
-/// Output is sorted by `(later, earlier, kind)`, so repeated extraction
-/// over identical columns is byte-identical regardless of internal map
-/// iteration order.
+/// Edge indices are global ranks. Output is sorted by `(later,
+/// earlier, kind)`, so repeated extraction over identical columns is
+/// byte-identical regardless of internal map iteration order.
 pub fn sync_edges_columns(trace: &ColumnarTrace, loss: &LossReport) -> Vec<CausalEdge> {
-    let ctx_spe: HashMap<u32, u8> = trace.anchors.iter().map(|a| (a.ctx, a.spe)).collect();
-    let mut q = SyncQueues::default();
-    for (i, v) in trace.ordered().enumerate() {
-        q.observe(i, v.core, v.code, v.params, &ctx_spe);
-    }
-    let mut edges = q.emit(loss, true);
-    edges.sort_unstable_by_key(|e| (e.later, e.earlier, kind_rank(e.kind)));
-    edges
+    ranked_sync_edges(trace, &sync_edges_store(trace, loss))
 }
 
-/// Producer/consumer queues for every synchronization pairing the
-/// trace proves, harvested in one pass over any event sequence (rows
-/// or columns). The single definition of the FIFO pairing semantics —
-/// [`causal_edges_with_loss`], [`causal_edges_columns`] and
-/// [`sync_edges_columns`] all feed it.
+/// [`sync_edges_columns`] with store positions for endpoints, unsorted
+/// and built without the global order: the form lint works in.
+pub(crate) fn sync_edges_store(trace: &ColumnarTrace, loss: &LossReport) -> Vec<CausalEdge> {
+    store_queues(trace).emit(loss, true, |i| trace.order_key(i))
+}
+
+/// Store-position `edges` as [`sync_edges_columns`] returns them:
+/// endpoints mapped to global ranks through the order (built on first
+/// use), sorted by `(later, earlier, kind)`.
+pub(crate) fn ranked_sync_edges(trace: &ColumnarTrace, edges: &[CausalEdge]) -> Vec<CausalEdge> {
+    let ranks = trace.order().ranks();
+    let mut out: Vec<CausalEdge> = (edges.iter())
+        .map(|e| CausalEdge {
+            earlier: ranks[e.earlier] as usize,
+            later: ranks[e.later] as usize,
+            kind: e.kind,
+        })
+        .collect();
+    out.sort_unstable_by_key(|e| (e.later, e.earlier, kind_rank(e.kind)));
+    out
+}
+
+/// Global-rank `edges` with store positions for endpoints: the inverse
+/// of [`ranked_sync_edges`], for the public entry points that take
+/// rank-form edges. Endpoints outside the trace drop the edge.
+pub(crate) fn store_sync_edges(trace: &ColumnarTrace, edges: &[CausalEdge]) -> Vec<CausalEdge> {
+    let by_rank = trace.order().by_rank();
+    (edges.iter())
+        .filter_map(|e| {
+            Some(CausalEdge {
+                earlier: *by_rank.get(e.earlier)? as usize,
+                later: *by_rank.get(e.later)? as usize,
+                kind: e.kind,
+            })
+        })
+        .collect()
+}
+
+/// Whether [`SyncQueues::observe`] reads events of `code`.
+fn pairs(code: EventCode) -> bool {
+    use EventCode::*;
+    matches!(
+        code,
+        PpeCtxRun
+            | SpeCtxStart
+            | PpeMboxWrite
+            | SpeMboxReadEnd
+            | SpeMboxWrite
+            | PpeMboxRead
+            | SpeSignalSend
+            | PpeSignalWrite
+            | SpeSignalReadBegin
+            | SpeSignalReadEnd
+    )
+}
+
+/// Queues fed core by core: each segment in stream order, visiting
+/// only the codes the pairing reads (found from the code column), so
+/// event ids are store positions and no global order is needed.
+fn store_queues(trace: &ColumnarTrace) -> SyncQueues {
+    let ctx_spe: HashMap<u32, u8> = trace.anchors.iter().map(|a| (a.ctx, a.spe)).collect();
+    let codes = trace.events.codes();
+    let mut q = SyncQueues::default();
+    for (core, seg) in trace.segments() {
+        for i in seg.filter(|&i| pairs(codes[i])) {
+            q.observe(i, core, codes[i], trace.events.params(i), &ctx_spe);
+        }
+    }
+    q
+}
+
 /// One recorded signal send: event index plus the sending SPE
 /// (`None` for PPE register writes).
 type SigSend = (usize, Option<u8>);
 
+/// Producer/consumer queues for every synchronization pairing the
+/// trace proves, harvested in one pass over the events of each core
+/// (rows in global order, or columns core by core). The single
+/// definition of the FIFO pairing semantics — [`causal_edges_with_loss`],
+/// [`causal_edges_columns`] and [`sync_edges_columns`] all feed it.
+///
+/// A queue one core feeds is in that core's order, which is its global
+/// order. The queues several cores feed (PPE-thread mailbox traffic,
+/// signal sends to one register, the context runs per SPE) are merged
+/// into global order when the queues are paired.
 #[derive(Default)]
 struct SyncQueues {
-    /// spe → `PpeCtxRun` event.
-    run_by_spe: HashMap<u8, usize>,
+    /// spe → its `PpeCtxRun` events (the last in global order pairs).
+    runs_by_spe: HashMap<u8, Vec<usize>>,
     /// spe → `SpeCtxStart` event.
     starts: HashMap<u8, usize>,
     /// Inbound mailbox: PPE writes / SPE read-ends per SPE.
@@ -210,7 +278,7 @@ impl SyncQueues {
         match (core, code) {
             (TraceCore::Ppe(_), EventCode::PpeCtxRun) => {
                 if let Some(&spe) = params.get(1) {
-                    self.run_by_spe.insert(spe as u8, i);
+                    self.runs_by_spe.entry(spe as u8).or_default().push(i);
                 }
             }
             (TraceCore::Spe(s), EventCode::SpeCtxStart) => {
@@ -262,14 +330,31 @@ impl SyncQueues {
     }
 
     /// Pairs the queues into edges. Mailboxes and signal registers are
-    /// FIFO: the k-th consume pairs with the k-th produce. (Events
-    /// within one core are already in recording order, and the global
-    /// sort is stable on stream order, so index order in each queue is
-    /// the k order.) Pairings that trace damage could have shifted
-    /// off-by-k are dropped, not fabricated; `CtxStart` edges survive
-    /// because they pair by context id, not by count. Iteration is over
-    /// sorted keys so the emission order is deterministic.
-    fn emit(&self, loss: &LossReport, signals: bool) -> Vec<CausalEdge> {
+    /// FIFO: the k-th consume pairs with the k-th produce, in global
+    /// order, which `key` gives for event ids (ascending with the
+    /// global rank). A queue one core feeds is already in it; the
+    /// queues several cores feed are sorted by it first, and the last
+    /// context run per SPE is the one with the greatest key. Pairings
+    /// that trace damage could have shifted off-by-k are dropped, not
+    /// fabricated; `CtxStart` edges survive because they pair by
+    /// context id, not by count. Iteration is over sorted keys so the
+    /// emission order is deterministic.
+    fn emit(
+        mut self,
+        loss: &LossReport,
+        signals: bool,
+        key: impl Fn(usize) -> u128,
+    ) -> Vec<CausalEdge> {
+        for q in self
+            .in_writes
+            .values_mut()
+            .chain(self.out_reads.values_mut())
+        {
+            q.sort_by_key(|&i| key(i));
+        }
+        for q in self.sig_sends.values_mut() {
+            q.sort_by_key(|&(i, _)| key(i));
+        }
         let mut edges = Vec::new();
         let sorted_keys = |m: &HashMap<u8, Vec<usize>>| {
             let mut keys: Vec<u8> = m.keys().copied().collect();
@@ -279,9 +364,11 @@ impl SyncQueues {
         let mut start_spes: Vec<u8> = self.starts.keys().copied().collect();
         start_spes.sort_unstable();
         for spe in start_spes {
-            if let Some(run) = self.run_by_spe.get(&spe) {
+            let run =
+                (self.runs_by_spe.get(&spe)).and_then(|runs| runs.iter().max_by_key(|&&i| key(i)));
+            if let Some(&run) = run {
                 edges.push(CausalEdge {
-                    earlier: *run,
+                    earlier: run,
                     later: self.starts[&spe],
                     kind: EdgeKind::CtxStart,
                 });

@@ -926,14 +926,35 @@ impl ColumnarTrace {
         (self.order().by_rank.iter()).map(move |&i| self.events.view(i as usize))
     }
 
-    /// The view of the event with global rank `rank`.
-    pub fn view_at_rank(&self, rank: usize) -> EventView<'_> {
-        self.events.view(self.order().by_rank[rank] as usize)
-    }
-
     /// `core`'s events as global ranks, ascending.
     pub fn core_ranks(&self, core: TraceCore) -> &[u32] {
         &self.order().rank[self.core_slice(core)]
+    }
+
+    /// The global order's key of store event `i`, `(time, core tag,
+    /// store position)` packed into one integer: ranks ascend with it,
+    /// so a few events from several segments merge into global order
+    /// by it without the order.
+    pub(crate) fn order_key(&self, i: usize) -> u128 {
+        let (time, tag) = (self.events.times()[i], self.events.tags()[i]);
+        u128::from(time) << 40 | u128::from(tag) << 32 | i as u128
+    }
+
+    /// The global rank of store event `i`, without the order: over the
+    /// segments `segs` (from [`segments`](Self::segments)), the number
+    /// of events whose `(time, tag)` key sorts before `i`'s (a
+    /// partition point per other segment), plus `i`'s position in its
+    /// own.
+    pub(crate) fn rank_of(&self, segs: &[(TraceCore, Range<usize>)], i: usize) -> usize {
+        let (times, tags) = (self.events.times(), self.events.tags());
+        let (t, tag) = (times[i], tags[i]);
+        (segs.iter())
+            .map(|(core, r)| match core.tag().cmp(&tag) {
+                std::cmp::Ordering::Less => times[r.clone()].partition_point(|&x| x <= t),
+                std::cmp::Ordering::Equal => i - r.start,
+                std::cmp::Ordering::Greater => times[r.clone()].partition_point(|&x| x < t),
+            })
+            .sum()
     }
 
     /// OR of the [`EventGroup`] bits `core` ever recorded. Computed in
@@ -1153,8 +1174,7 @@ mod tests {
         let t = sample();
         let cols = ColumnarTrace::from_analyzed(&t);
         assert_eq!(cols.events.len(), t.events.len());
-        for (i, e) in t.events.iter().enumerate() {
-            let v = cols.view_at_rank(i);
+        for (v, e) in cols.ordered().zip(&t.events) {
             assert_eq!(v.time_tb, e.time_tb);
             assert_eq!(v.core, e.core);
             assert_eq!(v.code, e.code);
@@ -1230,7 +1250,6 @@ mod tests {
             let order = cols.order();
             for (r, &i) in order.by_rank().iter().enumerate() {
                 assert_eq!(order.ranks()[i as usize] as usize, r);
-                assert_eq!(cols.view_at_rank(r), cols.events.view(i as usize));
             }
             assert_eq!(cols.core_ranks(TraceCore::Spe(1)), &[3, 6]);
         }

@@ -49,12 +49,9 @@ use std::sync::OnceLock;
 
 use pdt::{EventCode, EventGroup, TraceCore};
 
-use crate::causality::CausalEdge;
+use crate::causality::{store_sync_edges, CausalEdge};
 use crate::columns::ColumnarTrace;
 use crate::index::{IntervalTree, Span};
-
-/// "No slot" marker in the dense per-event slot vectors.
-const NO_SLOT: u32 = u32::MAX;
 
 /// An epoch-based vector clock: component `i` is the number of events
 /// of stream `i` known to have happened.
@@ -102,29 +99,26 @@ impl VecClock {
 }
 
 /// Kahn-style worklist propagation of per-stream clocks over the sync
-/// edges. A single time-ordered pass would be wrong — SPE decrementers
-/// skew, so an edge's `later` endpoint can carry an *earlier*
-/// timestamp — so instead each stream advances while the producers of
-/// its next event's incoming edges have been processed, round-robin
-/// until the trace drains.
+/// edges, whose endpoints are store positions. A single time-ordered
+/// pass would be wrong — SPE decrementers skew, so an edge's `later`
+/// endpoint can carry an *earlier* timestamp — so instead each stream
+/// advances while the producers of its next stop's incoming edges have
+/// been processed, round-robin until every stream drains.
 ///
-/// `on_event(global, stream, pos, clock)` fires once per event with
-/// the stream's clock *after* the event (own epoch `pos + 1` set,
-/// incoming edges joined), as one `u32` per stream. Returns `true`
-/// when a cross-edge cycle (possible only in clock-skewed or damaged
-/// traces) forced progress by ignoring an unprocessed producer.
-fn propagate<F>(trace: &ColumnarTrace, edges: &[CausalEdge], mut on_event: F) -> bool
-where
-    F: FnMut(usize, usize, u32, &[u32]),
-{
+/// Only the *stops* are stepped: the events with an incoming or an
+/// outgoing edge. Between stops a stream's clock changes only in its
+/// own component (an event at stream position `p` has own epoch
+/// `p + 1`) and every other event is always ready, so the blocked
+/// states, the cycle breaks and every clock are those of stepping each
+/// event, at O(stops × streams) instead of O(events).
+fn propagate(trace: &ColumnarTrace, edges: &[CausalEdge]) -> StopClocks {
     let mut p = Propagation::new(trace, edges);
-    let streams = p.ranks.len();
-    let mut degraded = false;
+    let streams = p.cursors.len();
     loop {
         let mut progressed = false;
         for si in 0..streams {
             while p.ready(si) {
-                p.process(si, &mut on_event);
+                p.process(si);
                 progressed = true;
             }
         }
@@ -137,42 +131,66 @@ where
         // stream (deterministic), joining only the producers that
         // *have* released — losing a join loses orderings, which can
         // only add (suspect) findings.
-        let Some(si) = (0..streams).find(|&s| p.cursors[s] < p.ranks[s].len()) else {
-            return degraded;
+        let Some(si) = (0..streams).find(|&s| p.cursors[s] < p.ends[s]) else {
+            return p.clocks;
         };
-        p.process(si, &mut on_event);
-        degraded = true;
+        p.process(si);
+        p.clocks.degraded = true;
     }
 }
 
-/// The state of one [`propagate`] run, in dense per-event vectors and
-/// flat clock arenas (one `width`-wide row per clock) rather than
-/// per-event maps and heap-allocated clocks.
-struct Propagation<'t> {
-    /// Per stream (core, tag-sorted): its events' global ranks.
-    ranks: Vec<&'t [u32]>,
+/// The clocks of one [`propagate`] run, kept only where they change:
+/// one `width`-wide row per stop.
+pub(crate) struct StopClocks {
     width: usize,
-    /// Incoming sync edges in compressed-row form: the producers of
-    /// event `g` are `producers[first[g]..first[g + 1]]`.
-    first: Vec<u32>,
-    producers: Vec<u32>,
-    /// Per event: its row in `released` when some edge leaves it.
-    release_slot: Vec<u32>,
-    /// The clock each producer released, written when it is processed.
-    released: Vec<u32>,
-    done: Vec<bool>,
-    /// Row `si` is stream `si`'s running clock.
-    clocks: Vec<u32>,
-    cursors: Vec<usize>,
+    /// Every edge endpoint's store position, ascending, so each
+    /// stream's stops are one run of it, in stream order.
+    stops: Vec<u32>,
+    /// Row `k` is the clock of stop `k`'s stream right after stop `k`,
+    /// its own epoch included.
+    rows: Vec<u32>,
+    /// A cycle in the edge set forced progress by ignoring an
+    /// unprocessed producer.
+    degraded: bool,
+    /// Stops processed, each once.
+    pub(crate) steps: usize,
 }
 
-impl<'t> Propagation<'t> {
-    fn new(trace: &'t ColumnarTrace, edges: &[CausalEdge]) -> Self {
-        let order = trace.order().ranks();
-        let ranks: Vec<&[u32]> = (trace.segments().into_iter())
-            .map(|(_, r)| &order[r])
-            .collect();
-        let width = ranks.len();
+impl StopClocks {
+    /// Component `of` of the clock right after store event `i`, whose
+    /// stream's segment starts at `seg_start`, for `of` another stream:
+    /// the row of the stream's last stop at or before `i` (zero before
+    /// its first stop).
+    fn other(&self, seg_start: usize, i: usize, of: usize) -> u32 {
+        match self.stops.partition_point(|&s| s as usize <= i) {
+            k if k > 0 && self.stops[k - 1] as usize >= seg_start => {
+                self.rows[(k - 1) * self.width + of]
+            }
+            _ => 0,
+        }
+    }
+}
+
+/// The state of one [`propagate`] run: the stops with their producers
+/// in compressed-row form, and the rows they fill.
+struct Propagation {
+    /// Per stream: its segment's first store position.
+    starts: Vec<usize>,
+    /// Per stream: its next unprocessed stop, and the end of its stops.
+    cursors: Vec<usize>,
+    ends: Vec<usize>,
+    /// The producers of stop `k` are the stops
+    /// `producers[first[k]..first[k + 1]]`.
+    first: Vec<u32>,
+    producers: Vec<u32>,
+    done: Vec<bool>,
+    clocks: StopClocks,
+}
+
+impl Propagation {
+    fn new(trace: &ColumnarTrace, edges: &[CausalEdge]) -> Self {
+        let segs = trace.segments();
+        let width = segs.len();
         let n = trace.events.len();
         let mut pairs: Vec<(u32, u32)> = edges
             .iter()
@@ -180,83 +198,79 @@ impl<'t> Propagation<'t> {
             .map(|e| (e.later as u32, e.earlier as u32))
             .collect();
         pairs.sort_unstable();
-        let mut first = vec![0u32; n + 1];
+        let mut stops: Vec<u32> = pairs.iter().flat_map(|&(l, e)| [l, e]).collect();
+        stops.sort_unstable();
+        stops.dedup();
+        let stop = |p: u32| stops.partition_point(|&s| s < p);
+        let mut first = vec![0u32; stops.len() + 1];
         for &(later, _) in &pairs {
-            first[later as usize + 1] += 1;
+            first[stop(later) + 1] += 1;
         }
-        for g in 0..n {
-            first[g + 1] += first[g];
+        for k in 0..stops.len() {
+            first[k + 1] += first[k];
         }
-        let producers: Vec<u32> = pairs.into_iter().map(|(_, earlier)| earlier).collect();
-        let mut release_slot = vec![NO_SLOT; n];
-        let mut slots = 0usize;
-        for &p in &producers {
-            if release_slot[p as usize] == NO_SLOT {
-                release_slot[p as usize] = slots as u32;
-                slots += 1;
-            }
-        }
+        let producers = pairs.iter().map(|&(_, e)| stop(e) as u32).collect();
+        let (cursors, ends) = (segs.iter())
+            .map(|(_, r)| (stop(r.start as u32), stop(r.end as u32)))
+            .unzip();
         Propagation {
-            ranks,
-            width,
+            starts: segs.iter().map(|(_, r)| r.start).collect(),
+            cursors,
+            ends,
             first,
             producers,
-            release_slot,
-            released: vec![0; slots * width],
-            done: vec![false; n],
-            clocks: vec![0; width * width],
-            cursors: vec![0; width],
+            done: vec![false; stops.len()],
+            clocks: StopClocks {
+                width,
+                rows: vec![0; stops.len() * width],
+                stops,
+                degraded: false,
+                steps: 0,
+            },
         }
     }
 
-    fn producers_of(&self, g: usize) -> &[u32] {
-        &self.producers[self.first[g] as usize..self.first[g + 1] as usize]
+    fn producers_of(&self, k: usize) -> &[u32] {
+        &self.producers[self.first[k] as usize..self.first[k + 1] as usize]
     }
 
-    /// Whether stream `si` has a next event whose producers have all
+    /// Whether stream `si` has a next stop whose producers have all
     /// been processed.
     fn ready(&self, si: usize) -> bool {
-        self.ranks[si].get(self.cursors[si]).is_some_and(|&g| {
-            self.producers_of(g as usize)
-                .iter()
-                .all(|&p| self.done[p as usize])
-        })
+        let k = self.cursors[si];
+        k < self.ends[si] && self.producers_of(k).iter().all(|&j| self.done[j as usize])
     }
 
-    /// Processes stream `si`'s next event.
-    fn process<F>(&mut self, si: usize, on_event: &mut F)
-    where
-        F: FnMut(usize, usize, u32, &[u32]),
-    {
-        let w = self.width;
-        let pos = self.cursors[si];
-        let g = self.ranks[si][pos] as usize;
-        let clock = &mut self.clocks[si * w..(si + 1) * w];
-        clock[si] = pos as u32 + 1;
-        let producers = &self.producers[self.first[g] as usize..self.first[g + 1] as usize];
-        for &p in producers {
+    /// Processes stream `si`'s next stop: the stream's clock so far
+    /// (its previous stop's row), its own epoch, and the rows of the
+    /// producers that have released.
+    fn process(&mut self, si: usize) {
+        let k = self.cursors[si];
+        let c = &mut self.clocks;
+        let w = c.width;
+        if k > 0 && c.stops[k - 1] as usize >= self.starts[si] {
+            c.rows.copy_within((k - 1) * w..k * w, k * w);
+        }
+        c.rows[k * w + si] = c.stops[k] - self.starts[si] as u32 + 1;
+        for &j in &self.producers[self.first[k] as usize..self.first[k + 1] as usize] {
             // Only a processed producer has released its clock.
-            if self.done[p as usize] {
-                let at = self.release_slot[p as usize] as usize * w;
-                for (a, &b) in clock.iter_mut().zip(&self.released[at..at + w]) {
-                    *a = (*a).max(b);
+            if self.done[j as usize] {
+                let j = j as usize;
+                for x in 0..w {
+                    c.rows[k * w + x] = c.rows[k * w + x].max(c.rows[j * w + x]);
                 }
             }
         }
-        if self.release_slot[g] != NO_SLOT {
-            let at = self.release_slot[g] as usize * w;
-            self.released[at..at + w].copy_from_slice(clock);
-        }
-        on_event(g, si, pos as u32, clock);
-        self.done[g] = true;
-        self.cursors[si] = pos + 1;
+        c.steps += 1;
+        self.done[k] = true;
+        self.cursors[si] = k + 1;
     }
 }
 
 /// The full per-event clock table — the dense export the property
 /// tests check the vector-clock laws (and the race enumeration)
-/// against. The race engine itself only snapshots clocks at DMA
-/// issues ([`HbIndex::build`]).
+/// against. The race engine itself reads clocks at stops only
+/// ([`HbIndex::build`]).
 #[derive(Debug)]
 pub struct ClockTable {
     clocks: Vec<VecClock>,
@@ -265,20 +279,32 @@ pub struct ClockTable {
     degraded: bool,
 }
 
-/// Propagates clocks over every event and returns the dense table.
+/// Propagates clocks over `edges` (global-rank endpoints, as
+/// [`sync_edges_columns`](crate::causality::sync_edges_columns) gives
+/// them) and returns the dense table, indexed by global rank.
 pub fn event_clocks(trace: &ColumnarTrace, edges: &[CausalEdge]) -> ClockTable {
+    let clocks = propagate(trace, &store_sync_edges(trace, edges));
+    let ranks = trace.order().ranks();
+    let segs = trace.segments();
     let n = trace.events.len();
-    let mut clocks = vec![VecClock::new(0); n];
+    let mut table = vec![VecClock::new(0); n];
     let mut place = vec![(0usize, 0u32); n];
-    let degraded = propagate(trace, edges, |g, si, pos, vc| {
-        clocks[g] = VecClock(vc.to_vec());
-        place[g] = (si, pos);
-    });
+    for (si, (_, seg)) in segs.iter().enumerate() {
+        for (pos, i) in seg.clone().enumerate() {
+            let mut vc: Vec<u32> = (0..segs.len())
+                .map(|of| clocks.other(seg.start, i, of))
+                .collect();
+            vc[si] = pos as u32 + 1;
+            let g = ranks[i] as usize;
+            table[g] = VecClock(vc);
+            place[g] = (si, pos as u32);
+        }
+    }
     ClockTable {
-        clocks,
+        clocks: table,
         place,
         streams: trace.cores(),
-        degraded,
+        degraded: clocks.degraded,
     }
 }
 
@@ -475,10 +501,6 @@ pub(crate) struct SpeDma {
     /// `SpeTagWaitBegin` events whose mask covered zero outstanding
     /// transfers: `(stream position, mask)`.
     pub(crate) vacuous_waits: Vec<(u32, u32)>,
-    /// Per GET or PUT whose params are too short to read as a
-    /// transfer, the number of transfers issued before it. Each still
-    /// has an issue-clock row.
-    short: Vec<u32>,
 }
 
 impl SpeDma {
@@ -514,7 +536,6 @@ impl SpeDma {
                 // `[ea, lsa, size, tag]`; damaged params may be short.
                 let p = cols.params(i);
                 if p.len() < 4 {
-                    rec.short.push(ts.len() as u32);
                     continue;
                 }
                 let tag = (p[3] & 0xff) as u8;
@@ -581,13 +602,14 @@ impl SpeDma {
         rec
     }
 
-    /// Transfer `k`'s row among the SPE's issue clocks.
-    fn row(&self, k: usize) -> usize {
-        k + self.short.partition_point(|&s| s as usize <= k)
-    }
-
-    /// Transfer `k` as a race endpoint.
-    fn access(&self, trace: &ColumnarTrace, k: usize) -> Access {
+    /// Transfer `k` as a race endpoint, its global rank computed over
+    /// the segments `segs` without the order.
+    fn access(
+        &self,
+        trace: &ColumnarTrace,
+        segs: &[(TraceCore, Range<usize>)],
+        k: usize,
+    ) -> Access {
         let t = &self.transfers[k];
         let i = self.seg.start + t.pos as usize;
         Access {
@@ -599,7 +621,7 @@ impl SpeDma {
             bytes: t.bytes,
             time_tb: trace.events.times()[i],
             seq: trace.events.seq(i),
-            global: trace.order().ranks()[i] as usize,
+            global: trace.rank_of(segs, i),
         }
     }
 }
@@ -660,60 +682,14 @@ fn conflicts(space: Space, a: AccessDir, b: AccessDir) -> bool {
     a == writer(space) || b == writer(space)
 }
 
-/// Every DMA issue's clock: stream `s`'s GETs and PUTs have
-/// consecutive `width`-wide rows of `clocks[s]`, in issue order.
-struct IssueClocks {
-    width: usize,
-    clocks: Vec<Vec<u32>>,
-}
-
-impl IssueClocks {
-    /// Propagates clocks over `edges` and snapshots the clock of every
-    /// SPE GET and PUT, the transfers the replay reconstructs (see
-    /// [`SpeDma::row`]). Also returns the propagation's degraded flag;
-    /// `None` when no SPE issued one. Reads no params and needs no
-    /// replay, so a lint run replays beside it.
-    fn snapshot(trace: &ColumnarTrace, edges: &[CausalEdge]) -> Option<(Self, bool)> {
-        let segs = trace.segments();
-        // Only SPE streams that recorded DMA events issue transfers;
-        // with none, skip the propagation.
-        let issuing: Vec<bool> = (segs.iter())
-            .map(|&(core, _)| core.is_spe() && trace.core_has_group(core, EventGroup::SpeDma))
-            .collect();
-        if !issuing.contains(&true) {
-            return None;
-        }
-        let codes = trace.events.codes();
-        let mut clocks: Vec<Vec<u32>> = (segs.iter().zip(&issuing))
-            .map(|((_, seg), &on)| {
-                let issues = |c: &&EventCode| issue_dir(**c).is_some();
-                let rows = if on {
-                    codes[seg.clone()].iter().filter(issues).count()
-                } else {
-                    0
-                };
-                Vec::with_capacity(rows * segs.len())
-            })
-            .collect();
-        let degraded = propagate(trace, edges, |_, si, pos, clock| {
-            if issuing[si] && issue_dir(codes[segs[si].1.start + pos as usize]).is_some() {
-                clocks[si].extend_from_slice(clock);
-            }
-        });
-        let width = segs.len();
-        (!clocks.iter().all(Vec::is_empty)).then_some((IssueClocks { width, clocks }, degraded))
-    }
-
-    /// Whether transfer `a`'s completion is ordered before transfer
-    /// `b`'s issue across streams, each given as `(record, index)`:
-    /// `a` has a completion witness (first covering wait-end at
-    /// `wait_pos` on its own stream) and `b`'s issue clock has
-    /// observed that position.
-    fn completes_before(&self, a: (&SpeDma, usize), b: (&SpeDma, usize)) -> bool {
-        let wait = a.0.transfers[a.1].wait_pos;
-        let issue = &self.clocks[b.0.stream][b.0.row(b.1) * self.width..];
-        wait != u32::MAX && issue[a.0.stream] > wait
-    }
+/// Whether transfer `a`'s completion is ordered before transfer `b`'s
+/// issue across streams, each given as `(record, index)`: `a` has a
+/// completion witness (first covering wait-end at `wait_pos` on its own
+/// stream) and `b`'s clock at its issue has observed that position.
+fn completes_before(clocks: &StopClocks, a: (&SpeDma, usize), b: (&SpeDma, usize)) -> bool {
+    let wait = a.0.transfers[a.1].wait_pos;
+    let issue = b.0.seg.start + b.0.transfers[b.1].pos as usize;
+    wait != u32::MAX && clocks.other(b.0.seg.start, issue, a.0.stream) > wait
 }
 
 /// Most keys one run of an [`OpenSet`] holds before it splits.
@@ -875,19 +851,21 @@ impl HbIndex {
     /// address reused for the whole run costs nothing once its
     /// transfers are waited. Pairs across SPEs query per-stream
     /// main-memory trees of the opposite or writing direction only.
+    ///
+    /// `edges` have global-rank endpoints, so this builds the global
+    /// order to map them to store positions; lint builds none.
     pub fn build(trace: &ColumnarTrace, edges: &[CausalEdge]) -> Self {
-        Self::from_replay(&DmaReplay::new(trace), edges)
+        Self::from_replay(&DmaReplay::new(trace), &store_sync_edges(trace, edges))
     }
 
-    /// [`HbIndex::build`] over a lint run's shared per-SPE replay.
+    /// [`HbIndex::build`] over a lint run's shared per-SPE replay, with
+    /// store-position `edges`.
     pub(crate) fn from_replay(replay: &DmaReplay<'_>, edges: &[CausalEdge]) -> Self {
         let trace = replay.trace;
-        // No transfers, no races: skip clock propagation entirely, so
-        // DMA-free traces (all-user-event storms, pure compute) pay
-        // nothing for the engine.
-        let Some((clocks, degraded)) = IssueClocks::snapshot(trace, edges) else {
-            return HbIndex::default();
-        };
+        // Propagation steps the sync stops only, so it costs little
+        // even on a DMA-free trace. It needs no replay and runs first,
+        // while other lint shards replay the SPEs.
+        let clocks = propagate(trace, edges);
         let recs: Vec<&SpeDma> = replay
             .records()
             .filter(|r| !r.transfers.is_empty())
@@ -896,6 +874,8 @@ impl HbIndex {
             return HbIndex::default();
         }
 
+        // Witness endpoints take their global ranks from the segments.
+        let segs = trace.segments();
         let mut races: Vec<RaceWitness> = Vec::new();
         let mut candidates = 0u64;
         for rec in &recs {
@@ -913,7 +893,8 @@ impl HbIndex {
                 let (tlo, thi) = t.range(Space::LocalStore);
                 let ls_race = alo < thi && tlo < ahi && conflicts(Space::LocalStore, a.dir, t.dir);
                 if space == Space::LocalStore || !ls_race {
-                    races.push(witness(space, rec.access(trace, j), rec.access(trace, k)));
+                    let (a, b) = (rec.access(trace, &segs, j), rec.access(trace, &segs, k));
+                    races.push(witness(space, a, b));
                 }
             });
         }
@@ -963,10 +944,11 @@ impl HbIndex {
                             candidates += 1;
                             let a = (recs[o], span.idx as usize);
                             let b = (recs[s], q.idx as usize);
-                            if clocks.completes_before(a, b) || clocks.completes_before(b, a) {
+                            if completes_before(&clocks, a, b) || completes_before(&clocks, b, a) {
                                 continue;
                             }
-                            let (x, y) = (a.0.access(trace, a.1), b.0.access(trace, b.1));
+                            let (x, y) =
+                                (a.0.access(trace, &segs, a.1), b.0.access(trace, &segs, b.1));
                             let (first, second) = if x.global < y.global { (x, y) } else { (y, x) };
                             races.push(witness(Space::MainMemory, first, second));
                         }
@@ -1005,7 +987,7 @@ impl HbIndex {
             shards,
             races,
             ranges,
-            degraded,
+            degraded: clocks.degraded,
             candidates,
         }
     }
@@ -1414,9 +1396,11 @@ mod tests {
             run_tb: 10,
             dec_start: u32::MAX,
         }]);
-        let edges = sync_edges_columns(&c, &LossReport::default());
-        let t = event_clocks(&c, &edges);
+        let t = assert_clocks_match_dense(&c);
         assert!(!t.degraded());
+        // Two edges, four endpoints: four stops, each stepped once.
+        let store = crate::causality::sync_edges_store(&c, &LossReport::default());
+        assert_eq!(propagate(&c, &store).steps, 4);
         // Write (global 2) happens before read-end (global 4), not the
         // reverse; read-begin (3) is unordered with the write.
         assert!(t.happens_before(2, 4));
@@ -1592,6 +1576,207 @@ mod tests {
         let idx = build(&merged(events, 1));
         assert!(idx.races().is_empty());
         assert_output_sensitive(&idx, 2 * open as usize);
+    }
+
+    #[test]
+    fn computed_ranks_match_the_order() {
+        use crate::exec::Parallelism;
+        let check = |c: &ColumnarTrace, what: &str| {
+            let segs = c.segments();
+            let computed: Vec<u32> = (0..c.events.len())
+                .map(|i| c.rank_of(&segs, i) as u32)
+                .collect();
+            assert_eq!(computed, c.order().ranks(), "{what}");
+        };
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+        let mut paths: Vec<_> = (std::fs::read_dir(&dir).unwrap())
+            .map(|e| e.unwrap().path())
+            .collect();
+        paths.sort();
+        assert!(paths.len() >= 14, "goldens under {}", dir.display());
+        for path in paths {
+            let a = match path.extension().and_then(|x| x.to_str()) {
+                Some("pdt") => std::sync::Arc::new(
+                    (crate::session::Analysis::of(&pdt::TraceFile::read_from(&path).unwrap()))
+                        .run()
+                        .unwrap(),
+                ),
+                Some("pdt2") => {
+                    let bytes = std::fs::read(&path).unwrap();
+                    crate::analyze_v2(&bytes, Parallelism::Serial).unwrap().0
+                }
+                _ => continue,
+            };
+            check(a.columns(), &path.display().to_string());
+        }
+        // Equal timestamps across every core: the tag breaks the ties,
+        // and a core's own ties keep their stream order. Placed
+        // core-major with no order, so the order is the loser tree's.
+        use EventCode::*;
+        let cores = [
+            TraceCore::Ppe(0),
+            TraceCore::Ppe(1),
+            TraceCore::Spe(0),
+            TraceCore::Spe(3),
+        ];
+        let mut events = Vec::new();
+        for (k, &core) in cores.iter().enumerate() {
+            for seq in 0..6u64 {
+                let t = [10, 10, 20, 20, 20, 30][seq as usize] + 10 * (k as u64 % 2);
+                events.push(ev(t, core, SpeUser, vec![seq], seq));
+            }
+        }
+        let placed = merged(events, 4);
+        let c = ColumnarTrace::empty(placed.header).with_events(placed.events.clone());
+        check(&c, "equal timestamps");
+        assert_eq!(c.order(), placed.order());
+    }
+
+    #[test]
+    fn a_stream_without_sync_edges_steps_no_stops() {
+        use EventCode::*;
+        let s = TraceCore::Spe(0);
+        let issues = 100_000u64;
+        let events = (0..issues)
+            .map(|k| {
+                let code = if k % 2 == 0 { SpeDmaGet } else { SpeDmaPut };
+                dma(
+                    10 * k,
+                    s,
+                    code,
+                    0x1000_0000 + 0x100 * k,
+                    0x100 * k,
+                    0x100,
+                    k % 32,
+                    k,
+                )
+            })
+            .collect();
+        let c = merged(events, 1);
+        let edges = crate::causality::sync_edges_store(&c, &LossReport::default());
+        assert!(edges.is_empty());
+        assert_eq!(propagate(&c, &edges).steps, 0);
+        assert!(build(&c).races().is_empty());
+        assert_eq!(c.order_builds(), 0, "no edges to map: no order");
+    }
+
+    /// Every event stepped, as the propagation did before it stepped
+    /// stops only: per store position, the clock right after it, and
+    /// whether a cycle was broken. The oracle for [`propagate`].
+    fn dense_clocks(c: &ColumnarTrace, edges: &[CausalEdge]) -> (Vec<Vec<u32>>, bool) {
+        let segs = c.segments();
+        let w = segs.len();
+        let mut producers = vec![Vec::new(); c.events.len()];
+        for e in edges {
+            producers[e.later].push(e.earlier);
+        }
+        let mut after: Vec<Vec<u32>> = vec![Vec::new(); c.events.len()];
+        let mut running = vec![vec![0u32; w]; w];
+        let mut next: Vec<usize> = segs.iter().map(|(_, r)| r.start).collect();
+        let mut degraded = false;
+        let mut step = |si: usize, next: &mut [usize], after: &mut [Vec<u32>]| {
+            let i = next[si];
+            running[si][si] = (i - segs[si].1.start + 1) as u32;
+            for &p in &producers[i] {
+                // An unprocessed producer has no clock yet: nothing joins.
+                for (a, &b) in running[si].iter_mut().zip(&after[p]) {
+                    *a = (*a).max(b);
+                }
+            }
+            after[i] = running[si].clone();
+            next[si] += 1;
+        };
+        loop {
+            let mut progressed = false;
+            for si in 0..w {
+                while next[si] < segs[si].1.end
+                    && producers[next[si]].iter().all(|&p| !after[p].is_empty())
+                {
+                    step(si, &mut next, &mut after);
+                    progressed = true;
+                }
+            }
+            if progressed {
+                continue;
+            }
+            match (0..w).find(|&s| next[s] < segs[s].1.end) {
+                Some(si) => {
+                    step(si, &mut next, &mut after);
+                    degraded = true;
+                }
+                None => return (after, degraded),
+            }
+        }
+    }
+
+    /// Asserts that [`event_clocks`] equals the dense oracle on `c`.
+    fn assert_clocks_match_dense(c: &ColumnarTrace) -> ClockTable {
+        let store = crate::causality::sync_edges_store(c, &LossReport::default());
+        let (dense, degraded) = dense_clocks(c, &store);
+        let table = event_clocks(c, &sync_edges_columns(c, &LossReport::default()));
+        assert_eq!(table.degraded(), degraded);
+        for (i, want) in dense.into_iter().enumerate() {
+            let rank = c.order().ranks()[i] as usize;
+            assert_eq!(table.clock(rank), &VecClock(want), "store event {i}");
+        }
+        table
+    }
+
+    #[test]
+    fn a_two_spe_mailbox_cycle_degrades_and_keeps_its_races() {
+        use EventCode::*;
+        let (p, s0, s1) = (TraceCore::Ppe(0), TraceCore::Spe(0), TraceCore::Spe(1));
+        // The PPE relays SPE0's word to SPE1 and SPE1's to SPE0, but
+        // each SPE consumes its inbound word before it writes its own:
+        // SPE0's read waits on the PPE's last write, which follows the
+        // PPE's read of SPE1's word, written after SPE1's read, which
+        // waits on the PPE's write after its read of SPE0's word,
+        // written after SPE0's read. Both SPEs PUT overlapping bytes.
+        let mut c = merged(
+            vec![
+                ev(1, p, PpeCtxRun, vec![0, 0, u64::from(u32::MAX)], 0),
+                ev(2, p, PpeCtxRun, vec![1, 1, u64::from(u32::MAX)], 1),
+                ev(30, p, PpeMboxRead, vec![0, 1], 2),
+                ev(31, p, PpeMboxWrite, vec![1, 1], 3),
+                ev(32, p, PpeMboxRead, vec![1, 2], 4),
+                ev(33, p, PpeMboxWrite, vec![0, 2], 5),
+                ev(3, s0, SpeCtxStart, vec![0], 0),
+                dma(4, s0, SpeDmaPut, 0x100000, 0x1000, 4096, 0, 1),
+                ev(5, s0, SpeTagWaitBegin, vec![1, 0], 2),
+                ev(6, s0, SpeTagWaitEnd, vec![1], 3),
+                ev(10, s0, SpeMboxReadBegin, vec![], 4),
+                ev(11, s0, SpeMboxReadEnd, vec![2], 5),
+                ev(12, s0, SpeMboxWrite, vec![1], 6),
+                ev(3, s1, SpeCtxStart, vec![1], 0),
+                ev(10, s1, SpeMboxReadBegin, vec![], 1),
+                ev(11, s1, SpeMboxReadEnd, vec![1], 2),
+                ev(13, s1, SpeMboxWrite, vec![2], 3),
+                dma(14, s1, SpeDmaPut, 0x100800, 0x1000, 4096, 0, 4),
+                ev(15, s1, SpeTagWaitBegin, vec![1, 0], 5),
+                ev(16, s1, SpeTagWaitEnd, vec![1], 6),
+            ],
+            2,
+        );
+        c.set_anchors(
+            (0..2)
+                .map(|spe| crate::analyze::SpeAnchor {
+                    spe,
+                    ctx: u32::from(spe),
+                    run_tb: 0,
+                    dec_start: u32::MAX,
+                })
+                .collect(),
+        );
+        let table = assert_clocks_match_dense(&c);
+        assert!(table.degraded());
+        let idx = build(&c);
+        assert!(idx.degraded());
+        assert_eq!(idx.races().len(), 1, "{:?}", idx.races());
+        let r = &idx.races()[0];
+        assert_eq!(r.space, Space::MainMemory);
+        assert_eq!((r.lo, r.hi), (0x100800, 0x101000));
+        assert_eq!((r.first.spe, r.second.spe), (0, 1));
+        assert_eq!((r.first.global, r.second.global), (4, 13));
     }
 
     #[test]

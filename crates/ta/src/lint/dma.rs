@@ -373,7 +373,7 @@ mod tests {
         let cols = crate::columns::ColumnarTrace::from_analyzed(t);
         let loss = LossReport::default();
         let config = super::super::LintConfig::default();
-        let edges = crate::causality::sync_edges_columns(&cols, &loss);
+        let edges = crate::causality::sync_edges_store(&cols, &loss);
         let ctx = LintContext {
             trace: &cols,
             intervals: &[],

@@ -25,7 +25,7 @@ use std::collections::HashMap;
 use pdt::{EventCode, TraceCore};
 
 use crate::causality::EdgeKind;
-use crate::columns::EventView;
+use crate::columns::ColumnarTrace;
 
 use super::{Anchor, Diagnostic, Lint, LintContext, Severity};
 
@@ -42,30 +42,26 @@ struct Blocked {
     begin: Anchor,
 }
 
-/// Finds the open read at the end of one SPE's stream, if any.
-fn blocked_wait<'a>(events: impl Iterator<Item = EventView<'a>>) -> Option<Blocked> {
-    let mut open: Option<Blocked> = None;
-    for e in events {
-        match e.code {
-            EventCode::SpeMboxReadBegin => {
-                open = Some(Blocked {
-                    kind: BlockKind::Mbox,
-                    begin: Anchor::at_view(&e),
-                });
-            }
-            EventCode::SpeSignalReadBegin => {
-                open = Some(Blocked {
-                    kind: BlockKind::Signal,
-                    begin: Anchor::at_view(&e),
-                });
-            }
-            EventCode::SpeMboxReadEnd | EventCode::SpeSignalReadEnd | EventCode::SpeStop => {
-                open = None;
-            }
-            _ => {}
-        }
-    }
-    open
+/// Finds the open read at the end of one SPE's stream, if any: the
+/// segment's code column scanned backward from its end to the last
+/// read bracket or stop, an open read when that is a begin.
+fn blocked_wait(trace: &ColumnarTrace, spe: u8) -> Option<Blocked> {
+    let seg = trace.core_slice(TraceCore::Spe(spe));
+    let codes = &trace.events.codes()[seg.clone()];
+    let at = codes.iter().rposition(|&c| {
+        use EventCode::*;
+        matches!(
+            c,
+            SpeMboxReadBegin | SpeSignalReadBegin | SpeMboxReadEnd | SpeSignalReadEnd | SpeStop
+        )
+    })?;
+    let kind = match codes[at] {
+        EventCode::SpeMboxReadBegin => BlockKind::Mbox,
+        EventCode::SpeSignalReadBegin => BlockKind::Signal,
+        _ => return None,
+    };
+    let begin = Anchor::at_view(&trace.events.view(seg.start + at));
+    Some(Blocked { kind, begin })
 }
 
 pub(super) struct MailboxDeadlockShape;
@@ -89,7 +85,7 @@ impl Lint for MailboxDeadlockShape {
         // SPEs ending the trace inside an open mailbox/signal read.
         let mut blocked: HashMap<u8, Blocked> = HashMap::new();
         for spe in trace.spes() {
-            if let Some(b) = blocked_wait(trace.core_events(TraceCore::Spe(spe))) {
+            if let Some(b) = blocked_wait(trace, spe) {
                 blocked.insert(spe, b);
             }
         }
@@ -106,7 +102,7 @@ impl Lint for MailboxDeadlockShape {
             .iter()
             .filter(|e| e.kind == EdgeKind::InboundMbox)
             .fold(HashMap::new(), |mut m, e| {
-                if let TraceCore::Spe(s) = trace.view_at_rank(e.later).core {
+                if let TraceCore::Spe(s) = trace.events.core(e.later) {
                     *m.entry(s).or_default() += 1;
                 }
                 m
@@ -114,36 +110,48 @@ impl Lint for MailboxDeadlockShape {
         let mut inbound_writes: HashMap<u8, usize> = HashMap::new();
         let mut signal_sends: HashMap<u8, Vec<u8>> = HashMap::new(); // target -> senders
         let mut signal_reads: HashMap<u8, usize> = HashMap::new();
-        // PPE relay attribution: last SPE the PPE read a word from.
-        let mut last_ppe_read: Option<u8> = None;
-        let mut relay_producers: HashMap<u8, Vec<u8>> = HashMap::new();
-        for e in trace.ordered() {
-            match (e.core, e.code) {
-                (TraceCore::Ppe(_), EventCode::PpeMboxRead)
-                | (TraceCore::Ppe(_), EventCode::PpeIntrMboxRead) => {
-                    if let Some(&s) = e.params.first().and_then(|c| ctx_spe.get(&(*c as u32))) {
-                        last_ppe_read = Some(s);
-                    }
-                }
-                (TraceCore::Ppe(_), EventCode::PpeMboxWrite) => {
-                    if let Some(&b) = e.params.first().and_then(|c| ctx_spe.get(&(*c as u32))) {
-                        *inbound_writes.entry(b).or_default() += 1;
-                        if let Some(y) = last_ppe_read {
-                            if y != b {
-                                relay_producers.entry(b).or_default().push(y);
-                            }
+        // Signal traffic is counted per SPE, in any order.
+        let (codes, segs) = (trace.events.codes(), trace.segments());
+        for (core, seg) in &segs {
+            let TraceCore::Spe(s) = *core else { continue };
+            for i in seg.clone() {
+                match codes[i] {
+                    EventCode::SpeSignalSend => {
+                        if let Some(&t) = trace.events.params(i).first() {
+                            signal_sends.entry(t as u8).or_default().push(s);
                         }
                     }
+                    EventCode::SpeSignalReadEnd => *signal_reads.entry(s).or_default() += 1,
+                    _ => {}
                 }
-                (TraceCore::Spe(s), EventCode::SpeSignalSend) => {
-                    if let Some(&t) = e.params.first() {
-                        signal_sends.entry(t as u8).or_default().push(s);
-                    }
-                }
-                (TraceCore::Spe(s), EventCode::SpeSignalReadEnd) => {
-                    *signal_reads.entry(s).or_default() += 1;
-                }
-                _ => {}
+            }
+        }
+        // PPE relay attribution: last SPE the PPE read a word from, in
+        // global order over the PPE threads' mailbox events, merged by
+        // the order's key.
+        let mut relay: Vec<usize> = (segs.iter())
+            .filter(|(core, _)| !core.is_spe())
+            .flat_map(|(_, seg)| seg.clone())
+            .filter(|&i| {
+                use EventCode::*;
+                matches!(codes[i], PpeMboxRead | PpeIntrMboxRead | PpeMboxWrite)
+            })
+            .collect();
+        relay.sort_by_key(|&i| trace.order_key(i));
+        let mut last_ppe_read: Option<u8> = None;
+        let mut relay_producers: HashMap<u8, Vec<u8>> = HashMap::new();
+        for i in relay {
+            let ctx = trace.events.params(i).first();
+            let Some(&s) = ctx.and_then(|c| ctx_spe.get(&(*c as u32))) else {
+                continue;
+            };
+            if codes[i] != EventCode::PpeMboxWrite {
+                last_ppe_read = Some(s);
+                continue;
+            }
+            *inbound_writes.entry(s).or_default() += 1;
+            if let Some(y) = last_ppe_read.filter(|&y| y != s) {
+                relay_producers.entry(s).or_default().push(y);
             }
         }
 
@@ -274,7 +282,7 @@ mod tests {
         let cols = crate::columns::ColumnarTrace::from_analyzed(t);
         let loss = crate::loss::LossReport::default();
         let config = super::super::LintConfig::default();
-        let edges = crate::causality::sync_edges_columns(&cols, &loss);
+        let edges = crate::causality::sync_edges_store(&cols, &loss);
         let ctx = LintContext {
             trace: &cols,
             intervals: &[],

@@ -40,7 +40,7 @@ mod baseline;
 use pdt::TraceCore;
 
 use crate::analyze::AnalyzedTrace;
-use crate::causality::{sync_edges_columns, CausalEdge};
+use crate::causality::{sync_edges_store, CausalEdge};
 use crate::columns::{ColumnarTrace, EventView};
 use crate::exec::{self, Parallelism};
 use crate::hb::DmaReplay;
@@ -263,9 +263,11 @@ pub struct LintContext<'a> {
     /// Decode-gap time ranges derived from `loss`.
     pub suspects: &'a [SuspectRange],
     /// The trace's full synchronization-edge set (see
-    /// [`sync_edges_columns`]) — extracted once per run and shared by
-    /// every rule and shard, so neither the happens-before engine nor
-    /// the mailbox rules re-derive pairings.
+    /// [`sync_edges_columns`](crate::causality::sync_edges_columns)),
+    /// with store positions for endpoints rather than global ranks, so
+    /// a lint run builds no global order. Extracted once per run and
+    /// shared by every rule and shard, so neither the happens-before
+    /// engine nor the mailbox rules re-derive pairings.
     pub edges: &'a [CausalEdge],
     /// The run's configuration.
     pub config: &'a LintConfig,
@@ -400,12 +402,13 @@ pub fn lint_columns(
     loss: &LossReport,
     config: &LintConfig,
 ) -> LintReport {
-    let edges = sync_edges_columns(trace, loss);
+    let edges = sync_edges_store(trace, loss);
     lint_columns_sharded_with_edges(trace, intervals, loss, &edges, config, Parallelism::Serial)
 }
 
-/// [`lint_columns`] with a caller-supplied sync-edge set (the
-/// memoized session path) and shard-parallel rule sweeps: every
+/// [`lint_columns`] with a caller-supplied sync-edge set in store
+/// positions (the memoized session path) and shard-parallel rule
+/// sweeps: every
 /// `(rule, shard)` pair — per-SPE sweeps for the DMA and structure
 /// rules, per-lane for `overhead-hotspot`, whole-trace for
 /// `mailbox-deadlock-shape` and `dma-race` (whose one shard builds the

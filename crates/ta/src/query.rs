@@ -81,8 +81,9 @@ impl EventFilter {
         self.passes(event.time_tb, event.core, event.code)
     }
 
-    /// [`matches`](Self::matches) for a columnar [`EventView`] — the
-    /// same predicate, evaluated without materializing a row.
+    /// [`matches`](Self::matches) for a columnar
+    /// [`EventView`](crate::columns::EventView) — the same predicate,
+    /// evaluated without materializing a row.
     pub fn matches_view(&self, view: &crate::columns::EventView<'_>) -> bool {
         self.passes(view.time_tb, view.core, view.code)
     }

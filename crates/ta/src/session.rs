@@ -37,7 +37,7 @@
 use std::sync::{Arc, OnceLock};
 
 use crate::analyze::{AnalyzeError, AnalyzedTrace, GlobalEvent};
-use crate::causality::{sync_edges_columns, CausalEdge};
+use crate::causality::{ranked_sync_edges, sync_edges_store, CausalEdge};
 use crate::columns::ColumnarTrace;
 use crate::exec::{self, Parallelism};
 use crate::index::{TraceIndex, WindowSummary};
@@ -153,6 +153,7 @@ pub struct Analysis {
     occupancy: OnceLock<Vec<SpeOccupancy>>,
     phases: OnceLock<PhaseReport>,
     index: OnceLock<Arc<TraceIndex>>,
+    store_edges: OnceLock<Vec<CausalEdge>>,
     sync_edges: OnceLock<Vec<CausalEdge>>,
     lint: OnceLock<LintReport>,
 }
@@ -226,6 +227,7 @@ impl Analysis {
             occupancy: OnceLock::new(),
             phases: OnceLock::new(),
             index: OnceLock::new(),
+            store_edges: OnceLock::new(),
             sync_edges: OnceLock::new(),
             lint: OnceLock::new(),
         }
@@ -372,7 +374,7 @@ impl Analysis {
                         self.columns(),
                         self.intervals(),
                         &self.loss,
-                        self.sync_edges(),
+                        self.store_edges(),
                         &LintConfig::default(),
                         par,
                     )
@@ -405,19 +407,27 @@ impl Analysis {
     }
 
     /// The trace's full synchronization-edge set (context starts,
-    /// mailbox FIFO pairs, signal-notify pairs) — see
-    /// [`sync_edges_columns`]. Extracted once per snapshot and shared
+    /// mailbox FIFO pairs, signal-notify pairs) with global-rank
+    /// endpoints — see
+    /// [`sync_edges_columns`](crate::causality::sync_edges_columns).
+    /// Mapped from the lint runs' store-position set through the
+    /// global order, which it builds on first call.
+    pub fn sync_edges(&self) -> &[CausalEdge] {
+        (self.sync_edges).get_or_init(|| ranked_sync_edges(self.columns(), self.store_edges()))
+    }
+
+    /// The synchronization-edge set with store positions for endpoints,
+    /// extracted without the global order once per snapshot and shared
     /// by every lint run, so re-linting (or linting after streaming
     /// appends) never re-derives the pairings.
-    pub fn sync_edges(&self) -> &[CausalEdge] {
-        self.sync_edges
-            .get_or_init(|| sync_edges_columns(self.columns(), &self.loss))
+    fn store_edges(&self) -> &[CausalEdge] {
+        (self.store_edges).get_or_init(|| sync_edges_store(self.columns(), &self.loss))
     }
 
     /// Runs the default lint rule registry with the default
     /// [`LintConfig`], memoized like the other products. The rules see
-    /// the session's memoized intervals, its memoized
-    /// [sync edges](Self::sync_edges) and its ingestion
+    /// the session's memoized intervals, its memoized sync edges (in
+    /// store positions: lint builds no global order) and its ingestion
     /// [`LossReport`], so diagnostics anchored in damaged regions are
     /// downgraded to suspect rather than reported firm. Rule shards run
     /// under the session's [`Parallelism`].
@@ -430,13 +440,13 @@ impl Analysis {
     /// (baseline suppressions, allow/deny lists, thresholds) under the
     /// session's [`Parallelism`]. Not memoized — each call re-runs the
     /// rules with `config` (the sync-edge extraction is still shared
-    /// via [`Self::sync_edges`]).
+    /// between runs).
     pub fn lint_with(&self, config: &LintConfig) -> LintReport {
         lint_columns_sharded_with_edges(
             self.columns(),
             self.intervals(),
             &self.loss,
-            self.sync_edges(),
+            self.store_edges(),
             config,
             self.par,
         )

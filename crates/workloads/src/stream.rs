@@ -489,14 +489,14 @@ enum RacyPhase {
 
 /// A naive "double buffer" that forgot the second buffer: block *k+1*
 /// is prefetched into the **same** LS buffer the in-flight GET of
-/// block *k* targets, on tag [`RACY_PREFETCH_TAG`] — which is never
+/// block *k* targets, on tag `RACY_PREFETCH_TAG` — which is never
 /// waited. Every anti-pattern here is intentional; the lint golden
 /// tests pin the diagnostics this kernel seeds:
 ///
 /// - `dma-race`: the prefetch GET overlaps the primary GET in time and
 ///   LS range, on different tag groups, and both write local store.
 /// - `unwaited-tag-group`: no tag wait ever covers the prefetch tag.
-/// - `wait-without-dma`: the startup wait on [`RACY_BOGUS_TAG`] names
+/// - `wait-without-dma`: the startup wait on `RACY_BOGUS_TAG` names
 ///   a tag with zero outstanding transfers.
 #[derive(Debug)]
 pub struct RacyDoubleBufferKernel {
@@ -642,9 +642,9 @@ enum MboxPhase {
 ///
 /// Round *k*: wait the input tag for buffer *k mod 2*, transform the
 /// block in place, report the round to the PPE and wait for the ack,
-/// PUT the buffer out on [`OUT_TAG`] **without waiting it**, issue an
+/// PUT the buffer out on `OUT_TAG` **without waiting it**, issue an
 /// MFC barrier, then refill the buffer with block *k+2*. The single
-/// drain wait on [`OUT_TAG`] sits at the very end — so a window
+/// drain wait on `OUT_TAG` sits at the very end — so a window
 /// heuristic sees every PUT's wait window stretch over the refill GET
 /// of the same buffer and reports a race the barrier actually
 /// prevents. The happens-before engine stays silent here.

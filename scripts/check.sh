@@ -22,6 +22,10 @@ echo "== clippy feature matrix over ta =="
 cargo clippy -p ta --all-targets --no-default-features -- -D warnings
 cargo clippy -p ta --all-targets --no-default-features --features scan-oracle -- -D warnings
 
+echo "== cargo doc --workspace --no-deps (warnings denied) =="
+# Broken intra-doc links fail the build.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace
 
