@@ -207,39 +207,62 @@ impl TraceFile {
     /// Serializes to the on-disk byte layout.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.total_bytes() as usize);
-        out.put_slice(MAGIC);
-        out.put_u16_le(self.header.version);
-        out.put_u8(self.header.num_ppe_threads);
-        out.put_u8(self.header.num_spes);
-        out.put_u64_le(self.header.core_hz);
-        out.put_u64_le(self.header.timebase_divider);
-        out.put_u32_le(self.header.dec_start);
-        out.put_u32_le(self.header.group_mask);
-        out.put_u32_le(self.header.spe_buffer_bytes);
-        out.put_u32_le(self.streams.len() as u32);
-        for s in &self.streams {
-            out.put_u8(s.core.tag());
-            out.put_bytes(0, 3);
-            out.put_u64_le(s.bytes.len() as u64);
-            out.put_u64_le(s.dropped);
-            out.put_slice(&s.bytes);
-        }
-        out.put_u32_le(self.ctx_names.len() as u32);
-        for (ctx, name) in &self.ctx_names {
-            out.put_u32_le(*ctx);
-            out.put_u32_le(name.len() as u32);
-            out.put_slice(name.as_bytes());
-        }
+        self.emit_image(|piece| out.put_slice(piece));
         out
     }
 
-    /// Writes the trace to a file.
+    /// Writes the trace to a file, each stream's record bytes straight
+    /// from the stream, with no copy of the whole image in memory.
     ///
     /// # Errors
     ///
     /// Returns the I/O error from the filesystem.
     pub fn write_to(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_bytes())
+        use std::io::Write;
+        let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
+        let mut written = Ok(());
+        self.emit_image(|piece| {
+            if written.is_ok() {
+                written = out.write_all(piece);
+            }
+        });
+        written?;
+        out.flush()
+    }
+
+    /// Hands the on-disk byte layout to `emit` in file order: the
+    /// header, then each stream's descriptor and its record bytes, then
+    /// the context-name table.
+    fn emit_image(&self, mut emit: impl FnMut(&[u8])) {
+        let mut head = Vec::with_capacity(64);
+        head.put_slice(MAGIC);
+        head.put_u16_le(self.header.version);
+        head.put_u8(self.header.num_ppe_threads);
+        head.put_u8(self.header.num_spes);
+        head.put_u64_le(self.header.core_hz);
+        head.put_u64_le(self.header.timebase_divider);
+        head.put_u32_le(self.header.dec_start);
+        head.put_u32_le(self.header.group_mask);
+        head.put_u32_le(self.header.spe_buffer_bytes);
+        head.put_u32_le(self.streams.len() as u32);
+        emit(&head);
+        for s in &self.streams {
+            head.clear();
+            head.put_u8(s.core.tag());
+            head.put_bytes(0, 3);
+            head.put_u64_le(s.bytes.len() as u64);
+            head.put_u64_le(s.dropped);
+            emit(&head);
+            emit(&s.bytes);
+        }
+        head.clear();
+        head.put_u32_le(self.ctx_names.len() as u32);
+        for (ctx, name) in &self.ctx_names {
+            head.put_u32_le(*ctx);
+            head.put_u32_le(name.len() as u32);
+            head.put_slice(name.as_bytes());
+        }
+        emit(&head);
     }
 
     /// Reads a trace from a file.
@@ -496,6 +519,17 @@ mod tests {
         assert_eq!(g.total_dropped(), 3);
         assert_eq!(g.ctx_name(0), Some("kernel"));
         assert_eq!(g.ctx_name(9), None);
+    }
+
+    #[test]
+    fn write_to_writes_the_image_bytes() {
+        let f = sample();
+        let path = std::env::temp_dir().join(format!("pdt-write-to-{}.pdt", std::process::id()));
+        f.write_to(&path).unwrap();
+        let written = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(written, f.to_bytes());
+        assert_eq!(TraceFile::from_bytes(&written).unwrap(), f);
     }
 
     #[test]
