@@ -34,8 +34,11 @@
 //! (`executors_Nt`), the number of shards the `ta::exec` fan-out ran
 //! over the columnar runs, and the query index's
 //! `index_bytes_per_event`. `BENCH_ingest.json` times ingest at
-//! `Serial` and at `Workers(2)` (`ingest_decode_1t`/`_2t`); its meta
-//! carries the executors the 2-worker row actually ran on.
+//! `Serial` and at `Workers(2)` (`ingest_decode_1t`/`_2t`) and the
+//! interval lanes at `Serial` (`intervals_1t`), each row the median of
+//! `INGEST_SAMPLES` samples on a fresh session; its meta carries each
+//! row's quartiles (`<row>_p25_ms`, `<row>_p75_ms`), the sample count
+//! and the executors the 2-worker row actually ran on.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -147,6 +150,33 @@ fn best_ms(reps: usize, mut f: impl FnMut() -> usize) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
+/// Samples per `BENCH_ingest.json` row: its `wall_ms` is their median,
+/// and the meta records their quartiles.
+const INGEST_SAMPLES: usize = 11;
+
+/// A `BENCH_ingest.json` row over `events` events: the median of
+/// `INGEST_SAMPLES` calls of `sample` (each returns its ms), with the
+/// 25th and 75th percentiles (nearest rank) appended to `meta`.
+fn sampled_row(
+    name: &str,
+    threads: usize,
+    events: usize,
+    meta: &mut Vec<(String, f64)>,
+    mut sample: impl FnMut() -> f64,
+) -> BenchRecord {
+    let mut ms: Vec<f64> = (0..INGEST_SAMPLES).map(|_| sample()).collect();
+    ms.sort_by(f64::total_cmp);
+    let [p25, median, p75] = [1, 2, 3].map(|q| ms[(ms.len() - 1) * q / 4]);
+    meta.push((format!("{name}_p25_ms"), p25));
+    meta.push((format!("{name}_p75_ms"), p75));
+    BenchRecord {
+        name: name.into(),
+        events_per_sec: events as f64 / (median / 1e3),
+        wall_ms: median,
+        threads,
+    }
+}
+
 /// The pre-columnar serial product path: every product built from the
 /// row `Vec<GlobalEvent>` by the free functions, one after another.
 fn row_products(rows: &AnalyzedTrace, loss: &LossReport, cfg: &LintConfig) -> usize {
@@ -183,27 +213,34 @@ fn run() -> Result<(), String> {
     println!("trace: {n} global events over {SPES} SPEs, host has {host_cpus} CPUs");
 
     // Ingest (decode into columns) throughput at one executor and at
-    // two. Each SPE stream decodes as one shard, and no rows are
-    // materialized in the timed region.
+    // two, each sample a fresh session. Each SPE stream decodes as one
+    // shard, and no rows are materialized in the timed region. Then
+    // the interval lanes of a fresh session, the pass every request
+    // pays after ingest.
     let ingest_points = [(Parallelism::Serial, 1usize), (Parallelism::Workers(2), 2)];
-    let ingest: Vec<BenchRecord> = ingest_points
+    let fresh = |par| Analysis::of(&trace).parallelism(par).run();
+    let mut ingest_meta = Vec::new();
+    let mut ingest: Vec<BenchRecord> = ingest_points
         .into_iter()
         .map(|(par, threads)| {
-            let ms = best_ms(5, || {
-                Analysis::of(&trace)
-                    .parallelism(par)
-                    .run()
-                    .map(|a| a.columns().events.len())
-                    .unwrap_or(0)
-            });
-            BenchRecord {
-                name: format!("ingest_decode_{threads}t"),
-                events_per_sec: n as f64 / (ms / 1e3),
-                wall_ms: ms,
-                threads,
-            }
+            let name = format!("ingest_decode_{threads}t");
+            sampled_row(&name, threads, n, &mut ingest_meta, || {
+                let start = Instant::now();
+                let events = fresh(par).map(|a| a.columns().events.len());
+                let ms = start.elapsed().as_nanos() as f64 / 1e6;
+                std::hint::black_box(events.unwrap_or(0));
+                ms
+            })
         })
         .collect();
+    ingest.push(sampled_row("intervals_1t", 1, n, &mut ingest_meta, || {
+        let Ok(a) = fresh(Parallelism::Serial) else {
+            return f64::NAN;
+        };
+        let start = Instant::now();
+        std::hint::black_box(a.intervals().len());
+        start.elapsed().as_nanos() as f64 / 1e6
+    }));
     // `map_indexed` runs at most one executor per host CPU and per SPE
     // stream, whatever the requested count.
     let ingest_executors = 2.min(host_cpus).min(SPES);
@@ -343,7 +380,11 @@ fn run() -> Result<(), String> {
             ("events", n as f64),
             ("host_cpus", host_cpus as f64),
             ("ingest_2t_executors", ingest_executors as f64),
-        ],
+            ("samples", INGEST_SAMPLES as f64),
+        ]
+        .into_iter()
+        .chain(ingest_meta.iter().map(|(k, v)| (k.as_str(), *v)))
+        .collect::<Vec<_>>(),
     )
     .map_err(|e| e.to_string())?;
     println!("wrote {}", p.display());

@@ -101,7 +101,7 @@ pub use overhead::OverheadModel;
 pub use ppe_tracer::PdtPpeTracer;
 pub use record::{
     check_in_stream, decode_stream, decode_stream_lossy, granules_for, ChunkScan, DecodeGap,
-    LossyCursor, LossyDecode, RecordError, RecordRef, RecordScan, Scanned, TraceCore, TraceRecord,
+    LossyCursor, LossyDecode, RecordError, RecordRef, RecordScan, TraceCore, TraceRecord,
     DEFAULT_WRAP_TOLERANCE, MAX_PARAMS,
 };
 pub use session::TraceSession;

@@ -13,6 +13,14 @@
 //!             (SPE records: decrementer snapshot; PPE records: timebase)
 //! then        parameters, 8 bytes each, zero-padded to a 16-byte boundary
 //! ```
+//!
+//! Every stream decoder ([`ChunkScan`], [`RecordScan`], [`LossyCursor`])
+//! runs one resynchronizing state machine. Its `next_gap` methods hand
+//! the records between two gaps to a closure from one tight loop, the
+//! clean-record run, and return the gap. A record that fails
+//! [`RecordRef::decode`] or [`check_in_stream`], or that the buffer's
+//! end cuts, ends the run; only that record takes the error path: a
+//! pause for more bytes, a strict stop, or a gap and its resync scan.
 
 use bytes::BufMut;
 
@@ -222,6 +230,7 @@ impl<'a> RecordRef<'a> {
     /// # Errors
     ///
     /// Returns [`RecordError`] on truncation or corruption.
+    #[inline]
     pub fn decode(buf: &'a [u8]) -> Result<(RecordRef<'a>, usize), RecordError> {
         if buf.len() < 16 {
             return Err(RecordError::Truncated {
@@ -296,13 +305,10 @@ pub fn granules_for(nparams: usize) -> u8 {
 /// Returns the first [`RecordError`] with the offset it occurred at.
 pub fn decode_stream(bytes: &[u8]) -> Result<Vec<TraceRecord>, (usize, RecordError)> {
     let mut out = Vec::new();
-    for item in RecordScan::strict(bytes) {
-        match item {
-            Scanned::Record(r) => out.push(r.to_record()),
-            Scanned::Gap(g) => return Err((g.offset, g.cause)),
-        }
+    match RecordScan::strict(bytes).next_gap(|r| out.push(r.to_record())) {
+        Some(g) => Err((g.offset, g.cause)),
+        None => Ok(out),
     }
-    Ok(out)
 }
 
 /// Decrementer steps at or above this are treated as corruption rather
@@ -408,7 +414,10 @@ pub fn check_in_stream(
 
 /// Decodes one record and, given the stream's core, applies
 /// [`check_in_stream`]. On clean input the checked decode accepts
-/// exactly what [`TraceRecord::decode`] accepts.
+/// exactly what [`TraceRecord::decode`] accepts. It is the one
+/// acceptance definition of every stream decoder: the clean-record run
+/// and the resync scan both call it.
+#[inline]
 fn decode_checked(
     buf: &[u8],
     stream_core: Option<TraceCore>,
@@ -448,16 +457,6 @@ impl OpenGap {
     }
 }
 
-/// One step of a [`Resync`] scan.
-enum Step<'a> {
-    Record(RecordRef<'a>),
-    Gap(DecodeGap),
-    /// More bytes are needed before the scan can go on.
-    Pending,
-    /// The scan reached the end of a finished stream.
-    Done,
-}
-
 /// The decode-and-resynchronize state machine behind every stream
 /// decoder: [`ChunkScan`] runs it over a stream of known length read in
 /// chunks ([`RecordScan`] is the one-chunk case), [`LossyCursor`] over a
@@ -469,6 +468,11 @@ enum Step<'a> {
 /// then reports the skipped range as one [`DecodeGap`]. A strict scan
 /// (no stream hint, no resync) reports the first malformed record as a
 /// gap running to the end of the stream and stops there.
+///
+/// Between gaps the records go through the clean-record run, one tight
+/// loop over the buffer; the resync scan takes over only at the record
+/// the run stopped at. Both accept through `decode_checked`, the one
+/// definition.
 #[derive(Debug, Clone)]
 struct Resync {
     stream_core: Option<TraceCore>,
@@ -492,68 +496,80 @@ impl Resync {
         }
     }
 
-    /// Takes the next step over `buf`, whose first byte sits at stream
-    /// offset `base`; `pos` is the stream offset of the next record.
-    /// `end` is the stream's length once it is known. Until `buf`
-    /// reaches it more bytes may arrive, so a record or resync
-    /// candidate that fails only for lack of bytes pauses the scan
-    /// instead of opening (or extending) a gap.
-    fn step<'b>(
+    /// Hands `record` the records of `buf`, whose first byte sits at
+    /// stream offset `base`, up to the next gap, and returns that gap;
+    /// `None` once `buf` holds no further item. `pos` is the stream
+    /// offset of the next record. `end` is the stream's length once it
+    /// is known. Until `buf` reaches it more bytes may arrive, so a
+    /// record or resync candidate that fails only for lack of bytes
+    /// pauses the scan (`None`) instead of opening (or extending) a
+    /// gap.
+    ///
+    /// While no gap is open, the clean-record run decodes consecutive
+    /// records straight from `buf` in one loop. It stops without
+    /// consuming at the first record that `decode_checked` rejects or
+    /// that the end of `buf` cuts, and only that record takes the
+    /// error path: a pause, a strict stop, or an opened gap whose
+    /// resync scan then runs.
+    #[inline]
+    fn next_gap<'b>(
         &mut self,
         buf: &'b [u8],
         base: usize,
         pos: &mut usize,
         end: Option<usize>,
-    ) -> Step<'b> {
+        mut record: impl FnMut(RecordRef<'b>),
+    ) -> Option<DecodeGap> {
         let finished = end.is_some_and(|e| base + buf.len() >= e);
+        let spe = self.stream_core.is_some_and(TraceCore::is_spe);
         loop {
-            if let Some(cand) = self.open_gap.as_ref().map(|g| g.cand) {
+            if let Some(gap) = &mut self.open_gap {
                 // Resync scan: candidate headers live on the 16-byte
                 // grid of the original stream.
-                let rel = cand - base;
-                let end = if rel >= buf.len() {
+                let rel = gap.cand - base;
+                if rel >= buf.len() {
                     if !finished {
-                        return Step::Pending;
+                        return None;
                     }
-                    base + buf.len()
                 } else {
                     match decode_checked(&buf[rel..], self.stream_core, self.prev_dec) {
-                        Ok(_) => cand,
-                        Err(RecordError::Truncated { .. }) if !finished => return Step::Pending,
+                        Ok(_) => {}
+                        Err(RecordError::Truncated { .. }) if !finished => return None,
                         Err(_) => {
-                            if let Some(g) = self.open_gap.as_mut() {
-                                g.cand += 16;
-                            }
+                            gap.cand += 16;
                             continue;
                         }
                     }
-                };
-                *pos = end;
-                return match self.open_gap.take() {
-                    Some(g) => Step::Gap(g.close(end)),
-                    None => Step::Done,
-                };
-            }
-            let rel = *pos - base;
-            if rel >= buf.len() {
-                return if finished { Step::Done } else { Step::Pending };
-            }
-            match decode_checked(&buf[rel..], self.stream_core, self.prev_dec) {
-                Ok((rec, used)) => {
-                    if self.stream_core.is_some_and(TraceCore::is_spe) {
-                        self.prev_dec = Some(rec.timestamp as u32);
-                    }
-                    self.records += 1;
-                    *pos += used;
-                    return Step::Record(rec);
                 }
+                *pos = gap.cand.min(base + buf.len());
+                return self.open_gap.take().map(|g| g.close(*pos));
+            }
+            // The clean-record run.
+            let mut rest = pos.checked_sub(base).and_then(|rel| buf.get(rel..))?;
+            let cause = loop {
+                match decode_checked(rest, self.stream_core, self.prev_dec) {
+                    Ok((rec, used)) => {
+                        if spe {
+                            self.prev_dec = Some(rec.timestamp as u32);
+                        }
+                        self.records += 1;
+                        rest = &rest[used..];
+                        record(rec);
+                    }
+                    Err(cause) => break cause,
+                }
+            };
+            *pos = base + buf.len() - rest.len();
+            match cause {
+                // Every byte of `buf` is decoded.
+                _ if rest.is_empty() => return None,
                 // A partial record at the chunk tail: wait for more
                 // bytes. At end-of-stream the same error is a torn
                 // flush and falls through to open a gap.
-                Err(RecordError::Truncated { .. }) if !finished => return Step::Pending,
+                RecordError::Truncated { .. } if !finished => return None,
                 // A strict gap runs to the end of the stream, which a
                 // strict scan always knows, not to the end of `buf`.
-                Err(cause) if self.strict => {
+                cause if self.strict => {
                     let gap = OpenGap {
                         start: *pos,
                         cause,
@@ -561,9 +577,9 @@ impl Resync {
                         cand: *pos,
                     };
                     *pos = end.unwrap_or(base + buf.len());
-                    return Step::Gap(gap.close(*pos));
+                    return Some(gap.close(*pos));
                 }
-                Err(cause) => {
+                cause => {
                     self.open_gap = Some(OpenGap {
                         start: *pos,
                         cause,
@@ -576,20 +592,9 @@ impl Resync {
     }
 }
 
-/// One item of a [`RecordScan`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Scanned<'a> {
-    /// A record that decoded (and, on a lossy scan, passed the stream
-    /// invariants).
-    Record(RecordRef<'a>),
-    /// A skipped byte range. A strict scan yields at most one, for the
-    /// first malformed record, and then ends.
-    Gap(DecodeGap),
-}
-
-/// Walks a complete stream, yielding records borrowed from `bytes` and
-/// the gaps between them, in stream order: a [`ChunkScan`] over one
-/// chunk that holds the whole stream.
+/// Walks a complete stream, handing out records borrowed from `bytes`
+/// and the gaps between them, in stream order: a [`ChunkScan`] over
+/// one chunk that holds the whole stream.
 #[derive(Debug, Clone)]
 pub struct RecordScan<'a> {
     bytes: &'a [u8],
@@ -619,14 +624,14 @@ impl<'a> RecordScan<'a> {
     pub fn records(&self) -> u64 {
         self.scan.records()
     }
-}
 
-impl<'a> Iterator for RecordScan<'a> {
-    type Item = Scanned<'a>;
-
+    /// Hands `record` every record up to the next gap and returns that
+    /// gap; `None` once the stream is done (see
+    /// [`ChunkScan::next_gap`]). A strict scan returns at most one gap,
+    /// for the first malformed record.
     #[inline]
-    fn next(&mut self) -> Option<Scanned<'a>> {
-        self.scan.next(self.bytes, 0)
+    pub fn next_gap(&mut self, record: impl FnMut(RecordRef<'a>)) -> Option<DecodeGap> {
+        self.scan.next_gap(self.bytes, 0, record)
     }
 }
 
@@ -637,20 +642,18 @@ impl<'a> Iterator for RecordScan<'a> {
 /// The caller drives it:
 ///
 /// ```
-/// # use pdt::{ChunkScan, Scanned};
+/// # use pdt::ChunkScan;
 /// # let stream = vec![0u8; 0];
 /// let mut scan = ChunkScan::lossy(stream.len(), None);
+/// let (mut records, mut gaps) = (0, 0);
 /// while !scan.is_done() {
 ///     // Read the chunk starting at `resume_at`; at least
 ///     // `ChunkScan::MIN_CHUNK` bytes unless the stream ends first.
 ///     let base = scan.resume_at();
 ///     let end = stream.len().min(base + ChunkScan::MIN_CHUNK);
 ///     let chunk = &stream[base..end];
-///     while let Some(item) = scan.next(chunk, base) {
-///         match item {
-///             Scanned::Record(_) => {}
-///             Scanned::Gap(_) => {}
-///         }
+///     while let Some(_gap) = scan.next_gap(chunk, base, |_record| records += 1) {
+///         gaps += 1;
 ///     }
 /// }
 /// ```
@@ -713,18 +716,26 @@ impl ChunkScan {
         self.resync.records
     }
 
-    /// The next item in `chunk`, the stream bytes from offset `base`
-    /// (the [`resume_at`](Self::resume_at) before the chunk was read)
-    /// up to at most the stream's end. `None` once the chunk holds no
+    /// Hands `record` the records of `chunk`, the stream bytes from
+    /// offset `base` (the [`resume_at`](Self::resume_at) before the
+    /// chunk was read) up to at most the stream's end, as far as the
+    /// next gap, and returns that gap. `None` once the chunk holds no
     /// further item: read the next chunk unless the scan
     /// [`is_done`](Self::is_done).
+    ///
+    /// The records between two gaps decode in one tight loop, the
+    /// clean-record run, which accepts through the same decode-and-check
+    /// definition as the resync scan and stops without consuming at the
+    /// first record that fails or that the chunk's end cuts.
     #[inline]
-    pub fn next<'b>(&mut self, chunk: &'b [u8], base: usize) -> Option<Scanned<'b>> {
-        match self.resync.step(chunk, base, &mut self.pos, Some(self.len)) {
-            Step::Record(r) => Some(Scanned::Record(r)),
-            Step::Gap(g) => Some(Scanned::Gap(g)),
-            Step::Pending | Step::Done => None,
-        }
+    pub fn next_gap<'b>(
+        &mut self,
+        chunk: &'b [u8],
+        base: usize,
+        record: impl FnMut(RecordRef<'b>),
+    ) -> Option<DecodeGap> {
+        self.resync
+            .next_gap(chunk, base, &mut self.pos, Some(self.len), record)
     }
 }
 
@@ -742,11 +753,9 @@ impl ChunkScan {
 /// [`decode_stream`] and `gaps` is empty.
 pub fn decode_stream_lossy(bytes: &[u8], stream_core: Option<TraceCore>) -> LossyDecode {
     let mut out = LossyDecode::default();
-    for item in RecordScan::lossy(bytes, stream_core) {
-        match item {
-            Scanned::Record(r) => out.records.push(r.to_record()),
-            Scanned::Gap(g) => out.gaps.push(g),
-        }
+    let mut scan = RecordScan::lossy(bytes, stream_core);
+    while let Some(g) = scan.next_gap(|r| out.records.push(r.to_record())) {
+        out.gaps.push(g);
     }
     out
 }
@@ -878,13 +887,15 @@ impl LossyCursor {
     /// Decodes as much of `buf` as the data (and `finished`) allows,
     /// then discards the consumed prefix so the carry stays bounded.
     fn drain(&mut self) {
-        loop {
-            let end = self.finished.then_some(self.base + self.buf.len());
-            match self.resync.step(&self.buf, self.base, &mut self.pos, end) {
-                Step::Record(r) => self.records.push(r.to_record()),
-                Step::Gap(g) => self.gaps.push(g),
-                Step::Pending | Step::Done => break,
-            }
+        let end = self.finished.then_some(self.base + self.buf.len());
+        let records = &mut self.records;
+        while let Some(g) = self
+            .resync
+            .next_gap(&self.buf, self.base, &mut self.pos, end, |r| {
+                records.push(r.to_record())
+            })
+        {
+            self.gaps.push(g);
         }
         // Discard everything before the live position: decoded records,
         // and (when a gap is open) its interior — only offsets matter.

@@ -11,6 +11,11 @@
 //! to compute. The paper's TA had the same blind spot; the machine's
 //! ground-truth report exposes the residual as `mbox_wait` that the TA
 //! does not see.
+//!
+//! Over the columnar store each SPE's lane is built from its segment of
+//! the time and code columns alone, in one `LaneWalk` pass, into a
+//! lane reserved at its `2 × waits + 1` bound
+//! (`build_spe_intervals_columns`).
 
 use pdt::{EventCode, TraceCore};
 
@@ -341,9 +346,9 @@ pub fn build_intervals(trace: &AnalyzedTrace) -> Vec<SpeIntervals> {
 }
 
 /// [`build_intervals`] over the columnar store: identical state
-/// machine, walking each SPE's memoized offset slice instead of
-/// filtering the whole event vector per SPE. The session uses this
-/// path; the row function remains the differential oracle.
+/// machine, one lane per SPE from `build_spe_intervals_columns`. The
+/// session builds the lanes one shard per SPE; the row function
+/// remains the differential oracle.
 pub fn build_intervals_columns(trace: &ColumnarTrace) -> Vec<SpeIntervals> {
     trace
         .spes()
@@ -355,20 +360,29 @@ pub fn build_intervals_columns(trace: &ColumnarTrace) -> Vec<SpeIntervals> {
 /// One SPE's lane of [`build_intervals_columns`]: the independent
 /// shard unit the parallel product scheduler fans out per SPE. `None`
 /// when the SPE lacks the `SpeCtxStart`/`SpeStop` lifecycle pair.
+///
+/// The lane reads only the SPE's segment of the time and code columns:
+/// the context start and stop are the first `SpeCtxStart` and
+/// `SpeStop` in the code slice, and one [`LaneWalk`] pass over both
+/// slices builds the intervals. The lane is reserved at its bound,
+/// `2 × waits + 1` intervals (each wait begin closes at most one
+/// compute interval and opens at most one wait, and the stop closes
+/// the trailing compute), so it never reallocates and the pages it
+/// does not fill are never touched.
 pub(crate) fn build_spe_intervals_columns(trace: &ColumnarTrace, spe: u8) -> Option<SpeIntervals> {
-    let core = TraceCore::Spe(spe);
-    let start = trace
-        .core_events(core)
-        .find(|v| v.code == EventCode::SpeCtxStart)
-        .map(|v| v.time_tb)?;
-    let stop = trace
-        .core_events(core)
-        .find(|v| v.code == EventCode::SpeStop)
-        .map(|v| v.time_tb)?;
+    let seg = trace.core_slice(TraceCore::Spe(spe));
+    let (times, codes) = (
+        &trace.events.times()[seg.clone()],
+        &trace.events.codes()[seg],
+    );
+    let first = |code| codes.iter().position(|&c| c == code).map(|k| times[k]);
+    let start = first(EventCode::SpeCtxStart)?;
+    let stop = first(EventCode::SpeStop)?;
+    let waits = codes.iter().filter(|&&c| wait_kind(c).is_some()).count();
+    let mut intervals = Vec::with_capacity(2 * waits + 1);
     let mut walk = LaneWalk::new(start);
-    let mut intervals = Vec::new();
-    for v in trace.core_events(core) {
-        walk.step(v.time_tb, v.code, &mut intervals);
+    for (&time_tb, &code) in times.iter().zip(codes) {
+        walk.step(time_tb, code, &mut intervals);
     }
     walk.finish(stop, &mut intervals);
     Some(SpeIntervals {

@@ -108,12 +108,17 @@ pub fn dma_occupancy(trace: &AnalyzedTrace) -> Vec<SpeOccupancy> {
         for e in trace.core_events(TraceCore::Spe(spe)) {
             match e.code {
                 EventCode::SpeDmaGet | EventCode::SpeDmaPut => {
-                    let tag = (e.params[3] & 0xff) as usize % 32;
+                    // `[ea, lsa, size, tag]`; a damaged record may be short
+                    // and then counts nowhere, as in the lint's replay.
+                    let Some(&tag) = e.params.get(3) else {
+                        continue;
+                    };
+                    let tag = (tag & 0xff) as usize % 32;
                     per_tag[tag] += 1;
                     outstanding += 1;
                 }
                 EventCode::SpeTagWaitEnd => {
-                    let mask = e.params[0] as u32;
+                    let mask = e.params.first().copied().unwrap_or(0) as u32;
                     for (t, count) in per_tag.iter_mut().enumerate() {
                         if mask & (1 << t) != 0 {
                             outstanding -= *count;
@@ -172,12 +177,17 @@ pub(crate) fn spe_dma_occupancy_columns(trace: &ColumnarTrace, spe: u8) -> Optio
     for v in trace.core_events(TraceCore::Spe(spe)) {
         match v.code {
             EventCode::SpeDmaGet | EventCode::SpeDmaPut => {
-                let tag = (v.params[3] & 0xff) as usize % 32;
+                // `[ea, lsa, size, tag]`; a damaged record may be short
+                // and then counts nowhere, as in the lint's replay.
+                let Some(&tag) = v.params.get(3) else {
+                    continue;
+                };
+                let tag = (tag & 0xff) as usize % 32;
                 per_tag[tag] += 1;
                 outstanding += 1;
             }
             EventCode::SpeTagWaitEnd => {
-                let mask = v.params[0] as u32;
+                let mask = v.params.first().copied().unwrap_or(0) as u32;
                 for (t, count) in per_tag.iter_mut().enumerate() {
                     if mask & (1 << t) != 0 {
                         outstanding -= *count;

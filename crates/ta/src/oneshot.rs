@@ -6,7 +6,7 @@
 //! each SPE run onto the global timeline and lays the runs out
 //! core-major ([`place`]). See DESIGN.md, "One-shot ingest".
 
-use pdt::{ChunkScan, DecodeGap, EventCode, Scanned, TraceCore, TraceHeader};
+use pdt::{ChunkScan, DecodeGap, EventCode, TraceCore, TraceHeader};
 
 use crate::analyze::{AnalyzeError, SpeAnchor};
 use crate::columns::{ColumnarTrace, EventColumns, ParamDict};
@@ -390,7 +390,8 @@ fn decode_v1(
     } else {
         ChunkScan::lossy(s.len(), Some(s.core))
     };
-    let mut params = Vec::new();
+    // A record's parameter words: its count is a header byte.
+    let mut words = [0u64; u8::MAX as usize];
     while !scan.is_done() {
         let base = scan.resume_at();
         let chunk = s.chunk(base, buf).map_err(|e| AnalyzeError::Read {
@@ -398,22 +399,20 @@ fn decode_v1(
             offset: base,
             message: e.to_string(),
         })?;
-        while let Some(item) = scan.next(chunk, base) {
-            match item {
-                Scanned::Record(r) => {
-                    params.clear();
-                    params.extend(r.params());
-                    st.record(r.timestamp, r.core.tag(), r.code, &params);
-                }
-                Scanned::Gap(g) if strict => {
-                    return Err(AnalyzeError::Record {
-                        core: s.core,
-                        offset: g.offset,
-                        cause: g.cause,
-                    });
-                }
-                Scanned::Gap(g) => st.gap(g),
+        while let Some(g) = scan.next_gap(chunk, base, |r| {
+            let params = r.params();
+            let n = params.len();
+            words.iter_mut().zip(params).for_each(|(w, p)| *w = p);
+            st.record(r.timestamp, r.core.tag(), r.code, &words[..n]);
+        }) {
+            if strict {
+                return Err(AnalyzeError::Record {
+                    core: s.core,
+                    offset: g.offset,
+                    cause: g.cause,
+                });
             }
+            st.gap(g);
         }
     }
     Ok(st)

@@ -76,7 +76,11 @@ pub fn user_phases(trace: &AnalyzedTrace) -> PhaseReport {
         if !matches!(e.code, EventCode::SpeUser | EventCode::PpeUser) {
             continue;
         }
-        let id = e.params[0] as u32;
+        // A marker without an id (a damaged record) pairs with nothing.
+        let Some(&id) = e.params.first() else {
+            continue;
+        };
+        let id = id as u32;
         let marker = e.params.get(1).copied().unwrap_or(0);
         if marker == PHASE_BEGIN {
             open.entry((e.core, id)).or_default().push(e.time_tb);
@@ -112,7 +116,11 @@ pub fn user_phases_columns(trace: &ColumnarTrace) -> PhaseReport {
             continue;
         }
         let v = trace.events.view(i);
-        let id = v.params[0] as u32;
+        // A marker without an id (a damaged record) pairs with nothing.
+        let Some(&id) = v.params.first() else {
+            continue;
+        };
+        let id = id as u32;
         let marker = v.params.get(1).copied().unwrap_or(0);
         if marker == PHASE_BEGIN {
             open.entry((v.core, id)).or_default().push(v.time_tb);

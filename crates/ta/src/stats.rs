@@ -118,7 +118,11 @@ impl DmaMatcher {
         let s = &mut self.summary;
         match code {
             EventCode::SpeDmaGet | EventCode::SpeDmaPut => {
-                let bytes = params[2];
+                // `[ea, lsa, size, tag]`; a damaged record may be short
+                // and then counts nowhere, as in the lint's replay.
+                let [_, _, bytes, tag, ..] = *params else {
+                    return;
+                };
                 if code == EventCode::SpeDmaGet {
                     s.gets += 1;
                 } else {
@@ -126,12 +130,12 @@ impl DmaMatcher {
                 }
                 s.bytes += bytes;
                 s.sizes.add(bytes);
-                if let Some(q) = self.outstanding.get_mut((params[3] & 0xff) as usize) {
+                if let Some(q) = self.outstanding.get_mut((tag & 0xff) as usize) {
                     q.push((time_tb, bytes));
                 }
             }
             EventCode::SpeTagWaitEnd => {
-                let mask = params[0] as u32;
+                let mask = params.first().copied().unwrap_or(0) as u32;
                 for (tag, q) in self.outstanding.iter_mut().enumerate() {
                     if mask & (1 << tag) != 0 {
                         for (issue_tb, bytes) in q.drain(..) {

@@ -236,3 +236,112 @@ fn closed_stdout_is_an_error_not_a_panic() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A 2-stream `.pdt` whose SPE0 stream carries records with fewer
+/// params than their consumers read: an `SpeDmaGet` with one, an
+/// `SpeTagWaitEnd` and an `SpeUser` with none. The decoder accepts
+/// them; every product must skip them.
+fn short_param_trace(path: &std::path::Path) {
+    use pdt::{EventCode, TraceCore, TraceFile, TraceHeader, TraceRecord, TraceStream};
+    let rec = |core, code, timestamp, params: Vec<u64>| TraceRecord {
+        core,
+        code,
+        timestamp,
+        params,
+    };
+    let dec0 = 1_000_000u64;
+    let mut ppe = Vec::new();
+    rec(
+        TraceCore::Ppe(0),
+        EventCode::PpeCtxRun,
+        500,
+        vec![0, 0, dec0],
+    )
+    .encode_into(&mut ppe);
+    let spe = TraceCore::Spe(0);
+    let mut bytes = Vec::new();
+    for (dec, code, params) in [
+        (0, EventCode::SpeCtxStart, vec![0]),
+        (10, EventCode::SpeDmaGet, vec![0x100]),
+        (20, EventCode::SpeDmaGet, vec![0x100, 0x4000, 4096, 1]),
+        (30, EventCode::SpeTagWaitBegin, vec![2]),
+        (40, EventCode::SpeTagWaitEnd, vec![]),
+        (50, EventCode::SpeTagWaitEnd, vec![2]),
+        (60, EventCode::SpeUser, vec![]),
+        (70, EventCode::SpeUser, vec![9, pdt::markers::PHASE_BEGIN]),
+        (80, EventCode::SpeUser, vec![9, pdt::markers::PHASE_END]),
+        (90, EventCode::SpeStop, vec![0]),
+    ] {
+        rec(spe, code, dec0 - dec, params).encode_into(&mut bytes);
+    }
+    TraceFile {
+        header: TraceHeader {
+            version: pdt::VERSION,
+            num_ppe_threads: 1,
+            num_spes: 1,
+            core_hz: 3_200_000_000,
+            timebase_divider: 120,
+            dec_start: u32::MAX,
+            group_mask: u32::MAX,
+            spe_buffer_bytes: 2048,
+        },
+        streams: vec![
+            TraceStream {
+                core: TraceCore::Ppe(0),
+                bytes: ppe,
+                dropped: 0,
+            },
+            TraceStream {
+                core: spe,
+                bytes,
+                dropped: 0,
+            },
+        ],
+        ctx_names: vec![(0, "short".into())],
+    }
+    .write_to(path)
+    .unwrap();
+}
+
+#[test]
+fn short_param_records_are_skipped_not_a_panic() {
+    let dir = std::env::temp_dir().join(format!("ta-cli-short-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let v1 = dir.join("short.pdt");
+    let v2 = dir.join("short.pdt2");
+    short_param_trace(&v1);
+    let (ok, text) = cli(&["pack", v1.to_str().unwrap(), v2.to_str().unwrap()]);
+    assert!(ok, "{text}");
+
+    for cmd in [
+        "summary",
+        "occupancy",
+        "phases",
+        "lint",
+        "timeline",
+        "causality",
+    ] {
+        let run = |trace: &std::path::Path| {
+            let out = Command::new(env!("CARGO_BIN_EXE_ta-cli"))
+                .args([cmd, trace.to_str().unwrap()])
+                .output()
+                .expect("run ta-cli");
+            let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+            assert!(!stderr.contains("panicked"), "{cmd}: {stderr}");
+            (out.status.code(), out.stdout)
+        };
+        let (code, stdout) = run(&v1);
+        if matches!(cmd, "summary" | "occupancy" | "phases") {
+            assert_eq!(code, Some(0), "{cmd}");
+        }
+        assert!(code.is_some_and(|c| c <= 1), "{cmd} exited {code:?}");
+        assert_eq!(run(&v2), (code, stdout), "{cmd}: .pdt and .pdt2 differ");
+    }
+    // The short DMA get counts nowhere: one get of 4096 bytes, completed
+    // by the covering wait.
+    let (_, text) = cli(&["summary", v1.to_str().unwrap()]);
+    assert!(text.contains("1 gets, 0 puts, 4.0 KiB total"), "{text}");
+    let (_, text) = cli(&["phases", v1.to_str().unwrap()]);
+    assert!(text.contains("phase 9 on SPE0"), "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -115,11 +115,12 @@ echo "== ta-cli damaged-file smoke =="
 # ta-cli reads both containers from the file (a .pdt's streams in
 # chunks, a .pdt2's blocks one at a time), so damage must still end in
 # loss accounting (exit 0) or an error (exit 1), never a panic (101) or
-# an abort (134): summary, loss and --strict summary on a truncated
-# copy and on a byte-flipped copy of a golden, on a truncated .pdt2,
-# on a .pdt2 with a failing block, and on two .pdt2 copies whose stream
-# count or name count claims billions of entries. Those two run out of
-# bytes inside the name table, so `loss` must name the truncation.
+# an abort (134): summary, loss, occupancy, phases and --strict summary
+# on a truncated copy, on a byte-flipped copy and on a short-param copy
+# of a golden, on a truncated .pdt2, on a .pdt2 with a failing block,
+# and on two .pdt2 copies whose stream count or name count claims
+# billions of entries. Those two run out of bytes inside the name
+# table, so `loss` must name the truncation.
 head -c 3000 tests/golden/stream.pdt > "$smoke_dir/truncated.pdt"
 head -c 2000 tests/golden/stream.pdt2 > "$smoke_dir/truncated.pdt2"
 cp tests/golden/stream.pdt "$smoke_dir/flipped.pdt"
@@ -127,6 +128,12 @@ cp tests/golden/stream.pdt "$smoke_dir/flipped.pdt"
 # at byte 304), so the lossy ingest opens a gap there.
 printf '\0' | dd of="$smoke_dir/flipped.pdt" bs=1 seek=432 conv=notrunc status=none
 printf '\0' | dd of="$smoke_dir/flipped.pdt" bs=1 seek=1056 conv=notrunc status=none
+# SPE0's first SpeDmaGet (at byte 336, four params in three granules)
+# rewritten to claim two granules and one param: it decodes short, and
+# its last 16 bytes become a gap.
+cp tests/golden/stream.pdt "$smoke_dir/short_param.pdt"
+printf '\002' | dd of="$smoke_dir/short_param.pdt" bs=1 seek=336 conv=notrunc status=none
+printf '\001' | dd of="$smoke_dir/short_param.pdt" bs=1 seek=340 conv=notrunc status=none
 # The high bytes of stream.pdt2's u32 stream count (after the 36-byte
 # header) and of its u32 name count.
 cp tests/golden/stream.pdt2 "$smoke_dir/stream_count.pdt2"
@@ -137,8 +144,9 @@ printf '\377' | dd of="$smoke_dir/name_count.pdt2" bs=1 seek=2569 conv=notrunc s
 # so that block fails its CRC and the stream is read again.
 cp tests/golden/stream.pdt2 "$smoke_dir/block.pdt2"
 printf '\377' | dd of="$smoke_dir/block.pdt2" bs=1 seek=300 conv=notrunc status=none
-for damaged in truncated.pdt flipped.pdt truncated.pdt2 block.pdt2 stream_count.pdt2 name_count.pdt2; do
-  for cmd in summary loss "--strict summary"; do
+for damaged in truncated.pdt flipped.pdt short_param.pdt truncated.pdt2 block.pdt2 \
+  stream_count.pdt2 name_count.pdt2; do
+  for cmd in summary loss occupancy phases "--strict summary"; do
     status=0
     # shellcheck disable=SC2086 # $cmd holds the flag and the command.
     ta_cli $cmd "$smoke_dir/$damaged" > /dev/null 2>&1 || status=$?
