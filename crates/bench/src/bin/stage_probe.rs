@@ -13,19 +13,21 @@
 //! the trace-file bytes its load read (`bytes_read`, from
 //! `ta::reader::bytes_read`).
 //!
-//! Loading mirrors `ta-cli`: `open` opens the file; `read` sniffs the
-//! container and reads only its structure (for a `.pdt`, the header,
-//! the stream directory and the name table; for a `.pdt2`, also each
-//! stream's footer directory); `ingest` decodes, and each ingest shard
-//! reads its own stream (in chunks, or block by block), so those reads
-//! are timed inside `ingest`. After the request
+//! Loading is `ta-cli`'s, through [`ta::Analysis::open`]: `open` opens
+//! the file, sniffs the container and reads only its structure (for a
+//! `.pdt`, the header, the stream directory and the name table; for a
+//! `.pdt2`, also each stream's footer directory); `ingest` runs the
+//! builder, and each ingest shard reads its own stream (in chunks, or
+//! block by block), so those reads are timed inside `ingest`. Builds
+//! before the one front door timed the structure read as a `read`
+//! stage of its own. After the request
 //! it builds the global event order, a stage no
 //! per-core request and no lint needs, and drops the session. The
 //! parent prints one JSON document with the median of every figure
 //! over the repetitions.
 //!
 //! Request kinds, each mirroring one `ta-cli` command, and the stages
-//! each runs after `open`, `read` and `ingest`:
+//! each runs after `open` and `ingest`:
 //!
 //! - `summary`: intervals, stats, render;
 //! - `query`: intervals, index, summarize (the middle 1%
@@ -40,12 +42,12 @@
 //! Every kind ends with `order` (a no-op when the request built it) and
 //! `drop`.
 
-use std::fs::File;
 use std::process::Command;
 use std::time::Instant;
 
+use bench::peak_rss_kb;
 use ta::reader::bytes_read;
-use ta::{is_v2_file, Analysis, Parallelism, ReportKind, TraceImage, V2Trace};
+use ta::{Analysis, Parallelism, ReportKind};
 
 const KINDS: [&str; 4] = ["summary", "query", "svg", "lint"];
 
@@ -58,16 +60,6 @@ fn minor_faults() -> u64 {
         .split_whitespace()
         .nth(7)
         .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
-/// This process's peak resident set (`VmHWM`), KiB.
-fn peak_rss_kib() -> u64 {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
         .unwrap_or(0)
 }
 
@@ -98,38 +90,16 @@ impl Stages {
     }
 }
 
-/// A trace as `ta-cli` loads it: its container structure, every
-/// stream left in the file.
-enum Loaded<'f> {
-    V1(TraceImage<'f>),
-    V2(V2Trace<'f>),
-}
-
 /// One request in this (fresh) process.
 fn child(kind: &str, path: &str, par: Parallelism) -> Result<(), String> {
     let s = Stages;
     let bytes0 = bytes_read();
-    let file = s
-        .run("open", || File::open(path))
+    let builder = s
+        .run("open", || Analysis::open(path))
         .map_err(|e| e.to_string())?;
-    let loaded = s
-        .run("read", || -> std::io::Result<_> {
-            if is_v2_file(&file)? {
-                return V2Trace::read(&file).map(Loaded::V2);
-            }
-            TraceImage::read(&file).map(Loaded::V1)
-        })
+    let a = s
+        .run("ingest", || builder.parallelism(par).run())
         .map_err(|e| e.to_string())?;
-    let a = s.run("ingest", || -> Result<_, String> {
-        match &loaded {
-            Loaded::V2(v2) => v2.analyze(par).map(|(a, _)| a).map_err(|e| e.to_string()),
-            Loaded::V1(image) => Analysis::of(image.clone())
-                .parallelism(par)
-                .run()
-                .map(std::sync::Arc::new)
-                .map_err(|e| e.to_string()),
-        }
-    })?;
     println!("bytes_read {}", bytes_read() - bytes0);
     match kind {
         "summary" => {
@@ -163,9 +133,9 @@ fn child(kind: &str, path: &str, par: Parallelism) -> Result<(), String> {
         }
         other => return Err(format!("unknown request kind {other:?}")),
     }
-    println!("peak_rss_kib {}", peak_rss_kib());
+    println!("peak_rss_kib {}", peak_rss_kb());
     s.run("order", || a.columns().order().by_rank().len());
-    s.run("drop", || drop((a, loaded)));
+    s.run("drop", || drop(a));
     Ok(())
 }
 

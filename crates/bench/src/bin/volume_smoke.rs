@@ -9,9 +9,10 @@
 //!   6 bytes/event against 16 for a raw minimal record, and the
 //!   ≥10M-event synthetic must hit the same target.
 //! - **Memory is fatal.** The synthetic is written through
-//!   [`V2Writer`] to a temp file and decoded from the file through a
-//!   file-backed [`ta::V2Trace`], whose decode shards each read their
-//!   stream one block at a time, so the image is never held whole;
+//!   [`V2Writer`] to a temp file and decoded from the file as `ta-cli`
+//!   loads it, through [`Analysis::open`], whose decode shards each
+//!   read their stream one block at a time, so the image is never held
+//!   whole;
 //!   peak RSS (`VmHWM`) must stay under a fixed budget, and the decoded
 //!   in-memory store ([`ColumnarTrace::bytes_in_memory`](ta::ColumnarTrace::bytes_in_memory)) must stay at
 //!   or under 100 B/event, so the decode path can never regress into
@@ -34,7 +35,7 @@
 //! When the measured 10M-event rates project the 100M-event point to
 //! fit a fixed wall-clock budget (release builds only), the gate also
 //! writes 100M events through [`V2Writer`] **to disk** and decodes the
-//! file through a file-backed [`ta::V2Trace`] — the full-scale point
+//! file through [`Analysis::open`] — the full-scale point
 //! must clear the same RSS budget, proving the container + slim store
 //! hold a 100M-event session under 2 GiB.
 //!
@@ -58,7 +59,7 @@ use pdt::{
     pack, EventCode, TraceCore, TraceFile, TraceHeader, TraceRecord, DEFAULT_BLOCK_RECORDS, VERSION,
 };
 use ta::reader::bytes_read;
-use ta::{Analysis, Parallelism, V2Trace};
+use ta::{analyze_v2, Analysis, Parallelism, V2Trace};
 
 /// Dense traces must pack to at most this many bytes per event
 /// (a raw minimal record is 16).
@@ -274,24 +275,22 @@ fn write_file(path: &TempPath, events: usize) -> Result<(usize, u64, u64, f64), 
     Ok((total, raw, len, t.elapsed().as_nanos() as f64 / 1e6))
 }
 
-/// Decodes `v2` under four workers and checks the result: no corrupt
-/// block, `total` events in the store, at most
-/// [`MEM_MAX_BYTES_PER_EVENT`] resident. Returns the analysis, its
+/// Times `load`, which decodes the image under four workers, and
+/// checks the result: nothing lost, `total` events in the store, at
+/// most [`MEM_MAX_BYTES_PER_EVENT`] resident. Returns the analysis, its
 /// resident bytes per event, the decode time in ms and the rate.
 fn decode(
     what: &str,
-    v2: &V2Trace<'_>,
     total: usize,
-    t: Instant,
+    load: impl FnOnce() -> Result<Arc<Analysis>, String>,
 ) -> Result<(Arc<Analysis>, f64, f64, f64), String> {
-    let (a, stats) = v2
-        .analyze(Parallelism::Workers(4))
-        .map_err(|e| format!("{what}: {e}"))?;
+    let t = Instant::now();
+    let a = load().map_err(|e| format!("{what}: {e}"))?;
     let ms = t.elapsed().as_nanos() as f64 / 1e6;
-    if stats.blocks_corrupt != 0 {
+    if !a.loss().is_clean() {
         return Err(format!(
-            "{what}: {} corrupt blocks in a clean image",
-            stats.blocks_corrupt
+            "{what}: {} decode gaps in a clean image",
+            a.loss().total_gaps()
         ));
     }
     // Count from the columns, never the materialized rows: rows would
@@ -308,27 +307,30 @@ fn decode(
     }
     let evps = total as f64 / (ms / 1e3);
     println!(
-        "{what}: {} blocks, {total} events in {ms:.0} ms \
+        "{what}: {total} events in {ms:.0} ms \
          ({:.2} M events/s, {mem_bpe:.1} B/event resident)",
-        stats.blocks_decoded,
         evps / 1e6
     );
     check_throughput(what, evps, MIN_ONESHOT_EVPS)?;
     Ok((a, mem_bpe, ms, evps))
 }
 
+/// The file at `path` decoded as `ta-cli` loads it.
+fn open_file(path: &TempPath) -> Result<Arc<Analysis>, String> {
+    let builder = Analysis::open(&path.0).map_err(|e| e.to_string())?;
+    let a = builder.parallelism(Parallelism::Workers(4)).run();
+    a.map(Arc::new).map_err(|e| e.to_string())
+}
+
 /// The 100M-event point: write the synthetic through [`V2Writer`] to
-/// a temp file, decode the file through a file-backed [`V2Trace`], and
+/// a temp file, decode the file through [`Analysis::open`], and
 /// verify the count, the per-event memory and the RSS budget at full
 /// scale. Returns `(events, write_ms, decode_ms, evps)`.
 fn run_big_point() -> Result<(usize, f64, f64, f64), String> {
     let path = TempPath::new("big");
     let (total, _, _, write_ms) = write_file(&path, BIG_EVENTS)?;
-    let t = Instant::now();
-    let file = File::open(&path.0).map_err(|e| e.to_string())?;
-    let v2 = V2Trace::read(&file).map_err(|e| e.to_string())?;
     println!("100m: {total} events written in {write_ms:.0} ms");
-    let (_, _, decode_ms, evps) = decode("100m file-backed decode", &v2, total, t)?;
+    let (_, _, decode_ms, evps) = decode("100m file-backed decode", total, || open_file(&path))?;
     Ok((total, write_ms, decode_ms, evps))
 }
 
@@ -377,18 +379,17 @@ fn run() -> Result<(), String> {
         ));
     }
 
-    let t = Instant::now();
-    let file = File::open(&path.0).map_err(|e| e.to_string())?;
-    let v2 = V2Trace::read(&file).map_err(|e| e.to_string())?;
-    let (snap, mem_bpe, decode_ms, evps) = decode("file-backed decode", &v2, total, t)?;
+    let (snap, mem_bpe, decode_ms, evps) =
+        decode("file-backed decode", total, || open_file(&path))?;
     let (lo, hi) = (snap.columns().start_tb(), snap.columns().end_tb());
     drop(snap);
 
     // The same image decoded from memory.
     let image = std::fs::read(&path.0).map_err(|e| e.to_string())?;
-    let t = Instant::now();
-    let memory = V2Trace::parse(&image).map_err(|e| e.to_string())?;
-    let (_, _, oneshot_ms, oneshot_evps) = decode("in-memory decode", &memory, total, t)?;
+    let (_, _, oneshot_ms, oneshot_evps) = decode("in-memory decode", total, || {
+        let a = analyze_v2(&image, Parallelism::Workers(4));
+        a.map(|(a, _)| a).map_err(|e| e.to_string())
+    })?;
     drop(image);
 
     // Block-skip win: a window covering ~1% of the trace span, queried
@@ -396,6 +397,7 @@ fn run() -> Result<(), String> {
     // blocks, not the whole file.
     let (mid, half) = (lo + (hi - lo) / 2, (hi - lo) / 200);
     let (t, read0) = (Instant::now(), bytes_read());
+    let file = File::open(&path.0).map_err(|e| e.to_string())?;
     let v2 = V2Trace::read(&file).map_err(|e| e.to_string())?;
     let wq = v2
         .window_events(mid - half, mid + half)

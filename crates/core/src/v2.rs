@@ -1361,54 +1361,15 @@ fn try_pack(trace: &TraceFile, block_records: usize) -> io::Result<Vec<u8>> {
 ///
 /// # Errors
 ///
-/// Returns [`V2Error`] on any structural or CRC inconsistency.
+/// Returns [`V2Error`] on any structural or CRC inconsistency: the
+/// walk's, then each stream's [`unpack_stream`] error in stream order.
 pub fn unpack(image: &[u8]) -> Result<TraceFile, V2Error> {
     let v2 = V2File::parse(image)?;
     let mut streams = Vec::with_capacity(v2.streams.len());
     for meta in &v2.streams {
-        // The header's raw length is checked only once the blocks are
-        // decoded, so a damaged one may reserve no more than 16 raw
-        // bytes per payload byte: twice what the packed codec expands
-        // to (at least an index and a timestamp byte per 16-byte
-        // record, at least one byte per 8-byte parameter).
-        let budget = meta.raw_len.min(meta.payloads_len.saturating_mul(16));
-        let mut bytes = Vec::with_capacity(usize::try_from(budget).unwrap_or(0));
-        for item in BlockIter::new(meta.region(image)) {
-            let (prefix, payload) = item?;
-            if crc32(payload) != prefix.payload_crc {
-                return Err(V2Error::Corrupt {
-                    what: "block payload crc",
-                });
-            }
-            match prefix.kind {
-                BlockKind::Packed => {
-                    let records = decode_packed_payload(payload, prefix.n_records)?;
-                    let raw = records_to_bytes(&records);
-                    if raw.len() != prefix.raw_len as usize {
-                        return Err(V2Error::Corrupt {
-                            what: "packed block raw length",
-                        });
-                    }
-                    bytes.extend_from_slice(&raw);
-                }
-                BlockKind::Raw => {
-                    if prefix.raw_len != prefix.payload_len {
-                        return Err(V2Error::Corrupt {
-                            what: "raw block length",
-                        });
-                    }
-                    bytes.extend_from_slice(payload);
-                }
-            }
-        }
-        if bytes.len() as u64 != meta.raw_len {
-            return Err(V2Error::Corrupt {
-                what: "stream raw length",
-            });
-        }
         streams.push(TraceStream {
             core: meta.core,
-            bytes,
+            bytes: unpack_stream(meta, meta.region(image))?,
             dropped: meta.dropped,
         });
     }
@@ -1417,6 +1378,50 @@ pub fn unpack(image: &[u8]) -> Result<TraceFile, V2Error> {
         streams,
         ctx_names: v2.ctx_names,
     })
+}
+
+/// One stream's v1 bytes, strictly: its block region `region`
+/// ([`V2StreamMeta::region`]) walked by the inline prefixes; the
+/// footer directory is not read.
+///
+/// # Errors
+///
+/// [`V2Error`] on the first block cut short, failing its CRC or not
+/// yielding its raw length, or when the stream's raw length is wrong.
+pub fn unpack_stream(meta: &V2StreamMeta, region: &[u8]) -> Result<Vec<u8>, V2Error> {
+    let corrupt = |what| Err(V2Error::Corrupt { what });
+    // The header's raw length is checked only once the blocks are
+    // decoded, so a damaged one may reserve no more than 16 raw bytes
+    // per payload byte: twice what the packed codec expands to (at
+    // least an index and a timestamp byte per 16-byte record, at least
+    // one byte per 8-byte parameter).
+    let budget = meta.raw_len.min(meta.payloads_len.saturating_mul(16));
+    let mut bytes = Vec::with_capacity(usize::try_from(budget).unwrap_or(0));
+    for item in BlockIter::new(region) {
+        let (prefix, payload) = item?;
+        if crc32(payload) != prefix.payload_crc {
+            return corrupt("block payload crc");
+        }
+        let start = bytes.len();
+        let what = match prefix.kind {
+            BlockKind::Packed => {
+                let records = decode_packed_payload(payload, prefix.n_records)?;
+                bytes.extend_from_slice(&records_to_bytes(&records));
+                "packed block raw length"
+            }
+            BlockKind::Raw => {
+                bytes.extend_from_slice(payload);
+                "raw block length"
+            }
+        };
+        if bytes.len() - start != prefix.raw_len as usize {
+            return corrupt(what);
+        }
+    }
+    if bytes.len() as u64 != meta.raw_len {
+        return corrupt("stream raw length");
+    }
+    Ok(bytes)
 }
 
 // ---------------------------------------------------------------------

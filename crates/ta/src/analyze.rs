@@ -16,7 +16,7 @@
 //! (the context start latency). Experiment E10 quantifies this skew
 //! against simulator ground truth.
 
-use pdt::{EventCode, RecordError, TraceCore, TraceFile, TraceHeader, TraceRecord};
+use pdt::{EventCode, RecordError, TraceCore, TraceFile, TraceHeader, TraceRecord, V2Error};
 
 use crate::loss::{LossReport, StreamLoss};
 
@@ -135,6 +135,9 @@ pub enum AnalyzeError {
         /// The I/O error, as displayed.
         message: String,
     },
+    /// A `.pdt2` container failed a strict check: it is truncated, or a
+    /// stream's blocks do not unpack ([`pdt::v2::unpack_stream`]).
+    Container(V2Error),
 }
 
 impl std::fmt::Display for AnalyzeError {
@@ -158,6 +161,7 @@ impl std::fmt::Display for AnalyzeError {
                 offset,
                 message,
             } => write!(f, "cannot read {core} stream at byte {offset}: {message}"),
+            AnalyzeError::Container(e) => e.fmt(f),
         }
     }
 }

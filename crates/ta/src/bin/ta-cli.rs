@@ -25,15 +25,16 @@
 //! ta-cli unpack   IN.pdt2 OUT.pdt   convert a v2 container back to raw v1
 //! ```
 //!
-//! Every analysis command sniffs the container by magic: `.pdt` (v1,
-//! raw granules) and `.pdt2` (v2, blocked + compressed with per-block
-//! footers) images are both accepted. On a v2 image, a windowed
-//! `query` listing decodes only the blocks whose footer time range
-//! overlaps the window and reports the decode/skip counters on
+//! Every analysis command opens its trace through
+//! [`ta::Analysis::open`], which sniffs the container by magic: `.pdt`
+//! (v1, raw granules) and `.pdt2` (v2, blocked + compressed with
+//! per-block footers) images are both accepted. On a v2 image, a
+//! windowed `query` listing decodes only the blocks whose footer time
+//! range overlaps the window and reports the decode/skip counters on
 //! stderr; a truncated v2 image degrades to loss accounting, whose
 //! report names the structure the image ends inside, instead of
 //! failing. Both containers are read with positioned reads, never
-//! whole (but for `--strict` on a `.pdt2`, `pack` and `unpack`).
+//! whole (but for `pack` and `unpack`), with or without `--strict`.
 //!
 //! Answers go to stdout through one buffered writer, and reports
 //! (`timeline`, `events`, `loss`, `report`) are streamed into it, or
@@ -77,67 +78,20 @@
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use pdt::{TraceCore, TraceFile, DEFAULT_BLOCK_RECORDS};
 use ta::{
-    compare_traces, is_v2_file, is_v2_image, user_phases, Analysis, CsvTable, EventFilter,
-    LintConfig, MappedImage, Parallelism, RenderOptions, ReportKind, SvgOptions, TraceImage,
-    V2Trace,
+    compare_traces, is_v2_image, user_phases, Analysis, CsvTable, EventFilter, LintConfig,
+    MappedImage, Parallelism, RenderOptions, ReportKind, SvgOptions, V2Trace,
 };
 
-/// A trace file opened by container, left on disk: ingest reads what
-/// it needs itself.
-enum Trace {
-    /// A `.pdt`.
-    V1(File),
-    /// A `.pdt2`.
-    V2(File),
-}
-
-/// Opens the trace at `path`, sniffing the container by its magic.
-fn open(path: &str) -> Result<Trace, String> {
-    let err = |e: io::Error| format!("{path}: {e}");
-    let file = File::open(path).map_err(err)?;
-    if is_v2_file(&file).map_err(err)? {
-        return Ok(Trace::V2(file));
-    }
-    Ok(Trace::V1(file))
-}
-
-/// Loads a trace, sniffing the container by magic: `PDT1` images take
-/// the v1 path, `PDT2` images decode through the blocked v2 reader,
-/// which degrades a truncated container to loss accounting.
-fn load(path: &str, strict: bool, par: Parallelism) -> Result<Arc<Analysis>, String> {
+/// Loads the trace at `path`, of either container. Only its structure
+/// is read here; each decode shard reads its own stream.
+fn load(path: &str, strict: bool, par: Parallelism) -> Result<Analysis, String> {
     let err = |e: &dyn std::fmt::Display| format!("{path}: {e}");
-    let file = match open(path)? {
-        Trace::V1(file) => file,
-        Trace::V2(_) if strict => {
-            // Strict mode reconstructs the exact v1 bytes first, so a
-            // damaged block fails the run like a malformed v1 record.
-            let bytes = MappedImage::open(path).map_err(|e| err(&e))?;
-            let trace = pdt::unpack(&bytes).map_err(|e| err(&e))?;
-            let a = Analysis::of(&trace)
-                .parallelism(par)
-                .strict()
-                .run()
-                .map_err(|e| err(&e))?;
-            return Ok(Arc::new(a));
-        }
-        Trace::V2(file) => {
-            // Only the container structure is read here; each decode
-            // shard reads its own stream's blocks.
-            let v2 = V2Trace::read(&file).map_err(|e| err(&e))?;
-            let (a, _) = v2.analyze(par).map_err(|e| err(&e))?;
-            return Ok(a);
-        }
-    };
-    // Only the header, the stream directory and the name table are read
-    // here; each ingest shard reads its own stream in chunks.
-    let image = TraceImage::read(&file).map_err(|e| err(&e))?;
-    let builder = Analysis::of(image).parallelism(par);
+    let builder = Analysis::open(path).map_err(|e| err(&e))?.parallelism(par);
     let builder = if strict { builder.strict() } else { builder };
-    builder.run().map(Arc::new).map_err(|e| err(&e))
+    builder.run().map_err(|e| err(&e))
 }
 
 fn parse_parallelism(s: &str) -> Result<Parallelism, String> {
@@ -438,48 +392,51 @@ fn run(out: &mut dyn Write) -> Result<(), Failure> {
             let codes = take_values(&mut args, "--code")?;
             let groups = take_values(&mut args, "--group")?;
             let path = args.get(1).ok_or(usage)?;
+            // The listing's filter over `[t0, t1)`.
+            let filter = |t0, t1| -> Result<EventFilter, String> {
+                let mut filter = EventFilter::new().in_window(t0, t1);
+                for c in &cores {
+                    filter = filter.on_core(parse_core(c)?);
+                }
+                for c in &codes {
+                    filter = filter.with_code(parse_code(c)?);
+                }
+                for g in &groups {
+                    filter = filter.in_group(parse_group(g)?);
+                }
+                Ok(filter)
+            };
 
             // On an intact v2 container, a listing query takes the
             // block-skip path: only packed blocks whose footer time
             // range overlaps the window are read and decoded at all.
-            if !summary && !strict {
-                if let Trace::V2(file) = open(path)? {
-                    let v2 = V2Trace::read(&file).ok();
-                    if let Some(v2) = v2.filter(|v2| v2.file().truncation.is_none()) {
-                        let (t0, t1) = (from.unwrap_or(0), to.unwrap_or(u64::MAX));
-                        let mut filter = EventFilter::new().in_window(t0, t1);
-                        for c in &cores {
-                            filter = filter.on_core(parse_core(c)?);
-                        }
-                        for c in &codes {
-                            filter = filter.with_code(parse_code(c)?);
-                        }
-                        for g in &groups {
-                            filter = filter.in_group(parse_group(g)?);
-                        }
-                        let wq = v2
-                            .window_events(t0, t1)
-                            .map_err(|e| format!("{path}: {e}"))?;
-                        for e in wq.events.iter().filter(|e| filter.matches(e)) {
-                            write_event(out, e)?;
-                        }
-                        if wq.suspect {
-                            eprintln!(
-                                "warning: window overlaps damaged or unplaced blocks; \
-                                 the listing may be incomplete"
-                            );
-                        }
-                        eprintln!(
-                            "codec: {} of {} block(s) decoded, {} skipped, {} corrupt, {} payload bytes read",
-                            wq.stats.blocks_decoded,
-                            v2.file().total_blocks(),
-                            wq.stats.blocks_skipped,
-                            wq.stats.blocks_corrupt,
-                            wq.stats.payload_bytes_read,
-                        );
-                        return Ok(());
-                    }
+            // Anything else is loaded as every command loads it.
+            let listing = !summary && !strict;
+            let v2 = listing.then(|| File::open(path).and_then(|f| V2Trace::read(&f)).ok());
+            if let Some(v2) = v2.flatten().filter(|v2| v2.file().truncation.is_none()) {
+                let (t0, t1) = (from.unwrap_or(0), to.unwrap_or(u64::MAX));
+                let filter = filter(t0, t1)?;
+                let wq = v2
+                    .window_events(t0, t1)
+                    .map_err(|e| format!("{path}: {e}"))?;
+                for e in wq.events.iter().filter(|e| filter.matches(e)) {
+                    write_event(out, e)?;
                 }
+                if wq.suspect {
+                    eprintln!(
+                        "warning: window overlaps damaged or unplaced blocks; \
+                         the listing may be incomplete"
+                    );
+                }
+                eprintln!(
+                    "codec: {} of {} block(s) decoded, {} skipped, {} corrupt, {} payload bytes read",
+                    wq.stats.blocks_decoded,
+                    v2.file().total_blocks(),
+                    wq.stats.blocks_skipped,
+                    wq.stats.blocks_corrupt,
+                    wq.stats.payload_bytes_read,
+                );
+                return Ok(());
             }
             let a = load(path, strict, par)?;
 
@@ -517,17 +474,7 @@ fn run(out: &mut dyn Write) -> Result<(), Failure> {
                 return Ok(());
             }
 
-            let mut filter = EventFilter::new().in_window(t0, t1);
-            for c in cores {
-                filter = filter.on_core(parse_core(&c)?);
-            }
-            for c in codes {
-                filter = filter.with_code(parse_code(&c)?);
-            }
-            for g in groups {
-                filter = filter.in_group(parse_group(&g)?);
-            }
-            for e in filter.apply(&a) {
+            for e in filter(t0, t1)?.apply(&a) {
                 write_event(out, e)?;
             }
         }

@@ -38,7 +38,7 @@ pub enum EdgeKind {
     /// precede the k-th completed read of the same `(target, register)`
     /// pair. Only emitted by [`sync_edges_columns`]: the skew machinery
     /// ([`violations`], [`estimate_skew`]) deliberately ignores signal
-    /// traffic, so [`causal_edges`] never returns this kind.
+    /// traffic, so the row edge extraction never returns this kind.
     Signal,
 }
 
@@ -101,7 +101,7 @@ fn ctx_to_spe(trace: &AnalyzedTrace) -> HashMap<u32, u8> {
 /// Equivalent to [`causal_edges_with_loss`] with an empty
 /// [`LossReport`]; prefer the loss-aware variant when ingestion ran
 /// with accounting.
-pub fn causal_edges(trace: &AnalyzedTrace) -> Vec<CausalEdge> {
+pub(crate) fn causal_edges(trace: &AnalyzedTrace) -> Vec<CausalEdge> {
     causal_edges_with_loss(trace, &LossReport::default())
 }
 
@@ -114,7 +114,7 @@ pub fn causal_edges(trace: &AnalyzedTrace) -> Vec<CausalEdge> {
 /// (its own stream lost records, or a PPE stream has gaps that may
 /// hide mailbox writes), mailbox edges are dropped entirely.
 /// `CtxStart` edges survive: they pair by context id, not by count.
-pub fn causal_edges_with_loss(trace: &AnalyzedTrace, loss: &LossReport) -> Vec<CausalEdge> {
+pub(crate) fn causal_edges_with_loss(trace: &AnalyzedTrace, loss: &LossReport) -> Vec<CausalEdge> {
     let ctx_spe = ctx_to_spe(trace);
     let mut q = SyncQueues::default();
     for (i, e) in trace.events.iter().enumerate() {
@@ -123,11 +123,11 @@ pub fn causal_edges_with_loss(trace: &AnalyzedTrace, loss: &LossReport) -> Vec<C
     q.emit(loss, false, |i| i as u128)
 }
 
-/// [`causal_edges_with_loss`] over the columnar store: the same queue
-/// construction and FIFO pairing, fed core by core from the columns.
-/// Edge indices are global ranks, shared with any materialized row
-/// vector (the order is built to map them). The row function remains
-/// the differential oracle.
+/// The row edge extraction (`causal_edges_with_loss`) over the
+/// columnar store: the same queue construction and FIFO pairing, fed
+/// core by core from the columns. Edge indices are global ranks, shared
+/// with any materialized row vector (the order is built to map them).
+/// The row function remains the differential oracle.
 pub fn causal_edges_columns(trace: &ColumnarTrace, loss: &LossReport) -> Vec<CausalEdge> {
     let mut edges = store_queues(trace).emit(loss, false, |i| trace.order_key(i));
     let ranks = trace.order().ranks();
@@ -487,10 +487,13 @@ pub fn estimate_skew(trace: &AnalyzedTrace) -> Vec<SkewEstimate> {
     out
 }
 
-/// Applies skew corrections: shifts each listed SPE's events forward
-/// and re-sorts the global order (stable on per-core sequence).
-pub fn apply_skew(trace: &AnalyzedTrace, corrections: &[SkewEstimate]) -> AnalyzedTrace {
-    let by_spe: HashMap<u8, u64> = corrections.iter().map(|c| (c.spe, c.shift_tb)).collect();
+/// Detects, estimates and applies the skew corrections in one step:
+/// shifts each SPE that needs it forward ([`estimate_skew`]) and
+/// re-sorts the global order (stable on per-core sequence). Returns the
+/// corrected trace and the estimates used.
+pub fn align_clocks(trace: &AnalyzedTrace) -> (AnalyzedTrace, Vec<SkewEstimate>) {
+    let est = estimate_skew(trace);
+    let by_spe: HashMap<u8, u64> = est.iter().map(|c| (c.spe, c.shift_tb)).collect();
     let mut out = trace.clone();
     for e in &mut out.events {
         if let TraceCore::Spe(s) = e.core {
@@ -506,15 +509,7 @@ pub fn apply_skew(trace: &AnalyzedTrace, corrections: &[SkewEstimate]) -> Analyz
     }
     out.events
         .sort_by_key(|a| (a.time_tb, a.core, a.stream_seq));
-    out
-}
-
-/// Convenience: detect, estimate and apply in one step. Returns the
-/// corrected trace and the estimates used.
-pub fn align_clocks(trace: &AnalyzedTrace) -> (AnalyzedTrace, Vec<SkewEstimate>) {
-    let est = estimate_skew(trace);
-    let fixed = apply_skew(trace, &est);
-    (fixed, est)
+    (out, est)
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! paper's use cases present their fixes.
 
 use crate::analyze::AnalyzedTrace;
-use crate::stats::{compute_stats, TraceStats};
+use crate::stats::compute_stats;
 
 /// Per-SPE before/after deltas (milliseconds unless noted).
 #[derive(Debug, Clone, PartialEq)]
@@ -96,18 +96,7 @@ fn frac(num: u64, den: u64) -> f64 {
 
 /// Compares two analyzed traces of the same application.
 pub fn compare_traces(before: &AnalyzedTrace, after: &AnalyzedTrace) -> Comparison {
-    let sb = compute_stats(before);
-    let sa = compute_stats(after);
-    compare_stats(before, &sb, after, &sa)
-}
-
-/// Compares from precomputed statistics.
-pub fn compare_stats(
-    before: &AnalyzedTrace,
-    sb: &TraceStats,
-    after: &AnalyzedTrace,
-    sa: &TraceStats,
-) -> Comparison {
+    let (sb, sa) = (compute_stats(before), compute_stats(after));
     let before_ms = before.tb_to_ns(sb.duration_tb) / 1e6;
     let after_ms = after.tb_to_ns(sa.duration_tb) / 1e6;
     let mut spes = Vec::new();

@@ -82,7 +82,10 @@ impl SuspectRange {
 ///
 /// Shared by [`TraceIndex`] construction and the scan oracles, so the
 /// suspicion *rule* has exactly one definition.
-pub fn compute_suspect_ranges(trace: &AnalyzedTrace, loss: &LossReport) -> Vec<SuspectRange> {
+pub(crate) fn compute_suspect_ranges(
+    trace: &AnalyzedTrace,
+    loss: &LossReport,
+) -> Vec<SuspectRange> {
     let (start, end) = (trace.start_tb(), trace.end_tb());
     let whole = |stream| SuspectRange {
         start_tb: start,
@@ -129,11 +132,11 @@ pub fn compute_suspect_ranges(trace: &AnalyzedTrace, loss: &LossReport) -> Vec<S
     out
 }
 
-/// [`compute_suspect_ranges`] over the columnar store: the same
-/// bracketing rule, searching only the stream's own segments (its
-/// SPE's, or every PPE thread's for a PPE stream). The session's
-/// columnar index build uses this path; the row function remains the
-/// differential oracle.
+/// The row suspect-range rule (`compute_suspect_ranges`) over the
+/// columnar store: the same bracketing rule, searching only the
+/// stream's own segments (its SPE's, or every PPE thread's for a PPE
+/// stream). The session's columnar index build uses this path; the
+/// row function remains the differential oracle.
 pub fn compute_suspect_ranges_columns(
     trace: &ColumnarTrace,
     loss: &LossReport,

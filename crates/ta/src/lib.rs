@@ -101,16 +101,16 @@ pub mod validate;
 
 pub use analyze::{analyze, analyze_lossy, AnalyzeError, AnalyzedTrace, GlobalEvent, SpeAnchor};
 pub use causality::{
-    align_clocks, apply_skew, causal_edges, causal_edges_with_loss, estimate_skew,
-    sync_edges_columns, violations, CausalEdge, EdgeKind, SkewEstimate, Violation,
+    align_clocks, estimate_skew, sync_edges_columns, violations, CausalEdge, EdgeKind,
+    SkewEstimate, Violation,
 };
 pub use columns::{ColumnarTrace, EventColumns, EventView, Interner, Sym};
-pub use compare::{compare_stats, compare_traces, Comparison, SpeDelta};
-pub use exec::{ExecPool, ExecStats, Parallelism};
+pub use compare::{compare_traces, Comparison, SpeDelta};
+pub use exec::{ExecStats, Parallelism};
 pub use faults::{FaultInjector, FaultKind, InjectedFault};
 pub use hb::{event_clocks, Access, AccessDir, ClockTable, HbIndex, RaceWitness, Space, VecClock};
 pub use histogram::Log2Histogram;
-pub use index::{compute_suspect_ranges, SuspectRange, TraceIndex, WindowActivity, WindowSummary};
+pub use index::{SuspectRange, TraceIndex, WindowActivity, WindowSummary};
 pub use intervals::{build_intervals, ActivityKind, Interval, SpeIntervals};
 #[cfg(feature = "scan-oracle")]
 pub use lint::dma_race_window_heuristic;
@@ -130,8 +130,7 @@ pub use report::{
 pub use session::{Analysis, AnalysisBuilder};
 pub use stats::{compute_stats, DmaSummary, EventCounts, SpeActivity, TraceStats};
 pub use stream::{ImageIngest, IngestSession, StreamId};
-pub use summary::render_summary_with;
 pub use svg::SvgOptions;
 pub use timeline::{build_timeline, Lane, Marker, Segment, Timeline};
-pub use v2read::{analyze_v2, is_v2_file, is_v2_image, V2Trace, WindowQuery};
-pub use validate::{rel_err, validate, validate_with_loss, SpeValidation, ValidationReport};
+pub use v2read::{analyze_v2, is_v2_image, V2Trace, WindowQuery};
+pub use validate::{rel_err, validate, SpeValidation, ValidationReport};

@@ -11,7 +11,7 @@ use pdt::{ChunkScan, DecodeGap, EventCode, TraceCore, TraceHeader};
 use crate::analyze::{AnalyzeError, SpeAnchor};
 use crate::columns::{ColumnarTrace, EventColumns, ParamDict};
 use crate::exec::{self, Parallelism};
-use crate::loss::{DecodePolicy, LossReport, StreamLoss};
+use crate::loss::{LossReport, StreamLoss};
 use crate::reader::{ChunkBuf, ImageStream, TraceImage};
 
 /// One stream's placed events in stream order: times, core tags, codes
@@ -373,13 +373,14 @@ impl StreamDecode {
 
 /// Decodes one v1 stream into its run. A stream in memory is scanned
 /// as one chunk; a file-backed one is read chunk by chunk through
-/// `buf`.
+/// `buf`. A damaged `.pdt2` stream unpacked under the strict policy
+/// comes here too ([`crate::v2read`]).
 ///
 /// # Errors
 ///
 /// Under `strict`, the stream's first malformed record; under either
 /// policy, a failed read of a file-backed stream.
-fn decode_v1(
+pub(crate) fn decode_v1(
     s: &ImageStream<'_>,
     strict: bool,
     buf: &mut ChunkBuf,
@@ -451,7 +452,7 @@ pub(crate) fn finish(
     header: TraceHeader,
     streams: Vec<StreamDecode>,
     names: &[(u32, String)],
-) -> (ColumnarTrace, LossReport) {
+) -> Ingested {
     let mut anchors: Vec<SpeAnchor> = Vec::new();
     for a in streams.iter().flat_map(|st| &st.anchors) {
         if !anchors.iter().any(|b| b.spe == a.spe) {
@@ -496,11 +497,14 @@ pub(crate) fn finish(
     (trace, loss)
 }
 
-/// Ingests a complete v1 image into the columnar store under `policy`:
-/// the store and loss report the row path's
-/// [`analyze`](crate::analyze::analyze) /
+/// A one-shot ingest's store and loss report.
+pub(crate) type Ingested = (ColumnarTrace, LossReport);
+
+/// Ingests a complete v1 image into the columnar store: the store and
+/// loss report the row path's
 /// [`analyze_lossy`](crate::analyze::analyze_lossy) followed by
-/// [`ColumnarTrace::from_rows`] would produce, whatever `par`.
+/// [`ColumnarTrace::from_rows`] would produce, whatever `par`. The
+/// strict policy's anchor check is the session builder's last step.
 ///
 /// Every stream, PPE or SPE, decodes as one [`exec::map_indexed_with`]
 /// shard in one round, since SPE records wait at provisional times for
@@ -508,16 +512,14 @@ pub(crate) fn finish(
 ///
 /// # Errors
 ///
-/// Under [`DecodePolicy::Strict`], the first malformed record in stream
-/// order, else the first SPE stream with records but no sync anchor.
-/// Under either policy, a file-backed stream that cannot be read
-/// ([`AnalyzeError::Read`]); in memory, the lossy policy never fails.
+/// If `strict`, the first malformed record in stream order. Either
+/// way, a file-backed stream that cannot be read
+/// ([`AnalyzeError::Read`]); in memory, a lossy ingest never fails.
 pub(crate) fn ingest(
     image: &TraceImage<'_>,
-    policy: DecodePolicy,
+    strict: bool,
     par: Parallelism,
-) -> Result<(ColumnarTrace, LossReport), AnalyzeError> {
-    let strict = policy == DecodePolicy::Strict;
+) -> Result<Ingested, AnalyzeError> {
     let streams = image.streams();
     // The first failure in stream order wins, whichever executor met it.
     let decoded = exec::map_indexed_with(par, streams.len(), ChunkBuf::default, |buf, si| {
@@ -525,13 +527,5 @@ pub(crate) fn ingest(
     })
     .into_iter()
     .collect::<Result<Vec<_>, _>>()?;
-    let (trace, mut loss) = finish(*image.header(), decoded, image.ctx_names());
-    if strict {
-        let unanchored = loss.streams.iter().find(|s| s.unanchored);
-        if let Some(TraceCore::Spe(spe)) = unanchored.map(|s| s.core) {
-            return Err(AnalyzeError::MissingAnchor { spe });
-        }
-        loss.streams.clear();
-    }
-    Ok((trace, loss))
+    Ok(finish(*image.header(), decoded, image.ctx_names()))
 }

@@ -11,9 +11,10 @@ use pdt::TraceFile;
 
 use crate::analyze::{AnalyzeError, AnalyzedTrace};
 use crate::exec::Parallelism;
-use crate::loss::{DecodePolicy, LossReport};
+use crate::loss::LossReport;
 use crate::oneshot::ingest;
 use crate::reader::TraceImage;
+use crate::session::Analysis;
 
 /// Reconstructs the global timeline: exactly the [`AnalyzedTrace`]
 /// (events, order, anchors, errors) of the serial
@@ -26,12 +27,8 @@ use crate::reader::TraceImage;
 /// anchors, with the same stream-order precedence as the serial path
 /// (all decode errors are reported before any anchor error).
 pub fn analyze_parallel(trace: &TraceFile) -> Result<AnalyzedTrace, AnalyzeError> {
-    let (columns, _) = ingest(
-        &TraceImage::from(trace),
-        DecodePolicy::Strict,
-        Parallelism::Auto,
-    )?;
-    Ok(columns.materialize())
+    let a = Analysis::of(trace).parallelism(Parallelism::Auto).strict();
+    a.run().map(Analysis::into_analyzed)
 }
 
 /// The lossy counterpart of [`analyze_parallel`]: resynchronizes past
@@ -42,7 +39,7 @@ pub fn analyze_parallel(trace: &TraceFile) -> Result<AnalyzedTrace, AnalyzeError
 /// ([`Parallelism::from_threads`]).
 pub fn analyze_parallel_lossy(trace: &TraceFile, threads: usize) -> (AnalyzedTrace, LossReport) {
     let par = Parallelism::from_threads(threads);
-    match ingest(&TraceImage::from(trace), DecodePolicy::Lossy, par) {
+    match ingest(&TraceImage::from(trace), false, par) {
         Ok((columns, loss)) => (columns.materialize(), loss),
         // The lossy policy has no error path: damage becomes gaps.
         Err(_) => unreachable!("lossy ingest never fails"),

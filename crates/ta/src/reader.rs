@@ -12,9 +12,9 @@
 //! loaded from disk is never held whole.
 //!
 //! A `.pdt2` container is read the same two ways by
-//! [`crate::V2Trace`]. [`MappedImage`] reads a whole file onto the
-//! heap, for the readers that need the bytes at once (strict `.pdt2`
-//! unpacking and repacking).
+//! [`crate::V2Trace`]; [`Analysis::open`](crate::Analysis::open) opens
+//! a file of either container file-backed. [`MappedImage`] reads a
+//! whole file onto the heap, for packing and unpacking.
 
 use std::borrow::Cow;
 use std::fs::File;
@@ -22,6 +22,7 @@ use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use pdt::{ChunkScan, FormatError, ImageLayout, TraceCore, TraceFile, TraceHeader};
 
@@ -57,7 +58,8 @@ pub(crate) fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> io::Res
     Ok(())
 }
 
-/// A whole trace file read onto the heap. Every parser
+/// A whole trace file read onto the heap, for tools that need every
+/// byte at once (`ta-cli pack` and `unpack`). Every in-memory parser
 /// ([`TraceImage::parse`], [`crate::V2Trace::parse`],
 /// [`crate::is_v2_image`]) borrows from it through `Deref<[u8]>`.
 #[derive(Debug)]
@@ -87,13 +89,15 @@ impl std::ops::Deref for MappedImage {
     }
 }
 
-/// Where a `.pdt` stream's bytes, or a whole `.pdt2` image, are.
-#[derive(Debug, Clone, Copy)]
+/// Where a `.pdt` stream's bytes, or a whole `.pdt2` image, are. A
+/// file is shared by every region in it, so a file-backed image owns
+/// its file and borrows nothing.
+#[derive(Debug, Clone)]
 pub(crate) enum Region<'a> {
     /// Borrowed from memory.
     Memory(&'a [u8]),
     /// In `file`, from byte `offset`.
-    File { file: &'a File, offset: u64 },
+    File { file: Arc<File>, offset: u64 },
 }
 
 impl<'a> Region<'a> {
@@ -113,7 +117,7 @@ impl<'a> Region<'a> {
     where
         'a: 'b,
     {
-        match *self {
+        match self {
             Region::Memory(bytes) => bytes.get(at..at + n).ok_or_else(|| {
                 io::Error::new(io::ErrorKind::UnexpectedEof, "read past the image's end")
             }),
@@ -167,7 +171,7 @@ impl ChunkBuf {
 
 /// One stream of a [`TraceImage`]: its core, the tracer-dropped count
 /// from the directory, and where its record bytes are.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct ImageStream<'a> {
     /// The producing core.
     pub core: TraceCore,
@@ -178,6 +182,16 @@ pub struct ImageStream<'a> {
 }
 
 impl<'a> ImageStream<'a> {
+    /// A stream whose record bytes are `bytes`, borrowed.
+    pub(crate) fn memory(core: TraceCore, dropped: u64, bytes: &'a [u8]) -> ImageStream<'a> {
+        ImageStream {
+            core,
+            dropped,
+            len: bytes.len(),
+            region: Region::Memory(bytes),
+        }
+    }
+
     /// The stream's length in bytes.
     pub fn len(&self) -> usize {
         self.len
@@ -201,7 +215,7 @@ impl<'a> ImageStream<'a> {
     where
         'a: 'b,
     {
-        match self.region {
+        match &self.region {
             Region::Memory(bytes) => Ok(bytes.get(at..).unwrap_or_default()),
             Region::File { file, offset } => {
                 let n = CHUNK.min(self.len.saturating_sub(at));
@@ -246,12 +260,7 @@ impl<'a> TraceImage<'a> {
                         .ok_or(FormatError::Truncated {
                             reading: "stream bytes",
                         })?;
-                Ok(ImageStream {
-                    core: m.core,
-                    dropped: m.dropped,
-                    len: m.len,
-                    region: Region::Memory(bytes),
-                })
+                Ok(ImageStream::memory(m.core, m.dropped, bytes))
             })
             .collect::<Result<_, FormatError>>()?;
         Ok(Self {
@@ -263,7 +272,8 @@ impl<'a> TraceImage<'a> {
 
     /// Reads the header, stream directory and context-name table of
     /// the `.pdt` file `file` with positioned reads, and leaves every
-    /// stream's record bytes in the file for analysis to read.
+    /// stream's record bytes in the file for analysis to read. The
+    /// image holds its own handle to the file.
     ///
     /// # Errors
     ///
@@ -271,9 +281,10 @@ impl<'a> TraceImage<'a> {
     /// [`InvalidData`](io::ErrorKind::InvalidData) error that displays
     /// as itself, the [`FormatError`] [`TraceImage::parse`] returns for
     /// the same bytes.
-    pub fn read(file: &'a File) -> io::Result<Self> {
+    pub fn read(file: &File) -> io::Result<Self> {
+        let file = Arc::new(file.try_clone()?);
         let len = usize::try_from(file.metadata()?.len()).map_err(io::Error::other)?;
-        let layout = ImageLayout::read(len, |at, buf| read_exact_at(file, buf, at as u64))?;
+        let layout = ImageLayout::read(len, |at, buf| read_exact_at(&file, buf, at as u64))?;
         Ok(Self {
             header: layout.header,
             streams: layout
@@ -284,7 +295,7 @@ impl<'a> TraceImage<'a> {
                     dropped: m.dropped,
                     len: m.len,
                     region: Region::File {
-                        file,
+                        file: Arc::clone(&file),
                         offset: m.offset as u64,
                     },
                 })
@@ -321,12 +332,7 @@ impl<'a> From<&'a TraceFile> for TraceImage<'a> {
             streams: trace
                 .streams
                 .iter()
-                .map(|s| ImageStream {
-                    core: s.core,
-                    dropped: s.dropped,
-                    len: s.bytes.len(),
-                    region: Region::Memory(&s.bytes),
-                })
+                .map(|s| ImageStream::memory(s.core, s.dropped, &s.bytes))
                 .collect(),
             ctx_names: Cow::Borrowed(&trace.ctx_names),
         }
@@ -513,7 +519,7 @@ mod tests {
         let tmp = TempFile::new("shrink", &bytes);
         let file = File::open(&tmp.0).unwrap();
         let image = TraceImage::read(&file).unwrap();
-        let last = image.streams().last().copied().unwrap();
+        let last = image.streams().last().cloned().unwrap();
         let shrunk = std::fs::OpenOptions::new()
             .write(true)
             .open(&tmp.0)

@@ -1,6 +1,7 @@
 //! The analysis session: one ingestion, every product.
 //!
-//! [`Analysis`] is the analyzer's front door. It owns a reconstructed
+//! [`Analysis`] is the analyzer's front door ([`Analysis::open`] for a
+//! file of either container). It owns a reconstructed
 //! trace and memoizes every derived product — intervals, statistics,
 //! timeline, DMA occupancy, user phases — so each is computed at most
 //! once per session no matter how many views ask for it. Ingestion
@@ -34,6 +35,9 @@
 //! # }
 //! ```
 
+use std::fs::File;
+use std::io;
+use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
 use crate::analyze::{AnalyzeError, AnalyzedTrace, GlobalEvent};
@@ -56,20 +60,38 @@ use crate::stats::{DmaMatcher, DmaSummary};
 use crate::summary::render_summary_with;
 use crate::svg::SvgOptions;
 use crate::timeline::{build_timeline_columns, build_timeline_where, Timeline};
+use crate::v2read::{is_v2_file, V2Trace};
 
 use pdt::TraceCore;
 
 /// Configures and launches an [`Analysis`]; created by
-/// [`Analysis::of`].
+/// [`Analysis::open`] or [`Analysis::of`].
 #[derive(Debug)]
 pub struct AnalysisBuilder<'t> {
-    image: TraceImage<'t>,
+    source: Source<'t>,
     par: Parallelism,
     filter: Option<EventFilter>,
     policy: DecodePolicy,
 }
 
-impl AnalysisBuilder<'_> {
+/// What an [`AnalysisBuilder`] ingests: a `.pdt` image, in memory or
+/// in a file, or a `.pdt2` container in a file.
+#[derive(Debug)]
+enum Source<'t> {
+    Pdt(TraceImage<'t>),
+    Pdt2(V2Trace<'t>),
+}
+
+impl<'t> AnalysisBuilder<'t> {
+    fn new(source: Source<'t>) -> Self {
+        AnalysisBuilder {
+            source,
+            par: Parallelism::Auto,
+            filter: None,
+            policy: DecodePolicy::default(),
+        }
+    }
+
     /// Sets the session's concurrency: the [`Parallelism`] ingestion
     /// decodes the SPE streams with and its products are built with.
     /// Defaults to [`Parallelism::Auto`] (the machine's available
@@ -112,9 +134,21 @@ impl AnalysisBuilder<'_> {
     /// Under [`strict`](Self::strict) it returns [`AnalyzeError`] on
     /// corrupt records or missing sync anchors — the same errors, in
     /// the same precedence, as the serial
-    /// [`analyze`](crate::analyze::analyze).
+    /// [`analyze`](crate::analyze::analyze); a `.pdt2`'s container
+    /// errors ([`AnalyzeError::Container`]) come first.
     pub fn run(self) -> Result<Analysis, AnalyzeError> {
-        let (mut columns, loss) = oneshot::ingest(&self.image, self.policy, self.par)?;
+        let strict = self.policy == DecodePolicy::Strict;
+        let (mut columns, mut loss) = match &self.source {
+            Source::Pdt(image) => oneshot::ingest(image, strict, self.par)?,
+            Source::Pdt2(v2) => v2.ingest(strict, self.par)?,
+        };
+        if strict {
+            let unanchored = loss.streams.iter().find(|s| s.unanchored);
+            if let Some(TraceCore::Spe(spe)) = unanchored.map(|s| s.core) {
+                return Err(AnalyzeError::MissingAnchor { spe });
+            }
+            loss.streams.clear();
+        }
         if let Some(f) = &self.filter {
             columns.retain_views(|v| f.matches_view(v));
         }
@@ -168,16 +202,27 @@ enum Store {
 }
 
 impl Analysis {
+    /// Opens the trace file at `path`, of either container by its magic,
+    /// reading only its structure ([`TraceImage::read`] or
+    /// [`V2Trace::read`]); each decode shard reads its own stream.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`TraceImage::read`] or [`V2Trace::read`].
+    pub fn open(path: impl AsRef<Path>) -> io::Result<AnalysisBuilder<'static>> {
+        let file = File::open(path)?;
+        Ok(AnalysisBuilder::new(if is_v2_file(&file)? {
+            Source::Pdt2(V2Trace::read(&file)?)
+        } else {
+            Source::Pdt(TraceImage::read(&file)?)
+        }))
+    }
+
     /// Starts building an analysis of `trace`: a [`TraceImage`], in
     /// memory or read from a file, or a `&`[`TraceFile`](pdt::TraceFile),
     /// which lends its streams without copying them.
     pub fn of<'t>(trace: impl Into<TraceImage<'t>>) -> AnalysisBuilder<'t> {
-        AnalysisBuilder {
-            image: trace.into(),
-            par: Parallelism::Auto,
-            filter: None,
-            policy: DecodePolicy::default(),
-        }
+        AnalysisBuilder::new(Source::Pdt(trace.into()))
     }
 
     /// Wraps an already-reconstructed trace in a session, so code

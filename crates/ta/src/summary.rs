@@ -8,7 +8,7 @@ use crate::stats::TraceStats;
 /// Renders the summary with loss accounting: SPE rows whose statistics
 /// may be skewed by trace damage are marked `*`, and a `-- loss --`
 /// section quantifies gaps and estimated drops per stream.
-pub fn render_summary_with(
+pub(crate) fn render_summary_with(
     trace: &ColumnarTrace,
     stats: &TraceStats,
     loss: Option<&LossReport>,

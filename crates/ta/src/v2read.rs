@@ -34,6 +34,12 @@
 //! stream is read once, and a damaged one twice; the image is never
 //! read whole.
 //!
+//! Under the strict policy the same decoder fails exactly as unpacking
+//! the image ([`pdt::unpack`]) and decoding the v1 trace strictly
+//! would (DESIGN.md, "The v2 container (`.pdt2`)"): a clean stream's raw
+//! lengths must add up exactly, and any other stream is read whole,
+//! unpacked ([`unpack_stream`]) and decoded as a strict `.pdt` stream.
+//!
 //! [`V2Trace::window_events`] is the skip path: it reads only the
 //! packed blocks whose footer `[min_tb, max_tb]` overlaps the query
 //! window and reconstructs global time from the footer's
@@ -53,31 +59,29 @@ use std::os::unix::fs::FileExt;
 use std::sync::Arc;
 
 use pdt::v2::{
-    crc32, decode_packed_columns, decode_packed_payload, records_to_bytes, Anchoring, BlockEntry,
-    BlockKind, BlockPrefix, CodecStats, ColumnBatch, V2Error, V2File, FLAG_GAP, FLAG_UNPLACED,
-    MAGIC2, PREFIX_BYTES,
+    crc32, decode_packed_columns, decode_packed_payload, records_to_bytes, unpack_stream,
+    Anchoring, BlockEntry, BlockKind, BlockPrefix, CodecStats, ColumnBatch, V2Error, V2File,
+    FLAG_GAP, FLAG_UNPLACED, MAGIC2, PREFIX_BYTES,
 };
 use pdt::{check_in_stream, LossyCursor, TraceCore, TraceRecord};
 
-use crate::analyze::GlobalEvent;
+use crate::analyze::{AnalyzeError, GlobalEvent};
+use crate::columns::ColumnarTrace;
 use crate::exec::{self, Parallelism};
-use crate::oneshot::{finish, StreamDecode};
-use crate::reader::{read_exact_at, Region};
+use crate::loss::LossReport;
+use crate::oneshot::{decode_v1, finish, Ingested, StreamDecode};
+use crate::reader::{read_exact_at, ChunkBuf, ImageStream, Region};
 use crate::session::Analysis;
 
-/// True when `bytes` starts with the v2 container magic — the sniff
-/// used by `ta-cli` to route `.pdt` vs `.pdt2` images.
+/// True when `bytes` starts with the v2 container magic: the sniff of
+/// [`Analysis::open`] and of `ta-cli pack`/`unpack`.
 pub fn is_v2_image(bytes: &[u8]) -> bool {
     bytes.len() >= 4 && &bytes[..4] == MAGIC2
 }
 
-/// True when `file` starts with the v2 container magic: the sniff of
-/// [`is_v2_image`], reading only the magic.
-///
-/// # Errors
-///
-/// The I/O error of the read; a file shorter than the magic is not v2.
-pub fn is_v2_file(file: &File) -> io::Result<bool> {
+/// [`is_v2_image`] on `file`'s first bytes; a file shorter than the
+/// magic is not v2.
+pub(crate) fn is_v2_file(file: &File) -> io::Result<bool> {
     let mut magic = [0u8; 4];
     match file.read_exact_at(&mut magic, 0) {
         Ok(()) => Ok(is_v2_image(&magic)),
@@ -101,6 +105,14 @@ fn raw_fill_budget(raw_len: u64, payloads_len: u64) -> u64 {
 // ---------------------------------------------------------------------
 // The reader.
 // ---------------------------------------------------------------------
+
+/// Why one stream's decode stopped: a read of its block region from
+/// region offset `at`, or the strict policy's refusal.
+#[derive(Debug)]
+enum Failure {
+    Read { at: usize, error: io::Error },
+    Strict(AnalyzeError),
+}
 
 /// Result of a footer-skipping windowed query on a v2 container.
 #[derive(Debug, Clone)]
@@ -156,10 +168,11 @@ impl<'a> V2Trace<'a> {
     /// [`InvalidData`](io::ErrorKind::InvalidData) error that displays
     /// as itself, the [`V2Error`] of a file that is not a v2 container
     /// or ends inside its header.
-    pub fn read(file: &'a File) -> io::Result<V2Trace<'a>> {
+    pub fn read(file: &File) -> io::Result<V2Trace<'a>> {
+        let file = Arc::new(file.try_clone()?);
         let len = usize::try_from(file.metadata()?.len()).map_err(io::Error::other)?;
         Ok(V2Trace {
-            file: V2File::read(len, |at, buf| read_exact_at(file, buf, at as u64))?,
+            file: V2File::read(len, |at, buf| read_exact_at(&file, buf, at as u64))?,
             source: Region::File { file, offset: 0 },
         })
     }
@@ -182,40 +195,114 @@ impl<'a> V2Trace<'a> {
     /// The I/O error of a file-backed read, including a file that
     /// shrank after it was opened. In memory, reads cannot fail.
     pub fn analyze(&self, par: Parallelism) -> io::Result<(Arc<Analysis>, CodecStats)> {
-        let shards = exec::map_indexed_with(par, self.file.streams.len(), Vec::new, |buf, si| {
-            self.decode_stream(si, buf)
-        });
+        let (trace, loss, stats) = match self.decode(false, par) {
+            Ok(out) => out,
+            Err((_, Failure::Read { error, .. })) => return Err(error),
+            Err((_, Failure::Strict(e))) => unreachable!("a lossy decode refuses nothing: {e}"),
+        };
+        let a = Analysis::from_shared(Arc::new(trace), loss, par);
+        Ok((Arc::new(a), stats))
+    }
+
+    /// The store and loss report of [`analyze`](Self::analyze), for
+    /// [`Analysis::open`]'s builder; if `strict`, the first error of
+    /// unpacking the image and decoding it strictly.
+    pub(crate) fn ingest(&self, strict: bool, par: Parallelism) -> Result<Ingested, AnalyzeError> {
+        if let Some(t) = self.file.truncation.filter(|_| strict) {
+            let reading = t.reading;
+            return Err(AnalyzeError::Container(V2Error::Truncated { reading }));
+        }
+        match self.decode(strict, par) {
+            Ok((trace, loss, _)) => Ok((trace, loss)),
+            Err((si, Failure::Read { at, error })) => Err(AnalyzeError::Read {
+                core: self.file.streams[si].core,
+                offset: at,
+                message: error.to_string(),
+            }),
+            Err((_, Failure::Strict(e))) => Err(e),
+        }
+    }
+
+    /// Decodes every stream, one [`exec::map_indexed_with`] shard each,
+    /// and places the runs. The failure returned, with its stream, is
+    /// the first container error, else the first failure, as when the
+    /// whole image was unpacked before any stream decoded.
+    fn decode(
+        &self,
+        strict: bool,
+        par: Parallelism,
+    ) -> Result<(ColumnarTrace, LossReport, CodecStats), (usize, Failure)> {
+        let mut shards =
+            exec::map_indexed_with(par, self.file.streams.len(), Vec::new, |buf, si| {
+                self.decode_stream(si, strict, buf)
+            });
+        let container = |f: &Failure| matches!(f, Failure::Strict(AnalyzeError::Container(_)));
+        let first = (0..shards.len())
+            .filter(|&si| shards[si].is_err())
+            .min_by_key(|&si| (!shards[si].as_ref().is_err_and(container), si));
+        if let Some(si) = first {
+            if let Err(f) = shards.swap_remove(si) {
+                return Err((si, f));
+            }
+        }
         let mut stats = CodecStats::default();
         let mut decoded = Vec::with_capacity(shards.len());
-        for shard in shards {
-            let (st, shard_stats) = shard?;
+        for (st, shard_stats) in shards.into_iter().flatten() {
             stats.merge(&shard_stats);
             decoded.push(st);
         }
         let (trace, mut loss) = finish(self.file.header, decoded, &self.file.ctx_names);
         loss.truncated = self.file.truncation;
-        Ok((
-            Arc::new(Analysis::from_shared(Arc::new(trace), loss, par)),
-            stats,
-        ))
+        Ok((trace, loss, stats))
     }
 
     /// Decodes stream `si` and accounts its blocks, reading through
-    /// `buf`: block by block as a clean stream, and once more through
-    /// [`rescan`](Self::rescan) if it shows damage.
+    /// `buf`: block by block as a clean stream, and once more if it
+    /// shows damage, through [`rescan`](Self::rescan), or under the
+    /// strict policy through [`unpack`](Self::unpack).
     fn decode_stream(
         &self,
         si: usize,
+        strict: bool,
         buf: &mut Vec<u8>,
-    ) -> io::Result<(StreamDecode, CodecStats)> {
+    ) -> Result<(StreamDecode, CodecStats), Failure> {
         let meta = &self.file.streams[si];
         let mut st = StreamDecode::new(meta.core, meta.dropped);
         let mut stats = CodecStats::default();
-        if self.decode_clean(si, &mut st, &mut stats, buf)? {
+        if self.decode_clean(si, strict, &mut st, &mut stats, buf)? {
             Ok((st, stats))
+        } else if strict {
+            Ok((self.unpack(si, buf)?, CodecStats::default()))
         } else {
             self.rescan(si, buf)
         }
+    }
+
+    /// The `n` bytes of stream `si`'s block region from region offset
+    /// `at`, read through `buf` when the image is in a file.
+    fn read_region<'b>(
+        &'b self,
+        si: usize,
+        at: usize,
+        n: usize,
+        buf: &'b mut Vec<u8>,
+    ) -> Result<&'b [u8], Failure> {
+        let from = self.file.streams[si].blocks_off + at;
+        self.source
+            .bytes(from, n, buf)
+            .map_err(|error| Failure::Read { at, error })
+    }
+
+    /// Decodes damaged stream `si` under the strict policy: its block
+    /// region, read whole through `buf`, unpacks as in [`pdt::unpack`]
+    /// and decodes as a strict `.pdt` stream.
+    fn unpack(&self, si: usize, buf: &mut Vec<u8>) -> Result<StreamDecode, Failure> {
+        let meta = &self.file.streams[si];
+        let region = self.read_region(si, 0, meta.present, buf)?;
+        let v1 =
+            unpack_stream(meta, region).map_err(|e| Failure::Strict(AnalyzeError::Container(e)))?;
+        let stream = ImageStream::memory(meta.core, meta.dropped, &v1);
+        decode_v1(&stream, true, &mut ChunkBuf::default()).map_err(Failure::Strict)
     }
 
     /// Decodes stream `si` onto `st`, one block at a time, as a clean
@@ -227,14 +314,16 @@ impl<'a> V2Trace<'a> {
     /// stream invariants of the lossy v1 scan ([`check_in_stream`]; one
     /// that fails them is a gap there), the blocks fill the region
     /// exactly, and their raw lengths cover the fill budget of the
-    /// stream header's raw length (no bytes are missing).
+    /// stream header's raw length (no bytes are missing); under the
+    /// `strict` policy, they add up to that raw length exactly.
     fn decode_clean(
         &self,
         si: usize,
+        strict: bool,
         st: &mut StreamDecode,
         stats: &mut CodecStats,
         buf: &mut Vec<u8>,
-    ) -> io::Result<bool> {
+    ) -> Result<bool, Failure> {
         let meta = &self.file.streams[si];
         let mut batch = ColumnBatch::default();
         let (mut off, mut raw_sum, mut prev_dec) = (0usize, 0u64, None);
@@ -246,10 +335,7 @@ impl<'a> V2Trace<'a> {
             if entry.flags & FLAG_GAP != 0 || len > meta.present - off {
                 return Ok(false);
             }
-            let (prefix, payload) = self
-                .source
-                .bytes(meta.blocks_off + off, len, buf)?
-                .split_at(PREFIX_BYTES);
+            let (prefix, payload) = self.read_region(si, off, len, buf)?.split_at(PREFIX_BYTES);
             let clean = BlockPrefix::decode(prefix).is_ok_and(|p| entry_matches(&entry, &p))
                 && entry.kind == BlockKind::Packed
                 && crc32(payload) == entry.payload_crc
@@ -275,7 +361,12 @@ impl<'a> V2Trace<'a> {
             raw_sum += u64::from(entry.raw_len);
             off += len;
         }
-        Ok(off == meta.present && raw_sum >= raw_fill_budget(meta.raw_len, meta.payloads_len))
+        let whole = if strict {
+            raw_sum == meta.raw_len
+        } else {
+            raw_sum >= raw_fill_budget(meta.raw_len, meta.payloads_len)
+        };
+        Ok(off == meta.present && whole)
     }
 
     /// Reads damaged stream `si` again, one block at a time through
@@ -287,7 +378,7 @@ impl<'a> V2Trace<'a> {
     /// when it agrees with its footer entry (while the stream has a
     /// directory), passes its CRC and yields the raw length its prefix
     /// claims. The stream's `CodecStats` come from this pass alone.
-    fn rescan(&self, si: usize, buf: &mut Vec<u8>) -> io::Result<(StreamDecode, CodecStats)> {
+    fn rescan(&self, si: usize, buf: &mut Vec<u8>) -> Result<(StreamDecode, CodecStats), Failure> {
         let meta = &self.file.streams[si];
         let mut st = StreamDecode::new(meta.core, meta.dropped);
         let mut stats = CodecStats::default();
@@ -297,8 +388,8 @@ impl<'a> V2Trace<'a> {
         // Set when a prefix is unreadable or runs past the region.
         let mut broken = false;
         while off < meta.present {
-            let (at, left) = (meta.blocks_off + off, meta.present - off);
-            let bytes = self.source.bytes(at, PREFIX_BYTES.min(left), buf)?;
+            let left = meta.present - off;
+            let bytes = self.read_region(si, off, PREFIX_BYTES.min(left), buf)?;
             let Ok(prefix) = BlockPrefix::decode(bytes) else {
                 broken = true;
                 break;
@@ -308,7 +399,7 @@ impl<'a> V2Trace<'a> {
                 broken = true;
                 break;
             }
-            let payload = self.source.bytes(at + PREFIX_BYTES, len, buf)?;
+            let payload = self.read_region(si, off + PREFIX_BYTES, len, buf)?;
             let trusted = !meta.directory
                 || self
                     .file

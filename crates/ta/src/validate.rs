@@ -9,7 +9,6 @@
 use cellsim::{CoreId, RunReport, SpeId};
 
 use crate::analyze::AnalyzedTrace;
-use crate::loss::LossReport;
 use crate::stats::TraceStats;
 
 /// Comparison of one SPE's trace-derived and ground-truth numbers, in
@@ -37,7 +36,8 @@ pub struct SpeValidation {
     pub gt_trace_overhead_ns: f64,
     /// True when the trace-derived side spans decode gaps — the
     /// numbers are lower bounds, not measurements, and a large relative
-    /// error is expected rather than a fidelity defect.
+    /// error is expected rather than a fidelity defect. [`validate`]
+    /// sees no loss report and leaves it false.
     pub suspect: bool,
 }
 
@@ -132,18 +132,6 @@ pub fn validate(
     report: &RunReport,
     clock_hz: u64,
 ) -> ValidationReport {
-    validate_with_loss(trace, stats, report, clock_hz, None)
-}
-
-/// [`validate`], additionally marking SPEs whose trace-side numbers
-/// span decode gaps (per `loss`) as [`suspect`](SpeValidation::suspect).
-pub fn validate_with_loss(
-    trace: &AnalyzedTrace,
-    stats: &TraceStats,
-    report: &RunReport,
-    clock_hz: u64,
-    loss: Option<&LossReport>,
-) -> ValidationReport {
     let cyc_ns = 1e9 / clock_hz as f64;
     let mut spes = Vec::new();
     for a in &stats.spes {
@@ -160,7 +148,7 @@ pub fn validate_with_loss(
             ta_blocked_ns: trace.tb_to_ns(a.mbox_wait_tb + a.signal_wait_tb),
             gt_blocked_ns: (b.mbox_wait + b.signal_wait) as f64 * cyc_ns,
             gt_trace_overhead_ns: b.trace_overhead as f64 * cyc_ns,
-            suspect: loss.is_some_and(|l| l.suspect(a.spe)),
+            suspect: false,
         });
     }
     ValidationReport { spes }

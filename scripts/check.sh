@@ -71,9 +71,9 @@ echo "== ta-cli cross-parallelism smoke =="
 # middle 1% of its span), as .pdt and as its .pdt2 packing, must be
 # byte-identical at -j serial and at -j 4. So must the answers that
 # read the global event order built on demand: the events listing, the
-# SARIF lint report and the middle-1% event listing. The summary and the
-# SVG timeline must also be byte-identical between the .pdt and the
-# .pdt2.
+# SARIF lint report and the middle-1% event listing. The summary (lossy
+# and --strict) and the SVG timeline must also be byte-identical between
+# the .pdt and the .pdt2.
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
 ta_cli() { cargo run -q --release -p ta --bin ta-cli -- "$@"; }
@@ -88,6 +88,7 @@ half=$(( (t_end - t_start) / 200 ))
 for trace in tests/golden/stream.pdt "$smoke_dir/stream.pdt2"; do
   for j in serial 4; do
     ta_cli summary "$trace" -j "$j" > "$smoke_dir/summary.$j"
+    ta_cli --strict summary "$trace" -j "$j" > "$smoke_dir/strict.$j"
     ta_cli timeline "$trace" --svg "$smoke_dir/timeline.$j.svg" -j "$j" > /dev/null
     ta_cli query "$trace" --summary -j "$j" > "$smoke_dir/query.$j"
     ta_cli query "$trace" --summary --from $(( mid - half )) --to $(( mid + half + 1 )) \
@@ -98,6 +99,7 @@ for trace in tests/golden/stream.pdt "$smoke_dir/stream.pdt2"; do
       -j "$j" > "$smoke_dir/listing.$j"
   done
   cmp "$smoke_dir/summary.serial" "$smoke_dir/summary.4"
+  cmp "$smoke_dir/strict.serial" "$smoke_dir/strict.4"
   cmp "$smoke_dir/timeline.serial.svg" "$smoke_dir/timeline.4.svg"
   cmp "$smoke_dir/query.serial" "$smoke_dir/query.4"
   cmp "$smoke_dir/window.serial" "$smoke_dir/window.4"
@@ -106,9 +108,11 @@ for trace in tests/golden/stream.pdt "$smoke_dir/stream.pdt2"; do
   cmp "$smoke_dir/listing.serial" "$smoke_dir/listing.4"
   ext=${trace##*.}
   cp "$smoke_dir/summary.serial" "$smoke_dir/summary.$ext"
+  cp "$smoke_dir/strict.serial" "$smoke_dir/strict.$ext"
   cp "$smoke_dir/timeline.serial.svg" "$smoke_dir/timeline.$ext.svg"
 done
 cmp "$smoke_dir/summary.pdt" "$smoke_dir/summary.pdt2"
+cmp "$smoke_dir/strict.pdt" "$smoke_dir/strict.pdt2"
 cmp "$smoke_dir/timeline.pdt.svg" "$smoke_dir/timeline.pdt2.svg"
 
 echo "== ta-cli damaged-file smoke =="
@@ -163,6 +167,20 @@ done
 # The failing block's 19 records become one 304-byte gap in SPE0.
 ta_cli loss "$smoke_dir/block.pdt2" | grep -qx 'SPE0,44,1,304,19,0,false' \
   || { echo "ta-cli loss on block.pdt2 lacks the SPE0 gap row" >&2; exit 1; }
+# --strict on a damaged .pdt2 fails as unpacking it would: the first
+# container error, pinned per copy.
+for pinned in "block.pdt2:v2 container corrupt: block payload crc" \
+  "truncated.pdt2:v2 container truncated while reading block region" \
+  "stream_count.pdt2:v2 container truncated while reading stream header" \
+  "name_count.pdt2:v2 container truncated while reading name entry"; do
+  damaged=${pinned%%:*}
+  want="$smoke_dir/$damaged: ${pinned#*:}"
+  got=$(ta_cli --strict summary "$smoke_dir/$damaged" 2>&1 > /dev/null) && status=0 || status=$?
+  if [ "$status" -ne 1 ] || [ "$got" != "$want" ]; then
+    echo "ta-cli --strict summary on $damaged: exit $status, stderr '$got'" >&2
+    exit 1
+  fi
+done
 
 echo "== fault-injection smoke (3 seeds) =="
 # Injects every corruption mode into a real trace and asserts the lossy

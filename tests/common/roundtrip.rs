@@ -15,6 +15,9 @@
 //! run. Every zero run is bounded by the stream header's raw length,
 //! clamped by [`raw_fill_budget`]. It reads each stream's block region
 //! whole.
+//!
+//! [`strict_reference`] is the strict policy's oracle: the whole image
+//! unpacked to its v1 trace ([`pdt::unpack`]), then analyzed strictly.
 
 #![allow(dead_code)]
 
@@ -27,7 +30,7 @@ use pdt::v2::{
     crc32, decode_packed_payload, records_to_bytes, BlockEntry, BlockIter, BlockKind, BlockPrefix,
     CodecStats, V2Error, V2File,
 };
-use ta::{Analysis, IngestSession, LossReport, Parallelism, StreamId};
+use ta::{is_v2_image, Analysis, IngestSession, LossReport, Parallelism, StreamId, TraceImage};
 
 /// What the oracle decodes from an image.
 pub struct Oracle {
@@ -242,4 +245,22 @@ pub fn assert_matches(what: &str, got: &Analysis, stats: &CodecStats, oracle: &O
         "{what}: truncation"
     );
     assert_eq!(*stats, oracle.stats, "{what}: codec stats");
+}
+
+/// What a strict analysis of `image` gives when the whole image is
+/// unpacked to its v1 trace first and that trace is analyzed strictly
+/// under `par`: the session, or the error text. An image without the v2
+/// magic is read as a `.pdt`, as [`Analysis::open`] sniffs it.
+pub fn strict_reference(image: &[u8], par: Parallelism) -> Result<Analysis, String> {
+    let run = |builder: ta::AnalysisBuilder<'_>| {
+        let builder = builder.parallelism(par).strict();
+        builder.run().map_err(|e| e.to_string())
+    };
+    if !is_v2_image(image) {
+        return run(Analysis::of(
+            TraceImage::parse(image).map_err(|e| e.to_string())?,
+        ));
+    }
+    let trace = pdt::unpack(image).map_err(|e| e.to_string())?;
+    run(Analysis::of(&trace))
 }

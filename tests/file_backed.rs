@@ -1,9 +1,10 @@
 //! File-backed against in-memory ingest. A `.pdt` analyzed from disk
-//! (`TraceImage::read`: the layout read with positioned reads, each
-//! stream read in chunks by its ingest shard) must give exactly what
-//! the same bytes give in memory (`TraceImage::parse`): the same
-//! products, `LossReport` and SARIF lint report, or the same error
-//! text, lossy and strict, at `Serial` and `Workers(2)`.
+//! (`TraceImage::read`, and `Analysis::open`, the front door of either
+//! container: the layout read with positioned reads, each stream read
+//! in chunks by its ingest shard) must give exactly what the same bytes
+//! give in memory (`TraceImage::parse`): the same products,
+//! `LossReport` and SARIF lint report, or the same error text, lossy
+//! and strict, at `Serial` and `Workers(2)`.
 //!
 //! The inputs are every golden, copies of each truncated at every
 //! stream boundary ±1, byte-flipped copies, and a synthetic trace whose
@@ -13,11 +14,13 @@
 use std::fs::File;
 
 use pdt::{EventCode, TraceCore, TraceFile, TraceHeader, TraceRecord, TraceStream, VERSION};
-use ta::{Analysis, AnalyzeError, Parallelism, TraceImage};
+use ta::{Analysis, AnalysisBuilder, AnalyzeError, Parallelism, TraceImage, V2Trace};
 
 #[path = "common/goldens.rs"]
 mod goldens;
 use goldens::{golden_bytes, GOLDEN};
+#[path = "common/roundtrip.rs"]
+mod roundtrip;
 #[path = "common/tempfile.rs"]
 mod tempfile;
 use tempfile::TempFile;
@@ -28,13 +31,38 @@ const PARS: [Parallelism; 2] = [Parallelism::Serial, Parallelism::Workers(2)];
 const CHUNK: usize = 64 << 10;
 
 fn run(image: TraceImage<'_>, par: Parallelism, strict: bool) -> Result<Analysis, String> {
-    let builder = Analysis::of(image).parallelism(par);
+    run_builder(Analysis::of(image), par, strict)
+}
+
+fn run_builder(
+    builder: AnalysisBuilder<'_>,
+    par: Parallelism,
+    strict: bool,
+) -> Result<Analysis, String> {
+    let builder = builder.parallelism(par);
     let builder = if strict { builder.strict() } else { builder };
     builder.run().map_err(|e| e.to_string())
 }
 
-/// Asserts that `bytes`, analyzed from a file and from memory, give
-/// the same answers under every parallelism and policy.
+/// Asserts that two sessions, or two errors, are the same answer.
+fn assert_same_answer(at: &str, f: Result<Analysis, String>, m: Result<Analysis, String>) {
+    match (f, m) {
+        (Ok(f), Ok(m)) => {
+            assert_eq!(f.events(), m.events(), "{at}: events");
+            assert_eq!(f.loss(), m.loss(), "{at}: loss");
+            assert_eq!(f.intervals(), m.intervals(), "{at}: intervals");
+            assert_eq!(f.stats(), m.stats(), "{at}: stats");
+            assert_eq!(f.timeline(), m.timeline(), "{at}: timeline");
+            assert_eq!(f.summary(), m.summary(), "{at}: summary");
+            assert_eq!(f.lint().to_sarif(), m.lint().to_sarif(), "{at}: sarif");
+        }
+        (f, m) => assert_eq!(f.err(), m.err(), "{at}: error"),
+    }
+}
+
+/// Asserts that `bytes`, analyzed from a file (through
+/// `TraceImage::read` and through `Analysis::open`) and from memory,
+/// give the same answers under every parallelism and policy.
 fn assert_same(what: &str, bytes: &[u8]) {
     let tmp = TempFile::new(what, bytes);
     let file = File::open(&tmp.0).unwrap();
@@ -43,6 +71,9 @@ fn assert_same(what: &str, bytes: &[u8]) {
     let (from_file, in_memory) = match (from_file, in_memory) {
         (Ok(f), Ok(m)) => (f, m),
         (f, m) => {
+            let opened = Analysis::open(&tmp.0).map(|_| ());
+            let opened = opened.map_err(|e| e.to_string()).err();
+            assert_eq!(opened, m.as_ref().err().cloned(), "{what}: opened layout");
             assert_eq!(f.err(), m.err(), "{what}: layout");
             return;
         }
@@ -56,21 +87,16 @@ fn assert_same(what: &str, bytes: &[u8]) {
     for par in PARS {
         for strict in [false, true] {
             let at = format!("{what} {par:?} strict={strict}");
-            match (
+            assert_same_answer(
+                &at,
                 run(from_file.clone(), par, strict),
                 run(in_memory.clone(), par, strict),
-            ) {
-                (Ok(f), Ok(m)) => {
-                    assert_eq!(f.events(), m.events(), "{at}: events");
-                    assert_eq!(f.loss(), m.loss(), "{at}: loss");
-                    assert_eq!(f.intervals(), m.intervals(), "{at}: intervals");
-                    assert_eq!(f.stats(), m.stats(), "{at}: stats");
-                    assert_eq!(f.timeline(), m.timeline(), "{at}: timeline");
-                    assert_eq!(f.summary(), m.summary(), "{at}: summary");
-                    assert_eq!(f.lint().to_sarif(), m.lint().to_sarif(), "{at}: sarif");
-                }
-                (f, m) => assert_eq!(f.err(), m.err(), "{at}: error"),
-            }
+            );
+            assert_same_answer(
+                &format!("{at} opened"),
+                run_builder(Analysis::open(&tmp.0).unwrap(), par, strict),
+                run(in_memory.clone(), par, strict),
+            );
         }
     }
 }
@@ -333,13 +359,42 @@ fn ppe_last_with_a_malformed_and_an_unanchored_spe_stream() {
     }
 }
 
+/// `Analysis::open` sniffs the container from the file's magic: a
+/// `.pdt` analyzes as its image in memory does (neither reader accepts
+/// the other's container), a `.pdt2` as its container in memory does
+/// (and strictly, as its strict reference), and a file shorter than the
+/// magic is read as a `.pdt`, which it cannot be.
 #[test]
 fn the_container_is_sniffed_from_the_file_magic() {
-    let v1 = TempFile::new("sniff-v1", &golden_bytes("stream.pdt"));
-    let v2 = TempFile::new("sniff-v2", &goldens::golden_v2_bytes("stream.pdt"));
+    let (v1, v2) = (
+        golden_bytes("stream.pdt"),
+        goldens::golden_v2_bytes("stream.pdt"),
+    );
+    let v1_file = TempFile::new("sniff-v1", &v1);
+    let v2_file = TempFile::new("sniff-v2", &v2);
     let short = TempFile::new("sniff-short", b"PDT");
-    for (tmp, want) in [(&v1, false), (&v2, true), (&short, false)] {
-        let file = File::open(&tmp.0).unwrap();
-        assert_eq!(ta::is_v2_file(&file).unwrap(), want, "{}", tmp.0.display());
+    for par in PARS {
+        for strict in [false, true] {
+            let at = format!("{par:?} strict={strict}");
+            let open = |tmp: &TempFile| Analysis::open(&tmp.0).map_err(|e| e.to_string());
+            assert_same_answer(
+                &format!(".pdt {at}"),
+                open(&v1_file).and_then(|b| run_builder(b, par, strict)),
+                run(TraceImage::parse(&v1).unwrap(), par, strict),
+            );
+            let v2_want = if strict {
+                roundtrip::strict_reference(&v2, par)
+            } else {
+                let (a, _) = V2Trace::parse(&v2).unwrap().analyze(par).unwrap();
+                Ok(std::sync::Arc::into_inner(a).unwrap())
+            };
+            let v2_got = open(&v2_file).and_then(|b| run_builder(b, par, strict));
+            assert_same_answer(&format!(".pdt2 {at}"), v2_got, v2_want);
+            assert_eq!(
+                open(&short).err(),
+                TraceImage::parse(b"PDT").err().map(|e| e.to_string()),
+                "short {at}"
+            );
+        }
     }
 }

@@ -10,7 +10,9 @@
 //! suite differentials the reader against the oracle — products *and*
 //! codec stats — on every golden, and on every truncation of every
 //! golden `.pdt2` and every single-byte flip of the block region of
-//! `stream.pdt2`. (The file-backed v1 reader has its own suite,
+//! `stream.pdt2`. The same sweep holds the strict policy of
+//! [`Analysis::open`] to its reference, the whole image unpacked and
+//! analyzed strictly as v1. (The file-backed v1 reader has its own suite,
 //! `tests/file_backed.rs`; the damage shapes of `.pdt2` images are in
 //! `tests/v2_corruption.rs`.)
 //!
@@ -21,8 +23,11 @@
 //! [`EventFilter`] selects from the full analysis.
 
 use std::os::unix::fs::FileExt;
+use std::path::Path;
 
-use pdt::v2::{pack, unpack, Anchoring, BlockKind, DEFAULT_BLOCK_RECORDS, FLAG_UNPLACED};
+use pdt::v2::{
+    pack, unpack, Anchoring, BlockKind, DEFAULT_BLOCK_RECORDS, FLAG_UNPLACED, PREFIX_BYTES,
+};
 use ta::{analyze_v2, Analysis, EventFilter, Parallelism, V2Trace};
 
 #[path = "common/goldens.rs"]
@@ -30,7 +35,7 @@ mod goldens;
 use goldens::{golden, golden_v2_bytes, GOLDEN};
 #[path = "common/roundtrip.rs"]
 mod roundtrip;
-use roundtrip::{assert_matches, Roundtrip};
+use roundtrip::{assert_matches, strict_reference, Roundtrip};
 #[path = "common/tempfile.rs"]
 mod tempfile;
 use tempfile::TempFile;
@@ -364,10 +369,22 @@ fn unusual_stream_layouts_decode_identically_everywhere() {
 }
 
 /// Holds the reader to the oracle on `image`, and on `file`, which
-/// holds the same bytes: [`analyze_v2`] and the file-backed
+/// holds the same bytes at `path`: [`analyze_v2`] and the file-backed
 /// [`V2Trace::analyze`], at `Serial` and `Workers(3)`, each equal the
-/// oracle, or fail with its error.
-fn assert_matches_oracle(what: &str, image: &[u8], file: &std::fs::File) {
+/// oracle, or fail with its error. The strict analysis of `path`
+/// through [`Analysis::open`] gives the products or the error text of
+/// [`strict_reference`].
+fn assert_matches_oracle(what: &str, image: &[u8], file: &std::fs::File, path: &Path) {
+    for par in [Parallelism::Serial, Parallelism::Workers(3)] {
+        let at = format!("{what} {par:?} strict");
+        let got = Analysis::open(path)
+            .map_err(|e| e.to_string())
+            .and_then(|b| b.parallelism(par).strict().run().map_err(|e| e.to_string()));
+        match (strict_reference(image, par), got) {
+            (Ok(want), Ok(got)) => assert_products_eq(&want, &got, &at),
+            (want, got) => assert_eq!(got.err(), want.err(), "{at}"),
+        }
+    }
     let oracle = Roundtrip::walk(image).map(|r| r.analyze(Parallelism::Serial).unwrap());
     let read = V2Trace::read(file).map_err(|e| e.to_string());
     let oracle = match oracle {
@@ -395,7 +412,10 @@ fn assert_matches_oracle(what: &str, image: &[u8], file: &std::fs::File) {
 /// 40–2599 of `stream.pdt2` (its stream headers, blocks, footers and
 /// name table). The reader decodes a clean stream directly and reads a
 /// damaged one again through its own lossy cursor, so this holds that
-/// second path to the oracle on every shape of damage.
+/// second path to the oracle on every shape of damage. Under the strict
+/// policy a damaged stream is unpacked instead; the flips include one
+/// (byte 56) that understates SPE0's raw length by 193 bytes, which the
+/// lossy clean check lets through and the strict policy refuses.
 #[test]
 fn damaged_images_match_the_roundtrip_oracle() {
     for name in GOLDEN {
@@ -408,7 +428,7 @@ fn damaged_images_match_the_roundtrip_oracle() {
             .unwrap();
         for cut in (0..=image.len()).rev() {
             file.set_len(cut as u64).unwrap();
-            assert_matches_oracle(&format!("{name} @{cut}"), &image[..cut], &file);
+            assert_matches_oracle(&format!("{name} @{cut}"), &image[..cut], &file, &tmp.0);
         }
     }
 
@@ -424,8 +444,58 @@ fn damaged_images_match_the_roundtrip_oracle() {
     for at in 40..2600 {
         bad[at] ^= 0xff;
         file.write_all_at(&bad[at..=at], at as u64).unwrap();
-        assert_matches_oracle(&format!("stream.pdt2 ^{at}"), &bad, &file);
+        assert_matches_oracle(&format!("stream.pdt2 ^{at}"), &bad, &file, &tmp.0);
         bad[at] ^= 0xff;
         file.write_all_at(&bad[at..=at], at as u64).unwrap();
+    }
+
+    bad[56] ^= 0xff;
+    file.write_all_at(&bad[56..=56], 56).unwrap();
+    let (lossy, _) = analyze_v2(&bad, Parallelism::Serial).unwrap();
+    let (clean, _) = analyze_v2(&image, Parallelism::Serial).unwrap();
+    assert_eq!(
+        lossy.summary(),
+        clean.summary(),
+        "^56: lossy reads it clean"
+    );
+    let strict = Analysis::open(&tmp.0).unwrap().strict().run().unwrap_err();
+    assert_eq!(
+        strict.to_string(),
+        "v2 container corrupt: stream raw length"
+    );
+}
+
+/// Under the strict policy a container error in any stream outranks a
+/// malformed record in an earlier one, as when the whole image is
+/// unpacked before any stream decodes: `stream_faulted.pdt2` fails on
+/// a record of its PPE stream, but once a payload byte of its last
+/// stream's first block is flipped it fails on that block's CRC.
+#[test]
+fn strict_container_errors_outrank_earlier_record_errors() {
+    let mut image = golden_v2_bytes("stream_faulted.pdt");
+    let record = strict_reference(&image, Parallelism::Serial).err();
+    assert!(record
+        .unwrap()
+        .starts_with("corrupt record in PPE.0 stream"));
+    let last = *V2Trace::parse(&image)
+        .unwrap()
+        .file()
+        .streams
+        .last()
+        .unwrap();
+    image[last.blocks_off + PREFIX_BYTES] ^= 0xff;
+    let tmp = TempFile::new("precedence", &image);
+    for par in PARS {
+        let got = Analysis::open(&tmp.0)
+            .unwrap()
+            .parallelism(par)
+            .strict()
+            .run();
+        let got = got.err().map(|e| e.to_string());
+        assert_eq!(got, strict_reference(&image, par).err(), "{par:?}");
+        assert_eq!(
+            got.as_deref(),
+            Some("v2 container corrupt: block payload crc")
+        );
     }
 }
