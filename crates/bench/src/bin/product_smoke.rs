@@ -34,11 +34,13 @@
 //! (`executors_Nt`), the number of shards the `ta::exec` fan-out ran
 //! over the columnar runs, and the query index's
 //! `index_bytes_per_event`. `BENCH_ingest.json` times ingest at
-//! `Serial` and at `Workers(2)` (`ingest_decode_1t`/`_2t`) and the
-//! interval lanes at `Serial` (`intervals_1t`), each row the median of
-//! `INGEST_SAMPLES` samples on a fresh session; its meta carries each
-//! row's quartiles (`<row>_p25_ms`, `<row>_p75_ms`), the sample count
-//! and the executors the 2-worker row actually ran on.
+//! `Serial` and at `Workers(2)`, of the trace (`ingest_decode_1t`/
+//! `_2t`) and of its `pdt::pack` packing (`ingest_v2_decode_1t`/
+//! `_2t`), and the interval lanes at `Serial` (`intervals_1t`), each
+//! row the median of `INGEST_SAMPLES` samples on a fresh session; its
+//! meta carries each row's quartiles (`<row>_p25_ms`, `<row>_p75_ms`),
+//! the sample count and the executors the 2-worker rows actually ran
+//! on.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -233,6 +235,20 @@ fn run() -> Result<(), String> {
             })
         })
         .collect();
+    // The same trace as a `.pdt2`, decoded in memory straight into
+    // columns: every block's CRC check and payload decode, no
+    // transpose.
+    let packed = pdt::pack(&trace, pdt::DEFAULT_BLOCK_RECORDS);
+    for (par, threads) in ingest_points {
+        let name = format!("ingest_v2_decode_{threads}t");
+        ingest.push(sampled_row(&name, threads, n, &mut ingest_meta, || {
+            let start = Instant::now();
+            let events = ta::analyze_v2(&packed, par).map(|(a, _)| a.columns().events.len());
+            let ms = start.elapsed().as_nanos() as f64 / 1e6;
+            std::hint::black_box(events.unwrap_or(0));
+            ms
+        }));
+    }
     ingest.push(sampled_row("intervals_1t", 1, n, &mut ingest_meta, || {
         let Ok(a) = fresh(Parallelism::Serial) else {
             return f64::NAN;

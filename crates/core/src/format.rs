@@ -54,6 +54,43 @@ pub struct TraceHeader {
     pub spe_buffer_bytes: u32,
 }
 
+/// Bytes of a container header after its 4-byte magic: the `u16`
+/// version, then the machine fields. `.pdt` and `.pdt2` lay them out
+/// alike.
+pub const HEADER_BYTES: usize = 32;
+
+impl TraceHeader {
+    /// Appends the header as it follows a container's magic, with
+    /// `version` as the version field.
+    pub fn encode_into(&self, version: u16, out: &mut Vec<u8>) {
+        out.put_u16_le(version);
+        out.put_u8(self.num_ppe_threads);
+        out.put_u8(self.num_spes);
+        out.put_u64_le(self.core_hz);
+        out.put_u64_le(self.timebase_divider);
+        out.put_u32_le(self.dec_start);
+        out.put_u32_le(self.group_mask);
+        out.put_u32_le(self.spe_buffer_bytes);
+    }
+
+    /// Decodes the [`HEADER_BYTES`] that follow a container's magic.
+    /// `version` is the field as stored; checking it is the caller's,
+    /// since each container has its own.
+    pub fn decode(bytes: &[u8; HEADER_BYTES]) -> TraceHeader {
+        let mut h = &bytes[..];
+        TraceHeader {
+            version: h.get_u16_le(),
+            num_ppe_threads: h.get_u8(),
+            num_spes: h.get_u8(),
+            core_hz: h.get_u64_le(),
+            timebase_divider: h.get_u64_le(),
+            dec_start: h.get_u32_le(),
+            group_mask: h.get_u32_le(),
+            spe_buffer_bytes: h.get_u32_le(),
+        }
+    }
+}
+
 /// One core's record stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceStream {
@@ -236,14 +273,7 @@ impl TraceFile {
     fn emit_image(&self, mut emit: impl FnMut(&[u8])) {
         let mut head = Vec::with_capacity(64);
         head.put_slice(MAGIC);
-        head.put_u16_le(self.header.version);
-        head.put_u8(self.header.num_ppe_threads);
-        head.put_u8(self.header.num_spes);
-        head.put_u64_le(self.header.core_hz);
-        head.put_u64_le(self.header.timebase_divider);
-        head.put_u32_le(self.header.dec_start);
-        head.put_u32_le(self.header.group_mask);
-        head.put_u32_le(self.header.spe_buffer_bytes);
+        self.header.encode_into(self.header.version, &mut head);
         head.put_u32_le(self.streams.len() as u32);
         emit(&head);
         for s in &self.streams {
@@ -358,22 +388,13 @@ impl ImageLayout {
         if &magic != MAGIC {
             return Err(FormatError::BadMagic.into());
         }
-        let h: [u8; 32] = w.take("header")?;
-        let mut h = &h[..];
-        let version = h.get_u16_le();
-        if version != VERSION {
-            return Err(FormatError::BadVersion { found: version }.into());
+        let header = TraceHeader::decode(&w.take("header")?);
+        if header.version != VERSION {
+            return Err(FormatError::BadVersion {
+                found: header.version,
+            }
+            .into());
         }
-        let header = TraceHeader {
-            version,
-            num_ppe_threads: h.get_u8(),
-            num_spes: h.get_u8(),
-            core_hz: h.get_u64_le(),
-            timebase_divider: h.get_u64_le(),
-            dec_start: h.get_u32_le(),
-            group_mask: h.get_u32_le(),
-            spe_buffer_bytes: h.get_u32_le(),
-        };
         let n_streams = u32::from_le_bytes(w.take("stream count")?);
         // Every entry takes 20 bytes, so a damaged count cannot ask
         // for more room than the image could fill.
@@ -519,6 +540,17 @@ mod tests {
         assert_eq!(g.total_dropped(), 3);
         assert_eq!(g.ctx_name(0), Some("kernel"));
         assert_eq!(g.ctx_name(9), None);
+    }
+
+    #[test]
+    fn header_codec_keeps_the_version_field_as_stored() {
+        let h = sample().header;
+        for version in [VERSION, 2, u16::MAX] {
+            let mut out = Vec::new();
+            h.encode_into(version, &mut out);
+            let bytes: [u8; HEADER_BYTES] = out.as_slice().try_into().unwrap();
+            assert_eq!(TraceHeader::decode(&bytes), TraceHeader { version, ..h });
+        }
     }
 
     #[test]

@@ -94,7 +94,8 @@ pub use buffer::{BufferStats, SpeTraceBuffer, WriteOutcome};
 pub use config::{TracingConfig, TracingConfigError, TracingConfigRepr};
 pub use event::{encode_event, EncodedEvent, EventCode};
 pub use format::{
-    FormatError, ImageLayout, StreamMeta, TraceFile, TraceHeader, TraceStream, MAGIC, VERSION,
+    FormatError, ImageLayout, StreamMeta, TraceFile, TraceHeader, TraceStream, HEADER_BYTES, MAGIC,
+    VERSION,
 };
 pub use group::{EventGroup, GroupMask};
 pub use overhead::OverheadModel;

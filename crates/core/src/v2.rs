@@ -191,13 +191,48 @@ const fn build_crc_table() -> [u32; 256] {
     table
 }
 
-const CRC_TABLE: [u32; 256] = build_crc_table();
+/// The slicing-by-8 tables: `CRC_TABLES[0]` is the byte-at-a-time
+/// table, and `CRC_TABLES[k][b]` is the CRC register after byte `b` is
+/// followed by `k` zero bytes, so eight bytes fold in with eight
+/// independent lookups.
+const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables(build_crc_table());
 
-/// CRC-32 (IEEE 802.3) over `bytes`.
+const fn build_crc_tables(base: [u32; 256]) -> [[u32; 256]; 8] {
+    let mut tables = [base; 8];
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ base[(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// CRC-32 (IEEE 802.3) over `bytes`, eight bytes per step
+/// (slicing-by-8); the tail of fewer than eight bytes takes the
+/// byte-at-a-time step.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xffff_ffffu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
     }
     c ^ 0xffff_ffff
 }
@@ -979,14 +1014,7 @@ impl<W: Write + Seek> V2Writer<W> {
         );
         let mut head = Vec::with_capacity(44);
         head.put_slice(MAGIC2);
-        head.put_u16_le(VERSION2);
-        head.put_u8(header.num_ppe_threads);
-        head.put_u8(header.num_spes);
-        head.put_u64_le(header.core_hz);
-        head.put_u64_le(header.timebase_divider);
-        head.put_u32_le(header.dec_start);
-        head.put_u32_le(header.group_mask);
-        head.put_u32_le(header.spe_buffer_bytes);
+        header.encode_into(VERSION2, &mut head);
         w.write_all(&head)?;
         let count_pos = w.stream_position()?;
         w.write_all(&0u32.to_le_bytes())?;
@@ -1570,21 +1598,18 @@ impl V2File {
         if &magic != MAGIC2 {
             return Err(V2Error::BadMagic.into());
         }
-        let h: [u8; 32] = w.take()?.ok_or(V2Error::Truncated { reading: "header" })?;
-        let mut h = &h[..];
-        let version = h.get_u16_le();
-        if version != VERSION2 {
-            return Err(V2Error::BadVersion { found: version }.into());
+        let h = w.take()?.ok_or(V2Error::Truncated { reading: "header" })?;
+        let header = TraceHeader::decode(&h);
+        if header.version != VERSION2 {
+            return Err(V2Error::BadVersion {
+                found: header.version,
+            }
+            .into());
         }
+        // The decoded trace is v1's, whatever container carried it.
         let header = TraceHeader {
             version: VERSION,
-            num_ppe_threads: h.get_u8(),
-            num_spes: h.get_u8(),
-            core_hz: h.get_u64_le(),
-            timebase_divider: h.get_u64_le(),
-            dec_start: h.get_u32_le(),
-            group_mask: h.get_u32_le(),
-            spe_buffer_bytes: h.get_u32_le(),
+            ..header
         };
         let mut file = V2File {
             header,
@@ -1862,6 +1887,35 @@ mod tests {
     fn crc32_known_vector() {
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(&[0u8; 32]), 0x190a_55ad);
+    }
+
+    /// The byte-at-a-time CRC-32 the slicing kernel must equal.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let table = build_crc_table();
+        let mut c = 0xffff_ffffu32;
+        for &b in bytes {
+            c = table[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+        }
+        c ^ 0xffff_ffff
+    }
+
+    #[test]
+    fn crc32_slicing_matches_bytewise() {
+        use rand::{Rng, RngCore, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed_c3c3);
+        let buf: Vec<u8> = (0..72).map(|_| rng.next_u64() as u8).collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
+            }
+        }
+        for _ in 0..16 {
+            let len = rng.gen_range(4 << 10..(64 << 10) + 1);
+            let payload: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            assert_eq!(crc32(&payload), crc32_bytewise(&payload), "len {len}");
+        }
     }
 
     #[test]

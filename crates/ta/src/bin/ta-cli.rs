@@ -36,6 +36,10 @@
 //! failing. Both containers are read with positioned reads, never
 //! whole (but for `pack` and `unpack`), with or without `--strict`.
 //!
+//! The loaded session is never freed: the process exits after one
+//! request, and the kernel reclaims its memory at once, where dropping
+//! it would walk and free every column, lane and memo first.
+//!
 //! Answers go to stdout through one buffered writer, and reports
 //! (`timeline`, `events`, `loss`, `report`) are streamed into it, or
 //! into the output file, as they are produced. A failed write, such as
@@ -87,11 +91,14 @@ use ta::{
 
 /// Loads the trace at `path`, of either container. Only its structure
 /// is read here; each decode shard reads its own stream.
-fn load(path: &str, strict: bool, par: Parallelism) -> Result<Analysis, String> {
+fn load(path: &str, strict: bool, par: Parallelism) -> Result<&'static Analysis, String> {
     let err = |e: &dyn std::fmt::Display| format!("{path}: {e}");
     let builder = Analysis::open(path).map_err(|e| err(&e))?.parallelism(par);
     let builder = if strict { builder.strict() } else { builder };
-    builder.run().map_err(|e| err(&e))
+    let a = builder.run().map_err(|e| err(&e))?;
+    // Never freed: the process exits after one request, and the kernel
+    // reclaims the session faster than dropping each column and memo.
+    Ok(Box::leak(Box::new(a)))
 }
 
 fn parse_parallelism(s: &str) -> Result<Parallelism, String> {
@@ -226,7 +233,7 @@ fn run(out: &mut dyn Write) -> Result<(), Failure> {
             match args.iter().position(|a| a == "--svg") {
                 Some(i) => {
                     let dest = args.get(i + 1).ok_or("--svg requires a path")?;
-                    write_report_to(&a, ReportKind::Svg, &RenderOptions::default(), dest)?;
+                    write_report_to(a, ReportKind::Svg, &RenderOptions::default(), dest)?;
                     writeln!(out, "wrote {dest}")?;
                 }
                 None => a.write_report(
@@ -243,7 +250,7 @@ fn run(out: &mut dyn Write) -> Result<(), Failure> {
                 Some(i) => {
                     let core = parse_core(args.get(i + 1).ok_or("--core requires a core")?)?;
                     let filter = EventFilter::new().on_core(core);
-                    for e in filter.apply(&a) {
+                    for e in filter.apply(a) {
                         write_event(out, e)?;
                     }
                 }
@@ -323,7 +330,7 @@ fn run(out: &mut dyn Write) -> Result<(), Failure> {
                     width: 1100,
                     ..SvgOptions::default()
                 });
-            write_report_to(&a, ReportKind::Html, &opts, dest)?;
+            write_report_to(a, ReportKind::Html, &opts, dest)?;
             writeln!(out, "wrote {dest}")?;
         }
         "compare" => {
@@ -474,7 +481,7 @@ fn run(out: &mut dyn Write) -> Result<(), Failure> {
                 return Ok(());
             }
 
-            for e in filter(t0, t1)?.apply(&a) {
+            for e in filter(t0, t1)?.apply(a) {
                 write_event(out, e)?;
             }
         }

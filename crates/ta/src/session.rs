@@ -116,18 +116,11 @@ impl<'t> AnalysisBuilder<'t> {
         self
     }
 
-    /// Resynchronizes past corrupt records and quantifies what was
-    /// skipped in the session's [`LossReport`]. This is the default.
-    pub fn lossy(mut self) -> Self {
-        self.policy = DecodePolicy::Lossy;
-        self
-    }
-
     /// Ingests the trace and returns the session.
     ///
     /// # Errors
     ///
-    /// Under the default [lossy](Self::lossy) policy, corruption
+    /// Under the default lossy policy ([`DecodePolicy::Lossy`]), corruption
     /// becomes decode gaps in the session's [`LossReport`], so only a
     /// file-backed image whose streams cannot be read fails
     /// ([`AnalyzeError::Read`]).

@@ -54,8 +54,8 @@
 use std::sync::{Arc, OnceLock};
 
 use pdt::{
-    DecodeGap, EventCode, FormatError, LossyCursor, TraceCore, TraceHeader, TraceRecord, MAGIC,
-    VERSION,
+    DecodeGap, EventCode, FormatError, LossyCursor, TraceCore, TraceHeader, TraceRecord,
+    HEADER_BYTES, MAGIC, VERSION,
 };
 
 use crate::analyze::{GlobalEvent, SpeAnchor};
@@ -122,7 +122,6 @@ struct StreamState {
     /// events the stream's gaps are bracketed by, as `(stream_seq,
     /// time)` pairs sorted by sequence.
     in_base: Option<Vec<(u64, u64)>>,
-    bytes_in: u64,
 }
 
 impl StreamState {
@@ -257,7 +256,6 @@ impl IngestSession {
             run: Arc::new(StreamRun::new(id, core)),
             reported_writes: 0,
             in_base: None,
-            bytes_in: 0,
         });
         StreamId(id)
     }
@@ -278,7 +276,6 @@ impl IngestSession {
         }
         self.touch();
         let s = &mut self.streams[id.0];
-        s.bytes_in += chunk.len() as u64;
         s.cursor.push(chunk);
         self.drain_stream(id.0);
         self.resolve_anchors();
@@ -343,11 +340,6 @@ impl IngestSession {
     /// Streams registered so far.
     pub fn stream_count(&self) -> usize {
         self.streams.len()
-    }
-
-    /// Total record bytes appended over all streams.
-    pub fn bytes_ingested(&self) -> u64 {
-        self.streams.iter().map(|s| s.bytes_in).sum()
     }
 
     /// Placed events of streams not yet merged into the base.
@@ -898,26 +890,20 @@ impl ImageIngest {
         while !chunk.is_empty() {
             match self.state {
                 ImageState::Header => {
-                    if !fill(&mut self.carry, 36, &mut chunk) {
+                    if !fill(&mut self.carry, MAGIC.len() + HEADER_BYTES, &mut chunk) {
                         return Ok(());
                     }
-                    if &self.carry[..4] != MAGIC {
+                    let (magic, h) = self.carry.split_at(MAGIC.len());
+                    if magic != MAGIC {
                         return Err(FormatError::BadMagic);
                     }
-                    let version = u16::from_le_bytes([self.carry[4], self.carry[5]]);
-                    if version != VERSION {
-                        return Err(FormatError::BadVersion { found: version });
+                    let h = h.try_into().expect("`fill` stops at the header's end");
+                    let header = TraceHeader::decode(h);
+                    if header.version != VERSION {
+                        return Err(FormatError::BadVersion {
+                            found: header.version,
+                        });
                     }
-                    let header = TraceHeader {
-                        version,
-                        num_ppe_threads: self.carry[6],
-                        num_spes: self.carry[7],
-                        core_hz: le_u64(&self.carry[8..16]),
-                        timebase_divider: le_u64(&self.carry[16..24]),
-                        dec_start: le_u32(&self.carry[24..28]),
-                        group_mask: le_u32(&self.carry[28..32]),
-                        spe_buffer_bytes: le_u32(&self.carry[32..36]),
-                    };
                     self.carry.clear();
                     self.state = ImageState::StreamCount { header };
                 }

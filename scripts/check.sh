@@ -167,6 +167,11 @@ done
 # The failing block's 19 records become one 304-byte gap in SPE0.
 ta_cli loss "$smoke_dir/block.pdt2" | grep -qx 'SPE0,44,1,304,19,0,false' \
   || { echo "ta-cli loss on block.pdt2 lacks the SPE0 gap row" >&2; exit 1; }
+# The block-skip listing checks each payload's CRC as well: the failing
+# block is counted corrupt and not decoded.
+ta_cli query "$smoke_dir/block.pdt2" 2>&1 > /dev/null \
+  | grep -q '^codec: 14 of 15 block(s) decoded, 0 skipped, 1 corrupt, ' \
+  || { echo "ta-cli query on block.pdt2 does not count the corrupt block" >&2; exit 1; }
 # --strict on a damaged .pdt2 fails as unpacking it would: the first
 # container error, pinned per copy.
 for pinned in "block.pdt2:v2 container corrupt: block payload crc" \
