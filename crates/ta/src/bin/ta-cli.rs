@@ -336,10 +336,7 @@ fn run(out: &mut dyn Write) -> Result<(), Failure> {
         "compare" => {
             let before = args.get(1).ok_or(usage)?;
             let after = args.get(2).ok_or(usage)?;
-            let c = compare_traces(
-                load(before, strict, par)?.analyzed(),
-                load(after, strict, par)?.analyzed(),
-            );
+            let c = compare_traces(load(before, strict, par)?, load(after, strict, par)?);
             out.write_all(c.render().as_bytes())?;
         }
         "pack" => {

@@ -6,8 +6,7 @@
 //! breakdowns, DMA behaviour and event demography — which is how the
 //! paper's use cases present their fixes.
 
-use crate::analyze::AnalyzedTrace;
-use crate::stats::compute_stats;
+use crate::session::Analysis;
 
 /// Per-SPE before/after deltas (milliseconds unless noted).
 #[derive(Debug, Clone, PartialEq)]
@@ -94,9 +93,11 @@ fn frac(num: u64, den: u64) -> f64 {
     }
 }
 
-/// Compares two analyzed traces of the same application.
-pub fn compare_traces(before: &AnalyzedTrace, after: &AnalyzedTrace) -> Comparison {
-    let (sb, sa) = (compute_stats(before), compute_stats(after));
+/// Compares two sessions of the same application, from their
+/// memoized [`stats`](Analysis::stats).
+pub fn compare_traces(before: &Analysis, after: &Analysis) -> Comparison {
+    let (sb, sa) = (before.stats(), after.stats());
+    let (before, after) = (before.columns(), after.columns());
     let before_ms = before.tb_to_ns(sb.duration_tb) / 1e6;
     let after_ms = after.tb_to_ns(sa.duration_tb) / 1e6;
     let mut spes = Vec::new();
@@ -132,7 +133,7 @@ pub fn compare_traces(before: &AnalyzedTrace, after: &AnalyzedTrace) -> Comparis
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::GlobalEvent;
+    use crate::analyze::{AnalyzedTrace, GlobalEvent};
     use pdt::{EventCode, TraceCore, TraceHeader, VERSION};
 
     fn trace(active: u64, dma_wait: u64) -> AnalyzedTrace {
@@ -170,8 +171,8 @@ mod tests {
 
     #[test]
     fn comparison_measures_improvement() {
-        let before = trace(1000, 600);
-        let after = trace(500, 100);
+        let before = Analysis::from_analyzed(trace(1000, 600));
+        let after = Analysis::from_analyzed(trace(500, 100));
         let c = compare_traces(&before, &after);
         assert!((c.speedup - 2.0).abs() < 1e-9);
         assert_eq!(c.spes.len(), 1);
@@ -190,7 +191,10 @@ mod tests {
         for e in &mut after.events {
             e.core = TraceCore::Spe(3);
         }
-        let c = compare_traces(&trace(1000, 600), &after);
+        let c = compare_traces(
+            &Analysis::from_analyzed(trace(1000, 600)),
+            &Analysis::from_analyzed(after),
+        );
         assert!(c.spes.is_empty());
         assert_eq!(c.events, (5, 5));
     }

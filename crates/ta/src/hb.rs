@@ -483,9 +483,13 @@ fn issue_dir(code: EventCode) -> Option<AccessDir> {
 
 /// One SPE's DMA state, replayed once from its stream: the transfers
 /// with their ordering positions, and the tag waits that covered
-/// nothing. The one definition of transfer lifetimes, read by
+/// nothing. The one definition of transfer lifetimes over the columns:
 /// `dma-race` (through [`HbIndex`]), `unwaited-tag-group` and
-/// `wait-without-dma`.
+/// `wait-without-dma` read it, and the DMA statistics
+/// ([`crate::stats`], [`Analysis::dma_window`]) and the occupancy
+/// series ([`crate::occupancy`]) are folds over its transfers.
+///
+/// [`Analysis::dma_window`]: crate::session::Analysis::dma_window
 #[derive(Debug, Default)]
 pub(crate) struct SpeDma {
     pub(crate) spe: u8,
@@ -504,10 +508,10 @@ pub(crate) struct SpeDma {
 }
 
 impl SpeDma {
-    /// Replays the SPE's DMA events: issues, tag waits and barriers.
-    /// Every other event is skipped on the code column, without
-    /// reading its params.
-    fn replay(trace: &ColumnarTrace, spe: u8, stream: usize, seg: Range<usize>) -> Self {
+    /// Replays the SPE's DMA events in `seg` (its whole segment, or a
+    /// window of it): issues, tag waits and barriers. Every other event
+    /// is skipped on the code column, without reading its params.
+    pub(crate) fn replay(trace: &ColumnarTrace, spe: u8, stream: usize, seg: Range<usize>) -> Self {
         let mut rec = SpeDma {
             spe,
             stream,
@@ -626,6 +630,17 @@ impl SpeDma {
     }
 }
 
+/// Every SPE's segment of the store as `(spe, stream index, segment)`,
+/// in stream order: the per-SPE shards of a DMA replay.
+pub(crate) fn spe_segments(trace: &ColumnarTrace) -> Vec<(u8, usize, Range<usize>)> {
+    (trace.segments().into_iter().enumerate())
+        .filter_map(|(stream, (core, seg))| match core {
+            TraceCore::Spe(spe) => Some((spe, stream, seg)),
+            TraceCore::Ppe(_) => None,
+        })
+        .collect()
+}
+
 /// The per-SPE memo cells of one DMA replay: cell `k` holds the
 /// [`SpeDma`] record of the trace's `k`-th SPE (the per-SPE lint shard
 /// `k`), replayed on first use by whichever reader asks first. A lint
@@ -640,11 +655,8 @@ pub(crate) struct DmaReplay<'t> {
 impl<'t> DmaReplay<'t> {
     /// Empty cells, one per SPE that recorded events.
     pub(crate) fn new(trace: &'t ColumnarTrace) -> Self {
-        let cells = (trace.segments().into_iter().enumerate())
-            .filter_map(|(stream, (core, seg))| match core {
-                TraceCore::Spe(spe) => Some((spe, stream, seg, OnceLock::new())),
-                TraceCore::Ppe(_) => None,
-            })
+        let cells = (spe_segments(trace).into_iter())
+            .map(|(spe, stream, seg)| (spe, stream, seg, OnceLock::new()))
             .collect();
         DmaReplay { trace, cells }
     }

@@ -8,11 +8,19 @@
 //! Deep sustained occupancy is how effective double buffering looks in
 //! a trace; an occupancy stuck at 0/1 is the single-buffered
 //! anti-pattern the paper's use case fixes.
+//!
+//! A wait mask names tags 0–31, so a command whose tag byte is 32 or
+//! more (only damaged params carry one) is never retired, as in the
+//! DMA statistics and the lint. The session's series is a fold over
+//! each SPE's `hb::SpeDma` replay; the row function [`dma_occupancy`]
+//! keeps its own per-tag counts and is the differential oracle.
 
 use pdt::{EventCode, TraceCore};
 
 use crate::analyze::AnalyzedTrace;
 use crate::columns::ColumnarTrace;
+use crate::exec::{map_indexed, Parallelism};
+use crate::hb::{spe_segments, SpeDma};
 
 /// A step in an occupancy time series.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,7 +105,8 @@ impl SpeOccupancy {
     }
 }
 
-/// Builds the occupancy series for every SPE in the trace.
+/// Builds the occupancy series for every SPE in the trace: the row
+/// oracle of the session's columnar series.
 pub fn dma_occupancy(trace: &AnalyzedTrace) -> Vec<SpeOccupancy> {
     let mut out = Vec::new();
     for spe in trace.spes() {
@@ -113,8 +122,9 @@ pub fn dma_occupancy(trace: &AnalyzedTrace) -> Vec<SpeOccupancy> {
                     let Some(&tag) = e.params.get(3) else {
                         continue;
                     };
-                    let tag = (tag & 0xff) as usize % 32;
-                    per_tag[tag] += 1;
+                    if let Some(n) = per_tag.get_mut((tag & 0xff) as usize) {
+                        *n += 1;
+                    }
                     outstanding += 1;
                 }
                 EventCode::SpeTagWaitEnd => {
@@ -143,69 +153,59 @@ pub fn dma_occupancy(trace: &AnalyzedTrace) -> Vec<SpeOccupancy> {
     out
 }
 
-/// [`dma_occupancy`] over the columnar store: the same issue/retire
-/// state machine, walking each SPE's memoized offset slice. The
-/// session uses this path; the row function remains the differential
-/// oracle.
+/// [`dma_occupancy`] over the columnar store, folded from each SPE's
+/// replay. The session uses this path; the row function remains the
+/// differential oracle.
 pub fn dma_occupancy_columns(trace: &ColumnarTrace) -> Vec<SpeOccupancy> {
-    dma_occupancy_columns_par(trace, crate::exec::Parallelism::Serial)
+    dma_occupancy_columns_par(trace, Parallelism::Serial)
 }
 
 /// [`dma_occupancy_columns`] with the per-SPE lanes fanned out through
-/// [`crate::exec::map_indexed`]; lanes assemble in SPE order, so the
-/// result equals the sequential build.
+/// [`map_indexed`]; lanes assemble in SPE order, so the result equals
+/// the sequential build. A lane is folded from the SPE's replay: each
+/// issue steps up by one, and each `SpeTagWaitEnd` steps down by the
+/// transfers it was the first to cover (a wait that covers nothing
+/// still steps). An SPE with no DMA or tag-wait event has no lane.
 pub(crate) fn dma_occupancy_columns_par(
     trace: &ColumnarTrace,
-    par: crate::exec::Parallelism,
+    par: Parallelism,
 ) -> Vec<SpeOccupancy> {
-    let spes = trace.spes();
-    crate::exec::map_indexed(par, spes.len(), |i| {
-        spe_dma_occupancy_columns(trace, spes[i])
+    let segs = spe_segments(trace);
+    map_indexed(par, segs.len(), |i| {
+        let (spe, stream, seg) = segs[i].clone();
+        let codes = &trace.events.codes()[seg.clone()];
+        let times = &trace.events.times()[seg.clone()];
+        let transfers = SpeDma::replay(trace, spe, stream, seg).transfers;
+        // Issue positions ascend; the wait positions, one per waited
+        // transfer, are sorted so each wait-end takes its run of them.
+        let mut issues = transfers.iter().map(|t| t.pos).peekable();
+        let mut waits: Vec<u32> = (transfers.iter().filter(|t| t.waited()))
+            .map(|t| t.wait_pos)
+            .collect();
+        waits.sort_unstable();
+        let mut waits = waits.into_iter().peekable();
+        let mut outstanding = 0u32;
+        let mut steps = Vec::new();
+        for (pos, (&code, &time_tb)) in (0u32..).zip(codes.iter().zip(times)) {
+            if issues.next_if_eq(&pos).is_some() {
+                outstanding += 1;
+            } else if code == EventCode::SpeTagWaitEnd {
+                while waits.next_if_eq(&pos).is_some() {
+                    outstanding -= 1;
+                }
+            } else {
+                continue;
+            }
+            steps.push(OccupancyStep {
+                time_tb,
+                outstanding,
+            });
+        }
+        (!steps.is_empty()).then(|| SpeOccupancy::from_steps(spe, steps))
     })
     .into_iter()
     .flatten()
     .collect()
-}
-
-/// One SPE's lane of [`dma_occupancy_columns`]: the independent shard
-/// unit the parallel product scheduler fans out per SPE. `None` when
-/// the SPE issued no DMA or tag-wait events.
-pub(crate) fn spe_dma_occupancy_columns(trace: &ColumnarTrace, spe: u8) -> Option<SpeOccupancy> {
-    let mut per_tag = [0u32; 32];
-    let mut outstanding = 0u32;
-    let mut steps = Vec::new();
-    for v in trace.core_events(TraceCore::Spe(spe)) {
-        match v.code {
-            EventCode::SpeDmaGet | EventCode::SpeDmaPut => {
-                // `[ea, lsa, size, tag]`; a damaged record may be short
-                // and then counts nowhere, as in the lint's replay.
-                let Some(&tag) = v.params.get(3) else {
-                    continue;
-                };
-                let tag = (tag & 0xff) as usize % 32;
-                per_tag[tag] += 1;
-                outstanding += 1;
-            }
-            EventCode::SpeTagWaitEnd => {
-                let mask = v.params.first().copied().unwrap_or(0) as u32;
-                for (t, count) in per_tag.iter_mut().enumerate() {
-                    if mask & (1 << t) != 0 {
-                        outstanding -= *count;
-                        *count = 0;
-                    }
-                }
-            }
-            _ => continue,
-        }
-        steps.push(OccupancyStep {
-            time_tb: v.time_tb,
-            outstanding,
-        });
-    }
-    if steps.is_empty() {
-        return None;
-    }
-    Some(SpeOccupancy::from_steps(spe, steps))
 }
 
 #[cfg(test)]
@@ -251,17 +251,28 @@ mod tests {
             ev(10, SpeDmaGet, vec![0, 0, 4096, 1]),
             ev(20, SpeTagWaitEnd, vec![0b01]), // retires tag 0
             ev(30, SpeDmaPut, vec![0, 0, 4096, 1]),
+            // Tag byte 33 lies outside every wait mask: never retired,
+            // not aliased to tag 1.
+            ev(35, SpeDmaGet, vec![0, 0, 4096, 33]),
             ev(40, SpeTagWaitEnd, vec![0b10]), // retires both tag-1 cmds
+            ev(50, SpeTagWaitEnd, vec![0b100]), // covers nothing: still a step
         ]);
         let occ = dma_occupancy(&t);
+        assert_eq!(
+            occ,
+            dma_occupancy_columns(&ColumnarTrace::from_analyzed(&t))
+        );
         assert_eq!(occ.len(), 1);
         let s = &occ[0];
         let series: Vec<(u64, u32)> = s.steps.iter().map(|x| (x.time_tb, x.outstanding)).collect();
-        assert_eq!(series, vec![(0, 1), (10, 2), (20, 1), (30, 2), (40, 0)]);
-        assert_eq!(s.peak, 2);
-        // Mean over [0,40): (1*10 + 2*10 + 1*10 + 2*10)/40 = 1.5
+        assert_eq!(
+            series,
+            vec![(0, 1), (10, 2), (20, 1), (30, 2), (35, 3), (40, 1), (50, 1)]
+        );
+        assert_eq!(s.peak, 3);
+        // Mean over [0,50): (1*10 + 2*10 + 1*10 + 2*5 + 3*5 + 1*10)/50 = 1.5
         assert!((s.mean - 1.5).abs() < 1e-12);
-        assert!((s.fraction_at_least(2) - 0.5).abs() < 1e-12);
+        assert!((s.fraction_at_least(2) - 0.4).abs() < 1e-12);
         assert!((s.fraction_at_least(1) - 1.0).abs() < 1e-12);
     }
 

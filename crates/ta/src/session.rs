@@ -44,6 +44,7 @@ use crate::analyze::{AnalyzeError, AnalyzedTrace, GlobalEvent};
 use crate::causality::{ranked_sync_edges, sync_edges_store, CausalEdge};
 use crate::columns::ColumnarTrace;
 use crate::exec::{self, Parallelism};
+use crate::hb::spe_segments;
 use crate::index::{TraceIndex, WindowSummary};
 use crate::intervals::{build_spe_intervals_columns, SpeIntervals};
 use crate::lint::{lint_columns_sharded_with_edges, LintConfig, LintReport};
@@ -55,8 +56,7 @@ use crate::phases::{user_phases_columns, PhaseReport};
 use crate::query::EventFilter;
 use crate::reader::TraceImage;
 use crate::report::{RenderOptions, ReportKind};
-use crate::stats::{compute_stats_columns_par, TraceStats};
-use crate::stats::{DmaMatcher, DmaSummary};
+use crate::stats::{compute_stats_columns_par, replay_dma, DmaSummary, TraceStats};
 use crate::summary::render_summary_with;
 use crate::svg::SvgOptions;
 use crate::timeline::{build_timeline_columns, build_timeline_where, Timeline};
@@ -536,19 +536,14 @@ impl Analysis {
     /// DMA traffic observed within `[start_tb, end_tb)`: commands
     /// issued in the window, completions only when the covering tag
     /// wait also falls inside it. Each SPE's window is a binary search
-    /// over its segment.
+    /// over its segment, and only that range is replayed.
     pub fn dma_window(&self, start_tb: u64, end_tb: u64) -> DmaSummary {
-        let idx = self.index();
-        let cols = self.columns();
-        let mut m = DmaMatcher::default();
-        for spe in cols.spes() {
-            m.next_spe();
-            for i in idx.core_range_in(cols, TraceCore::Spe(spe), start_tb, end_tb) {
-                let v = cols.events.view(i);
-                m.observe(v.time_tb, v.code, v.params);
-            }
+        let (idx, cols) = (self.index(), self.columns());
+        let mut segs = spe_segments(cols);
+        for (spe, _, seg) in &mut segs {
+            *seg = idx.core_range_in(cols, TraceCore::Spe(*spe), start_tb, end_tb);
         }
-        m.finish()
+        replay_dma(cols, &segs, Parallelism::Serial)
     }
 
     /// Writes the session through the unified [`Report`] interface —

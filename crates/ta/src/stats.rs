@@ -5,13 +5,22 @@
 //! with observed completion latencies. Everything here is computed from
 //! trace bytes alone; integration tests cross-check it against the
 //! simulator's ground truth.
+//!
+//! The session computes the columnar functions. Their DMA figures are a
+//! fold over each SPE's `hb::SpeDma` replay, the one place that matches
+//! issues to the tag waits that cover them. The row functions
+//! ([`compute_stats`], [`observe_dma`]) keep their own tag matching and
+//! are the differential oracles the tests hold the columns to.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use pdt::{EventCode, TraceCore};
 
 use crate::analyze::AnalyzedTrace;
 use crate::columns::ColumnarTrace;
+use crate::exec::{map_indexed, Parallelism};
+use crate::hb::{spe_segments, AccessDir, SpeDma};
 use crate::histogram::Log2Histogram;
 use crate::intervals::{build_intervals, ActivityKind, SpeIntervals};
 
@@ -88,70 +97,6 @@ impl DmaSummary {
         } else {
             self.completed_bytes as f64 / ticks as f64
         }
-    }
-}
-
-/// Matches one SPE's DMA issue records to the tag waits that observe
-/// their completion, fed the SPE's events in time order. Rows and
-/// columns share it: the whole-trace statistics, their per-SPE shards
-/// and [`Analysis::dma_window`](crate::session::Analysis::dma_window).
-///
-/// A tag-wait mask names tags 0–31, so a command on a tag at or above
-/// 32, or one never waited on, counts in the traffic totals and sizes
-/// but never in latency.
-#[derive(Debug, Default)]
-pub(crate) struct DmaMatcher {
-    summary: DmaSummary,
-    /// Outstanding `(issue_tb, bytes)` per tag, in issue order.
-    outstanding: [Vec<(u64, u64)>; 32],
-}
-
-impl DmaMatcher {
-    /// Starts the next SPE's stream: its outstanding commands never
-    /// complete (tags are per SPE). The buffers are kept for reuse.
-    pub(crate) fn next_spe(&mut self) {
-        self.outstanding.iter_mut().for_each(Vec::clear);
-    }
-
-    /// Consumes one event of the current SPE.
-    pub(crate) fn observe(&mut self, time_tb: u64, code: EventCode, params: &[u64]) {
-        let s = &mut self.summary;
-        match code {
-            EventCode::SpeDmaGet | EventCode::SpeDmaPut => {
-                // `[ea, lsa, size, tag]`; a damaged record may be short
-                // and then counts nowhere, as in the lint's replay.
-                let [_, _, bytes, tag, ..] = *params else {
-                    return;
-                };
-                if code == EventCode::SpeDmaGet {
-                    s.gets += 1;
-                } else {
-                    s.puts += 1;
-                }
-                s.bytes += bytes;
-                s.sizes.add(bytes);
-                if let Some(q) = self.outstanding.get_mut((tag & 0xff) as usize) {
-                    q.push((time_tb, bytes));
-                }
-            }
-            EventCode::SpeTagWaitEnd => {
-                let mask = params.first().copied().unwrap_or(0) as u32;
-                for (tag, q) in self.outstanding.iter_mut().enumerate() {
-                    if mask & (1 << tag) != 0 {
-                        for (issue_tb, bytes) in q.drain(..) {
-                            s.latency_ticks.add(time_tb - issue_tb);
-                            s.completed_bytes += bytes;
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// The summary of everything observed.
-    pub(crate) fn finish(self) -> DmaSummary {
-        self.summary
     }
 }
 
@@ -274,27 +219,27 @@ pub fn compute_stats_with(trace: &AnalyzedTrace, intervals: &[SpeIntervals]) -> 
 }
 
 /// [`compute_stats_with`] over the columnar store: event counts come
-/// from one walk of the code column and the DMA matcher iterates
-/// per-SPE offset slices, with no per-event allocation. The session
-/// uses this path; the row functions remain the differential oracles.
+/// from one walk of the code column and the DMA figures from each
+/// SPE's replay, with no per-event allocation. The session uses this
+/// path; the row functions remain the differential oracles.
 pub fn compute_stats_columns(trace: &ColumnarTrace, intervals: &[SpeIntervals]) -> TraceStats {
-    compute_stats_columns_par(trace, intervals, crate::exec::Parallelism::Serial)
+    compute_stats_columns_par(trace, intervals, Parallelism::Serial)
 }
 
-/// [`compute_stats_columns`] with the DMA observer's per-SPE shards
-/// fanned out through [`crate::exec::map_indexed`]. The counts walk
+/// [`compute_stats_columns`] with the DMA replay's per-SPE shards
+/// fanned out through [`map_indexed`]. The counts walk
 /// stays sequential (one pass over the code column); the result is
 /// byte-identical to the serial build.
 pub(crate) fn compute_stats_columns_par(
     trace: &ColumnarTrace,
     intervals: &[SpeIntervals],
-    par: crate::exec::Parallelism,
+    par: Parallelism,
 ) -> TraceStats {
     let spes = intervals.iter().map(SpeActivity::from_intervals).collect();
 
     let counts = EventCounts::tally(trace.events.codes().iter().copied());
 
-    let dma = observe_dma_columns_par(trace, par);
+    let dma = replay_dma(trace, &spe_segments(trace), par);
     TraceStats {
         spes,
         dma,
@@ -303,26 +248,36 @@ pub(crate) fn compute_stats_columns_par(
     }
 }
 
-/// [`observe_dma`] over the columnar store, driven by per-SPE
-/// [`EventView`](crate::columns::EventView)s.
-pub fn observe_dma_columns(trace: &ColumnarTrace) -> DmaSummary {
-    observe_dma_columns_par(trace, crate::exec::Parallelism::Serial)
-}
-
-/// [`observe_dma_columns`] with one [`DmaMatcher`] shard per SPE
-/// fanned out through [`crate::exec::map_indexed`] (tags never cross
-/// SPEs); the partial summaries absorb into the sequential result.
-pub(crate) fn observe_dma_columns_par(
+/// [`observe_dma`] over the columnar store: the DMA traffic of the SPE
+/// segments `segs` ([`spe_segments`], whole or windowed). One
+/// [`map_indexed`] shard per segment replays it, folds the transfers
+/// and drops the replay. A transfer counts as a GET or a PUT, with its
+/// bytes in the total and the sizes; a waited one adds its latency
+/// (wait minus issue time) and completed bytes. So a window counts its
+/// issues, completed only if the wait is inside too.
+pub(crate) fn replay_dma(
     trace: &ColumnarTrace,
-    par: crate::exec::Parallelism,
+    segs: &[(u8, usize, Range<usize>)],
+    par: Parallelism,
 ) -> DmaSummary {
-    let spes = trace.spes();
-    let parts = crate::exec::map_indexed(par, spes.len(), |i| {
-        let mut m = DmaMatcher::default();
-        for v in trace.core_events(TraceCore::Spe(spes[i])) {
-            m.observe(v.time_tb, v.code, v.params);
+    let times = trace.events.times();
+    let parts = map_indexed(par, segs.len(), |i| {
+        let (spe, stream, seg) = segs[i].clone();
+        let mut s = DmaSummary::default();
+        for t in &SpeDma::replay(trace, spe, stream, seg.clone()).transfers {
+            match t.dir {
+                AccessDir::Get => s.gets += 1,
+                AccessDir::Put => s.puts += 1,
+            }
+            s.bytes += t.bytes;
+            s.sizes.add(t.bytes);
+            if t.waited() {
+                let (issue, wait) = (seg.start + t.pos as usize, seg.start + t.wait_pos as usize);
+                s.latency_ticks.add(times[wait] - times[issue]);
+                s.completed_bytes += t.bytes;
+            }
         }
-        m.finish()
+        s
     });
     let mut summary = DmaSummary::default();
     for p in parts {
@@ -332,16 +287,52 @@ pub(crate) fn observe_dma_columns_par(
 }
 
 /// Matches DMA issue records to the tag waits that observe their
-/// completion.
+/// completion: the row oracle of the session's DMA statistics, with
+/// its own per-tag queues. A tag-wait mask names tags 0–31, so a command on a
+/// tag at or above 32, or one never waited on, counts in the traffic
+/// totals and sizes but never in latency.
 pub fn observe_dma(trace: &AnalyzedTrace) -> DmaSummary {
-    let mut m = DmaMatcher::default();
+    let mut s = DmaSummary::default();
+    // Outstanding `(issue_tb, bytes)` per tag, in issue order.
+    let mut outstanding: [Vec<(u64, u64)>; 32] = Default::default();
     for spe in trace.spes() {
-        m.next_spe();
+        // Tags are per SPE: the last SPE's open commands never complete.
+        outstanding.iter_mut().for_each(Vec::clear);
         for e in trace.core_events(TraceCore::Spe(spe)) {
-            m.observe(e.time_tb, e.code, &e.params);
+            match e.code {
+                EventCode::SpeDmaGet | EventCode::SpeDmaPut => {
+                    // `[ea, lsa, size, tag]`; a damaged record may be
+                    // short and then counts nowhere, as in the replay.
+                    let [_, _, bytes, tag, ..] = *e.params else {
+                        continue;
+                    };
+                    if e.code == EventCode::SpeDmaGet {
+                        s.gets += 1;
+                    } else {
+                        s.puts += 1;
+                    }
+                    s.bytes += bytes;
+                    s.sizes.add(bytes);
+                    if let Some(q) = outstanding.get_mut((tag & 0xff) as usize) {
+                        q.push((e.time_tb, bytes));
+                    }
+                }
+                EventCode::SpeTagWaitEnd => {
+                    let mask = e.params.first().copied().unwrap_or(0) as u32;
+                    for (tag, q) in outstanding.iter_mut().enumerate() {
+                        if mask & (1 << tag) != 0 {
+                            for (issue_tb, bytes) in q.drain(..) {
+                                s.latency_ticks.add(e.time_tb - issue_tb);
+                                s.completed_bytes += bytes;
+                            }
+                        }
+                    }
+                }
+                _ => {}
+            }
         }
     }
-    m.finish()
+    s
 }
 
 #[cfg(test)]
@@ -459,7 +450,8 @@ mod tests {
             ev(90, 1, SpeStop, vec![0]),
         ]);
         let rows = observe_dma(&t);
-        let cols = observe_dma_columns(&ColumnarTrace::from_analyzed(&t));
+        let cols = ColumnarTrace::from_analyzed(&t);
+        let cols = replay_dma(&cols, &spe_segments(&cols), Parallelism::Workers(2));
         for d in [rows, cols] {
             assert_eq!((d.gets, d.puts), (2, 2));
             assert_eq!(d.bytes, 256 + 512 + 1024 + 64);
@@ -516,7 +508,11 @@ mod tests {
         let cols = ColumnarTrace::from_analyzed(&t);
         let iv = build_intervals(&t);
         assert_eq!(compute_stats_columns(&cols, &iv), compute_stats(&t));
-        assert_eq!(observe_dma_columns(&cols), observe_dma(&t));
+        let segs = spe_segments(&cols);
+        assert_eq!(
+            replay_dma(&cols, &segs, Parallelism::Serial),
+            observe_dma(&t)
+        );
     }
 
     #[test]

@@ -12,6 +12,7 @@ use std::sync::Arc;
 
 use pdt::{EventGroup, TraceCore};
 use ta::index::oracle;
+use ta::stats::observe_dma;
 use ta::{analyze_v2, Analysis, EventFilter, Parallelism};
 
 #[path = "common/goldens.rs"]
@@ -80,6 +81,15 @@ fn assert_trace_agrees(name: &str) {
         let fast = a.summarize(t0, t1);
         let slow = oracle::window_summary(a.analyzed(), intervals, suspects, t0, t1);
         assert_eq!(fast, slow, "{name}: summary [{t0}, {t1})");
+
+        // Windowed DMA traffic == the row matcher over the window's rows.
+        let mut rows = a.analyzed().clone();
+        rows.events.retain(|e| e.time_tb >= t0 && e.time_tb < t1);
+        assert_eq!(
+            a.dma_window(t0, t1),
+            observe_dma(&rows),
+            "{name}: dma [{t0}, {t1})"
+        );
 
         // Filtered extraction == linear scan for every filter shape.
         for f in filters(&a, t0, t1) {
@@ -296,6 +306,9 @@ fn edge_windows_match_oracle_on_every_golden() {
                     oracle::clip_all(intervals, t0, t1),
                     "{at}: clip_all"
                 );
+                let mut rows = a.analyzed().clone();
+                rows.events.retain(|e| e.time_tb >= t0 && e.time_tb < t1);
+                assert_eq!(a.dma_window(t0, t1), observe_dma(&rows), "{at}: dma_window");
                 for iv in intervals {
                     for t in [t0, t1.saturating_sub(1), iv.start_tb, iv.stop_tb] {
                         assert_eq!(
