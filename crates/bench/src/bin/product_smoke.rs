@@ -309,11 +309,12 @@ fn run() -> Result<(), String> {
         ("product_stats", &|| {
             ta::stats::compute_stats_columns(&cols, &iv).spes.len()
         }),
+        // The view: labels and markers, with lanes borrowing `iv`.
         ("product_timeline", &|| {
             ta::timeline::build_timeline_columns(&cols, &iv).lanes.len()
         }),
         ("product_occupancy", &|| {
-            ta::occupancy::dma_occupancy_columns(&cols).len()
+            ta::occupancy::dma_occupancy_columns_par(&cols, Parallelism::Serial).len()
         }),
         ("product_phases", &|| {
             ta::phases::user_phases_columns(&cols).phases.len()

@@ -11,7 +11,8 @@
 //! - **The index must actually be fast.** The fixed E13 window query
 //!   (1/64 of the span) is timed on both paths; the median indexed
 //!   cost must undercut the median naive rescan by at least 5x. The
-//!   window's summary and windowed timeline are timed alongside.
+//!   window's summary and windowed timeline view (labels, markers and
+//!   a borrowed run of each lane's intervals) are timed alongside.
 //! - **The SVG timeline is sized by the canvas.** The whole-trace SVG
 //!   of a DMA storm (every step a get waited on at once, so each SPE
 //!   lane holds thousands of sub-pixel segments) is rendered at 1x and

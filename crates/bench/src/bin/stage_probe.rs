@@ -33,7 +33,12 @@
 //! - `query`: intervals, index, summarize (the middle 1%
 //!   of the span, as `ta-cli query --from --to --summary`);
 //! - `svg`: intervals, timeline, render (`timeline --svg`,
-//!   written to a sink that counts its bytes, reported as `svg_bytes`);
+//!   written to a sink that counts its bytes, reported as `svg_bytes`).
+//!   The timeline is a view that borrows the session's intervals:
+//!   `timeline` times building one alone (its labels and markers), and
+//!   `render` builds it again and draws it, as `ta-cli` does. Builds
+//!   before the borrowing view copied every interval in `timeline` and
+//!   memoized the copy for `render`;
 //! - `lint`: intervals, lint (`lint --format sarif`): the sync-edge
 //!   extraction, the rules with the happens-before pass among them,
 //!   and the rendering. Lint builds no global order, so the trailing

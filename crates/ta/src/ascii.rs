@@ -1,7 +1,7 @@
 //! ASCII rendering of timelines, for terminals and test assertions.
 //!
 //! Each lane is one row; each column covers `span / width` ticks and
-//! shows the last segment, in lane order, that touches it:
+//! shows the last interval, in lane order, that touches it:
 //!
 //! ```text
 //! =  compute      d  DMA wait      m  mailbox wait      s  signal wait
@@ -49,9 +49,9 @@ pub(crate) fn write_ascii(
     )?;
     for lane in &timeline.lanes {
         let mut row = vec!['.'; width];
-        for seg in &lane.segments {
-            // Last writer wins: each segment paints every column it
-            // touches, so a shared column shows the latest segment.
+        for seg in timeline.drawn(lane) {
+            // Last writer wins: each interval paints every column it
+            // touches, so a shared column shows the latest interval.
             let c0 = ((seg.start_tb - timeline.start_tb) as f64 / span * width as f64) as usize;
             let c1 = (((seg.end_tb - timeline.start_tb) as f64 / span * width as f64).ceil()
                 as usize)
@@ -83,7 +83,8 @@ pub(crate) fn write_ascii(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timeline::{Lane, Marker, Segment};
+    use crate::intervals::Interval;
+    use crate::timeline::{Lane, Marker};
     use pdt::{EventCode, TraceCore};
 
     fn render(t: &Timeline, width: usize) -> String {
@@ -92,7 +93,20 @@ mod tests {
         String::from_utf8(out).unwrap()
     }
 
-    fn timeline() -> Timeline {
+    const SPE0: [Interval; 2] = [
+        Interval {
+            start_tb: 0,
+            end_tb: 50,
+            kind: ActivityKind::Compute,
+        },
+        Interval {
+            start_tb: 50,
+            end_tb: 100,
+            kind: ActivityKind::DmaWait,
+        },
+    ];
+
+    fn timeline() -> Timeline<'static> {
         Timeline {
             start_tb: 0,
             end_tb: 100,
@@ -100,7 +114,7 @@ mod tests {
                 Lane {
                     label: "PPE.0".into(),
                     core: TraceCore::Ppe(0),
-                    segments: vec![],
+                    intervals: &[],
                     markers: vec![Marker {
                         time_tb: 0,
                         code: EventCode::PpeCtxRun,
@@ -109,18 +123,7 @@ mod tests {
                 Lane {
                     label: "SPE0".into(),
                     core: TraceCore::Spe(0),
-                    segments: vec![
-                        Segment {
-                            start_tb: 0,
-                            end_tb: 50,
-                            kind: ActivityKind::Compute,
-                        },
-                        Segment {
-                            start_tb: 50,
-                            end_tb: 100,
-                            kind: ActivityKind::DmaWait,
-                        },
-                    ],
+                    intervals: &SPE0,
                     markers: vec![],
                 },
             ],

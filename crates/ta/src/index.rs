@@ -413,6 +413,11 @@ impl TraceIndex {
         self.segments.iter().map(|(c, _)| *c)
     }
 
+    /// The SPE lanes the index searches, shared with its session.
+    pub(crate) fn lanes(&self) -> &[SpeIntervals] {
+        &self.lanes
+    }
+
     /// The indexed SPE lanes (SPEs with reconstructed intervals).
     pub fn spes(&self) -> impl Iterator<Item = u8> + '_ {
         self.lanes.iter().map(|l| l.spe)
@@ -524,13 +529,12 @@ impl TraceIndex {
     }
 
     fn clip_lane(lane: &SpeIntervals, t0: u64, t1: u64) -> SpeIntervals {
-        let s = t0.max(lane.start_tb);
-        let e = t1.min(lane.stop_tb).max(s);
+        let (s, e, run) = lane.window(t0, t1);
         SpeIntervals {
             spe: lane.spe,
             start_tb: s,
             stop_tb: e,
-            intervals: overlapping(&lane.intervals, s, e)
+            intervals: run
                 .iter()
                 .map(|i| Interval {
                     start_tb: i.start_tb.max(s),

@@ -124,6 +124,14 @@ impl SpeIntervals {
         }
     }
 
+    /// The bounds `[s, e)` that [`clip`](Self::clip) cuts the lane to, and
+    /// the run of intervals it keeps, uncut, found by binary search.
+    pub(crate) fn window(&self, start_tb: u64, end_tb: u64) -> (u64, u64, &[Interval]) {
+        let s = start_tb.max(self.start_tb);
+        let e = end_tb.min(self.stop_tb).max(s);
+        (s, e, overlapping(&self.intervals, s, e))
+    }
+
     /// Total ticks attributed to `kind`.
     pub fn total(&self, kind: ActivityKind) -> u64 {
         self.intervals

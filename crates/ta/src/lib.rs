@@ -131,6 +131,6 @@ pub use session::{Analysis, AnalysisBuilder};
 pub use stats::{compute_stats, DmaSummary, EventCounts, SpeActivity, TraceStats};
 pub use stream::{ImageIngest, IngestSession, StreamId};
 pub use svg::SvgOptions;
-pub use timeline::{build_timeline, Lane, Marker, Segment, Timeline};
+pub use timeline::{Lane, Marker, Timeline};
 pub use v2read::{analyze_v2, is_v2_image, V2Trace, WindowQuery};
 pub use validate::{rel_err, validate, SpeValidation, ValidationReport};

@@ -153,23 +153,15 @@ pub fn dma_occupancy(trace: &AnalyzedTrace) -> Vec<SpeOccupancy> {
     out
 }
 
-/// [`dma_occupancy`] over the columnar store, folded from each SPE's
-/// replay. The session uses this path; the row function remains the
-/// differential oracle.
-pub fn dma_occupancy_columns(trace: &ColumnarTrace) -> Vec<SpeOccupancy> {
-    dma_occupancy_columns_par(trace, Parallelism::Serial)
-}
-
-/// [`dma_occupancy_columns`] with the per-SPE lanes fanned out through
-/// [`map_indexed`]; lanes assemble in SPE order, so the result equals
-/// the sequential build. A lane is folded from the SPE's replay: each
-/// issue steps up by one, and each `SpeTagWaitEnd` steps down by the
-/// transfers it was the first to cover (a wait that covers nothing
-/// still steps). An SPE with no DMA or tag-wait event has no lane.
-pub(crate) fn dma_occupancy_columns_par(
-    trace: &ColumnarTrace,
-    par: Parallelism,
-) -> Vec<SpeOccupancy> {
+/// [`dma_occupancy`] over the columnar store, with the per-SPE lanes
+/// fanned out through [`map_indexed`]; lanes assemble in SPE order, so
+/// the result equals the sequential build. The session uses this path;
+/// the row function remains the differential oracle. A lane is folded
+/// from the SPE's replay: each issue steps up by one, and each
+/// `SpeTagWaitEnd` steps down by the transfers it was the first to
+/// cover (a wait that covers nothing still steps). An SPE with no DMA
+/// or tag-wait event has no lane.
+pub fn dma_occupancy_columns_par(trace: &ColumnarTrace, par: Parallelism) -> Vec<SpeOccupancy> {
     let segs = spe_segments(trace);
     map_indexed(par, segs.len(), |i| {
         let (spe, stream, seg) = segs[i].clone();
@@ -260,7 +252,7 @@ mod tests {
         let occ = dma_occupancy(&t);
         assert_eq!(
             occ,
-            dma_occupancy_columns(&ColumnarTrace::from_analyzed(&t))
+            dma_occupancy_columns_par(&ColumnarTrace::from_analyzed(&t), Parallelism::Serial)
         );
         assert_eq!(occ.len(), 1);
         let s = &occ[0];
@@ -331,9 +323,12 @@ mod tests {
             ev(40, SpeTagWaitEnd, vec![0b10]),
         ]);
         let cols = ColumnarTrace::from_analyzed(&t);
-        assert_eq!(dma_occupancy_columns(&cols), dma_occupancy(&t));
+        assert_eq!(
+            dma_occupancy_columns_par(&cols, Parallelism::Workers(2)),
+            dma_occupancy(&t)
+        );
         let empty = ColumnarTrace::from_analyzed(&trace(vec![]));
-        assert!(dma_occupancy_columns(&empty).is_empty());
+        assert!(dma_occupancy_columns_par(&empty, Parallelism::Serial).is_empty());
     }
 
     #[test]

@@ -169,7 +169,7 @@ impl Report for SvgReport {
     fn write(&self, a: &Analysis, opts: &RenderOptions, out: &mut dyn io::Write) -> io::Result<()> {
         match opts.window {
             Some((t0, t1)) => crate::svg::write_svg(&a.timeline_window(t0, t1), &opts.svg, out),
-            None => crate::svg::write_svg(a.timeline(), &opts.svg, out),
+            None => crate::svg::write_svg(&a.timeline(), &opts.svg, out),
         }
     }
 }
@@ -186,7 +186,7 @@ impl Report for AsciiReport {
             Some((t0, t1)) => {
                 crate::ascii::write_ascii(&a.timeline_window(t0, t1), opts.ascii_width, out)
             }
-            None => crate::ascii::write_ascii(a.timeline(), opts.ascii_width, out),
+            None => crate::ascii::write_ascii(&a.timeline(), opts.ascii_width, out),
         }
     }
 }

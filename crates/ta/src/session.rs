@@ -3,8 +3,8 @@
 //! [`Analysis`] is the analyzer's front door ([`Analysis::open`] for a
 //! file of either container). It owns a reconstructed
 //! trace and memoizes every derived product — intervals, statistics,
-//! timeline, DMA occupancy, user phases — so each is computed at most
-//! once per session no matter how many views ask for it. Ingestion
+//! DMA occupancy, user phases — so each is computed at most once per
+//! session no matter how many views (the timeline among them) ask for it. Ingestion
 //! decodes the trace's streams straight into the core-major columnar
 //! store (the one-shot placement shared with the v2 reader), with
 //! output identical to the serial row path; the global event order is
@@ -49,7 +49,7 @@ use crate::index::{TraceIndex, WindowSummary};
 use crate::intervals::{build_spe_intervals_columns, SpeIntervals};
 use crate::lint::{lint_columns_sharded_with_edges, LintConfig, LintReport};
 use crate::loss::{DecodePolicy, LossReport};
-use crate::occupancy::{dma_occupancy_columns, dma_occupancy_columns_par, SpeOccupancy};
+use crate::occupancy::{dma_occupancy_columns_par, SpeOccupancy};
 use crate::oneshot;
 use crate::overlay::Overlay;
 use crate::phases::{user_phases_columns, PhaseReport};
@@ -176,7 +176,6 @@ pub struct Analysis {
     par: Parallelism,
     intervals: OnceLock<Arc<[SpeIntervals]>>,
     stats: OnceLock<TraceStats>,
-    timeline: OnceLock<Timeline>,
     occupancy: OnceLock<Vec<SpeOccupancy>>,
     phases: OnceLock<PhaseReport>,
     index: OnceLock<Arc<TraceIndex>>,
@@ -261,7 +260,6 @@ impl Analysis {
             par,
             intervals: OnceLock::new(),
             stats: OnceLock::new(),
-            timeline: OnceLock::new(),
             occupancy: OnceLock::new(),
             phases: OnceLock::new(),
             index: OnceLock::new(),
@@ -339,16 +337,17 @@ impl Analysis {
             .get_or_init(|| compute_stats_columns_par(self.columns(), self.intervals(), self.par))
     }
 
-    /// The Gantt timeline model.
-    pub fn timeline(&self) -> &Timeline {
-        self.timeline
-            .get_or_init(|| build_timeline_columns(self.columns(), self.intervals()))
+    /// The Gantt timeline, a view whose SPE lanes borrow the
+    /// [`intervals`](Self::intervals): built per call, of labels and markers.
+    pub fn timeline(&self) -> Timeline<'_> {
+        build_timeline_columns(self.columns(), self.intervals())
     }
 
-    /// Outstanding-DMA occupancy per SPE.
+    /// Outstanding-DMA occupancy per SPE, one shard per SPE under the
+    /// session's [`Parallelism`].
     pub fn occupancy(&self) -> &[SpeOccupancy] {
         self.occupancy
-            .get_or_init(|| dma_occupancy_columns(self.columns()))
+            .get_or_init(|| dma_occupancy_columns_par(self.columns(), self.par))
     }
 
     /// User-marked phase report.
@@ -364,7 +363,7 @@ impl Analysis {
     /// Round 1 runs the products that need only the columns (phases,
     /// occupancy) beside one interval shard per SPE; the lanes are then
     /// assembled in SPE order. Round 2 runs the interval-consuming
-    /// products (index, lint, stats, timeline). Fan-outs inside a
+    /// products (index, lint, stats). Fan-outs inside a
     /// product run serially on its shard's thread, so the host is
     /// never oversubscribed. Every product is byte-identical to a
     /// serial build; calling any accessor afterwards returns the
@@ -376,7 +375,6 @@ impl Analysis {
             let _ = self.index();
             let _ = self.lint();
             let _ = self.stats();
-            let _ = self.timeline();
             let _ = self.occupancy();
             let _ = self.phases();
             return self;
@@ -402,7 +400,7 @@ impl Analysis {
         if self.intervals.get().is_none() {
             let _ = self.intervals.set(lanes.into_iter().flatten().collect());
         }
-        exec::map_indexed(par, 4, |i| match i {
+        exec::map_indexed(par, 3, |i| match i {
             0 => {
                 let _ = self.index();
             }
@@ -418,13 +416,10 @@ impl Analysis {
                     )
                 });
             }
-            2 => {
+            _ => {
                 let _ = self.stats.get_or_init(|| {
                     compute_stats_columns_par(self.columns(), self.intervals(), par)
                 });
-            }
-            _ => {
-                let _ = self.timeline();
             }
         });
         self
@@ -516,10 +511,12 @@ impl Analysis {
         self.index().clip_all(start_tb, end_tb)
     }
 
-    /// The timeline model restricted to `[start_tb, end_tb)`: the same
-    /// lane set as [`timeline`](Self::timeline), with segments clipped
-    /// and markers extracted by binary search.
-    pub fn timeline_window(&self, start_tb: u64, end_tb: u64) -> Timeline {
+    /// The timeline restricted to `[start_tb, end_tb)`: the same lane
+    /// set as [`timeline`](Self::timeline), each SPE lane borrowing the
+    /// run of the index's intervals that overlaps the window (the
+    /// renderers cut its first and last at draw time), and markers
+    /// extracted by binary search.
+    pub fn timeline_window(&self, start_tb: u64, end_tb: u64) -> Timeline<'_> {
         build_timeline_where(self.columns(), self.index(), start_tb, end_tb)
     }
 
@@ -624,7 +621,7 @@ mod tests {
     use crate::analyze::analyze;
     use crate::intervals::build_intervals;
     use crate::stats::compute_stats;
-    use crate::timeline::build_timeline;
+    use crate::timeline::build_timeline_with;
     use pdt::{EventCode, TraceCore, TraceFile, TraceHeader, TraceRecord, TraceStream, VERSION};
 
     fn trace(spes: u8) -> TraceFile {
@@ -698,7 +695,8 @@ mod tests {
         let stats = compute_stats(&serial);
         assert_eq!(a.stats().spes, stats.spes);
         assert_eq!(a.stats().duration_tb, stats.duration_tb);
-        assert_eq!(a.timeline(), &build_timeline(&serial));
+        let iv = build_intervals(&serial);
+        assert_eq!(a.timeline(), build_timeline_with(&serial, &iv));
     }
 
     #[test]
@@ -764,19 +762,24 @@ mod tests {
         assert_eq!(clipped, expect);
 
         // The windowed timeline keeps the lane set and clips content.
-        let tl = a.timeline_window(t0, t1);
-        assert_eq!(tl.lanes.len(), a.timeline().lanes.len());
+        let (tl, full) = (a.timeline_window(t0, t1), a.timeline());
+        assert_eq!(tl.lanes.len(), full.lanes.len());
         assert_eq!((tl.start_tb, tl.end_tb), (t0, t1));
-        for (lane, full) in tl.lanes.iter().zip(&a.timeline().lanes) {
+        for (lane, full) in tl.lanes.iter().zip(&full.lanes) {
             assert_eq!(lane.label, full.label);
             assert!(lane
                 .markers
                 .iter()
                 .all(|m| m.time_tb >= t0 && m.time_tb < t1));
-            assert!(lane
-                .segments
-                .iter()
-                .all(|s| s.start_tb >= t0 && s.end_tb <= t1));
+            assert!(tl.drawn(lane).all(|s| s.start_tb >= t0 && s.end_tb <= t1));
+        }
+        // The lanes borrow the intervals `intervals_window` cuts.
+        let spe_lanes = tl
+            .lanes
+            .iter()
+            .filter(|l| matches!(l.core, TraceCore::Spe(_)));
+        for (lane, cut) in spe_lanes.zip(&clipped) {
+            assert!(tl.drawn(lane).eq(cut.intervals.iter().copied()));
         }
 
         // Windowed summary equals the brute-force oracle.
@@ -883,12 +886,8 @@ mod tests {
         assert_eq!(a.columns().ctx_name(0), Some("kern"));
         assert_eq!(a.columns().ctx_name(1), Some("kern"));
         assert_eq!(a.columns().ctx_name(2), Some("other"));
-        let labels: Vec<&str> = a
-            .timeline()
-            .lanes
-            .iter()
-            .map(|l| l.label.as_str())
-            .collect();
+        let timeline = a.timeline();
+        let labels: Vec<&str> = timeline.lanes.iter().map(|l| l.label.as_str()).collect();
         assert!(labels.contains(&"SPE0 (kern)"), "{labels:?}");
         assert!(labels.contains(&"SPE2 (other)"), "{labels:?}");
     }

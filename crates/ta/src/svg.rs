@@ -3,8 +3,8 @@
 
 use std::io::{self, Write as _};
 
-use crate::intervals::ActivityKind;
-use crate::timeline::{Segment, Timeline};
+use crate::intervals::{ActivityKind, Interval};
+use crate::timeline::Timeline;
 
 /// Rendering options.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -184,32 +184,48 @@ fn fragment(pre: &str, v: u64, post: &str) -> Vec<u8> {
 
 /// The plot's pixel columns: column `c` of `width` covers the ticks
 /// `[start + ceil(c·span/width), start + ceil((c+1)·span/width))`,
-/// computed in `u128`.
+/// computed in `u128`; and a cursor at column `c`, ticks `[lo, hi)`,
+/// moved only forward: a tick in the same column costs two compares,
+/// the next column one `first_tick`, and only a longer jump `of`.
 #[derive(Debug, Clone, Copy)]
 struct Columns {
     start: u64,
     span: u64,
     /// At least 1.
     width: u64,
+    c: u64,
+    lo: u64,
+    hi: u64,
 }
 
 impl Columns {
     /// The first tick of column `c`; `c == width` gives the plot's end.
-    fn first_tick(self, c: u64) -> u64 {
+    fn first_tick(&self, c: u64) -> u64 {
         let scaled = (u128::from(c) * u128::from(self.span)).div_ceil(u128::from(self.width));
         self.start.saturating_add(scaled as u64)
     }
 
     /// The column holding tick `t`, clamped into the plot.
-    fn of(self, t: u64) -> u64 {
+    fn of(&self, t: u64) -> u64 {
         let off = u128::from(t.saturating_sub(self.start));
         let scaled = off * u128::from(self.width) / u128::from(self.span);
         scaled.min(u128::from(self.width - 1)) as u64
     }
 
-    /// The column of `seg`'s last tick, or of its start when it is empty.
-    fn last_of(self, seg: &Segment) -> u64 {
-        self.of(seg.end_tb.saturating_sub(1).max(seg.start_tb))
+    /// Moves the cursor to the column holding `t`, [`of`](Self::of)`(t)`;
+    /// `t` must not lie before the cursor's column.
+    #[inline]
+    fn seek(&mut self, t: u64) -> u64 {
+        if t >= self.hi && self.c + 1 < self.width {
+            let next = self.first_tick(self.c + 2);
+            (self.c, self.lo, self.hi) = if t < next {
+                (self.c + 1, self.hi, next)
+            } else {
+                let c = self.of(t);
+                (c, self.first_tick(c), self.first_tick(c + 1))
+            };
+        }
+        self.c
     }
 }
 
@@ -221,6 +237,8 @@ struct Cell {
     c1: u64,
     lo: u64,
     hi: u64,
+    /// The ticks of column `c0`, the share its heights are taken of.
+    den: u64,
     ticks: [u64; 4],
 }
 
@@ -229,25 +247,28 @@ struct Cell {
 /// the same stack compare equal.
 type Stack = [u32; 4];
 
-/// One lane's segments on their way out. A segment at least a pixel
+/// One lane's intervals on their way out. An interval at least a pixel
 /// wide is an exact rect, and so is a narrower one on its own. Runs of
-/// two or more narrower segments, chained by sharing a pixel column,
+/// two or more narrower intervals, chained by sharing a pixel column,
 /// are folded column by column into [`Cell`]s, and neighbouring cells
 /// that draw the same stack are written as one.
-struct LaneOut<'a, 'w> {
+struct LaneOut<'a, 'w, X> {
     o: &'a mut Chunked<'w>,
-    x_of: &'a dyn Fn(u64) -> f64,
+    x_of: &'a X,
+    /// The ticks in half a pixel, rounded down.
+    half_px: u64,
+    /// The column cursor, left where the last narrow interval ended;
     /// `None` on a zero-width plot, which has no columns to fold into.
-    cols: Option<Columns>,
+    cur: Option<Columns>,
     rect_y: Vec<u8>,
     kind_tail: &'a [Vec<u8>; 4],
     gutter: u32,
     y: u32,
     height: u32,
-    /// A narrow segment that may yet start a run.
-    lone: Option<Segment>,
-    /// The column of the last narrow segment's last tick, which the
-    /// next narrow segment must share to join its run.
+    /// A narrow interval that may yet start a run, and its first column.
+    lone: Option<(Interval, Columns)>,
+    /// The column of the last narrow interval's last tick, which the
+    /// next narrow interval must share to join its run.
     run_last: Option<u64>,
     /// The column being summed.
     column: Option<Cell>,
@@ -256,29 +277,44 @@ struct LaneOut<'a, 'w> {
     open: Option<(Cell, Stack)>,
 }
 
-impl LaneOut<'_, '_> {
-    fn segment(&mut self, seg: &Segment) -> io::Result<()> {
-        let (x0, x1) = ((self.x_of)(seg.start_tb), (self.x_of)(seg.end_tb));
-        let Some(cols) = self.cols.filter(|_| x1 - x0 < 1.0) else {
+impl<X: Fn(u64) -> f64> LaneOut<'_, '_, X> {
+    fn segment(&mut self, seg: Interval) -> io::Result<()> {
+        let len = seg.end_tb - seg.start_tb;
+        // The cursor and the run's last tick are in the column summed, so
+        // an interval under half a pixel that ends in it only adds ticks.
+        if let (Some(cell), Some(cur)) = (&mut self.column, &self.cur) {
+            if len > 0 && len <= self.half_px && seg.end_tb <= cur.hi {
+                cell.ticks[seg.kind.index()] += len;
+                cell.hi = seg.end_tb;
+                return Ok(());
+            }
+        }
+        // Half a pixel of ticks is sub-pixel whatever the f64 x error.
+        let narrow =
+            len <= self.half_px || (self.x_of)(seg.end_tb) - (self.x_of)(seg.start_tb) < 1.0;
+        let Some(mut cur) = self.cur.filter(|_| narrow) else {
             self.end_run()?;
             return self.rect(seg);
         };
-        let first = cols.of(seg.start_tb);
+        let first = cur.seek(seg.start_tb);
         if self.run_last.is_none_or(|last| first > last) {
             self.end_run()?;
-            self.lone = Some(*seg);
+            self.lone = Some((seg, cur));
         } else {
-            if let Some(prev) = self.lone.take() {
-                self.fold(cols, &prev)?;
+            if let Some((prev, at)) = self.lone.take() {
+                cur = at;
+                self.fold(&mut cur, prev)?;
             }
-            self.fold(cols, seg)?;
+            self.fold(&mut cur, seg)?;
         }
-        self.run_last = Some(cols.last_of(seg));
+        // The column of `seg`'s last tick, or of its start when empty.
+        self.run_last = Some(cur.seek(seg.end_tb.saturating_sub(1).max(seg.start_tb)));
+        self.cur = Some(cur);
         Ok(())
     }
 
     /// Writes `seg` as an exact rect, after the cell before it.
-    fn rect(&mut self, seg: &Segment) -> io::Result<()> {
+    fn rect(&mut self, seg: Interval) -> io::Result<()> {
         self.write_open()?;
         let (x0, x1) = ((self.x_of)(seg.start_tb), (self.x_of)(seg.end_tb));
         self.o
@@ -294,30 +330,34 @@ impl LaneOut<'_, '_> {
         self.o.spill()
     }
 
-    /// Adds `seg`'s ticks to the columns they fall in.
-    fn fold(&mut self, cols: Columns, seg: &Segment) -> io::Result<()> {
+    /// Adds `seg`'s ticks to the columns they fall in, moving `cur` on.
+    fn fold(&mut self, cur: &mut Columns, seg: Interval) -> io::Result<()> {
+        let k = seg.kind.index();
         let mut t = seg.start_tb;
         while t < seg.end_tb {
-            let c = cols.of(t);
-            let end = cols.first_tick(c + 1).min(seg.end_tb);
-            // Segments lie inside the plot, so every tick has a column.
+            let c = cur.seek(t);
+            let end = cur.hi.min(seg.end_tb);
+            // Intervals lie inside the plot, so every tick has a column.
             debug_assert!(end > t, "tick {t} past the plot's end");
-            let mut cell = match self.column {
-                Some(cell) if cell.c0 == c => cell,
+            match &mut self.column {
+                Some(cell) if cell.c0 == c => {
+                    cell.ticks[k] += end - t;
+                    cell.hi = end;
+                }
                 _ => {
-                    self.close_column(cols)?;
-                    Cell {
+                    self.close_column()?;
+                    let mut ticks = [0; 4];
+                    ticks[k] = end - t;
+                    self.column = Some(Cell {
                         c0: c,
                         c1: c,
                         lo: t,
-                        hi: t,
-                        ticks: [0; 4],
-                    }
+                        hi: end,
+                        den: cur.hi - cur.lo,
+                        ticks,
+                    });
                 }
-            };
-            cell.ticks[seg.kind.index()] += end - t;
-            cell.hi = end;
-            self.column = Some(cell);
+            }
             t = end;
         }
         Ok(())
@@ -325,12 +365,12 @@ impl LaneOut<'_, '_> {
 
     /// Ends the column being summed: it joins the open cell when both
     /// draw the same stack, and otherwise replaces it.
-    fn close_column(&mut self, cols: Columns) -> io::Result<()> {
+    fn close_column(&mut self) -> io::Result<()> {
         let Some(cell) = self.column.take() else {
             return Ok(());
         };
         // Heights are shares of the column's ticks.
-        let den = u128::from(cols.first_tick(cell.c0 + 1) - cols.first_tick(cell.c0));
+        let den = u128::from(cell.den);
         let mut stack = [0u32; 4];
         let mut cum = 0u128;
         for (k, h) in stack.iter_mut().enumerate() {
@@ -352,7 +392,6 @@ impl LaneOut<'_, '_> {
         self.open = Some((cell, stack));
         Ok(())
     }
-
     /// Writes a cell: its exact per-kind ticks as the tooltip, and one
     /// rect per kind stacked up from the lane's bottom edge.
     fn cell(&mut self, (cell, stack): (Cell, Stack)) -> io::Result<()> {
@@ -398,14 +437,11 @@ impl LaneOut<'_, '_> {
     /// open, so the next run can extend it when its first column comes
     /// next and draws the same stack.
     fn end_run(&mut self) -> io::Result<()> {
-        if let Some(seg) = self.lone.take() {
-            self.rect(&seg)?;
+        if let Some((seg, _)) = self.lone.take() {
+            self.rect(seg)?;
         }
         self.run_last = None;
-        match self.cols {
-            Some(cols) => self.close_column(cols),
-            None => Ok(()),
-        }
+        self.close_column()
     }
 
     /// Writes whatever the lane still holds.
@@ -426,10 +462,10 @@ impl LaneOut<'_, '_> {
 /// [`Analysis::write_report`](crate::session::Analysis::write_report)
 /// with [`ReportKind::Svg`](crate::report::ReportKind::Svg).
 ///
-/// The document's size follows the canvas, not the trace: segments
+/// The document's size follows the canvas, not the trace: intervals
 /// narrower than a pixel are folded into per-column cells (see
 /// [`LaneOut`]) whose tooltips carry each kind's exact ticks, so a lane
-/// writes at most one cell per pixel column beside its wide segments.
+/// writes at most one cell per pixel column beside its wide intervals.
 ///
 /// The text that repeats on every element of a lane (its `y`, the
 /// height, colour and tooltip prefix of each activity kind) is built
@@ -449,10 +485,15 @@ pub(crate) fn write_svg(
     let x_of = |tb: u64| -> f64 {
         opts.gutter as f64 + (tb - timeline.start_tb) as f64 / span * opts.width as f64
     };
-    let cols = (opts.width > 0).then(|| Columns {
-        start: timeline.start_tb,
-        span: timeline.span(),
-        width: opts.width.into(),
+    let (start, ticks, width) = (timeline.start_tb, timeline.span(), u64::from(opts.width));
+    let cur = (width > 0).then(|| Columns {
+        start,
+        span: ticks,
+        width,
+        c: 0,
+        lo: start,
+        // `first_tick(1)`, where `span` alone cannot overflow.
+        hi: start.saturating_add(ticks.div_ceil(width)),
     });
 
     let mut o = Chunked::new(out);
@@ -494,7 +535,8 @@ pub(crate) fn write_svg(
         let mut lane_out = LaneOut {
             o: &mut o,
             x_of: &x_of,
-            cols,
+            half_px: ticks / (2 * width).max(1),
+            cur,
             rect_y: fragment("\" y=\"", y.into(), "\" width=\""),
             kind_tail: &kind_tail,
             gutter: opts.gutter,
@@ -505,7 +547,7 @@ pub(crate) fn write_svg(
             column: None,
             open: None,
         };
-        for seg in &lane.segments {
+        for seg in timeline.drawn(lane) {
             lane_out.segment(seg)?;
         }
         lane_out.finish()?;
@@ -584,7 +626,7 @@ pub(crate) fn write_svg(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timeline::{Lane, Marker, Segment};
+    use crate::timeline::{Lane, Marker};
     use pdt::{EventCode, TraceCore};
     use proptest::prelude::*;
 
@@ -594,25 +636,27 @@ mod tests {
         String::from_utf8(out).unwrap()
     }
 
-    fn timeline() -> Timeline {
+    const SPE0: [Interval; 2] = [
+        Interval {
+            start_tb: 0,
+            end_tb: 400,
+            kind: ActivityKind::Compute,
+        },
+        Interval {
+            start_tb: 400,
+            end_tb: 1000,
+            kind: ActivityKind::DmaWait,
+        },
+    ];
+
+    fn timeline() -> Timeline<'static> {
         Timeline {
             start_tb: 0,
             end_tb: 1000,
             lanes: vec![Lane {
                 label: "SPE0 <&test>".into(),
                 core: TraceCore::Spe(0),
-                segments: vec![
-                    Segment {
-                        start_tb: 0,
-                        end_tb: 400,
-                        kind: ActivityKind::Compute,
-                    },
-                    Segment {
-                        start_tb: 400,
-                        end_tb: 1000,
-                        kind: ActivityKind::DmaWait,
-                    },
-                ],
+                intervals: &SPE0,
                 markers: vec![Marker {
                     time_tb: 500,
                     code: EventCode::SpeUser,
@@ -701,9 +745,9 @@ mod tests {
 
     #[test]
     fn documents_larger_than_a_chunk_reach_the_sink_whole() {
+        let segments = vec![SPE0[0]; 4 * CHUNK / 64];
         let mut t = timeline();
-        let seg = t.lanes[0].segments[0];
-        t.lanes[0].segments = vec![seg; 4 * CHUNK / 64];
+        t.lanes[0].intervals = &segments;
         let svg = render(&t, &SvgOptions::default());
         assert!(svg.len() > 2 * CHUNK);
         assert_eq!(svg.matches("<rect x=").count(), 4 * CHUNK / 64 + 1 + 4);
@@ -756,7 +800,7 @@ mod tests {
                 r##"<rect x="{}" y="{y}" width="{}" height="{lh}" fill="#f2f2f2"/>"##,
                 opts.gutter, opts.width
             );
-            for seg in &lane.segments {
+            for seg in timeline.drawn(lane) {
                 let (x0, x1) = (x_of(seg.start_tb), x_of(seg.end_tb));
                 let _ = writeln!(
                     s,
@@ -921,10 +965,11 @@ mod tests {
         lanes
     }
 
-    /// Each kind's ticks of `lane` inside `[lo, hi)`, by a plain scan.
-    fn scan(lane: &Lane, lo: u64, hi: u64) -> [u64; 4] {
+    /// Each kind's ticks of `lane` as `t` draws it inside `[lo, hi)`, by
+    /// a plain scan.
+    fn scan(t: &Timeline, lane: &Lane, lo: u64, hi: u64) -> [u64; 4] {
         let mut ticks = [0; 4];
-        for seg in &lane.segments {
+        for seg in t.drawn(lane) {
             let (s, e) = (seg.start_tb.max(lo), seg.end_tb.min(hi));
             if s < e {
                 ticks[seg.kind.index()] += e - s;
@@ -949,7 +994,7 @@ mod tests {
                 assert!(prev_hi <= lo && lo < hi, "cell {lo}..{hi} after {prev_hi}");
                 assert_eq!(
                     cell.ticks,
-                    scan(lane, lo, hi),
+                    scan(t, lane, lo, hi),
                     "cell {lo}..{hi} of {}",
                     lane.label
                 );
@@ -960,7 +1005,7 @@ mod tests {
                     // Every column the cell covers draws its stack.
                     for c in want.0..=want.1 {
                         let (a, b) = (column_start(t, opts, c), column_start(t, opts, c + 1));
-                        let ticks = scan(lane, lo.max(a), hi.min(b));
+                        let ticks = scan(t, lane, lo.max(a), hi.min(b));
                         assert_eq!(
                             stack_heights(ticks, b - a, opts.lane_height),
                             cell.heights,
@@ -980,7 +1025,7 @@ mod tests {
             for &(kind, s, e) in &d.rects {
                 total[kind] += e - s;
             }
-            assert_eq!(total, scan(lane, 0, u64::MAX), "lane {}", lane.label);
+            assert_eq!(total, scan(t, lane, 0, u64::MAX), "lane {}", lane.label);
             assert!(d.cells.len() <= opts.width as usize);
         }
     }
@@ -998,8 +1043,7 @@ mod tests {
         };
         t.lanes.iter().all(|lane| {
             let mut held = std::collections::HashMap::new();
-            lane.segments
-                .iter()
+            t.drawn(lane)
                 .filter(|s| px(s.end_tb) - px(s.start_tb) < 1.0)
                 .flat_map(|s| col(s.start_tb)..=col(s.end_tb.max(s.start_tb + 1) - 1))
                 .all(|c| {
@@ -1018,26 +1062,26 @@ mod tests {
         }
     }
 
-    fn seg(start_tb: u64, end_tb: u64, kind: usize) -> Segment {
-        Segment {
+    fn seg(start_tb: u64, end_tb: u64, kind: usize) -> Interval {
+        Interval {
             start_tb,
             end_tb,
             kind: ActivityKind::ALL[kind],
         }
     }
 
-    fn lane(segments: Vec<Segment>) -> Lane {
+    fn lane(intervals: &[Interval]) -> Lane<'_> {
         Lane {
             label: "SPE0".into(),
             core: TraceCore::Spe(0),
-            segments,
+            intervals,
             markers: Vec::new(),
         }
     }
 
     /// A lane of `(kind, length, gap before)` triples laid end to end
     /// from `start`.
-    fn tile(start: u64, parts: &[(usize, u64, u64)]) -> Vec<Segment> {
+    fn tile(start: u64, parts: &[(usize, u64, u64)]) -> Vec<Interval> {
         let mut t = start;
         parts
             .iter()
@@ -1053,19 +1097,20 @@ mod tests {
     fn old_emitter_oracle_matches_when_nothing_folds() {
         let opts = SvgOptions::default();
         // Wide segments, with lone narrow ones between them.
+        let segments = tile(
+            0,
+            &[
+                (0, 3000, 0),
+                (1, 2, 0),
+                (0, 3000, 0),
+                (2, 5, 0),
+                (3, 3993, 0),
+            ],
+        );
         let t = Timeline {
             start_tb: 0,
             end_tb: 10_000,
-            lanes: vec![lane(tile(
-                0,
-                &[
-                    (0, 3000, 0),
-                    (1, 2, 0),
-                    (0, 3000, 0),
-                    (2, 5, 0),
-                    (3, 3993, 0),
-                ],
-            ))],
+            lanes: vec![lane(&segments)],
         };
         assert!(no_column_shared(&t, &opts));
         assert_eq!(render(&t, &opts), unfolded_svg(&t, &opts));
@@ -1076,13 +1121,11 @@ mod tests {
             width: 10,
             ..SvgOptions::default()
         };
+        let segments = tile(0, &[(0, 450, 0), (1, 50, 0), (2, 50, 0), (0, 450, 0)]);
         let t = Timeline {
             start_tb: 0,
             end_tb: 1000,
-            lanes: vec![lane(tile(
-                0,
-                &[(0, 450, 0), (1, 50, 0), (2, 50, 0), (0, 450, 0)],
-            ))],
+            lanes: vec![lane(&segments)],
         };
         assert!(no_column_shared(&t, &opts));
         assert_eq!(render(&t, &opts), unfolded_svg(&t, &opts));
@@ -1097,10 +1140,11 @@ mod tests {
         // 1000 ticks over 10 px: 100 ticks a column. Alternating 10-tick
         // compute and dma-wait segments draw one 50/50 stack throughout.
         let parts: Vec<_> = (0..100).map(|i| (i % 2, 10, 0)).collect();
+        let segments = tile(0, &parts);
         let t = Timeline {
             start_tb: 0,
             end_tb: 1000,
-            lanes: vec![lane(tile(0, &parts))],
+            lanes: vec![lane(&segments)],
         };
         let svg = render(&t, &opts);
         assert_exact(&t, &opts, &svg);
@@ -1121,10 +1165,11 @@ mod tests {
         // ones fill the rest of that column and all of column 3.
         let mut parts = vec![(0, 225, 0)];
         parts.extend((0..7).map(|i| (1 + i % 2, 25, 0)));
+        let segments = tile(0, &parts);
         let t = Timeline {
             start_tb: 0,
             end_tb: 1000,
-            lanes: vec![lane(tile(0, &parts))],
+            lanes: vec![lane(&segments)],
         };
         let svg = render(&t, &opts);
         assert_exact(&t, &opts, &svg);
@@ -1156,7 +1201,7 @@ mod tests {
         let t = Timeline {
             start_tb: 7,
             end_tb: segments.last().unwrap().end_tb,
-            lanes: vec![lane(segments)],
+            lanes: vec![lane(&segments)],
         };
         let opts = SvgOptions::default();
         assert!(t.span().checked_mul(11).is_none());
@@ -1174,7 +1219,7 @@ mod tests {
         let t = Timeline {
             start_tb: 5,
             end_tb: segments.last().unwrap().end_tb,
-            lanes: vec![lane(segments)],
+            lanes: vec![lane(&segments)],
         };
         assert!(t.span() > 1 << 61);
         let svg = render(&t, &SvgOptions::default());
@@ -1189,7 +1234,25 @@ mod tests {
         assert_eq!(labels[8], t.end_tb);
     }
 
-    fn arb_timeline() -> impl Strategy<Value = (Timeline, SvgOptions)> {
+    /// A timeline's bounds and lanes, owned, for a strategy to return.
+    #[derive(Debug, Clone)]
+    struct Owned {
+        start_tb: u64,
+        end_tb: u64,
+        lanes: Vec<Vec<Interval>>,
+    }
+
+    impl Owned {
+        fn view(&self) -> Timeline<'_> {
+            Timeline {
+                start_tb: self.start_tb,
+                end_tb: self.end_tb,
+                lanes: self.lanes.iter().map(|l| lane(l)).collect(),
+            }
+        }
+    }
+
+    fn arb_timeline() -> impl Strategy<Value = (Owned, SvgOptions)> {
         let part = || {
             (
                 0usize..4,
@@ -1211,7 +1274,7 @@ mod tests {
             prop_oneof![Just(None), (any::<u64>(), any::<u64>()).prop_map(Some)],
         )
             .prop_map(|(width, lanes, start, zero_span, window)| {
-                let mut lanes: Vec<Vec<Segment>> = lanes
+                let mut lanes: Vec<Vec<Interval>> = lanes
                     .into_iter()
                     .map(|parts| {
                         let parts: Vec<_> = parts
@@ -1249,10 +1312,10 @@ mod tests {
                         (t0, t1.max(t0))
                     }
                 };
-                let timeline = Timeline {
+                let timeline = Owned {
                     start_tb,
                     end_tb,
-                    lanes: lanes.into_iter().map(lane).collect(),
+                    lanes,
                 };
                 let opts = SvgOptions {
                     width,
@@ -1267,7 +1330,42 @@ mod tests {
 
         #[test]
         fn folded_cells_hold_exact_ticks((t, opts) in arb_timeline()) {
-            check(&t, &opts);
+            check(&t.view(), &opts);
+        }
+
+        /// Along any rising run of ticks, the cursor names the column
+        /// and column bounds that `Columns::of` and
+        /// `Columns::first_tick` compute, spans near `u64::MAX` (whose
+        /// products need `u128`) and one-column plots included.
+        #[test]
+        fn cursor_follows_the_column_formulas(
+            start in prop_oneof![Just(0u64), any::<u64>()],
+            span in prop_oneof![1u64..2000, any::<u64>(), (u64::MAX - 1000)..=u64::MAX],
+            width in prop_oneof![Just(1u64), 2u64..64, 64u64..5000],
+            steps in prop::collection::vec((0u8..4, any::<u64>()), 1..200),
+        ) {
+            let span = span.max(1);
+            let start = start.min(u64::MAX - span);
+            // The cursor as `write_svg` starts it, in column 0.
+            let hi = start.saturating_add(span.div_ceil(width));
+            let cols = Columns { start, span, width, c: 0, lo: start, hi };
+            prop_assert_eq!(hi, cols.first_tick(1));
+            let end = start + span;
+            let mut cur = cols;
+            let mut t = start;
+            for (kind, r) in steps {
+                let step = match kind {
+                    0 => r % 3,
+                    1 => r % (span / width).max(2),
+                    2 => r % (span / 8 + 1),
+                    _ => 0,
+                };
+                t = t.saturating_add(step).min(end);
+                let c = cur.seek(t);
+                prop_assert_eq!(c, cols.of(t), "tick {}", t);
+                prop_assert_eq!(cur.lo, cols.first_tick(c));
+                prop_assert_eq!(cur.hi, cols.first_tick(c + 1));
+            }
         }
     }
 
@@ -1295,7 +1393,7 @@ mod tests {
                 for window in windows {
                     let mut opts = RenderOptions::default().with_svg(svg_opts);
                     let t = match window {
-                        None => a.timeline().clone(),
+                        None => a.timeline(),
                         Some((t0, t1)) => {
                             opts = opts.with_window(t0, t1);
                             a.timeline_window(t0, t1)

@@ -8,8 +8,8 @@ use cellsim::{
 };
 use pdt::{TraceCore, TraceFile, TraceSession, TracingConfig};
 use ta::{
-    analyze, build_intervals, build_timeline, compute_stats, validate, ActivityKind, Analysis,
-    RenderOptions, ReportKind,
+    analyze, build_intervals, compute_stats, validate, ActivityKind, Analysis, RenderOptions,
+    ReportKind,
 };
 
 fn tag(t: u8) -> TagId {
@@ -136,10 +136,8 @@ fn renderers_produce_output_for_a_real_trace() {
     )];
     let (trace, _, _) = run_traced(1, TracingConfig::default(), jobs);
     let a = analyze(&trace).unwrap();
-    let tl = build_timeline(&a);
-    assert!(tl.lanes.len() >= 2, "PPE lane + SPE lane");
-
     let sess = Analysis::from_analyzed(a.clone());
+    assert!(sess.timeline().lanes.len() >= 2, "PPE lane + SPE lane");
     let svg = sess.render(ReportKind::Svg, &RenderOptions::default());
     assert!(svg.contains("SPE0 (draw)"));
     assert!(svg.matches("<rect").count() > 5);

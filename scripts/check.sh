@@ -67,13 +67,15 @@ cargo run -q -p ta --bin ta-cli -- lint tests/golden/stream.pdt > /dev/null
 
 echo "== ta-cli cross-parallelism smoke =="
 # Ingest decodes one shard per SPE stream under -j, so a golden's
-# summary, SVG timeline, DMA occupancy and window summaries (whole
-# trace and the middle 1% of its span), as .pdt and as its .pdt2
-# packing, must be byte-identical at -j serial and at -j 4. So must the answers that
-# read the global event order built on demand: the events listing, the
-# SARIF lint report and the middle-1% event listing. The summary (lossy
-# and --strict), the SVG timeline and the DMA occupancy report must also
-# be byte-identical between the .pdt and the .pdt2.
+# summary, SVG, ASCII and HTML timelines (the three read the session's
+# interval lanes through one borrowing view), DMA occupancy and window
+# summaries (whole trace and the middle 1% of its span), as .pdt and as
+# its .pdt2 packing, must be byte-identical at -j serial and at -j 4. So
+# must the answers that read the global event order built on demand: the
+# events listing, the SARIF lint report and the middle-1% event listing.
+# The summary (lossy and --strict), the three timelines and the DMA
+# occupancy report must also be byte-identical between the .pdt and the
+# .pdt2.
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
 ta_cli() { cargo run -q --release -p ta --bin ta-cli -- "$@"; }
@@ -90,6 +92,8 @@ for trace in tests/golden/stream.pdt "$smoke_dir/stream.pdt2"; do
     ta_cli summary "$trace" -j "$j" > "$smoke_dir/summary.$j"
     ta_cli --strict summary "$trace" -j "$j" > "$smoke_dir/strict.$j"
     ta_cli timeline "$trace" --svg "$smoke_dir/timeline.$j.svg" -j "$j" > /dev/null
+    ta_cli timeline "$trace" -j "$j" > "$smoke_dir/ascii.$j"
+    ta_cli report "$trace" "$smoke_dir/report.$j.html" -j "$j" > /dev/null
     ta_cli occupancy "$trace" -j "$j" > "$smoke_dir/occupancy.$j"
     ta_cli query "$trace" --summary -j "$j" > "$smoke_dir/query.$j"
     ta_cli query "$trace" --summary --from $(( mid - half )) --to $(( mid + half + 1 )) \
@@ -102,6 +106,8 @@ for trace in tests/golden/stream.pdt "$smoke_dir/stream.pdt2"; do
   cmp "$smoke_dir/summary.serial" "$smoke_dir/summary.4"
   cmp "$smoke_dir/strict.serial" "$smoke_dir/strict.4"
   cmp "$smoke_dir/timeline.serial.svg" "$smoke_dir/timeline.4.svg"
+  cmp "$smoke_dir/ascii.serial" "$smoke_dir/ascii.4"
+  cmp "$smoke_dir/report.serial.html" "$smoke_dir/report.4.html"
   cmp "$smoke_dir/occupancy.serial" "$smoke_dir/occupancy.4"
   cmp "$smoke_dir/query.serial" "$smoke_dir/query.4"
   cmp "$smoke_dir/window.serial" "$smoke_dir/window.4"
@@ -112,11 +118,16 @@ for trace in tests/golden/stream.pdt "$smoke_dir/stream.pdt2"; do
   cp "$smoke_dir/summary.serial" "$smoke_dir/summary.$ext"
   cp "$smoke_dir/strict.serial" "$smoke_dir/strict.$ext"
   cp "$smoke_dir/timeline.serial.svg" "$smoke_dir/timeline.$ext.svg"
+  cp "$smoke_dir/ascii.serial" "$smoke_dir/ascii.$ext"
+  # The report's title is the trace's path; name it the same for both.
+  sed "s#$trace#TRACE#g" "$smoke_dir/report.serial.html" > "$smoke_dir/report.$ext.html"
   cp "$smoke_dir/occupancy.serial" "$smoke_dir/occupancy.$ext"
 done
 cmp "$smoke_dir/summary.pdt" "$smoke_dir/summary.pdt2"
 cmp "$smoke_dir/strict.pdt" "$smoke_dir/strict.pdt2"
 cmp "$smoke_dir/timeline.pdt.svg" "$smoke_dir/timeline.pdt2.svg"
+cmp "$smoke_dir/ascii.pdt" "$smoke_dir/ascii.pdt2"
+cmp "$smoke_dir/report.pdt.html" "$smoke_dir/report.pdt2.html"
 cmp "$smoke_dir/occupancy.pdt" "$smoke_dir/occupancy.pdt2"
 
 echo "== ta-cli damaged-file smoke =="

@@ -64,10 +64,10 @@ pub mod prelude {
     };
     pub use pdt::{EventGroup, GroupMask, TraceCore, TraceFile, TraceSession, TracingConfig};
     pub use ta::{
-        analyze, build_intervals, build_timeline, compute_stats, validate, ActivityKind, Analysis,
-        AnalysisBuilder, CsvTable, DecodePolicy, EventFilter, FaultInjector, FaultKind,
-        ImageIngest, IngestSession, LossReport, MappedImage, Parallelism, RenderOptions, Report,
-        ReportKind, SvgOptions, TraceImage,
+        analyze, build_intervals, compute_stats, validate, ActivityKind, Analysis, AnalysisBuilder,
+        CsvTable, DecodePolicy, EventFilter, FaultInjector, FaultKind, ImageIngest, IngestSession,
+        LossReport, MappedImage, Parallelism, RenderOptions, Report, ReportKind, SvgOptions,
+        TraceImage,
     };
     pub use workloads::{
         run_workload, Buffering, DmaSweepConfig, DmaSweepWorkload, EventRateConfig,

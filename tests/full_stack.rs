@@ -112,9 +112,12 @@ fn every_workload_traces_and_analyzes() {
             v.render()
         );
         // Renderers accept the real trace, via the unified Report API.
-        let tl = build_timeline(&analyzed);
-        assert!(tl.lanes.len() >= spes, "{}: lanes present", w.name());
         let a = Analysis::from_analyzed(analyzed);
+        assert!(
+            a.timeline().lanes.len() >= spes,
+            "{}: lanes present",
+            w.name()
+        );
         assert!(a
             .render(ReportKind::Svg, &RenderOptions::default())
             .contains("</svg>"));

@@ -40,7 +40,7 @@ fn columnar_products_match_row_products_on_goldens() {
         );
         assert_eq!(
             a.timeline(),
-            &ta::timeline::build_timeline_with(&rows, &iv),
+            ta::timeline::build_timeline_with(&rows, &iv),
             "{name}: timeline"
         );
         assert_eq!(
